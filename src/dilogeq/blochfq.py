@@ -69,9 +69,12 @@ class InvariantFactors:
 
     def __post_init__(self):
         nz = [f for f in self.factors if f != 0]
-        assert all(f > 1 for f in nz), "trivial factors must be dropped"
-        assert all(b % a == 0 for a, b in zip(nz, nz[1:]))
-        assert all(f == 0 for f in self.factors[len(nz):])
+        if not all(f > 1 for f in nz):
+            raise ValueError(f"trivial factors must be dropped: {self.factors}")
+        if not all(b % a == 0 for a, b in zip(nz, nz[1:])):
+            raise ValueError(f"factors do not form a divisibility chain: {self.factors}")
+        if not all(f == 0 for f in self.factors[len(nz):]):
+            raise ValueError(f"free factors must come last: {self.factors}")
 
     @property
     def order(self) -> int:
@@ -194,7 +197,8 @@ def kernel_lattice(p: int) -> list[list[int]]:
     rows = [[wi] for wi in w] + [[d]]
     proj = [b[:n] for b in left_kernel(rows)]
     basis = hnf(proj, n)
-    assert len(basis) == n, "kernel of a map to a finite group has full rank"
+    if len(basis) != n:
+        raise ArithmeticError("kernel of a map to a finite group has full rank")
     return basis
 
 

@@ -117,7 +117,8 @@ class CoprimeBasis:
 
 def _monic_quot(a: MultiPoly, d: MultiPoly) -> MultiPoly:
     q = a.divide_exact(d)
-    assert q is not None, "refinement divisions are exact by construction"
+    if q is None:
+        raise ArithmeticError("refinement divisions are exact by construction")
     return q.primitive_monic()[1]
 
 

@@ -1,10 +1,17 @@
 """Exact integer matrix tools: Hermite normal form, Smith normal form,
-integer kernels, and row-span membership.
+integer kernels, integer solving, and row-span membership.
 
 Everything here is plain list-of-lists over Python ints, sized for group
 presentations with at most a few thousand relation rows over a hundred or
-so generators.  The Hermite routine processes rows incrementally, so large
-relation sets collapse into an at-most-n-row accumulator as they stream in.
+so generators; there is no rational arithmetic anywhere.
+
+`HermiteForm` is the one row elimination.  It processes rows
+incrementally, so large relation sets collapse into an at-most-n-row
+accumulator as they stream in, and one reduction loop on it serves
+membership and integer solving.  Kernels and solutions come from the
+Hermite form of [rows | I], whose identity part records each row as a
+combination of the input rows.  Smith's diagonalization runs on the
+collapsed Hermite basis.
 
 The minor-gcd Smith form (gcd of all k x k minors gives the determinant
 divisor chain d_k, and d_k / d_{k-1} the invariant factors) is exponential
@@ -13,16 +20,11 @@ and exists as an independent cross-check for small matrices only.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
 
 Matrix = list[list[int]]
-
-
-def _nonzero(row) -> bool:
-    return any(row)
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -46,13 +48,14 @@ class HermiteForm:
 
     def __init__(self, width: int):
         self.width = width
-        # pivot column -> row (kept fully reduced against each other)
+        # pivot column -> row; basis() completes the reduction above pivots
         self.rows: dict[int, list[int]] = {}
 
     def insert(self, row) -> bool:
         """Reduce a row in; returns True if it enlarged the span."""
         row = list(row)
-        assert len(row) == self.width
+        if len(row) != self.width:
+            raise ValueError(f"row of width {len(row)} in a width-{self.width} form")
         for c in range(self.width):
             if not row[c]:
                 continue
@@ -82,23 +85,28 @@ class HermiteForm:
                 if q:
                     other[:] = [a - q * b for a, b in zip(other, piv)]
 
-    def basis(self) -> Matrix:
-        return [list(self.rows[c]) for c in sorted(self.rows)]
-
-    def contains(self, v) -> bool:
-        v = list(v)
-        for c in range(self.width):
+    def _reduce(self, v: list[int], stop: int) -> list[int] | None:
+        """v minus the combination of pivot rows that clears its columns
+        before `stop`; None when a pivot is missing or does not divide."""
+        for c in range(stop):
             if not v[c]:
                 continue
             piv = self.rows.get(c)
             if piv is None or v[c] % piv[c]:
-                return False
+                return None
             q = v[c] // piv[c]
             v = [a - q * b for a, b in zip(v, piv)]
-        return not any(v)
+        return v
 
-    def rank(self) -> int:
-        return len(self.rows)
+    def basis(self) -> Matrix:
+        # left to right, so a later step never disturbs a reduced column
+        for c in sorted(self.rows):
+            self._normalize_above(c)
+        return [list(self.rows[c]) for c in sorted(self.rows)]
+
+    def contains(self, v) -> bool:
+        rest = self._reduce(list(v), self.width)
+        return rest is not None and not any(rest)
 
 
 def hnf(rows: Matrix, width: int | None = None) -> Matrix:
@@ -112,49 +120,43 @@ def hnf(rows: Matrix, width: int | None = None) -> Matrix:
     return h.basis()
 
 
-def in_row_span(rows: Matrix, v, width: int | None = None) -> bool:
-    if width is None:
-        width = len(v)
-    h = HermiteForm(width)
-    for r in rows:
-        h.insert(r)
-    return h.contains(v)
+def _with_transform(rows: Matrix) -> HermiteForm:
+    """Hermite form of [rows | I]: each form row [h | t] has t @ rows == h."""
+    m, n = len(rows), len(rows[0])
+    h = HermiteForm(n + m)
+    for i, r in enumerate(rows):
+        h.insert(list(r) + [1 if j == i else 0 for j in range(m)])
+    return h
 
 
 def left_kernel(rows: Matrix) -> Matrix:
-    """Basis of the lattice {v : v @ rows == 0}.
-
-    Runs unimodular row reduction on [rows | I]; the transform rows paired
-    with zeroed-out content rows form a kernel basis.
-    """
-    m = len(rows)
-    if m == 0:
+    """Basis of the lattice {v : v @ rows == 0}: the transform rows whose
+    content part vanished, i.e. whose pivot lies past the content columns."""
+    if not rows:
         return []
     n = len(rows[0])
-    work = [list(r) + [1 if j == i else 0 for j in range(m)] for i, r in enumerate(rows)]
-    r = 0
-    for c in range(n):
-        # gcd-eliminate column c below row r
-        while True:
-            live = [i for i in range(r, m) if work[i][c]]
-            if not live:
-                break
-            i0 = min(live, key=lambda i: abs(work[i][c]))
-            work[r], work[i0] = work[i0], work[r]
-            done = True
-            for i in range(r + 1, m):
-                if work[i][c]:
-                    q = work[i][c] // work[r][c]
-                    work[i] = [a - q * b for a, b in zip(work[i], work[r])]
-                    if work[i][c]:
-                        done = False
-            if done:
-                break
-        if any(work[i][c] for i in range(r, m)):
-            r += 1
-        if r == m:
-            break
-    return [row[n:] for row in work[r:] if not _nonzero(row[:n])]
+    h = _with_transform(rows)
+    return [h.rows[c][n:] for c in sorted(h.rows) if c >= n]
+
+
+def solve_integer(basis: Matrix, v) -> list[int] | None:
+    """x with x @ basis == v, when it exists and basis has full row rank.
+
+    Reducing [v | 0] against the Hermite form of [basis | I] over the
+    content columns leaves [0 | -x]; None when that reduction fails.
+    """
+    m = len(basis)
+    if m == 0:
+        return [] if not any(v) else None
+    n = len(basis[0])
+    rest = _with_transform(basis)._reduce(list(v) + [0] * m, n)
+    if rest is None:
+        return None
+    x = [-t for t in rest[n:]]
+    # verify the transform bookkeeping
+    if any(sum(x[i] * basis[i][j] for i in range(m)) != v[j] for j in range(n)):
+        return None
+    return x
 
 
 def smith_invariant_factors(rows: Matrix, width: int | None = None) -> list[int]:
@@ -266,47 +268,3 @@ def minor_gcd_invariant_factors(rows: Matrix, width: int | None = None) -> list[
         factors.append(g // prev)
         prev = g
     return factors
-
-
-def solve_integer(basis: Matrix, v) -> list[int] | None:
-    """x with x @ basis == v, when it exists and basis has full row rank.
-
-    Solved over the rationals, then checked for integrality; None when the
-    system is unsolvable or the solution is not integral.
-    """
-    m = len(basis)
-    if m == 0:
-        return [] if not any(v) else None
-    n = len(basis[0])
-    # solve basis^T x^T = v^T by rational elimination
-    aug = [[Fraction(basis[i][j]) for i in range(m)] + [Fraction(v[j])] for j in range(n)]
-    r = 0
-    piv_cols = []
-    for c in range(m):
-        piv = next((i for i in range(r, n) if aug[i][c]), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(n):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        piv_cols.append(c)
-        r += 1
-    # consistency: zero rows must have zero rhs
-    for i in range(r, n):
-        if aug[i][m]:
-            return None
-    x = [Fraction(0)] * m
-    for row_idx, c in enumerate(piv_cols):
-        x[c] = aug[row_idx][m]
-    if any(t.denominator != 1 for t in x):
-        return None
-    out = [int(t) for t in x]
-    # verify (the elimination above assumed full row rank)
-    for j in range(n):
-        if sum(out[i] * basis[i][j] for i in range(m)) != v[j]:
-            return None
-    return out

@@ -46,6 +46,14 @@ class Infinity:
 INF = Infinity()
 
 
+def complete_var_swap(var_swap: dict[str, str]) -> dict[str, str]:
+    """The symmetric closure of a variable pairing: each b -> a added for a -> b."""
+    full = dict(var_swap)
+    for a, b in var_swap.items():
+        full.setdefault(b, a)
+    return full
+
+
 class RationalFunction:
     __slots__ = ("num", "den", "_hash")
 
@@ -152,9 +160,7 @@ class RationalFunction:
         num = self.num.conjugate_coeffs()
         den = self.den.conjugate_coeffs()
         if var_swap:
-            full = dict(var_swap)
-            for a, b in list(var_swap.items()):
-                full.setdefault(b, a)
+            full = complete_var_swap(var_swap)
             num = num.rename_vars(full)
             den = den.rename_vars(full)
         return RationalFunction(num, den)
@@ -184,7 +190,8 @@ class RationalFunction:
         ns = _poly_substitute(self.num, var, value)
         ds = _poly_substitute(self.den, var, value)
         if ds.is_zero():
-            assert not ns.is_zero(), "0/0 impossible for lowest-terms input"
+            if ns.is_zero():
+                raise ArithmeticError("0/0 impossible for lowest-terms input")
             return INF
         return ns / ds
 
@@ -228,7 +235,8 @@ def _normalize(num: MultiPoly, den: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
     if not g.is_constant():
         nq = num.divide_exact(g)
         dq = den.divide_exact(g)
-        assert nq is not None and dq is not None
+        if nq is None or dq is None:
+            raise ArithmeticError("a gcd must divide both of its arguments")
         num, den = nq, dq
     unit, den = den.primitive_monic()
     if not unit.is_one():

@@ -1,4 +1,4 @@
-"""The antisymmetrized square of the multiplicative group, and the boundary
+r"""The antisymmetrized square of the multiplicative group, and the boundary
 map deciding constancy of dilogarithm sums.
 
 An element of A (x) wedge^2 F* is kept two ways: as the raw list of tensors
@@ -35,8 +35,8 @@ from fractions import Fraction
 from .coprime import CoprimeBasis
 from .formal import FormalSum, conj_sum
 from .poly import MultiPoly, univar_inverse_mod, univar_rem
-from .primes import DEFAULT_FACTOR_BOUND, factor_constant
-from .ratfunc import INF, RationalFunction
+from .primes import factor_constant
+from .ratfunc import INF, RationalFunction, complete_var_swap
 from .scalars import FieldElement, ONE
 
 
@@ -60,7 +60,7 @@ def _unit_modulus(field_mode: str) -> int:
 
 
 class WedgeElement:
-    """a1 (f1 /\ g1) + ... in normal form over a joint coprime basis."""
+    r"""a1 (f1 /\ g1) + ... in normal form over a joint coprime basis."""
 
     __slots__ = (
         "universe",
@@ -76,8 +76,7 @@ class WedgeElement:
         "beta3_unit_unit",
     )
 
-    def __init__(self, universe, tensors, field_mode="Q", coeff_mode="Z",
-                 factor_bound=DEFAULT_FACTOR_BOUND):
+    def __init__(self, universe, tensors, field_mode="Q", coeff_mode="Z"):
         self.universe = tuple(universe)
         self.field_mode = field_mode
         self.coeff_mode = coeff_mode
@@ -87,20 +86,13 @@ class WedgeElement:
         for _, f, g in self.tensors:
             if f.is_zero() or g.is_zero():
                 raise ValueError("wedge arguments must be nonzero")
-        self._normalize(factor_bound)
+        self._normalize()
 
     # -- normal form -------------------------------------------------------
 
-    def _normalize(self, factor_bound):
+    def _normalize(self):
         gaussian = self.field_mode == "Qi"
-        basis = CoprimeBasis(self.universe)
-        for _, f, g in self.tensors:
-            basis.add(f.num)
-            basis.add(f.den)
-            basis.add(g.num)
-            basis.add(g.den)
-        basis.freeze()
-        self.basis = basis
+        basis = self.basis = _joint_basis(self.universe, self.tensors)
 
         beta1: dict[tuple[int, int], Fraction] = {}
         b2p: dict[int, dict[FieldElement, Fraction]] = {}
@@ -146,8 +138,8 @@ class WedgeElement:
         for a, f, g in self.tensors:
             uf, ef = basis.factor_rf(f)
             ug, eg = basis.factor_rf(g)
-            facf = factor_constant(uf, gaussian, factor_bound)
-            facg = factor_constant(ug, gaussian, factor_bound)
+            facf = factor_constant(uf, gaussian)
+            facg = factor_constant(ug, gaussian)
 
             # basis /\ basis
             for i, mi in ef.items():
@@ -285,6 +277,19 @@ class WedgeElement:
     __repr__ = __str__
 
 
+def _joint_basis(universe, tensors, first: tuple[MultiPoly, ...] = ()) -> CoprimeBasis:
+    """The frozen coprime basis refining `first`, then every numerator and
+    denominator of the tensors; each distinct polynomial is added once."""
+    polys = list(first)
+    for _, f, g in tensors:
+        polys += (f.num, f.den, g.num, g.den)
+    basis = CoprimeBasis(universe)
+    for p in dict.fromkeys(polys):
+        basis.add(p)
+    basis.freeze()
+    return basis
+
+
 def _prime_key(p: FieldElement):
     return (p.norm(), p.sort_key())
 
@@ -301,7 +306,8 @@ def _reduce_units(cols: dict, coeff_mode: str, modulus: int) -> dict:
 def _reduce_one(v: Fraction, coeff_mode: str, modulus: int) -> Fraction:
     if coeff_mode == "Q":
         return Fraction(0)
-    assert v.denominator == 1
+    if v.denominator != 1:
+        raise ValueError(f"torsion component {v} is not an integer in Z-mode")
     return Fraction(v.numerator % modulus)
 
 
@@ -310,12 +316,10 @@ def _reduce_one(v: Fraction, coeff_mode: str, modulus: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def boundary(alpha: FormalSum, factor_bound=DEFAULT_FACTOR_BOUND) -> WedgeElement:
-    """d[f] = f /\ (1 - f), extended A-linearly."""
+def boundary(alpha: FormalSum) -> WedgeElement:
+    r"""d[f] = f /\ (1 - f), extended A-linearly."""
     tensors = [(a, f, f.one_minus()) for f, a in alpha.items()]
-    return WedgeElement(
-        alpha.universe, tensors, alpha.field_mode, alpha.coeff_mode, factor_bound
-    )
+    return WedgeElement(alpha.universe, tensors, alpha.field_mode, alpha.coeff_mode)
 
 
 @dataclass(frozen=True)
@@ -336,7 +340,8 @@ def _certificate(w: WedgeElement) -> ConstancyCertificate:
     if w.beta1_is_zero() and w.beta2_is_zero():
         return ConstancyCertificate("Constant", None, b3)
     obs = w.first_obstruction()
-    assert obs is not None
+    if obs is None:
+        raise ArithmeticError("a nonzero beta1 or beta2 has no first entry")
     return ConstancyCertificate("NotConstant", obs, b3)
 
 
@@ -368,9 +373,7 @@ def check_constant_cc(alpha: FormalSum, var_swap: dict[str, str]) -> ConstancyCe
     beta-test on alpha minus its conjugate (coefficients conjugated too,
     paired variables swapped).
     """
-    full = dict(var_swap)
-    for a, b in list(var_swap.items()):
-        full.setdefault(b, a)
+    full = complete_var_swap(var_swap)
     names = set(alpha.universe)
     covered = set(full) | set(full.values())
     if covered != names or any(full.get(full.get(v)) != v for v in full):
@@ -404,7 +407,7 @@ def t_pair(w: WedgeElement, b: MultiPoly, bprime: MultiPoly) -> Fraction:
 
 
 def t_v(w: WedgeElement, b: MultiPoly) -> MultiPoly:
-    """Tame symbol at the place of a univariate basis poly b.
+    r"""Tame symbol at the place of a univariate basis poly b.
 
     f /\ g maps to (-1)^{v(f)v(g)} f^{v(g)} g^{-v(f)} in (k[t]/(b))*,
     multiplied over the stored tensors.  Returns the reduced representative.
@@ -417,14 +420,7 @@ def t_v(w: WedgeElement, b: MultiPoly) -> MultiPoly:
     var = next(iter(used))
     if b.is_constant():
         raise ValueError("the place must be a non-constant polynomial")
-    basis = CoprimeBasis(w.universe)
-    basis.add(b)
-    for _, f, g in w.tensors:
-        basis.add(f.num)
-        basis.add(f.den)
-        basis.add(g.num)
-        basis.add(g.den)
-    basis.freeze()
+    basis = _joint_basis(w.universe, w.tensors, first=(b,))
     ib = basis.index_of(b.primitive_monic()[1])
     if ib is None:
         raise UnknownBasisElement(
@@ -504,7 +500,8 @@ def _sp_generator(f: RationalFunction, var: str, target) -> RationalFunction:
     ord_f = kn - kd
     stripped = RationalFunction(n0, d0)
     value = stripped.substitute(var, target)
-    assert value is not INF and not value.is_zero()
+    if value is INF or value.is_zero():
+        raise ArithmeticError(f"stripping {var} - target left a zero or pole in {f}")
     if ord_f:
         db = RationalFunction.from_poly(target.den)
         value = value * db**ord_f

@@ -10,9 +10,18 @@ import random
 from fractions import Fraction
 
 from dilogeq.formal import FormalSum, five_term, inversion
+from dilogeq.intmat import HermiteForm
 from dilogeq.poly import MultiPoly
 from dilogeq.ratfunc import RationalFunction
 from dilogeq.scalars import FieldElement, fe
+
+
+def in_row_span(rows: list[list[int]], v, width: int | None = None) -> bool:
+    """Is v an integer combination of the rows?"""
+    h = HermiteForm(len(v) if width is None else width)
+    for r in rows:
+        h.insert(r)
+    return h.contains(v)
 
 
 def random_coeff(rnd: random.Random, gaussian: bool = False, zero_ok: bool = True) -> FieldElement:

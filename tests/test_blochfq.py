@@ -234,6 +234,24 @@ def test_quotient_orders_divide(p):
     assert full.order % mod.order == 0
 
 
+# modified_bloch(p) as the Fraction-solver implementation computed it, in
+# the survey of scripts/blochfq_survey.py --max-p 43
+MODIFIED_BLOCH = {5: 3, 7: 2, 11: 3, 13: 7, 17: 9, 19: 5, 23: 6, 29: 15, 31: 8, 37: 19, 41: 21, 43: 11}
+
+
+@pytest.mark.parametrize("p", sorted(MODIFIED_BLOCH))
+def test_bloch_groups_pinned_past_the_oracle(p):
+    assert modified_bloch(p).factors == (MODIFIED_BLOCH[p],)
+    assert pre_bloch(p).factors == ((p + 1) // 2,)
+    assert pre_bloch(p, include_inversion=False).factors == (p + 1,)
+
+
+def test_invariant_factors_reject_bad_chains():
+    for bad in ((1,), (2, 3), (0, 2)):
+        with pytest.raises(ValueError):
+            InvariantFactors(bad)
+
+
 def test_invariant_factor_display():
     assert str(InvariantFactors(())) == "0"
     assert str(InvariantFactors((3,))) == "Z/3"

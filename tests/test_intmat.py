@@ -2,16 +2,19 @@
 
 import random
 
+import pytest
+
 from dilogeq.intmat import (
     HermiteForm,
     det_bareiss,
     hnf,
-    in_row_span,
     left_kernel,
     minor_gcd_invariant_factors,
     smith_invariant_factors,
     solve_integer,
 )
+
+from helpers import in_row_span
 
 
 def _rand_matrix(rnd, m, n, lo=-6, hi=6):
@@ -35,6 +38,25 @@ def test_hnf_simple():
 def test_hnf_rank_deficient():
     h = hnf([[1, 2, 3], [2, 4, 6], [3, 6, 9]])
     assert h == [[1, 2, 3]]
+
+
+def test_hnf_entries_above_pivots_reduced():
+    rnd = random.Random(13)
+    for _ in range(300):
+        n = rnd.randint(1, 5)
+        h = hnf(_rand_matrix(rnd, rnd.randint(1, 5), n), n)
+        pivots = [next(j for j, x in enumerate(r) if x) for r in h]
+        for k, c in enumerate(pivots):
+            assert h[k][c] > 0
+            assert all(0 <= r[c] < h[k][c] for i, r in enumerate(h) if i != k), h
+
+
+def test_insert_rejects_wrong_width():
+    h = HermiteForm(3)
+    for row in ([1, 2], [1, 2, 3, 4]):
+        with pytest.raises(ValueError):
+            h.insert(row)
+    assert h.basis() == []
 
 
 def test_in_row_span_basic():
