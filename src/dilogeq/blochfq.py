@@ -168,7 +168,7 @@ def _primitive_root(p: int) -> int:
     for g in range(2, p):
         if all(pow(g, m // q, p) != 1 for q in prime_parts):
             return g
-    raise AssertionError("no primitive root found; p is not prime")
+    raise ValueError(f"no primitive root mod {p}; {p} is not an odd prime")
 
 
 def boundary_vector(p: int) -> tuple[int, list[int]]:
@@ -193,7 +193,7 @@ def kernel_lattice(p: int) -> list[list[int]]:
     d, w = boundary_vector(p)
     n = len(w)
     if d == 0:
-        raise AssertionError("wedge square of a finite field is finite")
+        raise ArithmeticError("wedge square of a finite field is finite")
     rows = [[wi] for wi in w] + [[d]]
     proj = [b[:n] for b in left_kernel(rows)]
     basis = hnf(proj, n)
@@ -214,17 +214,20 @@ def pre_bloch(p: int, include_inversion: bool = True) -> InvariantFactors:
 def modified_bloch(p: int) -> InvariantFactors:
     """Invariant factors of ker(boundary) modulo the relation lattice.
 
-    Every relation row must land inside the kernel (the boundary kills
-    five-term and inversion rows); a row that does not is a hard error.
+    The relation lattice is solved for in kernel coordinates through its
+    Hermite basis (at most p - 2 rows, against about p^2 relation rows),
+    which spans the same lattice.  Every relation must land inside the
+    kernel (the boundary kills five-term and inversion rows); a basis row
+    that does not is a hard error.
     """
     pres = relations_matrix(p)
     basis = kernel_lattice(p)
     n = len(pres.generators)
     coords = []
-    for row in pres.relations:
-        x = solve_integer(basis, list(row))
+    for row in hnf([list(r) for r in pres.relations], n):
+        x = solve_integer(basis, row)
         if x is None:
-            raise AssertionError(f"relation row {row} falls outside ker(boundary)")
+            raise ArithmeticError(f"relation lattice row {row} falls outside ker(boundary)")
         coords.append(x)
     raw = smith_invariant_factors(coords, n)
     return _pack_factors(raw, n)

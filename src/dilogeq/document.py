@@ -178,7 +178,8 @@ def dump_document(spec: IdentitySpec) -> str:
         else:
             var_entries.append(name)
             emitted.add(name)
-    assert paired <= emitted
+    if not paired <= emitted:
+        raise ValueError(f"paired variables {sorted(paired - emitted)} are not declared")
     out = [
         HEADER,
         f"field: {spec.field_mode}",

@@ -146,10 +146,6 @@ class FormalSum:
             self.coeff_mode,
         )
 
-    def to_mode(self, coeff_mode: str) -> "FormalSum":
-        """Reinterpret coefficients; Q -> Z requires integer values."""
-        return FormalSum(self.universe, dict(self.terms), self.field_mode, coeff_mode)
-
     def map_keys(self, fn) -> "FormalSum":
         out: dict[RationalFunction, Fraction] = {}
         for f, c in self.terms.items():

@@ -65,6 +65,11 @@ def padic_valuation(q: Fraction, p: int) -> int:
     return v
 
 
+def _same_prime(a: "PadicNumber", b: "PadicNumber"):
+    if a.p != b.p:
+        raise ValueError(f"cannot combine {a.p}-adic and {b.p}-adic numbers")
+
+
 @dataclass(frozen=True)
 class PadicNumber:
     """p^val * (unit + O(p^prec)); unit == 0 encodes O(p^val)."""
@@ -76,10 +81,10 @@ class PadicNumber:
 
     def __post_init__(self):
         if self.unit:
-            assert 0 < self.unit < self.p**self.prec
-            assert self.unit % self.p != 0
-        else:
-            assert self.prec == 0
+            if not 0 < self.unit < self.p**self.prec or self.unit % self.p == 0:
+                raise ValueError(f"unit {self.unit} is not a unit mod {self.p}^{self.prec}")
+        elif self.prec:
+            raise ValueError("a zero unit needs prec 0")
 
     # -- constructors ----------------------------------------------------
 
@@ -106,12 +111,6 @@ class PadicNumber:
 
     # -- structure ----------------------------------------------------------
 
-    def is_zeroish(self) -> bool:
-        return self.unit == 0
-
-    def is_exact_zero(self) -> bool:
-        return self.unit == 0 and self.val >= EXACT
-
     def abs_precision(self) -> int:
         """The value is known modulo p to this power."""
         if self.unit == 0:
@@ -127,7 +126,7 @@ class PadicNumber:
 
     def __add__(self, other: "PadicNumber") -> "PadicNumber":
         a, b = self, other
-        assert a.p == b.p
+        _same_prime(a, b)
         p = a.p
         if a.unit == 0 and b.unit == 0:
             return PadicNumber.zero(p, min(a.val, b.val))
@@ -167,7 +166,7 @@ class PadicNumber:
 
     def __mul__(self, other: "PadicNumber") -> "PadicNumber":
         a, b = self, other
-        assert a.p == b.p
+        _same_prime(a, b)
         p = a.p
         if a.unit == 0 or b.unit == 0:
             # O(p^x) times p^y-unit (or O(p^y)) is O(p^{x+y})
@@ -222,14 +221,6 @@ class PadicNumber:
         return f"PadicNumber({self})"
 
 
-def agree_to(x: PadicNumber, y: PadicNumber, abs_digits: int) -> bool:
-    """Do x and y agree modulo p^abs_digits (as far as both are known)?"""
-    d = x - y
-    # for a zeroish difference d.val is its cancellation floor; otherwise it
-    # is the exact valuation, and either way agreement means it clears the cap
-    return d.val >= min(abs_digits, x.abs_precision(), y.abs_precision())
-
-
 @dataclass(frozen=True)
 class Branch:
     """A branch of the p-adic logarithm: the chosen value of log_p(p)."""
@@ -255,7 +246,8 @@ def _log_principal(t: PadicNumber) -> PadicNumber:
     if t.unit == 0:
         return PadicNumber.zero(p, t.val)
     s = t.val
-    assert s >= (2 if p == 2 else 1)
+    if s < (2 if p == 2 else 1):
+        raise ArithmeticError(f"the log series needs v_p(t) large enough, got {s}")
     target = t.abs_precision()
     total = PadicNumber.zero(p)
     term = t

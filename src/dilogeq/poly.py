@@ -24,7 +24,7 @@ actually plausible.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable
 
 from .scalars import FieldElement, ONE, ZERO, fe
 
@@ -247,17 +247,6 @@ class MultiPoly:
             if e[idx] == d
         }
         return MultiPoly(self.universe, out)
-
-    def shift_var(self, var: str, k: int) -> "MultiPoly":
-        """Multiply by var**k (k >= 0)."""
-        idx = self.universe.index(var)
-        return MultiPoly(
-            self.universe,
-            {
-                tuple(x + k if i == idx else x for i, x in enumerate(e)): c
-                for e, c in self.terms.items()
-            },
-        )
 
     # -- evaluation / substitution ---------------------------------------
 
@@ -541,6 +530,14 @@ def univar_inverse_mod(p: MultiPoly, m: MultiPoly, var: str) -> MultiPoly:
 _EVAL_SEEDS = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
+def _exact_quotient(p: MultiPoly, d: MultiPoly) -> MultiPoly:
+    """p / d for a divisor d known to divide p."""
+    q = p.divide_exact(d)
+    if q is None:
+        raise ArithmeticError(f"{d} does not divide {p}")
+    return q
+
+
 def _content_pp(p: MultiPoly, var: str) -> tuple[MultiPoly, MultiPoly]:
     """p = content * pp with content free of `var`, pp primitive in `var`."""
     coeffs = list(p.coeffs_in(var).values())
@@ -553,9 +550,7 @@ def _content_pp(p: MultiPoly, var: str) -> tuple[MultiPoly, MultiPoly]:
         one = MultiPoly.one(p.universe)
         return one, p
     _, cont = cont.primitive_monic()
-    pp = p.divide_exact(cont)
-    assert pp is not None
-    return cont, pp
+    return cont, _exact_quotient(p, cont)
 
 
 def _prem(a: MultiPoly, b: MultiPoly, var: str) -> MultiPoly:
@@ -649,20 +644,6 @@ def poly_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     return (cg * g).primitive_monic()[1]
 
 
-def gcd_many(polys: Iterable[MultiPoly]) -> MultiPoly:
-    it = iter(polys)
-    try:
-        g = next(it)
-    except StopIteration:
-        raise ValueError("gcd of an empty collection")
-    g = g.primitive_monic()[1]
-    for p in it:
-        if g.is_one():
-            break
-        g = poly_gcd(g, p)
-    return g
-
-
 def squarefree_parts(p: MultiPoly) -> list[tuple[MultiPoly, int]]:
     """Decompose a nonconstant p as unit * prod g_k^k.
 
@@ -679,22 +660,16 @@ def squarefree_parts(p: MultiPoly) -> list[tuple[MultiPoly, int]]:
         g = poly_gcd(g, p.derivative(v))
     if g.is_constant():
         return [(p, 1)]
-    b = p.divide_exact(g)
-    assert b is not None
-    _, b = b.primitive_monic()
+    _, b = _exact_quotient(p, g).primitive_monic()
     a = g
     out: list[tuple[MultiPoly, int]] = []
     k = 1
     while not b.is_constant():
         c = poly_gcd(a, b)
-        part = b.divide_exact(c)
-        assert part is not None
-        _, part = part.primitive_monic()
+        _, part = _exact_quotient(b, c).primitive_monic()
         if not part.is_constant():
             out.append((part, k))
         b = c
-        an = a.divide_exact(c)
-        assert an is not None
-        _, a = an.primitive_monic()
+        _, a = _exact_quotient(a, c).primitive_monic()
         k += 1
     return out

@@ -166,7 +166,8 @@ def factor_gaussian_integer(z, bound: int = DEFAULT_FACTOR_BOUND):
     if _gnorm(z) != 1:
         raise OversizedConstant(f"residual non-unit after trial division: {z}")
     unit, w = _first_quadrant(z)
-    assert w == (1, 0)
+    if w != (1, 0):
+        raise ArithmeticError(f"{z} is not a unit times 1")
     return unit, out
 
 

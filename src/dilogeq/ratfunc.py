@@ -16,10 +16,8 @@ degree case given by the ratio of the leading coefficients.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .poly import MultiPoly, poly_gcd
-from .scalars import FieldElement, ONE, ZERO, fe
+from .scalars import FieldElement
 
 
 class ZeroDenominator(ValueError):
@@ -256,19 +254,3 @@ def _poly_substitute(p: MultiPoly, var: str, value: RationalFunction) -> Rationa
         if k in coeffs:
             acc = acc + RationalFunction.from_poly(coeffs[k])
     return acc
-
-
-def rf(universe, num, den=None) -> RationalFunction:
-    """Convenience builder used by tests: ints/Fractions/polys accepted."""
-    def to_poly(x):
-        if isinstance(x, MultiPoly):
-            return x
-        if isinstance(x, (int, Fraction, str)):
-            return MultiPoly.const(universe, fe(x))
-        if isinstance(x, FieldElement):
-            return MultiPoly.const(universe, x)
-        raise TypeError(f"cannot coerce {x!r} to a polynomial")
-
-    n = to_poly(num)
-    d = MultiPoly.one(universe) if den is None else to_poly(den)
-    return RationalFunction(n, d)

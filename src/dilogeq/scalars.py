@@ -54,12 +54,6 @@ class FieldElement:
     def is_rational(self) -> bool:
         return not self.im
 
-    def is_integer(self) -> bool:
-        return not self.im and self.re.denominator == 1
-
-    def is_gaussian_integer(self) -> bool:
-        return self.re.denominator == 1 and self.im.denominator == 1
-
     # -- arithmetic --------------------------------------------------
 
     def __add__(self, other: "FieldElement") -> "FieldElement":

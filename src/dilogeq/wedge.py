@@ -3,23 +3,23 @@ map deciding constancy of dilogarithm sums.
 
 An element of A (x) wedge^2 F* is kept two ways: as the raw list of tensors
 a * (f /\ g) it was built from (so elements can be subtracted and compared
-exactly), and as a normal form over a joint GCD-free basis.  The normal form
-has three layers:
+exactly), and as a normal form over a joint GCD-free basis.  Every f splits
+into atoms: non-constant basis elements, prime constants, and the torsion
+unit (-1 in rational mode, i in Gaussian mode).  The normal form is one
+antisymmetric pairing on atoms, stored as coefficients on pairs x /\ y with
+x before y in the atom order basis < prime < unit.  Its three layers are
+the usual beta decomposition:
 
-  beta1: coefficients on pairs (b_i, b_j), i < j, of distinct non-constant
-         basis elements (antisymmetry folds the other order in with a sign);
-  beta2: per non-constant basis element, a column of exact constants: one
-         coefficient per prime, plus a torsion unit component (the pairing
-         with -1 in rational mode, with i in Gaussian mode);
-  beta3: the constant-constant part: prime pairs, per-prime unit components,
-         and in rational Z-mode the (-1) /\ (-1) bit.
+  beta1: pairs of two basis elements;
+  beta2: a basis element against a prime or the unit;
+  beta3: two constants (prime pairs, prime /\ unit, unit /\ unit).
 
 Identities used (all derived from the defining relation (-x) (x) x = 0):
   antisymmetry  f /\ g = -(g /\ f)
   diagonal      f /\ f = f /\ (-1); over Q(i), -1 = i^2 so this is 2 (f /\ i)
   torsion       b /\ (-1) has order 2, b /\ i has order 4, i /\ i = 0
-so unit components are stored mod 2 (rational) or mod 4 (Gaussian) when
-coefficients are in Z, and vanish identically when coefficients are in Q.
+so pairs ending in the unit are stored mod 2 (rational) or mod 4 (Gaussian)
+when coefficients are in Z, and vanish identically when coefficients are in Q.
 
 The constancy criterion: a formal sum has constant dilogarithm (in the
 Bloch-Wigner, Rogers, or p-adic sense, under the matching admissibility of
@@ -54,27 +54,28 @@ class UnpairedVariables(ValueError):
 
 Tensor = tuple[Fraction, RationalFunction, RationalFunction]
 
+# Atoms are (BASIS, basis index), (PRIME, prime) and the one torsion UNIT.
+BASIS, PRIME = 0, 1
+UNIT = (2, 0)
 
-def _unit_modulus(field_mode: str) -> int:
-    return 4 if field_mode == "Qi" else 2
+
+def _atom_key(x):
+    return (PRIME, _prime_key(x[1])) if x[0] == PRIME else x
+
+
+def _layer(x, y) -> int:
+    r"""1, 2 or 3: the beta layer holding the pair x /\ y, x before y."""
+    return 1 + (x[0] != BASIS) + (y[0] != BASIS)
 
 
 class WedgeElement:
-    r"""a1 (f1 /\ g1) + ... in normal form over a joint coprime basis."""
+    r"""a1 (f1 /\ g1) + ... in normal form over a joint coprime basis.
 
-    __slots__ = (
-        "universe",
-        "field_mode",
-        "coeff_mode",
-        "tensors",
-        "basis",
-        "beta1",
-        "beta2_primes",
-        "beta2_unit",
-        "beta3_pairs",
-        "beta3_units",
-        "beta3_unit_unit",
-    )
+    `pairs[(x, y)]` is the nonzero coefficient of x /\ y for atoms x before
+    y; pairs ending in UNIT are torsion, reduced mod 2 or mod 4 in Z-mode.
+    """
+
+    __slots__ = ("universe", "field_mode", "coeff_mode", "tensors", "basis", "pairs")
 
     def __init__(self, universe, tensors, field_mode="Q", coeff_mode="Z"):
         self.universe = tuple(universe)
@@ -94,115 +95,62 @@ class WedgeElement:
         gaussian = self.field_mode == "Qi"
         basis = self.basis = _joint_basis(self.universe, self.tensors)
 
-        beta1: dict[tuple[int, int], Fraction] = {}
-        b2p: dict[int, dict[FieldElement, Fraction]] = {}
-        b2u: dict[int, Fraction] = {}
-        b3p: dict[tuple[FieldElement, FieldElement], Fraction] = {}
-        b3u: dict[FieldElement, Fraction] = {}
-        b3uu = Fraction(0)
+        def atoms(f: RationalFunction) -> list:
+            unit, exps = basis.factor_rf(f)
+            fac = factor_constant(unit, gaussian)
+            return (
+                [((BASIS, i), e) for i, e in exps.items()]
+                + [((PRIME, p), e) for p, e in fac.factors]
+                + [(UNIT, fac.unit_exponent)]
+            )
 
-        def add_beta1(i, j, val):
-            if i == j or not val:
-                return
-            if i < j:
-                key, v = (i, j), val
-            else:
-                key, v = (j, i), -val
-            beta1[key] = beta1.get(key, Fraction(0)) + v
-
-        def add_b2_prime(i, p, val):
-            if val:
-                col = b2p.setdefault(i, {})
-                col[p] = col.get(p, Fraction(0)) + val
-
-        def add_b2_unit(i, val):
-            if val:
-                b2u[i] = b2u.get(i, Fraction(0)) + val
-
-        def add_b3_pair(p, q, val):
-            if p == q or not val:
-                return
-            kp, kq = _prime_key(p), _prime_key(q)
-            if kp < kq:
-                key, v = (p, q), val
-            else:
-                key, v = (q, p), -val
-            b3p[key] = b3p.get(key, Fraction(0)) + v
-
-        def add_b3_unit(p, val):
-            if val:
-                b3u[p] = b3u.get(p, Fraction(0)) + val
-
-        diag_unit = Fraction(2 if gaussian else 1)
-
+        pairs: dict[tuple, Fraction] = {}
         for a, f, g in self.tensors:
-            uf, ef = basis.factor_rf(f)
-            ug, eg = basis.factor_rf(g)
-            facf = factor_constant(uf, gaussian)
-            facg = factor_constant(ug, gaussian)
+            atoms_f, atoms_g = atoms(f), atoms(g)
+            for x, m in atoms_f:
+                for y, n in atoms_g:
+                    key, v = (x, y), a * m * n
+                    if not v:
+                        continue
+                    if x == y:
+                        if x == UNIT and gaussian:
+                            continue  # i /\ i = 0
+                        if x != UNIT:
+                            # x /\ x = x /\ (-1) = 2 (x /\ i)
+                            key, v = (x, UNIT), 2 * v if gaussian else v
+                    elif _atom_key(y) < _atom_key(x):
+                        key, v = (y, x), -v
+                    pairs[key] = pairs.get(key, Fraction(0)) + v
 
-            # basis /\ basis
-            for i, mi in ef.items():
-                for j, nj in eg.items():
-                    if i == j:
-                        add_b2_unit(i, a * mi * nj * diag_unit)
-                    else:
-                        add_beta1(i, j, a * mi * nj)
-            # basis /\ constant and constant /\ basis
-            for i, mi in ef.items():
-                for p, e in facg.factors:
-                    add_b2_prime(i, p, a * mi * e)
-                add_b2_unit(i, a * mi * facg.unit_exponent)
-            for j, nj in eg.items():
-                for p, e in facf.factors:
-                    add_b2_prime(j, p, -a * nj * e)
-                add_b2_unit(j, -a * nj * facf.unit_exponent)
-            # constant /\ constant
-            for p, dp in facf.factors:
-                for q, eq in facg.factors:
-                    if p == q:
-                        add_b3_unit(p, a * dp * eq * diag_unit)
-                    else:
-                        add_b3_pair(p, q, a * dp * eq)
-            for p, dp in facf.factors:
-                add_b3_unit(p, a * dp * facg.unit_exponent)
-            for q, eq in facg.factors:
-                add_b3_unit(q, -a * eq * facf.unit_exponent)
-            if not gaussian:
-                b3uu += a * facf.unit_exponent * facg.unit_exponent
-            # over Q(i) the unit /\ unit part is i /\ i = 0
-
-        m = _unit_modulus(self.field_mode)
-        self.beta1 = {k: v for k, v in beta1.items() if v}
-        self.beta2_primes = {}
-        for i, col in b2p.items():
-            cleaned = {p: v for p, v in col.items() if v}
-            if cleaned:
-                self.beta2_primes[i] = cleaned
-        self.beta2_unit = _reduce_units(b2u, self.coeff_mode, m)
-        self.beta3_pairs = {k: v for k, v in b3p.items() if v}
-        self.beta3_units = _reduce_units(b3u, self.coeff_mode, m)
-        self.beta3_unit_unit = (
-            _reduce_one(b3uu, self.coeff_mode, 2) if not gaussian else Fraction(0)
-        )
+        modulus = 4 if gaussian else 2
+        self.pairs = {}
+        for (x, y), v in pairs.items():
+            if y == UNIT:
+                v = _reduce_one(v, self.coeff_mode, modulus)
+            if v:
+                self.pairs[x, y] = v
 
     # -- predicates and views ------------------------------------------------
 
+    @property
+    def beta1(self) -> dict[tuple[int, int], Fraction]:
+        """Basis-pair coefficients, keyed by basis indices i < j."""
+        return {(x[1], y[1]): v for (x, y), v in self.pairs.items() if _layer(x, y) == 1}
+
+    def _layer_is_zero(self, layer: int) -> bool:
+        return all(_layer(x, y) != layer for x, y in self.pairs)
+
     def beta1_is_zero(self) -> bool:
-        return not self.beta1
+        return self._layer_is_zero(1)
 
     def beta2_is_zero(self) -> bool:
-        return not self.beta2_primes and not self.beta2_unit
+        return self._layer_is_zero(2)
 
     def beta3_is_zero(self) -> bool:
-        return (
-            not self.beta3_pairs
-            and not self.beta3_units
-            and not self.beta3_unit_unit
-        )
+        return self._layer_is_zero(3)
 
     def is_zero(self) -> bool:
-        return self.beta1_is_zero() and self.beta2_is_zero() and self.beta3_is_zero()
+        return not self.pairs
 
     def __sub__(self, other: "WedgeElement") -> "WedgeElement":
         if (
@@ -216,58 +164,47 @@ class WedgeElement:
             self.universe, self.tensors + negated, self.field_mode, self.coeff_mode
         )
 
+    def _entries(self) -> list[tuple]:
+        """(x, y, value) for every pair, in canonical atom order."""
+        return sorted(
+            ((x, y, v) for (x, y), v in self.pairs.items()),
+            key=lambda e: (_atom_key(e[0]), _atom_key(e[1])),
+        )
+
+    def _label(self, x) -> str:
+        if x == UNIT:
+            return "i" if self.field_mode == "Qi" else "-1"
+        return str(x[1]) if x[0] == PRIME else str(self.basis.elements[x[1]])
+
     def decompose(self):
         """(beta1, beta2, beta3) as plain printable dictionaries."""
-        els = self.basis.elements
-        unit_label = "i" if self.field_mode == "Qi" else "-1"
-        beta1 = {
-            (str(els[i]), str(els[j])): v
-            for (i, j), v in sorted(self.beta1.items())
-        }
-        beta2 = {}
-        for i in sorted(set(self.beta2_primes) | set(self.beta2_unit)):
-            col = {
-                str(p): v
-                for p, v in sorted(
-                    self.beta2_primes.get(i, {}).items(),
-                    key=lambda t: _prime_key(t[0]),
-                )
-            }
-            u = self.beta2_unit.get(i, Fraction(0))
-            if u:
-                col[unit_label] = u
-            beta2[str(els[i])] = col
-        beta3 = {
-            "pairs": {
-                (str(p), str(q)): v
-                for (p, q), v in sorted(
-                    self.beta3_pairs.items(),
-                    key=lambda t: (_prime_key(t[0][0]), _prime_key(t[0][1])),
-                )
-            },
-            "units": {
-                str(p): v
-                for p, v in sorted(
-                    self.beta3_units.items(), key=lambda t: _prime_key(t[0])
-                )
-            },
-            "unit_unit": self.beta3_unit_unit,
-        }
+        beta1, beta2 = {}, {}
+        beta3 = {"pairs": {}, "units": {}, "unit_unit": Fraction(0)}
+        for x, y, v in self._entries():
+            lx, ly = self._label(x), self._label(y)
+            layer = _layer(x, y)
+            if layer == 1:
+                beta1[lx, ly] = v
+            elif layer == 2:
+                beta2.setdefault(lx, {})[ly] = v
+            elif y != UNIT:
+                beta3["pairs"][lx, ly] = v
+            elif x != UNIT:
+                beta3["units"][lx] = v
+            else:
+                beta3["unit_unit"] = v
         return beta1, beta2, beta3
 
     def first_obstruction(self):
-        """The first nonzero beta1/beta2 entry in canonical order, or None."""
-        for (i, j), v in sorted(self.beta1.items()):
-            return ("pair", self.basis.elements[i], self.basis.elements[j], v)
-        unit_label = "i" if self.field_mode == "Qi" else "-1"
-        for i in sorted(set(self.beta2_primes) | set(self.beta2_unit)):
-            for p, v in sorted(
-                self.beta2_primes.get(i, {}).items(), key=lambda t: _prime_key(t[0])
-            ):
-                return ("column", self.basis.elements[i], str(p), v)
-            u = self.beta2_unit.get(i, Fraction(0))
-            if u:
-                return ("column", self.basis.elements[i], unit_label, u)
+        """The first nonzero beta1 entry, else the first nonzero beta2 entry,
+        in canonical order; None when both layers vanish."""
+        els = self.basis.elements
+        for x, y, v in sorted(self._entries(), key=lambda e: _layer(*e[:2])):
+            if y[0] == BASIS:
+                return ("pair", els[x[1]], els[y[1]], v)
+            if x[0] == BASIS:
+                return ("column", els[x[1]], self._label(y), v)
+            break
         return None
 
     def __str__(self):
@@ -292,15 +229,6 @@ def _joint_basis(universe, tensors, first: tuple[MultiPoly, ...] = ()) -> Coprim
 
 def _prime_key(p: FieldElement):
     return (p.norm(), p.sort_key())
-
-
-def _reduce_units(cols: dict, coeff_mode: str, modulus: int) -> dict:
-    out = {}
-    for k, v in cols.items():
-        r = _reduce_one(v, coeff_mode, modulus)
-        if r:
-            out[k] = r
-    return out
 
 
 def _reduce_one(v: Fraction, coeff_mode: str, modulus: int) -> Fraction:

@@ -1,7 +1,8 @@
-"""Deterministic random generators shared by the test modules.
+"""Helpers shared by the test modules: builders and views the package itself
+does not need, and deterministic random generators.
 
-Everything takes an explicit random.Random so failures reproduce from the
-seed alone.
+Every generator takes an explicit random.Random so failures reproduce from
+the seed alone.
 """
 
 from __future__ import annotations
@@ -11,9 +12,84 @@ from fractions import Fraction
 
 from dilogeq.formal import FormalSum, five_term, inversion
 from dilogeq.intmat import HermiteForm
-from dilogeq.poly import MultiPoly
+from dilogeq.padic import EXACT, PadicNumber
+from dilogeq.poly import MultiPoly, poly_gcd
 from dilogeq.ratfunc import RationalFunction
 from dilogeq.scalars import FieldElement, fe
+
+
+# -- builders and views the package itself does not need ---------------------
+
+
+def rf(universe, num, den=None) -> RationalFunction:
+    """Rational function from ints, Fractions, strings, scalars or polys."""
+    def to_poly(x):
+        if isinstance(x, MultiPoly):
+            return x
+        if isinstance(x, (int, Fraction, str)):
+            return MultiPoly.const(universe, fe(x))
+        if isinstance(x, FieldElement):
+            return MultiPoly.const(universe, x)
+        raise TypeError(f"cannot coerce {x!r} to a polynomial")
+
+    n = to_poly(num)
+    d = MultiPoly.one(universe) if den is None else to_poly(den)
+    return RationalFunction(n, d)
+
+
+def gcd_many(polys) -> MultiPoly:
+    it = iter(polys)
+    try:
+        g = next(it)
+    except StopIteration:
+        raise ValueError("gcd of an empty collection")
+    g = g.primitive_monic()[1]
+    for p in it:
+        if g.is_one():
+            break
+        g = poly_gcd(g, p)
+    return g
+
+
+def shift_var(p: MultiPoly, var: str, k: int) -> MultiPoly:
+    """p times var**k (k >= 0)."""
+    idx = p.universe.index(var)
+    return MultiPoly(
+        p.universe,
+        {
+            tuple(x + k if i == idx else x for i, x in enumerate(e)): c
+            for e, c in p.terms.items()
+        },
+    )
+
+
+def to_mode(s: FormalSum, coeff_mode: str) -> FormalSum:
+    """Reinterpret coefficients; Q -> Z requires integer values."""
+    return FormalSum(s.universe, dict(s.terms), s.field_mode, coeff_mode)
+
+
+def is_integer(c: FieldElement) -> bool:
+    return not c.im and c.re.denominator == 1
+
+
+def is_gaussian_integer(c: FieldElement) -> bool:
+    return c.re.denominator == 1 and c.im.denominator == 1
+
+
+def is_zeroish(x: PadicNumber) -> bool:
+    return x.unit == 0
+
+
+def is_exact_zero(x: PadicNumber) -> bool:
+    return x.unit == 0 and x.val >= EXACT
+
+
+def agree_to(x: PadicNumber, y: PadicNumber, abs_digits: int) -> bool:
+    """Do x and y agree modulo p^abs_digits (as far as both are known)?"""
+    d = x - y
+    # for a zeroish difference d.val is its cancellation floor; otherwise it
+    # is the exact valuation, and either way agreement means it clears the cap
+    return d.val >= min(abs_digits, x.abs_precision(), y.abs_precision())
 
 
 def in_row_span(rows: list[list[int]], v, width: int | None = None) -> bool:

@@ -34,7 +34,6 @@ from dilogeq.numerics import (
 from dilogeq.padic import (
     Branch,
     PadicNumber,
-    agree_to,
     branch_diff,
     dp_disc,
     padic_valuation,
@@ -52,6 +51,7 @@ from dilogeq.wedge import (
 )
 
 from helpers import (
+    agree_to,
     beta1_from_exponents,
     expand_beta1_to_planted,
     planted_basis,

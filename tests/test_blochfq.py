@@ -235,8 +235,12 @@ def test_quotient_orders_divide(p):
 
 
 # modified_bloch(p) as the Fraction-solver implementation computed it, in
-# the survey of scripts/blochfq_survey.py --max-p 43
-MODIFIED_BLOCH = {5: 3, 7: 2, 11: 3, 13: 7, 17: 9, 19: 5, 23: 6, 29: 15, 31: 8, 37: 19, 41: 21, 43: 11}
+# the survey of scripts/blochfq_survey.py --max-p 43; p = 47..61 as the
+# row-by-row solve of every relation row computed it
+MODIFIED_BLOCH = {
+    5: 3, 7: 2, 11: 3, 13: 7, 17: 9, 19: 5, 23: 6, 29: 15, 31: 8, 37: 19, 41: 21, 43: 11,
+    47: 12, 53: 27, 59: 15, 61: 31,
+}
 
 
 @pytest.mark.parametrize("p", sorted(MODIFIED_BLOCH))

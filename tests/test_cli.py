@@ -215,6 +215,83 @@ def test_wedge_five_term_vanishes(run):
     assert "beta3: none" in out
 
 
+# Reports of `wedge` as the six-accumulator normal form printed them.  [3*t]
+# pairs basis with basis, prime and unit (its 3 ^ unit part cancels mod 2);
+# [1/3] and [-2] give prime ^ prime and prime ^ unit; over Q(i), [i] has an
+# i ^ i part that vanishes; Q coefficients drop every unit pair.
+WEDGE_GOLDEN = [
+    (
+        "variables: t\nterm: 1 [3*t]\n",
+        "basis: t, t - 1/3\n"
+        "beta1 (t) ^ (t - 1/3): 1\n"
+        "beta2 (t): 3: 1, -1: 1\n"
+        "beta2 (t - 1/3): 3: -1\n"
+        "beta3: none\n",
+        {
+            "basis": ["t", "t - 1/3"],
+            "beta1": {"(t) ^ (t - 1/3)": "1"},
+            "beta1_zero": False,
+            "beta2": {"t": {"-1": "1", "3": "1"}, "t - 1/3": {"3": "-1"}},
+            "beta2_zero": False,
+            "beta3": {"pairs": {}, "unit_unit": "0", "units": {}},
+        },
+    ),
+    (
+        "variables: t\nterm: 1 [1/3]\nterm: 2 [-2]\n",
+        "basis: (empty)\nbeta1: 0\nbeta2: 0\nbeta3: 2 ^ 3: 3; 3 ^ unit: 1\n",
+        {
+            "basis": [],
+            "beta1": {},
+            "beta1_zero": True,
+            "beta2": {},
+            "beta2_zero": True,
+            "beta3": {"pairs": {"2 ^ 3": "3"}, "unit_unit": "0", "units": {"3": "1"}},
+        },
+    ),
+    (
+        "field: Qi\nvariables: t\nterm: 1 [i]\nterm: 1 [i*t]\n",
+        "basis: t, t + i\n"
+        "beta1 (t) ^ (t + i): 1\n"
+        "beta2 (t): i: 3\n"
+        "beta2 (t + i): i: 3\n"
+        "beta3: 1 + i ^ unit: 3\n",
+        {
+            "basis": ["t", "t + i"],
+            "beta1": {"(t) ^ (t + i)": "1"},
+            "beta1_zero": False,
+            "beta2": {"t": {"i": "3"}, "t + i": {"i": "3"}},
+            "beta2_zero": False,
+            "beta3": {"pairs": {}, "unit_unit": "0", "units": {"1 + i": "3"}},
+        },
+    ),
+    (
+        "coefficients: Q\nvariables: t\nterm: 1/2 [3*t]\nterm: 1/3 [1/3]\n",
+        "basis: t, t - 1/3\n"
+        "beta1 (t) ^ (t - 1/3): 1/2\n"
+        "beta2 (t): 3: 1/2\n"
+        "beta2 (t - 1/3): 3: -1/2\n"
+        "beta3: 2 ^ 3: 1/3\n",
+        {
+            "basis": ["t", "t - 1/3"],
+            "beta1": {"(t) ^ (t - 1/3)": "1/2"},
+            "beta1_zero": False,
+            "beta2": {"t": {"3": "1/2"}, "t - 1/3": {"3": "-1/2"}},
+            "beta2_zero": False,
+            "beta3": {"pairs": {"2 ^ 3": "1/3"}, "unit_unit": "0", "units": {}},
+        },
+    ),
+]
+
+
+@pytest.mark.parametrize("body, text, report", WEDGE_GOLDEN)
+def test_wedge_golden(run, body, text, report):
+    doc = "DOC:dilog-identity v1\n" + body
+    assert run(["wedge", doc]) == (0, text, "")
+    code, out, err = run(["wedge", doc, "--json"])
+    assert (code, err) == (0, "")
+    assert out == json.dumps(report, sort_keys=True, indent=2) + "\n"
+
+
 # -- relations ----------------------------------------------------------------------
 
 

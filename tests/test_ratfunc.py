@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dilogeq.poly import MultiPoly
-from dilogeq.ratfunc import INF, Infinity, RationalFunction, ZeroDenominator, rf
+from dilogeq.ratfunc import INF, Infinity, RationalFunction, ZeroDenominator
 from dilogeq.scalars import ONE, fe
 
-from helpers import random_ratfunc
+from helpers import random_ratfunc, rf
 
 
 T = ("t",)

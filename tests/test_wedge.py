@@ -154,6 +154,22 @@ def test_q_coefficients_kill_unit_torsion():
     assert not w2.is_zero()
 
 
+def test_unit_with_itself():
+    # (-1) /\ (-1) is kept over Q, mod 2; i /\ i = 0 over Q(i)
+    minus = WedgeElement(T, [(1, const(-1), const(-1))])
+    assert minus.decompose()[2]["unit_unit"] == 1
+    assert minus.beta1_is_zero() and minus.beta2_is_zero() and not minus.beta3_is_zero()
+    assert WedgeElement(T, [(2, const(-1), const(-1))]).is_zero()
+    i_const = RationalFunction.const(T, FieldElement.i())
+    assert WedgeElement(T, [(1, i_const, i_const)], field_mode="Qi").is_zero()
+
+
+def test_z_mode_torsion_must_be_integral():
+    with pytest.raises(ValueError):
+        WedgeElement(T, [(Fraction(1, 2), t(), const(-1))])
+    assert WedgeElement(T, [(Fraction(1, 2), t(), const(-1))], coeff_mode="Q").is_zero()
+
+
 # -- relation generators die under the boundary ------------------------------
 
 
@@ -206,6 +222,17 @@ def test_column_obstruction_direct():
     obs2 = w2.first_obstruction()
     assert obs2 == ("column", MultiPoly.var(T, "t"), "-1", 1)
     assert boundary(five_term(const(2), const(3))).first_obstruction() is None
+
+
+def test_pair_witness_before_an_earlier_column():
+    # beta2 sits on t, the first basis element, and beta1 only on later ones;
+    # every beta1 entry still comes before every beta2 entry.  No boundary has
+    # this shape (its tame symbol at t would be the constant 2), so the
+    # element is built directly.
+    w = WedgeElement(T, [(1, t(), const(2)), (1, t() - const(1), t() - const(2))])
+    assert [str(b) for b in w.basis.elements] == ["t", "t - 2", "t - 1"]
+    kind, b, bprime, val = w.first_obstruction()
+    assert (kind, str(b), str(bprime), val) == ("pair", "t - 2", "t - 1", -1)
 
 
 def test_duplication_combo_is_constant():
