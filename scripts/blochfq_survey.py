@@ -5,13 +5,9 @@ Usage: python3 scripts/blochfq_survey.py [--max-p N]
 
 import argparse
 
-from dilogeq.blochfq import (
-    check_c_facts,
-    modified_bloch,
-    pre_bloch,
-    relations_matrix,
-    wedge_square_order,
-)
+from dilogeq.blochfq import bloch_groups
+
+
 def primes_up_to(bound: int) -> list[int]:
     sieve = bytearray([1]) * (bound + 1)
     sieve[:2] = b"\x00\x00"
@@ -32,15 +28,13 @@ def main():
     for p in primes_up_to(args.max_p):
         if p < 5:
             continue
-        pres = relations_matrix(p)
-        _, d = wedge_square_order(p)
-        wedge = f"Z/{d}" if d > 1 else "0"
-        facts = check_c_facts(p)
-        ok = "yes" if facts.all_pass else "NO"
+        g = bloch_groups(p)
+        wedge = f"Z/{g.wedge_square}" if g.wedge_square > 1 else "0"
+        ok = "yes" if g.c_class_independent and g.three_c_in_span else "NO"
         print(
-            f"{p:>4} {len(pres.generators):>5} {wedge:>8} "
-            f"{str(pre_bloch(p, include_inversion=False)):>10} "
-            f"{str(pre_bloch(p)):>8} {str(modified_bloch(p)):>9}  {ok}"
+            f"{p:>4} {len(g.presentation.generators):>5} {wedge:>8} "
+            f"{str(g.pre_bloch_five_only):>10} "
+            f"{str(g.pre_bloch):>8} {str(g.modified_bloch):>9}  {ok}"
         )
 
 

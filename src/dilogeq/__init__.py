@@ -65,17 +65,17 @@ from .padic import (
     teichmuller,
 )
 from .blochfq import (
+    BlochGroups,
     InvariantFactors,
     PrimeTooSmall,
-    check_c_facts,
-    modified_bloch,
-    pre_bloch,
+    bloch_groups,
     relations_matrix,
 )
 from .exprparse import parse_expression
 from .document import IdentitySpec, dump_document, load_document
 
 __all__ = [
+    "BlochGroups",
     "Branch",
     "ConstancyCertificate",
     "CoprimeBasis",
@@ -98,11 +98,11 @@ __all__ = [
     "SpecStep",
     "WedgeElement",
     "ZeroDenominator",
+    "bloch_groups",
     "bloch_wigner",
     "boundary",
     "branch_diff",
     "c_element",
-    "check_c_facts",
     "check_constant",
     "classify_value",
     "check_constant_cc",
@@ -121,13 +121,11 @@ __all__ = [
     "li2",
     "li2p",
     "load_document",
-    "modified_bloch",
     "naive_eval",
     "numeric_probe",
     "parse_expression",
     "plog",
     "poly_gcd",
-    "pre_bloch",
     "relations_matrix",
     "rl_bar",
     "rogers",

@@ -23,6 +23,7 @@ from .intmat import (
     smith_invariant_factors,
     solve_integer,
 )
+from .primes import factor_rational
 
 
 class PrimeTooSmall(ValueError):
@@ -30,13 +31,8 @@ class PrimeTooSmall(ValueError):
 
 
 def _require_prime(p: int):
-    if not isinstance(p, int) or p < 2:
+    if not isinstance(p, int) or p < 2 or factor_rational(p, p)[1] != {p: 1}:
         raise ValueError(f"{p!r} is not a prime")
-    k = 2
-    while k * k <= p:
-        if p % k == 0:
-            raise ValueError(f"{p} is not a prime")
-        k += 1
     if p < 5:
         raise PrimeTooSmall(f"need p >= 5, got {p}")
 
@@ -155,16 +151,7 @@ def wedge_square_order(p: int) -> tuple[int, int]:
 
 def _primitive_root(p: int) -> int:
     m = p - 1
-    prime_parts = []
-    q, k = m, 2
-    while k * k <= q:
-        if q % k == 0:
-            prime_parts.append(k)
-            while q % k == 0:
-                q //= k
-        k += 1
-    if q > 1:
-        prime_parts.append(q)
+    prime_parts = factor_rational(m, p)[1]
     for g in range(2, p):
         if all(pow(g, m // q, p) != 1 for q in prime_parts):
             return g
@@ -202,66 +189,56 @@ def kernel_lattice(p: int) -> list[list[int]]:
     return basis
 
 
-def pre_bloch(p: int, include_inversion: bool = True) -> InvariantFactors:
-    """Invariant factors of Z[F_p_flat] modulo the relation rows."""
-    pres = relations_matrix(p)
-    rows = pres.relations if include_inversion else pres.five_rows
-    n = len(pres.generators)
-    raw = smith_invariant_factors([list(r) for r in rows], n)
-    return _pack_factors(raw, n)
+@dataclass(frozen=True)
+class BlochGroups:
+    """Bloch-group data of F_p, all read from one presentation.
+
+    `wedge_square` is d with the wedge square of F_p* presented as Z/d.
+    The c-element facts: the class of [c] + [1-c] modulo the five-term
+    rows does not depend on c, and three times it dies modulo the full
+    relation set.
+    """
+
+    presentation: AbelianGroupPresentation
+    wedge_square: int
+    pre_bloch_five_only: InvariantFactors
+    pre_bloch: InvariantFactors
+    modified_bloch: InvariantFactors
+    c_class_independent: bool
+    three_c_in_span: bool
 
 
-def modified_bloch(p: int) -> InvariantFactors:
-    """Invariant factors of ker(boundary) modulo the relation lattice.
+def bloch_groups(p: int) -> BlochGroups:
+    """Pre-Bloch groups (five-term rows only, and all relations), the
+    modified Bloch group, and the c-element facts of F_p.
 
-    The relation lattice is solved for in kernel coordinates through its
-    Hermite basis (at most p - 2 rows, against about p^2 relation rows),
-    which spans the same lattice.  Every relation must land inside the
-    kernel (the boundary kills five-term and inversion rows); a basis row
-    that does not is a hard error.
+    The five-term rows are eliminated once.  The full relation lattice is
+    the Hermite basis of the five-term lattice (which spans it) plus the
+    p - 2 inversion rows, so the about p^2 rows are never reduced twice.
+    The modified Bloch group is ker(boundary) modulo the relation lattice,
+    solved for in kernel coordinates through the full lattice's Hermite
+    basis.  Every relation must land inside the kernel (the boundary kills
+    five-term and inversion rows); a basis row that does not is a hard
+    error.
     """
     pres = relations_matrix(p)
-    basis = kernel_lattice(p)
     n = len(pres.generators)
+    five = HermiteForm(n)
+    for row in pres.five_rows:
+        five.insert(row)
+    five_basis = five.basis()
+    full = HermiteForm(n)
+    for row in [*five_basis, *pres.inversion_rows]:
+        full.insert(row)
+    full_basis = full.basis()
+
+    kernel = kernel_lattice(p)
     coords = []
-    for row in hnf([list(r) for r in pres.relations], n):
-        x = solve_integer(basis, row)
+    for row in full_basis:
+        x = solve_integer(kernel, row)
         if x is None:
             raise ArithmeticError(f"relation lattice row {row} falls outside ker(boundary)")
         coords.append(x)
-    raw = smith_invariant_factors(coords, n)
-    return _pack_factors(raw, n)
-
-
-@dataclass(frozen=True)
-class CElementReport:
-    p: int
-    class_independent_of_c: bool
-    three_c_in_relations: bool
-    c_values_checked: int
-
-    @property
-    def all_pass(self) -> bool:
-        return self.class_independent_of_c and self.three_c_in_relations
-
-
-def check_c_facts(p: int) -> CElementReport:
-    """Exact span-membership checks for the [c] + [1-c] classes.
-
-    First: the class of [c] + [1-c] modulo the five-term rows does not
-    depend on c.  Checked against a fixed base point; equality against the
-    base for every c gives all pairs by transitivity.  Second: three times
-    the class dies modulo the full relation set.
-    """
-    pres = relations_matrix(p)
-    n = len(pres.generators)
-
-    five_span = HermiteForm(n)
-    for row in pres.five_rows:
-        five_span.insert(list(row))
-    full_span = HermiteForm(n)
-    for row in pres.relations:
-        full_span.insert(list(row))
 
     def c_vec(c: int) -> list[int]:
         row = [0] * n
@@ -269,13 +246,17 @@ def check_c_facts(p: int) -> CElementReport:
         row[(1 - c) % p - 2] += 1
         return row
 
+    # equality with a fixed base point for every c gives all pairs
     base = c_vec(2)
-    indep = True
-    three = True
-    for c in pres.generators:
-        vc = c_vec(c)
-        if not five_span.contains([a - b for a, b in zip(vc, base)]):
-            indep = False
-        if not full_span.contains([3 * a for a in vc]):
-            three = False
-    return CElementReport(p, indep, three, len(pres.generators))
+    cs = [c_vec(c) for c in pres.generators]
+    return BlochGroups(
+        presentation=pres,
+        wedge_square=wedge_square_order(p)[1],
+        pre_bloch_five_only=_pack_factors(smith_invariant_factors(five_basis, n), n),
+        pre_bloch=_pack_factors(smith_invariant_factors(full_basis, n), n),
+        modified_bloch=_pack_factors(smith_invariant_factors(coords, n), n),
+        c_class_independent=all(
+            five.contains([a - b for a, b in zip(vc, base)]) for vc in cs
+        ),
+        three_c_in_span=all(full.contains([3 * a for a in vc]) for vc in cs),
+    )

@@ -21,7 +21,7 @@ argument expression in square brackets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exprparse import parse_expression
@@ -51,12 +51,16 @@ class IdentitySpec:
     variables: tuple[str, ...]
     pairs: tuple[tuple[str, str], ...]
     terms: tuple[TermSpec, ...]
+    _sum: FormalSum | None = field(default=None, init=False, repr=False, compare=False)
 
     def var_swap(self) -> dict[str, str]:
         """One direction of each declared conjugate pair."""
         return {a: b for a, b in self.pairs}
 
     def formal_sum(self) -> FormalSum:
+        """The document's formal sum, parsed on the first call and kept."""
+        if self._sum is not None:
+            return self._sum
         total = FormalSum.zero(self.variables, self.field_mode, self.coeff_mode)
         for term in self.terms:
             f = parse_expression(term.expression, self.variables, self.field_mode)
@@ -66,6 +70,7 @@ class IdentitySpec:
                 )
             except ValueError as exc:
                 raise DocumentError(str(exc), term.line) from None
+        object.__setattr__(self, "_sum", total)
         return total
 
 
@@ -159,7 +164,7 @@ def load_document(text: str) -> IdentitySpec:
             f"coefficient {bad.coefficient} is not an integer (coefficients: Z)", bad.line
         )
     spec = IdentitySpec(field_mode, coeff_mode, tuple(variables), tuple(pairs), tuple(terms))
-    # catch expression errors eagerly so loading a document validates it
+    # parse eagerly so loading a document validates it; the sum is kept
     spec.formal_sum()
     return spec
 

@@ -66,12 +66,22 @@ class HermiteForm:
                 self._normalize_above(c)
                 return True
             piv = self.rows[c]
-            # one unimodular step: pivot becomes gcd, row entry becomes 0
             a, b = piv[c], row[c]
+            if b % a == 0:
+                # the pivot already divides: clear the entry, the form stays
+                q = b // a
+                row = [y - q * x for x, y in zip(piv, row)]
+                continue
+            # one unimodular step: pivot becomes gcd, row entry becomes 0
             g, u, v = _xgcd(a, b)
             new_piv = [u * x + v * y for x, y in zip(piv, row)]
             row = [(a // g) * y - (b // g) * x for x, y in zip(piv, row)]
             piv[:] = new_piv
+            # Reduce the earlier rows at this column now, not only in
+            # basis(): later steps mix those rows into others, so entries
+            # left unreduced above a pivot compound and the integers grow
+            # (without this pass `bloch_groups(43)` runs about five times
+            # slower).
             self._normalize_above(c)
         return False
 

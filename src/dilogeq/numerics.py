@@ -226,7 +226,8 @@ def _sample_point(alpha: FormalSum, rng: random.Random, domain: str,
             return None
         if not (math.isfinite(val.real) and math.isfinite(val.imag)):
             return None
-        if not _admissible_value(val, lo, hi):
+        # a constant argument takes the same value at every draw
+        if not f.is_constant() and not _admissible_value(val, lo, hi):
             return None
         if domain == "real" and abs(val.imag) > 1e-12:
             return None

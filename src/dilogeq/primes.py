@@ -3,8 +3,10 @@
 Rational constants split as (-1)^s * prod p^e over positive primes; Gaussian
 constants split as i^k * prod pi^e over Gaussian primes normalized to the
 first quadrant (re > 0, im >= 0), the unique such associate.  Factoring is
-by trial division of the norm up to a bound (default 10**6); a residual
-above the bound raises OversizedConstant instead of guessing.
+by trial division over Z up to a bound (default 10**6); a residual above
+the bound raises OversizedConstant instead of guessing.  The rational
+primes under a Gaussian integer z = g * w, g = gcd(re, im), are those of g
+and of the norm of w; both are far smaller than the norm g^2 * N(w) of z.
 
 Split primes p = 1 mod 4 are located as gcd(p, x + i) in Z[i] where
 x^2 = -1 mod p; inert primes p = 3 mod 4 stay prime; 2 ramifies through
@@ -73,7 +75,7 @@ def _trial_sequence():
         p += 2
 
 
-def factor_rational(q: Fraction, bound: int = DEFAULT_FACTOR_BOUND):
+def factor_rational(q: Fraction | int, bound: int = DEFAULT_FACTOR_BOUND):
     """q != 0 -> (sign_exponent in {0,1}, {prime: exponent})."""
     if q == 0:
         raise ValueError("cannot factor zero")
@@ -144,8 +146,11 @@ def factor_gaussian_integer(z, bound: int = DEFAULT_FACTOR_BOUND):
     """Nonzero z in Z[i] -> (unit_exponent mod 4, {(re, im): exponent})."""
     if z == (0, 0):
         raise ValueError("cannot factor zero")
+    g = _gcd_int(abs(z[0]), abs(z[1]))
+    primes = set(_factor_int(g, bound))
+    primes |= set(_factor_int(_gnorm((z[0] // g, z[1] // g)), bound))
     out: dict[tuple[int, int], int] = {}
-    for p, _ in sorted(_factor_int(_gnorm(z), bound).items()):
+    for p in sorted(primes):
         if p == 2:
             reps = [(1, 1)]
         elif p % 4 == 3:

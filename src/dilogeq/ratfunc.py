@@ -12,6 +12,10 @@ lowest terms (Gauss: coprime over the polynomial ring stays coprime over
 the rational-function coefficient field).  Substituting the symbol INF is
 resolved by degree comparison in the eliminated variable, with the equal-
 degree case given by the ratio of the leading coefficients.
+
+Full evaluation at a point is different: coprime polynomials in two or more
+variables can vanish together, as (y - 3)/(x - 2) does at (2, 3), and
+`evaluate` raises Indeterminate there.
 """
 
 from __future__ import annotations
@@ -22,6 +26,10 @@ from .scalars import FieldElement
 
 class ZeroDenominator(ValueError):
     pass
+
+
+class Indeterminate(ArithmeticError):
+    """Numerator and denominator vanish together at a point (0/0)."""
 
 
 class Infinity:
@@ -194,12 +202,13 @@ class RationalFunction:
         return ns / ds
 
     def evaluate(self, assignment: dict[str, FieldElement]):
-        """Full evaluation at a point; returns FieldElement or INF."""
+        """Full evaluation at a point; returns FieldElement or INF, and
+        raises Indeterminate where numerator and denominator both vanish."""
         n = self.num.evaluate(assignment)
         d = self.den.evaluate(assignment)
         if d.is_zero():
             if n.is_zero():
-                raise ArithmeticError("0/0 cannot occur in lowest terms")
+                raise Indeterminate(f"0/0: numerator and denominator of {self} vanish there")
             return INF
         return n / d
 

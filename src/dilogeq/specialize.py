@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .formal import ExtendedFormalSum, FormalSum, c_element, five_term
-from .ratfunc import INF, RationalFunction
+from .ratfunc import INF, Indeterminate, RationalFunction
 from .scalars import FieldElement, fe
 
 
@@ -120,14 +120,17 @@ def iterate(alpha: FormalSum, plan: SpecPlan) -> FormalSum:
 
 def evaluate_at_point(alpha: FormalSum, point: dict[str, FieldElement]) -> FormalSum:
     """Substitute every coordinate at once; each argument must stay in the
-    admissible set (not 0, 1, or a pole), else PointNotAdmissible names the
-    offender.  Order-independent by construction."""
+    admissible set (not 0, 1, a pole, or 0/0), else PointNotAdmissible
+    names the offender.  Order-independent by construction."""
     missing = [v for v in alpha.universe if v not in point]
     if missing:
         raise ValueError(f"point does not assign {missing}")
     out: dict[RationalFunction, Fraction] = {}
     for f, a in alpha.items():
-        v = f.evaluate(point)
+        try:
+            v = f.evaluate(point)
+        except Indeterminate:
+            raise PointNotAdmissible(f, "numerator and denominator vanish (0/0)") from None
         if v is INF:
             raise PointNotAdmissible(f, "the denominator vanishes there")
         if v.is_zero():

@@ -13,11 +13,9 @@ import time
 from fractions import Fraction
 
 from dilogeq.blochfq import (
+    bloch_groups,
     boundary_vector,
-    check_c_facts,
     kernel_lattice,
-    modified_bloch,
-    pre_bloch,
     relations_matrix,
 )
 from dilogeq.cli import main
@@ -419,16 +417,17 @@ def test_acceptance_09_finite_fields(capsys):
             d, w = boundary_vector(p)
             for row in pres.relations:
                 assert sum(a * b for a, b in zip(row, w)) % max(d, 1) == 0
-            rep = check_c_facts(p)
-            assert rep.class_independent_of_c
-            assert rep.three_c_in_relations
+            groups = bloch_groups(p)
+            assert groups.c_class_independent
+            assert groups.three_c_in_span
 
         for p in (5, 7):
             pres = relations_matrix(p)
             n = len(pres.generators)
+            groups = bloch_groups(p)
             for rows, got in (
-                (pres.five_rows, pre_bloch(p, include_inversion=False)),
-                (pres.relations, pre_bloch(p)),
+                (pres.five_rows, groups.pre_bloch_five_only),
+                (pres.relations, groups.pre_bloch),
             ):
                 chain = _quotient_structure([list(r) for r in rows], n)
                 assert chain is not None and got.factors == tuple(chain)
@@ -436,7 +435,7 @@ def test_acceptance_09_finite_fields(capsys):
             coords = [solve_integer(basis, list(r)) for r in pres.relations]
             assert all(x is not None for x in coords)
             chain = _quotient_structure(coords, n)
-            assert modified_bloch(p).factors == tuple(chain)
+            assert groups.modified_bloch.factors == tuple(chain)
 
 
 # -- 10: command line end to end ----------------------------------------------------------

@@ -6,14 +6,13 @@ from math import gcd
 
 import pytest
 
+from dilogeq import blochfq
 from dilogeq.blochfq import (
     InvariantFactors,
     PrimeTooSmall,
+    bloch_groups,
     boundary_vector,
-    check_c_facts,
     kernel_lattice,
-    modified_bloch,
-    pre_bloch,
     relations_matrix,
     wedge_square_order,
 )
@@ -155,7 +154,7 @@ def test_small_primes_rejected():
     with pytest.raises(PrimeTooSmall):
         relations_matrix(3)
     with pytest.raises(PrimeTooSmall):
-        pre_bloch(2)
+        bloch_groups(2)
     with pytest.raises(ValueError):
         relations_matrix(9)
     with pytest.raises(ValueError):
@@ -225,16 +224,15 @@ def test_kernel_lattice_index(p):
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_quotient_orders_divide(p):
-    five_only = pre_bloch(p, include_inversion=False)
-    full = pre_bloch(p)
-    mod = modified_bloch(p)
+    groups = bloch_groups(p)
+    five_only, full, mod = groups.pre_bloch_five_only, groups.pre_bloch, groups.modified_bloch
     assert five_only.order > 0 and full.order > 0 and mod.order > 0
     # more relations give a further quotient; the kernel gives a subgroup
     assert five_only.order % full.order == 0
     assert full.order % mod.order == 0
 
 
-# modified_bloch(p) as the Fraction-solver implementation computed it, in
+# the modified Bloch group as the Fraction-solver implementation computed it, in
 # the survey of scripts/blochfq_survey.py --max-p 43; p = 47..61 as the
 # row-by-row solve of every relation row computed it
 MODIFIED_BLOCH = {
@@ -245,9 +243,33 @@ MODIFIED_BLOCH = {
 
 @pytest.mark.parametrize("p", sorted(MODIFIED_BLOCH))
 def test_bloch_groups_pinned_past_the_oracle(p):
-    assert modified_bloch(p).factors == (MODIFIED_BLOCH[p],)
-    assert pre_bloch(p).factors == ((p + 1) // 2,)
-    assert pre_bloch(p, include_inversion=False).factors == (p + 1,)
+    groups = bloch_groups(p)
+    assert groups.modified_bloch.factors == (MODIFIED_BLOCH[p],)
+    assert groups.pre_bloch.factors == ((p + 1) // 2,)
+    assert groups.pre_bloch_five_only.factors == (p + 1,)
+
+
+@pytest.mark.parametrize("p", [7, 13])
+def test_five_term_rows_eliminated_once(p, monkeypatch):
+    # the full lattice is the five-term Hermite basis plus the inversion
+    # rows, so no relation row is inserted twice
+    inserted = []
+    base = blochfq.HermiteForm
+
+    class Counted(base):
+        def insert(self, row):
+            inserted.append(tuple(row))
+            return base.insert(self, row)
+
+    monkeypatch.setattr(blochfq, "HermiteForm", Counted)
+    groups = bloch_groups(p)
+    pres = groups.presentation
+    n = len(pres.generators)
+    five = len(pres.five_rows)
+    assert inserted[:five] == list(pres.five_rows)
+    rest = inserted[five:]
+    assert len(rest) <= 2 * n
+    assert rest[len(rest) - n :] == list(pres.inversion_rows)
 
 
 def test_invariant_factors_reject_bad_chains():
@@ -268,9 +290,10 @@ def test_invariant_factor_display():
 def test_pre_bloch_matches_enumeration_oracle(p):
     pres = relations_matrix(p)
     n = len(pres.generators)
+    groups = bloch_groups(p)
     for rows, got in (
-        (pres.five_rows, pre_bloch(p, include_inversion=False)),
-        (pres.relations, pre_bloch(p)),
+        (pres.five_rows, groups.pre_bloch_five_only),
+        (pres.relations, groups.pre_bloch),
     ):
         chain = _quotient_structure([list(r) for r in rows], n)
         assert chain is not None
@@ -285,7 +308,7 @@ def test_modified_bloch_matches_enumeration_oracle(p):
     coords = [solve_integer(basis, list(r)) for r in pres.relations]
     assert all(x is not None for x in coords)
     chain = _quotient_structure(coords, n)
-    assert modified_bloch(p).factors == tuple(chain)
+    assert bloch_groups(p).modified_bloch.factors == tuple(chain)
 
 
 def test_smith_matches_minor_gcd_oracle():
@@ -304,11 +327,10 @@ def test_smith_matches_minor_gcd_oracle():
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_c_element_facts(p):
-    rep = check_c_facts(p)
-    assert rep.class_independent_of_c
-    assert rep.three_c_in_relations
-    assert rep.all_pass
-    assert rep.c_values_checked == p - 2
+    groups = bloch_groups(p)
+    assert groups.c_class_independent
+    assert groups.three_c_in_span
+    assert len(groups.presentation.generators) == p - 2
 
 
 @pytest.mark.parametrize("p", [5, 7])

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from dilogeq import blochfq
 from dilogeq.cli import main
 from dilogeq.document import load_document
 from dilogeq.exprparse import parse_expression
@@ -110,6 +111,33 @@ def test_check_real_mode_inversion(run):
     assert report["mode"] == "real"
     assert report["verdict"] == "Constant"
     assert report["constant_modulus"] == "pi^2/2"
+
+
+def test_check_real_mode_uses_the_rogers_criterion(run):
+    # [t] + [1/t] is constant mod pi^2/2 on the real line, [t + 1] is not
+    doc = "DOC:dilog-identity v1\nvariables: t\nterm: 1 [t]\nterm: 1 [1/t]\nterm: 1 [t + 1]\n"
+    code, out, _ = run(["check", doc, "--real", "--json"])
+    assert code == 1
+    report = json.loads(out)
+    assert report["verdict"] == "NotConstant"
+    assert report["witness"] == {"kind": "pair", "left": "t", "right": "t + 1", "value": "-1"}
+
+
+@pytest.mark.parametrize("arg", ["(y - 3)/(x - 2)", "(1/3*x^2 - 4/3)/(x^2 + 2/3*x*y)"])
+def test_check_point_search_skips_zero_over_zero(run, arg):
+    # the first grid points make numerator and denominator vanish together
+    doc = f"DOC:dilog-identity v1\nvariables: x, y\nterm: 1 [{arg}]\nterm: 1 [1/({arg})]\n"
+    code, out, err = run(["check", doc])
+    assert (code, err) == (0, "")
+    assert "verdict: Constant" in out
+    assert "point: x = 3, y = 2" in out
+
+
+def test_check_probe_with_a_large_constant(run):
+    doc = "DOC:dilog-identity v1\nvariables:\nterm: 1 [999983]\nterm: 1 [1 - 999983]\n"
+    code, out, err = run(["check", doc, "--probe", "30"])
+    assert (code, err) == (0, "")
+    assert "over 30 points" in out
 
 
 def test_check_cc_mode(run):
@@ -394,6 +422,139 @@ def test_blochfq_rejections(run):
     assert run(["blochfq", "3"])[0] == 2
     assert run(["blochfq", "11", "--oracle"])[0] == 2
     assert run(["blochfq", "101"])[0] == 2
+
+
+# `blochfq P` text and --json reports, captured before the Bloch groups were
+# read from one presentation; --oracle runs the minor-gcd Smith form
+BLOCHFQ_GOLDEN = [
+    (
+        5,
+        ["--oracle"],
+        "p: 5\n"
+        "generators: 3\n"
+        "rows: 6 five-term + 3 inversion\n"
+        "wedge square of F_p*: 0\n"
+        "pre-Bloch group: Z/3\n"
+        "pre-Bloch group (five-term rows only): Z/6\n"
+        "modified Bloch group: Z/3\n"
+        "c-element class independent of c: yes\n"
+        "3*C in the relation span: yes\n"
+        "minor-gcd oracle: Z/3 (agree)\n",
+        {
+            "c_class_independent": True,
+            "five_term_rows": 6,
+            "generators": 3,
+            "inversion_rows": 3,
+            "modified_bloch": "Z/3",
+            "oracle_agrees": True,
+            "oracle_pre_bloch": "Z/3",
+            "p": 5,
+            "pre_bloch": "Z/3",
+            "pre_bloch_five_only": "Z/6",
+            "three_c_in_span": True,
+            "wedge_square": "0",
+        },
+    ),
+    (
+        7,
+        ["--oracle"],
+        "p: 7\n"
+        "generators: 5\n"
+        "rows: 20 five-term + 5 inversion\n"
+        "wedge square of F_p*: Z/2\n"
+        "pre-Bloch group: Z/4\n"
+        "pre-Bloch group (five-term rows only): Z/8\n"
+        "modified Bloch group: Z/2\n"
+        "c-element class independent of c: yes\n"
+        "3*C in the relation span: yes\n"
+        "minor-gcd oracle: Z/4 (agree)\n",
+        {
+            "c_class_independent": True,
+            "five_term_rows": 20,
+            "generators": 5,
+            "inversion_rows": 5,
+            "modified_bloch": "Z/2",
+            "oracle_agrees": True,
+            "oracle_pre_bloch": "Z/4",
+            "p": 7,
+            "pre_bloch": "Z/4",
+            "pre_bloch_five_only": "Z/8",
+            "three_c_in_span": True,
+            "wedge_square": "Z/2",
+        },
+    ),
+    (
+        13,
+        [],
+        "p: 13\n"
+        "generators: 11\n"
+        "rows: 110 five-term + 11 inversion\n"
+        "wedge square of F_p*: 0\n"
+        "pre-Bloch group: Z/7\n"
+        "pre-Bloch group (five-term rows only): Z/14\n"
+        "modified Bloch group: Z/7\n"
+        "c-element class independent of c: yes\n"
+        "3*C in the relation span: yes\n",
+        {
+            "c_class_independent": True,
+            "five_term_rows": 110,
+            "generators": 11,
+            "inversion_rows": 11,
+            "modified_bloch": "Z/7",
+            "p": 13,
+            "pre_bloch": "Z/7",
+            "pre_bloch_five_only": "Z/14",
+            "three_c_in_span": True,
+            "wedge_square": "0",
+        },
+    ),
+    (
+        31,
+        [],
+        "p: 31\n"
+        "generators: 29\n"
+        "rows: 812 five-term + 29 inversion\n"
+        "wedge square of F_p*: Z/2\n"
+        "pre-Bloch group: Z/16\n"
+        "pre-Bloch group (five-term rows only): Z/32\n"
+        "modified Bloch group: Z/8\n"
+        "c-element class independent of c: yes\n"
+        "3*C in the relation span: yes\n",
+        {
+            "c_class_independent": True,
+            "five_term_rows": 812,
+            "generators": 29,
+            "inversion_rows": 29,
+            "modified_bloch": "Z/8",
+            "p": 31,
+            "pre_bloch": "Z/16",
+            "pre_bloch_five_only": "Z/32",
+            "three_c_in_span": True,
+            "wedge_square": "Z/2",
+        },
+    ),
+]
+
+
+@pytest.mark.parametrize("p, flags, text, report", BLOCHFQ_GOLDEN)
+def test_blochfq_golden(run, p, flags, text, report):
+    assert run(["blochfq", str(p), *flags]) == (0, text, "")
+    code, out, err = run(["blochfq", str(p), "--json", *flags])
+    assert (code, err) == (0, "")
+    assert out == json.dumps(report, sort_keys=True, indent=2) + "\n"
+
+
+def test_blochfq_builds_the_presentation_once(run, monkeypatch):
+    calls = []
+    build = blochfq.relations_matrix
+
+    def counted(p):
+        calls.append(p)
+        return build(p)
+
+    monkeypatch.setattr(blochfq, "relations_matrix", counted)
+    assert run(["blochfq", "7", "--oracle"])[0] == 0
+    assert calls == [7]
 
 
 # -- padic-branch-diff ---------------------------------------------------------------

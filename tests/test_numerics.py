@@ -309,6 +309,15 @@ def test_probe_exhaustion():
         )
 
 
+def test_probe_margin_skips_constant_arguments():
+    # a constant argument far outside the margin has the same value at
+    # every draw, so it must not reject the draw
+    c = RationalFunction.const(T, fe(999983))
+    alpha = FormalSum.single(t()) + FormalSum.single(c) + FormalSum.single(c.one_minus())
+    rep = numeric_probe(alpha, "complex", samples=20, seed=0, max_tries=200)
+    assert rep.points_used == 20
+
+
 def test_probe_deterministic():
     alpha = five_term(t("t1", T12), t("t2", T12))
     a = numeric_probe(alpha, "complex", samples=40, seed=9)

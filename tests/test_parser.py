@@ -242,6 +242,22 @@ def test_load_document_golden():
     assert len(alpha) == 4
 
 
+def test_document_is_parsed_once(monkeypatch):
+    import dilogeq.document as document
+
+    parsed = []
+    parse = document.parse_expression
+
+    def counted(*args):
+        parsed.append(args[0])
+        return parse(*args)
+
+    monkeypatch.setattr(document, "parse_expression", counted)
+    spec = load_document(DOC)
+    assert spec.formal_sum() is spec.formal_sum()
+    assert len(parsed) == len(spec.terms)
+
+
 def test_defaults_and_implicit_coefficient():
     text = "dilog-identity v1\nvariables: t\nterm: [t^2]\n"
     spec = load_document(text)

@@ -39,6 +39,12 @@ def test_factor_rational_oversized():
     assert fac == {big: 1}
 
 
+def test_gaussian_oversized_names_the_rational_residual():
+    # gcd(re, im) is factored over Z, not the norm 9 * 1000003^2
+    with pytest.raises(OversizedConstant, match="residual 1000003$"):
+        factor_constant(fe(3 * 1_000_003), gaussian=True)
+
+
 def test_factor_constant_rational_mode():
     f = factor_constant(fe(Fraction(-20, 9)), gaussian=False)
     assert f.unit_exponent == 1

@@ -314,6 +314,16 @@ def test_evaluate_at_point():
         evaluate_at_point(FormalSum.single(t()), {})
 
 
+def test_evaluate_at_point_zero_over_zero():
+    # coprime polynomials in two variables can share a zero
+    xy = ("x", "y")
+    x = RationalFunction.var(xy, "x")
+    y = RationalFunction.var(xy, "y")
+    f = (y - const(3, xy)) / (x - const(2, xy))
+    with pytest.raises(PointNotAdmissible, match="0/0"):
+        evaluate_at_point(FormalSum.single(f), {"x": fe(2), "y": fe(3)})
+
+
 def test_full_plan_matches_point_evaluation():
     rnd = random.Random(31)
     U = ("t1", "t2")
