@@ -232,13 +232,10 @@ def bloch_groups(p: int) -> BlochGroups:
         full.insert(row)
     full_basis = full.basis()
 
-    kernel = kernel_lattice(p)
-    coords = []
-    for row in full_basis:
-        x = solve_integer(kernel, row)
+    coords = solve_integer(kernel_lattice(p), full_basis)
+    for row, x in zip(full_basis, coords):
         if x is None:
             raise ArithmeticError(f"relation lattice row {row} falls outside ker(boundary)")
-        coords.append(x)
 
     def c_vec(c: int) -> list[int]:
         row = [0] * n

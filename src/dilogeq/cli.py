@@ -483,7 +483,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.add_argument("--seed", type=int, default=0, help="probe RNG seed")
 
     p_check = sub.add_parser("check", help="decide constancy of a document")
     p_check.add_argument("document", help="document path, or - for stdin")
@@ -493,6 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--padic", type=int, metavar="P", help="p-adic reading")
     p_check.add_argument("--probe", type=int, default=0, metavar="N", help="numeric probe points")
     p_check.add_argument("--tolerance", type=float, default=1e-9)
+    p_check.add_argument("--seed", type=int, default=0, help="probe RNG seed")
     add_common(p_check)
     p_check.set_defaults(func=_cmd_check)
 
@@ -526,6 +526,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_probe.add_argument("document")
     p_probe.add_argument("--domain", choices=PROBE_DOMAINS, default="complex")
     p_probe.add_argument("--samples", type=int, default=100)
+    p_probe.add_argument("--seed", type=int, default=0, help="probe RNG seed")
     add_common(p_probe)
     p_probe.set_defaults(func=_cmd_probe)
 

@@ -10,8 +10,8 @@ incrementally, so large relation sets collapse into an at-most-n-row
 accumulator as they stream in, and one reduction loop on it serves
 membership and integer solving.  Kernels and solutions come from the
 Hermite form of [rows | I], whose identity part records each row as a
-combination of the input rows.  Smith's diagonalization runs on the
-collapsed Hermite basis.
+combination of the input rows.  The Smith form alternates Hermite forms
+of the matrix and of its transpose.
 
 The minor-gcd Smith form (gcd of all k x k minors gives the determinant
 divisor chain d_k, and d_k / d_{k-1} the invariant factors) is exponential
@@ -149,85 +149,58 @@ def left_kernel(rows: Matrix) -> Matrix:
     return [h.rows[c][n:] for c in sorted(h.rows) if c >= n]
 
 
-def solve_integer(basis: Matrix, v) -> list[int] | None:
-    """x with x @ basis == v, when it exists and basis has full row rank.
+def solve_integer(basis: Matrix, targets: Matrix) -> list[list[int] | None]:
+    """For each target v, the x with x @ basis == v when it exists and
+    basis has full row rank, else None.
 
-    Reducing [v | 0] against the Hermite form of [basis | I] over the
-    content columns leaves [0 | -x]; None when that reduction fails.
+    One Hermite form of [basis | I] serves every target: reducing [v | 0]
+    against it over the content columns leaves [0 | -x].
     """
     m = len(basis)
     if m == 0:
-        return [] if not any(v) else None
+        return [None if any(v) else [] for v in targets]
     n = len(basis[0])
-    rest = _with_transform(basis)._reduce(list(v) + [0] * m, n)
-    if rest is None:
-        return None
-    x = [-t for t in rest[n:]]
-    # verify the transform bookkeeping
-    if any(sum(x[i] * basis[i][j] for i in range(m)) != v[j] for j in range(n)):
-        return None
-    return x
+    form = _with_transform(basis)
+    cols = list(zip(*basis))
+    out = []
+    for v in targets:
+        rest = form._reduce(list(v) + [0] * m, n)
+        x = None if rest is None else [-t for t in rest[n:]]
+        # verify the transform bookkeeping
+        if x is not None and any(
+            sum(a * b for a, b in zip(x, col)) != vj for col, vj in zip(cols, v)
+        ):
+            x = None
+        out.append(x)
+    return out
 
 
 def smith_invariant_factors(rows: Matrix, width: int | None = None) -> list[int]:
-    """The nonzero invariant factors d_1 | d_2 | ... of the row matrix."""
+    """The nonzero invariant factors d_1 | d_2 | ... of the row matrix.
+
+    Kannan and Bachem's alternation: take the Hermite form of the matrix,
+    then of its transpose, and so on until it is diagonal.  Row operations
+    on the transpose are column operations on the matrix, so no step
+    changes the invariant factors; gcd/lcm exchanges then sort the
+    diagonal into a divisibility chain.
+    """
     if width is None:
         if not rows:
             return []
         width = len(rows[0])
-    # collapse the row count first; the span (hence the cokernel) is unchanged
     a = hnf(rows, width)
-    if not a:
-        return []
-    m, n = len(a), width
-    a = [list(r) for r in a]
-    factors = []
-    t = 0
-    while t < min(m, n):
-        # find the smallest nonzero entry in the remaining block
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if a[i][j] and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        bi, bj = best
-        a[t], a[bi] = a[bi], a[t]
-        for row in a:
-            row[t], row[bj] = row[bj], row[t]
-        # clear row and column t
-        dirty = False
-        for i in range(t + 1, m):
-            if a[i][t]:
-                q = a[i][t] // a[t][t]
-                a[i] = [x - q * y for x, y in zip(a[i], a[t])]
-                if a[i][t]:
-                    dirty = True
-        for j in range(t + 1, n):
-            if a[t][j]:
-                q = a[t][j] // a[t][t]
-                for row in a:
-                    row[j] -= q * row[t]
-                if a[t][j]:
-                    dirty = True
-        if dirty:
-            continue
-        # divisibility fixup: pivot must divide every remaining entry
-        bad = None
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if a[i][j] % a[t][t]:
-                    bad = i
-                    break
-            if bad is not None:
-                break
-        if bad is not None:
-            a[t] = [x + y for x, y in zip(a[t], a[bad])]
-            continue
-        factors.append(abs(a[t][t]))
-        t += 1
-    return factors
+    # This ends: the new leading entry is the gcd of the old leading row, so
+    # each round either shrinks the leading entry or, when it already
+    # divides its row, clears its row and column; the trailing block then
+    # obeys the same argument, and positive integers cannot shrink forever.
+    while any(x for i, r in enumerate(a) for j, x in enumerate(r) if i != j):
+        a = hnf([list(col) for col in zip(*a)], len(a))
+    d = [a[i][i] for i in range(len(a))]
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            g = gcd(d[i], d[j])
+            d[i], d[j] = g, d[i] * d[j] // g
+    return d
 
 
 def det_bareiss(a: Matrix) -> int:

@@ -3,10 +3,12 @@
 Rational constants split as (-1)^s * prod p^e over positive primes; Gaussian
 constants split as i^k * prod pi^e over Gaussian primes normalized to the
 first quadrant (re > 0, im >= 0), the unique such associate.  Factoring is
-by trial division over Z up to a bound (default 10**6); a residual above
-the bound raises OversizedConstant instead of guessing.  The rational
-primes under a Gaussian integer z = g * w, g = gcd(re, im), are those of g
-and of the norm of w; both are far smaller than the norm g^2 * N(w) of z.
+by trial division over Z up to a bound (default 10**6).  A residual is
+prime once no divisor up to its square root is left, which certifies primes
+up to the bound squared; a residual that the bound leaves unproven raises
+OversizedConstant instead of guessing.  The rational primes under a
+Gaussian integer z = g * w, g = gcd(re, im), are those of g and of the norm
+of w; both are far smaller than the norm g^2 * N(w) of z.
 
 Split primes p = 1 mod 4 are located as gcd(p, x + i) in Z[i] where
 x^2 = -1 mod p; inert primes p = 3 mod 4 stay prime; 2 ramifies through
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .scalars import FieldElement, fe
 
@@ -50,19 +53,24 @@ class UnitPrimeFactorization:
 
 
 def _factor_int(n: int, bound: int) -> dict[int, int]:
-    """Factor n >= 1 by trial division; residual above bound is an error."""
+    """Factor n >= 1 by trial division with divisors up to bound.
+
+    A residual left once p * p > n has no divisor up to its square root,
+    so it is prime whatever its size; only a residual still unproven when
+    p passes the bound is an error.
+    """
     out: dict[int, int] = {}
     for p in _trial_sequence():
-        if p * p > n or p > bound:
+        if p * p > n:
             break
+        if p > bound:
+            raise OversizedConstant(
+                f"constant has a prime factor above the bound {bound}: residual {n}"
+            )
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
     if n > 1:
-        if n > bound:
-            raise OversizedConstant(
-                f"constant has a prime factor above the bound {bound}: residual {n}"
-            )
         out[n] = out.get(n, 0) + 1
     return out
 
@@ -146,7 +154,7 @@ def factor_gaussian_integer(z, bound: int = DEFAULT_FACTOR_BOUND):
     """Nonzero z in Z[i] -> (unit_exponent mod 4, {(re, im): exponent})."""
     if z == (0, 0):
         raise ValueError("cannot factor zero")
-    g = _gcd_int(abs(z[0]), abs(z[1]))
+    g = gcd(z[0], z[1])
     primes = set(_factor_int(g, bound))
     primes |= set(_factor_int(_gnorm((z[0] // g, z[1] // g)), bound))
     out: dict[tuple[int, int], int] = {}
@@ -190,9 +198,7 @@ def factor_constant(
             (fe(p), e) for p, e in sorted(fac.items())
         )
         return UnitPrimeFactorization(False, sign, factors)
-    m = (c.re.denominator * c.im.denominator) // _gcd_int(
-        c.re.denominator, c.im.denominator
-    )
+    m = (c.re.denominator * c.im.denominator) // gcd(c.re.denominator, c.im.denominator)
     a = int(c.re * m)
     b = int(c.im * m)
     ku, fnum = factor_gaussian_integer((a, b), bound)
@@ -206,9 +212,3 @@ def factor_constant(
         (FieldElement(Fraction(rep[0]), Fraction(rep[1])), e) for rep, e in ordered
     )
     return UnitPrimeFactorization(True, (ku - kd) % 4, factors)
-
-
-def _gcd_int(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a

@@ -153,8 +153,12 @@ class RationalFunction:
         return RationalFunction(self.num**n, self.den**n)
 
     def one_minus(self) -> "RationalFunction":
-        """1 - f, the companion argument of every dilogarithm term."""
-        return RationalFunction(self.den - self.num, self.den)
+        """1 - f, the companion argument of every dilogarithm term.
+
+        Already in normal form: gcd(den - num, den) = gcd(num, den) is
+        constant and den is unchanged, as in __neg__.
+        """
+        return RationalFunction(self.den - self.num, self.den, _normalized=True)
 
     def scale(self, c: FieldElement) -> "RationalFunction":
         return RationalFunction(self.num.scale(c), self.den)

@@ -432,7 +432,7 @@ def test_acceptance_09_finite_fields(capsys):
                 chain = _quotient_structure([list(r) for r in rows], n)
                 assert chain is not None and got.factors == tuple(chain)
             basis = kernel_lattice(p)
-            coords = [solve_integer(basis, list(r)) for r in pres.relations]
+            coords = solve_integer(basis, [list(r) for r in pres.relations])
             assert all(x is not None for x in coords)
             chain = _quotient_structure(coords, n)
             assert groups.modified_bloch.factors == tuple(chain)

@@ -6,7 +6,7 @@ from math import gcd
 
 import pytest
 
-from dilogeq import blochfq
+from dilogeq import blochfq, intmat
 from dilogeq.blochfq import (
     InvariantFactors,
     PrimeTooSmall,
@@ -272,6 +272,23 @@ def test_five_term_rows_eliminated_once(p, monkeypatch):
     assert rest[len(rest) - n :] == list(pres.inversion_rows)
 
 
+def test_coordinate_solves_share_one_transform_form(monkeypatch):
+    # every Hermite row of the relation lattice is solved against one form
+    # of [kernel | I]; the only other form is kernel_lattice's own left kernel
+    kernel = kernel_lattice(13)
+    seen = []
+    build = intmat._with_transform
+
+    def counted(rows):
+        seen.append([list(r) for r in rows])
+        return build(rows)
+
+    monkeypatch.setattr(intmat, "_with_transform", counted)
+    bloch_groups(13)
+    assert seen.count(kernel) == 1
+    assert len(seen) == 2
+
+
 def test_invariant_factors_reject_bad_chains():
     for bad in ((1,), (2, 3), (0, 2)):
         with pytest.raises(ValueError):
@@ -305,7 +322,7 @@ def test_modified_bloch_matches_enumeration_oracle(p):
     pres = relations_matrix(p)
     n = len(pres.generators)
     basis = kernel_lattice(p)
-    coords = [solve_integer(basis, list(r)) for r in pres.relations]
+    coords = solve_integer(basis, [list(r) for r in pres.relations])
     assert all(x is not None for x in coords)
     chain = _quotient_structure(coords, n)
     assert bloch_groups(p).modified_bloch.factors == tuple(chain)

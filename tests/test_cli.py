@@ -1,13 +1,16 @@
 """Command line interface, run in-process through main(argv)."""
 
+import argparse
+import inspect
 import io
 import json
+import re
 import sys
 
 import pytest
 
 from dilogeq import blochfq
-from dilogeq.cli import main
+from dilogeq.cli import build_parser, main
 from dilogeq.document import load_document
 from dilogeq.exprparse import parse_expression
 from dilogeq.formal import five_term
@@ -138,6 +141,18 @@ def test_check_probe_with_a_large_constant(run):
     code, out, err = run(["check", doc, "--probe", "30"])
     assert (code, err) == (0, "")
     assert "over 30 points" in out
+
+
+def test_check_constant_with_a_prime_above_the_trial_bound(run):
+    # 1000003 > 10^6 is proved prime by trial division up to its square root
+    doc = "DOC:dilog-identity v1\nvariables: t\nterm: 1 [1000003*t]\n"
+    code, out, err = run(["check", doc])
+    assert (code, err) == (1, "")
+    assert "witness: beta1 pairing (t) ^ (t - 1/1000003) = 1" in out
+    doc = "DOC:dilog-identity v1\nvariables: t\nterm: 1 [1000003*t]\nterm: 1 [1/(1000003*t)]\n"
+    code, out, err = run(["check", doc])
+    assert (code, err) == (0, "")
+    assert "verdict: Constant" in out
 
 
 def test_check_cc_mode(run):
@@ -620,6 +635,20 @@ def test_branch_diff_point_errors(run):
 def test_unknown_subcommand_exits_2(run):
     assert run(["frobnicate"])[0] == 2
     assert run(["check"])[0] == 2
+
+
+def test_every_option_is_read_by_its_handler():
+    # an option a handler never reads as args.<dest> is dead; --json is read
+    # by _emit, which a handler reaches as _emit(args, ...)
+    parser = build_parser()
+    [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    for name, p in sub.choices.items():
+        src = inspect.getsource(p.get_default("func"))
+        read = set(re.findall(r"\bargs\.(\w+)", src))
+        if "_emit(args" in src:
+            read.add("json")
+        dests = {a.dest for a in p._actions if not isinstance(a, argparse._HelpAction)}
+        assert dests <= read, (name, sorted(dests - read))
 
 
 def test_reports_are_byte_deterministic(run):

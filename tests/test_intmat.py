@@ -101,10 +101,10 @@ def test_hnf_rejects_outsiders():
         member = in_row_span(rows, target)
         if member:
             # verify by exact rational solve + integrality
-            sol = solve_integer(hnf(rows, 3), target)
+            [sol] = solve_integer(hnf(rows, 3), [target])
             assert sol is not None
         else:
-            assert solve_integer(hnf(rows, 3), target) is None
+            assert solve_integer(hnf(rows, 3), [target]) == [None]
 
 
 # -- kernels -----------------------------------------------------------------
@@ -190,10 +190,19 @@ def test_smith_examples():
 
 def test_smith_matches_minor_gcd_oracle():
     rnd = random.Random(10)
-    for _ in range(40):
-        m, n = rnd.randint(1, 4), rnd.randint(1, 4)
-        a = _rand_matrix(rnd, m, n, -5, 5)
-        assert smith_invariant_factors(a, n) == minor_gcd_invariant_factors(a, n)
+    for k in range(60):
+        m, n = rnd.randint(1, 5), rnd.randint(1, 6)
+        bound = (5, 100, 10**6)[k % 3]
+        a = _rand_matrix(rnd, m, n, -bound, bound)
+        if m > 1 and k % 2:
+            # rank-deficient: one row a combination of two others, or a
+            # multiple of one other when both picks agree
+            i = rnd.randrange(m)
+            others = [r for r in range(m) if r != i]
+            u, w = a[rnd.choice(others)], a[rnd.choice(others)]
+            c1, c2 = rnd.randint(-3, 3), rnd.randint(-3, 3)
+            a[i] = [c1 * x + c2 * y for x, y in zip(u, w)]
+        assert smith_invariant_factors(a, n) == minor_gcd_invariant_factors(a, n), a
 
 
 def test_smith_divisibility_chain():
@@ -218,12 +227,11 @@ def test_solve_integer_roundtrip():
             continue
         x = [rnd.randint(-4, 4) for _ in range(m)]
         v = _mat_vec(basis, x)
-        got = solve_integer(basis, v)
-        assert got == x
+        assert solve_integer(basis, [v]) == [x]
 
 
 def test_solve_integer_rejects_non_integral():
     # v = (1, 1) over basis {(2, 0), (0, 1)}: x would be (1/2, 1)
-    assert solve_integer([[2, 0], [0, 1]], [1, 1]) is None
+    assert solve_integer([[2, 0], [0, 1]], [[1, 1]]) == [None]
     # inconsistent system
-    assert solve_integer([[1, 1]], [1, 2]) is None
+    assert solve_integer([[1, 1]], [[1, 2]]) == [None]

@@ -30,19 +30,29 @@ def test_factor_rational_examples():
         factor_rational(Fraction(0))
 
 
+# 1000003 * 1000033: no divisor up to the default bound 10^6, and too large
+# for trial division up to that bound to prove it prime
+UNPROVEN = 1_000_003 * 1_000_033
+
+
 def test_factor_rational_oversized():
-    big = 1_000_003  # prime above the default bound
     with pytest.raises(OversizedConstant):
-        factor_rational(Fraction(big))
+        factor_rational(Fraction(UNPROVEN))
     # but fine with a raised bound
-    sign, fac = factor_rational(Fraction(big), bound=2_000_000)
-    assert fac == {big: 1}
+    sign, fac = factor_rational(Fraction(UNPROVEN), bound=2_000_000)
+    assert fac == {1_000_003: 1, 1_000_033: 1}
+
+
+def test_factor_rational_certifies_primes_above_the_bound():
+    # trial division stops at 1001 > sqrt(1000003), which proves it prime
+    assert factor_rational(1_000_003) == (0, {1_000_003: 1})
+    assert factor_rational(Fraction(-2, 1_000_003)) == (1, {2: 1, 1_000_003: -1})
 
 
 def test_gaussian_oversized_names_the_rational_residual():
-    # gcd(re, im) is factored over Z, not the norm 9 * 1000003^2
-    with pytest.raises(OversizedConstant, match="residual 1000003$"):
-        factor_constant(fe(3 * 1_000_003), gaussian=True)
+    # gcd(re, im) is factored over Z, not the norm 9 * UNPROVEN^2
+    with pytest.raises(OversizedConstant, match=f"residual {UNPROVEN}$"):
+        factor_constant(fe(3 * UNPROVEN), gaussian=True)
 
 
 def test_factor_constant_rational_mode():

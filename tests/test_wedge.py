@@ -285,7 +285,8 @@ def test_check_constant_cc_pairing_validation():
 
 
 def test_oversized_constant_refused():
-    big = const(1_000_003)
+    # a product of two primes above 10^6 that trial division cannot split
+    big = const(1_000_003 * 1_000_033)
     with pytest.raises(OversizedConstant):
         boundary(FormalSum.single(big))
 
