@@ -23,7 +23,7 @@ from .intmat import (
     smith_invariant_factors,
     solve_integer,
 )
-from .primes import factor_rational
+from .primes import factor_rational, is_prime
 
 
 class PrimeTooSmall(ValueError):
@@ -31,7 +31,7 @@ class PrimeTooSmall(ValueError):
 
 
 def _require_prime(p: int):
-    if not isinstance(p, int) or p < 2 or factor_rational(p, p)[1] != {p: 1}:
+    if not is_prime(p):
         raise ValueError(f"{p!r} is not a prime")
     if p < 5:
         raise PrimeTooSmall(f"need p >= 5, got {p}")

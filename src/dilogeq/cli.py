@@ -34,6 +34,7 @@ from .formal import FormalSum, c_element, five_term, inversion
 from .intmat import minor_gcd_invariant_factors
 from .numerics import PROBE_DOMAINS, bloch_wigner, numeric_probe, rl_bar
 from .padic import Branch, branch_diff, check_constant_padic
+from .primes import OversizedConstant, is_prime
 from .ratfunc import INF, RationalFunction
 from .scalars import FieldElement, fe
 from .specialize import PointNotAdmissible, SpecPlan, SpecStep, default_aux, evaluate_at_point, iterate
@@ -84,6 +85,21 @@ def _beta3_text(b3: dict) -> str:
     if b3["unit_unit"]:
         parts.append(f"unit ^ unit: {b3['unit_unit']}")
     return "; ".join(parts) if parts else "none"
+
+
+def _probe_report(pr) -> tuple[dict, str]:
+    """The JSON record and the text line of a numeric probe."""
+    report = {
+        "domain": pr.domain,
+        "max_deviation": pr.max_deviation,
+        "mean_value": pr.mean_value,
+        "points_used": pr.points_used,
+    }
+    line = (
+        f"probe[{pr.domain}]: max deviation {pr.max_deviation!r} "
+        f"over {pr.points_used} points, mean {pr.mean_value!r}"
+    )
+    return report, line
 
 
 def _emit(args, report: dict, text_lines: list[str]) -> None:
@@ -212,16 +228,8 @@ def _cmd_check(args) -> int:
         if mode == "padic":
             domain = "complex"
         pr = numeric_probe(alpha, domain=domain, samples=args.probe, seed=args.seed)
-        report["probe"] = {
-            "domain": pr.domain,
-            "max_deviation": pr.max_deviation,
-            "mean_value": pr.mean_value,
-            "points_used": pr.points_used,
-        }
-        lines.append(
-            f"probe[{pr.domain}]: max deviation {pr.max_deviation!r} "
-            f"over {pr.points_used} points, mean {pr.mean_value!r}"
-        )
+        report["probe"], line = _probe_report(pr)
+        lines.append(line)
         if cert.is_constant() and pr.max_deviation > args.tolerance:
             note = (
                 f"probe deviation {pr.max_deviation!r} exceeds tolerance "
@@ -358,17 +366,8 @@ def _cmd_probe(args) -> int:
     spec = _read_document(args.document)
     alpha = spec.formal_sum()
     pr = numeric_probe(alpha, domain=args.domain, samples=args.samples, seed=args.seed)
-    report = {
-        "domain": pr.domain,
-        "max_deviation": pr.max_deviation,
-        "mean_value": pr.mean_value,
-        "points_used": pr.points_used,
-    }
-    lines = [
-        f"probe[{pr.domain}]: max deviation {pr.max_deviation!r} "
-        f"over {pr.points_used} points, mean {pr.mean_value!r}"
-    ]
-    _emit(args, report, lines)
+    report, line = _probe_report(pr)
+    _emit(args, report, [line])
     return 0
 
 
@@ -441,6 +440,14 @@ def _parse_point(src: str, variables) -> dict[str, Fraction]:
 
 
 def _cmd_padic_branch_diff(args) -> int:
+    try:
+        prime = is_prime(args.p)
+    except OversizedConstant:
+        raise ValueError(f"--p {args.p} is too large to prove prime by trial division") from None
+    if not prime:
+        raise ValueError(f"--p {args.p} is not a prime")
+    if args.prec < 1:
+        raise ValueError(f"--prec must be at least 1, got {args.prec}")
     spec = _read_document(args.document)
     alpha = spec.formal_sum()
     point = _parse_point(args.point, spec.variables)

@@ -251,6 +251,8 @@ def numeric_probe(
     """
     if domain not in PROBE_DOMAINS:
         raise ValueError(f"unknown probe domain {domain!r}")
+    if samples < 1:
+        raise ValueError(f"the probe needs at least one sample, got {samples}")
     rng = random.Random(seed)
     if max_tries is None:
         max_tries = 400 * samples

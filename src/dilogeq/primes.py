@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 from .scalars import FieldElement, fe
@@ -52,8 +53,11 @@ class UnitPrimeFactorization:
         return out
 
 
-def _factor_int(n: int, bound: int) -> dict[int, int]:
-    """Factor n >= 1 by trial division with divisors up to bound.
+@lru_cache(maxsize=1024)
+def _factor_int(n: int, bound: int) -> tuple[tuple[int, int], ...]:
+    """Factor n >= 1 by trial division with divisors up to bound, as
+    ascending (prime, exponent) pairs; cached, so a process trial-divides
+    each distinct integer once.
 
     A residual left once p * p > n has no divisor up to its square root,
     so it is prime whatever its size; only a residual still unproven when
@@ -72,7 +76,7 @@ def _factor_int(n: int, bound: int) -> dict[int, int]:
             n //= p
     if n > 1:
         out[n] = out.get(n, 0) + 1
-    return out
+    return tuple(out.items())
 
 
 def _trial_sequence():
@@ -89,9 +93,16 @@ def factor_rational(q: Fraction | int, bound: int = DEFAULT_FACTOR_BOUND):
         raise ValueError("cannot factor zero")
     sign = 1 if q < 0 else 0
     out = dict(_factor_int(abs(q.numerator), bound))
-    for p, e in _factor_int(q.denominator, bound).items():
+    for p, e in _factor_int(q.denominator, bound):
         out[p] = out.get(p, 0) - e
     return sign, {p: e for p, e in out.items() if e}
+
+
+def is_prime(n: int) -> bool:
+    """Whether n is a prime integer, by the trial division above; raises
+    OversizedConstant when n has no divisor up to the default bound and
+    is too large for that bound to prove it prime."""
+    return isinstance(n, int) and n >= 2 and factor_rational(n)[1] == {n: 1}
 
 
 # -- Gaussian integers as coordinate pairs -----------------------------------
@@ -155,8 +166,8 @@ def factor_gaussian_integer(z, bound: int = DEFAULT_FACTOR_BOUND):
     if z == (0, 0):
         raise ValueError("cannot factor zero")
     g = gcd(z[0], z[1])
-    primes = set(_factor_int(g, bound))
-    primes |= set(_factor_int(_gnorm((z[0] // g, z[1] // g)), bound))
+    primes = {p for p, _ in _factor_int(g, bound)}
+    primes |= {p for p, _ in _factor_int(_gnorm((z[0] // g, z[1] // g)), bound)}
     out: dict[tuple[int, int], int] = {}
     for p in sorted(primes):
         if p == 2:

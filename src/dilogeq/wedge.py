@@ -216,12 +216,12 @@ class WedgeElement:
 
 def _joint_basis(universe, tensors, first: tuple[MultiPoly, ...] = ()) -> CoprimeBasis:
     """The frozen coprime basis refining `first`, then every numerator and
-    denominator of the tensors; each distinct polynomial is added once."""
+    denominator of the tensors."""
     polys = list(first)
     for _, f, g in tensors:
         polys += (f.num, f.den, g.num, g.den)
     basis = CoprimeBasis(universe)
-    for p in dict.fromkeys(polys):
+    for p in polys:
         basis.add(p)
     basis.freeze()
     return basis

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from dilogeq import blochfq
+from dilogeq import blochfq, primes
 from dilogeq.cli import build_parser, main
 from dilogeq.document import load_document
 from dilogeq.exprparse import parse_expression
@@ -141,6 +141,29 @@ def test_check_probe_with_a_large_constant(run):
     code, out, err = run(["check", doc, "--probe", "30"])
     assert (code, err) == (0, "")
     assert "over 30 points" in out
+
+
+def test_check_trial_divides_each_constant_once(run, monkeypatch):
+    # the prime 999999000001 occurs in three tensor arguments; proving it
+    # prime walks about 5 * 10^5 trial divisors, and only once per run
+    trial_sequence = primes._trial_sequence
+    long_walks = []
+
+    def counted():
+        for k, p in enumerate(trial_sequence()):
+            if k == 10**5:
+                long_walks.append(p)
+            yield p
+
+    monkeypatch.setattr(primes, "_trial_sequence", counted)
+    primes._factor_int.cache_clear()
+    doc = (
+        "DOC:dilog-identity v1\nvariables: t\n"
+        "term: 1 [999999000001*t]\nterm: 1 [1/(999999000001*t)]\n"
+    )
+    code, out, err = run(["check", doc])
+    assert (code, err) == (0, "")
+    assert len(long_walks) == 1
 
 
 def test_check_constant_with_a_prime_above_the_trial_bound(run):
@@ -402,6 +425,22 @@ def test_probe_rejects_unknown_domain(run):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["probe", "DOC:" + FIVE_DOC, "--samples", "0"],
+        ["probe", "DOC:" + FIVE_DOC, "--samples", "-1"],
+        ["check", "DOC:" + FIVE_DOC, "--probe", "-3"],
+    ],
+)
+def test_probe_rejects_fewer_than_one_sample(run, argv):
+    count = argv[-1]
+    code, out, err = run(argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: the probe needs at least one sample, got {count}\n"
+
+
 # -- blochfq ------------------------------------------------------------------------
 
 
@@ -627,6 +666,32 @@ def test_branch_diff_point_errors(run):
     )
     assert code == 2
     assert "bad point coordinate" in err
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--p", "4", "--p 4 is not a prime"),
+        ("--p", "1", "--p 1 is not a prime"),
+        ("--p", "-5", "--p -5 is not a prime"),
+        # 2^61 - 1 is prime, but past what trial division to 10^6 proves
+        (
+            "--p",
+            "2305843009213693951",
+            "--p 2305843009213693951 is too large to prove prime by trial division",
+        ),
+        ("--prec", "0", "--prec must be at least 1, got 0"),
+        ("--prec", "-2", "--prec must be at least 1, got -2"),
+    ],
+)
+def test_branch_diff_rejects_bad_prime_and_precision(run, tmp_path, flag, value, message):
+    # a repeated option takes its last value
+    argv = ["padic-branch-diff", "DOC:" + SINGLE_DOC, "--p", "5", "--point", "t=5", flag, value]
+    code, out, err = run(argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    # the check comes before the document is read
+    argv[1] = str(tmp_path / "missing.txt")
+    assert run(argv)[2] == f"error: {message}\n"
 
 
 # -- top level ----------------------------------------------------------------------

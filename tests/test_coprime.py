@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dilogeq import coprime
 from dilogeq.coprime import CoprimeBasis, coprime_basis
 from dilogeq.poly import MultiPoly, poly_gcd
 from dilogeq.ratfunc import RationalFunction
@@ -64,6 +65,62 @@ def test_factor_outside_basis_rejected():
         basis.factor(t() + c(1))
     with pytest.raises(ValueError):
         basis.factor(MultiPoly.zero(T))
+    # a frozen basis refuses to split or append, and the refused polynomial
+    # changes neither the elements nor any record
+    basis = coprime_basis([t() ** 2 + t(), t() - c(1)])
+    elements = list(basis.elements)
+    records = {p: dict(r) for p, r in basis._records.items()}
+    for p in (
+        t(),  # would split t^2 + t
+        t() + c(2),  # would be appended
+        (t() - c(1)) * (t() + c(5)) ** 2,  # the first part factors, the second not
+    ):
+        with pytest.raises(ValueError):
+            basis.factor(p)
+        assert basis.elements == elements
+        assert basis._records == records
+
+
+def test_factor_needs_a_frozen_basis():
+    basis = CoprimeBasis(T)
+    basis.add(t())
+    with pytest.raises(RuntimeError):
+        basis.factor(t())
+    with pytest.raises(RuntimeError):
+        basis.index_of(t())
+
+
+def test_registered_factor_is_a_lookup(monkeypatch):
+    # exponents are recorded while refining, so factoring a registered
+    # polynomial, or one equal to it up to a unit, divides nothing
+    T2 = ("x", "y")
+    x, y = MultiPoly.var(T2, "x"), MultiPoly.var(T2, "y")
+    one = MultiPoly.one(T2)
+    inputs = [x * (x + y), (x + y) * (y - one) ** 2, y * (x * y + one), x - y]
+    basis = CoprimeBasis(T2)
+    for p in inputs:
+        basis.add(p)
+    f = RationalFunction(inputs[1], inputs[2])
+    calls = {"divide_exact": 0, "poly_gcd": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(coprime, "poly_gcd", counted("poly_gcd", coprime.poly_gcd))
+    monkeypatch.setattr(
+        MultiPoly, "divide_exact", counted("divide_exact", MultiPoly.divide_exact)
+    )
+    basis.add(inputs[0].scale(fe(-3)))
+    basis.freeze()
+    for p in inputs:
+        basis.factor(p.scale(fe(5)))
+    basis.factor_rf(f)
+    assert calls == {"divide_exact": 0, "poly_gcd": 0}
+    assert len(basis._records) == len(inputs)
 
 
 def test_add_after_freeze_rejected():
@@ -129,16 +186,39 @@ def test_basis_invariants(polys):
             assert poly_gcd(basis.elements[i], basis.elements[j]).is_one()
 
 
-@given(poly_lists)
+T2 = ("t1", "t2")
+
+planted_lists = st.lists(
+    st.builds(
+        lambda seed: random_poly(random.Random(seed), T2, max_deg=2, max_terms=3),
+        st.integers(0, 10_000),
+    ).filter(lambda p: not p.is_constant()),
+    min_size=3,
+    max_size=5,
+)
+
+
+def _assert_multiplies_back(basis, p):
+    u, e = basis.factor(p)
+    prod = MultiPoly.one(p.universe).scale(u)
+    for i, k in e.items():
+        prod = prod * basis.elements[i] ** k
+    assert prod == p
+
+
+@given(poly_lists, planted_lists)
 @settings(max_examples=40, deadline=None)
-def test_factor_multiplies_back(polys):
+def test_factor_multiplies_back(polys, planted):
     basis = coprime_basis(polys)
     for p in polys:
-        u, e = basis.factor(p)
-        prod = MultiPoly.one(T).scale(u)
-        for i, k in e.items():
-            prod = prod * basis.elements[i] ** k
-        assert prod == p
+        _assert_multiplies_back(basis, p)
+    # products of neighbouring planted polynomials, with rising exponents:
+    # each input shares a factor with the one before and splits its
+    # elements, so the records of earlier inputs must follow the splits
+    products = [a * b**k for k, (a, b) in enumerate(zip(planted, planted[1:]), 1)]
+    basis = coprime_basis(products)
+    for p in products:
+        _assert_multiplies_back(basis, p)
 
 
 @given(poly_lists)
@@ -149,8 +229,4 @@ def test_factor_products_of_inputs(polys):
     p = polys[0]
     for q in polys[1:]:
         p = p * q
-    u, e = basis.factor(p)
-    prod = MultiPoly.one(T).scale(u)
-    for i, k in e.items():
-        prod = prod * basis.elements[i] ** k
-    assert prod == p
+    _assert_multiplies_back(basis, p)

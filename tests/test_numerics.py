@@ -318,6 +318,12 @@ def test_probe_margin_skips_constant_arguments():
     assert rep.points_used == 20
 
 
+@pytest.mark.parametrize("samples", [0, -1])
+def test_probe_needs_a_sample(samples):
+    with pytest.raises(ValueError, match=f"at least one sample, got {samples}$"):
+        numeric_probe(FormalSum.single(t()), "complex", samples=samples)
+
+
 def test_probe_deterministic():
     alpha = five_term(t("t1", T12), t("t2", T12))
     a = numeric_probe(alpha, "complex", samples=40, seed=9)

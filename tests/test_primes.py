@@ -11,6 +11,7 @@ from dilogeq.primes import (
     UnitPrimeFactorization,
     factor_constant,
     factor_rational,
+    is_prime,
 )
 from dilogeq.scalars import FieldElement, fe
 
@@ -47,6 +48,22 @@ def test_factor_rational_certifies_primes_above_the_bound():
     # trial division stops at 1001 > sqrt(1000003), which proves it prime
     assert factor_rational(1_000_003) == (0, {1_000_003: 1})
     assert factor_rational(Fraction(-2, 1_000_003)) == (1, {2: 1, 1_000_003: -1})
+
+
+def test_cached_factorizations_are_not_shared():
+    # trial division is cached per integer; callers get their own dicts
+    factor_rational(Fraction(12))[1][2] = 99
+    assert factor_rational(Fraction(12)) == (0, {2: 2, 3: 1})
+    assert factor_rational(Fraction(1, 12)) == (0, {2: -2, 3: -1})
+
+
+def test_is_prime():
+    assert [n for n in range(-5, 30) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    assert is_prime(999_999_000_001) and not is_prime(1_000_003 * 1000)
+    assert not is_prime(5.0)
+    # trial division to the default bound proves primes below its square
+    with pytest.raises(OversizedConstant):
+        is_prime(UNPROVEN)
 
 
 def test_gaussian_oversized_names_the_rational_residual():
