@@ -163,7 +163,19 @@ def _numeric_of_value(value: FormalSum, mode: str) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _require_prime(flag: str, n: int):
+    """Refuse an option value that trial division cannot prove prime."""
+    try:
+        prime = is_prime(n)
+    except OversizedConstant:
+        raise ValueError(f"{flag} {n} is too large to prove prime by trial division") from None
+    if not prime:
+        raise ValueError(f"{flag} {n} is not a prime")
+
+
 def _cmd_check(args) -> int:
+    if args.padic is not None:
+        _require_prime("--padic", args.padic)
     spec = _read_document(args.document)
     alpha = spec.formal_sum()
 
@@ -440,12 +452,7 @@ def _parse_point(src: str, variables) -> dict[str, Fraction]:
 
 
 def _cmd_padic_branch_diff(args) -> int:
-    try:
-        prime = is_prime(args.p)
-    except OversizedConstant:
-        raise ValueError(f"--p {args.p} is too large to prove prime by trial division") from None
-    if not prime:
-        raise ValueError(f"--p {args.p} is not a prime")
+    _require_prime("--p", args.p)
     if args.prec < 1:
         raise ValueError(f"--prec must be at least 1, got {args.prec}")
     spec = _read_document(args.document)

@@ -50,7 +50,13 @@ class GeneratorVanishesAtPoint(ValueError):
     pass
 
 
+def _require_base(p: int):
+    if p < 2:
+        raise ValueError(f"a p-adic base must be at least 2, got {p}")
+
+
 def padic_valuation(q: Fraction, p: int) -> int:
+    _require_base(p)
     if q == 0:
         raise ValueError("zero has no finite valuation")
     v = 0
@@ -80,6 +86,7 @@ class PadicNumber:
     prec: int
 
     def __post_init__(self):
+        _require_base(self.p)
         if self.unit:
             if not 0 < self.unit < self.p**self.prec or self.unit % self.p == 0:
                 raise ValueError(f"unit {self.unit} is not a unit mod {self.p}^{self.prec}")

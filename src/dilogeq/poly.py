@@ -12,21 +12,23 @@ unit removed during normalization is handed back to the caller so nothing
 is lost.
 
 The gcd is computed by a primitive polynomial-remainder sequence with
-content recursion, fronted by a cheap certified coprimality test: after
-substituting integers for all but the main variable (at a point where both
-leading coefficients survive), a constant univariate gcd proves the
-primitive parts coprime, because a nontrivial common factor would keep
-positive degree in the image.  Random inputs are almost always coprime, so
-this path dominates in practice; the PRS only runs when a common factor is
-actually plausible.
+content recursion.  In front of it sits a modular-image test that can only
+certify coprimality (see `_images_coprime`): each polynomial keeps, per
+variable it uses, one univariate image over GF(P) for a fixed prime
+P = 1 (mod 4), with i sent to a square root of -1 and the other variables
+to fixed residues.  Random inputs are almost always coprime, so this test
+answers most calls; `squarefree_parts` uses the same images to certify a
+squarefree input.  A pair the images cannot certify takes the exact path,
+so no verdict depends on P or on the point.
 """
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
 from typing import Callable
 
-from .scalars import FieldElement, ONE, ZERO, fe
+from .scalars import FieldElement, ONE, ZERO
 
 
 Exponents = tuple[int, ...]
@@ -36,14 +38,20 @@ def _grlex(exp: Exponents):
     return (sum(exp), exp)
 
 
+def _heap_key(exp: Exponents):
+    """Orders a min-heap by descending graded-lex exponent."""
+    return (-sum(exp), tuple(-k for k in exp)), exp
+
+
 class MultiPoly:
-    __slots__ = ("universe", "terms", "_hash", "_canon")
+    __slots__ = ("universe", "terms", "_hash", "_canon", "_images")
 
     def __init__(self, universe: tuple[str, ...], terms: dict[Exponents, FieldElement]):
         self.universe = tuple(universe)
         self.terms = {e: c for e, c in terms.items() if not c.is_zero()}
         self._hash = None
         self._canon = None
+        self._images = None
 
     # -- constructors ------------------------------------------------
 
@@ -205,6 +213,11 @@ class MultiPoly:
             self._canon = tuple(sorted(self.terms.items(), key=lambda t: _grlex(t[0])))
         return self._canon
 
+    def _modular_images(self) -> dict[int, list[int] | None]:
+        if self._images is None:
+            self._images = _reduce_mod_p(self)
+        return self._images
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, MultiPoly):
             return NotImplemented
@@ -343,17 +356,33 @@ class MultiPoly:
             return self
         dexp, dc = divisor.lead_term()
         dcinv = dc.inverse()
-        rem = self
+        tail = [(e, c) for e, c in divisor.terms.items() if e != dexp]
+        # The remainder's exponents sit in a heap, largest first.  Each step
+        # cancels the lead and adds only smaller exponents (the order is
+        # multiplicative), so a popped exponent never returns and every key
+        # of `rem` has exactly one heap entry; cancelled keys stay as zeros.
+        rem = dict(self.terms)
+        heap = [_heap_key(e) for e in rem]
+        heapq.heapify(heap)
         out: dict[Exponents, FieldElement] = {}
-        while not rem.is_zero():
-            nexp, nc = rem.lead_term()
+        while heap:
+            nexp = heapq.heappop(heap)[1]
+            nc = rem.pop(nexp)
+            if nc.is_zero():
+                continue
             qe = tuple(a - b for a, b in zip(nexp, dexp))
             if any(x < 0 for x in qe):
                 return None
             qc = nc * dcinv
-            s = out.get(qe)
-            out[qe] = qc if s is None else s + qc
-            rem = rem - divisor.mul_term(qe, qc)
+            out[qe] = qc
+            for e, c in tail:
+                ne = tuple(a + b for a, b in zip(e, qe))
+                s = rem.get(ne)
+                if s is None:
+                    rem[ne] = -(c * qc)
+                    heapq.heappush(heap, _heap_key(ne))
+                else:
+                    rem[ne] = s - c * qc
         return MultiPoly(self.universe, out)
 
     # -- display ------------------------------------------------------------
@@ -524,10 +553,127 @@ def univar_inverse_mod(p: MultiPoly, m: MultiPoly, var: str) -> MultiPoly:
 
 
 # ---------------------------------------------------------------------------
-# gcd
+# modular images
 # ---------------------------------------------------------------------------
 
-_EVAL_SEEDS = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_P = 2**61 - 31  # prime, = 1 (mod 4)
+_I_IMAGE = pow(7, (_P - 1) // 4, _P)  # 7 is a non-residue mod P: this squares to -1
+
+
+def _residue(k: int) -> int:
+    """The value of the universe's k-th variable in every image."""
+    return pow(k + 2, 61, _P)
+
+
+def _coeff_mod_p(c: FieldElement) -> int | None:
+    """c at the prime (P, i - _I_IMAGE) of Z[i]; None when P divides a denominator."""
+    out = 0
+    for part, unit in ((c.re, 1), (c.im, _I_IMAGE)):
+        if part:
+            den = part.denominator
+            if den % _P == 0:
+                return None
+            inv = 1 if den == 1 else pow(den, -1, _P)
+            out += part.numerator * unit * inv
+    return out % _P
+
+
+def _reduce_mod_p(p: MultiPoly) -> dict[int, list[int] | None]:
+    """{k: image of p in GF(P)[x_k]} for every variable index k that p uses.
+
+    The image substitutes the fixed residues for the other variables and
+    lists coefficients from degree 0 up.  It is None, unusable, when P
+    divides a coefficient's denominator or when it has lower degree than p
+    has in x_k.
+    """
+    used = [k for k in range(len(p.universe)) if any(e[k] for e in p.terms)]
+    reduced = []
+    for e, c in p.terms.items():
+        m = _coeff_mod_p(c)
+        if m is None:
+            return dict.fromkeys(used)
+        reduced.append((e, m))
+    point = {k: _residue(k) for k in used}
+    images: dict[int, list[int] | None] = {}
+    for k in used:
+        img = [0] * (max(e[k] for e in p.terms) + 1)
+        for e, m in reduced:
+            for j in used:
+                if j != k and e[j]:
+                    m = m * pow(point[j], e[j], _P) % _P
+            img[e[k]] = (img[e[k]] + m) % _P
+        images[k] = img if img[-1] else None
+    return images
+
+
+def _gf_coprime(a: list[int], b: list[int]) -> bool:
+    """Whether two polynomials over GF(P) with nonzero leading coefficients
+    have a constant gcd (Euclid's algorithm)."""
+    a, b = list(a), list(b)
+    while b:
+        inv = pow(b[-1], -1, _P)
+        db = len(b) - 1
+        while len(a) > db:
+            f = a[-1] * inv % _P
+            shift = len(a) - 1 - db
+            for j in range(db):
+                a[shift + j] = (a[shift + j] - f * b[j]) % _P
+            a.pop()
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
+    return len(a) == 1
+
+
+def _images_coprime(p: MultiPoly, q: MultiPoly) -> bool:
+    """True only when p and q are coprime; False means "unknown".
+
+    The images certify p and q coprime when, for every variable v both use,
+    both images are usable and their gcd over GF(P) is constant.  Inputs
+    with no common variable pass with no work.
+
+    Soundness.  Let R be Z[i] localized at the prime (P, i - s), s =
+    _I_IMAGE: a discrete valuation ring with residue field GF(P), i -> s.
+    A usable image means p's coefficients lie in R.  Suppose d divides p
+    and q and is not constant; then d has positive degree in some variable
+    v, which p and q both use.  Scale d to be primitive over R.  By Gauss's
+    lemma p = d * a with a over R too, so the image of p is the image of d
+    times the image of a.  Images never gain degree, and the image of p
+    keeps deg_v p = deg_v d + deg_v a, so the image of d keeps its positive
+    degree in v.  It divides the images of p and q, whose gcd is then not
+    constant.  So an unlucky P or point can only answer False, which sends
+    the pair to the exact gcd; the verdict never depends on them.
+    """
+    ip, iq = p._modular_images(), q._modular_images()
+    for k in ip.keys() & iq.keys():
+        a, b = ip[k], iq[k]
+        if a is None or b is None or not _gf_coprime(a, b):
+            return False
+    return True
+
+
+def _images_squarefree(p: MultiPoly) -> bool:
+    """True only when p is squarefree; False means "unknown".
+
+    The images certify p squarefree when, for every variable v that p uses,
+    the image is usable and coprime to its derivative over GF(P).  If
+    p = d^2 * a with d of positive degree in v, the argument of
+    `_images_coprime` makes the image of p the square of the image of d,
+    which keeps its positive degree, times the image of a; the image of d
+    then divides that image and its derivative.
+    """
+    for img in p._modular_images().values():
+        if img is None:
+            return False
+        deriv = [k * c % _P for k, c in enumerate(img)][1:]
+        if not _gf_coprime(img, deriv):
+            return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# gcd
+# ---------------------------------------------------------------------------
 
 
 def _exact_quotient(p: MultiPoly, d: MultiPoly) -> MultiPoly:
@@ -566,43 +712,12 @@ def _prem(a: MultiPoly, b: MultiPoly, var: str) -> MultiPoly:
     return a
 
 
-def _certified_coprime(a: MultiPoly, b: MultiPoly, var: str) -> bool:
-    """True only when a, b are provably coprime as primitive polys in var.
-
-    Substitutes integers for the other variables at a point keeping both
-    leading coefficients nonzero; a constant univariate gcd then certifies
-    that no common factor of positive var-degree exists, and primitivity in
-    var rules out var-free common factors.
-    """
-    others = sorted((set(a.vars_used()) | set(b.vars_used())) - {var})
-    if not others:
-        return False
-    la = a.lead_coeff_in(var)
-    lb = b.lead_coeff_in(var)
-    for attempt in range(4):
-        assignment = {
-            v: fe(_EVAL_SEEDS[(i + attempt) % len(_EVAL_SEEDS)] + attempt)
-            for i, v in enumerate(others)
-        }
-        if la.partial_eval(assignment).is_zero():
-            continue
-        if lb.partial_eval(assignment).is_zero():
-            continue
-        ua = a.partial_eval(assignment)
-        ub = b.partial_eval(assignment)
-        g = _uv_gcd(_to_univar(ua, var), _to_univar(ub, var))
-        if len(g) == 1:
-            return True
-        return False
-    return False
-
-
 def _pp_gcd(a: MultiPoly, b: MultiPoly, var: str) -> MultiPoly:
     """gcd of two polynomials primitive in var, both of positive var-degree."""
     used = set(a.vars_used()) | set(b.vars_used())
     if used == {var}:
         return univar_gcd(a, b, var)
-    if _certified_coprime(a, b, var):
+    if _images_coprime(a, b):
         return MultiPoly.one(a.universe)
     if a.degree_in(var) < b.degree_in(var):
         a, b = b, a
@@ -629,6 +744,8 @@ def poly_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
         return MultiPoly.one(p.universe)
     if p == q:
         return p.primitive_monic()[1]
+    if _images_coprime(p, q):
+        return MultiPoly.one(p.universe)
     pv, qv = set(p.vars_used()), set(q.vars_used())
     var = next(v for v in p.universe if v in pv or v in qv)
     if var not in pv:
@@ -653,6 +770,8 @@ def squarefree_parts(p: MultiPoly) -> list[tuple[MultiPoly, int]]:
     _, p = p.primitive_monic()
     if p.is_constant():
         return []
+    if _images_squarefree(p):
+        return [(p, 1)]
     g = p
     for v in p.vars_used():
         if g.is_constant():

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from dilogeq import blochfq, primes
+from dilogeq import blochfq, poly, primes
 from dilogeq.cli import build_parser, main
 from dilogeq.document import load_document
 from dilogeq.exprparse import parse_expression
@@ -203,6 +203,26 @@ def test_check_padic_mode(run):
     assert any("branch" in note for note in report["notes"])
 
 
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        ("4", "--padic 4 is not a prime"),
+        ("1", "--padic 1 is not a prime"),
+        ("-3", "--padic -3 is not a prime"),
+        (
+            "2305843009213693951",
+            "--padic 2305843009213693951 is too large to prove prime by trial division",
+        ),
+    ],
+)
+def test_check_rejects_bad_padic_prime(run, tmp_path, value, message):
+    argv = ["check", "DOC:" + FIVE_DOC, "--padic", value]
+    assert run(argv) == (2, "", f"error: {message}\n")
+    # the check comes before the document is read
+    argv[1] = str(tmp_path / "missing.txt")
+    assert run(argv)[2] == f"error: {message}\n"
+
+
 def test_check_with_probe(run):
     code, out, _ = run(["check", "DOC:" + FIVE_DOC, "--probe", "50", "--json"])
     assert code == 0
@@ -356,6 +376,23 @@ def test_wedge_golden(run, body, text, report):
     code, out, err = run(["wedge", doc, "--json"])
     assert (code, err) == (0, "")
     assert out == json.dumps(report, sort_keys=True, indent=2) + "\n"
+
+
+def test_documents_without_modular_images(run, monkeypatch):
+    # the exact gcd alone prints the same bytes as with the images in front
+    docs = [FIVE_DOC, INVERSION_DOC] + ["dilog-identity v1\n" + b for b, _, _ in WEDGE_GOLDEN]
+    argvs = [
+        [command, "DOC:" + doc] + flags
+        for doc in docs
+        for command in ("check", "wedge")
+        for flags in ([], ["--json"])
+    ]
+    with_images = [run(list(argv)) for argv in argvs]
+    monkeypatch.setattr(poly, "_images_coprime", lambda p, q: False)
+    monkeypatch.setattr(poly, "_images_squarefree", lambda p: False)
+    assert [run(list(argv)) for argv in argvs] == with_images
+    for body, text, report in WEDGE_GOLDEN:
+        test_wedge_golden(run, body, text, report)
 
 
 # -- relations ----------------------------------------------------------------------

@@ -56,6 +56,22 @@ def test_padic_valuation():
         padic_valuation(Fraction(0), 5)
 
 
+@pytest.mark.parametrize("p", [1, 0, -5])
+def test_bases_below_two_are_refused(p):
+    # with p = 1 the valuation loop divided by 1 forever
+    w = boundary(FormalSum.single(const(Fraction(5, 3))))
+    calls = [
+        lambda: padic_valuation(Fraction(3), p),
+        lambda: PadicNumber.from_rational(Fraction(3), p, 8),
+        lambda: PadicNumber.from_rational(Fraction(0), p, 8),
+        lambda: Branch.of(p, Fraction(1)),
+        lambda: branch_diff(w, {"t": Fraction(2)}, Branch(p, pad(1)), Branch(p, pad(1))),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="at least 2"):
+            call()
+
+
 def test_from_rational_normal_form():
     x = pad(Fraction(50, 3))
     assert x.val == 2 and x.unit % 5 != 0

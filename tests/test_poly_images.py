@@ -1,0 +1,185 @@
+"""The modular-image test in front of the exact gcd: sympy as an oracle,
+pinned cases where the images must not decide, and the exact path alone."""
+
+import importlib.util
+import random
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import dilogeq
+from dilogeq import poly
+from dilogeq.poly import MultiPoly, poly_gcd, squarefree_parts
+from dilogeq.scalars import I, fe
+
+from helpers import random_poly
+
+P = poly._P
+UNIVERSES = {1: ("x",), 2: ("x", "y"), 3: ("x", "y", "z")}
+
+
+def to_sympy(p: MultiPoly) -> sp.Poly:
+    rep = {
+        e: sp.Rational(c.re.numerator, c.re.denominator)
+        + sp.I * sp.Rational(c.im.numerator, c.im.denominator)
+        for e, c in p.terms.items()
+    }
+    return sp.Poly.from_dict(rep, sp.symbols(p.universe), domain=sp.QQ_I)
+
+
+def sympy_parts(p: MultiPoly, gaussian: bool) -> dict:
+    """{k: monic product of the irreducible factors of multiplicity k}."""
+    gens = sp.symbols(p.universe)
+    _, factors = sp.factor_list(to_sympy(p).as_expr(), *gens, gaussian=gaussian)
+    parts = {}
+    for f, k in factors:
+        parts[k] = parts.get(k, 1) * f
+    return {k: sp.Poly(f, *gens, domain=sp.QQ_I).monic() for k, f in parts.items()}
+
+
+def parts_dict(p: MultiPoly) -> dict:
+    return {k: to_sympy(g).monic() for g, k in squarefree_parts(p)}
+
+
+def draw_polys(nvars, gaussian, seed, count, max_deg=2):
+    rnd = random.Random(seed)
+    universe = UNIVERSES[nvars]
+    out = []
+    for _ in range(count):
+        p = random_poly(rnd, universe, max_deg=max_deg, max_terms=3, gaussian=gaussian)
+        out.append(p.scale(fe(Fraction(rnd.choice([1, 2, -3]), rnd.choice([1, 5, 7])))))
+    return out
+
+
+# -- oracle ------------------------------------------------------------------------
+
+
+@given(st.integers(1, 3), st.booleans(), st.integers(0, 10**6))
+@settings(max_examples=60, deadline=None)
+def test_gcd_matches_sympy(nvars, gaussian, seed):
+    d, a, b = draw_polys(nvars, gaussian, seed, 3)
+    for p, q in ((a, b), (d * a, d * b)):
+        expected = sp.gcd(to_sympy(p), to_sympy(q)).monic()
+        assert to_sympy(poly_gcd(p, q)).monic() == expected
+
+
+@given(st.integers(1, 3), st.booleans(), st.integers(0, 10**6))
+@settings(max_examples=30, deadline=None)
+def test_squarefree_parts_match_sympy(nvars, gaussian, seed):
+    # the exact path's remainder sequence grows fast with the degree in
+    # three variables, so those inputs stay small
+    [a] = draw_polys(nvars, gaussian, seed, 1, max_deg=1 if nvars == 3 else 2)
+    b, c = draw_polys(nvars, gaussian, seed + 1, 2, max_deg=1)
+    for p in (a * b, a * b**2, b * c**3):
+        if not p.is_constant():
+            assert parts_dict(p) == sympy_parts(p, gaussian)
+
+
+# -- pinned cases ------------------------------------------------------------------
+
+
+X = MultiPoly.var(("x",), "x")
+
+
+def cx(c):
+    return MultiPoly.const(("x",), fe(c) if isinstance(c, int) else c)
+
+
+def test_the_prime_and_the_image_of_i():
+    assert sp.isprime(P) and P % 4 == 1 and P < 2**61
+    assert poly._I_IMAGE**2 % P == P - 1
+
+
+def test_denominator_p_takes_the_exact_path():
+    d = X + cx(fe(Fraction(1, P)))
+    assert poly_gcd(d * (X - cx(2)), d * (X + cx(3))) == d
+    assert poly_gcd(d, X + cx(2)).is_one()
+    assert parts_dict(d**2 * (X + cx(1))) == {1: to_sympy(X + cx(1)), 2: to_sympy(d)}
+    # P x + 1 is integral, but its image drops to the constant 1
+    e = X.scale(fe(P)) + cx(1)
+    assert poly_gcd(e * (X - cx(2)), e * (X + cx(3))) == d
+
+
+def test_lead_coefficients_vanishing_at_the_point():
+    u = ("x", "y")
+    x, y = MultiPoly.var(u, "x"), MultiPoly.var(u, "y")
+    rx, ry = (MultiPoly.const(u, fe(poly._residue(k))) for k in (0, 1))
+    # d's images in x and in y are both the constant 1; a and b are coprime
+    d = (x - rx) * (y - ry) + MultiPoly.one(u)
+    a, b = x + MultiPoly.const(u, fe(2)), x * x + MultiPoly.const(u, fe(3))
+    assert poly_gcd(d * a, d * b) == d.primitive_monic()[1]
+    parts = squarefree_parts(d**2 * a)
+    assert {k: g for g, k in parts} == {1: a, 2: d.primitive_monic()[1]}
+
+
+def test_x_and_x_minus_p_are_coprime():
+    # coprime over Q, while both images vanish at 0
+    assert poly_gcd(X, X - cx(P)).is_one()
+    assert parts_dict(X * (X - cx(P))) == {1: to_sympy(X * (X - cx(P)))}
+
+
+def test_gaussian_linear_factors():
+    xi = X - cx(I)
+    assert poly_gcd(xi, X * X + cx(1)) == xi
+    assert poly_gcd(xi, X + cx(I)).is_one()
+    assert poly._images_coprime(xi, X + cx(I))
+    assert parts_dict(xi**2 * (X + cx(I))) == {1: to_sympy(X + cx(I)), 2: to_sympy(xi)}
+
+
+def test_ten_variables():
+    u = tuple(f"x{k}" for k in range(10))
+    v = {name: MultiPoly.var(u, name) for name in u}
+    one = MultiPoly.one(u)
+    d = v["x0"] + v["x9"] * v["x4"]
+    a, b = v["x3"] - one.scale(fe(2)), v["x5"] + v["x9"] * v["x1"]
+    assert poly_gcd(d * a, d * b) == d
+    assert poly_gcd(a, b).is_one()
+    assert {k: g for g, k in squarefree_parts(d**2 * b)} == {1: b, 2: d}
+
+
+def test_square_seen_only_in_its_own_variable():
+    u = ("x", "y")
+    x, y = MultiPoly.var(u, "x"), MultiPoly.var(u, "y")
+    d, q = y - MultiPoly.const(u, fe(2)), x + y
+    # the image in x is squarefree; only the image in y shows d^2
+    assert poly._images_squarefree(q)
+    assert not poly._images_squarefree(d * d * q)
+    assert {k: g for g, k in squarefree_parts(d * d * q)} == {1: q, 2: d}
+
+
+# -- the exact path alone ----------------------------------------------------------
+
+
+def _relation_sums(seed, count):
+    """The relation-sum benchmark's inputs (bench/inputs.py imports nothing
+    from the package, so a seed gives the same sums at every commit)."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("bench_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = inputs
+    spec.loader.exec_module(inputs)
+    universe = inputs.RELATION_VARS
+
+    def ratfunc(f):
+        num, den = (MultiPoly(universe, {e: fe(c) for e, c in p}) for p in f)
+        return dilogeq.RationalFunction(num, den)
+
+    sums = []
+    for gens in inputs.relation_sum_specs(seed, count):
+        total = dilogeq.FormalSum.zero(universe)
+        for coeff, x, y in gens:
+            total = total + dilogeq.five_term(ratfunc(x), ratfunc(y)).scale(coeff)
+        sums.append(total)
+    return sums
+
+
+def test_relation_sums_without_images(monkeypatch):
+    sums = _relation_sums(1, 10)
+    with_images = [dilogeq.check_constant(s) for s in sums]
+    monkeypatch.setattr(poly, "_images_coprime", lambda p, q: False)
+    monkeypatch.setattr(poly, "_images_squarefree", lambda p: False)
+    assert [dilogeq.check_constant(s) for s in _relation_sums(1, 10)] == with_images
