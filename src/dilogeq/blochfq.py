@@ -212,9 +212,11 @@ def bloch_groups(p: int) -> BlochGroups:
     """Pre-Bloch groups (five-term rows only, and all relations), the
     modified Bloch group, and the c-element facts of F_p.
 
-    The five-term rows are eliminated once.  The full relation lattice is
-    the Hermite basis of the five-term lattice (which spans it) plus the
-    p - 2 inversion rows, so the about p^2 rows are never reduced twice.
+    Each distinct relation row is eliminated once: about half the
+    five-term rows repeat another, and x and 1/x give the same inversion
+    row.  The full relation lattice is the Hermite basis of the five-term
+    lattice (which spans it) plus the inversion rows, so the about p^2
+    rows are never reduced twice.
     The modified Bloch group is ker(boundary) modulo the relation lattice,
     solved for in kernel coordinates through the full lattice's Hermite
     basis.  Every relation must land inside the kernel (the boundary kills
@@ -224,11 +226,11 @@ def bloch_groups(p: int) -> BlochGroups:
     pres = relations_matrix(p)
     n = len(pres.generators)
     five = HermiteForm(n)
-    for row in pres.five_rows:
+    for row in dict.fromkeys(pres.five_rows):
         five.insert(row)
     five_basis = five.basis()
     full = HermiteForm(n)
-    for row in [*five_basis, *pres.inversion_rows]:
+    for row in [*five_basis, *dict.fromkeys(pres.inversion_rows)]:
         full.insert(row)
     full_basis = full.basis()
 

@@ -392,6 +392,8 @@ def _cmd_blochfq(args) -> int:
     p = args.p
     if p > 97 and not args.allow_large:
         raise ValueError(f"p = {p} is past the default cap 97; pass --allow-large to proceed")
+    if args.oracle and p > 7:
+        raise ValueError("--oracle enumerates all minors; only feasible for p in {5, 7}")
     groups = bfq.bloch_groups(p)
     pres = groups.presentation
     d = groups.wedge_square
@@ -419,8 +421,6 @@ def _cmd_blochfq(args) -> int:
         f"3*C in the relation span: {'yes' if groups.three_c_in_span else 'NO'}",
     ]
     if args.oracle:
-        if p > 7:
-            raise ValueError("--oracle enumerates all minors; only feasible for p in {5, 7}")
         n = len(pres.generators)
         raw = minor_gcd_invariant_factors([list(r) for r in pres.relations], n)
         oracle = bfq._pack_factors(raw, n)

@@ -15,7 +15,9 @@ of the matrix and of its transpose.
 
 The minor-gcd Smith form (gcd of all k x k minors gives the determinant
 divisor chain d_k, and d_k / d_{k-1} the invariant factors) is exponential
-and exists as an independent cross-check for small matrices only.
+and exists as an independent cross-check for small matrices only.  It
+enumerates minors over the distinct nonzero rows up to sign, and shares no
+elimination with the Hermite and Smith forms above.
 """
 
 from __future__ import annotations
@@ -228,11 +230,22 @@ def det_bareiss(a: Matrix) -> int:
 
 def minor_gcd_invariant_factors(rows: Matrix, width: int | None = None) -> list[int]:
     """Invariant factors via determinant divisors: d_k = gcd of all k x k
-    minors, f_k = d_k / d_{k-1}.  Exponential; cross-check use only."""
+    minors, f_k = d_k / d_{k-1}.  Exponential; cross-check use only.
+
+    Minors are taken over one row per +-class of nonzero rows.  No d_k
+    changes: a minor with a zero row, or with two equal rows, is 0, and
+    negating a row negates every minor that contains it.
+    """
     if width is None:
         if not rows:
             return []
         width = len(rows[0])
+    distinct = {}
+    for r in rows:
+        lead = next((x for x in r if x), 0)
+        if lead:
+            distinct.setdefault(tuple(x if lead > 0 else -x for x in r), None)
+    rows = list(distinct)
     m, n = len(rows), width
     factors = []
     prev = 1

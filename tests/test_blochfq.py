@@ -251,8 +251,9 @@ def test_bloch_groups_pinned_past_the_oracle(p):
 
 @pytest.mark.parametrize("p", [7, 13])
 def test_five_term_rows_eliminated_once(p, monkeypatch):
-    # the full lattice is the five-term Hermite basis plus the inversion
-    # rows, so no relation row is inserted twice
+    # each distinct five-term row is inserted once, and the full lattice is
+    # the five-term Hermite basis plus the distinct inversion rows, so no
+    # relation row is reduced twice
     inserted = []
     base = blochfq.HermiteForm
 
@@ -265,11 +266,13 @@ def test_five_term_rows_eliminated_once(p, monkeypatch):
     groups = bloch_groups(p)
     pres = groups.presentation
     n = len(pres.generators)
-    five = len(pres.five_rows)
-    assert inserted[:five] == list(pres.five_rows)
-    rest = inserted[five:]
+    five = list(dict.fromkeys(pres.five_rows))
+    inversion = list(dict.fromkeys(pres.inversion_rows))
+    assert len(five) < len(pres.five_rows) and len(inversion) < n
+    assert inserted[: len(five)] == five
+    rest = inserted[len(five) :]
     assert len(rest) <= 2 * n
-    assert rest[len(rest) - n :] == list(pres.inversion_rows)
+    assert rest[len(rest) - len(inversion) :] == inversion
 
 
 def test_coordinate_solves_share_one_transform_form(monkeypatch):

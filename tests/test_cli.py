@@ -508,11 +508,22 @@ def test_blochfq_p7(run):
     assert report["modified_bloch"] == "Z/2"
 
 
-def test_blochfq_rejections(run):
+def test_blochfq_rejections(run, monkeypatch):
     assert run(["blochfq", "4"])[0] == 2
     assert run(["blochfq", "3"])[0] == 2
-    assert run(["blochfq", "11", "--oracle"])[0] == 2
     assert run(["blochfq", "101"])[0] == 2
+    # --oracle past p = 7 is refused before any group is built
+    calls = []
+    build = blochfq.relations_matrix
+
+    def counted(p):
+        calls.append(p)
+        return build(p)
+
+    monkeypatch.setattr(blochfq, "relations_matrix", counted)
+    assert run(["blochfq", "11", "--oracle"])[0] == 2
+    assert run(["blochfq", "97", "--oracle"])[0] == 2
+    assert calls == []
 
 
 # `blochfq P` text and --json reports, captured before the Bloch groups were

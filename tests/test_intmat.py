@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from dilogeq.blochfq import relations_matrix
 from dilogeq.intmat import (
     HermiteForm,
     det_bareiss,
@@ -203,6 +204,43 @@ def test_smith_matches_minor_gcd_oracle():
             c1, c2 = rnd.randint(-3, 3), rnd.randint(-3, 3)
             a[i] = [c1 * x + c2 * y for x, y in zip(u, w)]
         assert smith_invariant_factors(a, n) == minor_gcd_invariant_factors(a, n), a
+
+
+def test_minor_gcd_oracle_ignores_repeated_sign_and_zero_rows():
+    rnd = random.Random(13)
+    for _ in range(40):
+        m, n = rnd.randint(1, 4), rnd.randint(1, 5)
+        a = _rand_matrix(rnd, m, n)
+        want = minor_gcd_invariant_factors(a, n)
+        assert want == smith_invariant_factors(a, n), a
+        r = rnd.choice(a)
+        variants = [
+            a + [r],
+            a + [[-x for x in r]],
+            [[-x for x in row] for row in a],
+            a[::-1],
+            [[0] * n] + a + [[0] * n],
+        ]
+        shuffled = [list(row) for row in a + [rnd.choice(a)]]
+        rnd.shuffle(shuffled)
+        variants.append(shuffled)
+        for b in variants:
+            assert minor_gcd_invariant_factors(b, n) == want, b
+        # a row with its double spans more than the double alone
+        for b in (a + [[2 * x for x in r]], [[2 * x for x in r]] + a):
+            assert minor_gcd_invariant_factors(b, n) == smith_invariant_factors(b, n), b
+    # only +-1 multiples are dropped: the double keeps its own factor
+    assert minor_gcd_invariant_factors([[2, 4, 0], [1, 2, 0]]) == [1]
+    assert minor_gcd_invariant_factors([[1, 2, 0], [2, 4, 0]]) == [1]
+    assert minor_gcd_invariant_factors([[2, 4, 0], [4, 8, 0]]) == [2]
+    assert minor_gcd_invariant_factors([[0, 0, 0], [0, 0, 0]]) == []
+
+
+@pytest.mark.parametrize("p, factors", [(5, [1, 1, 3]), (7, [1, 1, 1, 1, 4])])
+def test_minor_gcd_oracle_on_relation_matrices(p, factors):
+    rows = [list(r) for r in relations_matrix(p).relations]
+    assert minor_gcd_invariant_factors(rows, p - 2) == factors
+    assert smith_invariant_factors(rows, p - 2) == factors
 
 
 def test_smith_divisibility_chain():
