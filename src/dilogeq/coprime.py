@@ -12,6 +12,16 @@ J. Algorithms 15, 1993).  Elements, their products and quotients are
 graded-lex monic, so an input is its lead coefficient times the product
 over its record.
 
+Each element b meets a part g in the cheapest way that settles the pair:
+the modular images certify most pairs coprime; otherwise b usually divides
+g, and the exact quotient then gives gcd(b, g) = b with no split; only when
+the division fails does the exact gcd run and split b.  Which way settles a
+pair never changes the result: an irreducible factor's signature, its
+exponent in each input, decides its element, since two irreducibles are
+separated exactly when some input holds them to different exponents.  So
+every correct refinement ends at the same basis, the products of the
+irreducibles grouped by signature.
+
 The basis plays the role of a full irreducible factorization in the boundary
 pairing computations.  The refinement to squarefree parts also matters for
 torsion: a perfect-square factor must not contribute to mod-2 sign columns,
@@ -22,7 +32,13 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .poly import MultiPoly, _exact_quotient, poly_gcd, squarefree_parts
+from .poly import (
+    MultiPoly,
+    _exact_quotient,
+    _images_coprime,
+    poly_gcd,
+    squarefree_parts,
+)
 from .ratfunc import RationalFunction
 from .scalars import FieldElement
 
@@ -49,18 +65,24 @@ class CoprimeBasis:
             i = 0
             while not g.is_constant() and i < len(self.elements):
                 b = self.elements[i]
-                d = poly_gcd(b, g)
                 i += 1
+                if _images_coprime(b, g):
+                    continue
+                quotient = g.divide_exact(b)
+                if quotient is not None:
+                    record[b] = k
+                    g = quotient
+                    continue
+                d = poly_gcd(b, g)
                 if d.is_constant():
                     continue
-                if d != b:
-                    self._refuse_once_frozen(monic)
-                    rest = _exact_quotient(b, d)
-                    self.elements[i - 1 : i] = [d, rest]
-                    for r in self._records.values():
-                        if b in r:
-                            r[d] = r[rest] = r.pop(b)
-                    i += 1
+                self._refuse_once_frozen(monic)
+                rest = _exact_quotient(b, d)
+                self.elements[i - 1 : i] = [d, rest]
+                for r in self._records.values():
+                    if b in r:
+                        r[d] = r[rest] = r.pop(b)
+                i += 1
                 record[d] = k
                 g = _exact_quotient(g, d)
             if not g.is_constant():

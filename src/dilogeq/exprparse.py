@@ -5,7 +5,10 @@ Accepts integers, rationals written with /, declared variable names,
 field mode is gaussian.  Every error carries a 1-based line and column.
 
 The parser evaluates directly into RationalFunction normal form; there is
-no retained syntax tree.
+no retained syntax tree.  Before each operation it bounds the total degree
+of the numerator and denominator the operation builds (before cancelling
+common factors), and refuses one above MAX_DEGREE, so a short expression
+such as t^1000000000 cannot ask for unbounded memory.
 """
 
 from __future__ import annotations
@@ -15,6 +18,11 @@ from fractions import Fraction
 
 from .ratfunc import RationalFunction, ZeroDenominator
 from .scalars import FieldElement
+
+
+MAX_DEGREE = 100_000
+"""The largest total degree a numerator or denominator may reach while an
+expression is evaluated."""
 
 
 class ExprSyntaxError(SyntaxError):
@@ -38,6 +46,25 @@ class DivisionByZeroConstant(ZeroDivisionError):
         super().__init__(f"division by an identically zero expression (line {line}, column {col})")
         self.line = line
         self.col = col
+
+
+class DegreeLimitExceeded(ValueError):
+    def __init__(self, degree: int, line: int, col: int):
+        super().__init__(
+            f"total degree {degree} is above the limit {MAX_DEGREE} (line {line}, column {col})"
+        )
+        self.line = line
+        self.col = col
+
+
+def _degrees(f: RationalFunction) -> tuple[int, int]:
+    return max(f.num.total_degree(), 0), max(f.den.total_degree(), 0)
+
+
+def _check_degree(num_degree: int, den_degree: int, op: "_Token"):
+    degree = max(num_degree, den_degree)
+    if degree > MAX_DEGREE:
+        raise DegreeLimitExceeded(degree, op.line, op.col)
 
 
 @dataclass(frozen=True)
@@ -119,6 +146,8 @@ class _Parser:
         while self.peek().kind in "+-":
             op = self.take()
             rhs = self.term()
+            (na, da), (nb, db) = _degrees(value), _degrees(rhs)
+            _check_degree(max(na + db, nb + da), da + db, op)
             value = value + rhs if op.kind == "+" else value - rhs
         return value
 
@@ -127,9 +156,12 @@ class _Parser:
         while self.peek().kind in "*/":
             op = self.take()
             rhs = self.unary()
+            (na, da), (nb, db) = _degrees(value), _degrees(rhs)
             if op.kind == "*":
+                _check_degree(na + nb, da + db, op)
                 value = value * rhs
             else:
+                _check_degree(na + db, da + nb, op)
                 try:
                     value = value / rhs
                 except ZeroDenominator:
@@ -152,6 +184,8 @@ class _Parser:
             return base
         op = self.take()
         exp = self.signed_int()
+        num_degree, den_degree = _degrees(base)
+        _check_degree(num_degree * abs(exp), den_degree * abs(exp), op)
         try:
             return base ** exp
         except ZeroDenominator:

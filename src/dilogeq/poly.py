@@ -20,6 +20,11 @@ to fixed residues.  Random inputs are almost always coprime, so this test
 answers most calls; `squarefree_parts` uses the same images to certify a
 squarefree input.  A pair the images cannot certify takes the exact path,
 so no verdict depends on P or on the point.
+
+`squarefree_parts` first takes out the monomial content x^low, read from
+the least exponent of each variable: every variable is irreducible and
+coprime to the quotient, so a repeated variable (t^10000, or the y^2 in
+(3*x^2*y + 2*y)^2) costs no gcd, and Musser's loop sees only the quotient.
 """
 
 from __future__ import annotations
@@ -762,14 +767,32 @@ def poly_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
 
 
 def squarefree_parts(p: MultiPoly) -> list[tuple[MultiPoly, int]]:
-    """Decompose a nonconstant p as unit * prod g_k^k.
+    """Decompose a nonconstant p as unit * prod g_k^k, in ascending k.
 
-    The g_k are monic, squarefree, pairwise coprime (characteristic-zero
-    Musser loop, using the gcd of p with all its partial derivatives).
+    The g_k are monic, squarefree, pairwise coprime, and there is one per
+    multiplicity k.  The monomial content x^low (low_v the least exponent
+    of v in any term) comes out first: each variable is irreducible and
+    coprime to p / x^low, so x_v joins that quotient's part of multiplicity
+    low_v, and a power of a variable needs no gcd at all.
     """
     _, p = p.primitive_monic()
     if p.is_constant():
         return []
+    low = tuple(map(min, zip(*p.terms)))
+    if any(low):
+        # shifting every exponent by low keeps the graded-lex leader: the
+        # quotient is monic and has no monomial content
+        rest = MultiPoly(
+            p.universe,
+            {tuple(a - b for a, b in zip(e, low)): c for e, c in p.terms.items()},
+        )
+        parts = {k: g for g, k in squarefree_parts(rest)}
+        for m in set(low) - {0}:
+            mono = tuple(int(k == m) for k in low)
+            parts[m] = parts.get(m, MultiPoly.one(p.universe)).mul_term(mono, ONE)
+        return [(parts[k], k) for k in sorted(parts)]
+    # Musser's loop in characteristic zero, using the gcd of p with all its
+    # partial derivatives
     if _images_squarefree(p):
         return [(p, 1)]
     g = p

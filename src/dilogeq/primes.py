@@ -21,12 +21,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, log10
 
 from .scalars import FieldElement, fe
 
 
 DEFAULT_FACTOR_BOUND = 10**6
+_SHOWN_DIGITS = 60
 
 
 class OversizedConstant(ValueError):
@@ -69,7 +70,8 @@ def _factor_int(n: int, bound: int) -> tuple[tuple[int, int], ...]:
             break
         if p > bound:
             raise OversizedConstant(
-                f"constant has a prime factor above the bound {bound}: residual {n}"
+                f"constant has a prime factor above the bound {bound}: "
+                f"residual {_residual_text(n)}"
             )
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
@@ -77,6 +79,21 @@ def _factor_int(n: int, bound: int) -> tuple[tuple[int, int], ...]:
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return tuple(out.items())
+
+
+def _residual_text(n: int) -> str:
+    """n in decimal, or its digit count when n has more than
+    _SHOWN_DIGITS digits (Python refuses to format an int of more than
+    4300 digits by default)."""
+    if n < 10**_SHOWN_DIGITS:
+        return str(n)
+    digits = int(log10(n)) + 1
+    # log10 is a float: correct the count by exact comparisons
+    while 10 ** (digits - 1) > n:
+        digits -= 1
+    while 10**digits <= n:
+        digits += 1
+    return f"of {digits} digits"
 
 
 def _trial_sequence():

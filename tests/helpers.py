@@ -63,6 +63,19 @@ def shift_var(p: MultiPoly, var: str, k: int) -> MultiPoly:
     )
 
 
+def to_sympy(p: MultiPoly):
+    """p as a sympy Poly over QQ_I in p's universe (sympy is a test extra,
+    so it is imported here, not at module level)."""
+    import sympy as sp
+
+    rep = {
+        e: sp.Rational(c.re.numerator, c.re.denominator)
+        + sp.I * sp.Rational(c.im.numerator, c.im.denominator)
+        for e, c in p.terms.items()
+    }
+    return sp.Poly.from_dict(rep, sp.symbols(p.universe), domain=sp.QQ_I)
+
+
 def to_mode(s: FormalSum, coeff_mode: str) -> FormalSum:
     """Reinterpret coefficients; Q -> Z requires integer values."""
     return FormalSum(s.universe, dict(s.terms), s.field_mode, coeff_mode)

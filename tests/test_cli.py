@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from dilogeq import blochfq, poly, primes
+from dilogeq import blochfq, coprime, poly, primes
 from dilogeq.cli import build_parser, main
 from dilogeq.document import load_document
 from dilogeq.exprparse import parse_expression
@@ -27,6 +27,36 @@ term: -1 [(1 - x^-1)/(1 - y^-1)]
 
 SINGLE_DOC = "dilog-identity v1\nvariables: t\nterm: 1 [t]\n"
 INVERSION_DOC = "dilog-identity v1\nvariables: t\nterm: 1 [t]\nterm: 1 [t^-1]\n"
+def test_check_constant_far_above_the_trial_bound(run):
+    # 1 - 2^20000 leaves a residual of 5928 digits, more than Python
+    # formats into a message by default
+    doc = "DOC:dilog-identity v1\nvariables: t\nterm: 1 [2^20000]\n"
+    code, out, err = run(["check", doc])
+    assert (code, out) == (2, "")
+    assert re.fullmatch(r"error: .* above the bound 1000000: residual of \d+ digits\n", err)
+
+
+def test_check_a_power_of_a_variable(run):
+    # squarefree_parts reads t^100000 from its exponents, with no gcd
+    doc = "DOC:dilog-identity v1\nvariables: t\nterm: 1 [t^100000]\n"
+    code, out, err = run(["check", doc])
+    assert (code, err) == (1, "")
+    assert "witness: beta1 pairing (t) ^ (t^100000 - 1) = 100000" in out
+
+
+@pytest.mark.parametrize(
+    "expression, degree, col",
+    [("t^1000000000 + 1", 1000000000, 2), ("((t + 1)^1000)^1000", 1000000, 15)],
+)
+def test_check_refuses_a_degree_above_the_limit(run, expression, degree, col):
+    doc = f"DOC:dilog-identity v1\nvariables: t\nterm: 1 [{expression}]\n"
+    code, out, err = run(["check", doc])
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: total degree {degree} is above the limit 100000 (line 1, column {col})\n"
+    )
+
+
 CC_PAIR_DOC = "dilog-identity v1\nfield: Qi\nvariables: z ~ w\nterm: 1 [z]\nterm: 1 [w]\n"
 CC_SINGLE_DOC = "dilog-identity v1\nfield: Qi\nvariables: z ~ w\nterm: 1 [z]\n"
 
@@ -389,6 +419,7 @@ def test_documents_without_modular_images(run, monkeypatch):
     ]
     with_images = [run(list(argv)) for argv in argvs]
     monkeypatch.setattr(poly, "_images_coprime", lambda p, q: False)
+    monkeypatch.setattr(coprime, "_images_coprime", lambda p, q: False)
     monkeypatch.setattr(poly, "_images_squarefree", lambda p: False)
     assert [run(list(argv)) for argv in argvs] == with_images
     for body, text, report in WEDGE_GOLDEN:

@@ -10,9 +10,9 @@ from dilogeq import coprime
 from dilogeq.coprime import CoprimeBasis, coprime_basis
 from dilogeq.poly import MultiPoly, poly_gcd
 from dilogeq.ratfunc import RationalFunction
-from dilogeq.scalars import ONE, fe
+from dilogeq.scalars import I, ONE, fe
 
-from helpers import random_poly
+from helpers import random_poly, to_sympy
 
 
 T = ("t",)
@@ -230,3 +230,95 @@ def test_factor_products_of_inputs(polys):
     for q in polys[1:]:
         p = p * q
     _assert_multiplies_back(basis, p)
+
+
+# -- sympy as an oracle for the whole basis ----------------------------------------
+
+
+def expected_basis(inputs, gaussian):
+    """{signature: monic product} from sympy's irreducible factors, where an
+    irreducible's signature is its exponent in each input in turn; every
+    correct refinement ends at this basis."""
+    import sympy as sp
+
+    gens = sp.symbols(inputs[0].universe)
+    signatures = {}
+    for j, p in enumerate(inputs):
+        _, factors = sp.factor_list(to_sympy(p).as_expr(), *gens, gaussian=gaussian)
+        for f, k in factors:
+            f = sp.Poly(f, *gens, domain=sp.QQ_I).monic()
+            signatures.setdefault(f, [0] * len(inputs))[j] += k
+    groups = {}
+    for f, sig in signatures.items():
+        groups[tuple(sig)] = groups.get(tuple(sig), 1) * f
+    return groups
+
+
+def assert_matches_sympy(inputs, gaussian):
+    basis = coprime_basis(inputs)
+    groups = expected_basis(inputs, gaussian)
+    elements = [to_sympy(b) for b in basis.elements]
+    assert sorted(map(str, elements)) == sorted(str(g) for g in groups.values())
+    for j, p in enumerate(inputs):
+        _, record = basis.factor(p)
+        assert {elements[i]: k for i, k in record.items()} == {
+            g: sig[j] for sig, g in groups.items() if sig[j]
+        }
+
+
+XY = ("x", "y")
+X, Y = MultiPoly.var(XY, "x"), MultiPoly.var(XY, "y")
+ONE_XY = MultiPoly.one(XY)
+IXY = MultiPoly.const(XY, I)
+
+ORACLE_CASES = {
+    # every part meets its elements by exact division: no gcd runs
+    "divide": (False, [X + Y, X, X * (X + Y) ** 2 * (X - ONE_XY), Y**2 * (X - ONE_XY)], 0),
+    # elements x^2 - x and (x + y)^2 y^3 are split by later inputs
+    "split": (
+        False,
+        [X**2 * (X - ONE_XY) ** 2, (X + Y) ** 2 * Y**3, X * (X + Y), Y * (X * Y + ONE_XY)],
+        None,
+    ),
+    "gaussian": (
+        True,
+        [
+            X**2 * (X * X + ONE_XY),
+            (X - IXY) ** 3 * Y,
+            Y**2 * (Y + IXY * X) * (X + IXY),
+            (Y + IXY * X) * X,
+        ],
+        None,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_basis_matches_sympy(case, monkeypatch):
+    gaussian, inputs, gcds = ORACLE_CASES[case]
+    calls = []
+    gcd = coprime.poly_gcd
+    monkeypatch.setattr(coprime, "poly_gcd", lambda p, q: calls.append(p) or gcd(p, q))
+    assert_matches_sympy(inputs, gaussian)
+    if gcds is None:
+        assert calls, "the gcd fallback should split an element"
+    else:
+        assert len(calls) == gcds
+
+
+@pytest.mark.parametrize("gaussian", [False, True])
+@pytest.mark.parametrize("seed", range(4))
+def test_basis_of_shared_factors_matches_sympy(gaussian, seed):
+    # inputs are products of a few shared factors and monomials
+    rnd = random.Random(seed)
+    factors = [X, Y] + [
+        random_poly(rnd, XY, max_deg=1, max_terms=3, gaussian=gaussian) for _ in range(4)
+    ]
+    factors = [f for f in factors if not f.is_constant()]
+    inputs = []
+    for _ in range(5):
+        p = MultiPoly.const(XY, fe(rnd.choice([1, -2, 3])))
+        for f in rnd.sample(factors, 3):
+            p = p * f ** rnd.randint(1, 3)
+        inputs.append(p)
+    assert_matches_sympy(inputs, gaussian)

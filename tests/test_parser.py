@@ -12,6 +12,8 @@ from dilogeq.document import (
     spec_from_formal_sum,
 )
 from dilogeq.exprparse import (
+    MAX_DEGREE,
+    DegreeLimitExceeded,
     DivisionByZeroConstant,
     ExprSyntaxError,
     UnknownVariable,
@@ -155,6 +157,29 @@ def test_division_by_zero_constant():
 
     with pytest.raises(ZeroDivisionError):
         parse_expression("1/0", XY)
+
+
+def test_degree_limit():
+    # the bound is checked before each operation builds its result
+    top = parse_expression(f"x^{MAX_DEGREE // 2}*y^{MAX_DEGREE - MAX_DEGREE // 2}", XY)
+    assert top.num.total_degree() == MAX_DEGREE
+    assert parse_expression(f"x^{MAX_DEGREE} + x^{MAX_DEGREE}", XY).num.total_degree() == MAX_DEGREE
+    assert parse_expression(f"1/x^{MAX_DEGREE}", XY).den.total_degree() == MAX_DEGREE
+    for src, col in (
+        (f"x^{MAX_DEGREE + 1}", 2),
+        (f"x^-{MAX_DEGREE + 1}", 2),
+        (f"(x^2 + 1)^{MAX_DEGREE // 2 + 1}", 10),
+        (f"x^{MAX_DEGREE} * y", 10),
+        (f"x^{MAX_DEGREE} / (1/y)", 10),
+        (f"1/(x^{MAX_DEGREE} + 1) + 1/(x^{MAX_DEGREE} + 2)", 18),
+        ("x^99999999999999999999", 2),
+    ):
+        with pytest.raises(DegreeLimitExceeded) as ei:
+            parse_expression(src, XY)
+        assert (ei.value.line, ei.value.col) == (1, col)
+        assert f"above the limit {MAX_DEGREE}" in str(ei.value)
+    with pytest.raises(ValueError):
+        parse_expression(f"x^{MAX_DEGREE + 1}", XY)
 
 
 # -- random round trips -----------------------------------------------------------
