@@ -24,17 +24,29 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exprparse import parse_expression
+from .exprparse import (
+    DegreeLimitExceeded,
+    DivisionByZeroConstant,
+    ExprSyntaxError,
+    UnknownVariable,
+    parse_expression,
+)
 from .formal import FormalSum
 
 
 HEADER = "dilog-identity v1"
+_EXPRESSION_ERRORS = (ExprSyntaxError, UnknownVariable, DivisionByZeroConstant, DegreeLimitExceeded)
 
 
 class DocumentError(ValueError):
-    def __init__(self, message: str, line: int):
-        super().__init__(f"{message} (line {line})")
+    """An error on a document line; `col`, when given, is a column inside
+    that line's bracketed expression."""
+
+    def __init__(self, message: str, line: int, col: int | None = None):
+        where = f"line {line}" if col is None else f"line {line}, column {col} of the expression"
+        super().__init__(f"{message} ({where})")
         self.line = line
+        self.col = col
 
 
 @dataclass(frozen=True)
@@ -63,7 +75,10 @@ class IdentitySpec:
             return self._sum
         total = FormalSum.zero(self.variables, self.field_mode, self.coeff_mode)
         for term in self.terms:
-            f = parse_expression(term.expression, self.variables, self.field_mode)
+            try:
+                f = parse_expression(term.expression, self.variables, self.field_mode)
+            except _EXPRESSION_ERRORS as exc:
+                raise DocumentError(exc.reason, term.line, exc.col) from exc
             try:
                 total = total + FormalSum.single(
                     f, term.coefficient, self.field_mode, self.coeff_mode

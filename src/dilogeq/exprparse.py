@@ -25,9 +25,14 @@ MAX_DEGREE = 100_000
 expression is evaluated."""
 
 
+# Each error keeps its message without the position as `reason`, so that a
+# caller holding the expression's place in a larger text can restate it.
+
+
 class ExprSyntaxError(SyntaxError):
     def __init__(self, message: str, line: int, col: int):
         super().__init__(f"{message} (line {line}, column {col})")
+        self.reason = message
         self.line = line
         self.col = col
 
@@ -36,6 +41,7 @@ class UnknownVariable(ValueError):
     def __init__(self, name: str, line: int, col: int, hint: str = ""):
         tail = f"; {hint}" if hint else ""
         super().__init__(f"unknown variable {name!r} (line {line}, column {col}){tail}")
+        self.reason = f"unknown variable {name!r}{tail}"
         self.name = name
         self.line = line
         self.col = col
@@ -43,16 +49,16 @@ class UnknownVariable(ValueError):
 
 class DivisionByZeroConstant(ZeroDivisionError):
     def __init__(self, line: int, col: int):
-        super().__init__(f"division by an identically zero expression (line {line}, column {col})")
+        self.reason = "division by an identically zero expression"
+        super().__init__(f"{self.reason} (line {line}, column {col})")
         self.line = line
         self.col = col
 
 
 class DegreeLimitExceeded(ValueError):
     def __init__(self, degree: int, line: int, col: int):
-        super().__init__(
-            f"total degree {degree} is above the limit {MAX_DEGREE} (line {line}, column {col})"
-        )
+        self.reason = f"total degree {degree} is above the limit {MAX_DEGREE}"
+        super().__init__(f"{self.reason} (line {line}, column {col})")
         self.line = line
         self.col = col
 

@@ -30,10 +30,9 @@ coprime to the quotient, so a repeated variable (t^10000, or the y^2 in
 from __future__ import annotations
 
 import heapq
-from fractions import Fraction
 from typing import Callable
 
-from .scalars import FieldElement, ONE, ZERO
+from .scalars import FieldElement, MINUS_ONE, ONE, ZERO
 
 
 Exponents = tuple[int, ...]
@@ -49,13 +48,14 @@ def _heap_key(exp: Exponents):
 
 
 class MultiPoly:
-    __slots__ = ("universe", "terms", "_hash", "_canon", "_images")
+    __slots__ = ("universe", "terms", "_hash", "_canon", "_sort_key", "_images")
 
     def __init__(self, universe: tuple[str, ...], terms: dict[Exponents, FieldElement]):
         self.universe = tuple(universe)
         self.terms = {e: c for e, c in terms.items() if not c.is_zero()}
         self._hash = None
         self._canon = None
+        self._sort_key = None
         self._images = None
 
     # -- constructors ------------------------------------------------
@@ -186,12 +186,13 @@ class MultiPoly:
             raise ValueError("negative power of a polynomial")
         out = MultiPoly.one(self.universe)
         base = self
-        while n:
+        while True:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
-        return out
+            if not n:
+                return out
+            base = base * base
 
     def map_coeffs(self, fn: Callable[[FieldElement], FieldElement]) -> "MultiPoly":
         return MultiPoly(self.universe, {e: fn(c) for e, c in self.terms.items()})
@@ -206,7 +207,7 @@ class MultiPoly:
             k = e[idx]
             if k:
                 ne = tuple(x - 1 if i == idx else x for i, x in enumerate(e))
-                nc = c.scale(Fraction(k))
+                nc = c.scale(k)
                 s = out.get(ne)
                 out[ne] = nc if s is None else s + nc
         return MultiPoly(self.universe, out)
@@ -234,15 +235,14 @@ class MultiPoly:
         return self._hash
 
     def sort_key(self):
-        return (
-            self.total_degree(),
-            tuple(
-                (e, c.sort_key())
-                for e, c in sorted(
-                    self.terms.items(), key=lambda t: _grlex(t[0]), reverse=True
-                )
-            ),
-        )
+        # graded-lex keys are distinct, so reversing the ascending canonical
+        # order gives the descending one
+        if self._sort_key is None:
+            self._sort_key = (
+                self.total_degree(),
+                tuple((e, c.sort_key()) for e, c in reversed(self._canonical())),
+            )
+        return self._sort_key
 
     # -- views ----------------------------------------------------------
 
@@ -417,15 +417,7 @@ class MultiPoly:
 
 def _coeff_str(c: FieldElement) -> str:
     """Render a coefficient; mixed Gaussian values get parenthesized."""
-    if c.is_rational():
-        return str(c.re)
-    if not c.re:
-        if c.im == 1:
-            return "i"
-        if c.im == -1:
-            return "-i"
-        return f"{c.im}*i"
-    return f"({c})"
+    return f"({c})" if c.a and c.b else str(c)
 
 
 def _format_term(c: FieldElement, mono: str) -> str:
@@ -433,7 +425,7 @@ def _format_term(c: FieldElement, mono: str) -> str:
         return _coeff_str(c)
     if c.is_one():
         return mono
-    if c.re == -1 and not c.im:
+    if c == MINUS_ONE:
         return "-" + mono
     return _coeff_str(c) + "*" + mono
 
@@ -571,16 +563,18 @@ def _residue(k: int) -> int:
 
 
 def _coeff_mod_p(c: FieldElement) -> int | None:
-    """c at the prime (P, i - _I_IMAGE) of Z[i]; None when P divides a denominator."""
-    out = 0
-    for part, unit in ((c.re, 1), (c.im, _I_IMAGE)):
-        if part:
-            den = part.denominator
-            if den % _P == 0:
-                return None
-            inv = 1 if den == 1 else pow(den, -1, _P)
-            out += part.numerator * unit * inv
-    return out % _P
+    """c at the prime (P, i - _I_IMAGE) of Z[i]; None when P divides a denominator.
+
+    c's shared denominator d is the lcm of its parts' reduced denominators,
+    so P divides d exactly when P divides one of them.
+    """
+    out = c.a + c.b * _I_IMAGE
+    d = c.d
+    if d == 1:
+        return out % _P
+    if d % _P == 0:
+        return None
+    return out * pow(d, -1, _P) % _P
 
 
 def _reduce_mod_p(p: MultiPoly) -> dict[int, list[int] | None]:

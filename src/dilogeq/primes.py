@@ -226,17 +226,14 @@ def factor_constant(
             (fe(p), e) for p, e in sorted(fac.items())
         )
         return UnitPrimeFactorization(False, sign, factors)
-    m = (c.re.denominator * c.im.denominator) // gcd(c.re.denominator, c.im.denominator)
-    a = int(c.re * m)
-    b = int(c.im * m)
-    ku, fnum = factor_gaussian_integer((a, b), bound)
-    kd, fden = factor_gaussian_integer((m, 0), bound)
+    ku, fnum = factor_gaussian_integer((c.a, c.b), bound)
+    kd, fden = factor_gaussian_integer((c.d, 0), bound)
     combined = dict(fnum)
     for rep, e in fden.items():
         combined[rep] = combined.get(rep, 0) - e
     combined = {rep: e for rep, e in combined.items() if e}
     ordered = sorted(combined.items(), key=lambda t: (_gnorm(t[0]), t[0]))
     factors = tuple(
-        (FieldElement(Fraction(rep[0]), Fraction(rep[1])), e) for rep, e in ordered
+        (FieldElement(rep[0], rep[1]), e) for rep, e in ordered
     )
     return UnitPrimeFactorization(True, (ku - kd) % 4, factors)

@@ -1,85 +1,122 @@
 """Exact scalar arithmetic over Q and Q(i).
 
-A FieldElement is a pair of Fractions (re, im); rational values simply have
-im == 0.  All arithmetic is exact, Fractions keep themselves in lowest terms.
-Whether a computation treats values as living in Q or in Q(i) is contextual
-state of the caller (a formal sum carries a field mode); the scalars
-themselves are mode-agnostic.
+A FieldElement stores three Python ints (a, b, d) for the value
+(a + b*i) / d, with d > 0 and gcd(a, b, d) = 1.  That form is canonical:
+equal values have equal triples, so equality and hashing compare the ints,
+and zero is (0, 0, 1).  Every operation is integer arithmetic followed by
+one three-way gcd in `_make`, the one constructor that normalizes; d is the
+lcm of the denominators of the two parts in lowest terms.
+
+`re` and `im` stay available as read-only `Fraction` views, built on
+demand, for callers that want the parts as rationals (display, p-adic
+points, the real-part criterion); the arithmetic never goes through them.
+Rational values simply have b == 0.  Whether a computation treats values as
+living in Q or in Q(i) is contextual state of the caller (a formal sum
+carries a field mode); the scalars themselves are mode-agnostic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from numbers import Rational
 
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
-
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
+def _parts(x) -> tuple[int, int]:
+    """(numerator, denominator) of a rational value in lowest terms."""
+    if isinstance(x, int):
+        return x, 1
     if isinstance(x, Rational):
-        return Fraction(x)
+        return x.numerator, x.denominator
     raise TypeError(f"expected a rational value, got {x!r}")
 
 
-@dataclass(frozen=True)
-class FieldElement:
-    """An element a + b*i with a, b exact rationals."""
+def _make(a: int, b: int, d: int) -> "FieldElement":
+    """(a + b*i) / d in canonical form; d must be nonzero."""
+    if d < 0:
+        a, b, d = -a, -b, -d
+    if d != 1:
+        g = gcd(d, a, b)  # gcd returns at once from 1, so d goes first
+        if g != 1:
+            a //= g
+            b //= g
+            d //= g
+    x = _new(FieldElement)
+    x.a = a
+    x.b = b
+    x.d = d
+    return x
 
-    re: Fraction
-    im: Fraction = _ZERO
+
+class FieldElement:
+    """An element (a + b*i) / d of Q(i), kept in canonical form."""
+
+    __slots__ = ("a", "b", "d")
+
+    def __new__(cls, re, im=0):
+        ra, rd = _parts(re)
+        ia, id_ = _parts(im)
+        return _make(ra * id_, ia * rd, rd * id_)
 
     # -- constructors ------------------------------------------------
 
     @staticmethod
     def of(re, im=0) -> "FieldElement":
-        return FieldElement(_as_fraction(re), _as_fraction(im))
+        return FieldElement(re, im)
 
     @staticmethod
     def i() -> "FieldElement":
-        return FieldElement(_ZERO, _ONE)
+        return I
+
+    # -- parts ---------------------------------------------------------
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.a, self.d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.b, self.d)
 
     # -- predicates --------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.re and not self.im
+        return not self.a and not self.b
 
     def is_one(self) -> bool:
-        return self.re == 1 and not self.im
+        return self.a == 1 and self.d == 1 and not self.b
 
     def is_rational(self) -> bool:
-        return not self.im
+        return not self.b
 
     # -- arithmetic --------------------------------------------------
 
     def __add__(self, other: "FieldElement") -> "FieldElement":
-        return FieldElement(self.re + other.re, self.im + other.im)
+        d1, d2 = self.d, other.d
+        if d1 == d2:
+            return _make(self.a + other.a, self.b + other.b, d1)
+        return _make(self.a * d2 + other.a * d1, self.b * d2 + other.b * d1, d1 * d2)
 
     def __sub__(self, other: "FieldElement") -> "FieldElement":
-        return FieldElement(self.re - other.re, self.im - other.im)
+        d1, d2 = self.d, other.d
+        if d1 == d2:
+            return _make(self.a - other.a, self.b - other.b, d1)
+        return _make(self.a * d2 - other.a * d1, self.b * d2 - other.b * d1, d1 * d2)
 
     def __neg__(self) -> "FieldElement":
-        return FieldElement(-self.re, -self.im)
+        return _make(-self.a, -self.b, self.d)
 
     def __mul__(self, other: "FieldElement") -> "FieldElement":
-        if not self.im and not other.im:
-            return FieldElement(self.re * other.re, _ZERO)
-        return FieldElement(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        a1, b1, a2, b2 = self.a, self.b, other.a, other.b
+        if not b1 and not b2:
+            return _make(a1 * a2, 0, self.d * other.d)
+        return _make(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, self.d * other.d)
 
     def inverse(self) -> "FieldElement":
-        if self.is_zero():
+        a, b, d = self.a, self.b, self.d
+        if not a and not b:
             raise ZeroDivisionError("inverse of zero")
-        if not self.im:
-            return FieldElement(1 / self.re, _ZERO)
-        n = self.re * self.re + self.im * self.im
-        return FieldElement(self.re / n, -self.im / n)
+        return _make(d * a, -d * b, a * a + b * b)
 
     def __truediv__(self, other: "FieldElement") -> "FieldElement":
         return self * other.inverse()
@@ -89,60 +126,76 @@ class FieldElement:
             return self.inverse() ** (-n)
         out = ONE
         base = self
-        while n:
+        while True:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
-        return out
+            if not n:
+                return out
+            base = base * base
 
     def conjugate(self) -> "FieldElement":
-        return FieldElement(self.re, -self.im)
+        return _make(self.a, -self.b, self.d)
 
-    def scale(self, q: Fraction) -> "FieldElement":
-        return FieldElement(self.re * q, self.im * q)
+    def scale(self, q) -> "FieldElement":
+        """self * q for a rational q (an int or a Fraction)."""
+        n, m = _parts(q)
+        return _make(self.a * n, self.b * n, self.d * m)
 
-    # -- norms and keys ----------------------------------------------
+    # -- equality, norms and keys ------------------------------------
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not FieldElement:
+            return NotImplemented
+        return self.a == other.a and self.b == other.b and self.d == other.d
+
+    def __hash__(self) -> int:
+        return hash((self.a, self.b, self.d))
 
     def norm(self) -> Fraction:
         """Field norm a^2 + b^2 (a rational, >= 0)."""
-        return self.re * self.re + self.im * self.im
+        return Fraction(self.a * self.a + self.b * self.b, self.d * self.d)
 
     def sort_key(self):
-        return (
-            self.re.numerator,
-            self.re.denominator,
-            self.im.numerator,
-            self.im.denominator,
-        )
+        """(re.numerator, re.denominator, im.numerator, im.denominator)."""
+        a, b, d = self.a, self.b, self.d
+        ga, gb = gcd(a, d), gcd(b, d)
+        return (a // ga, d // ga, b // gb, d // gb)
 
     def to_complex(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        # int true division is correctly rounded, as Fraction's float is
+        return complex(self.a / self.d, self.b / self.d)
 
     # -- display -----------------------------------------------------
 
     def __str__(self) -> str:
-        if not self.im:
+        if not self.b:
             return str(self.re)
-        if not self.re:
-            if self.im == 1:
+        im = self.im
+        if not self.a:
+            if im == 1:
                 return "i"
-            if self.im == -1:
+            if im == -1:
                 return "-i"
-            return f"{self.im}*i"
-        sign = "+" if self.im > 0 else "-"
-        mag = abs(self.im)
+            return f"{im}*i"
+        sign = "+" if im > 0 else "-"
+        mag = abs(im)
         istr = "i" if mag == 1 else f"{mag}*i"
         return f"{self.re} {sign} {istr}"
 
     def __repr__(self) -> str:
         return f"FieldElement({self})"
 
+    def __reduce__(self):
+        return (_make, (self.a, self.b, self.d))
 
-ZERO = FieldElement(_ZERO)
-ONE = FieldElement(_ONE)
-MINUS_ONE = FieldElement(Fraction(-1))
-I = FieldElement(_ZERO, _ONE)
+
+_new = object.__new__
+
+ZERO = _make(0, 0, 1)
+ONE = _make(1, 0, 1)
+MINUS_ONE = _make(-1, 0, 1)
+I = _make(0, 1, 1)
 
 
 def fe(re, im=0) -> FieldElement:
@@ -151,4 +204,4 @@ def fe(re, im=0) -> FieldElement:
         re = Fraction(re)
     if isinstance(im, str):
         im = Fraction(im)
-    return FieldElement.of(re, im)
+    return FieldElement(re, im)

@@ -53,8 +53,16 @@ def test_check_refuses_a_degree_above_the_limit(run, expression, degree, col):
     code, out, err = run(["check", doc])
     assert (code, out) == (2, "")
     assert err == (
-        f"error: total degree {degree} is above the limit 100000 (line 1, column {col})\n"
+        f"error: total degree {degree} is above the limit 100000"
+        f" (line 3, column {col} of the expression)\n"
     )
+
+
+def test_check_names_the_document_line_of_a_syntax_error(run):
+    doc = "DOC:dilog-identity v1\nvariables: t\nterm: 1 [t + )]\n"
+    code, out, err = run(["check", doc])
+    assert (code, out) == (2, "")
+    assert err == "error: expected a value, found ')' (line 3, column 5 of the expression)\n"
 
 
 CC_PAIR_DOC = "dilog-identity v1\nfield: Qi\nvariables: z ~ w\nterm: 1 [z]\nterm: 1 [w]\n"

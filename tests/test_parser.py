@@ -331,10 +331,18 @@ def test_document_errors(text, fragment, line):
 
 
 def test_expression_errors_surface_at_load_time():
-    with pytest.raises(UnknownVariable):
-        load_document("dilog-identity v1\nvariables: t\nterm: 1 [q]\n")
-    with pytest.raises(ExprSyntaxError):
-        load_document("dilog-identity v1\nvariables: t\nterm: 1 [t +]\n")
+    # each names the document line, with the column inside the expression
+    for expression, cause, message in [
+        ("q", UnknownVariable, "unknown variable 'q' (line 3, column 1 of the expression)"),
+        ("t +", ExprSyntaxError, "expected a value, found end of input (line 3, column 4 of the expression)"),
+        ("t/(t - t)", DivisionByZeroConstant, "division by an identically zero expression (line 3, column 2 of the expression)"),
+        ("t^100001", DegreeLimitExceeded, "total degree 100001 is above the limit 100000 (line 3, column 2 of the expression)"),
+    ]:
+        with pytest.raises(DocumentError) as ei:
+            load_document(f"dilog-identity v1\nvariables: t\nterm: 1 [{expression}]\n")
+        assert isinstance(ei.value.__cause__, cause)
+        assert str(ei.value) == message
+        assert ei.value.line == 3
 
 
 def test_empty_variables_line_means_constants_only():

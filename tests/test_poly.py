@@ -52,6 +52,16 @@ def test_construction_and_str():
     assert q.degree_in("t1") == 1
 
 
+@pytest.mark.parametrize("gaussian", [False, True])
+def test_pow_is_repeated_multiplication(gaussian):
+    rnd = random.Random(5)
+    for p in [random_poly(rnd, T12, max_deg=2, max_terms=3, gaussian=gaussian) for _ in range(3)]:
+        expected = MultiPoly.one(T12)
+        for n in range(21):
+            assert p**n == expected, (str(p), n)
+            expected = expected * p
+
+
 def test_zero_degree_convention():
     assert MultiPoly.zero(T).total_degree() == -1
     assert MultiPoly.one(T).total_degree() == 0

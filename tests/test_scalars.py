@@ -1,5 +1,6 @@
 """Exact field elements of Q and Q(i)."""
 
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -95,3 +96,143 @@ def test_sort_key_consistent_with_eq(a, b):
 def test_to_complex(a):
     z = a.to_complex()
     assert z.real == float(a.re) and z.imag == float(a.im)
+
+
+# -- a reference model: the value as a pair of Fractions ----------------------
+
+
+class Pair:
+    """(re, im) as two Fractions, with the textbook formulas; the reference
+    the three-int FieldElement is checked against."""
+
+    def __init__(self, re, im=0):
+        self.re, self.im = Fraction(re), Fraction(im)
+
+    def __add__(self, o):
+        return Pair(self.re + o.re, self.im + o.im)
+
+    def __sub__(self, o):
+        return Pair(self.re - o.re, self.im - o.im)
+
+    def __mul__(self, o):
+        return Pair(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
+
+    def inverse(self):
+        n = self.norm()
+        return Pair(self.re / n, -self.im / n)
+
+    def __truediv__(self, o):
+        return self * o.inverse()
+
+    def __pow__(self, n):
+        base = self if n >= 0 else self.inverse()
+        out = Pair(1)
+        for _ in range(abs(n)):
+            out = out * base
+        return out
+
+    def conjugate(self):
+        return Pair(self.re, -self.im)
+
+    def scale(self, q):
+        return Pair(self.re * q, self.im * q)
+
+    def norm(self):
+        return self.re * self.re + self.im * self.im
+
+    def sort_key(self):
+        return (self.re.numerator, self.re.denominator, self.im.numerator, self.im.denominator)
+
+    def to_complex(self):
+        return complex(float(self.re), float(self.im))
+
+    def __str__(self):
+        re, im = self.re, self.im
+        if not im:
+            return str(re)
+        if not re:
+            return "i" if im == 1 else "-i" if im == -1 else f"{im}*i"
+        mag = abs(im)
+        istr = "i" if mag == 1 else f"{mag}*i"
+        return f"{re} {'+' if im > 0 else '-'} {istr}"
+
+
+BIG = 10**40
+parts = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(-3, 3).map(Fraction),
+    small_fracs,
+    st.builds(Fraction, st.integers(-BIG, BIG), st.integers(1, BIG)),
+)
+pairs = st.one_of(
+    st.tuples(parts, st.just(Fraction(0))),  # Q
+    st.tuples(parts, parts),  # Q(i)
+)
+
+
+def agrees(x: FieldElement, m: Pair, floats: bool = True):
+    assert type(x.re) is Fraction and type(x.im) is Fraction
+    assert (x.re, x.im) == (m.re, m.im)
+    assert str(x) == str(m)
+    assert x.sort_key() == m.sort_key()
+    assert x.is_zero() == (not m.re and not m.im) and x.is_rational() == (not m.im)
+    if floats:
+        z, w = x.to_complex(), m.to_complex()
+        assert (z.real.hex(), z.imag.hex()) == (w.real.hex(), w.imag.hex())
+
+
+@given(pairs, pairs)
+def test_model_arithmetic(p, q):
+    x, y, m, n = FieldElement(*p), FieldElement(*q), Pair(*p), Pair(*q)
+    agrees(x, m)
+    agrees(x + y, m + n)
+    agrees(x - y, m - n)
+    agrees(-x, Pair(-m.re, -m.im))
+    agrees(x * y, m * n)
+    agrees(x.conjugate(), m.conjugate())
+    agrees(x.scale(q[0]), m.scale(q[0]))
+    assert x.norm() == m.norm()
+    if y.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            x / y
+        with pytest.raises(ZeroDivisionError):
+            y.inverse()
+    else:
+        agrees(x / y, m / n)
+        agrees(y.inverse(), n.inverse())
+
+
+@given(pairs, st.integers(-20, 20))
+def test_model_pow(p, k):
+    x, m = FieldElement(*p), Pair(*p)
+    if x.is_zero() and k < 0:
+        with pytest.raises(ZeroDivisionError):
+            x**k
+        return
+    agrees(x**k, m**k, floats=False)  # 40-digit parts to the 20th overflow a float
+
+
+@given(pairs, pairs)
+def test_equal_values_from_different_paths(p, q):
+    x, y = FieldElement(*p), FieldElement(*q)
+    for other in (x + y - y, FieldElement(x.re, x.im), fe(str(x.re), str(x.im))):
+        assert other == x and hash(other) == hash(x)
+    if not y.is_zero():
+        assert (x * y) / y == x and hash((x * y) / y) == hash(x)
+
+
+def test_canonical_form_of_equal_values():
+    half = FieldElement(Fraction(2, 4))
+    for other in (
+        fe("1/2"),
+        fe(1) / fe(2),
+        FieldElement.of(Fraction(3, 6)),
+        fe(1, 2) - fe("1/2", 2),
+    ):
+        assert other == half and hash(other) == hash(half)
+    assert (half.a, half.b, half.d) == (1, 0, 2)
+    # the denominator is shared, the lcm of the parts' denominators
+    z = fe(Fraction(1, 6), Fraction(3, 4))
+    assert (z.a, z.b, z.d) == (2, 9, 12)
+    assert ZERO == fe(Fraction(0, 5), 0) and (ZERO.a, ZERO.b, ZERO.d) == (0, 0, 1)
+    assert pickle.loads(pickle.dumps(z)) == z
