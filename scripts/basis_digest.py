@@ -1,0 +1,71 @@
+"""Digest the coprime bases and boundary pairs of the relation-sum inputs.
+
+Usage: python3 scripts/basis_digest.py [--seeds 1-3] [--count 30]
+
+Rebuilds the benchmark's `relation-sum` sums from `bench/inputs.py` (read,
+not changed; it imports nothing from the package, so a seed gives the same
+sums at every commit) and prints, per seed, one sha256 over each sum's
+frozen basis, as the `str` of every element in order, and its sorted
+boundary pairs.  The benchmark's report digest of that workload sees only
+Constant certificates, which carry no basis, so it cannot tell two
+refinements apart; this digest can.  The package is imported from this
+checkout's `src/`.
+"""
+
+import argparse
+import hashlib
+import importlib.util
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+
+import dilogeq  # noqa: E402
+
+
+def load_inputs():
+    spec = importlib.util.spec_from_file_location("bench_inputs", ROOT / "bench" / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = inputs
+    spec.loader.exec_module(inputs)
+    return inputs
+
+
+def relation_sums(inputs, seed: int, count: int):
+    universe = inputs.RELATION_VARS
+
+    def ratfunc(f):
+        num, den = (dilogeq.MultiPoly(universe, {e: dilogeq.fe(c) for e, c in p}) for p in f)
+        return dilogeq.RationalFunction(num, den)
+
+    for gens in inputs.relation_sum_specs(seed, count):
+        total = dilogeq.FormalSum.zero(universe)
+        for coeff, x, y in gens:
+            total = total + dilogeq.five_term(ratfunc(x), ratfunc(y)).scale(coeff)
+        yield total
+
+
+def seed_range(text: str) -> list[int]:
+    lo, _, hi = text.partition("-")
+    return list(range(int(lo), int(hi or lo) + 1))
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--seeds", default="1-3", help="inclusive range, e.g. 1-3")
+    ap.add_argument("--count", type=int, default=30, help="sums per seed")
+    args = ap.parse_args()
+
+    inputs = load_inputs()
+    for seed in seed_range(args.seeds):
+        digest = hashlib.sha256()
+        for alpha in relation_sums(inputs, seed, args.count):
+            w = dilogeq.boundary(alpha)
+            digest.update(repr([str(b) for b in w.basis.elements]).encode())
+            digest.update(repr(sorted(map(repr, w.pairs.items()))).encode())
+        print(f"seed {seed}: {args.count} sums, sha256 {digest.hexdigest()}")
+
+
+if __name__ == "__main__":
+    main()

@@ -32,7 +32,7 @@ from .document import (
 from .exprparse import parse_expression
 from .formal import FormalSum, c_element, five_term, inversion
 from .intmat import minor_gcd_invariant_factors
-from .numerics import PROBE_DOMAINS, bloch_wigner, numeric_probe, rl_bar
+from .numerics import PROBE_DOMAINS, ModPiSqHalf, bloch_wigner, numeric_probe, rl_bar
 from .padic import Branch, branch_diff, check_constant_padic
 from .primes import OversizedConstant, is_prime
 from .ratfunc import INF, RationalFunction
@@ -145,13 +145,14 @@ def _find_points(alpha: FormalSum, count: int = 4, gaussian: bool = False):
     return found
 
 
-def _numeric_of_value(value: FormalSum, mode: str) -> float:
-    """Numeric reading of an exact point value (a sum over constants)."""
+def _numeric_of_value(value: FormalSum, mode: str) -> float | ModPiSqHalf:
+    """Numeric reading of an exact point value (a sum over constants); in
+    real mode a class mod pi^2/2, which only integer coefficients act on."""
     if mode == "real":
-        total = rl_bar(0.0)
+        total = ModPiSqHalf.of(0.0)
         for f, a in value.items():
-            total = total + rl_bar(float(f.constant_value().re)).scale(int(a))
-        return total.rep
+            total = total + rl_bar(float(f.constant_value().re)).scale(a)
+        return total
     total = 0.0
     for f, a in value.items():
         total += float(a) * bloch_wigner(f.constant_value().to_complex())
@@ -211,22 +212,32 @@ def _cmd_check(args) -> int:
     if cert.is_constant() and mode in ("complex", "real"):
         points = _find_points(alpha, count=4, gaussian=(spec.field_mode == "Qi"))
         if points:
-            values = [_numeric_of_value(v, mode) for _, v in points]
-            constant = values[0]
-            bound = max(abs(v - constant) for v in values)
             pt_render = {k: str(v) for k, v in points[0][0].items()}
             report["point"] = pt_render
             report["value_at_point"] = str(points[0][1]) if not points[0][1].is_zero() else "0"
-            report["constant"] = constant
-            report["constant_bound"] = bound
-            if mode == "real":
-                report["constant_modulus"] = "pi^2/2"
-            unit = " (mod pi^2/2)" if mode == "real" else ""
             lines.append(
                 "point: " + ", ".join(f"{k} = {v}" for k, v in sorted(pt_render.items()))
             )
             lines.append(f"value at point: {report['value_at_point']}")
-            lines.append(f"constant: {constant!r} +/- {bound!r}{unit}")
+            if mode == "real" and any(a.denominator != 1 for _, a in alpha.items()):
+                note = "no constant mod pi^2/2: the sum has non-integer coefficients"
+                report["notes"].append(note)
+                lines.append(f"note: {note}")
+            else:
+                values = [_numeric_of_value(v, mode) for _, v in points]
+                if mode == "real":
+                    bound = max(values[0].distance(v) for v in values)
+                    constant = values[0].rep
+                    unit = " (mod pi^2/2)"
+                else:
+                    constant = values[0]
+                    bound = max(abs(v - constant) for v in values)
+                    unit = ""
+                report["constant"] = constant
+                report["constant_bound"] = bound
+                if mode == "real":
+                    report["constant_modulus"] = "pi^2/2"
+                lines.append(f"constant: {constant!r} +/- {bound!r}{unit}")
         else:
             report["point"] = None
             note = "no admissible rational point found on the search grid"

@@ -13,14 +13,16 @@ graded-lex monic, so an input is its lead coefficient times the product
 over its record.
 
 Each element b meets a part g in the cheapest way that settles the pair:
-the modular images certify most pairs coprime; otherwise b usually divides
-g, and the exact quotient then gives gcd(b, g) = b with no split; only when
-the division fails does the exact gcd run and split b.  Which way settles a
-pair never changes the result: an irreducible factor's signature, its
-exponent in each input, decides its element, since two irreducibles are
-separated exactly when some input holds them to different exponents.  So
-every correct refinement ends at the same basis, the products of the
-irreducibles grouped by signature.
+the modular images certify most pairs coprime, usually from the image in
+one variable in which b or g is primitive, often by evaluating one image at
+the root of a linear one (`poly._images_coprime`); otherwise b usually
+divides g, and the exact quotient then gives gcd(b, g) = b with no split;
+only when the division fails does the exact gcd run and split b.  Which
+way settles a pair never changes the result: an irreducible factor's
+signature, its exponent in each input, decides its element, since two
+irreducibles are separated exactly when some input holds them to different
+exponents.  So every correct refinement ends at the same basis, the
+products of the irreducibles grouped by signature.
 
 The basis plays the role of a full irreducible factorization in the boundary
 pairing computations.  The refinement to squarefree parts also matters for

@@ -18,8 +18,11 @@ variable it uses, one univariate image over GF(P) for a fixed prime
 P = 1 (mod 4), with i sent to a square root of -1 and the other variables
 to fixed residues.  Random inputs are almost always coprime, so this test
 answers most calls; `squarefree_parts` uses the same images to certify a
-squarefree input.  A pair the images cannot certify takes the exact path,
-so no verdict depends on P or on the point.
+squarefree input.  When a polynomial is primitive in a variable x_k (one
+of its coefficients in x_k is a nonzero constant), Gauss's lemma lets the
+image in x_k alone decide, and a linear image is tested by evaluating the
+other image at its root.  A pair the images cannot certify takes the exact
+path, so no verdict depends on P or on the point.
 
 `squarefree_parts` first takes out the monomial content x^low, read from
 the least exponent of each variable: every variable is irreducible and
@@ -219,7 +222,7 @@ class MultiPoly:
             self._canon = tuple(sorted(self.terms.items(), key=lambda t: _grlex(t[0])))
         return self._canon
 
-    def _modular_images(self) -> dict[int, list[int] | None]:
+    def _modular_images(self) -> "_Images":
         if self._images is None:
             self._images = _reduce_mod_p(self)
         return self._images
@@ -577,97 +580,182 @@ def _coeff_mod_p(c: FieldElement) -> int | None:
     return out * pow(d, -1, _P) % _P
 
 
-def _reduce_mod_p(p: MultiPoly) -> dict[int, list[int] | None]:
-    """{k: image of p in GF(P)[x_k]} for every variable index k that p uses.
+class _Images:
+    """One polynomial's images over GF(P), computed once (`_reduce_mod_p`).
 
-    The image substitutes the fixed residues for the other variables and
-    lists coefficients from degree 0 up.  It is None, unusable, when P
-    divides a coefficient's denominator or when it has lower degree than p
-    has in x_k.
+    `images[k]` is the image in GF(P)[x_k] for every variable index k the
+    polynomial uses, or None when unusable; `primitive` holds the k with a
+    usable image for which it is x_k-primitive (`_reduce_mod_p` gives the
+    test); `roots[k]` is the root in GF(P) of each usable image of degree 1.
     """
-    used = [k for k in range(len(p.universe)) if any(e[k] for e in p.terms)]
+
+    __slots__ = ("images", "primitive", "roots")
+
+    def __init__(self, images, primitive=(), roots=None):
+        self.images: dict[int, list[int] | None] = images
+        self.primitive: tuple[int, ...] = primitive
+        self.roots: dict[int, int] = roots or {}
+
+
+def _reduce_mod_p(p: MultiPoly) -> _Images:
+    """p's images: for every variable index k that p uses, the image of p in
+    GF(P)[x_k], with the fixed residues substituted for the other variables
+    and coefficients listed from degree 0 up.  An image is None, unusable,
+    when P divides a coefficient's denominator or when it has lower degree
+    than p has in x_k.
+
+    The same pass finds the x_k-primitive variables: p is x_k-primitive
+    when, for some j, x_k^j itself is p's only term of degree j in x_k.
+    Its coefficient in K[other variables][x_k] is then a nonzero constant,
+    so no divisor of p free of x_k is more than a constant.  A lone x_k^j
+    term or a constant term is not enough on its own: (y + 2)*(x + 1) has
+    both, and y + 2 divides it.
+    """
+    terms = p.terms
+    high = list(map(max, zip(*terms)))  # p's degree in each variable
+    used = [k for k, d in enumerate(high) if d]
     reduced = []
-    for e, c in p.terms.items():
+    for e, c in terms.items():
         m = _coeff_mod_p(c)
         if m is None:
-            return dict.fromkeys(used)
+            return _Images(dict.fromkeys(used))
         reduced.append((e, m))
     point = {k: _residue(k) for k in used}
+    totals = [sum(e) for e in terms]
     images: dict[int, list[int] | None] = {}
+    primitive = []
+    roots = {}
     for k in used:
-        img = [0] * (max(e[k] for e in p.terms) + 1)
+        others = [j for j in used if j != k]
+        img = [0] * (high[k] + 1)
         for e, m in reduced:
-            for j in used:
-                if j != k and e[j]:
+            for j in others:
+                if e[j]:
                     m = m * pow(point[j], e[j], _P) % _P
             img[e[k]] = (img[e[k]] + m) % _P
-        images[k] = img if img[-1] else None
-    return images
+        if not img[-1]:
+            images[k] = None
+            continue
+        images[k] = img
+        # a term of total degree d and degree d in x_k is x_k^d itself, and
+        # every term is one when p uses x_k alone
+        degrees = [e[k] for e in terms]
+        if not others or any(t == d and degrees.count(d) == 1 for t, d in zip(totals, degrees)):
+            primitive.append(k)
+        if len(img) == 2:
+            roots[k] = -img[0] * pow(img[1], -1, _P) % _P
+    return _Images(images, tuple(primitive), roots)
 
 
 def _gf_coprime(a: list[int], b: list[int]) -> bool:
     """Whether two polynomials over GF(P) with nonzero leading coefficients
-    have a constant gcd (Euclid's algorithm)."""
+    have a constant gcd (Euclid's algorithm).  Each step scales the
+    dividend by the divisor's leading coefficient, a unit, instead of
+    dividing by it: the gcd is the same and no inverse is taken."""
     a, b = list(a), list(b)
     while b:
-        inv = pow(b[-1], -1, _P)
+        lb = b[-1]
         db = len(b) - 1
         while len(a) > db:
-            f = a[-1] * inv % _P
-            shift = len(a) - 1 - db
+            f = a.pop()
+            shift = len(a) - db
+            a = [c * lb % _P for c in a]
             for j in range(db):
                 a[shift + j] = (a[shift + j] - f * b[j]) % _P
-            a.pop()
             while a and not a[-1]:
                 a.pop()
         a, b = b, a
     return len(a) == 1
 
 
+def _gf_value(a: list[int], r: int) -> int:
+    """a(r) over GF(P), by Horner's rule."""
+    v = 0
+    for c in reversed(a):
+        v = (v * r + c) % _P
+    return v
+
+
+def _images_coprime_in(ip: _Images, iq: _Images, k: int) -> bool:
+    """Whether the usable images in x_k have a constant gcd.  A linear
+    image divides the other exactly when the other vanishes at its root."""
+    r = ip.roots.get(k)
+    if r is not None:
+        return _gf_value(iq.images[k], r) != 0
+    r = iq.roots.get(k)
+    if r is not None:
+        return _gf_value(ip.images[k], r) != 0
+    return _gf_coprime(ip.images[k], iq.images[k])
+
+
 def _images_coprime(p: MultiPoly, q: MultiPoly) -> bool:
     """True only when p and q are coprime; False means "unknown".
 
-    The images certify p and q coprime when, for every variable v both use,
-    both images are usable and their gcd over GF(P) is constant.  Inputs
-    with no common variable pass with no work.
+    Inputs with no common variable pass with no work.  When p or q is
+    x_k-primitive for a variable x_k they share and both images in x_k are
+    usable, that one variable decides: the images certify the pair when
+    they are coprime over GF(P).  Of several such variables the one with
+    the lowest-degree image is taken, so a linear image, whose root test is
+    one Horner pass, comes first.  Otherwise the images certify the pair
+    when, for every shared variable, both are usable and coprime.
 
     Soundness.  Let R be Z[i] localized at the prime (P, i - s), s =
     _I_IMAGE: a discrete valuation ring with residue field GF(P), i -> s.
     A usable image means p's coefficients lie in R.  Suppose d divides p
-    and q and is not constant; then d has positive degree in some variable
-    v, which p and q both use.  Scale d to be primitive over R.  By Gauss's
-    lemma p = d * a with a over R too, so the image of p is the image of d
-    times the image of a.  Images never gain degree, and the image of p
-    keeps deg_v p = deg_v d + deg_v a, so the image of d keeps its positive
-    degree in v.  It divides the images of p and q, whose gcd is then not
-    constant.  So an unlucky P or point can only answer False, which sends
-    the pair to the exact gcd; the verdict never depends on them.
+    and q, has positive degree in x_k, and is scaled to be primitive over
+    R.  By Gauss's lemma p = d * a with a over R too, so the image of p in
+    x_k is the image of d times the image of a.  Images never gain degree,
+    and the image of p keeps deg_k p = deg_k d + deg_k a, so the image of d
+    keeps its positive degree.  It divides both images, whose gcd is then
+    not constant.
+    - One variable: if p is x_k-primitive, every non-constant divisor of p
+      has positive degree in x_k, so a common factor d would show in x_k.
+    - Every shared variable: a non-constant d has positive degree in some
+      variable, which p and q both use, and shows there.
+    So an unlucky P or point can only answer False, which sends the pair
+    to the exact gcd; the verdict never depends on them.  Every pair that
+    the test of all shared variables certifies, the one-variable test
+    certifies too.
     """
     ip, iq = p._modular_images(), q._modular_images()
-    for k in ip.keys() & iq.keys():
-        a, b = ip[k], iq[k]
-        if a is None or b is None or not _gf_coprime(a, b):
+    decisive = [k for k in ip.primitive if iq.images.get(k) is not None]
+    decisive += [k for k in iq.primitive if ip.images.get(k) is not None]
+    if decisive:
+        k = min(decisive, key=lambda k: min(len(ip.images[k]), len(iq.images[k])))
+        return _images_coprime_in(ip, iq, k)
+    for k in ip.images.keys() & iq.images.keys():
+        if ip.images[k] is None or iq.images[k] is None:
+            return False
+        if not _images_coprime_in(ip, iq, k):
             return False
     return True
+
+
+def _gf_squarefree(img: list[int]) -> bool:
+    """Whether a polynomial over GF(P) is coprime to its derivative; a
+    linear one always is."""
+    if len(img) == 2:
+        return True
+    return _gf_coprime(img, [k * c % _P for k, c in enumerate(img)][1:])
 
 
 def _images_squarefree(p: MultiPoly) -> bool:
     """True only when p is squarefree; False means "unknown".
 
-    The images certify p squarefree when, for every variable v that p uses,
-    the image is usable and coprime to its derivative over GF(P).  If
-    p = d^2 * a with d of positive degree in v, the argument of
-    `_images_coprime` makes the image of p the square of the image of d,
-    which keeps its positive degree, times the image of a; the image of d
-    then divides that image and its derivative.
+    When p is x_k-primitive and its image in x_k is usable, that image
+    decides: p is certified when the image is squarefree over GF(P), which
+    a linear image always is.  Otherwise every image must be usable and
+    squarefree.  If p = d^2 * a with d of positive degree in x_k, the
+    argument of `_images_coprime` makes the image of p in x_k the square of
+    the image of d, which keeps its positive degree, times the image of a;
+    the image is then not squarefree.  If p is x_k-primitive, every
+    non-constant d has positive degree in x_k, so x_k alone suffices.
     """
-    for img in p._modular_images().values():
-        if img is None:
-            return False
-        deriv = [k * c % _P for k, c in enumerate(img)][1:]
-        if not _gf_coprime(img, deriv):
-            return False
-    return True
+    rec = p._modular_images()
+    if rec.primitive:
+        k = min(rec.primitive, key=lambda k: len(rec.images[k]))
+        return _gf_squarefree(rec.images[k])
+    return all(img is not None and _gf_squarefree(img) for img in rec.images.values())
 
 
 # ---------------------------------------------------------------------------

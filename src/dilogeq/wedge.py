@@ -104,8 +104,12 @@ class WedgeElement:
                 + [(UNIT, fac.unit_exponent)]
             )
 
-        pairs: dict[tuple, Fraction] = {}
+        # sums stay on ints while the coefficients are integral; each
+        # surviving pair becomes a Fraction once, below
+        pairs: dict[tuple, int | Fraction] = {}
         for a, f, g in self.tensors:
+            if a.denominator == 1:
+                a = a.numerator
             atoms_f, atoms_g = atoms(f), atoms(g)
             for x, m in atoms_f:
                 for y, n in atoms_g:
@@ -120,7 +124,7 @@ class WedgeElement:
                             key, v = (x, UNIT), 2 * v if gaussian else v
                     elif _atom_key(y) < _atom_key(x):
                         key, v = (y, x), -v
-                    pairs[key] = pairs.get(key, Fraction(0)) + v
+                    pairs[key] = pairs.get(key, 0) + v
 
         modulus = 4 if gaussian else 2
         self.pairs = {}
@@ -128,7 +132,7 @@ class WedgeElement:
             if y == UNIT:
                 v = _reduce_one(v, self.coeff_mode, modulus)
             if v:
-                self.pairs[x, y] = v
+                self.pairs[x, y] = Fraction(v)
 
     # -- predicates and views ------------------------------------------------
 
@@ -231,12 +235,12 @@ def _prime_key(p: FieldElement):
     return (p.norm(), p.sort_key())
 
 
-def _reduce_one(v: Fraction, coeff_mode: str, modulus: int) -> Fraction:
+def _reduce_one(v: int | Fraction, coeff_mode: str, modulus: int) -> int:
     if coeff_mode == "Q":
-        return Fraction(0)
+        return 0
     if v.denominator != 1:
         raise ValueError(f"torsion component {v} is not an integer in Z-mode")
-    return Fraction(v.numerator % modulus)
+    return v.numerator % modulus
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from dilogeq.cli import build_parser, main
 from dilogeq.document import load_document
 from dilogeq.exprparse import parse_expression
 from dilogeq.formal import five_term
+from dilogeq.numerics import ModPiSqHalf
 
 FIVE_DOC = """\
 dilog-identity v1
@@ -152,6 +153,40 @@ def test_check_real_mode_inversion(run):
     assert report["mode"] == "real"
     assert report["verdict"] == "Constant"
     assert report["constant_modulus"] == "pi^2/2"
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [INVERSION_DOC, FIVE_DOC, "dilog-identity v1\nvariables: t\n"],
+    ids=["inv", "five", "empty"],
+)
+def test_check_real_mode_constant_is_zero(run, doc):
+    # rl_bar(2) + rl_bar(1/2), the five-term sum at (2, 3) and the empty sum
+    # are all 0 in R/(pi^2/2)Z; a representative may sit on either side of
+    # the wrap
+    code, out, _ = run(["check", "DOC:" + doc, "--real", "--json"])
+    assert code == 0
+    report = json.loads(out)
+    assert ModPiSqHalf.of(report["constant"]).distance_to_zero() <= 1e-9
+    assert 0 <= report["constant_bound"] <= 1e-9
+    code, out, _ = run(["check", "DOC:" + doc, "--real"])
+    assert re.search(r"^constant: \S+ \+/- \S+ \(mod pi\^2/2\)$", out, re.M)
+
+
+def test_check_real_mode_omits_the_constant_of_rational_coefficients(run):
+    doc = "DOC:dilog-identity v1\ncoefficients: Q\nvariables: t\nterm: 1/2 [t]\nterm: 1/2 [1/t]\n"
+    note = "no constant mod pi^2/2: the sum has non-integer coefficients"
+    code, out, _ = run(["check", doc, "--real", "--json"])
+    assert code == 0
+    report = json.loads(out)
+    assert report["verdict"] == "Constant"
+    assert report["notes"] == [note]
+    assert report["point"] == {"t": "2"}
+    assert not {"constant", "constant_bound", "constant_modulus"} & report.keys()
+    code, out, _ = run(["check", doc, "--real"])
+    assert code == 0
+    assert f"note: {note}\n" in out
+    assert "constant:" not in out
 
 
 def test_check_real_mode_uses_the_rogers_criterion(run):

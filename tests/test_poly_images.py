@@ -7,6 +7,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
 import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -175,6 +176,107 @@ def test_square_seen_only_in_its_own_variable():
     assert poly._images_squarefree(q)
     assert not poly._images_squarefree(d * d * q)
     assert {k: g for g, k in squarefree_parts(d * d * q)} == {1: q, 2: d}
+
+
+# -- soundness of the image certificates ---------------------------------------------
+
+
+def _free_of(p: MultiPoly, k: int) -> MultiPoly:
+    """p with x_k set to 1."""
+    out = MultiPoly.zero(p.universe)
+    for e, c in p.terms.items():
+        e = tuple(0 if i == k else x for i, x in enumerate(e))
+        out = out + MultiPoly(p.universe, {e: c})
+    return out
+
+
+@given(
+    st.sampled_from([2, 3]),
+    st.booleans(),
+    st.integers(0, 10**6),
+    st.sampled_from([None, 0, 1]),
+)
+@settings(max_examples=150, deadline=None)
+def test_images_never_certify_a_shared_or_repeated_factor(nvars, gaussian, seed, free):
+    # d may be free of one variable: then x_k-primitivity of d*a in that
+    # variable must not be claimed from a lone x_k^j or constant term
+    rnd = random.Random(seed)
+    universe = UNIVERSES[nvars]
+    d = MultiPoly.zero(universe)
+    while d.is_constant():
+        d = random_poly(rnd, universe, max_deg=2, max_terms=3, gaussian=gaussian)
+        if free is not None:
+            d = _free_of(d, free)
+    a, b = (random_poly(rnd, universe, max_deg=2, max_terms=3, gaussian=gaussian) for _ in "ab")
+    assert not poly._images_coprime(d * a, d * b)
+    assert not poly._images_coprime(d * b, d)
+    assert not poly._images_squarefree(d * d * a)
+
+
+def test_a_lone_power_and_a_constant_term_do_not_make_a_factor_primitive():
+    u = ("x", "y")
+    x, y = MultiPoly.var(u, "x"), MultiPoly.var(u, "y")
+    one = MultiPoly.one(u)
+    d = y + one.scale(fe(2))
+    # (y + 2)*(x + 1) has the terms x and 2 of degree 1 and 0 in x, each
+    # beside another term of that degree
+    p, q = d * (x + one), d * (x + one.scale(fe(3)))
+    assert poly._reduce_mod_p(p).primitive == ()
+    assert not poly._images_coprime(p, q)
+    assert not poly._images_squarefree(d * p)
+    assert poly_gcd(p, q) == d
+    # x + y*x^2 + 1 is x-primitive: x is alone in degree 1
+    assert poly._reduce_mod_p(x + y * x * x + one).primitive == (0,)
+
+
+def _gf_poly(rnd, degree):
+    """Coefficients over GF(P) from degree 0 up, with a nonzero leader."""
+    return [rnd.randrange(P) for _ in range(degree)] + [rnd.randrange(1, P)]
+
+
+def _gf_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % P
+    return out
+
+
+def _univariate(coeffs):
+    """A polynomial in x over Z whose image is `coeffs`."""
+    return MultiPoly(("x",), {(k,): fe(c) for k, c in enumerate(coeffs) if c})
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_the_root_test_agrees_with_euclid(seed):
+    rnd = random.Random(seed)
+    x = sp.Symbol("x")
+    for degree in range(7):
+        for planted in (False, True):
+            if planted and not degree:
+                continue
+            a = _gf_poly(rnd, 1)
+            b = _gf_mul(a, _gf_poly(rnd, degree - 1)) if planted else _gf_poly(rnd, degree)
+            p, q = _univariate(a), _univariate(b)
+            assert poly._reduce_mod_p(p).images == {0: a}
+            gcd = sp.gcd(sp.Poly(a[::-1], x, modulus=P), sp.Poly(b[::-1], x, modulus=P))
+            coprime = gcd.degree() == 0
+            assert coprime != planted
+            assert poly._gf_coprime(a, b) == poly._gf_coprime(b, a) == coprime
+            assert poly._images_coprime(p, q) == poly._images_coprime(q, p) == coprime
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_gf_coprime_matches_sympy(seed):
+    rnd = random.Random(seed)
+    x = sp.Symbol("x")
+    for _ in range(40):
+        da, db, dc = rnd.randint(1, 6), rnd.randint(1, 6), rnd.randint(0, 3)
+        c = _gf_poly(rnd, dc)
+        a, b = _gf_mul(c, _gf_poly(rnd, da)), _gf_mul(c, _gf_poly(rnd, db))
+        gcd = sp.gcd(sp.Poly(a[::-1], x, modulus=P), sp.Poly(b[::-1], x, modulus=P))
+        assert gcd.degree() >= dc
+        assert poly._gf_coprime(a, b) == poly._gf_coprime(b, a) == (gcd.degree() == 0)
 
 
 # -- the exact path alone ----------------------------------------------------------
