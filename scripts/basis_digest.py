@@ -1,15 +1,18 @@
-"""Digest the coprime bases and boundary pairs of the relation-sum inputs.
+"""Digest the coprime bases and boundary pairs of the benchmark's inputs.
 
-Usage: python3 scripts/basis_digest.py [--seeds 1-3] [--count 30]
+Usage: python3 scripts/basis_digest.py [--seeds 1-3] [--count 30] [--docs 240]
 
-Rebuilds the benchmark's `relation-sum` sums from `bench/inputs.py` (read,
-not changed; it imports nothing from the package, so a seed gives the same
-sums at every commit) and prints, per seed, one sha256 over each sum's
-frozen basis, as the `str` of every element in order, and its sorted
-boundary pairs.  The benchmark's report digest of that workload sees only
-Constant certificates, which carry no basis, so it cannot tell two
-refinements apart; this digest can.  The package is imported from this
-checkout's `src/`.
+Rebuilds the benchmark's `relation-sum` sums and `docs-check` documents
+from `bench/inputs.py` (read, not changed; it imports nothing from the
+package, so a seed gives the same inputs at every commit) and prints, per
+seed and workload, one sha256 over each input's frozen basis, as the `str`
+of every element in order, and its sorted boundary pairs.  A document's
+sum comes from its text through the parser, as `check` builds it; one whose
+boundary raises (a constant above the factoring bound) contributes its
+error instead.  The benchmark's report digest of `relation-sum` sees only
+Constant certificates, which carry no basis, and the documents' reports
+show a basis only in a witness, so neither can tell two refinements apart;
+these digests can.  The package is imported from this checkout's `src/`.
 """
 
 import argparse
@@ -46,6 +49,24 @@ def relation_sums(inputs, seed: int, count: int):
         yield total
 
 
+def document_sums(inputs, seed: int, count: int):
+    for case in inputs.docs_cases(seed, count):
+        yield dilogeq.load_document(case.text).formal_sum()
+
+
+def digest(sums) -> str:
+    out = hashlib.sha256()
+    for alpha in sums:
+        try:
+            w = dilogeq.boundary(alpha)
+        except ValueError as exc:
+            out.update(f"{type(exc).__name__}: {exc}".encode())
+            continue
+        out.update(repr([str(b) for b in w.basis.elements]).encode())
+        out.update(repr(sorted(map(repr, w.pairs.items()))).encode())
+    return out.hexdigest()
+
+
 def seed_range(text: str) -> list[int]:
     lo, _, hi = text.partition("-")
     return list(range(int(lo), int(hi or lo) + 1))
@@ -55,16 +76,15 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seeds", default="1-3", help="inclusive range, e.g. 1-3")
     ap.add_argument("--count", type=int, default=30, help="sums per seed")
+    ap.add_argument("--docs", type=int, default=240, help="documents per seed")
     args = ap.parse_args()
 
     inputs = load_inputs()
     for seed in seed_range(args.seeds):
-        digest = hashlib.sha256()
-        for alpha in relation_sums(inputs, seed, args.count):
-            w = dilogeq.boundary(alpha)
-            digest.update(repr([str(b) for b in w.basis.elements]).encode())
-            digest.update(repr(sorted(map(repr, w.pairs.items()))).encode())
-        print(f"seed {seed}: {args.count} sums, sha256 {digest.hexdigest()}")
+        sums = digest(relation_sums(inputs, seed, args.count))
+        print(f"seed {seed}: {args.count} sums, sha256 {sums}")
+        docs = digest(document_sums(inputs, seed, args.docs))
+        print(f"seed {seed}: {args.docs} documents, sha256 {docs}")
 
 
 if __name__ == "__main__":

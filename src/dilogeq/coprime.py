@@ -17,17 +17,29 @@ the modular images certify most pairs coprime, usually from the image in
 one variable in which b or g is primitive, often by evaluating one image at
 the root of a linear one (`poly._images_coprime`); otherwise b usually
 divides g, and the exact quotient then gives gcd(b, g) = b with no split;
-only when the division fails does the exact gcd run and split b.  Which
-way settles a pair never changes the result: an irreducible factor's
-signature, its exponent in each input, decides its element, since two
-irreducibles are separated exactly when some input holds them to different
-exponents.  So every correct refinement ends at the same basis, the
-products of the irreducibles grouped by signature.
+only when the division fails does the exact gcd run and split b.
 
-The basis plays the role of a full irreducible factorization in the boundary
-pairing computations.  The refinement to squarefree parts also matters for
-torsion: a perfect-square factor must not contribute to mod-2 sign columns,
-and squarefree basis elements make every stored exponent faithful.
+An input may come with factors, a map {monic factor: multiplicity} whose
+product is the input up to a unit, as a rational function's factor maps
+are (`ratfunc`).  The basis then refines the factors, each recorded like an
+input of its own, and records the input as the sum of their records with
+the multiplicities; a power or a product of known pieces is never split
+again from scratch.  Refining factors can separate irreducibles that no
+registered input tells apart: (x+1)(x+2) given as two factors leaves x+1
+and x+2 as elements even when no input holds one without the other.
+`freeze()` therefore merges the elements whose exponent is the same in
+every registered input, which gives back exactly the basis of the inputs
+registered whole.  Why: an irreducible factor's signature, its exponent in
+each input, decides its element, since two irreducibles are separated
+exactly when some input holds them to different exponents.  Every element
+of a refinement is a product of irreducibles of one signature over the
+polynomials it recorded, hence of one signature over the inputs, because an
+input's exponents are sums of its factors' with positive weights.  So
+grouping elements by signature over the inputs groups the irreducibles by
+that signature, and every correct refinement ends at the same basis, the
+products of the irreducibles grouped by signature.  When every input is
+registered whole no two elements share a signature and the merge changes
+nothing.
 """
 
 from __future__ import annotations
@@ -51,7 +63,10 @@ class CoprimeBasis:
     def __init__(self, universe: tuple[str, ...]):
         self.universe = tuple(universe)
         self.elements: list[MultiPoly] = []
+        # records of the inputs and of their factors, kept up to date by
+        # every split; `_inputs` orders the inputs' keys for the merge
         self._records: dict[MultiPoly, dict[MultiPoly, int]] = {}
+        self._inputs: dict[MultiPoly, None] = {}
         self._index: dict[MultiPoly, int] | None = None
 
     # -- construction -----------------------------------------------------
@@ -98,16 +113,57 @@ class CoprimeBasis:
         if self._index is not None:
             raise ValueError(f"{p} does not factor over the basis")
 
-    def add(self, p: MultiPoly):
-        """Refine the basis so p factors over it; p nonzero."""
+    def add(self, p: MultiPoly, factors: dict[MultiPoly, int] | None = None):
+        """Refine the basis so p factors over it; p nonzero.
+
+        `factors` maps monic non-constant polynomials to multiplicities
+        whose product is p up to a unit; the basis refines them instead of
+        p, and records p as the sum of their records."""
         if self._index is not None:
             raise RuntimeError("basis is frozen after sorting")
         if p.is_zero():
             raise ValueError("cannot register zero")
-        self._record(p.primitive_monic()[1])
+        if factors is not None and p.total_degree() != sum(
+            k * f.total_degree() for f, k in factors.items()
+        ):
+            raise ValueError(f"the factors given do not multiply to {p}")
+        if factors and len(factors) == 1 and 1 in factors.values():
+            monic = next(iter(factors))  # a one-factor map holds p's monic part
+        else:
+            monic = p.primitive_monic()[1]
+        self._inputs[monic] = None
+        if factors is None or monic in self._records:
+            self._record(monic)
+            return
+        for f in factors:
+            self._record(f)
+        if monic not in self._records:
+            # read after every factor is in: a later factor may have split
+            # elements of an earlier one's record
+            record: dict[MultiPoly, int] = {}
+            for f, k in factors.items():
+                for b, e in self._records[f].items():
+                    record[b] = record.get(b, 0) + k * e
+            self._records[monic] = record
 
     def freeze(self):
-        """Sort elements into the canonical order; no further refinement."""
+        """Merge the elements of equal signature over the inputs, sort them
+        into the canonical order, and keep only the inputs' records; no
+        further refinement."""
+        records = [self._records[p] for p in self._inputs]
+        signatures: dict[MultiPoly, list] = {b: [] for b in self.elements}
+        for j, record in enumerate(records):
+            for b, e in record.items():
+                signatures[b].append((j, e))
+        groups: dict[tuple, MultiPoly] = {}
+        for b in self.elements:
+            key = tuple(signatures[b])
+            groups[key] = groups[key] * b if key in groups else b
+        if len(groups) < len(self.elements):
+            merged = {b: groups[tuple(signatures[b])] for b in self.elements}
+            records = [{merged[b]: e for b, e in r.items()} for r in records]
+            self.elements = list(groups.values())
+        self._records = dict(zip(self._inputs, records))
         self.elements.sort(key=lambda b: b.sort_key())
         self._index = {b: i for i, b in enumerate(self.elements)}
 

@@ -31,7 +31,8 @@ from .exprparse import (
     UnknownVariable,
     parse_expression,
 )
-from .formal import FormalSum
+from .formal import FormalSum, check_term
+from .ratfunc import RationalFunction
 
 
 HEADER = "dilog-identity v1"
@@ -73,18 +74,18 @@ class IdentitySpec:
         """The document's formal sum, parsed on the first call and kept."""
         if self._sum is not None:
             return self._sum
-        total = FormalSum.zero(self.variables, self.field_mode, self.coeff_mode)
+        terms: dict[RationalFunction, Fraction] = {}
         for term in self.terms:
             try:
                 f = parse_expression(term.expression, self.variables, self.field_mode)
             except _EXPRESSION_ERRORS as exc:
                 raise DocumentError(exc.reason, term.line, exc.col) from exc
             try:
-                total = total + FormalSum.single(
-                    f, term.coefficient, self.field_mode, self.coeff_mode
-                )
+                c = check_term(f, term.coefficient, self.variables, self.coeff_mode)
             except ValueError as exc:
                 raise DocumentError(str(exc), term.line) from None
+            terms[f] = terms.get(f, Fraction(0)) + c
+        total = FormalSum(self.variables, terms, self.field_mode, self.coeff_mode)
         object.__setattr__(self, "_sum", total)
         return total
 

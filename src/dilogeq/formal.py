@@ -37,6 +37,18 @@ def _check_coeff(c: Fraction, coeff_mode: str) -> Fraction:
     return c
 
 
+def check_term(f: RationalFunction, c, universe, coeff_mode: str) -> Fraction:
+    """The coefficient of the term c [f], checked as FormalSum checks it;
+    raises ValueError.  A zero coefficient leaves f unchecked."""
+    c = _check_coeff(c, coeff_mode)
+    if c:
+        if f.is_zero() or f.is_one():
+            raise DegenerateArguments(f"argument {f} outside the admissible set")
+        if f.universe != universe:
+            raise ValueError("term universe mismatch")
+    return c
+
+
 class FormalSum:
     __slots__ = ("universe", "field_mode", "coeff_mode", "terms", "_hash")
 
@@ -54,17 +66,11 @@ class FormalSum:
         self.universe = tuple(universe)
         self.field_mode = field_mode
         self.coeff_mode = coeff_mode
-        clean: dict[RationalFunction, Fraction] = {}
+        self.terms: dict[RationalFunction, Fraction] = {}
         for f, c in terms.items():
-            c = _check_coeff(c, coeff_mode)
-            if not c:
-                continue
-            if f.is_zero() or f.is_one():
-                raise DegenerateArguments(f"argument {f} outside the admissible set")
-            if f.universe != self.universe:
-                raise ValueError("term universe mismatch")
-            clean[f] = clean.get(f, Fraction(0)) + c
-        self.terms = {f: c for f, c in clean.items() if c}
+            c = check_term(f, c, self.universe, coeff_mode)
+            if c:
+                self.terms[f] = c
         self._hash = None
 
     # -- constructors ---------------------------------------------------

@@ -52,23 +52,26 @@ class SamplingExhausted(RuntimeError):
     pass
 
 
-def _bernoulli_floats(count: int) -> list[float]:
-    """B_0 .. B_{count-1} with B_1 = -1/2, exact recurrence then floats."""
-    bs: list[Fraction] = []
-    for m in range(count):
-        if m == 0:
-            bs.append(Fraction(1))
-            continue
-        acc = Fraction(0)
-        binom = 1
-        for k in range(m):
-            acc += binom * bs[k]
-            binom = binom * (m + 1 - k) // (k + 1)
-        bs.append(-acc / (m + 1))
-    return [float(b) for b in bs]
-
-
-_BERNOULLI = _bernoulli_floats(64)
+# B_0 .. B_63 with B_1 = -1/2, each the float nearest the exact value;
+# tests/test_numerics.py recomputes them from the exact recurrence.
+_BERNOULLI = (
+    1.0, -0.5, 0.16666666666666666, 0.0,
+    -0.03333333333333333, 0.0, 0.023809523809523808, 0.0,
+    -0.03333333333333333, 0.0, 0.07575757575757576, 0.0,
+    -0.2531135531135531, 0.0, 1.1666666666666667, 0.0,
+    -7.092156862745098, 0.0, 54.971177944862156, 0.0,
+    -529.1242424242424, 0.0, 6192.123188405797, 0.0,
+    -86580.25311355312, 0.0, 1425517.1666666667, 0.0,
+    -27298231.067816094, 0.0, 601580873.9006424, 0.0,
+    -15116315767.092157, 0.0, 429614643061.1667, 0.0,
+    -13711655205088.332, 0.0, 488332318973593.2, 0.0,
+    -1.9296579341940068e+16, 0.0, 8.416930475736826e+17, 0.0,
+    -4.0338071854059454e+19, 0.0, 2.1150748638081993e+21, 0.0,
+    -1.2086626522296526e+23, 0.0, 7.500866746076964e+24, 0.0,
+    -5.038778101481069e+26, 0.0, 3.6528776484818122e+28, 0.0,
+    -2.849876930245088e+30, 0.0, 2.3865427499683627e+32, 0.0,
+    -2.1399949257225335e+34, 0.0, 2.0500975723478097e+36, 0.0,
+)
 
 
 def _li2_series(z: complex) -> complex:

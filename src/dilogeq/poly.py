@@ -91,7 +91,10 @@ class MultiPoly:
         return not self.terms
 
     def is_constant(self) -> bool:
-        return all(not any(e) for e in self.terms)
+        # terms holds no zero coefficient, so a constant has at most one
+        # term, and its exponent is zero
+        terms = self.terms
+        return not terms or (len(terms) == 1 and not any(next(iter(terms))))
 
     def is_one(self) -> bool:
         return self.is_constant() and self.constant_value().is_one()

@@ -16,12 +16,29 @@ degree case given by the ratio of the leading coefficients.
 Full evaluation at a point is different: coprime polynomials in two or more
 variables can vanish together, as (y - 3)/(x - 2) does at (2, 3), and
 `evaluate` raises Indeterminate there.
+
+Factor maps: each rational function also keeps, for its numerator and for
+its denominator, a map {monic non-constant factor: multiplicity} whose
+product is exactly the monic numerator, or the denominator (a constant has
+the empty map).  The factors need not be squarefree, irreducible or
+coprime; they are the pieces the function was built from, handed to the
+coprime basis so it refines them instead of rediscovering them inside
+products.  Equality and hashing ignore the maps.  A function built whole
+gets the one-factor maps, made when first asked for.  Products, quotients,
+powers, inverses, negation, scaling and `one_minus` combine the maps of
+their operands.  A product of a/b and c/d cancels by the cross gcds
+gcd(a, d) and gcd(c, b) (Henrici, J. ACM 3, 1956; Knuth, TAOCP 2, 4.5.1),
+each taken only when that denominator is not 1; the result is in lowest
+terms because a/b and c/d are, and a side that cancels falls back to its
+one-factor map.  Powers and inverses run no gcd at all.  A sum starts a
+new numerator factor; a sum with a polynomial side keeps the other side's
+denominator and its map.
 """
 
 from __future__ import annotations
 
-from .poly import MultiPoly, poly_gcd
-from .scalars import FieldElement
+from .poly import MultiPoly, _exact_quotient, poly_gcd
+from .scalars import ONE, FieldElement
 
 
 class ZeroDenominator(ValueError):
@@ -61,14 +78,18 @@ def complete_var_swap(var_swap: dict[str, str]) -> dict[str, str]:
 
 
 class RationalFunction:
-    __slots__ = ("num", "den", "_hash")
+    __slots__ = ("num", "den", "_hash", "_num_factors", "_den_factors")
 
-    def __init__(self, num: MultiPoly, den: MultiPoly, _normalized=False):
+    def __init__(self, num: MultiPoly, den: MultiPoly, _normalized=False, _factors=(None, None)):
+        """`_factors` holds the numerator and denominator factor maps of an
+        already normalized pair; None stands for the one-factor map."""
         if not _normalized:
             num, den = _normalize(num, den)
+            _factors = (None, None)
         self.num = num
         self.den = den
         self._hash = None
+        self._num_factors, self._den_factors = _factors
 
     # -- constructors --------------------------------------------------
 
@@ -89,6 +110,20 @@ class RationalFunction:
     @property
     def universe(self):
         return self.num.universe
+
+    @property
+    def num_factors(self) -> dict[MultiPoly, int]:
+        """{monic factor: multiplicity}, multiplying to the monic numerator."""
+        if self._num_factors is None:
+            self._num_factors = _whole(self.num)
+        return self._num_factors
+
+    @property
+    def den_factors(self) -> dict[MultiPoly, int]:
+        """{monic factor: multiplicity}, multiplying to the denominator."""
+        if self._den_factors is None:
+            self._den_factors = _whole(self.den)
+        return self._den_factors
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -122,46 +157,78 @@ class RationalFunction:
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other: "RationalFunction") -> "RationalFunction":
-        return RationalFunction(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
+        return self._plus(other.num, other)
 
     def __sub__(self, other: "RationalFunction") -> "RationalFunction":
-        return RationalFunction(
-            self.num * other.den - other.num * self.den, self.den * other.den
-        )
+        return self._plus(-other.num, other)
+
+    def _plus(self, onum: MultiPoly, other: "RationalFunction") -> "RationalFunction":
+        """self + onum / other.den.  With one side a polynomial the sum is
+        already in lowest terms: gcd(n + m*d, d) = gcd(n, d)."""
+        if other.den.is_one():
+            num = self.num + (onum if self.den.is_one() else onum * self.den)
+            return RationalFunction(num, self.den, True, (None, self._den_factors))
+        if self.den.is_one():
+            num = self.num * other.den + onum
+            return RationalFunction(num, other.den, True, (None, other._den_factors))
+        return RationalFunction(self.num * other.den + onum * self.den, self.den * other.den)
 
     def __neg__(self) -> "RationalFunction":
-        return RationalFunction(-self.num, self.den, _normalized=True)
+        return RationalFunction(-self.num, self.den, True, (self._num_factors, self._den_factors))
 
     def __mul__(self, other: "RationalFunction") -> "RationalFunction":
-        return RationalFunction(self.num * other.num, self.den * other.den)
+        if self.is_zero() or other.is_zero():
+            return RationalFunction.from_poly(MultiPoly.zero(self.universe))
+        a, af, b, bf = self.num, self.num_factors, self.den, self.den_factors
+        c, cf, d, df = other.num, other.num_factors, other.den, other.den_factors
+        if not d.is_one():
+            g = poly_gcd(a, d)
+            if not g.is_constant():
+                a, d = _exact_quotient(a, g), _exact_quotient(d, g)
+                af, df = _whole(a), _whole(d)
+        if not b.is_one():
+            g = poly_gcd(c, b)
+            if not g.is_constant():
+                c, b = _exact_quotient(c, g), _exact_quotient(b, g)
+                cf, bf = _whole(c), _whole(b)
+        return RationalFunction(a * c, b * d, True, (_merge(af, cf), _merge(bf, df)))
 
     def __truediv__(self, other: "RationalFunction") -> "RationalFunction":
         if other.is_zero():
             raise ZeroDenominator("division by the zero rational function")
-        return RationalFunction(self.num * other.den, self.den * other.num)
+        return self * other.inverse()
 
     def inverse(self) -> "RationalFunction":
         if self.is_zero():
             raise ZeroDenominator("inverse of zero")
-        return RationalFunction(self.den, self.num)
+        unit, den = self.num.primitive_monic()
+        num = self.den if unit.is_one() else self.den.scale(unit.inverse())
+        return RationalFunction(num, den, True, (self._den_factors, self._num_factors))
 
     def __pow__(self, n: int) -> "RationalFunction":
         if n < 0:
             return self.inverse() ** (-n)
-        return RationalFunction(self.num**n, self.den**n)
+        if n == 0:
+            return RationalFunction.const(self.universe, ONE)
+        factors = tuple(
+            {p: k * n for p, k in fac.items()} for fac in (self.num_factors, self.den_factors)
+        )
+        return RationalFunction(self.num**n, self.den**n, True, factors)
 
     def one_minus(self) -> "RationalFunction":
         """1 - f, the companion argument of every dilogarithm term.
 
         Already in normal form: gcd(den - num, den) = gcd(num, den) is
-        constant and den is unchanged, as in __neg__.
+        constant and den is unchanged, as in __neg__; so is its factor map.
         """
-        return RationalFunction(self.den - self.num, self.den, _normalized=True)
+        return RationalFunction(self.den - self.num, self.den, True, (None, self._den_factors))
 
     def scale(self, c: FieldElement) -> "RationalFunction":
-        return RationalFunction(self.num.scale(c), self.den)
+        if c.is_zero():
+            return RationalFunction.from_poly(MultiPoly.zero(self.universe))
+        return RationalFunction(
+            self.num.scale(c), self.den, True, (self._num_factors, self._den_factors)
+        )
 
     # -- conjugation -------------------------------------------------------
 
@@ -237,6 +304,21 @@ class RationalFunction:
         return f"RationalFunction({self})"
 
 
+def _whole(p: MultiPoly) -> dict[MultiPoly, int]:
+    """The one-factor map of p: its monic part, or nothing for a constant."""
+    return {} if p.is_constant() else {p.primitive_monic()[1]: 1}
+
+
+def _merge(a: dict[MultiPoly, int], b: dict[MultiPoly, int]) -> dict[MultiPoly, int]:
+    """The factor map of a product; the maps themselves are never changed."""
+    if not a or not b:
+        return a or b
+    out = dict(a)
+    for p, k in b.items():
+        out[p] = out.get(p, 0) + k
+    return out
+
+
 def _normalize(num: MultiPoly, den: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
     if den.is_zero():
         raise ZeroDenominator("zero denominator")
@@ -244,11 +326,7 @@ def _normalize(num: MultiPoly, den: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
         return num, MultiPoly.one(num.universe)
     g = poly_gcd(num, den)
     if not g.is_constant():
-        nq = num.divide_exact(g)
-        dq = den.divide_exact(g)
-        if nq is None or dq is None:
-            raise ArithmeticError("a gcd must divide both of its arguments")
-        num, den = nq, dq
+        num, den = _exact_quotient(num, g), _exact_quotient(den, g)
     unit, den = den.primitive_monic()
     if not unit.is_one():
         num = num.scale(unit.inverse())

@@ -220,13 +220,14 @@ class WedgeElement:
 
 def _joint_basis(universe, tensors, first: tuple[MultiPoly, ...] = ()) -> CoprimeBasis:
     """The frozen coprime basis refining `first`, then every numerator and
-    denominator of the tensors."""
-    polys = list(first)
-    for _, f, g in tensors:
-        polys += (f.num, f.den, g.num, g.den)
+    denominator of the tensors, each with the factors it was built from."""
     basis = CoprimeBasis(universe)
-    for p in polys:
+    for p in first:
         basis.add(p)
+    for _, f, g in tensors:
+        for h in (f, g):
+            basis.add(h.num, h.num_factors)
+            basis.add(h.den, h.den_factors)
     basis.freeze()
     return basis
 

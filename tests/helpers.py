@@ -14,7 +14,7 @@ from dilogeq.formal import FormalSum, five_term, inversion
 from dilogeq.intmat import HermiteForm
 from dilogeq.padic import EXACT, PadicNumber
 from dilogeq.poly import MultiPoly, poly_gcd
-from dilogeq.ratfunc import RationalFunction
+from dilogeq.ratfunc import RationalFunction, ZeroDenominator
 from dilogeq.scalars import FieldElement, fe
 
 
@@ -152,6 +152,44 @@ def random_ratfunc(
     num = random_poly(rnd, universe, max_deg, gaussian=gaussian)
     den = random_poly(rnd, universe, max_deg, gaussian=gaussian)
     return RationalFunction(num, den)
+
+
+def _pool_leaf(rnd: random.Random, universe, gaussian: bool) -> RationalFunction:
+    """A constant or a linear polynomial from a small pool, so that the
+    expressions built from them share factors and cancel often."""
+    one = MultiPoly.one(universe)
+    v, w = (MultiPoly.var(universe, rnd.choice(universe)) for _ in range(2))
+    pool = [v, v + one, v - w, v.scale(fe(2)) - one, v + w + one.scale(fe(3))]
+    consts = [fe(2), fe(-1), fe(Fraction(1, 2))]
+    if gaussian:
+        pool.append(v.scale(fe(0, 1)) + one)
+        consts.append(fe(0, 1))
+    if rnd.random() < 0.2:
+        return RationalFunction.const(universe, rnd.choice(consts))
+    return RationalFunction.from_poly(rnd.choice(pool))
+
+
+def random_expression(
+    rnd: random.Random, universe: tuple[str, ...], gaussian: bool = False, depth: int = 3
+) -> RationalFunction:
+    """A rational function built by arithmetic, as the parser and the
+    relation generators build theirs: products, quotients, powers with
+    negative exponents, inverses, 1 - f and sums over pool leaves."""
+    if depth == 0 or rnd.random() < 0.2:
+        return _pool_leaf(rnd, universe, gaussian)
+    op = rnd.choice(("*", "*", "/", "/", "^", "inverse", "1-", "+"))
+    f = random_expression(rnd, universe, gaussian, depth - 1)
+    try:
+        if op == "^":
+            return f ** rnd.choice((-2, -1, 0, 2, 3))
+        if op == "inverse":
+            return f.inverse()
+        if op == "1-":
+            return f.one_minus()
+        g = random_expression(rnd, universe, gaussian, depth - 1)
+        return f * g if op == "*" else f / g if op == "/" else f + g
+    except ZeroDenominator:
+        return f
 
 
 def random_admissible(

@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 
 from dilogeq import coprime
 from dilogeq.coprime import CoprimeBasis, coprime_basis
+from dilogeq.formal import FormalSum, five_term
 from dilogeq.poly import MultiPoly, poly_gcd
 from dilogeq.ratfunc import RationalFunction
 from dilogeq.scalars import I, ONE, fe
+from dilogeq.wedge import boundary
 
-from helpers import random_poly, to_sympy
+from helpers import random_expression, random_poly, to_sympy
 
 
 T = ("t",)
@@ -322,3 +324,89 @@ def test_basis_of_shared_factors_matches_sympy(gaussian, seed):
             p = p * f ** rnd.randint(1, 3)
         inputs.append(p)
     assert_matches_sympy(inputs, gaussian)
+
+
+# -- inputs registered with the factors they were built from -----------------
+
+
+def test_factors_are_merged_back_by_signature():
+    # (x+1)(x+2) given as two factors is one element: no input holds one
+    # factor without the other
+    x1, x2 = X + ONE_XY, X + ONE_XY.scale(fe(2))
+    basis = CoprimeBasis(XY)
+    basis.add((x1 * x2).scale(fe(3)), {x1: 1, x2: 1})
+    basis.add((x1 * x2) ** 2 * Y, {x1: 2, x2: 2, Y: 1})
+    basis.freeze()
+    assert basis.elements == coprime_basis([x1 * x2, (x1 * x2) ** 2 * Y]).elements
+    assert basis.elements == sorted([x1 * x2, Y], key=MultiPoly.sort_key)
+    assert basis.factor(x1 * x2) == (ONE, {basis.index_of(x1 * x2): 1})
+
+
+def test_a_power_is_refined_as_its_base(monkeypatch):
+    # the argument (t+1)^50 reaches the basis as {t+1: 50}, so no
+    # squarefree split sees the power itself
+    seen = []
+    split = coprime.squarefree_parts
+    monkeypatch.setattr(coprime, "squarefree_parts", lambda p: seen.append(p) or split(p))
+    one = RationalFunction.const(T, ONE)
+    w = boundary(FormalSum.single((RationalFunction.var(T, "t") + one) ** 50))
+    assert t() + c(1) in seen and (t() + c(1)) ** 50 not in seen
+    assert t() + c(1) in w.basis.elements
+
+
+def test_factors_that_do_not_multiply_to_the_input_are_rejected():
+    basis = CoprimeBasis(XY)
+    with pytest.raises(ValueError):
+        basis.add(X * (X + ONE_XY), {X: 1})
+
+
+def _rebuilt(alpha: FormalSum) -> FormalSum:
+    """alpha with every argument rebuilt whole, forgetting its factors."""
+    terms = {RationalFunction(f.num, f.den): c for f, c in alpha.terms.items()}
+    return FormalSum(alpha.universe, terms, alpha.field_mode, alpha.coeff_mode)
+
+
+def _assert_basis_ignores_factors(alpha: FormalSum):
+    built, whole = boundary(alpha), boundary(_rebuilt(alpha))
+    assert built.basis.elements == whole.basis.elements
+    assert built.pairs == whole.pairs
+
+
+def _factored(alpha: FormalSum) -> bool:
+    return any(
+        len(fac) > 1 or 1 not in fac.values()
+        for f in alpha.terms
+        for fac in (f.num_factors, f.den_factors)
+    )
+
+
+def _xy_sums():
+    x, y = RationalFunction.var(XY, "x"), RationalFunction.var(XY, "y")
+    one = RationalFunction.const(XY, ONE)
+    pair = (x + one) * (x + one.scale(fe(2)))  # never occurs alone
+    cancelled = (x * (x + one)) / x
+    return {
+        "product-only": FormalSum(XY, {pair: 1, pair**2 * y / (x - one): -2, y / pair: 1}),
+        "cancelling-quotient": FormalSum(XY, {cancelled: 1, pair / cancelled**2: 1, y * pair: 3}),
+        "five-term": five_term(pair / y, (x - y) ** 2 / (x * cancelled)),
+    }
+
+
+@pytest.mark.parametrize("case", ["product-only", "cancelling-quotient", "five-term"])
+def test_boundary_basis_ignores_how_arguments_were_built(case):
+    alpha = _xy_sums()[case]
+    assert _factored(alpha)
+    _assert_basis_ignores_factors(alpha)
+
+
+@given(st.lists(st.integers(0, 10**6), min_size=1, max_size=4), st.integers(1, 3), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_boundary_basis_ignores_how_random_arguments_were_built(seeds, nvars, gaussian):
+    universe = ("x", "y", "z")[:nvars]
+    terms = {}
+    for k, seed in enumerate(seeds):
+        f = random_expression(random.Random(seed), universe, gaussian, depth=3)
+        if not (f.is_zero() or f.is_one()):
+            terms[f] = terms.get(f, 0) + (-1) ** k * (k + 1)
+    alpha = FormalSum(universe, terms, "Qi" if gaussian else "Q")
+    _assert_basis_ignores_factors(alpha)

@@ -13,6 +13,7 @@ from scipy.integrate import quad
 
 from dilogeq.formal import FormalSum, five_term, inversion
 from dilogeq.numerics import (
+    _BERNOULLI,
     LI2_ONE,
     MOD_HALF_PISQ,
     DegenerateArgument,
@@ -34,6 +35,26 @@ T12 = ("t1", "t2")
 # Catalan's constant, computed independently as Im(sum i^n/n^2) with mpmath
 # at 30 digits and frozen here
 CATALAN = 0.915965594177219015054603514932
+
+
+def exact_bernoulli(count: int) -> list[Fraction]:
+    """B_0 .. B_{count-1} with B_1 = -1/2, from sum_k C(m+1, k) B_k = 0."""
+    bs: list[Fraction] = []
+    for m in range(count):
+        acc = Fraction(0)
+        binom = 1
+        for k in range(m):
+            acc += binom * bs[k]
+            binom = binom * (m + 1 - k) // (k + 1)
+        bs.append(Fraction(1) if m == 0 else -acc / (m + 1))
+    return bs
+
+
+def test_bernoulli_table_is_the_nearest_float_of_each_exact_number():
+    exact = exact_bernoulli(64)
+    assert len(_BERNOULLI) == len(exact)
+    assert [b.hex() for b in _BERNOULLI] == [float(b).hex() for b in exact]
+    assert exact[:5] == [1, Fraction(-1, 2), Fraction(1, 6), 0, Fraction(-1, 30)]
 
 
 def t(name="t", universe=T):

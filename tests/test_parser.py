@@ -330,6 +330,25 @@ def test_document_errors(text, fragment, line):
     assert ei.value.line == line
 
 
+def test_a_bad_term_among_many_names_its_own_line():
+    text = "dilog-identity v1\nvariables: t\nterm: 1 [t]\nterm: 2 [1 - t]\nterm: -1 [t/t]\nterm: 1 [t^2]\n"
+    with pytest.raises(DocumentError) as ei:
+        load_document(text)
+    assert "admissible" in str(ei.value)
+    assert ei.value.line == 5
+
+
+def test_document_terms_merge_into_one_sum():
+    # equal arguments add up and a cancelled one drops out; a zero
+    # coefficient leaves its argument unchecked, as in FormalSum
+    text = (
+        "dilog-identity v1\nvariables: t\nterm: 1 [t]\nterm: 2 [1/t]\n"
+        "term: 0 [1]\nterm: 2 [t^2/t]\nterm: -2 [t^(-1)]\n"
+    )
+    alpha = load_document(text).formal_sum()
+    assert alpha == FormalSum.single(var("t", ("t",)), 3)
+
+
 def test_expression_errors_surface_at_load_time():
     # each names the document line, with the column inside the expression
     for expression, cause, message in [

@@ -10,11 +10,12 @@ from dilogeq.poly import MultiPoly
 from dilogeq.ratfunc import INF, Infinity, RationalFunction, ZeroDenominator
 from dilogeq.scalars import ONE, fe
 
-from helpers import random_ratfunc, rf
+from helpers import random_expression, random_ratfunc, rf
 
 
 T = ("t",)
 T12 = ("t1", "t2")
+XY = ("x", "y")
 
 ratfuncs = st.builds(
     lambda seed: random_ratfunc(random.Random(seed), T, max_deg=2),
@@ -72,6 +73,42 @@ def test_one_minus(seed, gaussian):
     # over Q and Q(i)
     f = random_ratfunc(random.Random(seed), T12, gaussian=gaussian)
     assert f.one_minus() == RationalFunction.const(T12, fe(1)) - f
+
+
+@given(st.integers(0, 10**6), st.integers(1, 3), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_factor_maps_multiply_to_the_monic_halves(seed, nvars, gaussian):
+    # expression trees over Q and Q(i): each factor map multiplies exactly
+    # to the monic numerator or the denominator, and the cross-cancelled
+    # arithmetic lands in lowest terms
+    universe = ("x", "y", "z")[:nvars]
+    f = random_expression(random.Random(seed), universe, gaussian, depth=4)
+    whole = RationalFunction(f.num, f.den)
+    assert (whole.num, whole.den) == (f.num, f.den)
+    for half, factors in ((f.num, f.num_factors), (f.den, f.den_factors)):
+        product = MultiPoly.one(universe)
+        for p, k in factors.items():
+            assert p.lead_coeff() == ONE and not p.is_constant() and k > 0
+            product = product * p**k
+        assert product == (MultiPoly.one(universe) if half.is_zero() else half.primitive_monic()[1])
+
+
+def test_factor_maps_of_worked_examples():
+    x = RationalFunction.var(XY, "x")
+    one = RationalFunction.const(XY, ONE)
+    px, p1 = MultiPoly.var(XY, "x"), MultiPoly.var(XY, "x") + MultiPoly.one(XY)
+    # powers keep multiplicities, negative ones too, and run no gcd
+    f = ((x + one) ** 3 * x.scale(fe(2))) ** -2
+    assert f.den_factors == {p1: 6, px: 2} and f.num_factors == {}
+    # a cancelling quotient falls back to the one-factor map of what is left
+    g = (x * (x + one)) / x
+    assert g == x + one and g.num_factors == {p1: 1}
+    # 1 - f starts a new numerator and keeps the denominator's map
+    h = (one / (x * (x + one))).one_minus()
+    assert h.den_factors == {px: 1, p1: 1}
+    assert h.num_factors == {(px * p1 - MultiPoly.one(XY)): 1}
+    # a sum with a polynomial side keeps the other side's denominator map
+    assert (one / (x * (x + one)) + x).den_factors == {px: 1, p1: 1}
 
 
 def test_infinity_singleton():
