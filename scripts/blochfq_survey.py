@@ -4,8 +4,13 @@ Usage: python3 scripts/blochfq_survey.py [--max-p N]
 """
 
 import argparse
+import sys
+from pathlib import Path
 
-from dilogeq.blochfq import bloch_groups
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+
+from dilogeq.blochfq import bloch_groups  # noqa: E402
 
 
 def primes_up_to(bound: int) -> list[int]:

@@ -6,13 +6,18 @@ demo prints both sides and how many digits they share.
 """
 
 import argparse
+import sys
 from fractions import Fraction
+from pathlib import Path
 
-from dilogeq.formal import FormalSum
-from dilogeq.padic import Branch, PadicNumber, branch_diff, dp_disc
-from dilogeq.ratfunc import RationalFunction
-from dilogeq.scalars import fe
-from dilogeq.wedge import boundary
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+
+from dilogeq.formal import FormalSum  # noqa: E402
+from dilogeq.padic import Branch, PadicNumber, branch_diff, dp_disc  # noqa: E402
+from dilogeq.ratfunc import RationalFunction  # noqa: E402
+from dilogeq.scalars import fe  # noqa: E402
+from dilogeq.wedge import boundary  # noqa: E402
 
 T = ("t",)
 

@@ -5,12 +5,17 @@ auxiliary choices), the order dependence of iterated specialization, and one
 row of the degeneracy table.
 """
 
+import sys
 from fractions import Fraction
+from pathlib import Path
 
-from dilogeq.formal import FormalSum
-from dilogeq.ratfunc import INF, RationalFunction
-from dilogeq.scalars import fe
-from dilogeq.specialize import SpecStep, sp, table_cell
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+
+from dilogeq.formal import FormalSum  # noqa: E402
+from dilogeq.ratfunc import INF, RationalFunction  # noqa: E402
+from dilogeq.scalars import fe  # noqa: E402
+from dilogeq.specialize import SpecStep, sp, table_cell  # noqa: E402
 
 T = ("t",)
 T12 = ("t1", "t2")

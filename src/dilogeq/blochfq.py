@@ -151,7 +151,7 @@ def wedge_square_order(p: int) -> tuple[int, int]:
 
 def _primitive_root(p: int) -> int:
     m = p - 1
-    prime_parts = factor_rational(m, p)[1]
+    prime_parts = factor_rational(m)[1]
     for g in range(2, p):
         if all(pow(g, m // q, p) != 1 for q in prime_parts):
             return g

@@ -4,7 +4,10 @@ Representation: a fixed, ordered tuple of variable names (the "universe")
 plus a dict mapping exponent tuples to nonzero FieldElement coefficients.
 The monomial order everywhere is graded lexicographic (total degree first,
 then lexicographic on the exponent tuple), which is multiplicative, so
-leading terms of products are products of leading terms.
+leading terms of products are products of leading terms.  On a polynomial
+in one variable that order is the degree, so one-variable division, gcd
+and inverses modulo a polynomial (`univar_divmod` and the names built on
+it) run on the same representation.
 
 Normal form for extracted factors: "primitive monic" means the graded-lex
 leading coefficient is 1; over a field that also fixes the content.  Every
@@ -437,122 +440,55 @@ def _format_term(c: FieldElement, mono: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# univariate helpers (dense lists keyed by degree)
+# univariate division (polynomials in one variable, on MultiPoly itself)
 # ---------------------------------------------------------------------------
 
 
-def _to_univar(p: MultiPoly, var: str) -> list[FieldElement]:
-    idx = p.universe.index(var)
-    deg = p.degree_in(var)
-    out = [ZERO] * (deg + 1)
-    for e, c in p.terms.items():
-        for i, k in enumerate(e):
-            if k and i != idx:
-                raise ValueError("polynomial is not univariate in " + var)
-        out[e[idx]] = out[e[idx]] + c
-    return out
-
-
-def _from_univar(universe, var: str, coeffs: list[FieldElement]) -> MultiPoly:
-    universe = tuple(universe)
-    idx = universe.index(var)
-    terms = {}
-    for k, c in enumerate(coeffs):
-        if not c.is_zero():
-            e = tuple(k if i == idx else 0 for i in range(len(universe)))
-            terms[e] = c
-    return MultiPoly(universe, terms)
-
-
-def _uv_trim(a: list[FieldElement]) -> list[FieldElement]:
-    while a and a[-1].is_zero():
-        a.pop()
-    return a
-
-
-def _uv_divmod(a, b):
-    """Dense univariate division over the field; b nonzero."""
-    a = list(a)
-    db = len(b) - 1
-    lb = b[-1].inverse()
-    q = [ZERO] * max(0, len(a) - db)
-    while len(a) - 1 >= db and a:
-        da = len(a) - 1
-        f = a[-1] * lb
-        q[da - db] = f
-        for i in range(db + 1):
-            a[da - db + i] = a[da - db + i] - f * b[i]
-        _uv_trim(a)
-        if not a:
+def univar_divmod(p: MultiPoly, d: MultiPoly, var: str) -> tuple[MultiPoly, MultiPoly]:
+    """(q, r) with p = q*d + r and deg r < deg d, for p and a nonzero d
+    in `var` alone.  Graded-lex order on one variable is the degree, so
+    each step cancels the leading term of the remainder."""
+    if not set(p.vars_used() + d.vars_used()) <= {var}:
+        raise ValueError("polynomial is not univariate in " + var)
+    dexp, dc = d.lead_term()
+    dcinv = dc.inverse()
+    quotient: dict[Exponents, FieldElement] = {}
+    r = p
+    while r.terms:
+        exp, c = r.lead_term()
+        shift = tuple(a - b for a, b in zip(exp, dexp))
+        if min(shift) < 0:
             break
-    return q, a
-
-
-def _uv_monic(a):
-    if not a:
-        return a
-    inv = a[-1].inverse()
-    return [c * inv for c in a]
-
-
-def _uv_gcd(a, b):
-    a, b = list(a), list(b)
-    _uv_trim(a)
-    _uv_trim(b)
-    while b:
-        _, r = _uv_divmod(a, b)
-        a, b = b, _uv_trim(r)
-    return _uv_monic(a)
-
-
-def _uv_ext_gcd(a, b):
-    """Extended Euclid: returns (g, s, t) with s*a + t*b = g, g monic."""
-    r0, r1 = _uv_trim(list(a)), _uv_trim(list(b))
-    s0, s1 = [ONE], []
-    t0, t1 = [], [ONE]
-
-    def sub_mul(x, q, y):
-        # x - q*y as dense lists
-        prod = [ZERO] * (len(q) + len(y) - 1) if q and y else []
-        for i, qc in enumerate(q):
-            if qc.is_zero():
-                continue
-            for j, yc in enumerate(y):
-                prod[i + j] = prod[i + j] + qc * yc
-        out = list(x) + [ZERO] * max(0, len(prod) - len(x))
-        for i, pc in enumerate(prod):
-            out[i] = out[i] - pc
-        return _uv_trim(out)
-
-    while r1:
-        q, r = _uv_divmod(r0, r1)
-        r0, r1 = r1, _uv_trim(r)
-        s0, s1 = s1, sub_mul(s0, q, s1)
-        t0, t1 = t1, sub_mul(t0, q, t1)
-    if not r0:
-        return [], [], []
-    inv = r0[-1].inverse()
-    scale = lambda xs: [c * inv for c in xs]
-    return _uv_monic(r0), scale(s0), scale(t0)
+        quotient[shift] = c * dcinv
+        r = r - d.mul_term(shift, quotient[shift])
+    return MultiPoly(p.universe, quotient), r
 
 
 def univar_gcd(p: MultiPoly, q: MultiPoly, var: str) -> MultiPoly:
-    g = _uv_gcd(_to_univar(p, var), _to_univar(q, var))
-    return _from_univar(p.universe, var, g)
+    """Monic gcd of polynomials in `var` alone, by Euclid's remainders."""
+    while not q.is_zero():
+        p, q = q, univar_divmod(p, q, var)[1]
+    return p.primitive_monic()[1]
 
 
 def univar_rem(p: MultiPoly, m: MultiPoly, var: str) -> MultiPoly:
-    _, r = _uv_divmod(_to_univar(p, var), _to_univar(m, var))
-    return _from_univar(p.universe, var, r)
+    return univar_divmod(p, m, var)[1]
 
 
 def univar_inverse_mod(p: MultiPoly, m: MultiPoly, var: str) -> MultiPoly:
-    """Inverse of p modulo m; raises ValueError when gcd(p, m) != 1."""
-    g, s, _ = _uv_ext_gcd(_to_univar(p, var), _to_univar(m, var))
-    if len(g) != 1:
+    """Inverse of p modulo m; raises ValueError when gcd(p, m) != 1.
+
+    Extended Euclid keeps s_k with s_k * p = r_k (mod m) along the
+    remainders r_k of m and p; the last nonzero r_k is the gcd."""
+    r0, r1 = m, univar_rem(p, m, var)
+    s0, s1 = MultiPoly.zero(p.universe), MultiPoly.one(p.universe)
+    while not r1.is_zero():
+        q, r = univar_divmod(r0, r1, var)
+        r0, r1 = r1, r
+        s0, s1 = s1, s0 - q * s1
+    if not r0.is_constant():
         raise ValueError("element not invertible modulo " + str(m))
-    _, r = _uv_divmod(s, _to_univar(m, var))
-    return _from_univar(p.universe, var, r)
+    return univar_rem(s0.scale(r0.constant_value().inverse()), m, var)
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,9 @@
 Rational constants split as (-1)^s * prod p^e over positive primes; Gaussian
 constants split as i^k * prod pi^e over Gaussian primes normalized to the
 first quadrant (re > 0, im >= 0), the unique such associate.  Factoring is
-by trial division over Z up to a bound (default 10**6).  A residual is
-prime once no divisor up to its square root is left, which certifies primes
-up to the bound squared; a residual that the bound leaves unproven raises
+by trial division over Z up to FACTOR_BOUND = 10**6.  A residual is prime
+once no divisor up to its square root is left, which certifies primes up
+to the bound squared; a residual that the bound leaves unproven raises
 OversizedConstant instead of guessing.  The rational primes under a
 Gaussian integer z = g * w, g = gcd(re, im), are those of g and of the norm
 of w; both are far smaller than the norm g^2 * N(w) of z.
@@ -26,7 +26,7 @@ from math import gcd, log10
 from .scalars import FieldElement, fe
 
 
-DEFAULT_FACTOR_BOUND = 10**6
+FACTOR_BOUND = 10**6
 _SHOWN_DIGITS = 60
 
 
@@ -55,8 +55,8 @@ class UnitPrimeFactorization:
 
 
 @lru_cache(maxsize=1024)
-def _factor_int(n: int, bound: int) -> tuple[tuple[int, int], ...]:
-    """Factor n >= 1 by trial division with divisors up to bound, as
+def _factor_int(n: int) -> tuple[tuple[int, int], ...]:
+    """Factor n >= 1 by trial division with divisors up to FACTOR_BOUND, as
     ascending (prime, exponent) pairs; cached, so a process trial-divides
     each distinct integer once.
 
@@ -68,9 +68,9 @@ def _factor_int(n: int, bound: int) -> tuple[tuple[int, int], ...]:
     for p in _trial_sequence():
         if p * p > n:
             break
-        if p > bound:
+        if p > FACTOR_BOUND:
             raise OversizedConstant(
-                f"constant has a prime factor above the bound {bound}: "
+                f"constant has a prime factor above the bound {FACTOR_BOUND}: "
                 f"residual {_residual_text(n)}"
             )
         while n % p == 0:
@@ -104,20 +104,20 @@ def _trial_sequence():
         p += 2
 
 
-def factor_rational(q: Fraction | int, bound: int = DEFAULT_FACTOR_BOUND):
+def factor_rational(q: Fraction | int):
     """q != 0 -> (sign_exponent in {0,1}, {prime: exponent})."""
     if q == 0:
         raise ValueError("cannot factor zero")
     sign = 1 if q < 0 else 0
-    out = dict(_factor_int(abs(q.numerator), bound))
-    for p, e in _factor_int(q.denominator, bound):
+    out = dict(_factor_int(abs(q.numerator)))
+    for p, e in _factor_int(q.denominator):
         out[p] = out.get(p, 0) - e
     return sign, {p: e for p, e in out.items() if e}
 
 
 def is_prime(n: int) -> bool:
     """Whether n is a prime integer, by the trial division above; raises
-    OversizedConstant when n has no divisor up to the default bound and
+    OversizedConstant when n has no divisor up to FACTOR_BOUND and
     is too large for that bound to prove it prime."""
     return isinstance(n, int) and n >= 2 and factor_rational(n)[1] == {n: 1}
 
@@ -178,13 +178,13 @@ def _sqrt_minus_one(p: int) -> int:
     raise ArithmeticError(f"no square root of -1 mod {p}")  # unreachable for p=1 mod 4
 
 
-def factor_gaussian_integer(z, bound: int = DEFAULT_FACTOR_BOUND):
+def factor_gaussian_integer(z):
     """Nonzero z in Z[i] -> (unit_exponent mod 4, {(re, im): exponent})."""
     if z == (0, 0):
         raise ValueError("cannot factor zero")
     g = gcd(z[0], z[1])
-    primes = {p for p, _ in _factor_int(g, bound)}
-    primes |= {p for p, _ in _factor_int(_gnorm((z[0] // g, z[1] // g)), bound)}
+    primes = {p for p, _ in _factor_int(g)}
+    primes |= {p for p, _ in _factor_int(_gnorm((z[0] // g, z[1] // g)))}
     out: dict[tuple[int, int], int] = {}
     for p in sorted(primes):
         if p == 2:
@@ -212,22 +212,20 @@ def factor_gaussian_integer(z, bound: int = DEFAULT_FACTOR_BOUND):
     return unit, out
 
 
-def factor_constant(
-    c: FieldElement, gaussian: bool, bound: int = DEFAULT_FACTOR_BOUND
-) -> UnitPrimeFactorization:
+def factor_constant(c: FieldElement, gaussian: bool) -> UnitPrimeFactorization:
     """Factor a nonzero exact constant per the mode's unit convention."""
     if c.is_zero():
         raise ValueError("cannot factor zero")
     if not gaussian:
         if not c.is_rational():
             raise ValueError("rational mode cannot factor a Gaussian constant")
-        sign, fac = factor_rational(c.re, bound)
+        sign, fac = factor_rational(c.re)
         factors = tuple(
             (fe(p), e) for p, e in sorted(fac.items())
         )
         return UnitPrimeFactorization(False, sign, factors)
-    ku, fnum = factor_gaussian_integer((c.a, c.b), bound)
-    kd, fden = factor_gaussian_integer((c.d, 0), bound)
+    ku, fnum = factor_gaussian_integer((c.a, c.b))
+    kd, fden = factor_gaussian_integer((c.d, 0))
     combined = dict(fnum)
     for rep, e in fden.items():
         combined[rep] = combined.get(rep, 0) - e

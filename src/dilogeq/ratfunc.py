@@ -287,11 +287,13 @@ class RationalFunction:
         return self.num.eval_numeric(point) / self.den.eval_numeric(point)
 
     def with_universe(self, new_universe) -> "RationalFunction":
-        return RationalFunction(
-            self.num.with_universe(new_universe),
-            self.den.with_universe(new_universe),
-            _normalized=True,
+        """Re-express over `new_universe`.  Reordering the variables keeps
+        numerator and denominator coprime but can move the graded-lex
+        leader, so the denominator is made monic again."""
+        num, den = _monic_den(
+            self.num.with_universe(new_universe), self.den.with_universe(new_universe)
         )
+        return RationalFunction(num, den, _normalized=True)
 
     # -- display ----------------------------------------------------------------
 
@@ -327,6 +329,11 @@ def _normalize(num: MultiPoly, den: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
     g = poly_gcd(num, den)
     if not g.is_constant():
         num, den = _exact_quotient(num, g), _exact_quotient(den, g)
+    return _monic_den(num, den)
+
+
+def _monic_den(num: MultiPoly, den: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
+    """The same quotient with the denominator's leading coefficient 1."""
     unit, den = den.primitive_monic()
     if not unit.is_one():
         num = num.scale(unit.inverse())

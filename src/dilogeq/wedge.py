@@ -343,7 +343,13 @@ def t_v(w: WedgeElement, b: MultiPoly) -> MultiPoly:
     r"""Tame symbol at the place of a univariate basis poly b.
 
     f /\ g maps to (-1)^{v(f)v(g)} f^{v(g)} g^{-v(f)} in (k[t]/(b))*,
-    multiplied over the stored tensors.  Returns the reduced representative.
+    multiplied over the stored tensors a (f /\ g).  Each tensor is factored
+    once over the joint basis, so the product is one constant times
+    prod e_k^{n_k} over the basis elements e_k, with
+    n_k = sum a (v(g) e_k(f) - v(f) e_k(g)); n_k vanishes at e_k = b.  That
+    product is reduced modulo b once, by square-and-multiply with the
+    squarings shared across the e_k, inverting e_k modulo b only where
+    n_k < 0.  Returns the reduced representative, which is unique.
     """
     used = set(b.vars_used())
     for _, f, g in w.tensors:
@@ -360,41 +366,33 @@ def t_v(w: WedgeElement, b: MultiPoly) -> MultiPoly:
             f"{b} splits further over the joint basis; valuation is ambiguous"
         )
 
-    def rf_residue(unit: FieldElement, exps: dict[int, int]) -> MultiPoly:
-        res = MultiPoly.const(w.universe, unit)
-        for k, e in exps.items():
-            if k == ib:
-                continue
-            res = univar_rem(res * _pow_mod(basis.elements[k], e, b, var), b, var)
-        return univar_rem(res, b, var)
-
-    def _pow_mod(base: MultiPoly, e: int, mod: MultiPoly, var: str) -> MultiPoly:
-        if e < 0:
-            base = univar_inverse_mod(base, mod, var)
-            e = -e
-        out = MultiPoly.one(w.universe)
-        base = univar_rem(base, mod, var)
-        while e:
-            if e & 1:
-                out = univar_rem(out * base, mod, var)
-            base = univar_rem(base * base, mod, var)
-            e >>= 1
-        return out
-
-    total = MultiPoly.one(w.universe)
+    sign, unit, exps = 0, ONE, {}
     for a, f, g in w.tensors:
         if a.denominator != 1:
             raise ValueError("tame symbols need integer coefficients")
+        a = a.numerator
         uf, ef = basis.factor_rf(f)
         ug, eg = basis.factor_rf(g)
-        vf = ef.get(ib, 0)
-        vg = eg.get(ib, 0)
-        sign = ONE if (vf * vg) % 2 == 0 else -ONE
-        contrib = MultiPoly.const(w.universe, sign)
-        contrib = univar_rem(contrib * _pow_mod(rf_residue(uf, ef), vg, b, var), b, var)
-        contrib = univar_rem(contrib * _pow_mod(rf_residue(ug, eg), -vf, b, var), b, var)
-        total = univar_rem(total * _pow_mod(contrib, int(a), b, var), b, var)
-    return total
+        vf, vg = ef.get(ib, 0), eg.get(ib, 0)
+        sign += a * vf * vg
+        unit = unit * uf ** (a * vg) / ug ** (a * vf)
+        for k, e in ef.items():
+            exps[k] = exps.get(k, 0) + a * vg * e
+        for k, e in eg.items():
+            exps[k] = exps.get(k, 0) - a * vf * e
+
+    powers = [
+        (univar_inverse_mod(basis.elements[k], b, var) if n < 0 else basis.elements[k], abs(n))
+        for k, n in exps.items()
+        if n
+    ]
+    out = MultiPoly.one(w.universe)
+    for bit in reversed(range(max((n.bit_length() for _, n in powers), default=0))):
+        out = univar_rem(out * out, b, var)
+        for base, n in powers:
+            if n >> bit & 1:
+                out = univar_rem(out * base, b, var)
+    return out.scale(-unit if sign % 2 else unit)
 
 
 # ---------------------------------------------------------------------------

@@ -39,9 +39,6 @@ UNPROVEN = 1_000_003 * 1_000_033
 def test_factor_rational_oversized():
     with pytest.raises(OversizedConstant):
         factor_rational(Fraction(UNPROVEN))
-    # but fine with a raised bound
-    sign, fac = factor_rational(Fraction(UNPROVEN), bound=2_000_000)
-    assert fac == {1_000_003: 1, 1_000_033: 1}
 
 
 def test_factor_rational_certifies_primes_above_the_bound():

@@ -42,6 +42,17 @@ def test_monic_denominator():
     assert g.num == MultiPoly.one(T).scale(fe(1) / fe(2))
 
 
+def test_reordered_universe_keeps_the_denominator_monic():
+    # over (x, y) the leader of x + 2y is x; over (y, x) it is 2y
+    f = rf(XY, 1, MultiPoly.var(XY, "x") + MultiPoly.var(XY, "y").scale(fe(2)))
+    YX = ("y", "x")
+    moved = f.with_universe(YX)
+    fresh = rf(YX, 1, MultiPoly.var(YX, "x") + MultiPoly.var(YX, "y").scale(fe(2)))
+    assert moved.den.lead_coeff() == ONE
+    assert moved == fresh and hash(moved) == hash(fresh)
+    assert moved.with_universe(XY) == f
+
+
 def test_zero_denominator_rejected():
     with pytest.raises(ZeroDenominator):
         RationalFunction(MultiPoly.one(T), MultiPoly.zero(T))

@@ -6,9 +6,9 @@ from fractions import Fraction
 import pytest
 
 from dilogeq.formal import FormalSum, c_element, five_term, inversion
-from dilogeq.poly import MultiPoly
+from dilogeq.poly import MultiPoly, univar_rem
 from dilogeq.primes import OversizedConstant
-from dilogeq.ratfunc import RationalFunction
+from dilogeq.ratfunc import INF, RationalFunction
 from dilogeq.scalars import FieldElement, fe
 from dilogeq.wedge import (
     NotUnivariate,
@@ -332,6 +332,142 @@ def test_t_v_requires_univariate():
         t_v(w, MultiPoly.var(T2, "t1"))
 
 
+def _seeded_wedges(mode: str, seed: int, count: int = 4):
+    """One-variable wedge elements of one to three tensors a (f /\\ g)."""
+    rnd = random.Random(seed)
+    gaussian = mode == "Qi"
+    for _ in range(count):
+        tensors = [
+            (
+                rnd.choice((-2, -1, 1, 2, 3)),
+                random_admissible(rnd, T, 2, gaussian),
+                random_admissible(rnd, T, 2, gaussian),
+            )
+            for _ in range(rnd.randint(1, 3))
+        ]
+        yield WedgeElement(T, tensors, mode)
+
+
+# The tame symbol of each seeded element at every element of its basis, as
+# {place: reduced residue}, recorded from an earlier t_v that reduced one
+# residue per tensor, so the pins do not rest on the code they test.
+T_V_PINNED = {
+    ("Q", 11): [
+        {
+            "t": "729/4096",
+            "t - 4": "262144/50653",
+            "t - 3": "9261/8",
+            "t + 1/2": "-125/343",
+            "t + 4/3": "729/1000",
+            "t^2 + t - 3/2": "920/729*t + 797/729",
+        },
+        {"t": "-3/64", "t - 2": "64/9", "t - 1": "1", "t - 1/2": "9/4"},
+        {"t": "16", "t - 1/2": "1/25", "t^2 + 1": "-t - 3/4"},
+        {
+            "t": "1",
+            "t + 1/2": "1/2",
+            "t + 2": "1/81",
+            "t^2 - 1": "2",
+            "t^2 - 3*t - 1": "-95/9*t + 314/9",
+        },
+    ],
+    ("Qi", 12): [
+        {
+            "t": "(79/48 + 1/16*i)",
+            "t + (-12/17 + 3/17*i)": "(-921/1796 - 255/1796*i)",
+            "t + (-3 - i)": "(31/113 - 13/113*i)",
+            "t + (-2 + i)": "(101567/125000 - 6611/31250*i)",
+            "t^2 - 1/2": "(348080/704969 + 98400/704969*i)*t"
+            " + (173696/704969 + 110024/704969*i)",
+            "t^2 + (1 + 1/2*i)*t + 1/2": "6*t + (10 + 4*i)",
+        },
+        {
+            "t": "(8/3 + 8*i)",
+            "t + (-4/3 + 2/3*i)": "(32/5 + 6/5*i)",
+            "t + 1": "(11/53 - 12/53*i)",
+            "t + 1/4": "(4/5 + 8/5*i)",
+            "t + (2 + 2*i)": "(-1/5 + 2/5*i)",
+            "t + (4 - 2*i)": "(-7/2 + 1/2*i)",
+        },
+        {
+            "t": "-1/3",
+            "t + (-3/4 - 3/4*i)": "-3/2*i",
+            "t + 1": "(-4 + 2*i)",
+            "t^2 - 3/2": "-3/4*t - 3/4",
+            "t^2 + (2/5 - 1/5*i)": "(14/15 + 2/15*i)*t + (-14/15 - 2/15*i)",
+        },
+        {
+            "t": "-64",
+            "t + (-3/4 - 1/4*i)": "(-15849/8 - 36477/4*i)",
+            "t - 1": "-1/64",
+            "t - 1/4": "(-4670149088/10837877597 - 1414399016/10837877597*i)",
+            "t^2 + (-4/5 + 8/5*i)*t + (-2/5 + 4/5*i)": "(206376070/206425071"
+            " - 12281630/22936119*i)*t + (-29137241/206425071 - 63591034/206425071*i)",
+            "t^2 + 3/2*i*t - 3/2*i": "(-4812894/34328125 - 7639542/34328125*i)*t"
+            " + (1256677/34328125 + 6912286/34328125*i)",
+        },
+    ],
+}
+
+
+@pytest.mark.parametrize("mode, seed", sorted(T_V_PINNED))
+def test_t_v_pinned_at_every_basis_element(mode, seed):
+    got = [
+        {str(b): str(t_v(w, b)) for b in w.basis.elements}
+        for w in _seeded_wedges(mode, seed)
+    ]
+    assert got == T_V_PINNED[mode, seed]
+
+
+@pytest.mark.parametrize("mode", ["Q", "Qi"])
+def test_t_v_is_multiplicative_and_antisymmetric(mode):
+    one = MultiPoly.one(T)
+    wedges = list(_seeded_wedges(mode, 31, count=6))
+    for w1, w2 in zip(wedges[::2], wedges[1::2]):
+        both = WedgeElement(T, w1.tensors + w2.tensors, mode)
+        swapped = WedgeElement(T, [(a, g, f) for a, f, g in both.tensors], mode)
+        for b in both.basis.elements:
+            whole = t_v(both, b)
+            assert whole == univar_rem(t_v(w1, b) * t_v(w2, b), b, "t"), str(b)
+            assert univar_rem(whole * t_v(swapped, b), b, "t") == one, str(b)
+
+
+def _tame_symbol_at(w: WedgeElement, c: FieldElement) -> FieldElement:
+    """The tame symbol at t = c from its definition: f = (t - c)^v(f) u
+    with u(c) finite and nonzero, and f /\\ g maps to
+    (-1)^{v(f) v(g)} u_f(c)^{v(g)} / u_g(c)^{v(f)}."""
+    pi = t() - RationalFunction.const(T, c)
+
+    def split(f: RationalFunction) -> tuple[int, FieldElement]:
+        v = 0
+        while True:
+            value = f.evaluate({"t": c})
+            if value is INF:
+                f, v = f * pi, v - 1
+            elif value.is_zero():
+                f, v = f / pi, v + 1
+            else:
+                return v, value
+
+    out = fe(1)
+    for a, f, g in w.tensors:
+        vf, uf = split(f)
+        vg, ug = split(g)
+        out = out * (fe(-1) ** (vf * vg) * uf**vg / ug**vf) ** int(a)
+    return out
+
+
+@pytest.mark.parametrize("mode, seed", [("Q", 41), ("Qi", 42)])
+def test_t_v_at_linear_places_matches_the_definition(mode, seed):
+    for w in _seeded_wedges(mode, seed, count=6):
+        roots = {-b.evaluate({"t": fe(0)}) for b in w.basis.elements if b.total_degree() == 1}
+        for c in sorted(roots | {fe(7), fe(-5, 1)}, key=FieldElement.sort_key):
+            if mode == "Q" and not c.is_rational():
+                continue
+            place = tp("t") - MultiPoly.const(T, c)
+            assert t_v(w, place) == MultiPoly.const(T, _tame_symbol_at(w, c)), str(c)
+
+
 # -- the beta1 soundness oracle -----------------------------------------------
 
 
@@ -357,7 +493,6 @@ def test_beta1_matches_planted_level():
 
 
 def test_wedge_specialize_commutes_with_boundary():
-    from dilogeq.ratfunc import INF
     from dilogeq.specialize import SpecStep, sp
 
     rnd = random.Random(9)
