@@ -1,0 +1,175 @@
+"""Compare the `check --json` reports of two checkouts on the benchmark's documents.
+
+Usage: python3 scripts/report_diff.py OLD NEW [--seeds 1-2]
+
+OLD and NEW are checkout directories.  The documents come from this
+checkout's `bench/inputs.py` (read, not changed; it imports nothing from
+the package, so a seed gives the same documents at every commit), with the
+flags the benchmark's `docs-check` workload passes.  Each checkout runs
+`dilogeq check DOC --json FLAGS` on every document in one child process
+that imports the package from that checkout's `src/`.
+
+Exit codes and error messages must be equal, and every report field other
+than a float byte-identical.  Floats must agree within 1e-12 * max(1,
+|old|, |new|).  In real mode the constant and the probe's mean value are
+classes mod pi^2/2, so they are compared by their distance in
+R/(pi^2/2)Z.  Prints one summary line per seed and each difference; exits
+1 on any difference.
+"""
+
+import argparse
+import importlib.util
+import json
+import math
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+MOD_HALF_PISQ = math.pi * math.pi / 2
+TOL = 1e-12
+# documents compared per seed: four blocks of the docs-check mix
+DOCS = 240
+
+# the report fields that hold a class mod pi^2/2 in real mode
+REAL_CLASSES = {("constant",), ("probe", "mean_value")}
+
+# Runs in the child: argv[1] is the checkout's src/, argv[2] a JSON list of
+# argument lists, argv[3] the file the [exit code, stdout, stderr] of each
+# run are written to.
+CHILD = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+from dilogeq.cli import main
+results = []
+with open(sys.argv[2]) as fh:
+    jobs = json.load(fh)
+for argv in jobs:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    results.append([code, out.getvalue(), err.getvalue()])
+with open(sys.argv[3], "w") as fh:
+    json.dump(results, fh)
+"""
+
+
+def load_inputs():
+    spec = importlib.util.spec_from_file_location("bench_inputs", ROOT / "bench" / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = inputs
+    spec.loader.exec_module(inputs)
+    return inputs
+
+
+def seed_range(text: str) -> list[int]:
+    lo, _, hi = text.partition("-")
+    return list(range(int(lo), int(hi or lo) + 1))
+
+
+def run_checkout(checkout: Path, argvs: list[list[str]], workdir: Path) -> list:
+    jobs = workdir / "jobs.json"
+    results = workdir / "results.json"
+    jobs.write_text(json.dumps(argvs))
+    subprocess.run(
+        [sys.executable, "-c", CHILD, str(checkout / "src"), str(jobs), str(results)],
+        check=True,
+    )
+    return json.loads(results.read_text())
+
+
+class Diff:
+    """Walks two reports together and records every difference."""
+
+    def __init__(self):
+        self.floats = 0
+        self.moved = 0
+        self.largest = 0.0
+        self.problems: list[str] = []
+
+    def compare(self, old, new, path: tuple, real: bool, where: str) -> None:
+        name = where + ("." + ".".join(map(str, path)) if path else "")
+        if type(old) is not type(new):
+            self.problems.append(f"{name}: {old!r} became {new!r}")
+        elif isinstance(old, float):
+            self.floats += 1
+            if real and path in REAL_CLASSES:
+                gap = abs(new - old) % MOD_HALF_PISQ
+                gap = min(gap, MOD_HALF_PISQ - gap)
+            else:
+                gap = abs(new - old)
+            if gap:
+                self.moved += 1
+                self.largest = max(self.largest, gap)
+            if gap > TOL * max(1.0, abs(old), abs(new)):
+                self.problems.append(f"{name}: {old!r} became {new!r} (by {gap:.3g})")
+        elif isinstance(old, dict):
+            if old.keys() != new.keys():
+                self.problems.append(f"{name}: keys {sorted(old)} became {sorted(new)}")
+                return
+            for key in old:
+                self.compare(old[key], new[key], path + (key,), real, where)
+        elif isinstance(old, list):
+            if len(old) != len(new):
+                self.problems.append(f"{name}: {old!r} became {new!r}")
+                return
+            for k, (a, b) in enumerate(zip(old, new)):
+                self.compare(a, b, path + (k,), real, where)
+        elif old != new:
+            self.problems.append(f"{name}: {old!r} became {new!r}")
+
+    def compare_run(self, old: list, new: list, where: str) -> None:
+        (old_code, old_out, old_err), (new_code, new_out, new_err) = old, new
+        if old_code != new_code:
+            self.problems.append(f"{where}: exit {old_code} became {new_code}")
+        if old_err != new_err:
+            self.problems.append(f"{where}: stderr {old_err!r} became {new_err!r}")
+        if not old_out and not new_out:
+            return
+        try:
+            old_report, new_report = json.loads(old_out), json.loads(new_out)
+        except json.JSONDecodeError:
+            if old_out != new_out:
+                self.problems.append(f"{where}: stdout {old_out!r} became {new_out!r}")
+            return
+        real = isinstance(old_report, dict) and old_report.get("mode") == "real"
+        self.compare(old_report, new_report, (), real, where)
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("old", type=Path, help="checkout directory of the old code")
+    ap.add_argument("new", type=Path, help="checkout directory of the new code")
+    ap.add_argument("--seeds", default="1-2", help="inclusive range, e.g. 1-2")
+    args = ap.parse_args()
+
+    inputs = load_inputs()
+    failed = False
+    for seed in seed_range(args.seeds):
+        cases = inputs.docs_cases(seed, DOCS)
+        with tempfile.TemporaryDirectory() as tmp:
+            workdir = Path(tmp)
+            argvs = []
+            for case in cases:
+                path = workdir / case.name
+                path.write_text(case.text)
+                argvs.append(["check", str(path), "--json", *case.flags])
+            old = run_checkout(args.old.resolve(), argvs, workdir)
+            new = run_checkout(args.new.resolve(), argvs, workdir)
+        diff = Diff()
+        for case, a, b in zip(cases, old, new):
+            diff.compare_run(a, b, f"seed {seed} {case.name}")
+        print(
+            f"seed {seed}: {len(cases)} documents, {diff.floats} floats, "
+            f"{diff.moved} moved, largest change {diff.largest:.3g}, "
+            f"{len(diff.problems)} differences"
+        )
+        for line in diff.problems:
+            print("  " + line)
+        failed |= bool(diff.problems)
+    sys.exit(1 if failed else 0)
+
+
+if __name__ == "__main__":
+    main()

@@ -120,11 +120,13 @@ def _read_document(path: str) -> IdentitySpec:
 _POINT_CANDIDATES = (2, 3, 5, 7, -2, 11, -3, 13, -5, 17, 4, 19, -7, 23, 9, 29)
 
 
-def _find_points(alpha: FormalSum, count: int = 4, gaussian: bool = False):
-    """Up to `count` admissible rational points, with the exact values of the
-    formal sum there.  Deterministic search over a fixed candidate grid."""
+def _find_points(alpha: FormalSum, count: int = 4, real: bool = False):
+    """Up to `count` admissible points, with the exact values of the formal
+    sum there.  Deterministic search over a fixed candidate grid: Gaussian
+    rationals first over Q(i), rationals only for the real reading, which
+    also skips a point where some argument takes a non-real value."""
     universe = alpha.universe
-    if gaussian:
+    if alpha.field_mode == "Qi" and not real:
         cands = [fe(c, 1) for c in (2, 3, -1, 5, 1, -2)] + [fe(c) for c in _POINT_CANDIDATES]
     else:
         cands = [fe(c) for c in _POINT_CANDIDATES]
@@ -138,6 +140,8 @@ def _find_points(alpha: FormalSum, count: int = 4, gaussian: bool = False):
         try:
             value = evaluate_at_point(alpha, point)
         except PointNotAdmissible:
+            continue
+        if real and not all(f.constant_value().is_rational() for f, _ in value.items()):
             continue
         found.append((point, value))
         if len(found) >= count:
@@ -210,7 +214,7 @@ def _cmd_check(args) -> int:
     lines.append(f"residual beta3: {_beta3_text(cert.residual_beta3)}")
 
     if cert.is_constant() and mode in ("complex", "real"):
-        points = _find_points(alpha, count=4, gaussian=(spec.field_mode == "Qi"))
+        points = _find_points(alpha, count=4, real=(mode == "real"))
         if points:
             pt_render = {k: str(v) for k, v in points[0][0].items()}
             report["point"] = pt_render
@@ -227,7 +231,7 @@ def _cmd_check(args) -> int:
                 values = [_numeric_of_value(v, mode) for _, v in points]
                 if mode == "real":
                     bound = max(values[0].distance(v) for v in values)
-                    constant = values[0].rep
+                    constant = values[0].centered()
                     unit = " (mod pi^2/2)"
                 else:
                     constant = values[0]

@@ -1,17 +1,23 @@
 """Floating-point dilogarithms and sampling-based constancy probes.
 
-li2 uses the defining series on |z| <= 1/2 and functional-equation
-reductions outside it: inversion for large |z|, reflection into the left
-half-disc, and on the remaining middle annulus the Bernoulli series in
-u = -log(1-z),
+li2 sums one series everywhere, the Bernoulli series in u = -log(1-z),
 
     Li2(z) = sum_{n>=0} B_n u^{n+1} / (n+1)!    (B_1 = -1/2),
 
-which converges fast there (|u| stays below ~1.8 while the radius is 2*pi).
+whose radius is |u| = 2*pi ('t Hooft and Veltman, Nucl. Phys. B153, 1979).
+Functional equations first bring z into |z| < 1.8, Re z <= 1/2, where
+|u| stays below ~1.8: inversion for large |z|, then reflection
+Li2(z) = pi^2/6 - log(z) log(1-z) - Li2(1-z) of the right half-plane.
+There u is read from log1p and atan2 without forming 1 - z, so Li2(z) ~ z
+keeps its relative accuracy for tiny z.
 
 bloch_wigner is the single-valued combination
     D(z) = Im(Li2(z)) + arg(1-z) * log|z|,
-identically zero on the real line.  rogers is the real dilogarithm
+identically zero on the real line.  D(1/z) = D(1-z) = -D(z) (Zagier,
+"The dilogarithm function", 2007) carry z into |z| <= 1, Re z <= 1/2
+with a sign and no logarithms, where |u| <= 1.26 and about a dozen terms
+of the series reach full precision; arg(1-z) is -Im u.  rogers is the
+real dilogarithm
     L(x) = Li2(x) + log(x)log(1-x)/2 on (0,1),
 extended by L(x) = pi^2/3 - L(1/x) for x > 1 and
 L(x) = -L(1 - 1/(1-x)) for x < 0; rl_bar reduces L - pi^2/6 into
@@ -74,31 +80,29 @@ _BERNOULLI = (
 )
 
 
-def _li2_series(z: complex) -> complex:
-    total = 0j
-    term = z
-    n = 1
-    while abs(term) > 1e-18 * (1 + abs(total)) and n < 400:
-        total += term / (n * n)
-        term *= z
-        n += 1
-    return total
+# B_n / (n+1)! for the even n >= 2: the u^3, u^5, ... coefficients of the
+# series, the odd B_n past B_1 being zero
+_U_COEFFS = tuple(_BERNOULLI[n] / math.factorial(n + 1) for n in range(2, len(_BERNOULLI), 2))
 
 
-def _li2_u_series(z: complex) -> complex:
-    u = -cmath.log(1 - z)
-    total = 0j
+def _u_series(u: complex) -> complex:
+    """Li2(z) at u = -log(1-z): u - u^2/4 + sum_k B_2k u^(2k+1) / (2k+1)!."""
+    u2 = u * u
+    total = u - 0.25 * u2
     upow = u
-    fact = 1.0
-    for n, b in enumerate(_BERNOULLI):
-        fact *= n + 1
-        if b:
-            delta = b * upow / fact
-            total += delta
-            if abs(delta) < 1e-18 * (1 + abs(total)) and n > 4:
-                break
-        upow *= u
+    for c in _U_COEFFS:
+        upow *= u2
+        delta = c * upow
+        total += delta
+        if abs(delta) < 1e-18 * (1 + abs(total)):
+            break
     return total
+
+
+def _u(z: complex) -> complex:
+    """u = -log(1-z), with no 1 - z formed, so a small z keeps its low digits."""
+    x, y = z.real, z.imag
+    return complex(-0.5 * math.log1p(x * (x - 2) + y * y), -math.atan2(-y, 1 - x))
 
 
 def li2(z: complex) -> complex:
@@ -110,15 +114,14 @@ def li2(z: complex) -> complex:
         return 0j
     if z == 1:
         return complex(LI2_ONE)
-    r = abs(z)
-    if r <= 0.5:
-        return _li2_series(z)
-    if r >= 1.8:
+    if abs(z) >= 1.8:
         w = cmath.log(-z)
         return -li2(1 / z) - complex(LI2_ONE) - 0.5 * w * w
     if z.real > 0.5:
-        return complex(LI2_ONE) - cmath.log(z) * cmath.log(1 - z) - li2(1 - z)
-    return _li2_u_series(z)
+        # 1 - z has Re < 1/2 and |1 - z| < 1.8, and its u is -log z
+        log_z = cmath.log(z)
+        return complex(LI2_ONE) - log_z * cmath.log(1 - z) - _u_series(-log_z)
+    return _u_series(_u(z))
 
 
 def bloch_wigner(z: complex) -> float:
@@ -130,7 +133,16 @@ def bloch_wigner(z: complex) -> float:
         raise NonFinite(f"D argument must be finite, got {z}")
     if z.imag == 0:
         return 0.0
-    return li2(z).imag + cmath.phase(1 - z) * math.log(abs(z))
+    sign = 1.0
+    if abs(z) > 1:
+        z = 1 / z
+        sign = -sign
+    if z.real > 0.5:
+        # |1 - z| < |z| <= 1 here
+        z = 1 - z
+        sign = -sign
+    u = _u(z)
+    return sign * (_u_series(u).imag - u.imag * math.log(abs(z)))
 
 
 def rogers(x: float) -> float:
@@ -179,6 +191,11 @@ class ModPiSqHalf:
             raise ValueError("only integer multiples act on the quotient")
         return ModPiSqHalf.of(self.rep * int(a))
 
+    def centered(self) -> float:
+        """The representative in (-pi^2/4, pi^2/4], the one printed: a class
+        near zero reads as a small number of either sign."""
+        return self.rep - MOD_HALF_PISQ if self.rep > MOD_HALF_PISQ / 2 else self.rep
+
     def distance_to_zero(self) -> float:
         return min(self.rep, MOD_HALF_PISQ - self.rep)
 
@@ -214,15 +231,18 @@ def _admissible_value(v: complex, lo: float, hi: float) -> bool:
     return lo <= a <= hi and lo <= b <= hi
 
 
-def _sample_point(alpha: FormalSum, rng: random.Random, domain: str,
-                  lo: float, hi: float) -> dict[str, complex] | None:
+def _sample_point(universe: tuple[str, ...], args: list, rng: random.Random,
+                  domain: str, lo: float, hi: float) -> list[complex] | None:
+    """The value of each of `args` at one random point, or None when the
+    point is not admissible."""
     point: dict[str, complex] = {}
-    for v in alpha.universe:
+    for v in universe:
         if domain == "complex":
             point[v] = complex(rng.uniform(-4, 4), rng.uniform(-4, 4))
         else:
             point[v] = complex(rng.uniform(-4, 4), 0.0)
-    for f, _ in alpha.items():
+    values = []
+    for f in args:
         try:
             val = f.eval_numeric(point)
         except ZeroDivisionError:
@@ -234,7 +254,8 @@ def _sample_point(alpha: FormalSum, rng: random.Random, domain: str,
             return None
         if domain == "real" and abs(val.imag) > 1e-12:
             return None
-    return point
+        values.append(val)
+    return values
 
 
 def numeric_probe(
@@ -259,9 +280,10 @@ def numeric_probe(
     rng = random.Random(seed)
     if max_tries is None:
         max_tries = 400 * samples
-    if domain == "real" and any(a.denominator != 1 for _, a in alpha.items()):
+    terms = alpha.items()
+    if domain == "real" and any(a.denominator != 1 for _, a in terms):
         raise ValueError("mod-pi^2/2 probe needs integer coefficients")
-    coeffs = [(f, a) for f, a in alpha.items()]
+    args = [f for f, _ in terms]
 
     raw_values: list[float] = []
     mod_values: list[ModPiSqHalf] = []
@@ -273,19 +295,18 @@ def numeric_probe(
                 f"in {tries} draws (need {samples})"
             )
         tries += 1
-        point = _sample_point(alpha, rng, domain, margin_lo, margin_hi)
-        if point is None:
+        values = _sample_point(alpha.universe, args, rng, domain, margin_lo, margin_hi)
+        if values is None:
             continue
         if domain == "real":
             total = ModPiSqHalf.of(0.0)
-            for f, a in coeffs:
-                x = f.eval_numeric(point).real
-                total = total + rl_bar(x).scale(int(a))
+            for (_, a), val in zip(terms, values):
+                total = total + rl_bar(val.real).scale(int(a))
             mod_values.append(total)
         else:
             total = 0.0
-            for f, a in coeffs:
-                total += float(a) * bloch_wigner(f.eval_numeric(point))
+            for (_, a), val in zip(terms, values):
+                total += float(a) * bloch_wigner(val)
             raw_values.append(total)
 
     if domain == "real":
@@ -296,7 +317,7 @@ def numeric_probe(
         maxdev = max(
             abs(off - mean_off) for off in offsets
         )
-        return ProbeReport(domain, maxdev, mean.rep, len(mod_values))
+        return ProbeReport(domain, maxdev, mean.centered(), len(mod_values))
     mean = sum(raw_values) / len(raw_values)
     maxdev = max(abs(v - mean) for v in raw_values)
     return ProbeReport(domain, maxdev, mean, len(raw_values))

@@ -54,7 +54,7 @@ def _heap_key(exp: Exponents):
 
 
 class MultiPoly:
-    __slots__ = ("universe", "terms", "_hash", "_canon", "_sort_key", "_images")
+    __slots__ = ("universe", "terms", "_hash", "_canon", "_sort_key", "_images", "_complex")
 
     def __init__(self, universe: tuple[str, ...], terms: dict[Exponents, FieldElement]):
         self.universe = tuple(universe)
@@ -63,6 +63,7 @@ class MultiPoly:
         self._canon = None
         self._sort_key = None
         self._images = None
+        self._complex = None
 
     # -- constructors ------------------------------------------------
 
@@ -277,35 +278,32 @@ class MultiPoly:
 
     # -- evaluation / substitution ---------------------------------------
 
-    def partial_eval(self, assignment: dict[str, FieldElement]) -> "MultiPoly":
-        """Substitute exact constants for a subset of the variables."""
-        idxs = {self.universe.index(v): c for v, c in assignment.items()}
-        out: dict[Exponents, FieldElement] = {}
-        for e, c in self.terms.items():
-            factor = c
-            ne = list(e)
-            for i, val in idxs.items():
-                if e[i]:
-                    factor = factor * (val ** e[i])
-                    ne[i] = 0
-            if factor.is_zero():
-                continue
-            key = tuple(ne)
-            s = out.get(key)
-            out[key] = factor if s is None else s + factor
-        return MultiPoly(self.universe, out)
-
     def evaluate(self, assignment: dict[str, FieldElement]) -> FieldElement:
-        r = self.partial_eval(assignment)
-        return r.constant_value()
+        """The exact value at a point, which must assign every variable the
+        polynomial uses (ValueError otherwise)."""
+        values = [assignment.get(v) for v in self.universe]
+        total = ZERO
+        for e, c in self.terms.items():
+            for name, val, k in zip(self.universe, values, e):
+                if k:
+                    if val is None:
+                        raise ValueError(f"the point assigns no value to {name}")
+                    c = c * val**k
+            total = total + c
+        return total
 
     def eval_numeric(self, point: dict[str, complex]) -> complex:
+        # the coefficients as complex numbers, each with the (variable,
+        # exponent) pairs of its monomial, converted once per polynomial
+        if self._complex is None:
+            self._complex = tuple(
+                (c.to_complex(), tuple((name, k) for name, k in zip(self.universe, e) if k))
+                for e, c in self.terms.items()
+            )
         total = 0j
-        for e, c in self.terms.items():
-            v = c.to_complex()
-            for name, k in zip(self.universe, e):
-                if k:
-                    v *= point[name] ** k
+        for v, monomial in self._complex:
+            for name, k in monomial:
+                v *= point[name] ** k
             total += v
         return total
 

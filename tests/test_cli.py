@@ -4,6 +4,7 @@ import argparse
 import inspect
 import io
 import json
+import math
 import re
 import sys
 
@@ -197,6 +198,70 @@ def test_check_real_mode_uses_the_rogers_criterion(run):
     report = json.loads(out)
     assert report["verdict"] == "NotConstant"
     assert report["witness"] == {"kind": "pair", "left": "t", "right": "t + 1", "value": "-1"}
+
+
+def test_check_real_mode_prints_the_centered_representative(run):
+    # 2*rl_bar(1/2) is the class of -pi^2/6, printed as itself rather than
+    # as pi^2/3 in [0, pi^2/2)
+    doc = "DOC:dilog-identity v1\nvariables: t\nterm: 2 [1/2]\n"
+    code, out, _ = run(["check", doc, "--real", "--json"])
+    assert code == 0
+    assert abs(json.loads(out)["constant"] + math.pi**2 / 6) <= 1e-12
+    code, out, _ = run(["check", doc, "--real"])
+    assert "constant: -1.644934066848" in out
+
+
+def test_check_real_mode_prints_a_tiny_negative_sum_as_itself(run):
+    # the float sum at (2, 2) is a tiny negative number, which the range
+    # [0, pi^2/2) would print as 4.934802200544677
+    doc = (
+        "DOC:dilog-identity v1\nvariables: x, y\n"
+        "term: -2 [(y + 1)]\nterm: 2 [1/2*x^2*y]\nterm: -2 [(1/2*x^2*y)/((y + 1))]\n"
+        "term: -2 [(1 - ((y + 1)))/(1 - (1/2*x^2*y))]\n"
+        "term: 2 [(1 - ((y + 1))^-1)/(1 - (1/2*x^2*y)^-1)]\n"
+        "term: -2 [3*x^2*y]\nterm: -2 [1/(3*x^2*y)]\n"
+    )
+    code, out, _ = run(["check", doc, "--real", "--probe", "30", "--json"])
+    assert code == 0
+    report = json.loads(out)
+    assert report["point"] == {"x": "2", "y": "2"}
+    assert abs(report["constant"]) <= 1e-12
+    assert abs(report["probe"]["mean_value"]) <= 1e-9
+
+
+def test_check_real_mode_of_a_gaussian_document_reads_rational_points(run):
+    # over Q(i) the real reading searches the rational grid, so the report
+    # is the one of the same document over Q
+    terms = "variables: t\nterm: 1 [t]\nterm: 1 [1/t]\n"
+    code, out_qi, _ = run(["check", f"DOC:dilog-identity v1\nfield: Qi\n{terms}", "--real"])
+    assert code == 0
+    code, out_q, _ = run(["check", f"DOC:dilog-identity v1\nfield: Q\n{terms}", "--real"])
+    assert out_qi == out_q
+    assert "point: t = 2\n" in out_qi
+    assert "constant: 0.0 +/- 0.0 (mod pi^2/2)\n" in out_qi
+    # t^2 - 2*i*t is real (c^2 + 1) at the Gaussian points c + i, and at no
+    # rational point
+    f = "t^2 - 2*i*t"
+    doc = f"DOC:dilog-identity v1\nfield: Qi\nvariables: t\nterm: 1 [{f}]\nterm: 1 [1/({f})]\n"
+    code, out, _ = run(["check", doc, "--real", "--json"])
+    assert code == 0
+    assert json.loads(out)["point"] is None
+
+
+def test_check_real_mode_skips_points_with_non_real_values(run):
+    # i*t is not real at any rational t, so no grid point is admissible
+    doc = "DOC:dilog-identity v1\nfield: Qi\nvariables: t\nterm: 1 [i*t]\nterm: 1 [1/(i*t)]\n"
+    note = "no admissible rational point found on the search grid"
+    code, out, _ = run(["check", doc, "--real", "--json"])
+    assert code == 0
+    report = json.loads(out)
+    assert report["verdict"] == "Constant"
+    assert report["point"] is None
+    assert report["notes"] == [note]
+    assert "constant" not in report
+    # the complex reading still finds a Gaussian point
+    code, out, _ = run(["check", doc, "--json"])
+    assert json.loads(out)["point"] == {"t": "2 + i"}
 
 
 @pytest.mark.parametrize("arg", ["(y - 3)/(x - 2)", "(1/3*x^2 - 4/3)/(x^2 + 2/3*x*y)"])

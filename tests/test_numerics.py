@@ -11,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from dilogeq import numerics
 from dilogeq.formal import FormalSum, five_term, inversion
 from dilogeq.numerics import (
     _BERNOULLI,
@@ -77,8 +78,8 @@ def test_li2_special_values():
 def test_li2_matches_mpmath_on_all_branches():
     # one point per internal evaluation region, then a random sweep
     fixed = [
-        0.3 + 0.2j,        # defining series
-        -0.7 + 0.9j,       # middle annulus, log-series
+        0.3 + 0.2j,        # |z| <= 1/2
+        -0.7 + 0.9j,       # middle annulus
         0.2 + 1.2j,
         0.9 + 0.1j,        # reflection into the left half
         1.2 + 0.4j,
@@ -101,6 +102,70 @@ def test_li2_matches_mpmath_on_all_branches():
         want = complex(mpmath.polylog(2, z))
         got = li2(z)
         assert abs(got - want) <= 1e-12 * (1 + abs(want)), z
+
+
+def _oracle_points() -> list[tuple[str, complex]]:
+    """Seeded points labelled by the reduction branch or seam they test."""
+    rng = random.Random(2024)
+
+    def polar(r_lo, r_hi):
+        return cmath.rect(rng.uniform(r_lo, r_hi), rng.uniform(-math.pi, math.pi))
+
+    def jitter():
+        return rng.choice((-1, 1)) * 10 ** rng.uniform(-12, -4)
+
+    makers = {
+        "disc |z| <= 1/2": lambda: polar(1e-6, 0.5),
+        "annulus": lambda: polar(0.5, 1.8),
+        "right half-plane": lambda: complex(rng.uniform(0.5, 1.8), rng.uniform(-1.7, 1.7)),
+        "|z| >= 1.8": lambda: polar(1.8, 1e4),
+        "seam |z| = 1": lambda: polar(1, 1) * (1 + jitter()),
+        "seam |z| = 1.8": lambda: polar(1.8, 1.8) * (1 + jitter()),
+        "seam Re z = 1/2": lambda: complex(0.5 + jitter(), rng.uniform(-2, 2)),
+        "seam |1 - z| = 1": lambda: 1 - polar(1, 1) * (1 + jitter()),
+        "above the cut": lambda: complex(rng.uniform(1, 50), 10 ** rng.uniform(-12, -2)),
+        "below the cut": lambda: complex(rng.uniform(1, 50), -(10 ** rng.uniform(-12, -2))),
+        "real axis below 1": lambda: complex(rng.uniform(-50, 1), 0.0),
+        "near 1": lambda: 1 + polar(1e-6, 1e-2),
+    }
+    pts = []
+    for label, make in makers.items():
+        while sum(1 for lab, _ in pts if lab == label) < 200:
+            z = make()
+            if abs(z) > 1e-9 and abs(1 - z) > 1e-9:
+                pts.append((label, z))
+    return pts
+
+
+def test_li2_and_d_match_mpmath_on_every_reduction_branch():
+    pts = _oracle_points()
+    assert len(pts) >= 2000
+    with mpmath.workdps(30):
+        for label, z in pts:
+            zz = mpmath.mpc(z)
+            exact = mpmath.polylog(2, zz)
+            want = complex(exact)
+            got = li2(z)
+            assert abs(got - want) <= 1e-13 * (1 + abs(want)), (label, z)
+            if z.imag == 0:
+                assert bloch_wigner(z) == 0.0
+                continue
+            d = float(mpmath.im(exact) + mpmath.arg(1 - zz) * mpmath.log(abs(zz)))
+            assert abs(bloch_wigner(z) - d) <= 1e-13, (label, z)
+
+
+def test_li2_keeps_relative_accuracy_near_zero():
+    # Li2(z) ~ z there, so an absolute tolerance would pass Li2 = 0
+    rng = random.Random(11)
+    pts = [10.0 ** -k for k in range(8, 21)] + [-(10.0 ** -k) for k in range(8, 21)]
+    for _ in range(200):
+        r = 10.0 ** rng.uniform(-20, -8)
+        pts.append(cmath.rect(r, rng.uniform(-math.pi, math.pi)))
+    with mpmath.workdps(30):
+        for z in pts:
+            z = complex(z)
+            want = complex(mpmath.polylog(2, mpmath.mpc(z)))
+            assert abs(li2(z) - want) <= 1e-13 * abs(want), z
 
 
 def test_li2_rejects_nonfinite():
@@ -265,6 +330,21 @@ def test_mod_class_integer_scaling(x, n):
     assert a.scale(n).distance(total) <= 1e-9
 
 
+@given(reals)
+def test_mod_class_centered_representative(x):
+    m = ModPiSqHalf.of(x)
+    c = m.centered()
+    assert -MOD_HALF_PISQ / 2 < c <= MOD_HALF_PISQ / 2
+    assert ModPiSqHalf.of(c).distance(m) <= 1e-12
+
+
+def test_mod_class_centered_reads_small_classes_as_small_numbers():
+    assert ModPiSqHalf.of(-3.6e-15).centered() == pytest.approx(-3.6e-15, abs=1e-15)
+    assert ModPiSqHalf.of(3.6e-15).centered() == 3.6e-15
+    assert ModPiSqHalf.of(math.pi**2 / 3).centered() == pytest.approx(-math.pi**2 / 6, abs=1e-15)
+    assert ModPiSqHalf.of(MOD_HALF_PISQ / 2).centered() == MOD_HALF_PISQ / 2
+
+
 def test_mod_class_rejects_fractional_scaling():
     with pytest.raises(ValueError):
         ModPiSqHalf.of(1.0).scale(Fraction(1, 2))
@@ -308,6 +388,57 @@ def test_probe_real_domain_needs_integer_coefficients():
     alpha = FormalSum.single(t(), Fraction(1, 2), "Q", "Q")
     with pytest.raises(ValueError):
         numeric_probe(alpha, "real", samples=10, seed=0)
+
+
+def test_probe_real_mean_is_the_centered_representative():
+    # 2*rl_bar(1/2) is the class of -pi^2/6, read as itself rather than as
+    # pi^2/3 in [0, pi^2/2)
+    half = RationalFunction.const(T, fe(Fraction(1, 2)))
+    rep = numeric_probe(FormalSum.single(half, 2), "real", samples=10, seed=0)
+    assert abs(rep.mean_value + math.pi**2 / 6) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "alpha, domain",
+    [
+        (five_term(t("t1", T12), t("t2", T12)), "complex"),
+        (inversion(t()), "real"),
+        (FormalSum.single(t()) + FormalSum.single(t() * t() + t().one_minus()), "real-bw"),
+    ],
+    ids=["five-complex", "inversion-real", "two-term-real-bw"],
+)
+def test_probe_evaluates_each_argument_once_per_draw(monkeypatch, alpha, domain):
+    draws = []  # per draw: the arguments evaluated, and whether it was kept
+    current = None
+    stray = []
+    eval_numeric = RationalFunction.eval_numeric
+    sample_point = numerics._sample_point
+
+    def counted_eval(self, point):
+        (stray if current is None else current).append(self)
+        return eval_numeric(self, point)
+
+    def counted_sample(*args, **kwargs):
+        nonlocal current
+        current = []
+        values = sample_point(*args, **kwargs)
+        draws.append((current, values is not None))
+        current = None
+        return values
+
+    monkeypatch.setattr(RationalFunction, "eval_numeric", counted_eval)
+    monkeypatch.setattr(numerics, "_sample_point", counted_sample)
+    # narrow margins, so that some draws are rejected part-way
+    rep = numeric_probe(alpha, domain, samples=40, seed=3, margin_lo=0.2, margin_hi=5)
+    args = [f for f, _ in alpha.items()]
+    assert stray == []
+    assert sum(kept for _, kept in draws) == rep.points_used == 40
+    assert len(draws) > 40
+    for evaluated, kept in draws:
+        if kept:
+            assert evaluated == args
+        else:
+            assert evaluated == args[: len(evaluated)]
 
 
 def test_probe_real_bw_lies_on_vanishing_locus():

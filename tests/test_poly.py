@@ -14,9 +14,10 @@ from dilogeq.poly import (
     univar_inverse_mod,
     univar_rem,
 )
+from dilogeq.ratfunc import RationalFunction
 from dilogeq.scalars import ONE, ZERO, fe
 
-from helpers import gcd_many, random_poly, shift_var
+from helpers import gcd_many, random_point, random_poly, shift_var
 
 
 T = ("t",)
@@ -190,14 +191,63 @@ def test_derivative():
     assert (t1**2 * t2).derivative("t2") == t1**2
 
 
-def test_evaluate_and_partial_eval():
+def test_evaluate():
     t1 = MultiPoly.var(T12, "t1")
     t2 = MultiPoly.var(T12, "t2")
     p = t1**2 + t2
     assert p.evaluate({"t1": fe(3), "t2": fe(4)}) == fe(13)
-    q = p.partial_eval({"t1": fe(3)})
-    assert q.vars_used() == ("t2",)
-    assert q == t2 + MultiPoly.const(T12, fe(9))
+    # only the variables the polynomial uses need a value
+    assert (t1**2).evaluate({"t1": fe(3)}) == fe(9)
+    assert MultiPoly.const(T12, fe(5)).evaluate({}) == fe(5)
+    assert MultiPoly.zero(T12).evaluate({}) == ZERO
+
+
+def test_evaluate_needs_every_variable_it_uses():
+    p = MultiPoly.var(T12, "t1") * MultiPoly.var(T12, "t2") + MultiPoly.one(T12)
+    with pytest.raises(ValueError, match="assigns no value to t2"):
+        p.evaluate({"t1": fe(3)})
+    with pytest.raises(ValueError, match="assigns no value to t1"):
+        p.evaluate({})
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**6), st.booleans(), st.integers(1, 3))
+def test_evaluate_is_substitution(seed, gaussian, nvars):
+    # evaluating at a point is substituting each coordinate as a constant
+    # rational function, one variable after another
+    rnd = random.Random(seed)
+    universe = ("t1", "t2", "t3")[:nvars]
+    p = random_poly(rnd, universe, max_deg=3, max_terms=5, gaussian=gaussian)
+    point = random_point(rnd, universe, gaussian)
+    f = RationalFunction.from_poly(p)
+    for v, val in point.items():
+        f = f.substitute(v, RationalFunction.const(universe, val))
+    assert p.evaluate(point) == f.num.constant_value()
+    assert f.den.is_one()
+
+
+def _eval_numeric_loop(p: MultiPoly, point) -> complex:
+    # the float operations of the evaluation, in their order, with no cache
+    total = 0j
+    for e, c in p.terms.items():
+        v = c.to_complex()
+        for name, k in zip(p.universe, e):
+            if k:
+                v *= point[name] ** k
+        total += v
+    return total
+
+
+def test_eval_numeric_is_bit_identical_to_the_loop():
+    rnd = random.Random(4)
+    universe = ("t1", "t2", "t3")
+    for _ in range(300):
+        p = random_poly(rnd, universe, max_deg=4, max_terms=6, gaussian=rnd.random() < 0.5)
+        for _ in range(3):
+            point = {v: complex(rnd.uniform(-4, 4), rnd.uniform(-4, 4)) for v in universe}
+            got = p.eval_numeric(point)
+            want = _eval_numeric_loop(p, point)
+            assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
 
 
 def test_shift_and_rename():
