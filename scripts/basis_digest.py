@@ -1,6 +1,6 @@
 """Digest the coprime bases and boundary pairs of the benchmark's inputs.
 
-Usage: python3 scripts/basis_digest.py [--seeds 1-3] [--count 30] [--docs 240]
+Usage: python3 scripts/basis_digest.py [--seeds 1-3]
 
 Rebuilds the benchmark's `relation-sum` sums and `docs-check` documents
 from `bench/inputs.py` (read, not changed; it imports nothing from the
@@ -25,6 +25,11 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 import dilogeq  # noqa: E402
+
+# inputs digested per seed: the relation sums and documents of one
+# benchmark pass, the latter four blocks of the docs-check mix
+COUNT = 30
+DOCS = 240
 
 
 def load_inputs():
@@ -75,16 +80,14 @@ def seed_range(text: str) -> list[int]:
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seeds", default="1-3", help="inclusive range, e.g. 1-3")
-    ap.add_argument("--count", type=int, default=30, help="sums per seed")
-    ap.add_argument("--docs", type=int, default=240, help="documents per seed")
     args = ap.parse_args()
 
     inputs = load_inputs()
     for seed in seed_range(args.seeds):
-        sums = digest(relation_sums(inputs, seed, args.count))
-        print(f"seed {seed}: {args.count} sums, sha256 {sums}")
-        docs = digest(document_sums(inputs, seed, args.docs))
-        print(f"seed {seed}: {args.docs} documents, sha256 {docs}")
+        sums = digest(relation_sums(inputs, seed, COUNT))
+        print(f"seed {seed}: {COUNT} sums, sha256 {sums}")
+        docs = digest(document_sums(inputs, seed, DOCS))
+        print(f"seed {seed}: {DOCS} documents, sha256 {docs}")
 
 
 if __name__ == "__main__":

@@ -32,7 +32,7 @@ from .document import (
 from .exprparse import parse_expression
 from .formal import FormalSum, c_element, five_term, inversion
 from .intmat import minor_gcd_invariant_factors
-from .numerics import PROBE_DOMAINS, ModPiSqHalf, bloch_wigner, numeric_probe, rl_bar
+from .numerics import PROBE_DOMAINS, ModPiSqHalf, SamplingExhausted, bloch_wigner, numeric_probe, rl_bar
 from .padic import Branch, branch_diff, check_constant_padic
 from .primes import OversizedConstant, is_prime
 from .ratfunc import INF, RationalFunction
@@ -252,16 +252,22 @@ def _cmd_check(args) -> int:
         if mode == "cc":
             raise ValueError("--probe is not available in cc mode")
         domain = "real" if mode == "real" else "complex"
-        if mode == "padic":
-            domain = "complex"
-        pr = numeric_probe(alpha, domain=domain, samples=args.probe, seed=args.seed)
-        report["probe"], line = _probe_report(pr)
-        lines.append(line)
-        if cert.is_constant() and pr.max_deviation > args.tolerance:
-            note = (
-                f"probe deviation {pr.max_deviation!r} exceeds tolerance "
-                f"{args.tolerance!r} despite a Constant verdict"
-            )
+        note = None
+        try:
+            pr = numeric_probe(alpha, domain=domain, samples=args.probe, seed=args.seed)
+        except SamplingExhausted as exc:
+            # the exact verdict stands without its numeric cross-check
+            report["probe"] = None
+            note = f"no probe: {exc}"
+        else:
+            report["probe"], line = _probe_report(pr)
+            lines.append(line)
+            if cert.is_constant() and pr.max_deviation > args.tolerance:
+                note = (
+                    f"probe deviation {pr.max_deviation!r} exceeds tolerance "
+                    f"{args.tolerance!r} despite a Constant verdict"
+                )
+        if note:
             report["notes"].append(note)
             lines.append(f"note: {note}")
 

@@ -311,18 +311,11 @@ def numeric_probe(
 
     if domain == "real":
         base = mod_values[0]
-        offsets = [v.distance(base) * _mod_sign(v, base) for v in mod_values]
+        offsets = [(v - base).centered() for v in mod_values]
         mean_off = sum(offsets) / len(offsets)
         mean = ModPiSqHalf.of(base.rep + mean_off)
-        maxdev = max(
-            abs(off - mean_off) for off in offsets
-        )
+        maxdev = max(abs(off - mean_off) for off in offsets)
         return ProbeReport(domain, maxdev, mean.centered(), len(mod_values))
     mean = sum(raw_values) / len(raw_values)
     maxdev = max(abs(v - mean) for v in raw_values)
     return ProbeReport(domain, maxdev, mean, len(raw_values))
-
-
-def _mod_sign(v: ModPiSqHalf, base: ModPiSqHalf) -> float:
-    d = (v.rep - base.rep) % MOD_HALF_PISQ
-    return 1.0 if d <= MOD_HALF_PISQ / 2 else -1.0

@@ -5,9 +5,9 @@ plus a dict mapping exponent tuples to nonzero FieldElement coefficients.
 The monomial order everywhere is graded lexicographic (total degree first,
 then lexicographic on the exponent tuple), which is multiplicative, so
 leading terms of products are products of leading terms.  On a polynomial
-in one variable that order is the degree, so one-variable division, gcd
-and inverses modulo a polynomial (`univar_divmod` and the names built on
-it) run on the same representation.
+in one variable that order is the degree, so one-variable division and
+inverses modulo a polynomial (`univar_divmod` and the names built on it)
+run on the same representation.
 
 Normal form for extracted factors: "primitive monic" means the graded-lex
 leading coefficient is 1; over a field that also fixes the content.  Every
@@ -25,7 +25,9 @@ squarefree input.  When a polynomial is primitive in a variable x_k (one
 of its coefficients in x_k is a nonzero constant), Gauss's lemma lets the
 image in x_k alone decide, and a linear image is tested by evaluating the
 other image at its root.  A pair the images cannot certify takes the exact
-path, so no verdict depends on P or on the point.
+path, so no verdict depends on P or on the point.  That path serves one
+variable too: there every coefficient is a constant, and so is the
+content of each remainder.
 
 `squarefree_parts` first takes out the monomial content x^low, read from
 the least exponent of each variable: every variable is irreducible and
@@ -462,13 +464,6 @@ def univar_divmod(p: MultiPoly, d: MultiPoly, var: str) -> tuple[MultiPoly, Mult
     return MultiPoly(p.universe, quotient), r
 
 
-def univar_gcd(p: MultiPoly, q: MultiPoly, var: str) -> MultiPoly:
-    """Monic gcd of polynomials in `var` alone, by Euclid's remainders."""
-    while not q.is_zero():
-        p, q = q, univar_divmod(p, q, var)[1]
-    return p.primitive_monic()[1]
-
-
 def univar_rem(p: MultiPoly, m: MultiPoly, var: str) -> MultiPoly:
     return univar_divmod(p, m, var)[1]
 
@@ -738,9 +733,6 @@ def _prem(a: MultiPoly, b: MultiPoly, var: str) -> MultiPoly:
 
 def _pp_gcd(a: MultiPoly, b: MultiPoly, var: str) -> MultiPoly:
     """gcd of two polynomials primitive in var, both of positive var-degree."""
-    used = set(a.vars_used()) | set(b.vars_used())
-    if used == {var}:
-        return univar_gcd(a, b, var)
     if _images_coprime(a, b):
         return MultiPoly.one(a.universe)
     if a.degree_in(var) < b.degree_in(var):

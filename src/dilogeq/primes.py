@@ -6,14 +6,21 @@ first quadrant (re > 0, im >= 0), the unique such associate.  Factoring is
 by trial division over Z up to FACTOR_BOUND = 10**6.  A residual is prime
 once no divisor up to its square root is left, which certifies primes up
 to the bound squared; a residual that the bound leaves unproven raises
-OversizedConstant instead of guessing.  The rational primes under a
-Gaussian integer z = g * w, g = gcd(re, im), are those of g and of the norm
-of w; both are far smaller than the norm g^2 * N(w) of z.
+OversizedConstant instead of guessing.
 
-Split primes p = 1 mod 4 are located as gcd(p, x + i) in Z[i] where
-x^2 = -1 mod p; inert primes p = 3 mod 4 stay prime; 2 ramifies through
-1 + i.  Every factorization is exactly invertible: multiplying the unit and
-the prime powers back reproduces the input (tests rely on this oracle).
+Gaussian integers are `FieldElement`s with d == 1; their arithmetic is that
+of `scalars`, and pi divides z in Z[i] exactly when the quotient z / pi has
+d == 1.  For c = (a + bi) / d, write a + bi = g * w with g = gcd(a, b): the
+rational primes under c are those of g, of the norm of w and of d, all far
+smaller than the norm g^2 * N(w).  Over each such p lie the first-quadrant
+Gaussian primes: 1 + i for p = 2 (ramified), p itself for p = 3 mod 4
+(inert), and for p = 1 mod 4 the gcd pi of p and x + i in Z[i], where
+x^2 = -1 mod p, with the associate of its conjugate (split).  Each is
+stripped from the numerator a + bi and from d; what is left of each is a
+unit, whose power of i gives k.  `prime_key` is the one order of prime
+factors in both modes.  Every factorization is exactly invertible:
+multiplying the unit and the prime powers back reproduces the input (tests
+rely on this oracle).
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, log10
 
-from .scalars import FieldElement, fe
+from .scalars import I, FieldElement, fe
 
 
 FACTOR_BOUND = 10**6
@@ -39,7 +46,7 @@ class UnitPrimeFactorization:
     """c = unit_generator^unit_exponent * prod prime^exponent, exactly.
 
     The unit generator is -1 (rational mode, exponent mod 2) or i (Gaussian
-    mode, exponent mod 4).  Factors are sorted by (norm, re, im).
+    mode, exponent mod 4).  Factors are in `prime_key` order.
     """
 
     gaussian: bool
@@ -122,53 +129,33 @@ def is_prime(n: int) -> bool:
     return isinstance(n, int) and n >= 2 and factor_rational(n)[1] == {n: 1}
 
 
-# -- Gaussian integers as coordinate pairs -----------------------------------
+# -- Gaussian integers --------------------------------------------------------
 
 
-def _gnorm(z):
-    return z[0] * z[0] + z[1] * z[1]
+def prime_key(p: FieldElement):
+    """The order of prime factors, for Z and Z[i] alike: by norm, then by
+    real and imaginary part."""
+    return (p.a * p.a + p.b * p.b, p.a, p.b)
 
 
-def _gmul(z, w):
-    return (z[0] * w[0] - z[1] * w[1], z[0] * w[1] + z[1] * w[0])
-
-
-def _gdiv_exact(z, w):
-    """z / w in Z[i], or None when not divisible."""
-    n = _gnorm(w)
-    re = z[0] * w[0] + z[1] * w[1]
-    im = z[1] * w[0] - z[0] * w[1]
-    if re % n or im % n:
-        return None
-    return (re // n, im // n)
-
-
-def _gdiv_round(z, w):
-    n = _gnorm(w)
-    re = z[0] * w[0] + z[1] * w[1]
-    im = z[1] * w[0] - z[0] * w[1]
-    # nearest integer, ties toward zero: fine for Euclid (norm shrinks)
-    rq = (2 * re + n) // (2 * n) if re >= 0 else -((2 * -re + n) // (2 * n))
-    iq = (2 * im + n) // (2 * n) if im >= 0 else -((2 * -im + n) // (2 * n))
-    return (rq, iq)
-
-
-def _ggcd(z, w):
-    while w != (0, 0):
-        q = _gdiv_round(z, w)
-        z, w = w, (z[0] - _gmul(q, w)[0], z[1] - _gmul(q, w)[1])
+def _ggcd(z: FieldElement, w: FieldElement) -> FieldElement:
+    """A gcd of the Gaussian integers z and w, by Euclid's algorithm: the
+    quotient rounded to the nearest Gaussian integer leaves a remainder of
+    at most half the divisor's norm."""
+    while not w.is_zero():
+        q = z / w
+        n = 2 * q.d  # round each part of q to the nearest integer
+        z, w = w, z - FieldElement((2 * q.a + q.d) // n, (2 * q.b + q.d) // n) * w
     return z
 
 
-def _first_quadrant(z):
-    """z = i^k * w with w in the closed-lower/open-left first quadrant."""
-    w, rot = z, 0
-    while not (w[0] > 0 and w[1] >= 0):
-        w = (-w[1], w[0])
-        rot += 1
-        if rot > 4:
-            raise ValueError("zero has no quadrant normal form")
-    return (4 - rot) % 4, w
+def _first_quadrant(z: FieldElement) -> tuple[int, FieldElement]:
+    """(k, w) with z = i^k * w and w in the first quadrant (re > 0, im >= 0)."""
+    for k in range(4):
+        if z.a > 0 and z.b >= 0:
+            return -k % 4, z
+        z = z * I
+    raise ValueError("zero has no quadrant normal form")
 
 
 def _sqrt_minus_one(p: int) -> int:
@@ -178,60 +165,55 @@ def _sqrt_minus_one(p: int) -> int:
     raise ArithmeticError(f"no square root of -1 mod {p}")  # unreachable for p=1 mod 4
 
 
-def factor_gaussian_integer(z):
-    """Nonzero z in Z[i] -> (unit_exponent mod 4, {(re, im): exponent})."""
-    if z == (0, 0):
-        raise ValueError("cannot factor zero")
-    g = gcd(z[0], z[1])
-    primes = {p for p, _ in _factor_int(g)}
-    primes |= {p for p, _ in _factor_int(_gnorm((z[0] // g, z[1] // g)))}
-    out: dict[tuple[int, int], int] = {}
-    for p in sorted(primes):
-        if p == 2:
-            reps = [(1, 1)]
-        elif p % 4 == 3:
-            reps = [(p, 0)]
-        else:
-            x = _sqrt_minus_one(p)
-            pi = _ggcd((p, 0), (x, 1))
-            _, pi = _first_quadrant(pi)
-            _, pibar = _first_quadrant((pi[0], -pi[1]))
-            reps = [pi, pibar]
-        for rep in reps:
-            while True:
-                q = _gdiv_exact(z, rep)
-                if q is None:
-                    break
-                z = q
-                out[rep] = out.get(rep, 0) + 1
-    if _gnorm(z) != 1:
-        raise OversizedConstant(f"residual non-unit after trial division: {z}")
-    unit, w = _first_quadrant(z)
-    if w != (1, 0):
-        raise ArithmeticError(f"{z} is not a unit times 1")
-    return unit, out
+@lru_cache(maxsize=1024)
+def _gaussian_primes_over(p: int) -> tuple[FieldElement, ...]:
+    """The first-quadrant Gaussian primes that divide the rational prime p;
+    cached, as `_factor_int` is."""
+    if p == 2:
+        return (FieldElement(1, 1),)
+    if p % 4 == 3:
+        return (FieldElement(p),)
+    pi = _first_quadrant(_ggcd(FieldElement(p), FieldElement(_sqrt_minus_one(p), 1)))[1]
+    return pi, _first_quadrant(pi.conjugate())[1]
+
+
+def _strip(z: FieldElement, pi: FieldElement) -> tuple[FieldElement, int]:
+    """(w, e) with z = pi^e * w and pi not dividing w in Z[i]."""
+    e, q = 0, z / pi
+    while q.d == 1:  # q is a Gaussian integer
+        z, e, q = q, e + 1, q / pi
+    return z, e
+
+
+def _factor_gaussian(c: FieldElement) -> tuple[int, list[tuple[FieldElement, int]]]:
+    """(unit exponent mod 4, [(prime, exponent)]) of c = (a + bi) / d."""
+    g = gcd(c.a, c.b)
+    norm = (c.a // g) ** 2 + (c.b // g) ** 2
+    rational = {p for n in (g, norm, c.d) for p, _ in _factor_int(n)}
+    num, den = FieldElement(c.a, c.b), FieldElement(c.d)
+    factors = []
+    for p in rational:
+        for pi in _gaussian_primes_over(p):
+            num, e = _strip(num, pi)
+            den, f = _strip(den, pi)
+            if e != f:
+                factors.append((pi, e - f))
+    (k_num, one_num), (k_den, one_den) = _first_quadrant(num), _first_quadrant(den)
+    if not (one_num.is_one() and one_den.is_one()):
+        raise ArithmeticError(f"{c} leaves the non-units {num} and {den}")
+    return (k_num - k_den) % 4, factors
 
 
 def factor_constant(c: FieldElement, gaussian: bool) -> UnitPrimeFactorization:
     """Factor a nonzero exact constant per the mode's unit convention."""
     if c.is_zero():
         raise ValueError("cannot factor zero")
-    if not gaussian:
-        if not c.is_rational():
-            raise ValueError("rational mode cannot factor a Gaussian constant")
-        sign, fac = factor_rational(c.re)
-        factors = tuple(
-            (fe(p), e) for p, e in sorted(fac.items())
-        )
-        return UnitPrimeFactorization(False, sign, factors)
-    ku, fnum = factor_gaussian_integer((c.a, c.b))
-    kd, fden = factor_gaussian_integer((c.d, 0))
-    combined = dict(fnum)
-    for rep, e in fden.items():
-        combined[rep] = combined.get(rep, 0) - e
-    combined = {rep: e for rep, e in combined.items() if e}
-    ordered = sorted(combined.items(), key=lambda t: (_gnorm(t[0]), t[0]))
-    factors = tuple(
-        (FieldElement(rep[0], rep[1]), e) for rep, e in ordered
-    )
-    return UnitPrimeFactorization(True, (ku - kd) % 4, factors)
+    if gaussian:
+        unit, factors = _factor_gaussian(c)
+    elif not c.is_rational():
+        raise ValueError("rational mode cannot factor a Gaussian constant")
+    else:
+        unit, fac = factor_rational(c.re)
+        factors = [(fe(p), e) for p, e in fac.items()]
+    factors.sort(key=lambda t: prime_key(t[0]))
+    return UnitPrimeFactorization(gaussian, unit, tuple(factors))

@@ -35,7 +35,7 @@ from fractions import Fraction
 from .coprime import CoprimeBasis
 from .formal import FormalSum, conj_sum
 from .poly import MultiPoly, univar_inverse_mod, univar_rem
-from .primes import factor_constant
+from .primes import factor_constant, prime_key
 from .ratfunc import INF, RationalFunction, complete_var_swap
 from .scalars import FieldElement, ONE
 
@@ -60,7 +60,7 @@ UNIT = (2, 0)
 
 
 def _atom_key(x):
-    return (PRIME, _prime_key(x[1])) if x[0] == PRIME else x
+    return (PRIME, prime_key(x[1])) if x[0] == PRIME else x
 
 
 def _layer(x, y) -> int:
@@ -232,10 +232,6 @@ def _joint_basis(universe, tensors, first: tuple[MultiPoly, ...] = ()) -> Coprim
     return basis
 
 
-def _prime_key(p: FieldElement):
-    return (p.norm(), p.sort_key())
-
-
 def _reduce_one(v: int | Fraction, coeff_mode: str, modulus: int) -> int:
     if coeff_mode == "Q":
         return 0
@@ -260,8 +256,6 @@ class ConstancyCertificate:
     verdict: str  # "Constant" | "NotConstant"
     witness: tuple | None
     residual_beta3: dict
-    constant_value: complex | str | None = None
-    constant_error: float | None = None
     notes: tuple[str, ...] = ()
 
     def is_constant(self) -> bool:

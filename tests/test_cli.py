@@ -264,6 +264,25 @@ def test_check_real_mode_skips_points_with_non_real_values(run):
     assert json.loads(out)["point"] == {"t": "2 + i"}
 
 
+def test_check_real_probe_without_real_points_keeps_the_verdict(run):
+    # no draw of the real probe is admissible either: check reports the
+    # Constant verdict with a note, while the probe command still fails
+    doc = "DOC:dilog-identity v1\nfield: Qi\nvariables: t\nterm: 1 [i*t]\nterm: 1 [1/(i*t)]\n"
+    note = "no probe: found 0 admissible points in 4000 draws (need 10)"
+    code, out, err = run(["check", doc, "--real", "--probe", "10", "--json"])
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["verdict"] == "Constant"
+    assert report["probe"] is None
+    assert report["notes"][-1] == note
+    code, out, _ = run(["check", doc, "--real", "--probe", "10"])
+    assert code == 0
+    assert out.startswith("verdict: Constant\n") and f"note: {note}\n" in out
+    code, out, err = run(["probe", doc, "--domain", "real", "--samples", "10"])
+    assert (code, out) == (2, "")
+    assert err == "error: found 0 admissible points in 4000 draws (need 10)\n"
+
+
 @pytest.mark.parametrize("arg", ["(y - 3)/(x - 2)", "(1/3*x^2 - 4/3)/(x^2 + 2/3*x*y)"])
 def test_check_point_search_skips_zero_over_zero(run, arg):
     # the first grid points make numerator and denominator vanish together

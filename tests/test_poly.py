@@ -10,7 +10,6 @@ from dilogeq.poly import (
     MultiPoly,
     poly_gcd,
     squarefree_parts,
-    univar_gcd,
     univar_inverse_mod,
     univar_rem,
 )
@@ -274,7 +273,7 @@ def test_primitive_monic():
 
 def test_univar_gcd_and_inverse_mod():
     m = t() ** 2 + c(1)
-    g = univar_gcd(t() ** 2 - c(1), t() - c(1), "t")
+    g = poly_gcd(t() ** 2 - c(1), t() - c(1))
     assert g == t() - c(1)
     inv = univar_inverse_mod(t(), m, "t")
     # t * inv == 1 mod t^2+1, i.e. inv == -t

@@ -1,5 +1,6 @@
 """Factoring exact constants over Q and Q(i)."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from dilogeq.primes import (
     factor_constant,
     factor_rational,
     is_prime,
+    prime_key,
 )
 from dilogeq.scalars import FieldElement, fe
 
@@ -167,3 +169,61 @@ def test_rational_factorization_is_multiplicative(a, b):
     merged = {p: e for p, e in merged.items() if e}
     assert dict(fab.factors) == merged
     assert fab.unit_exponent == (fa.unit_exponent + fb.unit_exponent) % 2
+
+
+I = fe(0, 1)
+
+
+# (constant, unit exponent, [(prime as (re, im), exponent)] in prime_key
+# order), as the factorization over coordinate pairs gave them
+GAUSSIAN_TABLE = [
+    (fe(1), 0, []),
+    (I, 1, []),
+    (fe(-1), 2, []),
+    (-I, 3, []),
+    (fe(2), 3, [((1, 1), 2)]),
+    (fe(5), 3, [((1, 2), 1), ((2, 1), 1)]),
+    (fe(Fraction(3, 35), Fraction(4, 35)), 1, [((1, 2), -1), ((2, 1), 1), ((7, 0), -1)]),
+    (fe(1_000_033), 3, [((408, 913), 1), ((913, 408), 1)]),
+    (I * fe(1, 1) ** 3 / fe(9), 1, [((1, 1), 3), ((3, 0), -2)]),
+]
+
+
+@pytest.mark.parametrize("c, unit, factors", GAUSSIAN_TABLE, ids=lambda v: str(v))
+def test_gaussian_factorizations_of_recorded_constants(c, unit, factors):
+    f = factor_constant(c, gaussian=True)
+    assert f.unit_exponent == unit
+    assert f.factors == tuple((fe(re, im), e) for (re, im), e in factors)
+    assert f.reconstruct() == c
+
+
+def _is_gaussian_prime(pi: FieldElement) -> bool:
+    """pi is prime in Z[i]: its norm is a prime, or the square of a prime
+    = 3 mod 4 (such a prime stays prime in Z[i])."""
+    n = pi.a * pi.a + pi.b * pi.b
+    q = math.isqrt(n)
+    return is_prime(n) or (q * q == n and q % 4 == 3 and is_prime(q))
+
+
+@given(
+    st.integers(-3000, 3000),
+    st.integers(-3000, 3000),
+    st.integers(1, 500),
+)
+@settings(max_examples=300)
+def test_gaussian_factors_are_distinct_first_quadrant_primes_in_key_order(a, b, d):
+    if a == b == 0:
+        return
+    c = fe(Fraction(a, d), Fraction(b, d))
+    f = factor_constant(c, gaussian=True)
+    assert f.reconstruct() == c
+    primes = [pi for pi, _ in f.factors]
+    for pi, e in f.factors:
+        assert e != 0 and pi.d == 1 and pi.a > 0 and pi.b >= 0
+        assert _is_gaussian_prime(pi)
+    units = {fe(1), I, fe(-1), -I}
+    for k, pi in enumerate(primes):
+        for rho in primes[k + 1 :]:
+            assert pi / rho not in units
+    keys = [prime_key(pi) for pi in primes]
+    assert keys == sorted(keys) and len(set(keys)) == len(keys)
