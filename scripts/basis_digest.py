@@ -12,7 +12,10 @@ boundary raises (a constant above the factoring bound) contributes its
 error instead.  The benchmark's report digest of `relation-sum` sees only
 Constant certificates, which carry no basis, and the documents' reports
 show a basis only in a witness, so neither can tell two refinements apart;
-these digests can.  The package is imported from this checkout's `src/`.
+these digests can.  A third line per seed digests what the parser hands
+to the coprime basis: each document argument, in `sort_key` order, with
+its numerator and denominator factor maps, each in `sort_key` order.  The
+package is imported from this checkout's `src/`.
 """
 
 import argparse
@@ -72,6 +75,18 @@ def digest(sums) -> str:
     return out.hexdigest()
 
 
+def factor_digest(sums) -> str:
+    out = hashlib.sha256()
+    for alpha in sums:
+        for f, _ in alpha.items():
+            maps = [
+                [(str(p), k) for p, k in sorted(m.items(), key=lambda pk: pk[0].sort_key())]
+                for m in (f.num_factors, f.den_factors)
+            ]
+            out.update(repr((str(f), maps)).encode())
+    return out.hexdigest()
+
+
 def seed_range(text: str) -> list[int]:
     lo, _, hi = text.partition("-")
     return list(range(int(lo), int(hi or lo) + 1))
@@ -88,6 +103,8 @@ def main():
         print(f"seed {seed}: {COUNT} sums, sha256 {sums}")
         docs = digest(document_sums(inputs, seed, DOCS))
         print(f"seed {seed}: {DOCS} documents, sha256 {docs}")
+        maps = factor_digest(document_sums(inputs, seed, DOCS))
+        print(f"seed {seed}: {DOCS} documents, factor maps sha256 {maps}")
 
 
 if __name__ == "__main__":

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exprparse import (
+    CoefficientLimitExceeded,
     DegreeLimitExceeded,
     DivisionByZeroConstant,
     ExprSyntaxError,
@@ -36,7 +37,13 @@ from .ratfunc import RationalFunction
 
 
 HEADER = "dilog-identity v1"
-_EXPRESSION_ERRORS = (ExprSyntaxError, UnknownVariable, DivisionByZeroConstant, DegreeLimitExceeded)
+_EXPRESSION_ERRORS = (
+    ExprSyntaxError,
+    UnknownVariable,
+    DivisionByZeroConstant,
+    DegreeLimitExceeded,
+    CoefficientLimitExceeded,
+)
 
 
 class DocumentError(ValueError):
@@ -71,13 +78,20 @@ class IdentitySpec:
         return {a: b for a, b in self.pairs}
 
     def formal_sum(self) -> FormalSum:
-        """The document's formal sum, parsed on the first call and kept."""
+        """The document's formal sum, parsed on the first call and kept.
+
+        The terms share one dict of parsed groups and expressions, so each
+        distinct parenthesized group and each distinct argument of the
+        document is parsed once; a five-term relation writes its x and y
+        out in four of its five terms."""
         if self._sum is not None:
             return self._sum
         terms: dict[RationalFunction, Fraction] = {}
+        shared: dict = {}
         for term in self.terms:
             try:
-                f = parse_expression(term.expression, self.variables, self.field_mode)
+                # positional, for wrappers of parse_expression that take *args only
+                f = parse_expression(term.expression, self.variables, self.field_mode, shared)
             except _EXPRESSION_ERRORS as exc:
                 raise DocumentError(exc.reason, term.line, exc.col) from exc
             try:

@@ -8,13 +8,29 @@ The parser evaluates directly into RationalFunction normal form; there is
 no retained syntax tree.  Before each operation it bounds the total degree
 of the numerator and denominator the operation builds (before cancelling
 common factors), and refuses one above MAX_DEGREE, so a short expression
-such as t^1000000000 cannot ask for unbounded memory.
+such as t^1000000000 cannot ask for unbounded memory.  A power is also
+refused when |exponent| times the largest bit length among the parts of
+its base's coefficients is above MAX_COEFFICIENT_BITS, so a constant power
+such as 2^999999999999, which has degree 0, is bounded too.
+
+Sharing: `parse_expression` takes a `shared` dict from the token texts of
+an expression, or of a parenthesized group, to its value.  A group or a
+whole expression whose tokens are already there is not parsed again; the
+stored value is returned, so the same object serves every copy.  A document
+passes one dict to all its terms, which is what a five-term relation asks
+for: it writes x and y out in four of its five arguments.  The key ignores
+whitespace but not the universe or the field mode, so one dict serves one
+universe and one field mode.  Sharing changes no result: rational
+functions and polynomials are never changed after they are built (their
+lazy caches are functions of the value), the same tokens run the same
+operations and so build the same factor maps, a group that raised is never
+stored, so an error is raised by a fresh parse at its own position, and the
+operations around a shared group still check their limits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .ratfunc import RationalFunction, ZeroDenominator
 from .scalars import FieldElement
@@ -23,6 +39,10 @@ from .scalars import FieldElement
 MAX_DEGREE = 100_000
 """The largest total degree a numerator or denominator may reach while an
 expression is evaluated."""
+
+MAX_COEFFICIENT_BITS = 1_000_000
+"""The largest bit length a power may give a coefficient part, estimated
+as |exponent| times the largest bit length among its base's."""
 
 
 # Each error keeps its message without the position as `reason`, so that a
@@ -63,6 +83,14 @@ class DegreeLimitExceeded(ValueError):
         self.col = col
 
 
+class CoefficientLimitExceeded(ValueError):
+    def __init__(self, bits: int, line: int, col: int):
+        self.reason = f"coefficient size {bits} bits is above the limit {MAX_COEFFICIENT_BITS}"
+        super().__init__(f"{self.reason} (line {line}, column {col})")
+        self.line = line
+        self.col = col
+
+
 def _degrees(f: RationalFunction) -> tuple[int, int]:
     return max(f.num.total_degree(), 0), max(f.den.total_degree(), 0)
 
@@ -71,6 +99,15 @@ def _check_degree(num_degree: int, den_degree: int, op: "_Token"):
     degree = max(num_degree, den_degree)
     if degree > MAX_DEGREE:
         raise DegreeLimitExceeded(degree, op.line, op.col)
+
+
+def _coefficient_bits(f: RationalFunction) -> int:
+    """The largest bit length among the parts a, b, d of f's coefficients."""
+    return max(
+        max(c.a.bit_length(), c.b.bit_length(), c.d.bit_length())
+        for p in (f.num, f.den)
+        for c in p.terms.values()
+    )
 
 
 @dataclass(frozen=True)
@@ -118,12 +155,30 @@ def _tokenize(src: str) -> list[_Token]:
     return out
 
 
+def _matching_parens(tokens: list[_Token]) -> dict[int, int]:
+    """{index of a "(": index of the ")" that closes it}."""
+    close: dict[int, int] = {}
+    open_at: list[int] = []
+    for k, tok in enumerate(tokens):
+        if tok.kind == "(":
+            open_at.append(k)
+        elif tok.kind == ")" and open_at:
+            close[open_at.pop()] = k
+    return close
+
+
+def _key(tokens: list[_Token]) -> tuple[str, ...]:
+    return tuple(tok.text for tok in tokens)
+
+
 class _Parser:
-    def __init__(self, tokens: list[_Token], universe: tuple[str, ...], gaussian: bool):
+    def __init__(self, tokens: list[_Token], universe: tuple[str, ...], gaussian: bool, shared: dict):
         self.toks = tokens
         self.pos = 0
         self.universe = universe
         self.gaussian = gaussian
+        self.shared = shared
+        self.close = _matching_parens(tokens)
 
     def peek(self) -> _Token:
         return self.toks[self.pos]
@@ -192,6 +247,9 @@ class _Parser:
         exp = self.signed_int()
         num_degree, den_degree = _degrees(base)
         _check_degree(num_degree * abs(exp), den_degree * abs(exp), op)
+        bits = abs(exp) * _coefficient_bits(base)
+        if bits > MAX_COEFFICIENT_BITS:
+            raise CoefficientLimitExceeded(bits, op.line, op.col)
         try:
             return base ** exp
         except ZeroDenominator:
@@ -213,7 +271,7 @@ class _Parser:
     def atom(self) -> RationalFunction:
         tok = self.take()
         if tok.kind == "int":
-            return RationalFunction.const(self.universe, FieldElement.of(Fraction(tok.text)))
+            return RationalFunction.const(self.universe, FieldElement(int(tok.text)))
         if tok.kind == "name":
             if self.gaussian and tok.text == "i":
                 return RationalFunction.const(self.universe, FieldElement.i())
@@ -222,19 +280,43 @@ class _Parser:
             hint = "the literal i needs field mode Qi" if tok.text == "i" else ""
             raise UnknownVariable(tok.text, tok.line, tok.col, hint)
         if tok.kind == "(":
+            end = self.close.get(self.pos - 1)
+            key = None if end is None else _key(self.toks[self.pos : end])
+            value = self.shared.get(key)
+            if value is not None:
+                self.pos = end + 1
+                return value
             value = self.sum_expr()
             self.expect(")")
+            if key is not None:
+                self.shared[key] = value
             return value
         what = "end of input" if tok.kind == "end" else repr(tok.text)
         raise ExprSyntaxError(f"expected a value, found {what}", tok.line, tok.col)
 
 
-def parse_expression(src: str, variables: tuple[str, ...], field_mode: str = "Q") -> RationalFunction:
-    """Parse src into a rational function over the declared variables."""
+def parse_expression(
+    src: str,
+    variables: tuple[str, ...],
+    field_mode: str = "Q",
+    shared: dict[tuple[str, ...], RationalFunction] | None = None,
+) -> RationalFunction:
+    """Parse src into a rational function over the declared variables.
+
+    `shared`, when given, holds the values of expressions and groups parsed
+    before with the same variables and field mode; this parse reads it and
+    adds to it (see the module docstring)."""
     if field_mode not in ("Q", "Qi"):
         raise ValueError(f"unknown field mode {field_mode!r}")
     gaussian = field_mode == "Qi"
     if gaussian and "i" in variables:
         raise ValueError("variable name 'i' collides with the imaginary unit in field mode Qi")
-    parser = _Parser(_tokenize(src), tuple(variables), gaussian)
-    return parser.parse()
+    if shared is None:
+        shared = {}
+    tokens = _tokenize(src)
+    key = _key(tokens[:-1])
+    value = shared.get(key)
+    if value is None:
+        value = _Parser(tokens, tuple(variables), gaussian, shared).parse()
+        shared[key] = value
+    return value

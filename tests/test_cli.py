@@ -60,6 +60,17 @@ def test_check_refuses_a_degree_above_the_limit(run, expression, degree, col):
     )
 
 
+def test_check_refuses_a_constant_power_above_the_coefficient_limit(run):
+    # 2^999999999999 has degree 0, so only the coefficient limit bounds it
+    doc = "DOC:dilog-identity v1\nvariables: t\nterm: 1 [t*2^999999999999]\n"
+    code, out, err = run(["check", doc])
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: coefficient size 1999999999998 bits is above the limit 1000000"
+        " (line 3, column 4 of the expression)\n"
+    )
+
+
 def test_check_names_the_document_line_of_a_syntax_error(run):
     doc = "DOC:dilog-identity v1\nvariables: t\nterm: 1 [t + )]\n"
     code, out, err = run(["check", doc])

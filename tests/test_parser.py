@@ -1,9 +1,14 @@
 """Expression grammar and identity-document parsing."""
 
+import importlib.util
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dilogeq.document import (
     DocumentError,
@@ -12,14 +17,16 @@ from dilogeq.document import (
     spec_from_formal_sum,
 )
 from dilogeq.exprparse import (
+    MAX_COEFFICIENT_BITS,
     MAX_DEGREE,
+    CoefficientLimitExceeded,
     DegreeLimitExceeded,
     DivisionByZeroConstant,
     ExprSyntaxError,
     UnknownVariable,
     parse_expression,
 )
-from dilogeq.formal import FormalSum, five_term
+from dilogeq.formal import FormalSum, check_term, five_term
 from dilogeq.ratfunc import RationalFunction, ZeroDenominator
 from dilogeq.scalars import FieldElement
 
@@ -180,6 +187,37 @@ def test_degree_limit():
         assert f"above the limit {MAX_DEGREE}" in str(ei.value)
     with pytest.raises(ValueError):
         parse_expression(f"x^{MAX_DEGREE + 1}", XY)
+
+
+def test_coefficient_limit():
+    # |exponent| times the largest bit length of the base's coefficient parts
+    assert parse_expression("2^20000", XY) == rf_const(2**20000)
+    assert parse_expression("2^100000", XY) == rf_const(2**100000)
+    assert parse_expression(f"2^{MAX_COEFFICIENT_BITS // 2}", XY) == rf_const(
+        2 ** (MAX_COEFFICIENT_BITS // 2)
+    )
+    for src, bits, col in (
+        ("x*2^999999999999", 2 * 999999999999, 4),
+        (f"2^{MAX_COEFFICIENT_BITS // 2 + 1}", MAX_COEFFICIENT_BITS + 2, 2),
+        (f"(1/3)^-{MAX_COEFFICIENT_BITS // 2 + 1}", MAX_COEFFICIENT_BITS + 2, 6),
+        (f"y + (2 + 5*i)^{MAX_COEFFICIENT_BITS // 3 + 1}", MAX_COEFFICIENT_BITS + 2, 14),
+    ):
+        with pytest.raises(CoefficientLimitExceeded) as ei:
+            parse_expression(src, XY, "Qi")
+        assert (ei.value.line, ei.value.col) == (1, col)
+        assert str(ei.value) == (
+            f"coefficient size {bits} bits is above the limit {MAX_COEFFICIENT_BITS}"
+            f" (line 1, column {col})"
+        )
+
+
+def test_integer_literals():
+    for text in ("0", "007", "1234567890123456789012345678901234567890"):
+        assert parse_expression(text, XY) == RationalFunction.const(
+            XY, FieldElement.of(Fraction(text))
+        )
+    assert parse_expression("007", XY) == rf_const(7)
+    assert parse_expression("0", XY).is_zero()
 
 
 # -- random round trips -----------------------------------------------------------
@@ -411,3 +449,149 @@ def test_spec_from_formal_sum_gaussian_round_trip():
     again = load_document(dump_document(spec_from_formal_sum(alpha, ())))
     assert again.formal_sum() == alpha
     assert again.field_mode == "Qi"
+
+
+# -- one document parses each distinct group once ------------------------------------
+
+
+def _assert_as_fresh(shared, fresh):
+    assert shared == fresh
+    assert shared.num_factors == fresh.num_factors
+    assert shared.den_factors == fresh.den_factors
+
+
+def _assert_document_as_fresh(spec):
+    """Each term parsed with one dict for the document, as formal_sum does,
+    equals a fresh parse of that term, factor maps included; and the
+    document's sum equals the sum of fresh parses."""
+    shared: dict = {}
+    total = FormalSum.zero(spec.variables, spec.field_mode, spec.coeff_mode)
+    for term in spec.terms:
+        fresh = parse_expression(term.expression, spec.variables, spec.field_mode)
+        value = parse_expression(term.expression, spec.variables, spec.field_mode, shared)
+        _assert_as_fresh(value, fresh)
+        total = total + FormalSum.single(fresh, term.coefficient, spec.field_mode, spec.coeff_mode)
+    assert spec.formal_sum() == total
+
+
+def test_terms_share_their_groups(monkeypatch):
+    import dilogeq.document as document
+
+    seen = []  # (a term's value, the values in the dict before that term)
+    parse = document.parse_expression
+
+    def recorded(*args):
+        before = list(args[3].values())
+        value = parse(*args)
+        seen.append((value, before))
+        return value
+
+    monkeypatch.setattr(document, "parse_expression", recorded)
+    text = (
+        "dilog-identity v1\nvariables: x, y\n"
+        "term: 1 [(1 - x)/(1 - y)]\nterm: 1 [ ( 1-x ) ]\nterm: 1 [(1 -\ty)]\n"
+    )
+    spec = load_document(text)
+    (first, _), (second, before_second), (third, before_third) = seen
+    assert any(second is v for v in before_second)
+    assert any(third is v for v in before_third)
+    assert first == second / third
+    monkeypatch.undo()
+    _assert_document_as_fresh(spec)
+
+
+def test_shared_factor_maps_match_fresh_parses():
+    # five-term relations written out in full, as `relations five` writes them
+    for x, y in (("x", "y"), ("(x*y + 1)", "((x - y)/(x + 1))"), ("((x^2 - 1)/(x + 1))", "((1 - y)^2)")):
+        terms = (x, y, f"{y}/{x}", f"(1 - {x})/(1 - {y})", f"(1 - {x}^-1)/(1 - {y}^-1)")
+        text = "dilog-identity v1\nvariables: x, y\n" + "".join(
+            f"term: {c} [{t}]\n" for c, t in zip((1, -1, 1, 1, -1), terms)
+        )
+        _assert_document_as_fresh(load_document(text))
+    _assert_document_as_fresh(load_document(DOC))
+
+
+def test_limits_are_checked_around_a_shared_group():
+    with pytest.raises(DegreeLimitExceeded) as ei:
+        parse_expression("(t^60000)*(t^60000)", ("t",))
+    assert (ei.value.line, ei.value.col) == (1, 10)
+
+    text = "dilog-identity v1\nvariables: t\nterm: 1 [(t + 1)]\nterm: 1 [(t + 1)/(t - t)]\n"
+    with pytest.raises(DocumentError) as ei:
+        load_document(text)
+    assert isinstance(ei.value.__cause__, DivisionByZeroConstant)
+    assert str(ei.value) == (
+        "division by an identically zero expression (line 4, column 8 of the expression)"
+    )
+
+
+def test_a_group_that_raised_raises_again_at_its_own_place():
+    shared: dict = {}
+    for src, col in (("1 + (x/(y - y))", 7), ("(x/(y - y))", 3), ("x/(y - y)", 2)):
+        with pytest.raises(DivisionByZeroConstant) as ei:
+            parse_expression(src, XY, "Q", shared)
+        assert (ei.value.line, ei.value.col) == (1, col)
+
+
+_LEAVES = st.sampled_from(["x", "y", "1", "2", "-3"])
+
+
+def _branches(children):
+    return st.tuples(children, st.sampled_from("+-*/"), children).map(
+        lambda t: f"({t[0]} {t[1]} {t[2]})"
+    ) | st.tuples(children, st.integers(-2, 3)).map(lambda t: f"({t[0]})^({t[1]})")
+
+
+_SUBTREES = st.recursive(_LEAVES, _branches, max_leaves=5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    pool=st.lists(_SUBTREES, min_size=1, max_size=4),
+    picks=st.lists(
+        st.tuples(st.integers(0, 3), st.sampled_from("+-*/"), st.integers(0, 3), st.booleans()),
+        min_size=1,
+        max_size=8,
+    ),
+)
+def test_repeated_subtrees_parse_as_fresh(pool, picks):
+    terms = []
+    for a, op, b, spaced in picks:
+        left, right = pool[a % len(pool)], pool[b % len(pool)]
+        if spaced:
+            left = left.replace("(", "( ").replace(" ", "  ")
+        terms.append(f"({left}) {op} {right}")
+    shared: dict = {}
+    admissible = []
+    for src in terms:
+        try:
+            fresh = parse_expression(src, XY)
+        except DivisionByZeroConstant as exc:
+            with pytest.raises(DivisionByZeroConstant) as ei:
+                parse_expression(src, XY, "Q", shared)
+            assert (ei.value.line, ei.value.col) == (exc.line, exc.col)
+            continue
+        _assert_as_fresh(parse_expression(src, XY, "Q", shared), fresh)
+        try:
+            check_term(fresh, 1, XY, "Z")
+        except ValueError:
+            continue
+        admissible.append(src)
+    doc = "dilog-identity v1\nvariables: x, y\n" + "".join(f"term: 1 [{t}]\n" for t in admissible)
+    _assert_document_as_fresh(load_document(doc))
+
+
+def _bench_inputs():
+    """bench/inputs.py, read without changing it; it imports nothing from
+    the package, so a seed gives the same documents at every commit."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("bench_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = inputs
+    spec.loader.exec_module(inputs)
+    return inputs
+
+
+def test_benchmark_documents_parse_as_fresh():
+    for case in _bench_inputs().docs_cases(1, 60):
+        _assert_document_as_fresh(load_document(case.text))
