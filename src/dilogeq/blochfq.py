@@ -104,8 +104,9 @@ def relations_matrix(p: int) -> AbelianGroupPresentation:
     gens = tuple(range(2, p))
     n = len(gens)
 
-    def inv(a: int) -> int:
-        return pow(a, -1, p)
+    # inv[a] is the inverse of a mod p for every a in (-p, p): a negative
+    # index counts from the end, so inv[-a] is inv[p - a]
+    inv = [0] + [pow(a, -1, p) for a in range(1, p)]
 
     five = []
     for x in gens:
@@ -116,9 +117,9 @@ def relations_matrix(p: int) -> AbelianGroupPresentation:
             for val, coef in (
                 (x, 1),
                 (y, -1),
-                (y * inv(x) % p, 1),
-                ((1 - x) * inv(1 - y) % p, 1),
-                ((1 - inv(x)) * inv(1 - inv(y)) % p, -1),
+                (y * inv[x] % p, 1),
+                ((1 - x) * inv[1 - y] % p, 1),
+                ((1 - inv[x]) * inv[1 - inv[y]] % p, -1),
             ):
                 row[val - 2] += coef
             five.append(tuple(row))
@@ -127,7 +128,7 @@ def relations_matrix(p: int) -> AbelianGroupPresentation:
     for x in gens:
         row = [0] * n
         row[x - 2] += 1
-        row[inv(x) - 2] += 1
+        row[inv[x] - 2] += 1
         inversion.append(tuple(row))
 
     return AbelianGroupPresentation(p, gens, tuple(five), tuple(inversion))

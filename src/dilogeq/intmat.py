@@ -16,14 +16,18 @@ of the matrix and of its transpose.
 The minor-gcd Smith form (gcd of all k x k minors gives the determinant
 divisor chain d_k, and d_k / d_{k-1} the invariant factors) is exponential
 and exists as an independent cross-check for small matrices only.  It
-enumerates minors over the distinct nonzero rows up to sign, and shares no
-elimination with the Hermite and Smith forms above.
+takes minors over the distinct nonzero rows up to sign, each as a split
+Laplace expansion: the dot product of the half-size minors of its first
+ceil(k/2) rows with the signed, reordered minors of the rest, each built
+once per call from smaller minors.  It does no row operation and shares
+no elimination with the Hermite and Smith forms above.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 from math import gcd
+from operator import mul
 
 
 Matrix = list[list[int]]
@@ -169,9 +173,7 @@ def solve_integer(basis: Matrix, targets: Matrix) -> list[list[int] | None]:
         rest = form._reduce(list(v) + [0] * m, n)
         x = None if rest is None else [-t for t in rest[n:]]
         # verify the transform bookkeeping
-        if x is not None and any(
-            sum(a * b for a, b in zip(x, col)) != vj for col, vj in zip(cols, v)
-        ):
+        if x is not None and any(sum(map(mul, x, col)) != vj for col, vj in zip(cols, v)):
             x = None
         out.append(x)
     return out
@@ -205,29 +207,6 @@ def smith_invariant_factors(rows: Matrix, width: int | None = None) -> list[int]
     return d
 
 
-def det_bareiss(a: Matrix) -> int:
-    """Exact determinant by fraction-free Gaussian elimination."""
-    n = len(a)
-    if n == 0:
-        return 1
-    a = [list(r) for r in a]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if not a[k][k]:
-            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[-1][-1]
-
-
 def minor_gcd_invariant_factors(rows: Matrix, width: int | None = None) -> list[int]:
     """Invariant factors via determinant divisors: d_k = gcd of all k x k
     minors, f_k = d_k / d_{k-1}.  Exponential; cross-check use only.
@@ -246,21 +225,85 @@ def minor_gcd_invariant_factors(rows: Matrix, width: int | None = None) -> list[
         if lead:
             distinct.setdefault(tuple(x if lead > 0 else -x for x in r), None)
     rows = list(distinct)
-    m, n = len(rows), width
     factors = []
     prev = 1
-    for k in range(1, min(m, n) + 1):
-        g = 0
-        for ri in combinations(range(m), k):
-            for ci in combinations(range(n), k):
-                sub = [[rows[i][j] for j in ci] for i in ri]
-                g = gcd(g, det_bareiss(sub))
-                if g == 1:
-                    break
-            if g == 1:
-                break
+    for k in range(1, min(len(rows), width) + 1):
+        g = _minor_gcd(rows, width, k, prev)
         if g == 0:
             break
         factors.append(g // prev)
         prev = g
     return factors
+
+
+def _minor_gcd(rows: Matrix, width: int, k: int, floor: int) -> int:
+    """The gcd of all k x k minors of rows, or floor = d_{k-1} as soon as
+    the gcd reaches it: expanding a k x k minor along one row writes it as
+    an integer combination of (k-1) x (k-1) minors, so d_{k-1} divides d_k.
+
+    Each minor is a generalized Laplace expansion along the first
+    h = ceil(k/2) rows of its row subset, top + bottom:
+
+        det(top + bottom; C) = sum over h-subsets S of C of
+            (-1)^(sum of the positions of S in C - h(h-1)/2)
+            * det(top; S) * det(bottom; C minus S).
+
+    For a column set C, a row subset's minors on C are its row of a
+    compound matrix, built from the row of the subset without its first
+    row by expanding along that row.  Each bottom's row, reordered to the
+    complements and signed, makes every minor one dot product.
+    """
+    h = (k + 1) // 2
+    # the j-subsets of the k column positions, lexicographic, for j <= h
+    subsets = [list(combinations(range(k), j)) for j in range(h + 1)]
+    index = [{s: i for i, s in enumerate(sub)} for sub in subsets]
+    # a j-subset's minor along its first row: (position, sign, the rest's index)
+    expand = [
+        [
+            [(s[q], (-1) ** q, index[j - 1][s[:q] + s[q + 1 :]]) for q in range(j)]
+            for s in subsets[j]
+        ]
+        for j in range(h + 1)
+    ]
+    laplace = [
+        (
+            (-1) ** (sum(s) - h * (h - 1) // 2),
+            index[k - h][tuple(c for c in range(k) if c not in s)],
+        )
+        for s in subsets[h]
+    ]
+
+    def row_of(sub: Matrix, compound: dict, t: tuple[int, ...]) -> list[int]:
+        v = compound.get(t)
+        if v is None:
+            rest, a = row_of(sub, compound, t[1:]), sub[t[0]]
+            v = compound[t] = [
+                sum(sign * a[c] * rest[i] for c, sign, i in terms) for terms in expand[len(t)]
+            ]
+        return v
+
+    m = len(rows)
+    # per column set: the rows cut to it, its compound rows by row subset,
+    # and its bottoms' reordered and signed rows
+    per_cols = [
+        ([[r[c] for c in cols] for r in rows], {(): [1]}, {})
+        for cols in combinations(range(width), k)
+    ]
+    g = 0
+    # Tops leave room for a bottom after them.  Column sets vary inside the
+    # loop over tops, so one column set whose minors share a factor the
+    # others lack does not hold up the early exit.
+    for top in combinations(range(m - (k - h)), h):
+        for sub, compound, bottoms in per_cols:
+            u = row_of(sub, compound, top)
+            if not any(u):
+                continue
+            for bottom in combinations(range(top[-1] + 1, m), k - h):
+                w = bottoms.get(bottom)
+                if w is None:
+                    v = row_of(sub, compound, bottom)
+                    w = bottoms[bottom] = [sign * v[i] for sign, i in laplace]
+                g = gcd(g, sum(map(mul, u, w)))
+                if g == floor:
+                    return g
+    return g

@@ -80,9 +80,27 @@ def _factor_int(n: int) -> tuple[tuple[int, int], ...]:
                 f"constant has a prime factor above the bound {FACTOR_BOUND}: "
                 f"residual {_residual_text(n)}"
             )
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
+        if n % p:
+            continue
+        # Strip the power of p in O(log e) divisions, not e: divide by p,
+        # p^2, p^4, ... while each divides, leaving an exponent below the
+        # next square, then by the same powers from the largest down.
+        powers = []
+        q, e = p, 0
+        while True:
+            quo, rem = divmod(n, q)
+            if rem:
+                break
+            n = quo
+            e += 1 << len(powers)
+            powers.append(q)
+            q *= q
+        for i in range(len(powers) - 1, -1, -1):
+            quo, rem = divmod(n, powers[i])
+            if not rem:
+                n = quo
+                e += 1 << i
+        out[p] = e
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return tuple(out.items())

@@ -1,13 +1,15 @@
 """Integer matrix tools: Hermite form, Smith form, kernels, membership."""
 
 import random
+from fractions import Fraction
+from itertools import combinations
+from math import gcd, prod
 
 import pytest
 
 from dilogeq.blochfq import relations_matrix
 from dilogeq.intmat import (
     HermiteForm,
-    det_bareiss,
     hnf,
     left_kernel,
     minor_gcd_invariant_factors,
@@ -146,37 +148,88 @@ def test_left_kernel_completeness():
 # -- determinants and Smith form ----------------------------------------------
 
 
-def test_det_bareiss_examples():
-    assert det_bareiss([[2]]) == 2
-    assert det_bareiss([[1, 2], [3, 4]]) == -2
-    assert det_bareiss([[0, 1], [1, 0]]) == -1
-    assert det_bareiss([[1, 2], [2, 4]]) == 0
+def _fraction_det(a):
+    """Determinant by Gaussian elimination over the rationals."""
+    n = len(a)
+    m = [[Fraction(x) for x in row] for row in a]
+    det = Fraction(1)
+    for k in range(n):
+        piv = next((i for i in range(k, n) if m[i][k]), None)
+        if piv is None:
+            return 0
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            det = -det
+        det *= m[k][k]
+        inv = 1 / m[k][k]
+        for i in range(k + 1, n):
+            f = m[i][k] * inv
+            m[i] = [x - f * y for x, y in zip(m[i], m[k])]
+    assert det.denominator == 1
+    return det.numerator
 
 
-def test_det_bareiss_matches_fraction_elimination():
-    from fractions import Fraction
+def _reference_invariant_factors(rows, n):
+    """The determinant divisor chain by brute force: every k x k minor of
+    every row, zero and repeated rows included, by rational elimination."""
+    factors, prev = [], 1
+    for k in range(1, min(len(rows), n) + 1):
+        g = 0
+        for ri in combinations(range(len(rows)), k):
+            for ci in combinations(range(n), k):
+                g = gcd(g, _fraction_det([[rows[i][j] for j in ci] for i in ri]))
+        if g == 0:
+            break
+        factors.append(g // prev)
+        prev = g
+    return factors
 
+
+def test_minor_gcd_oracle_examples():
+    # on a square matrix the factors multiply to |det|, and a singular one
+    # has fewer factors than rows
+    assert minor_gcd_invariant_factors([[2]]) == [2]
+    assert minor_gcd_invariant_factors([[1, 2], [3, 4]]) == [1, 2]
+    assert minor_gcd_invariant_factors([[0, 1], [1, 0]]) == [1, 1]
+    assert minor_gcd_invariant_factors([[1, 2], [2, 4]]) == [1]
+
+
+def test_minor_gcd_oracle_matches_fraction_determinant():
     rnd = random.Random(9)
     for _ in range(30):
         n = rnd.randint(1, 5)
         a = _rand_matrix(rnd, n, n)
-        # rational Gaussian elimination determinant
-        m = [[Fraction(x) for x in row] for row in a]
-        det = Fraction(1)
-        for k in range(n):
-            piv = next((i for i in range(k, n) if m[i][k]), None)
-            if piv is None:
-                det = Fraction(0)
-                break
-            if piv != k:
-                m[k], m[piv] = m[piv], m[k]
-                det = -det
-            det *= m[k][k]
-            inv = 1 / m[k][k]
-            for i in range(k + 1, n):
-                f = m[i][k] * inv
-                m[i] = [x - f * y for x, y in zip(m[i], m[k])]
-        assert det_bareiss(a) == det
+        det = _fraction_det(a)
+        factors = minor_gcd_invariant_factors(a)
+        if det:
+            assert len(factors) == n and prod(factors) == abs(det), a
+        else:
+            assert len(factors) < n, a
+
+
+def test_minor_gcd_oracle_matches_brute_force_minors():
+    rnd = random.Random(14)
+    for t in range(60):
+        if t % 4 == 3:
+            m = rnd.randint(1, 4)
+            n = rnd.randint(m + 1, 7)  # wide
+        else:
+            m, n = rnd.randint(1, 7), rnd.randint(1, 5)
+        bound = (1, 6, 1000)[t % 3]
+        a = _rand_matrix(rnd, m, n, -bound, bound)
+        if m > 2 and t % 5 < 2:
+            # rank-deficient: one row a combination of two others
+            u, w = rnd.sample(a, 2)
+            c1, c2 = rnd.randint(-3, 3), rnd.randint(-3, 3)
+            a[rnd.randrange(m)] = [c1 * x + c2 * y for x, y in zip(u, w)]
+        if t % 3 == 1:
+            c = rnd.randrange(n)
+            for row in a:
+                row[c] = 0
+        if m < 7 and t % 2:
+            # a row repeated, up to sign
+            a.insert(rnd.randrange(m + 1), [rnd.choice((1, -1)) * x for x in rnd.choice(a)])
+        assert minor_gcd_invariant_factors(a, n) == _reference_invariant_factors(a, n), a
 
 
 def test_smith_examples():

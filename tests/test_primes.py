@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from dilogeq.primes import (
     OversizedConstant,
     UnitPrimeFactorization,
+    _factor_int,
     factor_constant,
     factor_rational,
     is_prime,
@@ -47,6 +48,12 @@ def test_factor_rational_certifies_primes_above_the_bound():
     # trial division stops at 1001 > sqrt(1000003), which proves it prime
     assert factor_rational(1_000_003) == (0, {1_000_003: 1})
     assert factor_rational(Fraction(-2, 1_000_003)) == (1, {2: 1, 1_000_003: -1})
+
+
+def test_factor_int_strips_high_prime_powers():
+    # a 317,000-bit power of 3: removing it one division at a time would be
+    # quadratic in its size
+    assert _factor_int(3**200000 * 5**3 * 7) == ((3, 200000), (5, 3), (7, 1))
 
 
 def test_cached_factorizations_are_not_shared():
