@@ -50,7 +50,11 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 class HermiteForm:
     """Row-style HNF accumulator: positive pivots, entries above a pivot
-    reduced into [0, pivot).  Insert rows one at a time."""
+    reduced into [0, pivot).  Insert rows one at a time.
+
+    The row at pivot column c is zero before c, and so is a row being
+    reduced once its columns before c are cleared, so every row operation
+    at column c touches columns c onward only."""
 
     def __init__(self, width: int):
         self.width = width
@@ -76,13 +80,13 @@ class HermiteForm:
             if b % a == 0:
                 # the pivot already divides: clear the entry, the form stays
                 q = b // a
-                row = [y - q * x for x, y in zip(piv, row)]
+                row[c:] = [y - q * x for x, y in zip(piv[c:], row[c:])]
                 continue
             # one unimodular step: pivot becomes gcd, row entry becomes 0
             g, u, v = _xgcd(a, b)
-            new_piv = [u * x + v * y for x, y in zip(piv, row)]
-            row = [(a // g) * y - (b // g) * x for x, y in zip(piv, row)]
-            piv[:] = new_piv
+            tail = list(zip(piv[c:], row[c:]))
+            row[c:] = [(a // g) * y - (b // g) * x for x, y in tail]
+            piv[c:] = [u * x + v * y for x, y in tail]
             # Reduce the earlier rows at this column now, not only in
             # basis(): later steps mix those rows into others, so entries
             # left unreduced above a pivot compound and the integers grow
@@ -99,11 +103,12 @@ class HermiteForm:
             if other[c]:
                 q = other[c] // piv[c]
                 if q:
-                    other[:] = [a - q * b for a, b in zip(other, piv)]
+                    other[c:] = [a - q * b for a, b in zip(other[c:], piv[c:])]
 
     def _reduce(self, v: list[int], stop: int) -> list[int] | None:
         """v minus the combination of pivot rows that clears its columns
-        before `stop`; None when a pivot is missing or does not divide."""
+        before `stop`, computed in v itself; None when a pivot is missing
+        or does not divide."""
         for c in range(stop):
             if not v[c]:
                 continue
@@ -111,7 +116,7 @@ class HermiteForm:
             if piv is None or v[c] % piv[c]:
                 return None
             q = v[c] // piv[c]
-            v = [a - q * b for a, b in zip(v, piv)]
+            v[c:] = [a - q * b for a, b in zip(v[c:], piv[c:])]
         return v
 
     def basis(self) -> Matrix:

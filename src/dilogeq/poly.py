@@ -328,13 +328,13 @@ class MultiPoly:
         return MultiPoly(new_universe, out)
 
     def rename_vars(self, mapping: dict[str, str]) -> "MultiPoly":
-        """Permute variables within the same universe (an involution swap)."""
-        perm = []
-        for v in self.universe:
-            w = mapping.get(v, v)
-            if w not in self.universe:
-                raise ValueError(f"renamed variable {w} not in universe")
-            perm.append(self.universe.index(w))
+        """Permute variables within the same universe: each name v becomes
+        mapping.get(v, v).  Raises ValueError unless that is a permutation
+        of the universe, so no two variables are merged."""
+        pos = {v: i for i, v in enumerate(self.universe)}
+        perm = [pos.get(mapping.get(v, v)) for v in self.universe]
+        if not mapping.keys() <= pos.keys() or set(perm) != set(pos.values()):
+            raise ValueError(f"renaming {mapping} is not a permutation of {self.universe}")
         out: dict[Exponents, FieldElement] = {}
         for e, c in self.terms.items():
             ne = [0] * len(e)

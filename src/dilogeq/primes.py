@@ -19,8 +19,8 @@ x^2 = -1 mod p, with the associate of its conjugate (split).  Each is
 stripped from the numerator a + bi and from d; what is left of each is a
 unit, whose power of i gives k.  `prime_key` is the one order of prime
 factors in both modes.  Every factorization is exactly invertible:
-multiplying the unit and the prime powers back reproduces the input (tests
-rely on this oracle).
+multiplying the unit and the prime powers back reproduces the input (the
+tests check every factorization with `reconstruct` in tests/helpers.py).
 """
 
 from __future__ import annotations
@@ -52,13 +52,6 @@ class UnitPrimeFactorization:
     gaussian: bool
     unit_exponent: int
     factors: tuple[tuple[FieldElement, int], ...]
-
-    def reconstruct(self) -> FieldElement:
-        unit = FieldElement.i() if self.gaussian else fe(-1)
-        out = unit**self.unit_exponent
-        for p, e in self.factors:
-            out = out * p**e
-        return out
 
 
 @lru_cache(maxsize=1024)

@@ -69,14 +69,6 @@ class Infinity:
 INF = Infinity()
 
 
-def complete_var_swap(var_swap: dict[str, str]) -> dict[str, str]:
-    """The symmetric closure of a variable pairing: each b -> a added for a -> b."""
-    full = dict(var_swap)
-    for a, b in var_swap.items():
-        full.setdefault(b, a)
-    return full
-
-
 class RationalFunction:
     __slots__ = ("num", "den", "_hash", "_num_factors", "_den_factors")
 
@@ -233,13 +225,14 @@ class RationalFunction:
     # -- conjugation -------------------------------------------------------
 
     def conjugate(self, var_swap: dict[str, str] | None = None) -> "RationalFunction":
-        """Conjugate coefficients, optionally swapping paired variables."""
+        """Conjugate coefficients, then rename variables by `var_swap`, a
+        permutation of the universe given in full (both directions of each
+        pair); names it leaves out stay."""
         num = self.num.conjugate_coeffs()
         den = self.den.conjugate_coeffs()
         if var_swap:
-            full = complete_var_swap(var_swap)
-            num = num.rename_vars(full)
-            den = den.rename_vars(full)
+            num = num.rename_vars(var_swap)
+            den = den.rename_vars(var_swap)
         return RationalFunction(num, den)
 
     # -- substitution --------------------------------------------------------

@@ -36,7 +36,7 @@ from .coprime import CoprimeBasis
 from .formal import FormalSum, conj_sum
 from .poly import MultiPoly, univar_inverse_mod, univar_rem
 from .primes import factor_constant, prime_key
-from .ratfunc import INF, RationalFunction, complete_var_swap
+from .ratfunc import INF, RationalFunction
 from .scalars import FieldElement, ONE
 
 
@@ -149,9 +149,6 @@ class WedgeElement:
 
     def beta2_is_zero(self) -> bool:
         return self._layer_is_zero(2)
-
-    def beta3_is_zero(self) -> bool:
-        return self._layer_is_zero(3)
 
     def is_zero(self) -> bool:
         return not self.pairs
@@ -283,34 +280,37 @@ def check_constant(alpha: FormalSum) -> ConstancyCertificate:
 
 
 def check_constant_real(alpha: FormalSum) -> ConstancyCertificate:
-    """Constancy of the Bloch-Wigner dilogarithm on the real locus.
+    """Constancy of the Bloch-Wigner dilogarithm on the real locus: the
+    conjugation criterion with every variable real."""
+    return check_constant_cc(alpha)
 
-    Tests alpha minus its coefficientwise conjugate: D kills the conjugate
-    on real points, so only the antisymmetric part has to be constant.
+
+def check_constant_cc(
+    alpha: FormalSum, var_swap: dict[str, str] | None = None
+) -> ConstancyCertificate:
+    """Constancy of the Bloch-Wigner dilogarithm on the fixed locus of a
+    conjugation: paired variables are complex conjugates, the rest are real.
+
+    `var_swap` gives each pair (z, zbar) in one direction or both.  With its
+    completion, sigma conjugates coefficients and swaps paired variables, an
+    antiholomorphic involution of the complexification; a name sigma does
+    not move is real.  D(zbar) = -D(z) gives D(alpha^sigma) = -D(alpha) on
+    the fixed locus, so D(alpha) = D(alpha - alpha^sigma) / 2 there.  If the
+    boundary of alpha - alpha^sigma vanishes (beta1 and beta2), that sum has
+    constant D on the whole complexification, so alpha has constant D on
+    the locus.  A pairing that gives a variable two partners or names a
+    variable outside the universe raises UnpairedVariables.
     """
-    diff = alpha - conj_sum(alpha)
-    return _certificate(boundary(diff))
-
-
-def check_constant_cc(alpha: FormalSum, var_swap: dict[str, str]) -> ConstancyCertificate:
-    """Constancy on the locus where paired variables are complex conjugates.
-
-    The universe must be fully matched into pairs (z, zbar) by var_swap;
-    treating the pairs as independent coordinates, the criterion is the
-    beta-test on alpha minus its conjugate (coefficients conjugated too,
-    paired variables swapped).
-    """
-    full = complete_var_swap(var_swap)
-    names = set(alpha.universe)
-    covered = set(full) | set(full.values())
-    if covered != names or any(full.get(full.get(v)) != v for v in full):
+    full = dict(var_swap or {})
+    for a, b in list(full.items()):
+        full.setdefault(b, a)
+    if not set(full) | set(full.values()) <= set(alpha.universe) or any(
+        full[full[v]] != v for v in full
+    ):
         raise UnpairedVariables(
-            f"variable pairing {var_swap} does not match universe {alpha.universe}"
+            f"variable pairing {var_swap} is not an involution of {alpha.universe}"
         )
-    if any(full[v] == v for v in full):
-        raise UnpairedVariables("a variable cannot pair with itself")
-    diff = alpha - conj_sum(alpha, full)
-    return _certificate(boundary(diff))
+    return _certificate(boundary(alpha - conj_sum(alpha, full)))
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,10 @@ from dilogeq.formal import FormalSum, five_term, inversion
 from dilogeq.intmat import HermiteForm
 from dilogeq.padic import EXACT, PadicNumber
 from dilogeq.poly import MultiPoly, poly_gcd
+from dilogeq.primes import UnitPrimeFactorization
 from dilogeq.ratfunc import RationalFunction, ZeroDenominator
 from dilogeq.scalars import FieldElement, fe
+from dilogeq.wedge import WedgeElement
 
 
 # -- builders and views the package itself does not need ---------------------
@@ -74,6 +76,20 @@ def to_sympy(p: MultiPoly):
         for e, c in p.terms.items()
     }
     return sp.Poly.from_dict(rep, sp.symbols(p.universe), domain=sp.QQ_I)
+
+
+def beta3_is_zero(w: WedgeElement) -> bool:
+    """Does w have no pair of two constant atoms (its beta3 layer)?"""
+    return not any(w.decompose()[2].values())
+
+
+def reconstruct(f: UnitPrimeFactorization) -> FieldElement:
+    """The constant a factorization stands for: the unit power times the
+    prime powers, multiplied back."""
+    out = (FieldElement.i() if f.gaussian else fe(-1)) ** f.unit_exponent
+    for p, e in f.factors:
+        out = out * p**e
+    return out
 
 
 def to_mode(s: FormalSum, coeff_mode: str) -> FormalSum:

@@ -6,6 +6,7 @@ outcome is visible in the terminal run log.
 """
 
 import contextlib
+import itertools
 import json
 import math
 import random
@@ -19,7 +20,7 @@ from dilogeq.blochfq import (
     relations_matrix,
 )
 from dilogeq.cli import main
-from dilogeq.formal import FormalSum, c_element, five_term, inversion
+from dilogeq.formal import DegenerateArguments, FormalSum, c_element, five_term, inversion
 from dilogeq.intmat import solve_integer
 from dilogeq.numerics import (
     LI2_ONE,
@@ -54,6 +55,7 @@ from helpers import (
     expand_beta1_to_planted,
     planted_basis,
     product_of_planted,
+    random_coeff,
     random_five_term,
     random_formal_sum,
     random_inversion,
@@ -194,12 +196,15 @@ def test_acceptance_04_specialization_diagram(capsys):
 # -- 5: constancy criterion, both verdicts ---------------------------------------------
 
 
-def _cc_locus_values(alpha, rnd, count=100):
-    """Bloch-Wigner values of alpha on the conjugation locus w = conj(z)."""
+def _cc_locus_values(alpha, rnd, reals=(), pairs=(("z", "w"),), count=100):
+    """Bloch-Wigner values of alpha on the locus where the `reals` are real
+    and each pair (z, w) has w = conj(z)."""
     vals = []
     while len(vals) < count:
-        zc = complex(rnd.uniform(-3.0, 3.0), rnd.uniform(0.2, 3.0))
-        point = {"z": zc, "w": zc.conjugate()}
+        point = {x: complex(rnd.uniform(-3.0, 3.0)) for x in reals}
+        for z, w in pairs:
+            zc = complex(rnd.uniform(-3.0, 3.0), rnd.uniform(0.2, 3.0))
+            point[z], point[w] = zc, zc.conjugate()
         total = 0.0
         ok = True
         for f, a in alpha.items():
@@ -262,6 +267,75 @@ def test_acceptance_05_constancy_criterion(capsys):
             assert check_constant_cc(witness, swap).verdict == "NotConstant"
             vals = _cc_locus_values(witness, rnd)
             assert max(vals) - min(vals) >= 1e-3
+
+
+# (real variables, conjugate pairs) of the mixed loci
+MIXED_LOCI = [
+    (("x",), ()),
+    (("x", "y"), ()),
+    (("x",), (("z", "w"),)),
+    (("x", "y"), (("z", "w"),)),
+    (("x",), (("z", "w"), ("u", "v"))),
+    (("x", "y"), (("z", "w"), ("u", "v"))),
+]
+
+
+def _in_all_variables(rnd, universe, gaussian):
+    """A rational function whose numerator has a term in each variable."""
+    num = RationalFunction.const(universe, random_coeff(rnd, gaussian))
+    for v in universe:
+        num = num + RationalFunction.var(universe, v).scale(random_coeff(rnd, gaussian, zero_ok=False))
+    v = RationalFunction.var(universe, rnd.choice(universe))
+    den = v.scale(random_coeff(rnd, gaussian, zero_ok=False))
+    return num / (den + RationalFunction.const(universe, fe(rnd.choice([2, 3, -5]))))
+
+
+def test_acceptance_05_mixed_conjugation_loci(capsys):
+    with criterion(capsys, 5, "conjugation criterion on mixed loci, backed by numerics", limit=60.0):
+        rnd = random.Random(5005)
+        for (reals, pairs), field in itertools.product(MIXED_LOCI, ("Q", "Qi")):
+            universe = reals + tuple(v for pair in pairs for v in pair)
+            gaussian = field == "Qi"
+            swap = dict(pairs)
+            full = {**swap, **{w: z for z, w in pairs}}
+            var = {v: RationalFunction.var(universe, v) for v in universe}
+
+            def single(f, a=1):
+                return FormalSum.single(f, a, field)
+
+            def fn():
+                return _in_all_variables(rnd, universe, gaussian)
+
+            while True:
+                try:
+                    five = five_term(fn(), fn(), field)
+                    break
+                except DegenerateArguments:
+                    continue
+            f = fn()
+            real_args = [var[reals[0]]]
+            for z, w in pairs:
+                real_args += [var[reals[-1]] * var[z] * var[w], var[z] + var[w]]
+            invariant = FormalSum.zero(universe, field)
+            for k, g in enumerate(real_args):
+                invariant = invariant + single(g, k + 1)
+            constant = [five, inversion(fn(), field), single(f) + single(f.conjugate(full)), invariant]
+            varying = []
+            if pairs:
+                z = var[pairs[-1][0]]
+                varying = [single(var[reals[0]] * z), single(z)]
+            elif gaussian:
+                varying = [single(var[reals[0]] + RationalFunction.const(universe, fe(0, 1)))]
+
+            cases = [(a, "Constant") for a in constant] + [(a, "NotConstant") for a in varying]
+            for alpha, verdict in cases:
+                assert check_constant_cc(alpha, swap).verdict == verdict, (universe, str(alpha))
+                vals = _cc_locus_values(alpha, rnd, reals, pairs, count=20)
+                spread = max(vals) - min(vals)
+                if verdict == "Constant":
+                    assert spread <= 1e-9, (universe, field, str(alpha), spread)
+                else:
+                    assert spread >= 1e-3, (universe, field, str(alpha), spread)
 
 
 # -- 6: basis-level beta1 equals planted-level beta1 -----------------------------------

@@ -356,10 +356,22 @@ def test_check_cc_mode(run):
     assert "(w) ^ (w - 1)" in out
 
 
+def test_check_cc_mixed_locus(run):
+    # x real, w = conj(z): D(x*|z|^2) = 0, while D(x*z) varies with z
+    head = "dilog-identity v1\nfield: Qi\nvariables: x, z ~ w\n"
+    code, out, err = run(["check", "DOC:" + head + "term: 1 [x*z*w]\n", "--cc"])
+    assert (code, err) == (0, "")
+    assert "verdict: Constant" in out
+    code, out, err = run(["check", "DOC:" + head + "term: 1 [x*z]\n", "--cc"])
+    assert (code, err) == (1, "")
+    assert "witness: beta1 pairing" in out
+
+
 def test_check_cc_mode_needs_pairs(run):
-    code, _, err = run(["check", "DOC:" + SINGLE_DOC, "--cc"])
-    assert code == 2
-    assert "conjugate pairs" in err
+    # with no pair every variable is real, and D of a real argument is 0
+    code, out, err = run(["check", "DOC:" + SINGLE_DOC, "--cc"])
+    assert (code, err) == (0, "")
+    assert out.startswith("verdict: Constant\n")
 
 
 def test_check_padic_mode(run):

@@ -1,6 +1,8 @@
 """Invariants of the package are checked by exceptions that `python -O` keeps."""
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -8,7 +10,8 @@ import pytest
 from dilogeq.document import IdentitySpec, dump_document
 from dilogeq.padic import PadicNumber
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "dilogeq"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "dilogeq"
 
 
 def test_package_has_no_assert():
@@ -40,3 +43,23 @@ def test_dump_rejects_undeclared_pair():
     spec = IdentitySpec("Qi", "Z", ("z",), (("a", "b"),), ())
     with pytest.raises(ValueError):
         dump_document(spec)
+
+
+def test_traced_names_resolve():
+    # the benchmark's tracer wraps functions at these import sites; a name
+    # that moves would break only traced runs, so check them all here
+    spec = importlib.util.spec_from_file_location("bench_tracer", ROOT / "bench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = []
+    for module, attr, _ in tracer.SPANS + tracer.COUNTERS:
+        owner = importlib.import_module(module)
+        for part in attr.split("."):
+            owner = getattr(owner, part, None)
+        if not callable(owner):
+            missing.append(f"{module}.{attr}")
+    assert missing == []
+    # the tracer also subclasses the Hermite form that blochfq builds
+    blochfq = importlib.import_module("dilogeq.blochfq")
+    assert isinstance(blochfq.HermiteForm, type)
+    assert callable(blochfq.HermiteForm.insert) and callable(blochfq.HermiteForm.contains)

@@ -208,6 +208,24 @@ def test_conjugate_with_var_swap():
     assert g.conjugate(var_swap={"t1": "t2", "t2": "t1"}) == f
 
 
+def test_rename_that_merges_variables_is_refused():
+    xyz = ("x", "y", "z")
+    x, y, z = (MultiPoly.var(xyz, v) for v in xyz)
+    # a mapping that sends two names to one slot used to overwrite one
+    # exponent with the other: x + y became y + 1, and x + y^2*z under
+    # x -> y -> z became y*z^2 + 1
+    with pytest.raises(ValueError, match="not a permutation"):
+        (x + y).rename_vars({"x": "y"})
+    f = RationalFunction.from_poly(x + y**2 * z)
+    with pytest.raises(ValueError, match="not a permutation"):
+        f.conjugate({"x": "y", "y": "z"})
+    with pytest.raises(ValueError, match="not a permutation"):
+        (x + y).rename_vars({"u": "x"})
+    # a full cycle is a permutation, and so is a fixed name
+    assert f.conjugate({"x": "y", "y": "z", "z": "x"}) == RationalFunction.from_poly(y + z**2 * x)
+    assert (x + y).rename_vars({"x": "x"}) == x + y
+
+
 @given(ratfuncs)
 @settings(max_examples=30, deadline=None)
 def test_eval_numeric_consistent(f):

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from dilogeq.exprparse import parse_expression
 from dilogeq.formal import FormalSum, c_element, five_term, inversion
 from dilogeq.poly import MultiPoly, univar_rem
 from dilogeq.primes import OversizedConstant
@@ -26,6 +27,7 @@ from dilogeq.wedge import (
 
 from helpers import (
     beta1_from_exponents,
+    beta3_is_zero,
     expand_beta1_to_planted,
     planted_basis,
     product_of_planted,
@@ -158,7 +160,7 @@ def test_unit_with_itself():
     # (-1) /\ (-1) is kept over Q, mod 2; i /\ i = 0 over Q(i)
     minus = WedgeElement(T, [(1, const(-1), const(-1))])
     assert minus.decompose()[2]["unit_unit"] == 1
-    assert minus.beta1_is_zero() and minus.beta2_is_zero() and not minus.beta3_is_zero()
+    assert minus.beta1_is_zero() and minus.beta2_is_zero() and not beta3_is_zero(minus)
     assert WedgeElement(T, [(2, const(-1), const(-1))]).is_zero()
     i_const = RationalFunction.const(T, FieldElement.i())
     assert WedgeElement(T, [(1, i_const, i_const)], field_mode="Qi").is_zero()
@@ -274,14 +276,89 @@ def test_check_constant_cc():
 
 
 def test_check_constant_cc_pairing_validation():
+    # a variable the pairing does not move is real: a self-pair and an
+    # unpaired variable read D on the real locus
     z = RationalFunction.var(ZW, "z")
     alpha = FormalSum.single(z, 1)
-    with pytest.raises(UnpairedVariables):
-        check_constant_cc(alpha, {"z": "z"})
+    assert check_constant_cc(alpha, {"z": "z"}) == check_constant_real(alpha)
+    assert check_constant_cc(alpha, {"z": "z"}).is_constant()
     U3 = ("z", "w", "u")
-    beta = FormalSum.single(RationalFunction.var(U3, "z"), 1)
-    with pytest.raises(UnpairedVariables):
-        check_constant_cc(beta, {"z": "w"})
+    z3, w3, u3 = (RationalFunction.var(U3, v) for v in U3)
+    assert check_constant_cc(FormalSum.single(u3 * z3 * w3, 1), {"z": "w"}).is_constant()
+    assert not check_constant_cc(FormalSum.single(u3 * z3, 1), {"z": "w"}).is_constant()
+    # a variable with two partners, or a name outside the universe, is no
+    # involution of the universe
+    beta = FormalSum.single(z3, 1)
+    for bad in ({"z": "w", "u": "w"}, {"z": "w", "w": "u"}, {"z": "q"}, {"q": "q"}):
+        with pytest.raises(UnpairedVariables):
+            check_constant_cc(beta, bad)
+
+
+# Six certificates of the conjugation criterion, recorded before the real
+# locus became its no-pair case: (variables, field, coefficients, pairing
+# or None for the real locus, terms) -> (verdict, witness, beta3).
+CONJUGATION_CERTIFICATES = [
+    (
+        ("z", "w"), "Qi", "Z", {"z": "w"},
+        [(1, "z*w"), (1, "(1 + i)*z"), (1, "(1 - i)*w"), (1, "1 + i")],
+        ("Constant", None, {}, {"1 + i": "2"}),
+    ),
+    (
+        ("z", "w"), "Q", "Z", {"z": "w"},
+        [(1, "z"), (-1, "w"), (2, "z*w - 1")],
+        ("NotConstant", ("pair", "w", "w - 1", "-2"), {}, {}),
+    ),
+    (
+        ("z", "w", "u", "v"), "Qi", "Z", {"z": "w", "u": "v"},
+        [(1, "z*u"), (1, "w*v"), (3, "2*z"), (1, "3*i")],
+        (
+            "NotConstant",
+            ("pair", "w", "w - 1/2", "-3"),
+            {"1 + 2*i ^ 3": "-1", "2 + i ^ 3": "1"},
+            {"1 + i": "2", "1 + 2*i": "3", "2 + i": "3", "3": "2"},
+        ),
+    ),
+    (
+        ("z", "w"), "Qi", "Q", {"z": "w"},
+        [(Fraction(1, 2), "(1 + 2*i)*z"), (Fraction(1, 2), "(1 - 2*i)*w"), (-1, "z + w"), (2, "2 - i")],
+        ("Constant", None, {"1 + i ^ 1 + 2*i": "-2", "1 + i ^ 2 + i": "2"}, {}),
+    ),
+    (
+        ("t",), "Qi", "Z", None,
+        [(1, "i*t"), (1, "-i*t"), (1, "2 + i"), (1, "-3*t")],
+        (
+            "Constant",
+            None,
+            {"1 + i ^ 1 + 2*i": "1", "1 + i ^ 2 + i": "-1"},
+            {"1 + i": "3", "1 + 2*i": "3", "2 + i": "2"},
+        ),
+    ),
+    (
+        ("t1", "t2"), "Qi", "Q", None,
+        [(1, "(1 + i)*t1/t2"), (Fraction(1, 2), "t1 + i")],
+        ("NotConstant", ("pair", "t2", "t1 + (-1/2 - 1/2*i)*t2", "1"), {}, {}),
+    ),
+]
+
+
+@pytest.mark.parametrize("case", CONJUGATION_CERTIFICATES)
+def test_conjugation_certificates_recorded(case):
+    universe, field, coeff, swap, terms, expected = case
+    alpha = FormalSum.zero(universe, field, coeff)
+    for a, src in terms:
+        alpha = alpha + FormalSum.single(parse_expression(src, universe, field), a, field, coeff)
+    cert = check_constant_real(alpha) if swap is None else check_constant_cc(alpha, swap)
+    b3 = cert.residual_beta3
+    got = (
+        cert.verdict,
+        None if cert.witness is None else tuple(str(x) for x in cert.witness),
+        {f"{p} ^ {q}": str(v) for (p, q), v in b3["pairs"].items()},
+        {str(p): str(v) for p, v in b3["units"].items()},
+    )
+    assert got == expected
+    assert b3["unit_unit"] == 0
+    if swap is None:
+        assert check_constant_cc(alpha) == cert
 
 
 def test_oversized_constant_refused():
