@@ -29,7 +29,7 @@ def main():
     args = ap.parse_args()
     p, prec = args.p, args.prec
 
-    branch_a = Branch.standard(p)  # log_p(p) = 0
+    branch_a = Branch.of(p, 0)  # log_p(p) = 0
     branch_b = Branch.of(p, Fraction(1), prec)
     print(f"p = {p}, precision O({p}^{prec}), branches log_p(p) = 0 vs 1")
     print()

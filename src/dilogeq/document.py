@@ -33,7 +33,6 @@ from .exprparse import (
     parse_expression,
 )
 from .formal import FormalSum, check_term
-from .ratfunc import RationalFunction
 
 
 HEADER = "dilog-identity v1"
@@ -86,7 +85,7 @@ class IdentitySpec:
         out in four of its five terms."""
         if self._sum is not None:
             return self._sum
-        terms: dict[RationalFunction, Fraction] = {}
+        pairs = []
         shared: dict = {}
         for term in self.terms:
             try:
@@ -98,8 +97,8 @@ class IdentitySpec:
                 c = check_term(f, term.coefficient, self.variables, self.coeff_mode)
             except ValueError as exc:
                 raise DocumentError(str(exc), term.line) from None
-            terms[f] = terms.get(f, Fraction(0)) + c
-        total = FormalSum(self.variables, terms, self.field_mode, self.coeff_mode)
+            pairs.append((f, c))
+        total = FormalSum(self.variables, pairs, self.field_mode, self.coeff_mode)
         object.__setattr__(self, "_sum", total)
         return total
 

@@ -8,10 +8,14 @@ The parser evaluates directly into RationalFunction normal form; there is
 no retained syntax tree.  Before each operation it bounds the total degree
 of the numerator and denominator the operation builds (before cancelling
 common factors), and refuses one above MAX_DEGREE, so a short expression
-such as t^1000000000 cannot ask for unbounded memory.  A power is also
-refused when |exponent| times the largest bit length among the parts of
-its base's coefficients is above MAX_COEFFICIENT_BITS, so a constant power
-such as 2^999999999999, which has degree 0, is bounded too.
+such as t^1000000000 cannot ask for unbounded memory.  It also bounds the
+coefficient size the operation builds, from the largest bit length among
+the parts of each operand's coefficients: bits(lhs) + bits(rhs) + 1 for
++ and -, bits(lhs) + bits(rhs) for * and /, and |exponent| * bits(base)
+for ^, and refuses an estimate above MAX_COEFFICIENT_BITS.  So a constant
+power such as 2^999999999999, which has degree 0, is bounded too, and so
+is a product or a sum of powers that each pass, such as
+3^300000*3^300000*3^300000.
 
 Sharing: `parse_expression` takes a `shared` dict from the token texts of
 an expression, or of a parenthesized group, to its value.  A group or a
@@ -41,8 +45,8 @@ MAX_DEGREE = 100_000
 expression is evaluated."""
 
 MAX_COEFFICIENT_BITS = 1_000_000
-"""The largest bit length a power may give a coefficient part, estimated
-as |exponent| times the largest bit length among its base's."""
+"""The largest bit length an operation may give a coefficient part, as the
+module docstring estimates it from the operands'."""
 
 
 # Each error keeps its message without the position as `reason`, so that a
@@ -95,10 +99,14 @@ def _degrees(f: RationalFunction) -> tuple[int, int]:
     return max(f.num.total_degree(), 0), max(f.den.total_degree(), 0)
 
 
-def _check_degree(num_degree: int, den_degree: int, op: "_Token"):
+def _check_size(num_degree: int, den_degree: int, bits: int, op: "_Token"):
+    """Refuse the operation op when the degrees or the coefficient size it
+    would build are above their limits."""
     degree = max(num_degree, den_degree)
     if degree > MAX_DEGREE:
         raise DegreeLimitExceeded(degree, op.line, op.col)
+    if bits > MAX_COEFFICIENT_BITS:
+        raise CoefficientLimitExceeded(bits, op.line, op.col)
 
 
 def _coefficient_bits(f: RationalFunction) -> int:
@@ -208,7 +216,8 @@ class _Parser:
             op = self.take()
             rhs = self.term()
             (na, da), (nb, db) = _degrees(value), _degrees(rhs)
-            _check_degree(max(na + db, nb + da), da + db, op)
+            bits = _coefficient_bits(value) + _coefficient_bits(rhs) + 1
+            _check_size(max(na + db, nb + da), da + db, bits, op)
             value = value + rhs if op.kind == "+" else value - rhs
         return value
 
@@ -218,11 +227,12 @@ class _Parser:
             op = self.take()
             rhs = self.unary()
             (na, da), (nb, db) = _degrees(value), _degrees(rhs)
+            bits = _coefficient_bits(value) + _coefficient_bits(rhs)
             if op.kind == "*":
-                _check_degree(na + nb, da + db, op)
+                _check_size(na + nb, da + db, bits, op)
                 value = value * rhs
             else:
-                _check_degree(na + db, da + nb, op)
+                _check_size(na + db, da + nb, bits, op)
                 try:
                     value = value / rhs
                 except ZeroDenominator:
@@ -246,10 +256,8 @@ class _Parser:
         op = self.take()
         exp = self.signed_int()
         num_degree, den_degree = _degrees(base)
-        _check_degree(num_degree * abs(exp), den_degree * abs(exp), op)
-        bits = abs(exp) * _coefficient_bits(base)
-        if bits > MAX_COEFFICIENT_BITS:
-            raise CoefficientLimitExceeded(bits, op.line, op.col)
+        n = abs(exp)
+        _check_size(num_degree * n, den_degree * n, n * _coefficient_bits(base), op)
         try:
             return base ** exp
         except ZeroDenominator:

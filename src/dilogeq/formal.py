@@ -11,15 +11,17 @@ Relation generators:
   five_term(x, y)  = [x] - [y] + [y/x] + [(1-x)/(1-y)] - [(1-x^-1)/(1-y^-1)]
   inversion(x)     = [x] + [1/x]
   c_element(c)     = [c] + [1-c]
-all merged eagerly so equal arguments collapse into one term.
+each built from its arguments as pairs, which the FormalSum constructor
+merges, so equal arguments collapse into one term.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 
+from .poly import join_signed
 from .ratfunc import RationalFunction, ZeroDenominator
-from .scalars import FieldElement
 
 
 FIELD_MODES = ("Q", "Qi")
@@ -49,16 +51,29 @@ def check_term(f: RationalFunction, c, universe, coeff_mode: str) -> Fraction:
     return c
 
 
+def _term_text(c: Fraction, symbol: str) -> str:
+    """The text of the term c symbol: symbol, -symbol or c*symbol."""
+    if c == 1:
+        return symbol
+    if c == -1:
+        return "-" + symbol
+    return f"{c}*{symbol}"
+
+
 class FormalSum:
     __slots__ = ("universe", "field_mode", "coeff_mode", "terms", "_hash")
 
     def __init__(
         self,
         universe,
-        terms: dict[RationalFunction, Fraction],
+        terms: Mapping[RationalFunction, Fraction] | Iterable[tuple[RationalFunction, Fraction]],
         field_mode: str = "Q",
         coeff_mode: str = "Z",
     ):
+        """`terms` maps arguments to coefficients, or lists (argument,
+        coefficient) pairs: the free abelian group law, so the coefficients
+        of a repeated argument are summed, each total is checked as
+        check_term checks it, and the arguments whose total is 0 drop out."""
         if field_mode not in FIELD_MODES:
             raise ValueError(f"unknown field mode {field_mode!r}")
         if coeff_mode not in COEFF_MODES:
@@ -66,8 +81,11 @@ class FormalSum:
         self.universe = tuple(universe)
         self.field_mode = field_mode
         self.coeff_mode = coeff_mode
+        totals = {}
+        for f, c in terms.items() if isinstance(terms, Mapping) else terms:
+            totals[f] = totals[f] + c if f in totals else c
         self.terms: dict[RationalFunction, Fraction] = {}
-        for f, c in terms.items():
+        for f, c in totals.items():
             c = check_term(f, c, self.universe, coeff_mode)
             if c:
                 self.terms[f] = c
@@ -127,10 +145,8 @@ class FormalSum:
 
     def __add__(self, other: "FormalSum") -> "FormalSum":
         self._check_compatible(other)
-        out = dict(self.terms)
-        for f, c in other.terms.items():
-            out[f] = out.get(f, Fraction(0)) + c
-        return FormalSum(self.universe, out, self.field_mode, self.coeff_mode)
+        pairs = [*self.terms.items(), *other.terms.items()]
+        return FormalSum(self.universe, pairs, self.field_mode, self.coeff_mode)
 
     def __sub__(self, other: "FormalSum") -> "FormalSum":
         return self + (-other)
@@ -153,11 +169,8 @@ class FormalSum:
         )
 
     def map_keys(self, fn) -> "FormalSum":
-        out: dict[RationalFunction, Fraction] = {}
-        for f, c in self.terms.items():
-            g = fn(f)
-            out[g] = out.get(g, Fraction(0)) + c
-        return FormalSum(self.universe, out, self.field_mode, self.coeff_mode)
+        pairs = [(fn(f), c) for f, c in self.terms.items()]
+        return FormalSum(self.universe, pairs, self.field_mode, self.coeff_mode)
 
     def with_universe(self, new_universe) -> "FormalSum":
         return FormalSum(
@@ -170,24 +183,7 @@ class FormalSum:
     # -- display -------------------------------------------------------------
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        pieces = []
-        for f, c in self.items():
-            if c == 1:
-                body = f"[{f}]"
-            elif c == -1:
-                body = f"-[{f}]"
-            else:
-                body = f"{c}*[{f}]"
-            pieces.append(body)
-        text = pieces[0]
-        for p in pieces[1:]:
-            if p.startswith("-"):
-                text += " - " + p[1:]
-            else:
-                text += " + " + p
-        return text
+        return join_signed(_term_text(c, f"[{f}]") for f, c in self.items())
 
     def __repr__(self):
         return f"FormalSum({self})"
@@ -215,24 +211,11 @@ class ExtendedFormalSum:
         )
 
     def __str__(self):
-        pieces = [str(self.ordinary)] if not self.ordinary.is_zero() else []
+        pieces = [_term_text(c, f"[{f}]") for f, c in self.ordinary.items()]
         for c, sym in ((self.c0, "[0]"), (self.c1, "[1]"), (self.cinf, "[inf]")):
             if c:
-                if c == 1:
-                    pieces.append(sym)
-                elif c == -1:
-                    pieces.append("-" + sym)
-                else:
-                    pieces.append(f"{c}*{sym}")
-        if not pieces:
-            return "0"
-        text = pieces[0]
-        for p in pieces[1:]:
-            if p.startswith("-"):
-                text += " - " + p[1:]
-            else:
-                text += " + " + p
-        return text
+                pieces.append(_term_text(c, sym))
+        return join_signed(pieces)
 
     def __repr__(self):
         return f"ExtendedFormalSum({self})"
@@ -265,28 +248,20 @@ def five_term(
         )
     except ZeroDenominator as exc:
         raise DegenerateArguments(str(exc)) from exc
-    terms: dict[RationalFunction, Fraction] = {}
-    for f, c in ((x, 1), (y, -1), (a3, 1), (a4, 1), (a5, -1)):
-        terms[f] = terms.get(f, Fraction(0)) + c
-    return FormalSum(x.universe, terms, field_mode, coeff_mode)
+    pairs = ((x, 1), (y, -1), (a3, 1), (a4, 1), (a5, -1))
+    return FormalSum(x.universe, pairs, field_mode, coeff_mode)
 
 
 def inversion(x: RationalFunction, field_mode="Q", coeff_mode="Z") -> FormalSum:
     """[x] + [1/x], merged (x = -1 gives 2[-1])."""
     _admissible(x, "x")
-    terms: dict[RationalFunction, Fraction] = {x: Fraction(1)}
-    inv = x.inverse()
-    terms[inv] = terms.get(inv, Fraction(0)) + 1
-    return FormalSum(x.universe, terms, field_mode, coeff_mode)
+    return FormalSum(x.universe, ((x, 1), (x.inverse(), 1)), field_mode, coeff_mode)
 
 
 def c_element(c: RationalFunction, field_mode="Q", coeff_mode="Z") -> FormalSum:
     """[c] + [1-c], merged (c = 1/2 gives 2[1/2])."""
     _admissible(c, "c")
-    terms: dict[RationalFunction, Fraction] = {c: Fraction(1)}
-    omc = c.one_minus()
-    terms[omc] = terms.get(omc, Fraction(0)) + 1
-    return FormalSum(c.universe, terms, field_mode, coeff_mode)
+    return FormalSum(c.universe, ((c, 1), (c.one_minus(), 1)), field_mode, coeff_mode)
 
 
 def conj_sum(alpha: FormalSum, var_swap: dict[str, str] | None = None) -> FormalSum:

@@ -236,11 +236,6 @@ class Branch:
     log_of_p: PadicNumber
 
     @staticmethod
-    def standard(p: int) -> "Branch":
-        """The branch with log_p(p) = 0."""
-        return Branch(p, PadicNumber.zero(p))
-
-    @staticmethod
     def of(p: int, value, prec: int = 32) -> "Branch":
         if isinstance(value, PadicNumber):
             return Branch(p, value)

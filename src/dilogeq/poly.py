@@ -402,8 +402,6 @@ class MultiPoly:
     # -- display ------------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
         pieces = []
         for e, c in sorted(self.terms.items(), key=lambda t: _grlex(t[0]), reverse=True):
             mono = "*".join(
@@ -412,16 +410,17 @@ class MultiPoly:
                 if k
             )
             pieces.append(_format_term(c, mono))
-        text = pieces[0]
-        for p in pieces[1:]:
-            if p.startswith("-"):
-                text += " - " + p[1:]
-            else:
-                text += " + " + p
-        return text
+        return join_signed(pieces)
 
     def __repr__(self) -> str:
         return f"MultiPoly({self})"
+
+
+def join_signed(pieces) -> str:
+    """The sum of the term texts `pieces`: " - " before a piece that starts
+    with "-", " + " before any other, and "0" when there is none."""
+    first, *rest = list(pieces) or ["0"]
+    return first + "".join(" - " + p[1:] if p.startswith("-") else " + " + p for p in rest)
 
 
 def _coeff_str(c: FieldElement) -> str:

@@ -61,10 +61,6 @@ class FieldElement:
     # -- constructors ------------------------------------------------
 
     @staticmethod
-    def of(re, im=0) -> "FieldElement":
-        return FieldElement(re, im)
-
-    @staticmethod
     def i() -> "FieldElement":
         return I
 

@@ -74,7 +74,7 @@ def default_aux(universe, var: str) -> RationalFunction:
 def naive_eval(alpha: FormalSum, var: str, target) -> ExtendedFormalSum:
     """Substitute var -> target in every argument, collecting the symbols
     [0], [1], [inf] into explicit coefficients instead of failing."""
-    ordinary: dict[RationalFunction, Fraction] = {}
+    ordinary = []
     c0 = c1 = cinf = Fraction(0)
     for f, a in alpha.items():
         v = f.substitute(var, target)
@@ -85,7 +85,7 @@ def naive_eval(alpha: FormalSum, var: str, target) -> ExtendedFormalSum:
         elif v.is_one():
             c1 += a
         else:
-            ordinary[v] = ordinary.get(v, Fraction(0)) + a
+            ordinary.append((v, a))
     base = FormalSum(alpha.universe, ordinary, alpha.field_mode, alpha.coeff_mode)
     return ExtendedFormalSum(base, c0, c1, cinf)
 
@@ -125,7 +125,7 @@ def evaluate_at_point(alpha: FormalSum, point: dict[str, FieldElement]) -> Forma
     missing = [v for v in alpha.universe if v not in point]
     if missing:
         raise ValueError(f"point does not assign {missing}")
-    out: dict[RationalFunction, Fraction] = {}
+    out = []
     for f, a in alpha.items():
         try:
             v = f.evaluate(point)
@@ -137,8 +137,7 @@ def evaluate_at_point(alpha: FormalSum, point: dict[str, FieldElement]) -> Forma
             raise PointNotAdmissible(f, "the value is 0")
         if v.is_one():
             raise PointNotAdmissible(f, "the value is 1")
-        key = RationalFunction.const((), v)
-        out[key] = out.get(key, Fraction(0)) + a
+        out.append((RationalFunction.const((), v), a))
     return FormalSum((), out, alpha.field_mode, alpha.coeff_mode)
 
 

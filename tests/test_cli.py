@@ -71,6 +71,17 @@ def test_check_refuses_a_constant_power_above_the_coefficient_limit(run):
     )
 
 
+def test_check_refuses_a_product_above_the_coefficient_limit(run):
+    # each power passes, and the third product would reach 1426467 bits
+    doc = "DOC:dilog-identity v1\nvariables: t\nterm: 1 [t*3^300000*3^300000*3^300000*3^300000]\n"
+    code, out, err = run(["check", doc])
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: coefficient size 1426467 bits is above the limit 1000000"
+        " (line 3, column 20 of the expression)\n"
+    )
+
+
 def test_check_names_the_document_line_of_a_syntax_error(run):
     doc = "DOC:dilog-identity v1\nvariables: t\nterm: 1 [t + )]\n"
     code, out, err = run(["check", doc])

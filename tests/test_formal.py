@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from dilogeq.formal import (
     DegenerateArguments,
+    ExtendedFormalSum,
     FormalSum,
     c_element,
     conj_sum,
@@ -124,6 +125,32 @@ def test_zero_coefficients_dropped():
     assert (a.scale(0)).is_zero()
 
 
+def test_pairs_sum_a_repeated_argument():
+    alpha = FormalSum(T, [(t(), 2), (const(3), -1), (t(), Fraction(1)), (const(3), -1)])
+    assert alpha == FormalSum(T, {t(): Fraction(3), const(3): Fraction(-2)})
+    assert list(alpha.terms) == [t(), const(3)]
+
+
+def test_pairs_that_cancel_drop_their_argument():
+    alpha = FormalSum(T, [(t(), 1), (const(3), 2), (t(), -1)])
+    assert alpha.terms == {const(3): 2}
+    assert alpha.coefficient(t()) == 0
+    # a degenerate argument whose total is 0 is never checked, as for a 0 coefficient
+    assert FormalSum(T, [(const(1), 1), (const(1), -1)]).is_zero()
+    assert FormalSum(T, [(const(1), 1), (const(1), -1), (t(), 1)]) == FormalSum.single(t())
+
+
+def test_z_mode_checks_the_summed_coefficient():
+    half = Fraction(1, 2)
+    assert FormalSum(T, [(t(), half), (t(), half)], coeff_mode="Z") == FormalSum.single(t())
+    with pytest.raises(ValueError, match="integer"):
+        FormalSum(T, [(t(), half), (t(), 1)], coeff_mode="Z")
+    with pytest.raises(ValueError, match="integer"):
+        FormalSum(T, [(t(), half), (const(3), half)], coeff_mode="Z")
+    q = FormalSum(T, [(t(), half), (t(), 1)], coeff_mode="Q")
+    assert q.coefficient(t()) == Fraction(3, 2)
+
+
 formal_sums = st.builds(
     lambda seed: random_formal_sum(random.Random(seed), T, n_terms=3),
     st.integers(0, 10_000),
@@ -174,6 +201,23 @@ def test_str_examples():
     s = str(a)
     assert "[t]" in s and "[1/2]" in s
     assert str(FormalSum.zero(T)) == "0"
+
+
+def test_str_signs_and_coefficients():
+    a = FormalSum(T, [(t(), 1), (const(2), -1), (const(3), Fraction(-3, 2))], coeff_mode="Q")
+    assert str(a) == "-[2] - 3/2*[3] + [t]"
+    assert str(FormalSum.single(t(), 2) - FormalSum.single(const(3))) == "-[3] + 2*[t]"
+    assert str(FormalSum.single(t(), -1) + FormalSum.single(const(3), 2)) == "2*[3] - [t]"
+
+
+def test_extended_sum_str():
+    ordinary = FormalSum.single(t(), -2)
+    assert str(ExtendedFormalSum(ordinary, 1, -1, 3)) == "-2*[t] + [0] - [1] + 3*[inf]"
+    # an ordinary part of 0 prints nothing, and the first symbol keeps its sign
+    zero = FormalSum.zero(T)
+    assert str(ExtendedFormalSum(zero, c1=-1, cinf=2)) == "-[1] + 2*[inf]"
+    assert str(ExtendedFormalSum(zero, 2)) == "2*[0]"
+    assert str(ExtendedFormalSum(zero)) == "0"
 
 
 def test_five_term_random_never_degenerate_args():

@@ -174,19 +174,19 @@ def _log_series_oracle(t_frac, p, terms, prec):
 
 
 def test_plog_golden_series_p5():
-    got = plog(pad(6), Branch.standard(5))
+    got = plog(pad(6), Branch.of(5, 0))
     want = _log_series_oracle(Fraction(5), 5, 40, 32)
     assert agree_to(got, want, 30)
 
 
 def test_plog_golden_series_p2():
-    got = plog(PadicNumber.from_rational(5, 2, 32), Branch.standard(2))
+    got = plog(PadicNumber.from_rational(5, 2, 32), Branch.of(2, 0))
     want = _log_series_oracle(Fraction(4), 2, 60, 32)
     assert agree_to(got, want, 28)
 
 
 def test_plog_of_p_is_the_branch_value():
-    std = plog(pad(5), Branch.standard(5))
+    std = plog(pad(5), Branch.of(5, 0))
     assert is_zeroish(std) and std.abs_precision() >= 30
     other = plog(pad(5), Branch.of(5, 10))
     assert agree_to(other, pad(10), 30)
@@ -195,14 +195,14 @@ def test_plog_of_p_is_the_branch_value():
 def test_plog_kills_torsion():
     # log of a Teichmueller representative is 0
     w = teichmuller(2, 5, 24)
-    lw = plog(w, Branch.standard(5))
+    lw = plog(w, Branch.of(5, 0))
     assert is_zeroish(lw) and lw.abs_precision() >= 22
 
 
 def test_plog_is_a_homomorphism():
     rnd = random.Random(19)
     for p in (2, 3, 5, 7):
-        branches = [Branch.standard(p), Branch.of(p, 3 * p)]
+        branches = [Branch.of(p, 0), Branch.of(p, 3 * p)]
         for branch in branches:
             for _ in range(10):
                 a = Fraction(rnd.randint(1, 60), rnd.randint(1, 60))
@@ -217,7 +217,7 @@ def test_plog_is_a_homomorphism():
 
 def test_plog_rejects_zero():
     with pytest.raises(ZeroArgument):
-        plog(pad(0), Branch.standard(5))
+        plog(pad(0), Branch.of(5, 0))
 
 
 # -- the dilogarithm on the disc ----------------------------------------------------
@@ -253,19 +253,19 @@ def test_li2p_needs_the_disc():
     with pytest.raises(OutOfDisc):
         li2p(pad(Fraction(1, 5)))
     with pytest.raises(OutOfDisc):
-        dp_disc(pad(3), Branch.standard(5))
+        dp_disc(pad(3), Branch.of(5, 0))
 
 
 def test_dp_disc_zeroish_input():
     assert is_zeroish(li2p(PadicNumber.zero(5, 4)))
-    assert is_zeroish(dp_disc(PadicNumber.zero(5, 4), Branch.standard(5)))
+    assert is_zeroish(dp_disc(PadicNumber.zero(5, 4), Branch.of(5, 0)))
 
 
 # -- branch differences --------------------------------------------------------------
 
 
 BRANCHES = [
-    Branch.standard(5),
+    Branch.of(5, 0),
     Branch.of(5, 10),
     Branch.of(5, -5),
     Branch.of(5, 35),
@@ -336,7 +336,7 @@ def test_branch_diff_argument_guards():
     with pytest.raises(GeneratorVanishesAtPoint):
         branch_diff(w2, {"t": Fraction(0)}, BRANCHES[0], BRANCHES[1])
     with pytest.raises(ValueError):
-        branch_diff(w, {"t": Fraction(2)}, Branch.standard(5), Branch.standard(7))
+        branch_diff(w, {"t": Fraction(2)}, Branch.of(5, 0), Branch.of(7, 0))
 
 
 def test_check_constant_padic_annotates_branch_independence():

@@ -34,7 +34,7 @@ XY = ("x", "y")
 
 
 def rf_const(q, universe=XY):
-    return RationalFunction.const(universe, FieldElement.of(Fraction(q)))
+    return RationalFunction.const(universe, FieldElement(Fraction(q)))
 
 
 def var(name, universe=XY):
@@ -211,10 +211,34 @@ def test_coefficient_limit():
         )
 
 
+def test_coefficient_limit_of_sums_products_and_quotients():
+    # from the largest bit length b among each operand's coefficient parts:
+    # b(lhs) + b(rhs) for * and /, and one more for + and -
+    b3, b5 = (3**300000).bit_length(), (5**300000).bit_length()
+    assert 2 * b3 < MAX_COEFFICIENT_BITS < b3 + b5
+    assert parse_expression("x*3^300000*3^300000", XY) == var("x") * rf_const(3**600000)
+    assert parse_expression("3^-300000 + y", XY) == rf_const(Fraction(1, 3**300000)) + var("y")
+    b9 = (9**300000).bit_length()
+    for src, bits, col in (
+        ("x*3^300000*3^300000*3^300000", b9 + b3, 20),
+        ("3^-300000 + 5^-300000", b3 + b5 + 1, 11),
+        ("x - 3^300000 - 5^300000", b3 + b5 + 1, 14),
+        ("3^300000/5^300000", b3 + b5, 9),
+        ("(x + 3^300000)/(y - 5^300000)", b3 + b5, 15),
+    ):
+        with pytest.raises(CoefficientLimitExceeded) as ei:
+            parse_expression(src, XY)
+        assert (ei.value.line, ei.value.col) == (1, col)
+        assert str(ei.value) == (
+            f"coefficient size {bits} bits is above the limit {MAX_COEFFICIENT_BITS}"
+            f" (line 1, column {col})"
+        )
+
+
 def test_integer_literals():
     for text in ("0", "007", "1234567890123456789012345678901234567890"):
         assert parse_expression(text, XY) == RationalFunction.const(
-            XY, FieldElement.of(Fraction(text))
+            XY, FieldElement(Fraction(text))
         )
     assert parse_expression("007", XY) == rf_const(7)
     assert parse_expression("0", XY).is_zero()
@@ -394,6 +418,11 @@ def test_expression_errors_surface_at_load_time():
         ("t +", ExprSyntaxError, "expected a value, found end of input (line 3, column 4 of the expression)"),
         ("t/(t - t)", DivisionByZeroConstant, "division by an identically zero expression (line 3, column 2 of the expression)"),
         ("t^100001", DegreeLimitExceeded, "total degree 100001 is above the limit 100000 (line 3, column 2 of the expression)"),
+        (
+            "t*3^300000*3^300000*3^300000*3^300000",
+            CoefficientLimitExceeded,
+            "coefficient size 1426467 bits is above the limit 1000000 (line 3, column 20 of the expression)",
+        ),
     ]:
         with pytest.raises(DocumentError) as ei:
             load_document(f"dilog-identity v1\nvariables: t\nterm: 1 [{expression}]\n")

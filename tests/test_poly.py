@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from dilogeq.poly import (
     MultiPoly,
+    join_signed,
     poly_gcd,
     squarefree_parts,
     univar_inverse_mod,
@@ -50,6 +51,16 @@ def test_construction_and_str():
     q = MultiPoly.var(T12, "t1") * MultiPoly.var(T12, "t2")
     assert str(q) == "t1*t2"
     assert q.degree_in("t1") == 1
+
+
+def test_join_signed():
+    assert join_signed([]) == "0"
+    assert join_signed(iter([])) == "0"
+    assert join_signed(["-a"]) == "-a"
+    assert join_signed(["-a", "b"]) == "-a + b"
+    assert join_signed(["a", "-b", "2*c", "-3*d"]) == "a - b + 2*c - 3*d"
+    assert str(-t() ** 2 + c(1)) == "-t^2 + 1"
+    assert str(MultiPoly.zero(T)) == "0"
 
 
 @pytest.mark.parametrize("gaussian", [False, True])

@@ -226,7 +226,7 @@ def test_canonical_form_of_equal_values():
     for other in (
         fe("1/2"),
         fe(1) / fe(2),
-        FieldElement.of(Fraction(3, 6)),
+        FieldElement(Fraction(3, 6)),
         fe(1, 2) - fe("1/2", 2),
     ):
         assert other == half and hash(other) == hash(half)
