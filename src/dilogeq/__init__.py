@@ -62,7 +62,6 @@ from .padic import (
     dp_disc,
     li2p,
     plog,
-    teichmuller,
 )
 from .blochfq import (
     BlochGroups,
@@ -135,6 +134,5 @@ __all__ = [
     "t_v",
     "table_cell",
     "table_row",
-    "teichmuller",
     "wedge_specialize",
 ]

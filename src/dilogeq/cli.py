@@ -34,8 +34,8 @@ from .intmat import minor_gcd_invariant_factors
 from .numerics import PROBE_DOMAINS, ModPiSqHalf, SamplingExhausted, bloch_wigner, numeric_probe, rl_bar
 from .padic import Branch, branch_diff, check_constant_padic
 from .primes import OversizedConstant, is_prime
-from .ratfunc import INF, RationalFunction
-from .scalars import FieldElement, fe
+from .ratfunc import INF
+from .scalars import fe
 from .specialize import PointNotAdmissible, SpecPlan, SpecStep, default_aux, evaluate_at_point, iterate
 # check_constant_real (Bloch-Wigner on the real locus) decides no subcommand;
 # it stays importable here because bench/tracer.py wraps it at this name

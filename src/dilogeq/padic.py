@@ -30,6 +30,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .formal import FormalSum
+from .primes import int_quotient, strip_power
 from .ratfunc import INF
 from .scalars import FieldElement
 from .wedge import ConstancyCertificate, WedgeElement, check_constant
@@ -56,19 +57,17 @@ def _require_base(p: int):
 
 
 def padic_valuation(q: Fraction, p: int) -> int:
+    return _split(q, p)[0]
+
+
+def _split(q: Fraction, p: int) -> tuple[int, int, int]:
+    """(v, n, d) with q = p^v * n / d and p dividing neither n nor d."""
     _require_base(p)
     if q == 0:
         raise ValueError("zero has no finite valuation")
-    v = 0
-    n = q.numerator
-    while n % p == 0:
-        n //= p
-        v += 1
-    d = q.denominator
-    while d % p == 0:
-        d //= p
-        v -= 1
-    return v
+    n, e = strip_power(q.numerator, p, int_quotient)
+    d, f = strip_power(q.denominator, p, int_quotient)
+    return e - f, n, d
 
 
 def _same_prime(a: "PadicNumber", b: "PadicNumber"):
@@ -104,12 +103,7 @@ class PadicNumber:
         q = Fraction(q)
         if q == 0:
             return PadicNumber.zero(p)
-        v = padic_valuation(q, p)
-        n, d = q.numerator, q.denominator
-        while n % p == 0:
-            n //= p
-        while d % p == 0:
-            d //= p
+        v, n, d = _split(q, p)
         m = p**prec
         unit = (n % m) * pow(d, -1, m) % m
         if unit == 0:
@@ -154,10 +148,7 @@ class PadicNumber:
         s = (a.unit * p ** (a.val - v) + b.unit * p ** (b.val - v)) % m
         if s == 0:
             return PadicNumber.zero(p, cap)
-        k = 0
-        while s % p == 0:
-            s //= p
-            k += 1
+        s, k = strip_power(s, p, int_quotient)
         if digits - k <= 0:
             return PadicNumber.zero(p, cap)
         return PadicNumber(p, v + k, s % p ** (digits - k), digits - k)
@@ -326,20 +317,6 @@ def dp_disc(z: PadicNumber, branch: Branch) -> PadicNumber:
     lz = plog(z, branch)
     l1z = plog(one - z, branch)
     return li2p(z) + (lz * l1z).scale_rational(Fraction(1, 2))
-
-
-def teichmuller(a: int, p: int, prec: int) -> PadicNumber:
-    """The Teichmueller representative: the p^k-th power limit of a."""
-    if a % p == 0:
-        raise ValueError("needs a unit residue")
-    m = p**prec
-    x = a % m
-    while True:
-        y = pow(x, p, m)
-        if y == x:
-            break
-        x = y
-    return PadicNumber(p, 0, x, prec)
 
 
 # ---------------------------------------------------------------------------

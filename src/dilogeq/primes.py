@@ -9,8 +9,12 @@ to the bound squared; a residual that the bound leaves unproven raises
 OversizedConstant instead of guessing.
 
 Gaussian integers are `FieldElement`s with d == 1; their arithmetic is that
-of `scalars`, and pi divides z in Z[i] exactly when the quotient z / pi has
-d == 1.  For c = (a + bi) / d, write a + bi = g * w with g = gcd(a, b): the
+of `scalars`, and pi divides z in Z[i] exactly when N(pi) divides both parts
+of z * conj(pi).  Every prime power, over Z and over Z[i] alike (and at the
+places of `padic` and `wedge`), comes out by one `strip_power`, in O(log e)
+exact quotients for an exponent e.
+
+For c = (a + bi) / d, write a + bi = g * w with g = gcd(a, b): the
 rational primes under c are those of g, of the norm of w and of d, all far
 smaller than the norm g^2 * N(w).  Over each such p lie the first-quadrant
 Gaussian primes: 1 + i for p = 2 (ramified), p itself for p = 3 mod 4
@@ -73,30 +77,43 @@ def _factor_int(n: int) -> tuple[tuple[int, int], ...]:
                 f"constant has a prime factor above the bound {FACTOR_BOUND}: "
                 f"residual {_residual_text(n)}"
             )
-        if n % p:
-            continue
-        # Strip the power of p in O(log e) divisions, not e: divide by p,
-        # p^2, p^4, ... while each divides, leaving an exponent below the
-        # next square, then by the same powers from the largest down.
-        powers = []
-        q, e = p, 0
-        while True:
-            quo, rem = divmod(n, q)
-            if rem:
-                break
-            n = quo
-            e += 1 << len(powers)
-            powers.append(q)
-            q *= q
-        for i in range(len(powers) - 1, -1, -1):
-            quo, rem = divmod(n, powers[i])
-            if not rem:
-                n = quo
-                e += 1 << i
-        out[p] = e
+        if not n % p:
+            n, out[p] = strip_power(n, p, int_quotient)
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return tuple(out.items())
+
+
+def strip_power(x, p, quotient):
+    """(y, e) with x = p^e * y for a nonzero x, and p not dividing y.
+
+    `quotient(x, q)` is the exact quotient x / q, or None when q does not
+    divide x; ints, Gaussian integers and polynomials each bring their own.
+    x is divided by p, p^2, p^4, ... while each divides, which leaves an
+    exponent below the next power, then by the same powers from the
+    largest down: O(log e) quotients, not e.  Every power of a unit
+    divides x, so a unit p raises ValueError instead of looping without
+    end; p is a unit exactly when p * p divides p.
+    """
+    powers, e = [], 0
+    while (y := quotient(x, p)) is not None:
+        # a unit takes every turn, so the second one tests for it
+        if len(powers) == 1 and quotient(powers[0], p) is not None:
+            raise ValueError(f"cannot strip the powers of the unit {powers[0]}")
+        x, e = y, e + (1 << len(powers))
+        powers.append(p)
+        p = p * p
+    for i in range(len(powers) - 1, -1, -1):
+        if (y := quotient(x, powers[i])) is not None:
+            x, e = y, e + (1 << i)
+    return x, e
+
+
+def int_quotient(x: int, q: int) -> int | None:
+    """x // q when q divides x, else None: the quotient `strip_power` takes
+    over Z."""
+    y, r = divmod(x, q)
+    return None if r else y
 
 
 def _residual_text(n: int) -> str:
@@ -188,12 +205,16 @@ def _gaussian_primes_over(p: int) -> tuple[FieldElement, ...]:
     return pi, _first_quadrant(pi.conjugate())[1]
 
 
-def _strip(z: FieldElement, pi: FieldElement) -> tuple[FieldElement, int]:
-    """(w, e) with z = pi^e * w and pi not dividing w in Z[i]."""
-    e, q = 0, z / pi
-    while q.d == 1:  # q is a Gaussian integer
-        z, e, q = q, e + 1, q / pi
-    return z, e
+def gaussian_quotient(z: FieldElement, w: FieldElement) -> FieldElement | None:
+    """z / w for Gaussian integers z and w, or None when w does not divide z
+    in Z[i]: z * conj(w) / N(w), one integer divmod per part, so no
+    field division and no gcd."""
+    n = w.a * w.a + w.b * w.b
+    re, r = divmod(z.a * w.a + z.b * w.b, n)
+    if r:
+        return None
+    im, r = divmod(z.b * w.a - z.a * w.b, n)
+    return None if r else FieldElement(re, im)
 
 
 def _factor_gaussian(c: FieldElement) -> tuple[int, list[tuple[FieldElement, int]]]:
@@ -205,8 +226,8 @@ def _factor_gaussian(c: FieldElement) -> tuple[int, list[tuple[FieldElement, int
     factors = []
     for p in rational:
         for pi in _gaussian_primes_over(p):
-            num, e = _strip(num, pi)
-            den, f = _strip(den, pi)
+            num, e = strip_power(num, pi, gaussian_quotient)
+            den, f = strip_power(den, pi, gaussian_quotient)
             if e != f:
                 factors.append((pi, e - f))
     (k_num, one_num), (k_den, one_den) = _first_quadrant(num), _first_quadrant(den)

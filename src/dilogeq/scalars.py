@@ -4,12 +4,14 @@ A FieldElement stores three Python ints (a, b, d) for the value
 (a + b*i) / d, with d > 0 and gcd(a, b, d) = 1.  That form is canonical:
 equal values have equal triples, so equality and hashing compare the ints,
 and zero is (0, 0, 1).  Every operation is integer arithmetic followed by
-one three-way gcd in `_make`, the one constructor that normalizes; d is the
-lcm of the denominators of the two parts in lowest terms.
+one three-way gcd in `_make`, the one constructor that normalizes (the
+inverse of a rational d/a is already in lowest terms and skips it); d is
+the lcm of the denominators of the two parts in lowest terms.
 
 `re` and `im` stay available as read-only `Fraction` views, built on
-demand, for callers that want the parts as rationals (display, p-adic
-points, the real-part criterion); the arithmetic never goes through them.
+demand, for callers that want the parts as rationals (p-adic points, the
+real-part criterion); the arithmetic never goes through them, and neither
+does `str`, which prints parts of any length.
 Rational values simply have b == 0.  Whether a computation treats values as
 living in Q or in Q(i) is contextual state of the caller (a formal sum
 carries a field mode); the scalars themselves are mode-agnostic.
@@ -110,8 +112,13 @@ class FieldElement:
 
     def inverse(self) -> "FieldElement":
         a, b, d = self.a, self.b, self.d
-        if not a and not b:
-            raise ZeroDivisionError("inverse of zero")
+        if not b:
+            if not a:
+                raise ZeroDivisionError("inverse of zero")
+            # gcd(a, d) is already 1, so d / a needs only its sign fixed
+            x = _new(FieldElement)
+            x.a, x.b, x.d = (-d, 0, -a) if a < 0 else (d, 0, a)
+            return x
         return _make(d * a, -d * b, a * a + b * b)
 
     def __truediv__(self, other: "FieldElement") -> "FieldElement":
@@ -165,19 +172,13 @@ class FieldElement:
     # -- display -----------------------------------------------------
 
     def __str__(self) -> str:
-        if not self.b:
-            return str(self.re)
-        im = self.im
-        if not self.a:
-            if im == 1:
-                return "i"
-            if im == -1:
-                return "-i"
-            return f"{im}*i"
-        sign = "+" if im > 0 else "-"
-        mag = abs(im)
-        istr = "i" if mag == 1 else f"{mag}*i"
-        return f"{self.re} {sign} {istr}"
+        a, b, d = self.a, self.b, self.d
+        if not b:
+            return _ratio_str(a, d)
+        im = "i" if abs(b) == d else _ratio_str(abs(b), d) + "*i"
+        if not a:
+            return im if b > 0 else "-" + im
+        return f"{_ratio_str(a, d)} {'+' if b > 0 else '-'} {im}"
 
     def __repr__(self) -> str:
         return f"FieldElement({self})"
@@ -187,6 +188,31 @@ class FieldElement:
 
 
 _new = object.__new__
+
+# below the least int-to-str digit limit Python allows (640 digits)
+_SHORT = 10**600
+
+
+def _decimal(n: int) -> str:
+    """n in decimal, however many digits it has: a long n is split at a
+    power of ten near its middle digit until every part is short, so the
+    interpreter's int-to-str limit is never reached and never changed."""
+    if -_SHORT < n < _SHORT:
+        return str(n)
+    if n < 0:
+        return "-" + _decimal(-n)
+    k = n.bit_length() * 3 // 20  # about half the digits: log10(2) > 3/10
+    hi, lo = divmod(n, 10**k)
+    return _decimal(hi) + _decimal(lo).zfill(k)
+
+
+def _ratio_str(n: int, d: int) -> str:
+    """n / d (d > 0) in lowest terms, printed as `Fraction` prints it."""
+    g = gcd(n, d)
+    if g != 1:
+        n //= g
+        d //= g
+    return _decimal(n) if d == 1 else f"{_decimal(n)}/{_decimal(d)}"
 
 ZERO = _make(0, 0, 1)
 ONE = _make(1, 0, 1)

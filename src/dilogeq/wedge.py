@@ -35,7 +35,7 @@ from fractions import Fraction
 from .coprime import CoprimeBasis
 from .formal import FormalSum, conj_sum
 from .poly import MultiPoly, univar_inverse_mod, univar_rem
-from .primes import factor_constant, prime_key
+from .primes import factor_constant, prime_key, strip_power
 from .ratfunc import INF, RationalFunction
 from .scalars import FieldElement, ONE
 
@@ -165,10 +165,11 @@ class WedgeElement:
             self.universe, self.tensors + negated, self.field_mode, self.coeff_mode
         )
 
-    def _entries(self) -> list[tuple]:
-        """(x, y, value) for every pair, in canonical atom order."""
+    def _entries(self, layer: int | None = None) -> list[tuple]:
+        """(x, y, value) for every pair, or for those of one beta layer, in
+        canonical atom order."""
         return sorted(
-            ((x, y, v) for (x, y), v in self.pairs.items()),
+            ((x, y, v) for (x, y), v in self.pairs.items() if layer in (None, _layer(x, y))),
             key=lambda e: (_atom_key(e[0]), _atom_key(e[1])),
         )
 
@@ -180,21 +181,27 @@ class WedgeElement:
     def decompose(self):
         """(beta1, beta2, beta3) as plain printable dictionaries."""
         beta1, beta2 = {}, {}
-        beta3 = {"pairs": {}, "units": {}, "unit_unit": Fraction(0)}
         for x, y, v in self._entries():
-            lx, ly = self._label(x), self._label(y)
             layer = _layer(x, y)
             if layer == 1:
-                beta1[lx, ly] = v
+                beta1[self._label(x), self._label(y)] = v
             elif layer == 2:
-                beta2.setdefault(lx, {})[ly] = v
-            elif y != UNIT:
+                beta2.setdefault(self._label(x), {})[self._label(y)] = v
+        return beta1, beta2, self.beta3()
+
+    def beta3(self) -> dict:
+        """The beta3 layer as a printable dictionary; it labels constants
+        only, so no basis polynomial is formatted."""
+        beta3 = {"pairs": {}, "units": {}, "unit_unit": Fraction(0)}
+        for x, y, v in self._entries(3):
+            lx, ly = self._label(x), self._label(y)
+            if y != UNIT:
                 beta3["pairs"][lx, ly] = v
             elif x != UNIT:
                 beta3["units"][lx] = v
             else:
                 beta3["unit_unit"] = v
-        return beta1, beta2, beta3
+        return beta3
 
     def first_obstruction(self):
         """The first nonzero beta1 entry, else the first nonzero beta2 entry,
@@ -260,7 +267,7 @@ class ConstancyCertificate:
 
 
 def _certificate(w: WedgeElement) -> ConstancyCertificate:
-    _, _, b3 = w.decompose()
+    b3 = w.beta3()
     if w.beta1_is_zero() and w.beta2_is_zero():
         return ConstancyCertificate("Constant", None, b3)
     obs = w.first_obstruction()
@@ -420,8 +427,8 @@ def _sp_generator(f: RationalFunction, var: str, target) -> RationalFunction:
     # pi-tilde = den_b * t - num_b, a t-degree-1 poly; pi = pi-tilde / den_b
     tvar = MultiPoly.var(f.universe, var)
     pit = target.den * tvar - target.num
-    kn, n0 = _strip(f.num, pit)
-    kd, d0 = _strip(f.den, pit)
+    n0, kn = strip_power(f.num, pit, MultiPoly.divide_exact)
+    d0, kd = strip_power(f.den, pit, MultiPoly.divide_exact)
     ord_f = kn - kd
     stripped = RationalFunction(n0, d0)
     value = stripped.substitute(var, target)
@@ -431,13 +438,3 @@ def _sp_generator(f: RationalFunction, var: str, target) -> RationalFunction:
         db = RationalFunction.from_poly(target.den)
         value = value * db**ord_f
     return value
-
-
-def _strip(p: MultiPoly, pit: MultiPoly) -> tuple[int, MultiPoly]:
-    k = 0
-    while True:
-        q = p.divide_exact(pit)
-        if q is None:
-            return k, p
-        p = q
-        k += 1

@@ -121,6 +121,20 @@ def agree_to(x: PadicNumber, y: PadicNumber, abs_digits: int) -> bool:
     return d.val >= min(abs_digits, x.abs_precision(), y.abs_precision())
 
 
+def teichmuller(a: int, p: int, prec: int) -> PadicNumber:
+    """The Teichmueller representative: the p^k-th power limit of a."""
+    if a % p == 0:
+        raise ValueError("needs a unit residue")
+    m = p**prec
+    x = a % m
+    while True:
+        y = pow(x, p, m)
+        if y == x:
+            break
+        x = y
+    return PadicNumber(p, 0, x, prec)
+
+
 def in_row_span(rows: list[list[int]], v, width: int | None = None) -> bool:
     """Is v an integer combination of the rows?"""
     h = HermiteForm(len(v) if width is None else width)

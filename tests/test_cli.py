@@ -46,6 +46,15 @@ def test_check_a_power_of_a_variable(run):
     assert "witness: beta1 pairing (t) ^ (t^100000 - 1) = 100000" in out
 
 
+def test_check_prints_a_coefficient_beyond_the_int_to_str_limit(run):
+    doc = "DOC:dilog-identity v1\nvariables: t\nterm: 1 [t*3^300000]\n"
+    code, out, err = run(["check", doc])
+    assert (code, err) == (1, "")
+    witness = re.search(r"witness: beta1 pairing \(t\) \^ \(t - 1/(\d+)\) = 1\n", out)
+    assert witness and int(witness[1][:4000]) == 3**300000 // 10 ** (len(witness[1]) - 4000)
+    assert len(witness[1]) == 143137
+
+
 @pytest.mark.parametrize(
     "expression, degree, col",
     [("t^1000000000 + 1", 1000000000, 2), ("((t + 1)^1000)^1000", 1000000, 15)],

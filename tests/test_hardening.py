@@ -28,6 +28,53 @@ def test_package_has_no_assert():
     assert found == []
 
 
+def _is_divisibility_test(test) -> bool:
+    """Is a while test a divisibility check: x % p == 0, not x % p, q.d == 1
+    (an exact quotient in Q(i) that is a Gaussian integer), or an exact
+    quotient that is not None?"""
+    if isinstance(test, ast.UnaryOp) and isinstance(test.op, ast.Not):
+        return isinstance(test.operand, ast.BinOp) and isinstance(test.operand.op, ast.Mod)
+    if not isinstance(test, ast.Compare) or len(test.ops) != 1:
+        return False
+    left, op, right = test.left, test.ops[0], test.comparators[0]
+    if isinstance(left, ast.NamedExpr):
+        left = left.value
+    if not isinstance(right, ast.Constant):
+        return False
+    if isinstance(op, ast.Eq):
+        mod = isinstance(left, ast.BinOp) and isinstance(left.op, ast.Mod)
+        gaussian = isinstance(left, ast.Attribute) and left.attr == "d"
+        return (mod and right.value == 0) or (gaussian and right.value == 1)
+    if isinstance(op, ast.IsNot) and right.value is None and isinstance(left, ast.Call):
+        fn = left.func
+        name = fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", "")
+        return "quotient" in name or name == "divide_exact"
+    return False
+
+
+def test_prime_powers_stripped_in_one_place():
+    # every power of a prime or a place comes out through primes.strip_power,
+    # in O(log e) quotients; a loop dividing one factor at a time is O(e)
+    for loop in (
+        "while n % p == 0: n //= p",
+        "while not s % p: s //= p",
+        "while q.d == 1: q = q / pi",
+        "while (q := p.divide_exact(pit)) is not None: p = q",
+    ):
+        assert _is_divisibility_test(ast.parse(loop).body[0].test), loop
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        allowed = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and (path.name, node.name) == ("primes.py", "strip_power"):
+                allowed |= {id(n) for n in ast.walk(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.While) and id(node) not in allowed and _is_divisibility_test(node.test):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def test_padic_rejects_bad_input():
     with pytest.raises(ValueError):
         PadicNumber(5, 0, 10, 3)  # 10 is not a unit mod 5

@@ -20,13 +20,12 @@ from dilogeq.padic import (
     li2p,
     padic_valuation,
     plog,
-    teichmuller,
 )
 from dilogeq.ratfunc import RationalFunction
 from dilogeq.scalars import fe
 from dilogeq.wedge import WedgeElement, boundary
 
-from helpers import agree_to, is_exact_zero, is_zeroish
+from helpers import agree_to, is_exact_zero, is_zeroish, teichmuller
 
 T = ("t",)
 
@@ -52,6 +51,7 @@ def test_padic_valuation():
     assert padic_valuation(Fraction(3), 5) == 0
     assert padic_valuation(Fraction(12), 2) == 2
     assert padic_valuation(Fraction(-9, 10), 3) == 2
+    assert padic_valuation(Fraction(5**100000 * 3, 7), 5) == 100000
     with pytest.raises(ValueError):
         padic_valuation(Fraction(0), 5)
 
@@ -77,6 +77,8 @@ def test_from_rational_normal_form():
     assert x.val == 2 and x.unit % 5 != 0
     # 2/3 = 2 * inverse(3) mod 5^32
     assert (x.unit * 3) % 5**32 == 2 % 5**32
+    y = pad(Fraction(7, 5**100000 * 3))
+    assert y.val == -100000 and (y.unit * 3) % 5**32 == 7
     assert is_exact_zero(pad(0))
 
 

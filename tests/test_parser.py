@@ -3,6 +3,7 @@
 import importlib.util
 import random
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -233,6 +234,15 @@ def test_coefficient_limit_of_sums_products_and_quotients():
             f"coefficient size {bits} bits is above the limit {MAX_COEFFICIENT_BITS}"
             f" (line 1, column {col})"
         )
+
+
+def test_dividing_by_a_large_constant_is_fast():
+    # the inverse of a rational constant needs no gcd of its square with it
+    for slow, fast in (("x/3^300000", "x*3^-300000"), ("1/5^300000", "5^-300000")):
+        start = time.perf_counter()
+        got = parse_expression(slow, XY)
+        assert time.perf_counter() - start < 1.0
+        assert got == parse_expression(fast, XY)
 
 
 def test_integer_literals():

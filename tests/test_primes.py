@@ -13,12 +13,16 @@ from dilogeq.primes import (
     _factor_int,
     factor_constant,
     factor_rational,
+    gaussian_quotient,
+    int_quotient,
     is_prime,
     prime_key,
+    strip_power,
 )
-from dilogeq.scalars import FieldElement, fe
+from dilogeq.poly import MultiPoly
+from dilogeq.scalars import I, FieldElement, fe
 
-from helpers import is_integer, reconstruct
+from helpers import is_integer, random_poly, reconstruct
 
 
 def test_factor_rational_examples():
@@ -234,3 +238,84 @@ def test_gaussian_factors_are_distinct_first_quadrant_primes_in_key_order(a, b, 
             assert pi / rho not in units
     keys = [prime_key(pi) for pi in primes]
     assert keys == sorted(keys) and len(set(keys)) == len(keys)
+
+
+# -- strip_power ----------------------------------------------------------------
+
+
+def _strip_one_at_a_time(x, p, quotient):
+    e = 0
+    while (y := quotient(x, p)) is not None:
+        x, e = y, e + 1
+    return x, e
+
+
+@given(
+    st.integers(-10**6, 10**6).filter(bool),
+    st.integers(2, 12) | st.integers(-12, -2),
+    st.integers(0, 40),
+)
+@settings(max_examples=150)
+def test_strip_power_over_the_integers(m, p, k):
+    x = m * p**k
+    y, e = strip_power(x, p, int_quotient)
+    assert (y, e) == _strip_one_at_a_time(x, p, int_quotient)
+    assert x == p**e * y and y % p and e >= k
+
+
+gaussian_ints = st.builds(FieldElement, st.integers(-30, 30), st.integers(-30, 30))
+
+
+@given(
+    gaussian_ints.filter(lambda z: not z.is_zero()),
+    st.sampled_from([fe(1, 1), fe(2, 1), fe(1, 2), fe(3), fe(2), fe(1, 3), fe(-4, 2)]),
+    st.integers(0, 25),
+)
+@settings(max_examples=150)
+def test_strip_power_over_the_gaussian_integers(m, p, k):
+    x = m * p**k
+    y, e = strip_power(x, p, gaussian_quotient)
+    assert (y, e) == _strip_one_at_a_time(x, p, gaussian_quotient)
+    assert x == p**e * y and gaussian_quotient(y, p) is None and e >= k
+
+
+def test_gaussian_quotient_is_exact_division_in_z_i():
+    assert gaussian_quotient(fe(5), fe(2, 1)) == fe(2, -1)
+    assert gaussian_quotient(fe(5), fe(3)) is None
+    assert gaussian_quotient(fe(3, 1), fe(1, 1)) == fe(2, -1)
+    assert gaussian_quotient(fe(3), fe(1, 1)) is None
+
+
+@given(st.randoms(use_true_random=False), st.integers(-3, 3), st.integers(0, 6))
+@settings(max_examples=40, deadline=None)
+def test_strip_power_at_polynomial_places(rnd, a, k):
+    universe = ("t", "u")
+    t = MultiPoly.var(universe, "t")
+    for place in (t - MultiPoly.const(universe, fe(a)), t * t + MultiPoly.one(universe)):
+        x = random_poly(rnd, universe) * place**k
+        y, e = strip_power(x, place, MultiPoly.divide_exact)
+        assert (y, e) == _strip_one_at_a_time(x, place, MultiPoly.divide_exact)
+        assert x == place**e * y and e >= k
+
+
+@pytest.mark.parametrize("pi", [fe(1, 1), fe(2, 1)])
+def test_strip_power_of_a_large_gaussian_power(pi):
+    assert strip_power(fe(3, -8) * pi**100_000, pi, gaussian_quotient) == (fe(3, -8), 100_000)
+
+
+def test_strip_power_refuses_units():
+    poly = MultiPoly.var(("t",), "t") + MultiPoly.one(("t",))
+    for x, unit, quotient in (
+        (12, 1, int_quotient),
+        (12, -1, int_quotient),
+        (fe(2, 3), I, gaussian_quotient),
+        (poly, MultiPoly.const(("t",), fe(3)), MultiPoly.divide_exact),
+    ):
+        with pytest.raises(ValueError, match="unit"):
+            strip_power(x, unit, quotient)
+
+
+def test_large_gaussian_power_factors_at_once():
+    f = factor_constant(fe(1, 1) ** 200_000 * fe(2, 1) ** 50_000, True)
+    assert f.unit_exponent == 0
+    assert f.factors == ((fe(1, 1), 200_000), (fe(2, 1), 50_000))

@@ -4,10 +4,10 @@ import pickle
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dilogeq.scalars import FieldElement, I, MINUS_ONE, ONE, ZERO, fe
+from dilogeq.scalars import FieldElement, I, MINUS_ONE, ONE, ZERO, _decimal, _make, fe
 
 from helpers import is_gaussian_integer, is_integer
 
@@ -51,6 +51,28 @@ def test_inverse(a):
             a.inverse()
     else:
         assert a * a.inverse() == ONE
+
+
+@given(st.integers(-10**30, 10**30).filter(bool), st.integers(1, 10**30))
+def test_inverse_of_a_rational_is_the_normalized_quotient(n, m):
+    # the shortcut d / a matches what _make builds from the general formula
+    a = FieldElement(Fraction(n, m))
+    inv, made = a.inverse(), _make(a.d * a.a, 0, a.a * a.a)
+    assert (inv.a, inv.b, inv.d) == (made.a, made.b, made.d)
+
+
+@given(st.integers(-10**2000, 10**2000))
+@settings(max_examples=40)
+def test_decimal_matches_str(n):
+    assert _decimal(n) == str(n)
+
+
+def test_decimal_of_numbers_beyond_the_int_to_str_limit():
+    assert _decimal(10**10000) == "1" + "0" * 10000
+    assert _decimal(-(10**9000 + 7)) == "-1" + "0" * 8999 + "7"
+    digits = _decimal(3**300000)
+    assert len(digits) == 143137 and int(digits[:4300]) == 3**300000 // 10 ** (143137 - 4300)
+    assert str(fe(Fraction(7, 3**300000), -1)) == f"7/{digits} - i"
 
 
 @given(elements, elements)

@@ -215,6 +215,15 @@ def test_check_constant_witness():
     assert str(b) == "t" and str(bprime) == "t - 1" and val == 1
 
 
+def test_check_constant_with_a_coefficient_beyond_the_int_to_str_limit():
+    # the certificate formats beta3 labels only, never a basis polynomial
+    cert = check_constant(FormalSum.single(parse_expression("t*3^300000", T)))
+    assert cert.verdict == "NotConstant"
+    kind, b, bprime, val = cert.witness
+    assert (kind, b, val) == ("pair", MultiPoly.var(T, "t"), 1)
+    assert bprime == MultiPoly.var(T, "t") - MultiPoly.const(T, fe(Fraction(1, 3**300000)))
+
+
 def test_column_obstruction_direct():
     # beta1 = 0 with a surviving beta2 column, reported as the witness
     w = WedgeElement(T, [(1, t(), const(2))])
