@@ -16,8 +16,10 @@ Reports are deterministic: no timestamps, no timing, fixed key order.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -180,6 +182,12 @@ def _require_prime(flag: str, n: int):
 def _cmd_check(args) -> int:
     if args.padic is not None:
         _require_prime("--padic", args.padic)
+    # a nan tolerance would silence the deviation note, a negative one flag
+    # every exact Constant
+    if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
+        raise ValueError(f"--tolerance must be finite and at least 0, got {args.tolerance!r}")
+    if args.cc and args.probe:
+        raise ValueError("--probe is not available in cc mode")
     spec = _read_document(args.document)
     alpha = spec.formal_sum()
 
@@ -246,8 +254,6 @@ def _cmd_check(args) -> int:
             lines.append(f"note: {note}")
 
     if args.probe:
-        if mode == "cc":
-            raise ValueError("--probe is not available in cc mode")
         domain = "real" if mode == "real" else "complex"
         note = None
         try:
@@ -469,10 +475,19 @@ def _parse_point(src: str, variables) -> dict[str, Fraction]:
     return point
 
 
+# the series work grows with prec * log2(p); 2^4096 keeps a run to seconds
+MAX_BRANCH_MODULUS_BITS = 4096
+
+
 def _cmd_padic_branch_diff(args) -> int:
     _require_prime("--p", args.p)
     if args.prec < 1:
         raise ValueError(f"--prec must be at least 1, got {args.prec}")
+    # p >= 2, so a prec past the bit bound needs no power to refuse
+    if args.prec > MAX_BRANCH_MODULUS_BITS or args.p**args.prec > 1 << MAX_BRANCH_MODULUS_BITS:
+        raise ValueError(
+            f"modulus {args.p}^{args.prec} is above the bound 2^{MAX_BRANCH_MODULUS_BITS}"
+        )
     spec = _read_document(args.document)
     alpha = spec.formal_sum()
     point = _parse_point(args.point, spec.variables)
@@ -506,7 +521,13 @@ def _cmd_padic_branch_diff(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built on the first call.
+
+    Every later call returns the same object, so that `main` in a loop
+    builds it once per process: it is shared across calls and must not be
+    mutated."""
     parser = argparse.ArgumentParser(
         prog="dilogeq",
         description="exact constancy checker for dilogarithm combinations",

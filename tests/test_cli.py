@@ -423,6 +423,38 @@ def test_check_rejects_bad_padic_prime(run, tmp_path, value, message):
     assert run(argv)[2] == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "value, shown",
+    [("nan", "nan"), ("-1", "-1.0"), ("-1e-300", "-1e-300"), ("inf", "inf"), ("-inf", "-inf")],
+)
+def test_check_rejects_a_tolerance_that_disables_or_inverts_the_note(run, tmp_path, value, shown):
+    # "=" keeps argparse from reading "-inf" as an option
+    argv = ["check", "DOC:" + INVERSION_DOC, "--probe", "10", f"--tolerance={value}"]
+    message = f"error: --tolerance must be finite and at least 0, got {shown}\n"
+    assert run(argv) == (2, "", message)
+    # the check comes before the document is read
+    argv[1] = str(tmp_path / "missing.txt")
+    assert run(argv)[2] == message
+
+
+def test_check_accepts_a_zero_tolerance(run):
+    code, out, err = run(["check", "DOC:" + FIVE_DOC, "--tolerance", "0", "--json"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["verdict"] == "Constant"
+
+
+def test_check_cc_refuses_a_probe_before_any_work(run, tmp_path, monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("the cc verdict was computed")
+
+    monkeypatch.setattr("dilogeq.cli.check_constant_cc", unreachable)
+    argv = ["check", "DOC:" + CC_PAIR_DOC, "--cc", "--probe", "5"]
+    assert run(argv) == (2, "", "error: --probe is not available in cc mode\n")
+    # a missing document gives this error, not the file error
+    argv[1] = str(tmp_path / "missing.txt")
+    assert run(argv)[2] == "error: --probe is not available in cc mode\n"
+
+
 def test_check_with_probe(run):
     code, out, _ = run(["check", "DOC:" + FIVE_DOC, "--probe", "50", "--json"])
     assert code == 0
@@ -931,6 +963,10 @@ def test_branch_diff_point_errors(run):
         ),
         ("--prec", "0", "--prec must be at least 1, got 0"),
         ("--prec", "-2", "--prec must be at least 1, got -2"),
+        # 5^1764 is the largest power of 5 within 2^4096
+        ("--prec", "1765", "modulus 5^1765 is above the bound 2^4096"),
+        ("--prec", "100000", "modulus 5^100000 is above the bound 2^4096"),
+        ("--prec", "1000000000000", "modulus 5^1000000000000 is above the bound 2^4096"),
     ],
 )
 def test_branch_diff_rejects_bad_prime_and_precision(run, tmp_path, flag, value, message):
@@ -941,6 +977,16 @@ def test_branch_diff_rejects_bad_prime_and_precision(run, tmp_path, flag, value,
     # the check comes before the document is read
     argv[1] = str(tmp_path / "missing.txt")
     assert run(argv)[2] == f"error: {message}\n"
+
+
+def test_branch_diff_accepts_the_default_precision_at_the_largest_provable_prime(run):
+    # trial division to 10^6 proves no prime above 1000001999917, and its
+    # 32nd power has 1276 bits, within 2^4096
+    code, out, err = run(
+        ["padic-branch-diff", "DOC:" + SINGLE_DOC, "--p", "1000001999917", "--point", "t=3"]
+    )
+    assert (code, err) == (0, "")
+    assert out.startswith("p: 1000001999917\n")
 
 
 # -- top level ----------------------------------------------------------------------
@@ -963,6 +1009,28 @@ def test_every_option_is_read_by_its_handler():
             read.add("json")
         dests = {a.dest for a in p._actions if not isinstance(a, argparse._HelpAction)}
         assert dests <= read, (name, sorted(dests - read))
+
+
+def test_a_shared_parser_leaks_no_state_between_calls(run):
+    sequence = [
+        ["specialize", "DOC:" + FIVE_DOC],
+        ["specialize", "DOC:" + FIVE_DOC, "--step", "x=2", "--step", "y=3"],
+        ["specialize", "DOC:" + FIVE_DOC, "--step", "x=2"],
+        ["check", "DOC:" + FIVE_DOC, "--probe", "30", "--json"],
+        ["check", "DOC:" + FIVE_DOC, "--json"],
+        ["check", "DOC:" + CC_PAIR_DOC, "--cc"],
+        ["check", "DOC:" + CC_PAIR_DOC, "--real"],
+        ["relations", "inversion", "--variables", "t", "--x", "t"],
+        ["check", "DOC:" + INVERSION_DOC, "--seed"],
+        ["check", "DOC:" + INVERSION_DOC],
+        ["check", "--help"],
+    ]
+    shared = [run(list(argv)) for argv in sequence]
+    assert shared[8][0] == 2 and "expected one argument" in shared[8][2]
+    assert shared[10][0] == 0 and shared[10][1].startswith("usage: dilogeq check")
+    for argv, result in zip(sequence, shared):
+        build_parser.cache_clear()
+        assert run(list(argv)) == result, argv
 
 
 def test_reports_are_byte_deterministic(run):

@@ -1,5 +1,6 @@
 """Invariants of the package are checked by exceptions that `python -O` keeps."""
 
+import argparse
 import ast
 import importlib
 import importlib.util
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from dilogeq.cli import build_parser, main
 from dilogeq.document import IdentitySpec, dump_document
 from dilogeq.padic import PadicNumber
 
@@ -110,3 +112,35 @@ def test_traced_names_resolve():
     blochfq = importlib.import_module("dilogeq.blochfq")
     assert isinstance(blochfq.HermiteForm, type)
     assert callable(blochfq.HermiteForm.insert) and callable(blochfq.HermiteForm.contains)
+
+
+def test_main_builds_its_parser_once_per_process(monkeypatch, capsys, tmp_path):
+    # main in a loop (the benchmark, report_diff, an API user) builds its
+    # parser once; a build per call was about a quarter of a docs-check run
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    build_parser.cache_clear()
+    build_parser()
+    one_build = len(built)
+    assert one_build > 1  # the top parser and its subparsers
+    build_parser.cache_clear()
+    built.clear()
+    missing = str(tmp_path / "missing.txt")
+    for argv in (
+        ["relations", "inversion", "--variables", "t", "--x", "t"],
+        ["check", missing],
+        ["wedge", missing],
+        ["blochfq", "5"],
+        ["frobnicate"],
+        ["relations", "five", "--variables", "x, y", "--x", "x", "--y", "y"],
+    ):
+        main(argv)
+    capsys.readouterr()
+    assert len(built) == one_build
+    assert build_parser() is build_parser()
