@@ -10,8 +10,18 @@ incrementally, so large relation sets collapse into an at-most-n-row
 accumulator as they stream in, and one reduction loop on it serves
 membership and integer solving.  Kernels and solutions come from the
 Hermite form of [rows | I], whose identity part records each row as a
-combination of the input rows.  The Smith form alternates Hermite forms
-of the matrix and of its transpose.
+combination of the input rows.
+
+The relation lattices met here are nearly the identity: most pivots are
+1.  So the form keeps one invariant, that no stored row has a nonzero in
+another row's unit-pivot column, and clears an incoming row at every
+unit pivot in one sparse pass before the dense column loop runs on what
+is left.  The Smith form reads each unit pivot of the reduced Hermite
+form as an invariant factor 1, which is exact because that pivot's
+column is zero outside its own row, so column operations clear the row
+without touching any other.  It alternates Hermite forms of the block of
+non-unit pivot rows, on the columns that are not unit pivots, and of its
+transpose.
 
 The minor-gcd Smith form (gcd of all k x k minors gives the determinant
 divisor chain d_k, and d_k / d_{k-1} the invariant factors) is exponential
@@ -25,7 +35,7 @@ no elimination with the Hermite and Smith forms above.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, compress
 from math import gcd
 from operator import mul
 
@@ -54,25 +64,45 @@ class HermiteForm:
 
     The row at pivot column c is zero before c, and so is a row being
     reduced once its columns before c are cleared, so every row operation
-    at column c touches columns c onward only."""
+    at column c touches columns c onward only.
+
+    Invariant: no stored row has a nonzero entry in another row's
+    unit-pivot column (a pivot equal to 1).  An incoming row is cleared at
+    every unit pivot before anything else, and `_normalize_above` clears
+    the other rows when a pivot becomes 1; the non-unit row operations
+    then keep those columns zero, since every row they combine is zero
+    there.  So the unit-pivot rows that a vector touches are subtracted
+    in one pass whose order does not matter, each from a cached list of
+    that row's off-pivot nonzeros (dropped whenever the row changes), and
+    the column loop runs only on what is left.  In `basis()` a unit
+    pivot's column is then zero outside its own row, so column operations
+    clear that row alone, and `smith_invariant_factors` reads each unit
+    pivot as an invariant factor 1 and works on the rest."""
 
     def __init__(self, width: int):
         self.width = width
         # pivot column -> row; basis() completes the reduction above pivots
         self.rows: dict[int, list[int]] = {}
+        # unit pivot column -> its row's (column, entry) nonzeros after the
+        # pivot, or None when the row changed since they were last listed
+        self._units: dict[int, list[tuple[int, int]] | None] = {}
 
     def insert(self, row) -> bool:
-        """Reduce a row in; returns True if it enlarged the span."""
+        """Reduce a row in; returns True exactly when the lattice grew: a
+        new pivot, or a pivot that shrank to its gcd with the row's entry."""
         row = list(row)
         if len(row) != self.width:
             raise ValueError(f"row of width {len(row)} in a width-{self.width} form")
-        for c in range(self.width):
+        grew = False
+        for c in range(self._clear_units(row, self.width), self.width):
             if not row[c]:
                 continue
             if c not in self.rows:
                 if row[c] < 0:
                     row = [-x for x in row]
                 self.rows[c] = row
+                if row[c] == 1:
+                    self._units[c] = None
                 self._normalize_above(c)
                 return True
             piv = self.rows[c]
@@ -87,13 +117,35 @@ class HermiteForm:
             tail = list(zip(piv[c:], row[c:]))
             row[c:] = [(a // g) * y - (b // g) * x for x, y in tail]
             piv[c:] = [u * x + v * y for x, y in tail]
+            grew = True
+            if g == 1:
+                self._units[c] = None
             # Reduce the earlier rows at this column now, not only in
             # basis(): later steps mix those rows into others, so entries
             # left unreduced above a pivot compound and the integers grow
             # (without this pass `bloch_groups(43)` runs about five times
             # slower).
             self._normalize_above(c)
-        return False
+        return grew
+
+    def _clear_units(self, v: list[int], stop: int) -> int:
+        """Subtract from v the unit-pivot rows at its nonzero columns before
+        `stop`, and return v's first nonzero column before the pass (or
+        `stop`), before which v stays zero.  Each of those rows is zero at
+        every other unit pivot, so the multipliers are v's own entries and
+        the order does not matter."""
+        units = self._units
+        nonzero = list(compress(range(stop), v))
+        for c in [c for c in nonzero if c in units]:
+            q = v[c]
+            tail = units[c]
+            if tail is None:
+                piv = self.rows[c]
+                tail = units[c] = [(j, x) for j, x in enumerate(piv[c + 1 :], c + 1) if x]
+            v[c] = 0
+            for j, x in tail:
+                v[j] -= q * x
+        return nonzero[0] if nonzero else stop
 
     def _normalize_above(self, c: int):
         piv = self.rows[c]
@@ -104,12 +156,14 @@ class HermiteForm:
                 q = other[c] // piv[c]
                 if q:
                     other[c:] = [a - q * b for a, b in zip(other[c:], piv[c:])]
+                    if c2 in self._units:
+                        self._units[c2] = None
 
     def _reduce(self, v: list[int], stop: int) -> list[int] | None:
         """v minus the combination of pivot rows that clears its columns
         before `stop`, computed in v itself; None when a pivot is missing
         or does not divide."""
-        for c in range(stop):
+        for c in range(self._clear_units(v, stop), stop):
             if not v[c]:
                 continue
             piv = self.rows.get(c)
@@ -187,17 +241,25 @@ def solve_integer(basis: Matrix, targets: Matrix) -> list[list[int] | None]:
 def smith_invariant_factors(rows: Matrix, width: int | None = None) -> list[int]:
     """The nonzero invariant factors d_1 | d_2 | ... of the row matrix.
 
-    Kannan and Bachem's alternation: take the Hermite form of the matrix,
-    then of its transpose, and so on until it is diagonal.  Row operations
-    on the transpose are column operations on the matrix, so no step
-    changes the invariant factors; gcd/lcm exchanges then sort the
-    diagonal into a divisibility chain.
+    Each unit pivot of the reduced Hermite form is an invariant factor 1:
+    its column is zero outside its own row, so column operations clear
+    that row without touching any other.  What is left is the block of
+    the non-unit pivot rows on the columns that are not unit pivots, and
+    on it Kannan and Bachem's alternation runs: take the Hermite form of
+    the block's transpose, then of its transpose, and so on until it is
+    diagonal.  Row operations on the transpose are column operations on
+    the matrix, so no step changes the invariant factors; gcd/lcm
+    exchanges then sort the diagonal into a divisibility chain.
     """
     if width is None:
         if not rows:
             return []
         width = len(rows[0])
     a = hnf(rows, width)
+    pivots = [next(j for j, x in enumerate(r) if x) for r in a]
+    units = {c for r, c in zip(a, pivots) if r[c] == 1}
+    keep = [j for j in range(width) if j not in units]
+    a = [[r[j] for j in keep] for r, c in zip(a, pivots) if c not in units]
     # This ends: the new leading entry is the gcd of the old leading row, so
     # each round either shrinks the leading entry or, when it already
     # divides its row, clears its row and column; the trailing block then
@@ -209,7 +271,7 @@ def smith_invariant_factors(rows: Matrix, width: int | None = None) -> list[int]
         for j in range(i + 1, len(d)):
             g = gcd(d[i], d[j])
             d[i], d[j] = g, d[i] * d[j] // g
-    return d
+    return [1] * len(units) + d
 
 
 def minor_gcd_invariant_factors(rows: Matrix, width: int | None = None) -> list[int]:

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 
 from .formal import FormalSum
 from .primes import int_quotient, strip_power
@@ -54,6 +55,13 @@ class GeneratorVanishesAtPoint(ValueError):
 def _require_base(p: int):
     if p < 2:
         raise ValueError(f"a p-adic base must be at least 2, got {p}")
+
+
+@lru_cache(maxsize=1024)
+def _power(p: int, k: int) -> int:
+    """p**k, cached as `primes._factor_int` is: a computation at one
+    precision reduces modulo the same few powers in every operation."""
+    return p**k
 
 
 def padic_valuation(q: Fraction, p: int) -> int:
@@ -87,7 +95,7 @@ class PadicNumber:
     def __post_init__(self):
         _require_base(self.p)
         if self.unit:
-            if not 0 < self.unit < self.p**self.prec or self.unit % self.p == 0:
+            if not 0 < self.unit < _power(self.p, self.prec) or self.unit % self.p == 0:
                 raise ValueError(f"unit {self.unit} is not a unit mod {self.p}^{self.prec}")
         elif self.prec:
             raise ValueError("a zero unit needs prec 0")
@@ -104,7 +112,7 @@ class PadicNumber:
         if q == 0:
             return PadicNumber.zero(p)
         v, n, d = _split(q, p)
-        m = p**prec
+        m = _power(p, prec)
         unit = (n % m) * pow(d, -1, m) % m
         if unit == 0:
             return PadicNumber.zero(p, v + prec)
@@ -138,25 +146,25 @@ class PadicNumber:
             cap = min(a.abs_precision(), b.val)
             if cap <= a.val:
                 return PadicNumber.zero(p, cap)
-            return PadicNumber(p, a.val, a.unit % p ** (cap - a.val), cap - a.val)
+            return PadicNumber(p, a.val, a.unit % _power(p, cap - a.val), cap - a.val)
         cap = min(a.abs_precision(), b.abs_precision())
         v = min(a.val, b.val)
         digits = cap - v
         if digits <= 0:
             return PadicNumber.zero(p, cap)
-        m = p**digits
-        s = (a.unit * p ** (a.val - v) + b.unit * p ** (b.val - v)) % m
+        m = _power(p, digits)
+        s = (a.unit * _power(p, a.val - v) + b.unit * _power(p, b.val - v)) % m
         if s == 0:
             return PadicNumber.zero(p, cap)
         s, k = strip_power(s, p, int_quotient)
         if digits - k <= 0:
             return PadicNumber.zero(p, cap)
-        return PadicNumber(p, v + k, s % p ** (digits - k), digits - k)
+        return PadicNumber(p, v + k, s % _power(p, digits - k), digits - k)
 
     def __neg__(self) -> "PadicNumber":
         if self.unit == 0:
             return self
-        m = self.p**self.prec
+        m = _power(self.p, self.prec)
         return PadicNumber(self.p, self.val, (m - self.unit) % m, self.prec)
 
     def __sub__(self, other: "PadicNumber") -> "PadicNumber":
@@ -170,14 +178,14 @@ class PadicNumber:
             # O(p^x) times p^y-unit (or O(p^y)) is O(p^{x+y})
             return PadicNumber.zero(p, min(a.val + b.val, EXACT))
         prec = min(a.prec, b.prec)
-        m = p**prec
+        m = _power(p, prec)
         u = (a.unit * b.unit) % m
         return PadicNumber(p, a.val + b.val, u, prec)
 
     def inverse(self) -> "PadicNumber":
         if self.unit == 0:
             raise ZeroArgument("inverse of zero (at this precision)")
-        m = self.p**self.prec
+        m = _power(self.p, self.prec)
         return PadicNumber(self.p, -self.val, pow(self.unit, -1, m), self.prec)
 
     def __truediv__(self, other: "PadicNumber") -> "PadicNumber":

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd
 
 from dilogeq.formal import FormalSum, five_term, inversion
 from dilogeq.intmat import HermiteForm
@@ -141,6 +142,129 @@ def in_row_span(rows: list[list[int]], v, width: int | None = None) -> bool:
     for r in rows:
         h.insert(r)
     return h.contains(v)
+
+
+# -- a dense integer elimination, the reference for intmat -------------------
+
+
+class DenseHermiteForm:
+    """The row-style Hermite form with no unit-pivot pass: every row
+    operation is dense on the row tail from the pivot column on.  Same
+    conventions as `HermiteForm` (positive pivots, entries above a pivot in
+    [0, pivot)), so `basis()` agrees row for row."""
+
+    def __init__(self, width: int):
+        self.width = width
+        self.rows: dict[int, list[int]] = {}
+
+    def insert(self, row) -> bool:
+        row = list(row)
+        grew = False
+        for c in range(self.width):
+            if not row[c]:
+                continue
+            if c not in self.rows:
+                if row[c] < 0:
+                    row = [-x for x in row]
+                self.rows[c] = row
+                self._normalize_above(c)
+                return True
+            piv = self.rows[c]
+            a, b = piv[c], row[c]
+            if b % a == 0:
+                q = b // a
+                row[c:] = [y - q * x for x, y in zip(piv[c:], row[c:])]
+                continue
+            g, u, v = _xgcd(a, b)
+            tail = list(zip(piv[c:], row[c:]))
+            row[c:] = [(a // g) * y - (b // g) * x for x, y in tail]
+            piv[c:] = [u * x + v * y for x, y in tail]
+            self._normalize_above(c)
+            # the pivot shrank from a to g, so the lattice grew
+            grew = True
+        return grew
+
+    def _normalize_above(self, c: int):
+        piv = self.rows[c]
+        for c2, other in self.rows.items():
+            if c2 != c and other[c]:
+                q = other[c] // piv[c]
+                if q:
+                    other[c:] = [a - q * b for a, b in zip(other[c:], piv[c:])]
+
+    def reduce(self, v: list[int], stop: int) -> list[int] | None:
+        for c in range(stop):
+            if not v[c]:
+                continue
+            piv = self.rows.get(c)
+            if piv is None or v[c] % piv[c]:
+                return None
+            q = v[c] // piv[c]
+            v[c:] = [a - q * b for a, b in zip(v[c:], piv[c:])]
+        return v
+
+    def basis(self) -> list[list[int]]:
+        for c in sorted(self.rows):
+            self._normalize_above(c)
+        return [list(self.rows[c]) for c in sorted(self.rows)]
+
+    def contains(self, v) -> bool:
+        rest = self.reduce(list(v), self.width)
+        return rest is not None and not any(rest)
+
+
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, u, v) with u*a + v*b == g > 0."""
+    if b == 0:
+        return (abs(a), 1 if a > 0 else -1, 0)
+    g, u, v = _xgcd(b, a % b)
+    return g, v, u - (a // b) * v
+
+
+def dense_hnf(rows: list[list[int]], width: int) -> list[list[int]]:
+    h = DenseHermiteForm(width)
+    for r in rows:
+        h.insert(r)
+    return h.basis()
+
+
+def _dense_with_transform(rows: list[list[int]]) -> DenseHermiteForm:
+    m, n = len(rows), len(rows[0])
+    h = DenseHermiteForm(n + m)
+    for i, r in enumerate(rows):
+        h.insert(list(r) + [1 if j == i else 0 for j in range(m)])
+    return h
+
+
+def dense_left_kernel(rows: list[list[int]]) -> list[list[int]]:
+    n = len(rows[0])
+    h = _dense_with_transform(rows)
+    return [h.rows[c][n:] for c in sorted(h.rows) if c >= n]
+
+
+def dense_solve_integer(basis, targets) -> list[list[int] | None]:
+    """x with x @ basis == v by reducing [v | 0] against [basis | I]."""
+    m, n = len(basis), len(basis[0])
+    form = _dense_with_transform(basis)
+    out = []
+    for v in targets:
+        rest = form.reduce(list(v) + [0] * m, n)
+        out.append(None if rest is None else [-t for t in rest[n:]])
+    return out
+
+
+def dense_smith(rows: list[list[int]], width: int) -> list[int]:
+    """Kannan and Bachem's alternation on the whole matrix, then gcd/lcm
+    exchanges into a divisibility chain."""
+    a = dense_hnf(rows, width)
+    while any(x for i, r in enumerate(a) for j, x in enumerate(r) if i != j):
+        a = dense_hnf([list(col) for col in zip(*a)], len(a))
+    d = [a[i][i] for i in range(len(a))]
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            g = gcd(d[i], d[j])
+            d[i], d[j] = g, d[i] * d[j] // g
+    return d
 
 
 def random_coeff(rnd: random.Random, gaussian: bool = False, zero_ok: bool = True) -> FieldElement:

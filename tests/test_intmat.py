@@ -17,7 +17,14 @@ from dilogeq.intmat import (
     solve_integer,
 )
 
-from helpers import in_row_span
+from helpers import (
+    DenseHermiteForm,
+    dense_hnf,
+    dense_left_kernel,
+    dense_smith,
+    dense_solve_integer,
+    in_row_span,
+)
 
 
 def _rand_matrix(rnd, m, n, lo=-6, hi=6):
@@ -60,6 +67,83 @@ def test_insert_rejects_wrong_width():
         with pytest.raises(ValueError):
             h.insert(row)
     assert h.basis() == []
+
+
+def test_insert_reports_exactly_when_the_lattice_grows():
+    h = HermiteForm(1)
+    # 2Z, then Z: the second row adds no pivot but shrinks the one there
+    assert h.insert([2]) is True
+    assert h.insert([1]) is True
+    assert h.insert([3]) is False
+    assert h.basis() == [[1]]
+    h = HermiteForm(2)
+    assert h.insert([4, 6]) is True
+    # no new pivot: the pivot 4 shrinks to gcd(4, 6) = 2
+    assert h.insert([6, 9]) is True
+    assert h.insert([-2, -3]) is False
+    assert h.insert([0, 0]) is False
+
+
+def _unit_pivot_columns_are_clear(h: HermiteForm) -> bool:
+    """No stored row has a nonzero in another row's unit-pivot column."""
+    units = [c for c, r in h.rows.items() if r[c] == 1]
+    return all(not r[c] for c in units for c2, r in h.rows.items() if c2 != c)
+
+
+def _sparse_matrix(rnd, m, n):
+    """Entries mostly 0 and +-1, so unit pivots are common; one draw in
+    four also puts a few entries up to +-50 in."""
+    a = [[rnd.choice((0, 0, 0, 1, -1)) for _ in range(n)] for _ in range(m)]
+    if rnd.random() < 0.25:
+        for _ in range(rnd.randint(1, 3)):
+            a[rnd.randrange(m)][rnd.randrange(n)] = rnd.randint(-50, 50)
+    if m > 1 and rnd.random() < 0.3:
+        # a row scaled by a non-unit, so non-unit pivots appear too
+        i = rnd.randrange(m)
+        a[i] = [rnd.randint(2, 6) * x for x in a[i]]
+    return a
+
+
+def _combination(rnd, rows, n):
+    v = [0] * n
+    for r in rows:
+        k = rnd.randint(-3, 3)
+        v = [x + k * y for x, y in zip(v, r)]
+    return v
+
+
+def test_hermite_form_matches_the_dense_elimination():
+    rnd = random.Random(22)
+    mixed = 0
+    for _ in range(2000):
+        m, n = rnd.randint(1, 7), rnd.randint(1, 7)
+        a = _sparse_matrix(rnd, m, n)
+        h, ref = HermiteForm(n), DenseHermiteForm(n)
+        for r in a:
+            fresh = not h.contains(r)
+            got = h.insert(r)
+            assert got == ref.insert(r) == fresh, a
+            assert _unit_pivot_columns_are_clear(h), a
+        basis = h.basis()
+        assert basis == ref.basis() == dense_hnf(a, n) == hnf(a, n), a
+        pivots = {r[next(j for j, x in enumerate(r) if x)] for r in basis}
+        mixed += 1 in pivots and len(pivots) > 1
+        probes = [[rnd.randint(-2, 2) for _ in range(n)] for _ in range(3)]
+        probes += [_combination(rnd, a, n) for _ in range(3)]
+        for v in probes:
+            assert h.contains(v) == ref.contains(v), (a, v)
+        solved = solve_integer(a, probes)
+        if len(basis) == m:
+            # full row rank: x is unique
+            assert solved == dense_solve_integer(a, probes), a
+        for v, x in zip(probes, solved):
+            assert (x is None) == (not in_row_span(a, v, n)), (a, v)
+            if x is not None:
+                assert _mat_vec(a, x) == v, (a, v, x)
+        assert hnf(left_kernel(a), m) == dense_hnf(dense_left_kernel(a), m), a
+        assert smith_invariant_factors(a, n) == dense_smith(a, n), a
+    # both kinds of pivot in one form, often enough to test the block
+    assert mixed > 200, mixed
 
 
 def test_in_row_span_basic():
@@ -257,6 +341,16 @@ def test_smith_matches_minor_gcd_oracle():
             c1, c2 = rnd.randint(-3, 3), rnd.randint(-3, 3)
             a[i] = [c1 * x + c2 * y for x, y in zip(u, w)]
         assert smith_invariant_factors(a, n) == minor_gcd_invariant_factors(a, n), a
+    # Hermite forms with both unit and non-unit pivots, so the alternation
+    # runs on a proper block of the form
+    mixed = 0
+    while mixed < 40:
+        m, n = rnd.randint(2, 5), rnd.randint(2, 6)
+        a = _sparse_matrix(rnd, m, n)
+        pivots = {r[next(j for j, x in enumerate(r) if x)] for r in hnf(a, n)}
+        if 1 in pivots and len(pivots) > 1:
+            mixed += 1
+            assert smith_invariant_factors(a, n) == minor_gcd_invariant_factors(a, n), a
 
 
 def test_minor_gcd_oracle_ignores_repeated_sign_and_zero_rows():

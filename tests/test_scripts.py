@@ -3,7 +3,8 @@
 Each runs in a subprocess, as a user runs it, so a script that an API
 change breaks fails here; its stdout is compared with the bytes it printed
 when this test was written, which pins the text of formal sums, extended
-sums and p-adic numbers that the scripts show.
+sums and p-adic numbers that the scripts show, and the Bloch-group table
+of the survey over the primes up to 31.
 """
 
 import subprocess
@@ -54,10 +55,26 @@ z = 15/7
 
 """
 
+# the default --max-p 31: a drift in any Bloch-group table shows here
+BLOCHFQ_SURVEY = """\
+   p  gens  wedge^2  pre(five)      pre  modified  c-facts
+----------------------------------------------------------
+   5     3        0        Z/6      Z/3       Z/3  yes
+   7     5      Z/2        Z/8      Z/4       Z/2  yes
+  11     9      Z/2       Z/12      Z/6       Z/3  yes
+  13    11        0       Z/14      Z/7       Z/7  yes
+  17    15        0       Z/18      Z/9       Z/9  yes
+  19    17      Z/2       Z/20     Z/10       Z/5  yes
+  23    21      Z/2       Z/24     Z/12       Z/6  yes
+  29    27        0       Z/30     Z/15      Z/15  yes
+  31    29      Z/2       Z/32     Z/16       Z/8  yes
+"""
+
 
 EXPECTED = {
     "specialization_demo.py": SPECIALIZATION_DEMO,
     "padic_branch_demo.py": PADIC_BRANCH_DEMO,
+    "blochfq_survey.py": BLOCHFQ_SURVEY,
 }
 
 
