@@ -6,133 +6,100 @@ sum a_j (f_j wedge (1 - f_j)) vanishes in the reduced wedge square of the
 function field.  This package computes that boundary exactly, decides
 constancy, specializes variables while staying inside the relation group,
 and cross-checks everything numerically and over small finite fields.
+
+`import dilogeq` loads no submodule: each exported name, and each
+submodule such as `dilogeq.coprime`, is imported on first access (PEP 562).
 """
 
-from .scalars import FieldElement, fe
-from .poly import MultiPoly, poly_gcd, squarefree_parts
-from .ratfunc import INF, Infinity, RationalFunction, ZeroDenominator
-from .coprime import CoprimeBasis, coprime_basis
-from .formal import (
-    DegenerateArguments,
-    ExtendedFormalSum,
-    FormalSum,
-    c_element,
-    conj_sum,
-    five_term,
-    inversion,
-)
-from .wedge import (
-    ConstancyCertificate,
-    WedgeElement,
-    boundary,
-    check_constant,
-    check_constant_cc,
-    check_constant_real,
-    t_pair,
-    t_v,
-    wedge_specialize,
-)
-from .specialize import (
-    PointNotAdmissible,
-    SpecPlan,
-    SpecStep,
-    classify_value,
-    default_aux,
-    evaluate_at_point,
-    iterate,
-    naive_eval,
-    sp,
-    table_cell,
-    table_row,
-)
-from .numerics import (
-    ModPiSqHalf,
-    ProbeReport,
-    bloch_wigner,
-    li2,
-    numeric_probe,
-    rl_bar,
-    rogers,
-)
-from .padic import (
-    Branch,
-    PadicNumber,
-    branch_diff,
-    check_constant_padic,
-    dp_disc,
-    li2p,
-    plog,
-)
-from .blochfq import (
-    BlochGroups,
-    InvariantFactors,
-    PrimeTooSmall,
-    bloch_groups,
-    relations_matrix,
-)
-from .exprparse import parse_expression
-from .document import IdentitySpec, dump_document, load_document
+import importlib
 
-__all__ = [
-    "BlochGroups",
-    "Branch",
-    "ConstancyCertificate",
-    "CoprimeBasis",
-    "DegenerateArguments",
-    "ExtendedFormalSum",
-    "FieldElement",
-    "FormalSum",
-    "IdentitySpec",
-    "INF",
-    "Infinity",
-    "InvariantFactors",
-    "ModPiSqHalf",
-    "MultiPoly",
-    "PadicNumber",
-    "PointNotAdmissible",
-    "PrimeTooSmall",
-    "ProbeReport",
-    "RationalFunction",
-    "SpecPlan",
-    "SpecStep",
-    "WedgeElement",
-    "ZeroDenominator",
-    "bloch_groups",
-    "bloch_wigner",
-    "boundary",
-    "branch_diff",
-    "c_element",
-    "check_constant",
-    "classify_value",
-    "check_constant_cc",
-    "check_constant_padic",
-    "check_constant_real",
-    "conj_sum",
-    "coprime_basis",
-    "default_aux",
-    "dp_disc",
-    "dump_document",
-    "evaluate_at_point",
-    "fe",
-    "five_term",
-    "inversion",
-    "iterate",
-    "li2",
-    "li2p",
-    "load_document",
-    "naive_eval",
-    "numeric_probe",
-    "parse_expression",
-    "plog",
-    "poly_gcd",
-    "relations_matrix",
-    "rl_bar",
-    "rogers",
-    "sp",
-    "squarefree_parts",
-    "t_pair",
-    "t_v",
-    "table_cell",
-    "table_row",
-    "wedge_specialize",
-]
+# submodule -> the names the package exports from it
+_EXPORTS = {
+    "scalars": ("FieldElement", "fe"),
+    "poly": ("MultiPoly", "poly_gcd", "squarefree_parts"),
+    "ratfunc": ("INF", "Infinity", "RationalFunction", "ZeroDenominator"),
+    "coprime": ("CoprimeBasis", "coprime_basis"),
+    "formal": (
+        "DegenerateArguments",
+        "ExtendedFormalSum",
+        "FormalSum",
+        "c_element",
+        "conj_sum",
+        "five_term",
+        "inversion",
+    ),
+    "wedge": (
+        "ConstancyCertificate",
+        "WedgeElement",
+        "boundary",
+        "check_constant",
+        "check_constant_cc",
+        "check_constant_real",
+        "t_pair",
+        "t_v",
+        "wedge_specialize",
+    ),
+    "specialize": (
+        "PointNotAdmissible",
+        "SpecPlan",
+        "SpecStep",
+        "classify_value",
+        "default_aux",
+        "evaluate_at_point",
+        "iterate",
+        "naive_eval",
+        "sp",
+        "table_cell",
+        "table_row",
+    ),
+    "numerics": (
+        "ModPiSqHalf",
+        "ProbeReport",
+        "bloch_wigner",
+        "li2",
+        "numeric_probe",
+        "rl_bar",
+        "rogers",
+    ),
+    "padic": (
+        "Branch",
+        "PadicNumber",
+        "branch_diff",
+        "check_constant_padic",
+        "dp_disc",
+        "li2p",
+        "plog",
+    ),
+    "blochfq": (
+        "BlochGroups",
+        "InvariantFactors",
+        "PrimeTooSmall",
+        "bloch_groups",
+        "relations_matrix",
+    ),
+    "exprparse": ("parse_expression",),
+    "document": ("IdentitySpec", "dump_document", "load_document"),
+    "cli": (),
+    "intmat": (),
+    "primes": (),
+}
+
+_ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_ORIGIN)
+
+
+def __getattr__(name):
+    if name in _ORIGIN:
+        value = getattr(importlib.import_module(f".{_ORIGIN[name]}", __name__), name)
+    elif name in _EXPORTS:
+        value = importlib.import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # bound once, so later reads are plain attribute lookups
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_EXPORTS})

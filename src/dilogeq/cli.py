@@ -17,31 +17,56 @@ from __future__ import annotations
 
 import argparse
 import functools
+import importlib
 import itertools
 import json
 import math
 import sys
 from fractions import Fraction
 
-from . import blochfq as bfq
-from .document import (
-    IdentitySpec,
-    dump_document,
-    load_document,
-    spec_from_formal_sum,
-)
-from .exprparse import parse_expression
-from .formal import FormalSum, c_element, five_term, inversion
-from .intmat import minor_gcd_invariant_factors
-from .numerics import PROBE_DOMAINS, ModPiSqHalf, SamplingExhausted, bloch_wigner, numeric_probe, rl_bar
-from .padic import Branch, branch_diff, check_constant_padic
 from .primes import OversizedConstant, is_prime
-from .ratfunc import INF
 from .scalars import fe
-from .specialize import PointNotAdmissible, SpecPlan, SpecStep, default_aux, evaluate_at_point, iterate
-# check_constant_real (Bloch-Wigner on the real locus) decides no subcommand;
-# it stays importable here because bench/tracer.py wraps it at this name
-from .wedge import boundary, check_constant, check_constant_cc, check_constant_real  # noqa: F401
+
+# The names the document commands use (every subcommand but `blochfq`), by
+# module.  `_bind_document_names` binds them into this module's globals on
+# the first such command, so that `blochfq` loads none of these modules.  It
+# never replaces a name already set: a wrapper or stub set at
+# `dilogeq.cli.NAME` beforehand (bench/tracer.py, tests) is the one called.
+_DOCUMENT_NAMES = {
+    "document": ("IdentitySpec", "dump_document", "load_document", "spec_from_formal_sum"),
+    "exprparse": ("parse_expression",),
+    "formal": ("FormalSum", "c_element", "five_term", "inversion"),
+    "numerics": ("ModPiSqHalf", "SamplingExhausted", "bloch_wigner", "numeric_probe", "rl_bar"),
+    "ratfunc": ("INF",),
+    "specialize": (
+        "PointNotAdmissible",
+        "SpecPlan",
+        "SpecStep",
+        "default_aux",
+        "evaluate_at_point",
+        "iterate",
+    ),
+    # check_constant_real (Bloch-Wigner on the real locus) decides no
+    # subcommand; it is bound here because bench/tracer.py wraps it at this name
+    "wedge": ("boundary", "check_constant", "check_constant_cc", "check_constant_real"),
+}
+
+
+@functools.cache
+def _bind_document_names() -> None:
+    namespace = globals()
+    for module, names in _DOCUMENT_NAMES.items():
+        owner = importlib.import_module(f".{module}", __package__)
+        for name in names:
+            namespace.setdefault(name, getattr(owner, name))
+
+
+def __getattr__(name):
+    # outside code reading a document name before any document command
+    if any(name in names for names in _DOCUMENT_NAMES.values()):
+        _bind_document_names()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +225,8 @@ def _cmd_check(args) -> int:
         cert = check_constant(alpha)
         mode = "real"
     elif args.padic is not None:
+        from .padic import check_constant_padic
+
         cert = check_constant_padic(alpha)
         mode = "padic"
     else:
@@ -418,6 +445,9 @@ def _cmd_blochfq(args) -> int:
         raise ValueError(f"p = {p} is past the default cap 97; pass --allow-large to proceed")
     if args.oracle and p > 7:
         raise ValueError("--oracle enumerates all minors; only feasible for p in {5, 7}")
+    from . import blochfq as bfq
+    from .intmat import minor_gcd_invariant_factors
+
     groups = bfq.bloch_groups(p)
     pres = groups.presentation
     d = groups.wedge_square
@@ -480,6 +510,8 @@ MAX_BRANCH_MODULUS_BITS = 4096
 
 
 def _cmd_padic_branch_diff(args) -> int:
+    from .padic import Branch, branch_diff
+
     _require_prime("--p", args.p)
     if args.prec < 1:
         raise ValueError(f"--prec must be at least 1, got {args.prec}")
@@ -519,6 +551,11 @@ def _cmd_padic_branch_diff(args) -> int:
 # ---------------------------------------------------------------------------
 # parser and entry point
 # ---------------------------------------------------------------------------
+
+
+# the --domain choices of `probe`: numerics.PROBE_DOMAINS, kept here so that
+# building the parser imports no numerics (numeric_probe still checks it)
+PROBE_DOMAINS = ("complex", "real", "real-bw")
 
 
 @functools.cache
@@ -612,6 +649,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         code = exc.code
         return int(code) if code else 0
+    if args.command != "blochfq":
+        _bind_document_names()
     try:
         return args.func(args)
     except (ValueError, ArithmeticError, KeyError, SyntaxError, RuntimeError, OSError) as exc:

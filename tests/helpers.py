@@ -7,9 +7,14 @@ the seed alone.
 
 from __future__ import annotations
 
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 from dilogeq.formal import FormalSum, five_term, inversion
 from dilogeq.intmat import HermiteForm
@@ -19,6 +24,25 @@ from dilogeq.primes import UnitPrimeFactorization
 from dilogeq.ratfunc import RationalFunction, ZeroDenominator
 from dilogeq.scalars import FieldElement, fe
 from dilogeq.wedge import WedgeElement
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def fresh(code: str, *args: str):
+    """Run `code` with `args` in a fresh interpreter that has the package
+    on `PYTHONPATH`, as a one-shot command starts, and return the last line
+    it prints, read as JSON."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run(
+        [sys.executable, "-c", code, *args],
+        capture_output=True,
+        env=env,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
 
 
 # -- builders and views the package itself does not need ---------------------

@@ -11,6 +11,7 @@ import pytest
 from dilogeq.cli import build_parser, main
 from dilogeq.document import IdentitySpec, dump_document
 from dilogeq.padic import PadicNumber
+from helpers import fresh
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "dilogeq"
@@ -112,6 +113,24 @@ def test_traced_names_resolve():
     blochfq = importlib.import_module("dilogeq.blochfq")
     assert isinstance(blochfq.HermiteForm, type)
     assert callable(blochfq.HermiteForm.insert) and callable(blochfq.HermiteForm.contains)
+    # in a traced bloch-fq run only dilogeq.cli and what blochfq needs are
+    # loaded when the tracer installs, which this process, where earlier
+    # tests have loaded every module, cannot show
+    code = (
+        "import contextlib, functools, importlib, importlib.util, io, json, sys\n"
+        "from dilogeq import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    cli.main(['blochfq', '5', '--json'])\n"
+        "spec = importlib.util.spec_from_file_location('bench_tracer', sys.argv[1])\n"
+        "tracer = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(tracer)\n"
+        "resolve = lambda module, attr: functools.reduce(\n"
+        "    lambda owner, part: getattr(owner, part, None), attr.split('.'),\n"
+        "    importlib.import_module(module))\n"
+        "print(json.dumps([f'{m}.{a}' for m, a, _ in tracer.SPANS + tracer.COUNTERS\n"
+        "                  if not callable(resolve(m, a))]))\n"
+    )
+    assert fresh(code, str(ROOT / "bench" / "tracer.py")) == []
 
 
 def test_main_builds_its_parser_once_per_process(monkeypatch, capsys, tmp_path):
