@@ -13,8 +13,8 @@ Exit codes and error messages must be equal, and every report field other
 than a float byte-identical.  Floats must agree within 1e-12 * max(1,
 |old|, |new|).  In real mode the constant and the probe's mean value are
 classes mod pi^2/2, so they are compared by their distance in
-R/(pi^2/2)Z.  Prints one summary line per seed and each difference; exits
-1 on any difference.
+R/(pi^2/2)Z.  Prints one summary line per seed, each float that moved
+within the tolerance, and each difference; exits 1 on any difference.
 """
 
 import argparse
@@ -86,6 +86,7 @@ class Diff:
         self.floats = 0
         self.moved = 0
         self.largest = 0.0
+        self.shifts: list[str] = []
         self.problems: list[str] = []
 
     def compare(self, old, new, path: tuple, real: bool, where: str) -> None:
@@ -102,8 +103,11 @@ class Diff:
             if gap:
                 self.moved += 1
                 self.largest = max(self.largest, gap)
-            if gap > TOL * max(1.0, abs(old), abs(new)):
-                self.problems.append(f"{name}: {old!r} became {new!r} (by {gap:.3g})")
+                line = f"{name}: {old!r} became {new!r} (by {gap:.3g})"
+                if gap > TOL * max(1.0, abs(old), abs(new)):
+                    self.problems.append(line)
+                else:
+                    self.shifts.append(line)
         elif isinstance(old, dict):
             if old.keys() != new.keys():
                 self.problems.append(f"{name}: keys {sorted(old)} became {sorted(new)}")
@@ -165,6 +169,8 @@ def main():
             f"{diff.moved} moved, largest change {diff.largest:.3g}, "
             f"{len(diff.problems)} differences"
         )
+        for line in diff.shifts:
+            print("  moved " + line)
         for line in diff.problems:
             print("  " + line)
         failed |= bool(diff.problems)

@@ -12,10 +12,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from dilogeq.formal import FormalSum  # noqa: E402
+from dilogeq.formal import FormalSum, five_term  # noqa: E402
 from dilogeq.ratfunc import INF, RationalFunction  # noqa: E402
 from dilogeq.scalars import fe  # noqa: E402
-from dilogeq.specialize import SpecStep, sp, table_cell  # noqa: E402
+from dilogeq.specialize import SpecStep, naive_eval, sp  # noqa: E402
 
 T = ("t",)
 T12 = ("t1", "t2")
@@ -56,9 +56,9 @@ def main():
     x, y = const(2), t()
     print(f"table cell for the witness pair ({x}, {y}) at t -> 0:")
     step = SpecStep("t", const(0), const(2))
-    naive, corrected = table_cell(x, y, step)
-    show("naive value (with degeneracy symbols):", naive)
-    show("after the correction map:", corrected)
+    rel = five_term(x, y)
+    show("naive value (with degeneracy symbols):", naive_eval(rel, "t", step.target))
+    show("after the correction map:", sp(rel, step))
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ _EXPORTS = {
     "scalars": ("FieldElement", "fe"),
     "poly": ("MultiPoly", "poly_gcd", "squarefree_parts"),
     "ratfunc": ("INF", "Infinity", "RationalFunction", "ZeroDenominator"),
-    "coprime": ("CoprimeBasis", "coprime_basis"),
+    "coprime": ("CoprimeBasis",),
     "formal": (
         "DegenerateArguments",
         "ExtendedFormalSum",
@@ -35,22 +35,16 @@ _EXPORTS = {
         "check_constant",
         "check_constant_cc",
         "check_constant_real",
-        "t_pair",
-        "t_v",
-        "wedge_specialize",
     ),
     "specialize": (
         "PointNotAdmissible",
         "SpecPlan",
         "SpecStep",
-        "classify_value",
         "default_aux",
         "evaluate_at_point",
         "iterate",
         "naive_eval",
         "sp",
-        "table_cell",
-        "table_row",
     ),
     "numerics": (
         "ModPiSqHalf",

@@ -50,12 +50,6 @@ class AbelianGroupPresentation:
     def relations(self) -> tuple[tuple[int, ...], ...]:
         return self.five_rows + self.inversion_rows
 
-    def index_of(self, x: int) -> int:
-        # generators are 2..p-1 in order
-        if not 2 <= x < self.p:
-            raise KeyError(x)
-        return x - 2
-
 
 @dataclass(frozen=True)
 class InvariantFactors:
@@ -71,16 +65,6 @@ class InvariantFactors:
             raise ValueError(f"factors do not form a divisibility chain: {self.factors}")
         if not all(f == 0 for f in self.factors[len(nz):]):
             raise ValueError(f"free factors must come last: {self.factors}")
-
-    @property
-    def order(self) -> int:
-        """Group order, or 0 when there is a free factor."""
-        out = 1
-        for f in self.factors:
-            if f == 0:
-                return 0
-            out *= f
-        return out
 
     def __str__(self) -> str:
         if not self.factors:

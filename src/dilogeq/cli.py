@@ -177,15 +177,21 @@ def _find_points(alpha: FormalSum, count: int = 4, real: bool = False):
 
 def _numeric_of_value(value: FormalSum, mode: str) -> float | ModPiSqHalf:
     """Numeric reading of an exact point value (a sum over constants); in
-    real mode a class mod pi^2/2, which only integer coefficients act on."""
-    if mode == "real":
-        total = ModPiSqHalf.of(0.0)
-        for f, a in value.items():
-            total = total + rl_bar(float(f.constant_value().re)).scale(a)
-        return total
-    total = 0.0
+    real mode a class mod pi^2/2, which only integer coefficients act on.
+
+    Each argument z with |z| > 1 is read as 1/z with the opposite sign, by
+    D(z) = -D(1/z) and rl_bar(x) = -rl_bar(1/x) mod pi^2/2, so no float
+    conversion overflows; one that underflows to 0 reads as D(0) = 0 and
+    rl_bar(0), the continuous extensions."""
+    total = ModPiSqHalf.of(0.0) if mode == "real" else 0.0
     for f, a in value.items():
-        total += float(a) * bloch_wigner(f.constant_value().to_complex())
+        z = f.constant_value()
+        if z.a * z.a + z.b * z.b > z.d * z.d:  # |z| > 1, for z = (a + b*i) / d
+            z, a = z.inverse(), -a
+        if mode == "real":
+            total = total + rl_bar(float(z.re)).scale(a)
+        else:
+            total += float(a) * bloch_wigner(z.to_complex())
     return total
 
 

@@ -44,8 +44,6 @@ nothing.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 from .poly import (
     MultiPoly,
     _exact_quotient,
@@ -188,22 +186,5 @@ class CoprimeBasis:
             en[i] = en.get(i, 0) - e
         return un / ud, {i: e for i, e in en.items() if e}
 
-    def index_of(self, b: MultiPoly) -> int | None:
-        if self._index is None:
-            raise RuntimeError("freeze the basis before indexing")
-        return self._index.get(b)
-
     def __len__(self):
         return len(self.elements)
-
-
-def coprime_basis(inputs: Iterable[MultiPoly]) -> CoprimeBasis:
-    """Build a frozen basis refining every nonzero input."""
-    inputs = list(inputs)
-    if not inputs:
-        raise ValueError("need at least one input")
-    basis = CoprimeBasis(inputs[0].universe)
-    for p in inputs:
-        basis.add(p)
-    basis.freeze()
-    return basis

@@ -50,10 +50,6 @@ class NonFinite(ValueError):
     pass
 
 
-class DegenerateArgument(ValueError):
-    pass
-
-
 class SamplingExhausted(RuntimeError):
     pass
 
@@ -125,10 +121,9 @@ def li2(z: complex) -> complex:
 
 
 def bloch_wigner(z: complex) -> float:
-    """D(z) = Im Li2(z) + arg(1-z) log|z|; zero on the reals."""
+    """D(z) = Im Li2(z) + arg(1-z) log|z|; zero on the reals, 0 and 1
+    included, where D extends continuously with value 0."""
     z = complex(z)
-    if z == 0 or z == 1:
-        raise DegenerateArgument(f"D is undefined at {z}")
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise NonFinite(f"D argument must be finite, got {z}")
     if z.imag == 0:

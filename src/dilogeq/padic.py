@@ -126,11 +126,6 @@ class PadicNumber:
             return self.val
         return self.val + self.prec
 
-    def valuation(self) -> int:
-        if self.unit == 0:
-            raise ZeroArgument("valuation of an (indistinguishable-from-)zero")
-        return self.val
-
     # -- arithmetic ------------------------------------------------------------
 
     def __add__(self, other: "PadicNumber") -> "PadicNumber":

@@ -4,10 +4,7 @@ Representation: a fixed, ordered tuple of variable names (the "universe")
 plus a dict mapping exponent tuples to nonzero FieldElement coefficients.
 The monomial order everywhere is graded lexicographic (total degree first,
 then lexicographic on the exponent tuple), which is multiplicative, so
-leading terms of products are products of leading terms.  On a polynomial
-in one variable that order is the degree, so one-variable division and
-inverses modulo a polynomial (`univar_divmod` and the names built on it)
-run on the same representation.
+leading terms of products are products of leading terms.
 
 Normal form for extracted factors: "primitive monic" means the graded-lex
 leading coefficient is 1; over a field that also fixes the content.  Every
@@ -436,51 +433,6 @@ def _format_term(c: FieldElement, mono: str) -> str:
     if c == MINUS_ONE:
         return "-" + mono
     return _coeff_str(c) + "*" + mono
-
-
-# ---------------------------------------------------------------------------
-# univariate division (polynomials in one variable, on MultiPoly itself)
-# ---------------------------------------------------------------------------
-
-
-def univar_divmod(p: MultiPoly, d: MultiPoly, var: str) -> tuple[MultiPoly, MultiPoly]:
-    """(q, r) with p = q*d + r and deg r < deg d, for p and a nonzero d
-    in `var` alone.  Graded-lex order on one variable is the degree, so
-    each step cancels the leading term of the remainder."""
-    if not set(p.vars_used() + d.vars_used()) <= {var}:
-        raise ValueError("polynomial is not univariate in " + var)
-    dexp, dc = d.lead_term()
-    dcinv = dc.inverse()
-    quotient: dict[Exponents, FieldElement] = {}
-    r = p
-    while r.terms:
-        exp, c = r.lead_term()
-        shift = tuple(a - b for a, b in zip(exp, dexp))
-        if min(shift) < 0:
-            break
-        quotient[shift] = c * dcinv
-        r = r - d.mul_term(shift, quotient[shift])
-    return MultiPoly(p.universe, quotient), r
-
-
-def univar_rem(p: MultiPoly, m: MultiPoly, var: str) -> MultiPoly:
-    return univar_divmod(p, m, var)[1]
-
-
-def univar_inverse_mod(p: MultiPoly, m: MultiPoly, var: str) -> MultiPoly:
-    """Inverse of p modulo m; raises ValueError when gcd(p, m) != 1.
-
-    Extended Euclid keeps s_k with s_k * p = r_k (mod m) along the
-    remainders r_k of m and p; the last nonzero r_k is the gcd."""
-    r0, r1 = m, univar_rem(p, m, var)
-    s0, s1 = MultiPoly.zero(p.universe), MultiPoly.one(p.universe)
-    while not r1.is_zero():
-        q, r = univar_divmod(r0, r1, var)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-    if not r0.is_constant():
-        raise ValueError("element not invertible modulo " + str(m))
-    return univar_rem(s0.scale(r0.constant_value().inverse()), m, var)
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,8 @@ to the bound squared; a residual that the bound leaves unproven raises
 OversizedConstant instead of guessing.
 
 Gaussian integers are `FieldElement`s with d == 1; their arithmetic is that
-of `scalars`, and pi divides z in Z[i] exactly when N(pi) divides both parts
-of z * conj(pi).  Every prime power, over Z and over Z[i] alike (and at the
-places of `padic` and `wedge`), comes out by one `strip_power`, in O(log e)
+of z * conj(pi).  Every prime power, over Z and over Z[i] alike (and in
+the valuations of `padic`), comes out by one `strip_power`, in O(log e)
 exact quotients for an exponent e.
 
 For c = (a + bi) / d, write a + bi = g * w with g = gcd(a, b): the
@@ -88,7 +87,7 @@ def strip_power(x, p, quotient):
     """(y, e) with x = p^e * y for a nonzero x, and p not dividing y.
 
     `quotient(x, q)` is the exact quotient x / q, or None when q does not
-    divide x; ints, Gaussian integers and polynomials each bring their own.
+    divide x; ints and Gaussian integers each bring their own.
     x is divided by p, p^2, p^4, ... while each divides, which leaves an
     exponent below the next power, then by the same powers from the
     largest down: O(log e) quotients, not e.  Every power of a unit

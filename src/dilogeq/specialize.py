@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .formal import ExtendedFormalSum, FormalSum, c_element, five_term
+from .formal import ExtendedFormalSum, FormalSum, c_element
 from .ratfunc import INF, Indeterminate, RationalFunction
 from .scalars import FieldElement, fe
 
@@ -139,41 +139,3 @@ def evaluate_at_point(alpha: FormalSum, point: dict[str, FieldElement]) -> Forma
             raise PointNotAdmissible(f, "the value is 1")
         out.append((RationalFunction.const((), v), a))
     return FormalSum((), out, alpha.field_mode, alpha.coeff_mode)
-
-
-def table_cell(
-    x: RationalFunction, y: RationalFunction, step: SpecStep,
-    field_mode: str = "Q", coeff_mode: str = "Z",
-) -> tuple[ExtendedFormalSum, FormalSum]:
-    """Specialize a five-term generator: the pre-correction extended sum
-    and the corrected result.  Reproduces the degeneracy-case table rows."""
-    rel = five_term(x, y, field_mode, coeff_mode)
-    return naive_eval(rel, step.var, step.target), sp(rel, step)
-
-
-def classify_value(f: RationalFunction, var: str, target) -> str:
-    """The degeneracy class substitution lands in: '0', '1', 'inf', 'other'."""
-    v = f.substitute(var, target)
-    if v is INF:
-        return "inf"
-    if v.is_zero():
-        return "0"
-    if v.is_one():
-        return "1"
-    return "other"
-
-
-def table_row(
-    xcase: str, ycase: str,
-    witnesses: tuple[RationalFunction, RationalFunction, SpecStep],
-) -> FormalSum:
-    """Corrected specialization of a five-term generator realizing the
-    named degeneracy cell; rejects witnesses that land elsewhere."""
-    x, y, step = witnesses
-    got = (classify_value(x, step.var, step.target),
-           classify_value(y, step.var, step.target))
-    if got != (xcase, ycase):
-        raise ValueError(
-            f"witnesses realize cell {got}, not ({xcase!r}, {ycase!r})"
-        )
-    return sp(five_term(x, y), step)

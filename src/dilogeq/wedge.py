@@ -34,25 +34,13 @@ from fractions import Fraction
 
 from .coprime import CoprimeBasis
 from .formal import FormalSum, conj_sum
-from .poly import MultiPoly, univar_inverse_mod, univar_rem
-from .primes import factor_constant, prime_key, strip_power
-from .ratfunc import INF, RationalFunction
-from .scalars import FieldElement, ONE
-
-
-class UnknownBasisElement(KeyError):
-    pass
-
-
-class NotUnivariate(ValueError):
-    pass
+from .primes import factor_constant, prime_key
+from .ratfunc import RationalFunction
 
 
 class UnpairedVariables(ValueError):
     pass
 
-
-Tensor = tuple[Fraction, RationalFunction, RationalFunction]
 
 # Atoms are (BASIS, basis index), (PRIME, prime) and the one torsion UNIT.
 BASIS, PRIME = 0, 1
@@ -222,12 +210,10 @@ class WedgeElement:
     __repr__ = __str__
 
 
-def _joint_basis(universe, tensors, first: tuple[MultiPoly, ...] = ()) -> CoprimeBasis:
-    """The frozen coprime basis refining `first`, then every numerator and
-    denominator of the tensors, each with the factors it was built from."""
+def _joint_basis(universe, tensors) -> CoprimeBasis:
+    """The frozen coprime basis refining every numerator and denominator of
+    the tensors, each with the factors it was built from."""
     basis = CoprimeBasis(universe)
-    for p in first:
-        basis.add(p)
     for _, f, g in tensors:
         for h in (f, g):
             basis.add(h.num, h.num_factors)
@@ -318,123 +304,3 @@ def check_constant_cc(
             f"variable pairing {var_swap} is not an involution of {alpha.universe}"
         )
     return _certificate(boundary(alpha - conj_sum(alpha, full)))
-
-
-# ---------------------------------------------------------------------------
-# valuation pairings
-# ---------------------------------------------------------------------------
-
-
-def t_pair(w: WedgeElement, b: MultiPoly, bprime: MultiPoly) -> Fraction:
-    """The beta1 pairing against the double valuation at (b, b')."""
-    i = w.basis.index_of(b)
-    j = w.basis.index_of(bprime)
-    if i is None:
-        raise UnknownBasisElement(str(b))
-    if j is None:
-        raise UnknownBasisElement(str(bprime))
-    if i == j:
-        raise ValueError("t_pair needs two distinct basis elements")
-    if i < j:
-        return w.beta1.get((i, j), Fraction(0))
-    return -w.beta1.get((j, i), Fraction(0))
-
-
-def t_v(w: WedgeElement, b: MultiPoly) -> MultiPoly:
-    r"""Tame symbol at the place of a univariate basis poly b.
-
-    f /\ g maps to (-1)^{v(f)v(g)} f^{v(g)} g^{-v(f)} in (k[t]/(b))*,
-    multiplied over the stored tensors a (f /\ g).  Each tensor is factored
-    once over the joint basis, so the product is one constant times
-    prod e_k^{n_k} over the basis elements e_k, with
-    n_k = sum a (v(g) e_k(f) - v(f) e_k(g)); n_k vanishes at e_k = b.  That
-    product is reduced modulo b once, by square-and-multiply with the
-    squarings shared across the e_k, inverting e_k modulo b only where
-    n_k < 0.  Returns the reduced representative, which is unique.
-    """
-    used = set(b.vars_used())
-    for _, f, g in w.tensors:
-        used |= set(f.vars_used()) | set(g.vars_used())
-    if len(used) != 1:
-        raise NotUnivariate(f"tame symbols need one variable, saw {sorted(used)}")
-    var = next(iter(used))
-    if b.is_constant():
-        raise ValueError("the place must be a non-constant polynomial")
-    basis = _joint_basis(w.universe, w.tensors, first=(b,))
-    ib = basis.index_of(b.primitive_monic()[1])
-    if ib is None:
-        raise UnknownBasisElement(
-            f"{b} splits further over the joint basis; valuation is ambiguous"
-        )
-
-    sign, unit, exps = 0, ONE, {}
-    for a, f, g in w.tensors:
-        if a.denominator != 1:
-            raise ValueError("tame symbols need integer coefficients")
-        a = a.numerator
-        uf, ef = basis.factor_rf(f)
-        ug, eg = basis.factor_rf(g)
-        vf, vg = ef.get(ib, 0), eg.get(ib, 0)
-        sign += a * vf * vg
-        unit = unit * uf ** (a * vg) / ug ** (a * vf)
-        for k, e in ef.items():
-            exps[k] = exps.get(k, 0) + a * vg * e
-        for k, e in eg.items():
-            exps[k] = exps.get(k, 0) - a * vf * e
-
-    powers = [
-        (univar_inverse_mod(basis.elements[k], b, var) if n < 0 else basis.elements[k], abs(n))
-        for k, n in exps.items()
-        if n
-    ]
-    out = MultiPoly.one(w.universe)
-    for bit in reversed(range(max((n.bit_length() for _, n in powers), default=0))):
-        out = univar_rem(out * out, b, var)
-        for base, n in powers:
-            if n >> bit & 1:
-                out = univar_rem(out * base, b, var)
-    return out.scale(-unit if sign % 2 else unit)
-
-
-# ---------------------------------------------------------------------------
-# specialization on the wedge side
-# ---------------------------------------------------------------------------
-
-
-def wedge_specialize(w: WedgeElement, var: str, target) -> WedgeElement:
-    """Push a wedge element along t -> target, normalizing with pi = t - b
-    (finite b) or pi = 1/t (b = inf): each generator f maps to the value of
-    pi^{-ord(f)} f at the target, which is a well-defined nonzero function
-    of the remaining variables.
-    """
-    new_universe = tuple(v for v in w.universe if v != var)
-    tensors = []
-    for a, f, g in w.tensors:
-        sf = _sp_generator(f, var, target)
-        sg = _sp_generator(g, var, target)
-        tensors.append((a, sf.with_universe(new_universe), sg.with_universe(new_universe)))
-    return WedgeElement(new_universe, tensors, w.field_mode, w.coeff_mode)
-
-
-def _sp_generator(f: RationalFunction, var: str, target) -> RationalFunction:
-    if target is INF:
-        # pi = 1/t strips the pole order, leaving the top-coefficient ratio
-        return RationalFunction(f.num.lead_coeff_in(var), f.den.lead_coeff_in(var))
-    if isinstance(target, FieldElement):
-        target = RationalFunction.const(f.universe, target)
-    if var in target.vars_used():
-        raise ValueError(f"target must not involve {var}")
-    # pi-tilde = den_b * t - num_b, a t-degree-1 poly; pi = pi-tilde / den_b
-    tvar = MultiPoly.var(f.universe, var)
-    pit = target.den * tvar - target.num
-    n0, kn = strip_power(f.num, pit, MultiPoly.divide_exact)
-    d0, kd = strip_power(f.den, pit, MultiPoly.divide_exact)
-    ord_f = kn - kd
-    stripped = RationalFunction(n0, d0)
-    value = stripped.substitute(var, target)
-    if value is INF or value.is_zero():
-        raise ArithmeticError(f"stripping {var} - target left a zero or pole in {f}")
-    if ord_f:
-        db = RationalFunction.from_poly(target.den)
-        value = value * db**ord_f
-    return value

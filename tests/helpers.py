@@ -487,8 +487,7 @@ def expand_beta1_to_planted(w, planted: list[MultiPoly]) -> dict:
     fine.freeze()
     # the planted polys are pairwise coprime and squarefree, so the fine
     # basis is exactly the planted set (sorted); map indices back
-    pos = {i: fine.index_of(b.primitive_monic()[1]) for i, b in enumerate(planted)}
-    assert all(v is not None for v in pos.values())
+    pos = {i: fine.elements.index(b.primitive_monic()[1]) for i, b in enumerate(planted)}
     back = {i: k for k, i in pos.items()}
     out: dict[tuple[int, int], Fraction] = {}
     for (i, j), a in w.beta1.items():

@@ -55,6 +55,18 @@ def test_check_prints_a_coefficient_beyond_the_int_to_str_limit(run):
     assert len(witness[1]) == 143137
 
 
+@pytest.mark.parametrize("mode", [[], ["--real"]], ids=["complex", "real"])
+def test_check_inversion_pair_beyond_float_range(run, mode):
+    # at t = 2 one argument overflows a float and the other underflows to 0;
+    # each is read through its inverse in the unit disc, so the exact
+    # verdict keeps its numeric constant instead of ending in exit 2
+    doc = "DOC:dilog-identity v1\nvariables: t\nterm: 1 [t*3^300000]\nterm: 1 [1/(t*3^300000)]\n"
+    code, out, err = run(["check", doc, *mode])
+    assert (code, err) == (0, "")
+    assert out.startswith("verdict: Constant\n")
+    assert re.search(r"^constant: -?0\.0 \+/- 0\.0( \(mod pi\^2/2\))?$", out, re.M)
+
+
 @pytest.mark.parametrize(
     "expression, degree, col",
     [("t^1000000000 + 1", 1000000000, 2), ("((t + 1)^1000)^1000", 1000000, 15)],

@@ -4,6 +4,7 @@ import argparse
 import ast
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
@@ -76,6 +77,57 @@ def test_prime_powers_stripped_in_one_place():
             if isinstance(node, ast.While) and id(node) not in allowed and _is_divisibility_test(node.test):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def _definitions(tree):
+    """The module's top-level functions and classes, and their methods."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node
+            if isinstance(node, ast.ClassDef):
+                yield from (m for m in node.body if isinstance(m, ast.FunctionDef))
+
+
+def _uses(tree, read_strings: bool):
+    """(name, node) for every name loaded, attribute read and name imported;
+    with `read_strings`, also for every identifier inside a string, as in
+    cli's tables of names and the tracer's dotted paths."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node
+        elif isinstance(node, ast.alias):
+            yield node.name.rsplit(".", 1)[-1], node
+        elif read_strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            for name in re.findall(r"[A-Za-z_]\w*", node.value):
+                yield name, node
+
+
+def test_every_package_definition_is_used_outside_the_tests():
+    # what only tests call belongs in tests/ (helpers.py, oracles.py); the
+    # package's export table names what it exports, so it counts as no use
+    trees = {
+        path: ast.parse(path.read_text(), str(path))
+        for folder in (SRC, ROOT / "scripts", ROOT / "bench")
+        for path in sorted(folder.glob("*.py"))
+    }
+    exports = set()
+    for node in trees[SRC / "__init__.py"].body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "_EXPORTS" for t in node.targets):
+            exports = {id(n) for n in ast.walk(node)}
+    uses: dict[str, set[int]] = {}
+    for path, tree in trees.items():
+        for name, node in _uses(tree, path.name == "cli.py" or path.parent.name == "bench"):
+            uses.setdefault(name, set()).add(id(node))
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        for d in _definitions(trees[path]):
+            if d.name.startswith("__") and d.name.endswith("__"):
+                continue
+            if not uses.get(d.name, set()) - exports - {id(n) for n in ast.walk(d)}:
+                unused.append(f"{path.name}:{d.lineno} {d.name}")
+    assert unused == []
 
 
 def test_padic_rejects_bad_input():

@@ -17,7 +17,6 @@ from dilogeq.numerics import (
     _BERNOULLI,
     LI2_ONE,
     MOD_HALF_PISQ,
-    DegenerateArgument,
     ModPiSqHalf,
     NonFinite,
     SamplingExhausted,
@@ -188,10 +187,8 @@ def test_bloch_wigner_vanishes_on_reals():
 
 
 def test_bloch_wigner_degenerate_points():
-    with pytest.raises(DegenerateArgument):
-        bloch_wigner(0)
-    with pytest.raises(DegenerateArgument):
-        bloch_wigner(1)
+    # D extends continuously to 0 and 1 with value 0
+    assert bloch_wigner(0) == bloch_wigner(1) == 0.0
     with pytest.raises(NonFinite):
         bloch_wigner(complex(float("inf"), 1))
 

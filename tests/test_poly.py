@@ -11,13 +11,12 @@ from dilogeq.poly import (
     join_signed,
     poly_gcd,
     squarefree_parts,
-    univar_inverse_mod,
-    univar_rem,
 )
 from dilogeq.ratfunc import RationalFunction
 from dilogeq.scalars import ONE, ZERO, fe
 
 from helpers import gcd_many, random_point, random_poly, shift_var
+from oracles import univar_inverse_mod, univar_rem
 
 
 T = ("t",)

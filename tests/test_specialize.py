@@ -12,14 +12,11 @@ from dilogeq.specialize import (
     PointNotAdmissible,
     SpecPlan,
     SpecStep,
-    classify_value,
     default_aux,
     evaluate_at_point,
     iterate,
     naive_eval,
     sp,
-    table_cell,
-    table_row,
 )
 
 from helpers import random_formal_sum
@@ -47,6 +44,13 @@ def ext(terms, c0=0, c1=0, cinf=0, universe=T):
         universe, {const(v, universe): Fraction(a) for v, a in terms.items()}
     )
     return ExtendedFormalSum(base, c0, c1, cinf)
+
+
+def cell(f, target) -> str:
+    """The degeneracy class f lands in at t -> target, read off the symbol
+    naive_eval collects it into: '0', '1', 'inf' or 'other'."""
+    e = naive_eval(FormalSum.single(f), "t", target)
+    return {(1, 0, 0): "0", (0, 1, 0): "1", (0, 0, 1): "inf"}.get((e.c0, e.c1, e.cinf), "other")
 
 
 # -- golden examples -----------------------------------------------------------
@@ -173,9 +177,10 @@ INF_INF_SUBCASES = [
 def test_table_cell(xcase, ycase, mk, want):
     x, y = mk()
     stp = step_to(0)
-    assert classify_value(x, "t", stp.target) == xcase
-    assert classify_value(y, "t", stp.target) == ycase
-    naive, corrected = table_cell(x, y, stp)
+    assert cell(x, stp.target) == xcase
+    assert cell(y, stp.target) == ycase
+    rel = five_term(x, y)
+    naive, corrected = naive_eval(rel, "t", stp.target), sp(rel, stp)
     assert naive == want, f"naive {naive} != {want}"
     # the corrected sum merges the degenerate symbols away
     swing = want.c0 - want.cinf
@@ -190,9 +195,9 @@ def test_table_cell(xcase, ycase, mk, want):
 @pytest.mark.parametrize("mk,want", INF_INF_SUBCASES, ids=["ratio1", "orders", "coeffs"])
 def test_table_inf_inf_subcases(mk, want):
     x, y = mk()
-    naive, _ = table_cell(x, y, step_to(0))
-    assert classify_value(x, "t", const(0)) == "inf"
-    assert classify_value(y, "t", const(0)) == "inf"
+    naive = naive_eval(five_term(x, y), "t", const(0))
+    assert cell(x, const(0)) == "inf"
+    assert cell(y, const(0)) == "inf"
     assert naive == want
 
 
@@ -200,23 +205,16 @@ def test_other_other_distinct_values():
     # generic cell: distinct non-degenerate values give a five-term sum
     x = const(2) + t()
     y = const(3)
-    naive, corrected = table_cell(x, y, step_to(0))
+    rel = five_term(x, y)
+    naive, corrected = naive_eval(rel, "t", const(0)), sp(rel, step_to(0))
     want_plain = five_term(const(2), const(3))
     assert naive == ExtendedFormalSum(want_plain)
     assert corrected == want_plain.with_universe(())
     # equal values collapse to [1]
     x2 = const(2) + t()
     y2 = const(2) - t()
-    naive2, _ = table_cell(x2, y2, step_to(0))
+    naive2 = naive_eval(five_term(x2, y2), "t", const(0))
     assert naive2 == ext({}, c1=1)
-
-
-def test_table_row_interface():
-    result = table_row("other", "0", (const(2), t(), step_to(0)))
-    # [c]+[1-c]-[0] corrected: minus [0] adds -(C_c) ... net [2]+[-1]-[2]-[-1]=0
-    assert result.is_zero()
-    with pytest.raises(ValueError):
-        table_row("0", "0", (const(2), t(), step_to(0)))
 
 
 def test_inversion_specializations():

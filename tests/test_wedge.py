@@ -7,22 +7,17 @@ import pytest
 
 from dilogeq.exprparse import parse_expression
 from dilogeq.formal import FormalSum, c_element, five_term, inversion
-from dilogeq.poly import MultiPoly, univar_rem
+from dilogeq.poly import MultiPoly
 from dilogeq.primes import OversizedConstant
 from dilogeq.ratfunc import INF, RationalFunction
 from dilogeq.scalars import FieldElement, fe
 from dilogeq.wedge import (
-    NotUnivariate,
-    UnknownBasisElement,
     UnpairedVariables,
     WedgeElement,
     boundary,
     check_constant,
     check_constant_cc,
     check_constant_real,
-    t_pair,
-    t_v,
-    wedge_specialize,
 )
 
 from helpers import (
@@ -36,6 +31,7 @@ from helpers import (
     random_formal_sum,
     random_inversion,
 )
+from oracles import NotUnivariate, t_v, univar_rem, wedge_specialize
 
 
 T = ("t",)
@@ -380,12 +376,13 @@ def test_oversized_constant_refused():
 # -- valuation pairings -------------------------------------------------------
 
 
-def test_t_pair_examples():
+def test_beta1_pair_examples():
+    # d[t] = t /\ (1 - t) pairs t with t - 1 by 1, so t - 1 with t by -1
     w = boundary(FormalSum.single(t()))
-    assert t_pair(w, tp("t"), tp("t") - MultiPoly.one(T)) == 1
-    assert t_pair(w, tp("t") - MultiPoly.one(T), tp("t")) == -1
-    with pytest.raises(UnknownBasisElement):
-        t_pair(w, tp("t") + MultiPoly.one(T), tp("t"))
+    i = w.basis.elements.index(tp("t"))
+    j = w.basis.elements.index(tp("t") - MultiPoly.one(T))
+    assert w.beta1 == ({(i, j): 1} if i < j else {(j, i): -1})
+    assert tp("t") + MultiPoly.one(T) not in w.basis.elements
 
 
 def test_t_v_examples():
