@@ -21,10 +21,11 @@ answers most calls; `squarefree_parts` uses the same images to certify a
 squarefree input.  When a polynomial is primitive in a variable x_k (one
 of its coefficients in x_k is a nonzero constant), Gauss's lemma lets the
 image in x_k alone decide, and a linear image is tested by evaluating the
-other image at its root.  A pair the images cannot certify takes the exact
-path, so no verdict depends on P or on the point.  That path serves one
-variable too: there every coefficient is a constant, and so is the
-content of each remainder.
+other image at its root; a caller testing many polynomials against one
+picks that one's variable once (`_images_coprime_at`).  A pair the images
+cannot certify takes the exact path, so no verdict depends on P or on the
+point.  That path serves one variable too: there every coefficient is a
+constant, and so is the content of each remainder.
 
 `squarefree_parts` first takes out the monomial content x^low, read from
 the least exponent of each variable: every variable is irreducible and
@@ -35,6 +36,7 @@ coprime to the quotient, so a repeated variable (t^10000, or the y^2 in
 from __future__ import annotations
 
 import heapq
+from functools import cache
 from typing import Callable
 
 from .scalars import FieldElement, MINUS_ONE, ONE, ZERO
@@ -53,11 +55,13 @@ def _heap_key(exp: Exponents):
 
 
 class MultiPoly:
-    __slots__ = ("universe", "terms", "_hash", "_canon", "_sort_key", "_images", "_complex")
+    __slots__ = ("universe", "terms", "_lead", "_hash", "_canon", "_sort_key", "_images", "_complex")
 
     def __init__(self, universe: tuple[str, ...], terms: dict[Exponents, FieldElement]):
         self.universe = tuple(universe)
+        # `terms` is assigned here only, so every cache below stays exact
         self.terms = {e: c for e, c in terms.items() if not c.is_zero()}
+        self._lead = None
         self._hash = None
         self._canon = None
         self._sort_key = None
@@ -112,7 +116,7 @@ class MultiPoly:
     def total_degree(self) -> int:
         if not self.terms:
             return -1
-        return max(sum(e) for e in self.terms)
+        return sum(self.lead_term()[0])
 
     def degree_in(self, var: str) -> int:
         if not self.terms:
@@ -129,9 +133,11 @@ class MultiPoly:
         return tuple(v for v, u in zip(self.universe, used) if u)
 
     def lead_term(self) -> tuple[Exponents, FieldElement]:
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        e = max(self.terms, key=_grlex)
+        e = self._lead
+        if e is None:
+            if not self.terms:
+                raise ValueError("zero polynomial has no leading term")
+            e = self._lead = max(self.terms, key=_grlex)
         return e, self.terms[e]
 
     def lead_coeff(self) -> FieldElement:
@@ -443,6 +449,7 @@ _P = 2**61 - 31  # prime, = 1 (mod 4)
 _I_IMAGE = pow(7, (_P - 1) // 4, _P)  # 7 is a non-residue mod P: this squares to -1
 
 
+@cache
 def _residue(k: int) -> int:
     """The value of the universe's k-th variable in every image."""
     return pow(k + 2, 61, _P)
@@ -503,27 +510,36 @@ def _reduce_mod_p(p: MultiPoly) -> _Images:
         if m is None:
             return _Images(dict.fromkeys(used))
         reduced.append((e, m))
-    point = {k: _residue(k) for k in used}
+    # powers[k][j] is the residue of x_k^j
+    powers = {}
+    for k in used:
+        r, table = _residue(k), [1]
+        for _ in range(high[k]):
+            table.append(table[-1] * r % _P)
+        powers[k] = table
     totals = [sum(e) for e in terms]
     images: dict[int, list[int] | None] = {}
     primitive = []
     roots = {}
     for k in used:
-        others = [j for j in used if j != k]
+        others = [(j, powers[j]) for j in used if j != k]
         img = [0] * (high[k] + 1)
         for e, m in reduced:
-            for j in others:
-                if e[j]:
-                    m = m * pow(point[j], e[j], _P) % _P
-            img[e[k]] = (img[e[k]] + m) % _P
+            for j, table in others:
+                m *= table[e[j]]
+            img[e[k]] += m
+        img = [c % _P for c in img]
         if not img[-1]:
             images[k] = None
             continue
         images[k] = img
-        # a term of total degree d and degree d in x_k is x_k^d itself, and
-        # every term is one when p uses x_k alone
-        degrees = [e[k] for e in terms]
-        if not others or any(t == d and degrees.count(d) == 1 for t, d in zip(totals, degrees)):
+        # alone[j]: x_k^j is p's only term of degree j in x_k; a term of
+        # total degree j and degree j in x_k is x_k^j itself
+        alone = {}
+        for e, t in zip(terms, totals):
+            j = e[k]
+            alone[j] = j == t and j not in alone
+        if any(alone.values()):
             primitive.append(k)
         if len(img) == 2:
             roots[k] = -img[0] * pow(img[1], -1, _P) % _P
@@ -601,17 +617,56 @@ def _images_coprime(p: MultiPoly, q: MultiPoly) -> bool:
     certifies too.
     """
     ip, iq = p._modular_images(), q._modular_images()
-    decisive = [k for k in ip.primitive if iq.images.get(k) is not None]
-    decisive += [k for k in iq.primitive if ip.images.get(k) is not None]
-    if decisive:
-        k = min(decisive, key=lambda k: min(len(ip.images[k]), len(iq.images[k])))
-        return _images_coprime_in(ip, iq, k)
+    best, size = None, 0
+    for ia, ib in ((ip, iq), (iq, ip)):
+        for k in ia.primitive:
+            other = ib.images.get(k)
+            if other is not None:
+                n = min(len(ia.images[k]), len(other))
+                if best is None or n < size:
+                    best, size = k, n
+    if best is not None:
+        return _images_coprime_in(ip, iq, best)
     for k in ip.images.keys() & iq.images.keys():
         if ip.images[k] is None or iq.images[k] is None:
             return False
         if not _images_coprime_in(ip, iq, k):
             return False
     return True
+
+
+def _decisive_variable(p: MultiPoly) -> int | None:
+    """The variable index k in which p is x_k-primitive with the
+    lowest-degree usable image, the lowest such k on a tie; None when p is
+    primitive in no variable, as a constant is."""
+    if p.is_constant():
+        return None
+    rec = p._modular_images()
+    best = None
+    for k in rec.primitive:
+        if best is None or len(rec.images[k]) < len(rec.images[best]):
+            best = k
+    return best
+
+
+def _images_coprime_at(p: MultiPoly, q: MultiPoly, k: int | None) -> bool:
+    """True only when the nonzero p and q are coprime, as for
+    `_images_coprime`; k is `_decisive_variable(q)`, which a caller testing
+    many p against one q picks once.
+
+    When q is x_k-primitive every non-constant divisor of q uses x_k (the
+    one-variable argument of `_images_coprime`), so a p free of x_k is
+    coprime to q, and a p with a usable image in x_k is settled by that
+    image alone.  Any other p, or a q primitive in no variable, takes
+    `_images_coprime`.
+    """
+    if k is not None:
+        ip = p._modular_images()
+        if k not in ip.images:
+            return True
+        if ip.images[k] is not None:
+            return _images_coprime_in(ip, q._modular_images(), k)
+    return _images_coprime(p, q)
 
 
 def _gf_squarefree(img: list[int]) -> bool:
@@ -635,8 +690,8 @@ def _images_squarefree(p: MultiPoly) -> bool:
     non-constant d has positive degree in x_k, so x_k alone suffices.
     """
     rec = p._modular_images()
-    if rec.primitive:
-        k = min(rec.primitive, key=lambda k: len(rec.images[k]))
+    k = _decisive_variable(p)
+    if k is not None:
         return _gf_squarefree(rec.images[k])
     return all(img is not None and _gf_squarefree(img) for img in rec.images.values())
 

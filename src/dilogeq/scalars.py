@@ -8,9 +8,9 @@ one three-way gcd in `_make`, the one constructor that normalizes (the
 inverse of a rational d/a is already in lowest terms and skips it); d is
 the lcm of the denominators of the two parts in lowest terms.
 
-`re` and `im` stay available as read-only `Fraction` views, built on
-demand, for callers that want the parts as rationals (p-adic points, the
-real-part criterion); the arithmetic never goes through them, and neither
+`re` stays available as a read-only `Fraction` view, built on demand, for
+callers that want the real part as a rational (p-adic points, the
+real-part criterion); the arithmetic never goes through it, and neither
 does `str`, which prints parts of any length.
 Rational values simply have b == 0.  Whether a computation treats values as
 living in Q or in Q(i) is contextual state of the caller (a formal sum
@@ -71,10 +71,6 @@ class FieldElement:
     @property
     def re(self) -> Fraction:
         return Fraction(self.a, self.d)
-
-    @property
-    def im(self) -> Fraction:
-        return Fraction(self.b, self.d)
 
     # -- predicates --------------------------------------------------
 
@@ -154,10 +150,6 @@ class FieldElement:
 
     def __hash__(self) -> int:
         return hash((self.a, self.b, self.d))
-
-    def norm(self) -> Fraction:
-        """Field norm a^2 + b^2 (a rational, >= 0)."""
-        return Fraction(self.a * self.a + self.b * self.b, self.d * self.d)
 
     def sort_key(self):
         """(re.numerator, re.denominator, im.numerator, im.denominator)."""

@@ -97,7 +97,7 @@ def to_sympy(p: MultiPoly):
 
     rep = {
         e: sp.Rational(c.re.numerator, c.re.denominator)
-        + sp.I * sp.Rational(c.im.numerator, c.im.denominator)
+        + sp.I * sp.Rational(imag(c).numerator, imag(c).denominator)
         for e, c in p.terms.items()
     }
     return sp.Poly.from_dict(rep, sp.symbols(p.universe), domain=sp.QQ_I)
@@ -122,12 +122,22 @@ def to_mode(s: FormalSum, coeff_mode: str) -> FormalSum:
     return FormalSum(s.universe, dict(s.terms), s.field_mode, coeff_mode)
 
 
+def imag(c: FieldElement) -> Fraction:
+    """The imaginary part of c as a Fraction."""
+    return Fraction(c.b, c.d)
+
+
+def norm(c: FieldElement) -> Fraction:
+    """The field norm a^2 + b^2 of c = a + b*i, a rational >= 0."""
+    return Fraction(c.a * c.a + c.b * c.b, c.d * c.d)
+
+
 def is_integer(c: FieldElement) -> bool:
-    return not c.im and c.re.denominator == 1
+    return not imag(c) and c.re.denominator == 1
 
 
 def is_gaussian_integer(c: FieldElement) -> bool:
-    return c.re.denominator == 1 and c.im.denominator == 1
+    return c.re.denominator == 1 and imag(c).denominator == 1
 
 
 def is_zeroish(x: PadicNumber) -> bool:

@@ -633,7 +633,7 @@ def test_documents_without_modular_images(run, monkeypatch):
     ]
     with_images = [run(list(argv)) for argv in argvs]
     monkeypatch.setattr(poly, "_images_coprime", lambda p, q: False)
-    monkeypatch.setattr(coprime, "_images_coprime", lambda p, q: False)
+    monkeypatch.setattr(coprime, "_images_coprime_at", lambda p, q, k: False)
     monkeypatch.setattr(poly, "_images_squarefree", lambda p: False)
     assert [run(list(argv)) for argv in argvs] == with_images
     for body, text, report in WEDGE_GOLDEN:

@@ -80,33 +80,36 @@ def test_prime_powers_stripped_in_one_place():
 
 
 def _definitions(tree):
-    """The module's top-level functions and classes, and their methods."""
+    """(node, is_method) for the module's top-level functions and classes,
+    and their methods."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            yield node
+            yield node, False
             if isinstance(node, ast.ClassDef):
-                yield from (m for m in node.body if isinstance(m, ast.FunctionDef))
+                yield from ((m, True) for m in node.body if isinstance(m, ast.FunctionDef))
 
 
 def _uses(tree, read_strings: bool):
-    """(name, node) for every name loaded, attribute read and name imported;
-    with `read_strings`, also for every identifier inside a string, as in
-    cli's tables of names and the tracer's dotted paths."""
+    """(name, node, bare) for every name loaded or imported (bare) and every
+    attribute read; with `read_strings`, also for every identifier inside a
+    string, as in cli's tables of names and the tracer's dotted paths."""
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            yield node.id, node
-        elif isinstance(node, ast.Attribute):
-            yield node.attr, node
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id, node, True
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr, node, False
         elif isinstance(node, ast.alias):
-            yield node.name.rsplit(".", 1)[-1], node
+            yield node.name.rsplit(".", 1)[-1], node, True
         elif read_strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
             for name in re.findall(r"[A-Za-z_]\w*", node.value):
-                yield name, node
+                yield name, node, False
 
 
 def test_every_package_definition_is_used_outside_the_tests():
     # what only tests call belongs in tests/ (helpers.py, oracles.py); the
-    # package's export table names what it exports, so it counts as no use
+    # package's export table names what it exports, so it counts as no use.
+    # A method is used only through an attribute read or a string: a bare
+    # name of the same spelling is some other binding
     trees = {
         path: ast.parse(path.read_text(), str(path))
         for folder in (SRC, ROOT / "scripts", ROOT / "bench")
@@ -117,15 +120,21 @@ def test_every_package_definition_is_used_outside_the_tests():
         if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "_EXPORTS" for t in node.targets):
             exports = {id(n) for n in ast.walk(node)}
     uses: dict[str, set[int]] = {}
+    bare: set[int] = set()
     for path, tree in trees.items():
-        for name, node in _uses(tree, path.name == "cli.py" or path.parent.name == "bench"):
+        for name, node, is_bare in _uses(tree, path.name == "cli.py" or path.parent.name == "bench"):
             uses.setdefault(name, set()).add(id(node))
+            if is_bare:
+                bare.add(id(node))
     unused = []
     for path in sorted(SRC.glob("*.py")):
-        for d in _definitions(trees[path]):
+        for d, is_method in _definitions(trees[path]):
             if d.name.startswith("__") and d.name.endswith("__"):
                 continue
-            if not uses.get(d.name, set()) - exports - {id(n) for n in ast.walk(d)}:
+            found = uses.get(d.name, set()) - exports - {id(n) for n in ast.walk(d)}
+            if is_method:
+                found -= bare
+            if not found:
                 unused.append(f"{path.name}:{d.lineno} {d.name}")
     assert unused == []
 

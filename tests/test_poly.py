@@ -77,6 +77,27 @@ def test_zero_degree_convention():
     assert MultiPoly.one(T).total_degree() == 0
 
 
+def assert_lead_from_terms(p: MultiPoly):
+    """The cached lead term, and what reads it, equal a recomputation from
+    `terms`; total_degree fills the cache first, lead_term reads it."""
+    if not p.terms:
+        assert p.total_degree() == -1
+        with pytest.raises(ValueError):
+            p.lead_term()
+        assert p.primitive_monic() == (ONE, p)
+        return
+    lead = max(p.terms, key=lambda e: (sum(e), e))
+    assert p.total_degree() == max(sum(e) for e in p.terms)
+    for _ in range(2):
+        assert p.lead_term() == (lead, p.terms[lead])
+    assert p.lead_coeff() == p.terms[lead]
+    unit, monic = p.primitive_monic()
+    assert unit == p.terms[lead]
+    assert monic.terms == {e: c / unit for e, c in p.terms.items()}
+    assert monic.lead_term() == (lead, ONE)
+    assert monic.total_degree() == p.total_degree()
+
+
 @given(small_polys, small_polys, small_polys)
 @settings(max_examples=60)
 def test_ring_laws(p, q, r):
@@ -86,6 +107,8 @@ def test_ring_laws(p, q, r):
     assert (p * q) * r == p * (q * r)
     assert p * (q + r) == p * q + p * r
     assert p - p == MultiPoly.zero(T)
+    for s in (p, q, r, p * q, p + q, p - p, MultiPoly.const(T, fe(-3)), MultiPoly.one(T12)):
+        assert_lead_from_terms(s)
 
 
 def test_gcd_examples():
@@ -135,6 +158,9 @@ def test_gcd_two_variables(p, q):
         assert p.divide_exact(g) is not None
     if not q.is_zero():
         assert q.divide_exact(g) is not None
+    # graded-lex ties between the two variables
+    for s in (p, q, g, p * q):
+        assert_lead_from_terms(s)
 
 
 def test_gcd_many():

@@ -211,6 +211,12 @@ def test_images_never_certify_a_shared_or_repeated_factor(nvars, gaussian, seed,
     assert not poly._images_coprime(d * a, d * b)
     assert not poly._images_coprime(d * b, d)
     assert not poly._images_squarefree(d * d * a)
+    # the basis scan's per-part test, with either side as the part
+    for p, q in ((d * a, d * b), (d * b, d), (d, d * a)):
+        assert not poly._images_coprime_at(p, q, poly._decisive_variable(q))
+    if not (a.is_zero() or b.is_zero()) and poly._images_coprime_at(a, b, poly._decisive_variable(b)):
+        assert poly_gcd(a, b).is_constant()
+        assert sp.gcd(to_sympy(a), to_sympy(b)).is_ground
 
 
 def test_a_lone_power_and_a_constant_term_do_not_make_a_factor_primitive():
@@ -312,7 +318,16 @@ def _bases_and_pairs(sums):
 
 def test_relation_sums_without_images(monkeypatch):
     with_images = _bases_and_pairs(_relation_sums(1, 10))
+    scanned = []
+
+    def unknown(p, q, k):
+        scanned.append(k)
+        return False
+
+    # the basis scan settles each element by the per-part test, poly_gcd
+    # and squarefree_parts by the pair and squarefree tests
     monkeypatch.setattr(poly, "_images_coprime", lambda p, q: False)
-    monkeypatch.setattr(coprime, "_images_coprime", lambda p, q: False)
+    monkeypatch.setattr(coprime, "_images_coprime_at", unknown)
     monkeypatch.setattr(poly, "_images_squarefree", lambda p: False)
     assert _bases_and_pairs(_relation_sums(1, 10)) == with_images
+    assert scanned

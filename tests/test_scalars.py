@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from dilogeq.scalars import FieldElement, I, MINUS_ONE, ONE, ZERO, _decimal, _make, fe
 
-from helpers import is_gaussian_integer, is_integer
+from helpers import imag, is_gaussian_integer, is_integer, norm
 
 
 small_fracs = st.fractions(
@@ -77,14 +77,14 @@ def test_decimal_of_numbers_beyond_the_int_to_str_limit():
 
 @given(elements, elements)
 def test_norm_multiplicative(a, b):
-    assert (a * b).norm() == a.norm() * b.norm()
+    assert norm(a * b) == norm(a) * norm(b)
 
 
 @given(elements)
 def test_conjugate_involution(a):
     assert a.conjugate().conjugate() == a
-    assert (a * a.conjugate()).im == 0
-    assert (a * a.conjugate()).re == a.norm()
+    assert imag(a * a.conjugate()) == 0
+    assert (a * a.conjugate()).re == norm(a)
 
 
 @given(elements, st.integers(-4, 4))
@@ -117,7 +117,7 @@ def test_sort_key_consistent_with_eq(a, b):
 @given(elements)
 def test_to_complex(a):
     z = a.to_complex()
-    assert z.real == float(a.re) and z.imag == float(a.im)
+    assert z.real == float(a.re) and z.imag == float(imag(a))
 
 
 # -- a reference model: the value as a pair of Fractions ----------------------
@@ -193,8 +193,8 @@ pairs = st.one_of(
 
 
 def agrees(x: FieldElement, m: Pair, floats: bool = True):
-    assert type(x.re) is Fraction and type(x.im) is Fraction
-    assert (x.re, x.im) == (m.re, m.im)
+    assert type(x.re) is Fraction and type(imag(x)) is Fraction
+    assert (x.re, imag(x)) == (m.re, m.im)
     assert str(x) == str(m)
     assert x.sort_key() == m.sort_key()
     assert x.is_zero() == (not m.re and not m.im) and x.is_rational() == (not m.im)
@@ -213,7 +213,7 @@ def test_model_arithmetic(p, q):
     agrees(x * y, m * n)
     agrees(x.conjugate(), m.conjugate())
     agrees(x.scale(q[0]), m.scale(q[0]))
-    assert x.norm() == m.norm()
+    assert norm(x) == m.norm()
     if y.is_zero():
         with pytest.raises(ZeroDivisionError):
             x / y
@@ -237,7 +237,7 @@ def test_model_pow(p, k):
 @given(pairs, pairs)
 def test_equal_values_from_different_paths(p, q):
     x, y = FieldElement(*p), FieldElement(*q)
-    for other in (x + y - y, FieldElement(x.re, x.im), fe(str(x.re), str(x.im))):
+    for other in (x + y - y, FieldElement(x.re, imag(x)), fe(str(x.re), str(imag(x)))):
         assert other == x and hash(other) == hash(x)
     if not y.is_zero():
         assert (x * y) / y == x and hash((x * y) / y) == hash(x)

@@ -3,8 +3,9 @@
 Each runs in a subprocess, as a user runs it, so a script that an API
 change breaks fails here; its stdout is compared with the bytes it printed
 when this test was written, which pins the text of formal sums, extended
-sums and p-adic numbers that the scripts show, and the Bloch-group table
-of the survey over the primes up to 31.
+sums and p-adic numbers that the scripts show, the Bloch-group table
+of the survey over the primes up to 31, and the digests of the coprime
+bases, boundary pairs and factor maps of the benchmark's seed-1 inputs.
 """
 
 import subprocess
@@ -70,18 +71,28 @@ BLOCHFQ_SURVEY = """\
   31    29      Z/2       Z/32     Z/16       Z/8  yes
 """
 
+# the relation-sum report digest holds only Constant verdicts, and a
+# document report shows a basis only in a witness; these see every basis
+BASIS_DIGEST = """\
+seed 1: 30 sums, sha256 3d5a81b1ac7a60b70a87096581729abd47720861c4df3b7b28f8d77745701b20
+seed 1: 240 documents, sha256 d23081cb969773c4c69d01cb1ffee93a31c178870bd9176b3d38df0f48db7071
+seed 1: 240 documents, factor maps sha256 110e6b35d0e71822db7dc82bbecc79400daebefa44582c72cbbbdf3c35b458c0
+"""
+
 
 EXPECTED = {
     "specialization_demo.py": SPECIALIZATION_DEMO,
     "padic_branch_demo.py": PADIC_BRANCH_DEMO,
     "blochfq_survey.py": BLOCHFQ_SURVEY,
+    "basis_digest.py": BASIS_DIGEST,
 }
+ARGS = {"basis_digest.py": ["--seeds", "1"]}
 
 
 @pytest.mark.parametrize("script", sorted(EXPECTED))
 def test_demo_script_prints_the_recorded_text(script):
     done = subprocess.run(
-        [sys.executable, str(SCRIPTS / script)],
+        [sys.executable, str(SCRIPTS / script), *ARGS.get(script, [])],
         capture_output=True,
         timeout=60,
     )
