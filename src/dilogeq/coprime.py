@@ -12,18 +12,12 @@ J. Algorithms 15, 1993).  Elements, their products and quotients are
 graded-lex monic, so an input is its lead coefficient times the product
 over its record.
 
-Each squarefree part g, and g again after each quotient or split, picks
-once the variable x_k in which it is x_k-primitive with the lowest-degree
-usable modular image (`poly._decisive_variable`).  Every non-constant
-divisor of g then uses x_k, so an element b free of x_k is coprime to g
-outright, and an element with a usable image in x_k is settled by that one
-image, often by evaluating one image at the root of a linear one
-(`poly._images_coprime_at`).  Any other pair, or a g primitive in no
-variable, takes the test over both polynomials' images
-(`poly._images_coprime`).  The images certify most pairs coprime;
-otherwise b usually divides g, and the exact quotient then gives
-gcd(b, g) = b with no split; only when the division fails does the exact
-gcd run and split b.
+Each element b is tested against each squarefree part g first by their
+modular images (`poly._images_coprime`), which usually settle the pair
+from one variable in which b or g is primitive.  The images certify most
+pairs coprime; otherwise b usually divides g, and the exact quotient then
+gives gcd(b, g) = b with no split; only when the division fails does the
+exact gcd run and split b.
 
 An input may come with factors, a map {monic factor: multiplicity} whose
 product is the input up to a unit, as a rational function's factor maps
@@ -50,14 +44,7 @@ nothing.
 
 from __future__ import annotations
 
-from .poly import (
-    MultiPoly,
-    _decisive_variable,
-    _exact_quotient,
-    _images_coprime_at,
-    poly_gcd,
-    squarefree_parts,
-)
+from .poly import MultiPoly, _exact_quotient, _images_coprime, poly_gcd, squarefree_parts
 from .ratfunc import RationalFunction
 from .scalars import FieldElement
 
@@ -84,18 +71,16 @@ class CoprimeBasis:
             return self._records[monic]
         record: dict[MultiPoly, int] = {}
         for g, k in squarefree_parts(monic):
-            v = _decisive_variable(g)
             i = 0
             while not g.is_constant() and i < len(self.elements):
                 b = self.elements[i]
                 i += 1
-                if _images_coprime_at(b, g, v):
+                if _images_coprime(b, g):
                     continue
                 quotient = g.divide_exact(b)
                 if quotient is not None:
                     record[b] = k
                     g = quotient
-                    v = _decisive_variable(g)
                     continue
                 d = poly_gcd(b, g)
                 if d.is_constant():
@@ -109,7 +94,6 @@ class CoprimeBasis:
                 i += 1
                 record[d] = k
                 g = _exact_quotient(g, d)
-                v = _decisive_variable(g)
             if not g.is_constant():
                 self._refuse_once_frozen(monic)
                 self.elements.append(g)

@@ -18,11 +18,11 @@ variable it uses, one univariate image over GF(P) for a fixed prime
 P = 1 (mod 4), with i sent to a square root of -1 and the other variables
 to fixed residues.  Random inputs are almost always coprime, so this test
 answers most calls; `squarefree_parts` uses the same images to certify a
-squarefree input.  When a polynomial is primitive in a variable x_k (one
-of its coefficients in x_k is a nonzero constant), Gauss's lemma lets the
-image in x_k alone decide, and a linear image is tested by evaluating the
-other image at its root; a caller testing many polynomials against one
-picks that one's variable once (`_images_coprime_at`).  A pair the images
+squarefree input.  Each polynomial's images also name its decisive
+variable, one x_k in which it is primitive (one of its coefficients in x_k
+is a nonzero constant): Gauss's lemma lets the image in x_k alone decide,
+and a linear image is tested by evaluating the other image at its root.
+One pair test (`_images_coprime`) serves every caller.  A pair the images
 cannot certify takes the exact path, so no verdict depends on P or on the
 point.  That path serves one variable too: there every coefficient is a
 constant, and so is the content of each remainder.
@@ -474,16 +474,18 @@ class _Images:
     """One polynomial's images over GF(P), computed once (`_reduce_mod_p`).
 
     `images[k]` is the image in GF(P)[x_k] for every variable index k the
-    polynomial uses, or None when unusable; `primitive` holds the k with a
+    polynomial uses, or None when unusable; `decisive` is the k with a
     usable image for which it is x_k-primitive (`_reduce_mod_p` gives the
-    test); `roots[k]` is the root in GF(P) of each usable image of degree 1.
+    test), the one with the lowest-degree image and the lowest k on a tie,
+    or None; `roots[k]` is the root in GF(P) of each usable image of
+    degree 1.
     """
 
-    __slots__ = ("images", "primitive", "roots")
+    __slots__ = ("images", "decisive", "roots")
 
-    def __init__(self, images, primitive=(), roots=None):
+    def __init__(self, images, decisive=None, roots=None):
         self.images: dict[int, list[int] | None] = images
-        self.primitive: tuple[int, ...] = primitive
+        self.decisive: int | None = decisive
         self.roots: dict[int, int] = roots or {}
 
 
@@ -494,7 +496,7 @@ def _reduce_mod_p(p: MultiPoly) -> _Images:
     when P divides a coefficient's denominator or when it has lower degree
     than p has in x_k.
 
-    The same pass finds the x_k-primitive variables: p is x_k-primitive
+    The same pass finds the decisive variable: p is x_k-primitive
     when, for some j, x_k^j itself is p's only term of degree j in x_k.
     Its coefficient in K[other variables][x_k] is then a nonzero constant,
     so no divisor of p free of x_k is more than a constant.  A lone x_k^j
@@ -519,7 +521,7 @@ def _reduce_mod_p(p: MultiPoly) -> _Images:
         powers[k] = table
     totals = [sum(e) for e in terms]
     images: dict[int, list[int] | None] = {}
-    primitive = []
+    decisive = None
     roots = {}
     for k in used:
         others = [(j, powers[j]) for j in used if j != k]
@@ -539,11 +541,11 @@ def _reduce_mod_p(p: MultiPoly) -> _Images:
         for e, t in zip(terms, totals):
             j = e[k]
             alone[j] = j == t and j not in alone
-        if any(alone.values()):
-            primitive.append(k)
+        if any(alone.values()) and (decisive is None or len(img) < len(images[decisive])):
+            decisive = k
         if len(img) == 2:
             roots[k] = -img[0] * pow(img[1], -1, _P) % _P
-    return _Images(images, tuple(primitive), roots)
+    return _Images(images, decisive, roots)
 
 
 def _gf_coprime(a: list[int], b: list[int]) -> bool:
@@ -588,15 +590,17 @@ def _images_coprime_in(ip: _Images, iq: _Images, k: int) -> bool:
 
 
 def _images_coprime(p: MultiPoly, q: MultiPoly) -> bool:
-    """True only when p and q are coprime; False means "unknown".
+    """True only when the nonzero p and q are coprime; False means "unknown".
 
-    Inputs with no common variable pass with no work.  When p or q is
-    x_k-primitive for a variable x_k they share and both images in x_k are
-    usable, that one variable decides: the images certify the pair when
-    they are coprime over GF(P).  Of several such variables the one with
-    the lowest-degree image is taken, so a linear image, whose root test is
-    one Horner pass, comes first.  Otherwise the images certify the pair
-    when, for every shared variable, both are usable and coprime.
+    Each side's decisive variable x_k is tried in turn.  Every non-constant
+    divisor of an x_k-primitive polynomial uses x_k, so the pair passes at
+    once when the other side is free of x_k.  When the other side's image
+    in x_k is usable, that one variable decides: the images certify the
+    pair when they are coprime over GF(P).  A candidate with a linear
+    image, whose root test is one Horner pass, is tested at once; otherwise
+    the first candidate goes to Euclid.  With no candidate the images
+    certify the pair when, for every shared variable, both are usable and
+    coprime; inputs with no common variable pass with no work.
 
     Soundness.  Let R be Z[i] localized at the prime (P, i - s), s =
     _I_IMAGE: a discrete valuation ring with residue field GF(P), i -> s.
@@ -617,56 +621,26 @@ def _images_coprime(p: MultiPoly, q: MultiPoly) -> bool:
     certifies too.
     """
     ip, iq = p._modular_images(), q._modular_images()
-    best, size = None, 0
+    first = None
     for ia, ib in ((ip, iq), (iq, ip)):
-        for k in ia.primitive:
-            other = ib.images.get(k)
-            if other is not None:
-                n = min(len(ia.images[k]), len(other))
-                if best is None or n < size:
-                    best, size = k, n
-    if best is not None:
-        return _images_coprime_in(ip, iq, best)
+        k = ia.decisive
+        if k is None:
+            continue
+        if k not in ib.images:
+            return True
+        if ib.images[k] is not None:
+            if k in ia.roots or k in ib.roots:
+                return _images_coprime_in(ip, iq, k)
+            if first is None:
+                first = k
+    if first is not None:
+        return _gf_coprime(ip.images[first], iq.images[first])
     for k in ip.images.keys() & iq.images.keys():
         if ip.images[k] is None or iq.images[k] is None:
             return False
         if not _images_coprime_in(ip, iq, k):
             return False
     return True
-
-
-def _decisive_variable(p: MultiPoly) -> int | None:
-    """The variable index k in which p is x_k-primitive with the
-    lowest-degree usable image, the lowest such k on a tie; None when p is
-    primitive in no variable, as a constant is."""
-    if p.is_constant():
-        return None
-    rec = p._modular_images()
-    best = None
-    for k in rec.primitive:
-        if best is None or len(rec.images[k]) < len(rec.images[best]):
-            best = k
-    return best
-
-
-def _images_coprime_at(p: MultiPoly, q: MultiPoly, k: int | None) -> bool:
-    """True only when the nonzero p and q are coprime, as for
-    `_images_coprime`; k is `_decisive_variable(q)`, which a caller testing
-    many p against one q picks once.
-
-    When q is x_k-primitive every non-constant divisor of q uses x_k (the
-    one-variable argument of `_images_coprime`), so a p free of x_k is
-    coprime to q, and a p with a usable image in x_k is settled by that
-    image alone.  Any other p, or a q primitive in no variable, takes
-    `_images_coprime`.
-    """
-    if k is not None:
-        ip = p._modular_images()
-        if k not in ip.images:
-            return True
-        if ip.images[k] is not None:
-            return _images_coprime_in(ip, q._modular_images(), k)
-    return _images_coprime(p, q)
 
 
 def _gf_squarefree(img: list[int]) -> bool:
@@ -680,17 +654,17 @@ def _gf_squarefree(img: list[int]) -> bool:
 def _images_squarefree(p: MultiPoly) -> bool:
     """True only when p is squarefree; False means "unknown".
 
-    When p is x_k-primitive and its image in x_k is usable, that image
-    decides: p is certified when the image is squarefree over GF(P), which
-    a linear image always is.  Otherwise every image must be usable and
-    squarefree.  If p = d^2 * a with d of positive degree in x_k, the
-    argument of `_images_coprime` makes the image of p in x_k the square of
-    the image of d, which keeps its positive degree, times the image of a;
-    the image is then not squarefree.  If p is x_k-primitive, every
-    non-constant d has positive degree in x_k, so x_k alone suffices.
+    When p has a decisive variable x_k, its image in x_k decides: p is
+    certified when the image is squarefree over GF(P), which a linear
+    image always is.  Otherwise every image must be usable and squarefree.
+    If p = d^2 * a with d of positive degree in x_k, the argument of
+    `_images_coprime` makes the image of p in x_k the square of the image
+    of d, which keeps its positive degree, times the image of a; the image
+    is then not squarefree.  If p is x_k-primitive, every non-constant d
+    has positive degree in x_k, so x_k alone suffices.
     """
     rec = p._modular_images()
-    k = _decisive_variable(p)
+    k = rec.decisive
     if k is not None:
         return _gf_squarefree(rec.images[k])
     return all(img is not None and _gf_squarefree(img) for img in rec.images.values())

@@ -632,10 +632,17 @@ def test_documents_without_modular_images(run, monkeypatch):
         for flags in ([], ["--json"])
     ]
     with_images = [run(list(argv)) for argv in argvs]
+    scanned = []
+
+    def unknown(p, q):
+        scanned.append((p, q))
+        return False
+
     monkeypatch.setattr(poly, "_images_coprime", lambda p, q: False)
-    monkeypatch.setattr(coprime, "_images_coprime_at", lambda p, q, k: False)
+    monkeypatch.setattr(coprime, "_images_coprime", unknown)
     monkeypatch.setattr(poly, "_images_squarefree", lambda p: False)
     assert [run(list(argv)) for argv in argvs] == with_images
+    assert scanned
     for body, text, report in WEDGE_GOLDEN:
         test_wedge_golden(run, body, text, report)
 

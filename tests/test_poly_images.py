@@ -208,13 +208,12 @@ def test_images_never_certify_a_shared_or_repeated_factor(nvars, gaussian, seed,
         if free is not None:
             d = _free_of(d, free)
     a, b = (random_poly(rnd, universe, max_deg=2, max_terms=3, gaussian=gaussian) for _ in "ab")
-    assert not poly._images_coprime(d * a, d * b)
-    assert not poly._images_coprime(d * b, d)
     assert not poly._images_squarefree(d * d * a)
-    # the basis scan's per-part test, with either side as the part
+    # either side may be the basis scan's element or its part
     for p, q in ((d * a, d * b), (d * b, d), (d, d * a)):
-        assert not poly._images_coprime_at(p, q, poly._decisive_variable(q))
-    if not (a.is_zero() or b.is_zero()) and poly._images_coprime_at(a, b, poly._decisive_variable(b)):
+        assert not poly._images_coprime(p, q)
+        assert not poly._images_coprime(q, p)
+    if poly._images_coprime(a, b):
         assert poly_gcd(a, b).is_constant()
         assert sp.gcd(to_sympy(a), to_sympy(b)).is_ground
 
@@ -227,12 +226,43 @@ def test_a_lone_power_and_a_constant_term_do_not_make_a_factor_primitive():
     # (y + 2)*(x + 1) has the terms x and 2 of degree 1 and 0 in x, each
     # beside another term of that degree
     p, q = d * (x + one), d * (x + one.scale(fe(3)))
-    assert poly._reduce_mod_p(p).primitive == ()
+    assert poly._reduce_mod_p(p).decisive is None
     assert not poly._images_coprime(p, q)
     assert not poly._images_squarefree(d * p)
     assert poly_gcd(p, q) == d
     # x + y*x^2 + 1 is x-primitive: x is alone in degree 1
-    assert poly._reduce_mod_p(x + y * x * x + one).primitive == (0,)
+    assert poly._reduce_mod_p(x + y * x * x + one).decisive == 0
+
+
+def test_a_linear_image_on_either_side_spares_euclid(monkeypatch):
+    u = ("x", "y")
+    x, y = MultiPoly.var(u, "x"), MultiPoly.var(u, "y")
+    one = MultiPoly.one(u)
+    # g decides in x, where its image is quadratic; b decides in y, where
+    # both images are linear, so one root test settles the pair
+    g = x * x + x * y + one
+    b = y + x * x + one.scale(fe(3))
+    basis = coprime.CoprimeBasis(u)
+    basis.add(b)
+    euclid, calls = poly._gf_coprime, []
+
+    def counted(p, q):
+        calls.append((p, q))
+        return euclid(p, q)
+
+    monkeypatch.setattr(poly, "_gf_coprime", counted)
+    basis.add(g)
+    image = poly._reduce_mod_p(g).images[0]
+    # the one Euclid run is the squarefree test of g's image in x
+    assert calls == [(image, [k * c % P for k, c in enumerate(image)][1:])]
+    assert basis.elements == [b, g]
+    # y + 2 is free of x, but the product is not x-primitive: its terms x
+    # and 2 each share their degree in x with another term
+    d = y + one.scale(fe(2))
+    p = d * (x + one)
+    assert not poly._images_coprime(d, p)
+    assert not poly._images_coprime(p, d)
+    assert poly_gcd(d, p) == d
 
 
 def _gf_poly(rnd, degree):
@@ -320,14 +350,14 @@ def test_relation_sums_without_images(monkeypatch):
     with_images = _bases_and_pairs(_relation_sums(1, 10))
     scanned = []
 
-    def unknown(p, q, k):
-        scanned.append(k)
+    def unknown(p, q):
+        scanned.append((p, q))
         return False
 
-    # the basis scan settles each element by the per-part test, poly_gcd
-    # and squarefree_parts by the pair and squarefree tests
+    # the basis scan, poly_gcd and squarefree_parts each ask the images
+    # first; the scan reads the pair test by its own import
     monkeypatch.setattr(poly, "_images_coprime", lambda p, q: False)
-    monkeypatch.setattr(coprime, "_images_coprime_at", unknown)
+    monkeypatch.setattr(coprime, "_images_coprime", unknown)
     monkeypatch.setattr(poly, "_images_squarefree", lambda p: False)
     assert _bases_and_pairs(_relation_sums(1, 10)) == with_images
     assert scanned
