@@ -59,7 +59,6 @@ _EXPORTS = {
         "Branch",
         "PadicNumber",
         "branch_diff",
-        "check_constant_padic",
         "dp_disc",
         "li2p",
         "plog",

@@ -146,8 +146,8 @@ def _read_document(path: str) -> IdentitySpec:
 _POINT_CANDIDATES = (2, 3, 5, 7, -2, 11, -3, 13, -5, 17, 4, 19, -7, 23, 9, 29)
 
 
-def _find_points(alpha: FormalSum, count: int = 4, real: bool = False):
-    """Up to `count` admissible points, with the exact values of the formal
+def _find_points(alpha: FormalSum, real: bool = False):
+    """Up to four admissible points, with the exact values of the formal
     sum there.  Deterministic search over a fixed candidate grid: Gaussian
     rationals first over Q(i), rationals only for the real reading, which
     also skips a point where some argument takes a non-real value."""
@@ -170,7 +170,7 @@ def _find_points(alpha: FormalSum, count: int = 4, real: bool = False):
         if real and not all(f.constant_value().is_rational() for f, _ in value.items()):
             continue
         found.append((point, value))
-        if len(found) >= count:
+        if len(found) >= 4:
             break
     return found
 
@@ -210,6 +210,13 @@ def _require_prime(flag: str, n: int):
         raise ValueError(f"{flag} {n} is not a prime")
 
 
+# a constant p-adic dilogarithm for one branch of log_p is constant for all
+PADIC_NOTE = (
+    "p-adic reading: a Constant verdict holds for every branch of log_p; "
+    "only the value of the constant depends on the branch"
+)
+
+
 def _cmd_check(args) -> int:
     if args.padic is not None:
         _require_prime("--padic", args.padic)
@@ -226,25 +233,18 @@ def _cmd_check(args) -> int:
         # declared pairs are conjugate, every other variable is real
         cert = check_constant_cc(alpha, spec.var_swap())
         mode = "cc"
-    elif args.real:
-        # the Rogers reading shares the complex criterion (see check_constant)
-        cert = check_constant(alpha)
-        mode = "real"
-    elif args.padic is not None:
-        from .padic import check_constant_padic
-
-        cert = check_constant_padic(alpha)
-        mode = "padic"
     else:
+        # the Rogers and p-adic readings share the complex criterion (see
+        # check_constant)
         cert = check_constant(alpha)
-        mode = "complex"
+        mode = "real" if args.real else "complex" if args.padic is None else "padic"
 
     report = {
         "mode": mode,
         "verdict": cert.verdict,
         "witness": _witness_json(cert.witness),
         "beta3": _beta3_json(cert.residual_beta3),
-        "notes": list(cert.notes),
+        "notes": [PADIC_NOTE] if mode == "padic" else [],
     }
     lines = [f"verdict: {cert.verdict}"]
     if cert.witness is not None:
@@ -252,7 +252,7 @@ def _cmd_check(args) -> int:
     lines.append(f"residual beta3: {_beta3_text(cert.residual_beta3)}")
 
     if cert.is_constant() and mode in ("complex", "real"):
-        points = _find_points(alpha, count=4, real=(mode == "real"))
+        points = _find_points(alpha, real=(mode == "real"))
         if points:
             pt_render = {k: str(v) for k, v in points[0][0].items()}
             report["point"] = pt_render
@@ -307,8 +307,8 @@ def _cmd_check(args) -> int:
             report["notes"].append(note)
             lines.append(f"note: {note}")
 
-    for note in cert.notes:
-        lines.append(f"note: {note}")
+    if mode == "padic":
+        lines.append(f"note: {PADIC_NOTE}")
 
     _emit(args, report, lines)
     return 0 if cert.is_constant() else 1
@@ -377,8 +377,8 @@ def _cmd_wedge(args) -> int:
             el: {p: _frac_str(v) for p, v in col.items()} for el, col in b2.items()
         },
         "beta3": _beta3_json(b3),
-        "beta1_zero": w.beta1_is_zero(),
-        "beta2_zero": w.beta2_is_zero(),
+        "beta1_zero": not b1,
+        "beta2_zero": not b2,
     }
     lines = ["basis: " + (", ".join(report["basis"]) if report["basis"] else "(empty)")]
     if b1:
@@ -447,8 +447,10 @@ def _cmd_probe(args) -> int:
 
 def _cmd_blochfq(args) -> int:
     p = args.p
-    if p > 97 and not args.allow_large:
-        raise ValueError(f"p = {p} is past the default cap 97; pass --allow-large to proceed")
+    if p > 97:
+        raise ValueError(
+            f"p = {p} is past the cap 97; for a larger p call bloch_groups(p) in Python"
+        )
     if args.oracle and p > 7:
         raise ValueError("--oracle enumerates all minors; only feasible for p in {5, 7}")
     from . import blochfq as bfq
@@ -629,7 +631,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fq = sub.add_parser("blochfq", help="Bloch groups of a small prime field")
     p_fq.add_argument("p", type=int)
     p_fq.add_argument("--oracle", action="store_true", help="cross-check with minor-gcd SNF")
-    p_fq.add_argument("--allow-large", action="store_true")
     add_common(p_fq)
     p_fq.set_defaults(func=_cmd_blochfq)
 

@@ -225,8 +225,7 @@ def dump_document(spec: IdentitySpec) -> str:
     return "\n".join(out) + "\n"
 
 
-def spec_from_formal_sum(alpha: FormalSum, pairs: tuple[tuple[str, str], ...] = ()) -> IdentitySpec:
-    terms = tuple(
-        TermSpec(Fraction(a), str(f), 0) for f, a in alpha.items()
-    )
-    return IdentitySpec(alpha.field_mode, alpha.coeff_mode, alpha.universe, pairs, terms)
+def spec_from_formal_sum(alpha: FormalSum) -> IdentitySpec:
+    """The document of alpha, with no conjugate pairs."""
+    terms = tuple(TermSpec(Fraction(a), str(f), 0) for f, a in alpha.items())
+    return IdentitySpec(alpha.field_mode, alpha.coeff_mode, alpha.universe, (), terms)

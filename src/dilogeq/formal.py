@@ -109,9 +109,6 @@ class FormalSum:
     def items(self) -> list[tuple[RationalFunction, Fraction]]:
         return sorted(self.terms.items(), key=lambda t: t[0].sort_key())
 
-    def coefficient(self, f: RationalFunction) -> Fraction:
-        return self.terms.get(f, Fraction(0))
-
     def __len__(self):
         return len(self.terms)
 

@@ -220,14 +220,13 @@ class ProbeReport:
     points_used: int
 
 
-def _admissible_value(v: complex, lo: float, hi: float) -> bool:
-    a = abs(v)
-    b = abs(1 - v)
-    return lo <= a <= hi and lo <= b <= hi
+def _admissible_value(v: complex) -> bool:
+    """Are |v| and |1 - v| both in [1e-3, 1e3]?"""
+    return 1e-3 <= abs(v) <= 1e3 and 1e-3 <= abs(1 - v) <= 1e3
 
 
 def _sample_point(universe: tuple[str, ...], args: list, rng: random.Random,
-                  domain: str, lo: float, hi: float) -> list[complex] | None:
+                  domain: str) -> list[complex] | None:
     """The value of each of `args` at one random point, or None when the
     point is not admissible."""
     point: dict[str, complex] = {}
@@ -245,7 +244,7 @@ def _sample_point(universe: tuple[str, ...], args: list, rng: random.Random,
         if not (math.isfinite(val.real) and math.isfinite(val.imag)):
             return None
         # a constant argument takes the same value at every draw
-        if not f.is_constant() and not _admissible_value(val, lo, hi):
+        if not f.is_constant() and not _admissible_value(val):
             return None
         if domain == "real" and abs(val.imag) > 1e-12:
             return None
@@ -258,23 +257,22 @@ def numeric_probe(
     domain: str = "complex",
     samples: int = 100,
     seed: int = 0,
-    margin_lo: float = 1e-3,
-    margin_hi: float = 1e3,
-    max_tries: int | None = None,
 ) -> ProbeReport:
     """Evaluate the dilogarithm sum at admissible random points.
 
     domain "complex": Bloch-Wigner D at complex points.
     domain "real":    Rogers RL-bar at real points, compared mod pi^2/2.
     domain "real-bw": Bloch-Wigner D at real points (conjugation locus).
+
+    A draw is kept when every non-constant argument z has |z| and |1 - z|
+    in [1e-3, 1e3]; after 400 * samples draws the probe raises
+    SamplingExhausted.
     """
     if domain not in PROBE_DOMAINS:
         raise ValueError(f"unknown probe domain {domain!r}")
     if samples < 1:
         raise ValueError(f"the probe needs at least one sample, got {samples}")
     rng = random.Random(seed)
-    if max_tries is None:
-        max_tries = 400 * samples
     terms = alpha.items()
     if domain == "real" and any(a.denominator != 1 for _, a in terms):
         raise ValueError("mod-pi^2/2 probe needs integer coefficients")
@@ -284,13 +282,13 @@ def numeric_probe(
     mod_values: list[ModPiSqHalf] = []
     tries = 0
     while len(raw_values) + len(mod_values) < samples:
-        if tries >= max_tries:
+        if tries >= 400 * samples:
             raise SamplingExhausted(
                 f"found {len(raw_values) + len(mod_values)} admissible points "
                 f"in {tries} draws (need {samples})"
             )
         tries += 1
-        values = _sample_point(alpha.universe, args, rng, domain, margin_lo, margin_hi)
+        values = _sample_point(alpha.universe, args, rng, domain)
         if values is None:
             continue
         if domain == "real":

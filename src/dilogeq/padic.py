@@ -26,15 +26,14 @@ the bracket being branch-independent, which is what branch_diff computes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .formal import FormalSum
 from .primes import int_quotient, strip_power
 from .ratfunc import INF
 from .scalars import FieldElement
-from .wedge import ConstancyCertificate, WedgeElement, check_constant
+from .wedge import WedgeElement
 
 
 EXACT = 10**9  # valuation sentinel for an exact zero
@@ -366,14 +365,3 @@ def _eval_rational(f, fe_point) -> Fraction:
         raise ValueError("p-adic evaluation needs rational values")
     return v.re
 
-
-def check_constant_padic(alpha: FormalSum) -> ConstancyCertificate:
-    """The p-adic constancy criterion; symbolically identical to the complex
-    one, and branch-independent: if the value is constant for one branch of
-    log_p it is constant for every branch."""
-    cert = check_constant(alpha)
-    note = (
-        "p-adic reading: a Constant verdict holds for every branch of log_p; "
-        "only the value of the constant depends on the branch"
-    )
-    return replace(cert, notes=cert.notes + (note,))

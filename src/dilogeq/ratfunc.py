@@ -215,13 +215,6 @@ class RationalFunction:
         """
         return RationalFunction(self.den - self.num, self.den, True, (None, self._den_factors))
 
-    def scale(self, c: FieldElement) -> "RationalFunction":
-        if c.is_zero():
-            return RationalFunction.from_poly(MultiPoly.zero(self.universe))
-        return RationalFunction(
-            self.num.scale(c), self.den, True, (self._num_factors, self._den_factors)
-        )
-
     # -- conjugation -------------------------------------------------------
 
     def conjugate(self, var_swap: dict[str, str] | None = None) -> "RationalFunction":

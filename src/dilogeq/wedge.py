@@ -2,13 +2,12 @@ r"""The antisymmetrized square of the multiplicative group, and the boundary
 map deciding constancy of dilogarithm sums.
 
 An element of A (x) wedge^2 F* is kept two ways: as the raw list of tensors
-a * (f /\ g) it was built from (so elements can be subtracted and compared
-exactly), and as a normal form over a joint GCD-free basis.  Every f splits
-into atoms: non-constant basis elements, prime constants, and the torsion
-unit (-1 in rational mode, i in Gaussian mode).  The normal form is one
-antisymmetric pairing on atoms, stored as coefficients on pairs x /\ y with
-x before y in the atom order basis < prime < unit.  Its three layers are
-the usual beta decomposition:
+a * (f /\ g) it was built from, and as a normal form over a joint GCD-free
+basis.  Every f splits into atoms: non-constant basis elements, prime
+constants, and the torsion unit (-1 in rational mode, i in Gaussian mode).
+The normal form is one antisymmetric pairing on atoms, stored as
+coefficients on pairs x /\ y with x before y in the atom order
+basis < prime < unit.  Its three layers are the usual beta decomposition:
 
   beta1: pairs of two basis elements;
   beta2: a basis element against a prime or the unit;
@@ -122,36 +121,7 @@ class WedgeElement:
             if v:
                 self.pairs[x, y] = Fraction(v)
 
-    # -- predicates and views ------------------------------------------------
-
-    @property
-    def beta1(self) -> dict[tuple[int, int], Fraction]:
-        """Basis-pair coefficients, keyed by basis indices i < j."""
-        return {(x[1], y[1]): v for (x, y), v in self.pairs.items() if _layer(x, y) == 1}
-
-    def _layer_is_zero(self, layer: int) -> bool:
-        return all(_layer(x, y) != layer for x, y in self.pairs)
-
-    def beta1_is_zero(self) -> bool:
-        return self._layer_is_zero(1)
-
-    def beta2_is_zero(self) -> bool:
-        return self._layer_is_zero(2)
-
-    def is_zero(self) -> bool:
-        return not self.pairs
-
-    def __sub__(self, other: "WedgeElement") -> "WedgeElement":
-        if (
-            self.universe != other.universe
-            or self.field_mode != other.field_mode
-            or self.coeff_mode != other.coeff_mode
-        ):
-            raise ValueError("wedge elements live over different settings")
-        negated = tuple((-a, f, g) for a, f, g in other.tensors)
-        return WedgeElement(
-            self.universe, self.tensors + negated, self.field_mode, self.coeff_mode
-        )
+    # -- views -----------------------------------------------------------------
 
     def _entries(self, layer: int | None = None) -> list[tuple]:
         """(x, y, value) for every pair, or for those of one beta layer, in
@@ -246,20 +216,14 @@ class ConstancyCertificate:
     verdict: str  # "Constant" | "NotConstant"
     witness: tuple | None
     residual_beta3: dict
-    notes: tuple[str, ...] = ()
 
     def is_constant(self) -> bool:
         return self.verdict == "Constant"
 
 
 def _certificate(w: WedgeElement) -> ConstancyCertificate:
-    b3 = w.beta3()
-    if w.beta1_is_zero() and w.beta2_is_zero():
-        return ConstancyCertificate("Constant", None, b3)
     obs = w.first_obstruction()
-    if obs is None:
-        raise ArithmeticError("a nonzero beta1 or beta2 has no first entry")
-    return ConstancyCertificate("NotConstant", obs, b3)
+    return ConstancyCertificate("Constant" if obs is None else "NotConstant", obs, w.beta3())
 
 
 def check_constant(alpha: FormalSum) -> ConstancyCertificate:

@@ -23,7 +23,7 @@ from dilogeq.poly import MultiPoly, poly_gcd
 from dilogeq.primes import UnitPrimeFactorization
 from dilogeq.ratfunc import RationalFunction, ZeroDenominator
 from dilogeq.scalars import FieldElement, fe
-from dilogeq.wedge import WedgeElement
+from dilogeq.wedge import BASIS, WedgeElement
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -101,6 +101,21 @@ def to_sympy(p: MultiPoly):
         for e, c in p.terms.items()
     }
     return sp.Poly.from_dict(rep, sp.symbols(p.universe), domain=sp.QQ_I)
+
+
+def wedge_difference(lhs: WedgeElement, rhs: WedgeElement) -> WedgeElement:
+    """lhs - rhs: one element built from lhs's tensors and rhs's negated."""
+    if (lhs.universe, lhs.field_mode, lhs.coeff_mode) != (
+        rhs.universe, rhs.field_mode, rhs.coeff_mode
+    ):
+        raise ValueError("wedge elements live over different settings")
+    negated = tuple((-a, f, g) for a, f, g in rhs.tensors)
+    return WedgeElement(lhs.universe, lhs.tensors + negated, lhs.field_mode, lhs.coeff_mode)
+
+
+def beta1_by_index(w: WedgeElement) -> dict[tuple[int, int], Fraction]:
+    """The beta1 layer of w keyed by basis indices i < j."""
+    return {(x[1], y[1]): v for (x, y), v in w.pairs.items() if x[0] == y[0] == BASIS}
 
 
 def beta3_is_zero(w: WedgeElement) -> bool:
@@ -500,7 +515,7 @@ def expand_beta1_to_planted(w, planted: list[MultiPoly]) -> dict:
     pos = {i: fine.elements.index(b.primitive_monic()[1]) for i, b in enumerate(planted)}
     back = {i: k for k, i in pos.items()}
     out: dict[tuple[int, int], Fraction] = {}
-    for (i, j), a in w.beta1.items():
+    for (i, j), a in beta1_by_index(w).items():
         _, ei = fine.factor(w.basis.elements[i])
         _, ej = fine.factor(w.basis.elements[j])
         for ki, mi in ei.items():

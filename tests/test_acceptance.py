@@ -58,6 +58,7 @@ from helpers import (
     random_five_term,
     random_formal_sum,
     random_inversion,
+    wedge_difference,
 )
 from oracles import wedge_specialize
 from test_blochfq import _quotient_structure
@@ -173,9 +174,9 @@ def test_acceptance_03_relation_kernel(capsys):
         rnd = random.Random(33)
         for universe in (("t",), ("t1", "t2")):
             for _ in range(100):
-                assert boundary(random_five_term(rnd, universe)).is_zero()
+                assert not boundary(random_five_term(rnd, universe)).pairs
             for _ in range(100):
-                assert boundary(random_inversion(rnd, universe)).is_zero()
+                assert not boundary(random_inversion(rnd, universe)).pairs
 
 
 # -- 4: specialization commutes with the boundary -------------------------------------
@@ -191,7 +192,7 @@ def test_acceptance_04_specialization_diagram(capsys):
             aux = const(rnd.choice([2, 3, 5, -2, 7]))
             lhs = boundary(sp(alpha, SpecStep("t", target, aux)))
             rhs = wedge_specialize(boundary(alpha), "t", target)
-            assert (lhs - rhs).is_zero(), (k, str(alpha), str(b))
+            assert not wedge_difference(lhs, rhs).pairs, (k, str(alpha), str(b))
 
 
 # -- 5: constancy criterion, both verdicts ---------------------------------------------
@@ -285,9 +286,10 @@ def _in_all_variables(rnd, universe, gaussian):
     """A rational function whose numerator has a term in each variable."""
     num = RationalFunction.const(universe, random_coeff(rnd, gaussian))
     for v in universe:
-        num = num + RationalFunction.var(universe, v).scale(random_coeff(rnd, gaussian, zero_ok=False))
+        coeff = RationalFunction.const(universe, random_coeff(rnd, gaussian, zero_ok=False))
+        num = num + RationalFunction.var(universe, v) * coeff
     v = RationalFunction.var(universe, rnd.choice(universe))
-    den = v.scale(random_coeff(rnd, gaussian, zero_ok=False))
+    den = v * RationalFunction.const(universe, random_coeff(rnd, gaussian, zero_ok=False))
     return num / (den + RationalFunction.const(universe, fe(rnd.choice([2, 3, -5]))))
 
 

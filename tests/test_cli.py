@@ -415,6 +415,68 @@ def test_check_padic_mode(run):
     assert any("branch" in note for note in report["notes"])
 
 
+BRANCH_NOTE = (
+    "p-adic reading: a Constant verdict holds for every branch of log_p; "
+    "only the value of the constant depends on the branch"
+)
+PROBE_LINE = (
+    "probe[complex]: max deviation 3.497202527569243e-16 over 5 points, "
+    "mean -1.6653345369377347e-17"
+)
+PROBE_NOTE = (
+    "probe deviation 3.497202527569243e-16 exceeds tolerance 0.0 despite a Constant verdict"
+)
+NO_BETA3 = {"pairs": {}, "unit_unit": "0", "units": {}}
+
+# `check --padic 5` reports as the certificate's own note printed them: the
+# branch note is the first of the JSON notes and the last line of the text,
+# after the probe's note
+CHECK_PADIC_GOLDEN = [
+    (
+        FIVE_DOC,
+        ["--probe", "5", "--tolerance", "0"],
+        0,
+        f"verdict: Constant\nresidual beta3: none\n{PROBE_LINE}\n"
+        f"note: {PROBE_NOTE}\nnote: {BRANCH_NOTE}\n",
+        {
+            "beta3": NO_BETA3,
+            "mode": "padic",
+            "notes": [BRANCH_NOTE, PROBE_NOTE],
+            "probe": {
+                "domain": "complex",
+                "max_deviation": 3.497202527569243e-16,
+                "mean_value": -1.6653345369377347e-17,
+                "points_used": 5,
+            },
+            "verdict": "Constant",
+            "witness": None,
+        },
+    ),
+    (
+        SINGLE_DOC,
+        [],
+        1,
+        "verdict: NotConstant\nwitness: beta1 pairing (t) ^ (t - 1) = 1\n"
+        f"residual beta3: none\nnote: {BRANCH_NOTE}\n",
+        {
+            "beta3": NO_BETA3,
+            "mode": "padic",
+            "notes": [BRANCH_NOTE],
+            "verdict": "NotConstant",
+            "witness": {"kind": "pair", "left": "t", "right": "t - 1", "value": "1"},
+        },
+    ),
+]
+
+
+@pytest.mark.parametrize("doc, flags, code, text, report", CHECK_PADIC_GOLDEN, ids=["five", "t"])
+def test_check_padic_golden(run, doc, flags, code, text, report):
+    assert run(["check", "DOC:" + doc, "--padic", "5", *flags]) == (code, text, "")
+    got, out, err = run(["check", "DOC:" + doc, "--padic", "5", "--json", *flags])
+    assert (got, err) == (code, "")
+    assert out == json.dumps(report, sort_keys=True, indent=2) + "\n"
+
+
 @pytest.mark.parametrize(
     "value, message",
     [
@@ -763,7 +825,6 @@ def test_blochfq_p7(run):
 def test_blochfq_rejections(run, monkeypatch):
     assert run(["blochfq", "4"])[0] == 2
     assert run(["blochfq", "3"])[0] == 2
-    assert run(["blochfq", "101"])[0] == 2
     # --oracle past p = 7 is refused before any group is built
     calls = []
     build = blochfq.relations_matrix
@@ -776,6 +837,26 @@ def test_blochfq_rejections(run, monkeypatch):
     assert run(["blochfq", "11", "--oracle"])[0] == 2
     assert run(["blochfq", "97", "--oracle"])[0] == 2
     assert calls == []
+
+
+@pytest.mark.parametrize("p", ["101", "1000000000039"])
+def test_blochfq_refuses_a_prime_past_the_cap(run, monkeypatch, p):
+    # 1000000000039 is a prime that trial division proves; its presentation
+    # would not fit in memory
+    calls = []
+    monkeypatch.setattr(blochfq, "relations_matrix", calls.append)
+    assert run(["blochfq", p]) == (
+        2,
+        "",
+        f"error: p = {p} is past the cap 97; for a larger p call bloch_groups(p) in Python\n",
+    )
+    assert calls == []
+
+
+def test_blochfq_has_no_allow_large_flag(run):
+    code, out, err = run(["blochfq", "101", "--allow-large"])
+    assert (code, out) == (2, "")
+    assert err.endswith("error: unrecognized arguments: --allow-large\n")
 
 
 # `blochfq P` text and --json reports, captured before the Bloch groups were

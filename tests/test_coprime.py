@@ -390,7 +390,7 @@ def _factored(alpha: FormalSum) -> bool:
 def _xy_sums():
     x, y = RationalFunction.var(XY, "x"), RationalFunction.var(XY, "y")
     one = RationalFunction.const(XY, ONE)
-    pair = (x + one) * (x + one.scale(fe(2)))  # never occurs alone
+    pair = (x + one) * (x + RationalFunction.const(XY, fe(2)))  # never occurs alone
     cancelled = (x * (x + one)) / x
     return {
         "product-only": FormalSum(XY, {pair: 1, pair**2 * y / (x - one): -2, y / pair: 1}),

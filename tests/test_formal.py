@@ -49,7 +49,7 @@ def test_five_term_numeric():
 def test_five_term_merges_repeats():
     # x = t, y = t^2: the third argument y/x = t repeats x
     alpha = five_term(t(), t() ** 2)
-    assert alpha.coefficient(t()) == 2
+    assert alpha.terms.get(t(), 0) == 2
     assert len(alpha) == 4
 
 
@@ -67,13 +67,13 @@ def test_five_term_degenerate():
 
 def test_inversion_and_c_element():
     alpha = inversion(t() + const(1))
-    assert alpha.coefficient(t() + const(1)) == 1
-    assert alpha.coefficient((t() + const(1)).inverse()) == 1
-    assert inversion(const(-1)).coefficient(const(-1)) == 2
+    assert alpha.terms.get(t() + const(1), 0) == 1
+    assert alpha.terms.get((t() + const(1)).inverse(), 0) == 1
+    assert inversion(const(-1)).terms.get(const(-1), 0) == 2
     beta = c_element(const(2))
-    assert beta.coefficient(const(2)) == 1
-    assert beta.coefficient(const(-1)) == 1
-    assert c_element(const(Fraction(1, 2))).coefficient(const(Fraction(1, 2))) == 2
+    assert beta.terms.get(const(2), 0) == 1
+    assert beta.terms.get(const(-1), 0) == 1
+    assert c_element(const(Fraction(1, 2))).terms.get(const(Fraction(1, 2)), 0) == 2
     with pytest.raises(DegenerateArguments):
         inversion(const(0))
     with pytest.raises(DegenerateArguments):
@@ -84,8 +84,8 @@ def test_zero_and_single():
     z = FormalSum.zero(T)
     assert z.is_zero() and len(z) == 0
     s = FormalSum.single(t(), 3)
-    assert s.coefficient(t()) == 3
-    assert s.coefficient(t() + const(1)) == 0
+    assert s.terms.get(t(), 0) == 3
+    assert s.terms.get(t() + const(1), 0) == 0
 
 
 def test_admissibility_enforced():
@@ -102,10 +102,10 @@ def test_coeff_mode_z_rejects_fractions():
         FormalSum.single(t(), Fraction(1, 2), coeff_mode="Z")
     # fine in Q mode
     s = FormalSum.single(t(), Fraction(1, 2), coeff_mode="Q")
-    assert s.coefficient(t()) == Fraction(1, 2)
+    assert s.terms.get(t(), 0) == Fraction(1, 2)
     with pytest.raises(ValueError):
         to_mode(s.scale(Fraction(1, 3)), "Z")
-    assert to_mode(s.scale(2), "Z").coefficient(t()) == 1
+    assert to_mode(s.scale(2), "Z").terms.get(t(), 0) == 1
 
 
 def test_mode_compatibility_enforced():
@@ -134,7 +134,7 @@ def test_pairs_sum_a_repeated_argument():
 def test_pairs_that_cancel_drop_their_argument():
     alpha = FormalSum(T, [(t(), 1), (const(3), 2), (t(), -1)])
     assert alpha.terms == {const(3): 2}
-    assert alpha.coefficient(t()) == 0
+    assert alpha.terms.get(t(), 0) == 0
     # a degenerate argument whose total is 0 is never checked, as for a 0 coefficient
     assert FormalSum(T, [(const(1), 1), (const(1), -1)]).is_zero()
     assert FormalSum(T, [(const(1), 1), (const(1), -1), (t(), 1)]) == FormalSum.single(t())
@@ -148,7 +148,7 @@ def test_z_mode_checks_the_summed_coefficient():
     with pytest.raises(ValueError, match="integer"):
         FormalSum(T, [(t(), half), (const(3), half)], coeff_mode="Z")
     q = FormalSum(T, [(t(), half), (t(), 1)], coeff_mode="Q")
-    assert q.coefficient(t()) == Fraction(3, 2)
+    assert q.terms.get(t(), 0) == Fraction(3, 2)
 
 
 formal_sums = st.builds(
@@ -180,7 +180,7 @@ def test_conj_sum_gaussian():
     i_const = RationalFunction.const(T, FieldElement.i())
     a = FormalSum.single(t() + i_const, 1, field_mode="Qi")
     b = conj_sum(a)
-    assert b.coefficient(t() - i_const) == 1
+    assert b.terms.get(t() - i_const, 0) == 1
     assert conj_sum(b) == a
 
 

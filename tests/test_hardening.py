@@ -4,7 +4,6 @@ import argparse
 import ast
 import importlib
 import importlib.util
-import re
 from pathlib import Path
 
 import pytest
@@ -89,10 +88,18 @@ def _definitions(tree):
                 yield from ((m, True) for m in node.body if isinstance(m, ast.FunctionDef))
 
 
-def _uses(tree, read_strings: bool):
+def _package_trees():
+    """The parsed modules of the package, its scripts and its benchmark."""
+    return {
+        path: ast.parse(path.read_text(), str(path))
+        for folder in (SRC, ROOT / "scripts", ROOT / "bench")
+        for path in sorted(folder.glob("*.py"))
+    }
+
+
+def _uses(tree):
     """(name, node, bare) for every name loaded or imported (bare) and every
-    attribute read; with `read_strings`, also for every identifier inside a
-    string, as in cli's tables of names and the tracer's dotted paths."""
+    attribute read."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             yield node.id, node, True
@@ -100,21 +107,40 @@ def _uses(tree, read_strings: bool):
             yield node.attr, node, False
         elif isinstance(node, ast.alias):
             yield node.name.rsplit(".", 1)[-1], node, True
-        elif read_strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
-            for name in re.findall(r"[A-Za-z_]\w*", node.value):
-                yield name, node, False
+
+
+# the only strings that name package definitions: the names cli binds for
+# the document commands, and the attributes the benchmark's tracer wraps
+NAME_TABLES = {
+    SRC / "cli.py": ("_DOCUMENT_NAMES",),
+    ROOT / "bench" / "tracer.py": ("SPANS", "COUNTERS"),
+}
+
+
+def _table_names(path, tree):
+    """(name, node) for every name in the module's tables of NAME_TABLES:
+    each name in cli's dictionary, and the attribute of each tracer row (a
+    dotted "Class.method" gives both parts)."""
+    tables = NAME_TABLES.get(path, ())
+    for node in tree.body:
+        if not (isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) in tables):
+            continue
+        if isinstance(node.value, ast.Dict):
+            strings = [s for names in node.value.values for s in names.elts]
+        else:
+            strings = [row.elts[1] for row in node.value.elts]
+        for s in strings:
+            for name in s.value.split("."):
+                yield name, s
 
 
 def test_every_package_definition_is_used_outside_the_tests():
     # what only tests call belongs in tests/ (helpers.py, oracles.py); the
     # package's export table names what it exports, so it counts as no use.
-    # A method is used only through an attribute read or a string: a bare
-    # name of the same spelling is some other binding
-    trees = {
-        path: ast.parse(path.read_text(), str(path))
-        for folder in (SRC, ROOT / "scripts", ROOT / "bench")
-        for path in sorted(folder.glob("*.py"))
-    }
+    # A method is used only through an attribute read or a table string: a
+    # bare name of the same spelling is some other binding.  Other strings
+    # (report keys, messages) name no definition
+    trees = _package_trees()
     exports = set()
     for node in trees[SRC / "__init__.py"].body:
         if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "_EXPORTS" for t in node.targets):
@@ -122,10 +148,12 @@ def test_every_package_definition_is_used_outside_the_tests():
     uses: dict[str, set[int]] = {}
     bare: set[int] = set()
     for path, tree in trees.items():
-        for name, node, is_bare in _uses(tree, path.name == "cli.py" or path.parent.name == "bench"):
+        for name, node, is_bare in _uses(tree):
             uses.setdefault(name, set()).add(id(node))
             if is_bare:
                 bare.add(id(node))
+        for name, node in _table_names(path, tree):
+            uses.setdefault(name, set()).add(id(node))
     unused = []
     for path in sorted(SRC.glob("*.py")):
         for d, is_method in _definitions(trees[path]):
@@ -137,6 +165,49 @@ def test_every_package_definition_is_used_outside_the_tests():
             if not found:
                 unused.append(f"{path.name}:{d.lineno} {d.name}")
     assert unused == []
+
+
+def _optional_parameters(d: ast.FunctionDef):
+    """(position or None, name) for each parameter of d that has a default."""
+    a = d.args
+    positional = a.posonlyargs + a.args
+    first = len(positional) - len(a.defaults)
+    yield from ((i, p.arg) for i, p in enumerate(positional) if i >= first)
+    yield from ((None, p.arg) for p, default in zip(a.kwonlyargs, a.kw_defaults) if default)
+
+
+def _sets(call: ast.Call, position: int | None, name: str) -> bool:
+    """Does the call pass the parameter, by position, by name or by unpacking?"""
+    if position is not None and (
+        len(call.args) > position or any(isinstance(x, ast.Starred) for x in call.args)
+    ):
+        return True
+    return any(k.arg in (name, None) for k in call.keywords)
+
+
+def test_every_optional_parameter_is_set_by_a_package_caller():
+    # a default that no caller outside the tests overrides is a knob only
+    # tests turn: it belongs in the tests, or is a constant.  main's argv is
+    # set by whoever runs the command line in process
+    trees = _package_trees()
+    calls: dict[str, list[ast.Call]] = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                fn = node.func
+                name = fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", None)
+                calls.setdefault(name, []).append(node)
+    unset = []
+    for path in sorted(SRC.glob("*.py")):
+        for d in trees[path].body:
+            if not isinstance(d, ast.FunctionDef) or (path.name, d.name) == ("cli.py", "main"):
+                continue
+            own = {id(n) for n in ast.walk(d)}
+            outside = [c for c in calls.get(d.name, []) if id(c) not in own]
+            for position, name in _optional_parameters(d):
+                if not any(_sets(c, position, name) for c in outside):
+                    unset.append(f"{path.name}:{d.lineno} {d.name}({name})")
+    assert unset == []
 
 
 def test_padic_rejects_bad_input():

@@ -60,7 +60,7 @@ def test_blochfq_loads_only_its_own_modules():
     "flags, present, absent",
     [
         ([], ["wedge", "document", "numerics"], ["padic", "blochfq", "intmat"]),
-        (["--padic", "5"], ["wedge", "padic"], ["blochfq", "intmat"]),
+        (["--padic", "5"], ["wedge"], ["padic", "blochfq", "intmat"]),
     ],
 )
 def test_check_loads_padic_only_with_padic(tmp_path, flags, present, absent):

@@ -398,9 +398,9 @@ def test_probe_real_mean_is_the_centered_representative():
 @pytest.mark.parametrize(
     "alpha, domain",
     [
-        (five_term(t("t1", T12), t("t2", T12)), "complex"),
-        (inversion(t()), "real"),
-        (FormalSum.single(t()) + FormalSum.single(t() * t() + t().one_minus()), "real-bw"),
+        (five_term(t("t1", T12), t("t2", T12)) + FormalSum.single(t("t1", T12) ** 7), "complex"),
+        (inversion(t()) + FormalSum.single(t() ** 7), "real"),
+        (FormalSum.single(t()) + FormalSum.single(t() ** 7 + t().one_minus()), "real-bw"),
     ],
     ids=["five-complex", "inversion-real", "two-term-real-bw"],
 )
@@ -425,12 +425,13 @@ def test_probe_evaluates_each_argument_once_per_draw(monkeypatch, alpha, domain)
 
     monkeypatch.setattr(RationalFunction, "eval_numeric", counted_eval)
     monkeypatch.setattr(numerics, "_sample_point", counted_sample)
-    # narrow margins, so that some draws are rejected part-way
-    rep = numeric_probe(alpha, domain, samples=40, seed=3, margin_lo=0.2, margin_hi=5)
+    rep = numeric_probe(alpha, domain, samples=40, seed=3)
     args = [f for f, _ in alpha.items()]
     assert stray == []
     assert sum(kept for _, kept in draws) == rep.points_used == 40
-    assert len(draws) > 40
+    # the last argument, a 7th power, leaves the margin [1e-3, 1e3] for
+    # |t| > 2.7, so some draws are rejected part-way
+    assert any(not kept and len(evaluated) > 1 for evaluated, kept in draws)
     for evaluated, kept in draws:
         if kept:
             assert evaluated == args
@@ -450,12 +451,10 @@ def test_probe_unknown_domain():
 
 
 def test_probe_exhaustion():
-    # impossible margins: nothing is admissible
-    with pytest.raises(SamplingExhausted):
-        numeric_probe(
-            FormalSum.single(t()), "complex",
-            samples=10, seed=0, margin_lo=2.0, margin_hi=1.0, max_tries=50,
-        )
+    # |t^2 + 10^4| > 10^3 at every draw (|t| < 6), so no point is admissible
+    far = t() ** 2 + RationalFunction.const(T, fe(10**4))
+    with pytest.raises(SamplingExhausted, match=r"^found 0 admissible points in 400 draws"):
+        numeric_probe(FormalSum.single(far), "complex", samples=1, seed=0)
 
 
 def test_probe_margin_skips_constant_arguments():
@@ -463,7 +462,7 @@ def test_probe_margin_skips_constant_arguments():
     # every draw, so it must not reject the draw
     c = RationalFunction.const(T, fe(999983))
     alpha = FormalSum.single(t()) + FormalSum.single(c) + FormalSum.single(c.one_minus())
-    rep = numeric_probe(alpha, "complex", samples=20, seed=0, max_tries=200)
+    rep = numeric_probe(alpha, "complex", samples=20, seed=0)
     assert rep.points_used == 20
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dilogeq.formal import FormalSum, five_term
+from dilogeq.formal import FormalSum
 from dilogeq.padic import (
     Branch,
     GeneratorVanishesAtPoint,
@@ -15,7 +15,6 @@ from dilogeq.padic import (
     PadicNumber,
     ZeroArgument,
     branch_diff,
-    check_constant_padic,
     dp_disc,
     li2p,
     padic_valuation,
@@ -338,12 +337,3 @@ def test_branch_diff_argument_guards():
     with pytest.raises(ValueError):
         branch_diff(w, {"t": Fraction(2)}, Branch.of(5, 0), Branch.of(7, 0))
 
-
-def test_check_constant_padic_annotates_branch_independence():
-    rho = five_term(t(), t() ** 2)
-    cert = check_constant_padic(rho)
-    assert cert.is_constant()
-    assert any("branch" in note for note in cert.notes)
-    bad = check_constant_padic(FormalSum.single(t()))
-    assert bad.verdict == "NotConstant"
-    assert any("branch" in note for note in bad.notes)

@@ -334,8 +334,8 @@ def test_load_document_golden():
     assert spec.terms[3].coefficient == Fraction(-1, 2)
     assert spec.terms[3].line == 10
     alpha = spec.formal_sum()
-    assert alpha.coefficient(parse_expression("y/x", XY)) == 1
-    assert alpha.coefficient(var("x")) == 1
+    assert alpha.terms.get(parse_expression("y/x", XY), 0) == 1
+    assert alpha.terms.get(var("x"), 0) == 1
     assert len(alpha) == 4
 
 
@@ -485,7 +485,7 @@ def test_spec_from_formal_sum_gaussian_round_trip():
     i = RationalFunction.const(u, FieldElement.i())
     f = (rf_const(1, u) + rf_const(2, u) * i) * z + i
     alpha = FormalSum.single(f, 2, "Qi", "Z") + FormalSum.single(z + i, -1, "Qi", "Z")
-    again = load_document(dump_document(spec_from_formal_sum(alpha, ())))
+    again = load_document(dump_document(spec_from_formal_sum(alpha)))
     assert again.formal_sum() == alpha
     assert again.field_mode == "Qi"
 

@@ -109,7 +109,7 @@ def test_factor_maps_of_worked_examples():
     one = RationalFunction.const(XY, ONE)
     px, p1 = MultiPoly.var(XY, "x"), MultiPoly.var(XY, "x") + MultiPoly.one(XY)
     # powers keep multiplicities, negative ones too, and run no gcd
-    f = ((x + one) ** 3 * x.scale(fe(2))) ** -2
+    f = ((x + one) ** 3 * x * RationalFunction.const(XY, fe(2))) ** -2
     assert f.den_factors == {p1: 6, px: 2} and f.num_factors == {}
     # a cancelling quotient falls back to the one-factor map of what is left
     g = (x * (x + one)) / x
@@ -131,7 +131,7 @@ def test_substitute_examples():
     t = RationalFunction.var(T, "t")
     one = RationalFunction.const(T, fe(1))
     # (2t+1)/(t-1) at t -> INF gives ratio of lead coeffs = 2
-    f = (t.scale(fe(2)) + one) / (t - one)
+    f = (t * RationalFunction.const(T, fe(2)) + one) / (t - one)
     assert f.substitute("t", INF) == RationalFunction.const(T, fe(2))
     # t^2/(t+1) at INF: deg num > deg den
     g = t**2 / (t + one)

@@ -19,7 +19,7 @@ from dilogeq.specialize import (
     sp,
 )
 
-from helpers import random_formal_sum
+from helpers import random_formal_sum, wedge_difference
 
 
 T = ("t",)
@@ -130,7 +130,7 @@ def test_golden_three_variable_plan():
 
 TABLE = [
     # (x, y) -> 0: [1]
-    ("0", "0", lambda: (t(), t().scale(fe(2))), ext({}, c1=1)),
+    ("0", "0", lambda: (t(), t() * const(2)), ext({}, c1=1)),
     # x -> 1, y -> 0: [1]
     ("1", "0", lambda: (const(1) + t(), t()), ext({}, c1=1)),
     # x -> inf, y -> 0: 2[inf] - [0]
@@ -140,7 +140,7 @@ TABLE = [
     # x -> 0, y -> 1: [0] - [1] + [inf]
     ("0", "1", lambda: (t(), const(1) + t()), ext({}, c0=1, c1=-1, cinf=1)),
     # (x, y) -> 1: [1]
-    ("1", "1", lambda: (const(1) + t(), const(1) + t().scale(fe(2))), ext({}, c1=1)),
+    ("1", "1", lambda: (const(1) + t(), const(1) + t() * const(2)), ext({}, c1=1)),
     # x -> inf, y -> 1: [inf] - [1] + [0]
     ("inf", "1", lambda: (t().inverse(), const(1) + t()), ext({}, c0=1, c1=-1, cinf=1)),
     # x -> other, y -> 1: [c] - [1] + [1/c]
@@ -277,7 +277,7 @@ def test_order_dependence_example():
     U = ("t1", "t2")
     t1 = RationalFunction.var(U, "t1")
     t2 = RationalFunction.var(U, "t2")
-    f = (t1 + t2.scale(fe(2))) / (t1 + t2)
+    f = (t1 + t2 * RationalFunction.const(U, fe(2))) / (t1 + t2)
     alpha = FormalSum.single(f)
     zero1 = RationalFunction.const(U, fe(0))
     aux = RationalFunction.const(U, fe(5))
@@ -360,9 +360,9 @@ def test_sp_preserves_relation_kernel():
         rho = random_five_term(rnd, T)
         b = rnd.choice([0, 1, 2, -1, INF])
         stp = step_to(b) if b is not INF else step_to(INF)
-        assert boundary(sp(rho, stp)).is_zero()
+        assert not boundary(sp(rho, stp)).pairs
         rho2 = random_inversion(rnd, T)
-        assert boundary(sp(rho2, stp)).is_zero()
+        assert not boundary(sp(rho2, stp)).pairs
 
 
 def test_aux_choice_invisible_to_boundary():
@@ -373,4 +373,4 @@ def test_aux_choice_invisible_to_boundary():
         alpha = random_formal_sum(rnd, T, n_terms=2)
         a = sp(alpha, step_to(0, aux=2))
         b = sp(alpha, step_to(0, aux=7))
-        assert (boundary(a) - boundary(b)).is_zero()
+        assert not wedge_difference(boundary(a), boundary(b)).pairs
