@@ -33,7 +33,7 @@ from .scalars import fe
 # never replaces a name already set: a wrapper or stub set at
 # `dilogeq.cli.NAME` beforehand (bench/tracer.py, tests) is the one called.
 _DOCUMENT_NAMES = {
-    "document": ("IdentitySpec", "dump_document", "load_document", "spec_from_formal_sum"),
+    "document": ("IdentitySpec", "dump_document", "load_document", "parse_variables"),
     "exprparse": ("parse_expression",),
     "formal": ("FormalSum", "c_element", "five_term", "inversion"),
     "numerics": ("ModPiSqHalf", "SamplingExhausted", "bloch_wigner", "numeric_probe", "rl_bar"),
@@ -256,7 +256,7 @@ def _cmd_check(args) -> int:
         if points:
             pt_render = {k: str(v) for k, v in points[0][0].items()}
             report["point"] = pt_render
-            report["value_at_point"] = str(points[0][1]) if not points[0][1].is_zero() else "0"
+            report["value_at_point"] = str(points[0][1])
             lines.append(
                 "point: " + ", ".join(f"{k} = {v}" for k, v in sorted(pt_render.items()))
             )
@@ -347,7 +347,9 @@ def _cmd_specialize(args) -> int:
     alpha = spec.formal_sum()
     steps = tuple(_parse_step(s, spec) for s in args.step or [])
     result = iterate(alpha, SpecPlan(steps))
-    doc = dump_document(spec_from_formal_sum(result))
+    # a pair that lost a variable leaves its survivor an ordinary variable
+    kept = tuple(pr for pr in spec.pairs if set(pr) <= set(result.universe))
+    doc = dump_document(result, kept)
     report = {
         "result": str(result),
         "variables": list(result.universe),
@@ -403,9 +405,7 @@ def _cmd_wedge(args) -> int:
 
 
 def _cmd_relations(args) -> int:
-    variables = tuple(v.strip() for v in args.variables.split(",")) if args.variables else ()
-    if variables == ("",):
-        variables = ()
+    variables, pairs = parse_variables(args.variables)
 
     def parse(src, name):
         if src is None:
@@ -422,7 +422,7 @@ def _cmd_relations(args) -> int:
     else:
         c = parse(args.c, "c")
         total = c_element(c, args.field, args.coefficients)
-    sys.stdout.write(dump_document(spec_from_formal_sum(total)))
+    sys.stdout.write(dump_document(total, pairs))
     return 0
 
 
@@ -529,15 +529,11 @@ def _cmd_padic_branch_diff(args) -> int:
             f"modulus {args.p}^{args.prec} is above the bound 2^{MAX_BRANCH_MODULUS_BITS}"
         )
     spec = _read_document(args.document)
-    alpha = spec.formal_sum()
     point = _parse_point(args.point, spec.variables)
-    missing = [v for v in spec.variables if v not in point]
-    if missing:
-        raise ValueError(f"point does not assign {missing}")
+    value = evaluate_at_point(spec.formal_sum(), {k: fe(v) for k, v in point.items()})
     branch_a = Branch.of(args.p, Fraction(args.branch_a), args.prec)
     branch_b = Branch.of(args.p, Fraction(args.branch_b), args.prec)
-    w = boundary(alpha)
-    diff = branch_diff(w, point, branch_a, branch_b, prec=args.prec)
+    diff = branch_diff(value, branch_a, branch_b, prec=args.prec)
     report = {
         "p": args.p,
         "point": {k: _frac_str(v) for k, v in point.items()},

@@ -103,12 +103,42 @@ class IdentitySpec:
         return total
 
 
+def parse_variables(value: str) -> tuple[tuple[str, ...], tuple[tuple[str, str], ...]]:
+    """The names and conjugate pairs of a `variables:` value, in order; a
+    blank value declares none.  Raises ValueError."""
+    if not value.strip():
+        return (), ()
+    names: list[str] = []
+    pairs: list[tuple[str, str]] = []
+    for entry in value.split(","):
+        entry = entry.strip()
+        if not entry:
+            raise ValueError("empty variable entry")
+        if "~" in entry:
+            left, _, right = entry.partition("~")
+            left, right = left.strip(), right.strip()
+            if not left or not right or left == right:
+                raise ValueError(f"bad conjugate pair {entry!r}")
+            pairs.append((left, right))
+            names.extend([left, right])
+        else:
+            names.append(entry)
+    if len(set(names)) != len(names):
+        raise ValueError("duplicate variable name")
+    for name in names:
+        if not (name[0].isalpha() or name[0] == "_") or not all(
+            c.isalnum() or c == "_" for c in name
+        ):
+            raise ValueError(f"bad variable name {name!r}")
+    return tuple(names), tuple(pairs)
+
+
 def load_document(text: str) -> IdentitySpec:
     lines = text.splitlines()
     field_mode = "Q"
     coeff_mode = "Z"
     variables: tuple[str, ...] | None = None
-    pairs: list[tuple[str, str]] = []
+    pairs: tuple[tuple[str, str], ...] = ()
     terms: list[TermSpec] = []
     saw_header = False
 
@@ -137,31 +167,10 @@ def load_document(text: str) -> IdentitySpec:
         elif key == "variables":
             if variables is not None:
                 raise DocumentError("duplicate variables line", lineno)
-            if not value:
-                variables = ()
-                continue
-            names: list[str] = []
-            for entry in value.split(","):
-                entry = entry.strip()
-                if not entry:
-                    raise DocumentError("empty variable entry", lineno)
-                if "~" in entry:
-                    left, _, right = entry.partition("~")
-                    left, right = left.strip(), right.strip()
-                    if not left or not right or left == right:
-                        raise DocumentError(f"bad conjugate pair {entry!r}", lineno)
-                    pairs.append((left, right))
-                    names.extend([left, right])
-                else:
-                    names.append(entry)
-            if len(set(names)) != len(names):
-                raise DocumentError("duplicate variable name", lineno)
-            for name in names:
-                if not (name[0].isalpha() or name[0] == "_") or not all(
-                    c.isalnum() or c == "_" for c in name
-                ):
-                    raise DocumentError(f"bad variable name {name!r}", lineno)
-            variables = tuple(names)
+            try:
+                variables, pairs = parse_variables(value)
+            except ValueError as exc:
+                raise DocumentError(str(exc), lineno) from None
         elif key == "term":
             open_at = value.find("[")
             close_at = value.rfind("]")
@@ -192,40 +201,30 @@ def load_document(text: str) -> IdentitySpec:
         raise DocumentError(
             f"coefficient {bad.coefficient} is not an integer (coefficients: Z)", bad.line
         )
-    spec = IdentitySpec(field_mode, coeff_mode, tuple(variables), tuple(pairs), tuple(terms))
+    spec = IdentitySpec(field_mode, coeff_mode, variables, pairs, tuple(terms))
     # parse eagerly so loading a document validates it; the sum is kept
     spec.formal_sum()
     return spec
 
 
-def dump_document(spec: IdentitySpec) -> str:
-    var_entries = []
-    paired = {n for pair in spec.pairs for n in pair}
-    emitted = set()
-    for name in spec.variables:
-        if name in emitted:
-            continue
-        match = next((pr for pr in spec.pairs if name in pr), None)
-        if match is not None:
-            var_entries.append(f"{match[0]} ~ {match[1]}")
-            emitted.update(match)
-        else:
-            var_entries.append(name)
-            emitted.add(name)
-    if not paired <= emitted:
-        raise ValueError(f"paired variables {sorted(paired - emitted)} are not declared")
+def dump_document(alpha: FormalSum, pairs) -> str:
+    """The document of alpha whose variables line declares the conjugate
+    pairs `pairs`; raises ValueError when that line would not read back as
+    alpha's universe and these pairs."""
+    partner = dict(pairs)
+    line = ", ".join(
+        f"{n} ~ {partner[n]}" if n in partner else n
+        for n in alpha.universe
+        if n not in partner.values()
+    )
+    if parse_variables(line) != (alpha.universe, tuple(pairs)):
+        raise ValueError(f"pairs {list(pairs)} do not read back over {list(alpha.universe)}")
     out = [
         HEADER,
-        f"field: {spec.field_mode}",
-        f"coefficients: {spec.coeff_mode}",
-        "variables: " + ", ".join(var_entries),
+        f"field: {alpha.field_mode}",
+        f"coefficients: {alpha.coeff_mode}",
+        "variables: " + line,
     ]
-    for term in spec.terms:
-        out.append(f"term: {term.coefficient} [{term.expression}]")
+    for f, a in alpha.items():
+        out.append(f"term: {a} [{f}]")
     return "\n".join(out) + "\n"
-
-
-def spec_from_formal_sum(alpha: FormalSum) -> IdentitySpec:
-    """The document of alpha, with no conjugate pairs."""
-    terms = tuple(TermSpec(Fraction(a), str(f), 0) for f, a in alpha.items())
-    return IdentitySpec(alpha.field_mode, alpha.coeff_mode, alpha.universe, (), terms)

@@ -21,7 +21,7 @@ from collections.abc import Iterable, Mapping
 from fractions import Fraction
 
 from .poly import join_signed
-from .ratfunc import RationalFunction, ZeroDenominator
+from .ratfunc import RationalFunction
 
 
 FIELD_MODES = ("Q", "Qi")
@@ -237,14 +237,10 @@ def five_term(
         raise DegenerateArguments("x = y degenerates the relation")
     _admissible(x, "x")
     _admissible(y, "y")
-    try:
-        a3 = _admissible(y / x, "y/x")
-        a4 = _admissible(x.one_minus() / y.one_minus(), "(1-x)/(1-y)")
-        a5 = _admissible(
-            x.inverse().one_minus() / y.inverse().one_minus(), "(1-1/x)/(1-1/y)"
-        )
-    except ZeroDenominator as exc:
-        raise DegenerateArguments(str(exc)) from exc
+    # with x and y admissible no divisor vanishes: each does only at x = 0 or y = 1
+    a3 = _admissible(y / x, "y/x")
+    a4 = _admissible(x.one_minus() / y.one_minus(), "(1-x)/(1-y)")
+    a5 = _admissible(x.inverse().one_minus() / y.inverse().one_minus(), "(1-1/x)/(1-1/y)")
     pairs = ((x, 1), (y, -1), (a3, 1), (a4, 1), (a5, -1))
     return FormalSum(x.universe, pairs, field_mode, coeff_mode)
 

@@ -1,6 +1,6 @@
 """Fixed-precision p-adic arithmetic, the branch-dependent p-adic logarithm,
-the dilogarithm Li_{p,2} on its convergence disc, and the branch-difference
-pairing on boundary images.
+the dilogarithm Li_{p,2} on its convergence disc, and the branch difference
+of a formal sum's value at a rational point.
 
 A PadicNumber is p^val * unit with the unit kept modulo p^prec, so the
 value is known modulo p^(val+prec); a number whose digits have all
@@ -17,9 +17,9 @@ power (squaring, for p = 2) and dividing the result back out.
 On the disc v_p(z) >= 1:
     D_p(z) = Li_{p,2}(z) + (1/2) log(z) log(1-z),
 and for two branches differing by Delta = logA(p) - logB(p), the value of
-the sum attached to a wedge element at a rational point moves by
+a formal sum sum a [z] at a rational point moves by
 
-    sum a * Delta/2 * (v(f) log(g) - v(g) log(f)),
+    sum a * Delta/2 * (v(z) log(1-z) - v(1-z) log(z)),
 
 the bracket being branch-independent, which is what branch_diff computes.
 """
@@ -31,9 +31,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .primes import int_quotient, strip_power
-from .ratfunc import INF
-from .scalars import FieldElement
-from .wedge import WedgeElement
 
 
 EXACT = 10**9  # valuation sentinel for an exact zero
@@ -47,10 +44,6 @@ class OutOfDisc(ValueError):
     pass
 
 
-class GeneratorVanishesAtPoint(ValueError):
-    pass
-
-
 def _require_base(p: int):
     if p < 2:
         raise ValueError(f"a p-adic base must be at least 2, got {p}")
@@ -61,20 +54,6 @@ def _power(p: int, k: int) -> int:
     """p**k, cached as `primes._factor_int` is: a computation at one
     precision reduces modulo the same few powers in every operation."""
     return p**k
-
-
-def padic_valuation(q: Fraction, p: int) -> int:
-    return _split(q, p)[0]
-
-
-def _split(q: Fraction, p: int) -> tuple[int, int, int]:
-    """(v, n, d) with q = p^v * n / d and p dividing neither n nor d."""
-    _require_base(p)
-    if q == 0:
-        raise ValueError("zero has no finite valuation")
-    n, e = strip_power(q.numerator, p, int_quotient)
-    d, f = strip_power(q.denominator, p, int_quotient)
-    return e - f, n, d
 
 
 def _same_prime(a: "PadicNumber", b: "PadicNumber"):
@@ -110,7 +89,11 @@ class PadicNumber:
         q = Fraction(q)
         if q == 0:
             return PadicNumber.zero(p)
-        v, n, d = _split(q, p)
+        # q = p^v * n / d with p dividing neither n nor d
+        _require_base(p)
+        n, e = strip_power(q.numerator, p, int_quotient)
+        d, f = strip_power(q.denominator, p, int_quotient)
+        v = e - f
         m = _power(p, prec)
         unit = (n % m) * pow(d, -1, m) % m
         if unit == 0:
@@ -309,8 +292,6 @@ def li2p(z: PadicNumber) -> PadicNumber:
 
 def dp_disc(z: PadicNumber, branch: Branch) -> PadicNumber:
     """D_p(z) = Li_{p,2}(z) + (1/2) log(z) log(1-z) on the disc."""
-    if z.unit == 0 and z.val < 1:
-        raise OutOfDisc("need v_p(z) >= 1")
     if z.unit == 0:
         return li2p(z)
     if z.val < 1:
@@ -326,42 +307,28 @@ def dp_disc(z: PadicNumber, branch: Branch) -> PadicNumber:
 # ---------------------------------------------------------------------------
 
 
-def branch_diff(
-    w: WedgeElement,
-    point: dict[str, Fraction],
-    branch_a: Branch,
-    branch_b: Branch,
-    prec: int = 32,
-) -> PadicNumber:
-    """How much the p-adic value attached to w at the point moves between
-    two branches: sum over tensors of a * Delta/2 * (v(f)log(g) - v(g)log(f)),
-    with Delta the difference of the chosen log(p) values.  The bracket is
-    branch-independent, so it is evaluated with branch_a."""
+def branch_diff(value, branch_a: Branch, branch_b: Branch, prec: int = 32) -> PadicNumber:
+    """How much the p-adic value of a formal sum at a point moves between
+    two branches: over its terms a[z], sum a * Delta/2 * (v(z)log(1-z) -
+    v(1-z)log(z)), with Delta the difference of the chosen log(p) values.
+    The bracket is branch-independent, so it is evaluated with branch_a.
+
+    `value` is the sum's exact value at the point, as
+    specialize.evaluate_at_point returns it: constant arguments, none of
+    them 0 or 1."""
     p = branch_a.p
     if branch_b.p != p:
         raise ValueError("branches use different primes")
     delta = branch_a.log_of_p - branch_b.log_of_p
-    fe_point = {v: FieldElement(Fraction(q)) for v, q in point.items()}
     total = PadicNumber.zero(p)
-    for a, f, g in w.tensors:
-        fv = _eval_rational(f, fe_point)
-        gv = _eval_rational(g, fe_point)
-        fp = PadicNumber.from_rational(fv, p, prec)
-        gp = PadicNumber.from_rational(gv, p, prec)
-        bracket = plog(gp, branch_a).scale_rational(padic_valuation(fv, p)) - plog(
-            fp, branch_a
-        ).scale_rational(padic_valuation(gv, p))
+    for f, a in value.items():
+        z = f.constant_value()
+        if not z.is_rational():
+            raise ValueError("p-adic evaluation needs rational values")
+        zp = PadicNumber.from_rational(z.re, p, prec)
+        wp = PadicNumber.from_rational(1 - z.re, p, prec)  # w = 1 - z
+        bracket = plog(wp, branch_a).scale_rational(zp.val) - plog(zp, branch_a).scale_rational(
+            wp.val
+        )
         total = total + (delta * bracket).scale_rational(a * Fraction(1, 2))
     return total
-
-
-def _eval_rational(f, fe_point) -> Fraction:
-    v = f.evaluate(fe_point)
-    if v is INF:
-        raise GeneratorVanishesAtPoint(f"{f} has a pole at the point")
-    if v.is_zero():
-        raise GeneratorVanishesAtPoint(f"{f} vanishes at the point")
-    if not v.is_rational():
-        raise ValueError("p-adic evaluation needs rational values")
-    return v.re
-

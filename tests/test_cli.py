@@ -577,6 +577,29 @@ def test_specialize_partial_keeps_variables(run):
     load_document(doc_text)
 
 
+PAIRED_DOC = "dilog-identity v1\nfield: Qi\nvariables: x, z ~ w\nterm: 1 [x*z*w]\nterm: 1 [z]\n"
+
+
+def test_specialize_keeps_a_pair_whose_variables_survive(run):
+    code, out, _ = run(["specialize", "DOC:" + PAIRED_DOC, "--step", "x=2"])
+    assert code == 0
+    doc = out.split("\n", 2)[2]
+    assert "variables: z ~ w\n" in doc
+    # read with the pair, [z] + [2*z*w] is not constant on the conjugation
+    # locus; with the pair dropped both variables read as real and it is
+    code, out, _ = run(["check", "--cc", "-"], stdin=doc)
+    assert code == 1
+    assert "witness: beta1 pairing (w) ^ (w - 1) = -1" in out
+    unpaired = doc.replace("variables: z ~ w", "variables: z, w")
+    assert run(["check", "--cc", "-"], stdin=unpaired)[0] == 0
+
+
+def test_specialize_drops_a_pair_that_loses_a_variable(run):
+    code, out, _ = run(["specialize", "DOC:" + PAIRED_DOC, "--step", "z=3"])
+    assert code == 0
+    assert "variables: x, w\n" in out
+
+
 def test_specialize_bad_steps(run):
     code, _, err = run(["specialize", "DOC:" + SINGLE_DOC, "--step", "u=0"])
     assert code == 2
@@ -744,6 +767,29 @@ def test_relations_inversion_and_c(run):
     spec = load_document(out)
     assert spec.variables == ()
     assert {t.expression for t in spec.terms} == {"2", "-1"}
+
+
+@pytest.mark.parametrize(
+    "variables, message",
+    [
+        ("x,,y", "empty variable entry"),
+        ("x, 2y", "bad variable name '2y'"),
+        ("x, x", "duplicate variable name"),
+        ("z ~ z", "bad conjugate pair 'z ~ z'"),
+    ],
+)
+def test_relations_reads_variables_by_the_document_grammar(run, variables, message):
+    code, out, err = run(["relations", "c", "--variables", variables, "--c", "2"])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_relations_writes_a_declared_pair(run):
+    argv = ["relations", "five", "--variables", "z ~ w", "--field", "Qi", "--x", "z", "--y", "w"]
+    code, out, _ = run(argv)
+    assert code == 0
+    spec = load_document(out)
+    assert (spec.variables, spec.pairs) == (("z", "w"), (("z", "w"),))
+    assert run(["check", "--cc", "-"], stdin=out)[0] == 0
 
 
 def test_relations_missing_argument(run):
@@ -1087,6 +1133,90 @@ def test_branch_diff_accepts_the_default_precision_at_the_largest_provable_prime
     )
     assert (code, err) == (0, "")
     assert out.startswith("p: 1000001999917\n")
+
+
+def _branch_report(a, b, difference, p, point, precision):
+    return {
+        "branch_a_log_p": a,
+        "branch_b_log_p": b,
+        "difference": difference,
+        "p": p,
+        "point": point,
+        "precision": precision,
+    }
+
+
+# --json reports of padic-branch-diff as they were when it read the boundary
+BRANCH_DIFF_GOLDEN = [
+    (
+        FIVE_DOC,
+        ["--p", "5", "--point", "x=2,y=7"],
+        _branch_report("0", "1", "O(5^32)", 5, {"x": "2", "y": "7"}, 32),
+    ),
+    (
+        FIVE_DOC,
+        ["--p", "5", "--point", "x=5,y=3"],
+        _branch_report("0", "1", "O(5^32)", 5, {"x": "5", "y": "3"}, 32),
+    ),
+    (
+        SINGLE_DOC,
+        ["--p", "5", "--point", "t=5"],
+        _branch_report("0", "1", "5^1 * 674482156008823086933 + O(5^32)", 5, {"t": "5"}, 32),
+    ),
+    (
+        SINGLE_DOC,
+        ["--p", "5", "--point", "t=5", "--branch-a", "1", "--branch-b", "1"],
+        _branch_report("1", "1", "O(5^33)", 5, {"t": "5"}, 32),
+    ),
+    (
+        SINGLE_DOC,
+        ["--p", "5", "--point", "t=1/25", "--prec", "40"],
+        _branch_report(
+            "0", "1", "5^2 * 355224133670133047666747174 + O(5^40)", 5, {"t": "1/25"}, 40
+        ),
+    ),
+    (
+        FIVE_DOC,
+        ["--p", "3", "--point", "x=10,y=15/7"],
+        _branch_report("0", "1", "O(3^32)", 3, {"x": "10", "y": "15/7"}, 32),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "doc, flags, report",
+    BRANCH_DIFF_GOLDEN,
+    ids=["five-2-7", "five-5-3", "t-5", "t-5-same-branch", "t-1/25-prec-40", "five-p3"],
+)
+def test_branch_diff_golden(run, doc, flags, report):
+    code, out, err = run(["padic-branch-diff", "DOC:" + doc, *flags, "--json"])
+    assert (code, err) == (0, "")
+    assert out == json.dumps(report, sort_keys=True, indent=2) + "\n"
+
+
+def test_branch_diff_builds_no_boundary(run, monkeypatch):
+    # the difference is read from the sum's value at the point
+    import dilogeq.cli as cli
+
+    def refuse(alpha):
+        raise AssertionError("boundary called")
+
+    monkeypatch.setattr(cli, "boundary", refuse)
+    code, out, err = run(["padic-branch-diff", "DOC:" + FIVE_DOC, "--p", "5", "--point", "x=2,y=7"])
+    assert (code, err) == (0, "")
+    assert "value difference (branch a minus branch b): O(5^32)" in out
+
+
+@pytest.mark.parametrize(
+    "point, message",
+    [
+        ("t=0", "argument [t] is not admissible at the point: the value is 0"),
+        ("t=1", "argument [t] is not admissible at the point: the value is 1"),
+    ],
+)
+def test_branch_diff_refuses_a_point_outside_the_admissible_set(run, point, message):
+    code, out, err = run(["padic-branch-diff", "DOC:" + SINGLE_DOC, "--p", "5", "--point", point])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 # -- top level ----------------------------------------------------------------------

@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 from dilogeq.cli import build_parser, main
-from dilogeq.document import IdentitySpec, dump_document
+from dilogeq.document import dump_document
+from dilogeq.formal import FormalSum
 from dilogeq.padic import PadicNumber
 from helpers import fresh
 
@@ -222,9 +223,11 @@ def test_padic_rejects_bad_input():
 
 
 def test_dump_rejects_undeclared_pair():
-    spec = IdentitySpec("Qi", "Z", ("z",), (("a", "b"),), ())
     with pytest.raises(ValueError):
-        dump_document(spec)
+        dump_document(FormalSum.zero(("z",), "Qi"), (("a", "b"),))
+    # a pair split by another variable would read back in another order
+    with pytest.raises(ValueError):
+        dump_document(FormalSum.zero(("z", "x", "w"), "Qi"), (("z", "w"),))
 
 
 def test_traced_names_resolve():

@@ -56,6 +56,13 @@ def test_blochfq_loads_only_its_own_modules():
     assert loaded == expected
 
 
+def test_padic_loads_only_primes():
+    # branch_diff reads a sum's value at a point, so padic needs no wedge,
+    # ratfunc or document layer; primes brings scalars
+    loaded = fresh("import dilogeq.padic" + LOADED)
+    assert loaded == ["dilogeq", "dilogeq.padic", "dilogeq.primes", "dilogeq.scalars"]
+
+
 @pytest.mark.parametrize(
     "flags, present, absent",
     [

@@ -10,19 +10,17 @@ from hypothesis import strategies as st
 from dilogeq.formal import FormalSum
 from dilogeq.padic import (
     Branch,
-    GeneratorVanishesAtPoint,
     OutOfDisc,
     PadicNumber,
     ZeroArgument,
     branch_diff,
     dp_disc,
     li2p,
-    padic_valuation,
     plog,
 )
 from dilogeq.ratfunc import RationalFunction
 from dilogeq.scalars import fe
-from dilogeq.wedge import WedgeElement, boundary
+from dilogeq.specialize import PointNotAdmissible, evaluate_at_point
 
 from helpers import agree_to, is_exact_zero, is_zeroish, teichmuller
 
@@ -41,30 +39,42 @@ def pad(q, p=5, prec=32):
     return PadicNumber.from_rational(q, p, prec)
 
 
+def value(*terms, field_mode="Q"):
+    """The constant formal sum of the (coefficient, rational or Gaussian
+    value) terms: a sum's value at a point, as evaluate_at_point gives it."""
+    pairs = [
+        (RationalFunction.const((), fe(*z) if isinstance(z, tuple) else fe(z)), a)
+        for a, z in terms
+    ]
+    return FormalSum((), pairs, field_mode, "Z")
+
+
 # -- valuations and representation ------------------------------------------------
 
 
 def test_padic_valuation():
-    assert padic_valuation(Fraction(50), 5) == 2
-    assert padic_valuation(Fraction(1, 25), 5) == -2
-    assert padic_valuation(Fraction(3), 5) == 0
-    assert padic_valuation(Fraction(12), 2) == 2
-    assert padic_valuation(Fraction(-9, 10), 3) == 2
-    assert padic_valuation(Fraction(5**100000 * 3, 7), 5) == 100000
-    with pytest.raises(ValueError):
-        padic_valuation(Fraction(0), 5)
+    # the valuation is exact whatever the precision of the unit
+    for q, p, v in [
+        (Fraction(50), 5, 2),
+        (Fraction(1, 25), 5, -2),
+        (Fraction(3), 5, 0),
+        (Fraction(12), 2, 2),
+        (Fraction(-9, 10), 3, 2),
+        (Fraction(5**100000 * 3, 7), 5, 100000),
+    ]:
+        for prec in (1, 32):
+            assert PadicNumber.from_rational(q, p, prec).val == v
+    assert is_exact_zero(PadicNumber.from_rational(0, 5, 8))
 
 
 @pytest.mark.parametrize("p", [1, 0, -5])
 def test_bases_below_two_are_refused(p):
     # with p = 1 the valuation loop divided by 1 forever
-    w = boundary(FormalSum.single(const(Fraction(5, 3))))
     calls = [
-        lambda: padic_valuation(Fraction(3), p),
         lambda: PadicNumber.from_rational(Fraction(3), p, 8),
         lambda: PadicNumber.from_rational(Fraction(0), p, 8),
         lambda: Branch.of(p, Fraction(1)),
-        lambda: branch_diff(w, {"t": Fraction(2)}, Branch(p, pad(1)), Branch(p, pad(1))),
+        lambda: branch_diff(value((1, Fraction(5, 3))), Branch(p, pad(1)), Branch(p, pad(1))),
     ]
     for call in calls:
         with pytest.raises(ValueError, match="at least 2"):
@@ -276,14 +286,12 @@ def test_single_term_branch_difference():
     z = Fraction(5)
     A, B = BRANCHES[0], BRANCHES[1]
     direct = dp_disc(pad(z), A) - dp_disc(pad(z), B)
-    w = boundary(FormalSum.single(const(z)))
-    formula = branch_diff(w, {"t": Fraction(3)}, A, B)
+    formula = branch_diff(value((1, z)), A, B)
     assert agree_to(direct, formula, 30)
 
 
 def test_branch_difference_matches_dp_disc_on_sums():
     rnd = random.Random(23)
-    pt = {"t": Fraction(3)}
     for trial in range(12):
         total = FormalSum.zero(T, "Q", "Z")
         for _ in range(rnd.randint(1, 3)):
@@ -302,7 +310,7 @@ def test_branch_difference_matches_dp_disc_on_sums():
             z = f.evaluate({"t": fe(3)}).re
             diff = dp_disc(pad(z), A) - dp_disc(pad(z), B)
             direct = direct + diff.scale_rational(coeff)
-        formula = branch_diff(boundary(total), pt, A, B)
+        formula = branch_diff(evaluate_at_point(total, {"t": fe(3)}), A, B)
         assert agree_to(direct, formula, 30), trial
 
 
@@ -315,25 +323,31 @@ def test_bracket_is_branch_independent():
             ba = plog(g, A).scale_rational(1) - plog(f, A).scale_rational(1)
             bb = plog(g, B).scale_rational(1) - plog(f, B).scale_rational(1)
             assert agree_to(ba, bb, 30)
-    w = WedgeElement(T, [(1, const(10), const(15))])
-    d_ab = branch_diff(w, {"t": Fraction(2)}, BRANCHES[0], BRANCHES[3])
-    d_ba = branch_diff(w, {"t": Fraction(2)}, BRANCHES[3], BRANCHES[0])
+    # a sum whose terms carry valuations on both sides of the bracket
+    alpha = value((1, 10), (-2, Fraction(1, 15)), (3, Fraction(5, 6)))
+    d_ab = branch_diff(alpha, BRANCHES[0], BRANCHES[3])
+    d_ba = branch_diff(alpha, BRANCHES[3], BRANCHES[0])
+    assert not is_zeroish(d_ab)
     assert agree_to(d_ab, -d_ba, 30)
 
 
 def test_branch_diff_same_branch_is_zero():
-    w = boundary(FormalSum.single(const(Fraction(5, 3))))
-    d = branch_diff(w, {"t": Fraction(2)}, BRANCHES[1], BRANCHES[1])
+    d = branch_diff(value((1, Fraction(5, 3)), (2, 10)), BRANCHES[1], BRANCHES[1])
     assert is_zeroish(d)
 
 
 def test_branch_diff_argument_guards():
-    w = WedgeElement(T, [(1, t(), t().one_minus())])
-    with pytest.raises(GeneratorVanishesAtPoint):
-        branch_diff(w, {"t": Fraction(0)}, BRANCHES[0], BRANCHES[1])
-    w2 = WedgeElement(T, [(1, t().inverse(), const(2))])
-    with pytest.raises(GeneratorVanishesAtPoint):
-        branch_diff(w2, {"t": Fraction(0)}, BRANCHES[0], BRANCHES[1])
-    with pytest.raises(ValueError):
-        branch_diff(w, {"t": Fraction(2)}, Branch.of(5, 0), Branch.of(7, 0))
+    # a point where an argument vanishes, hits 1 or has a pole has no value
+    for alpha, point in [
+        (FormalSum.single(t()), 0),
+        (FormalSum.single(t()), 1),
+        (FormalSum.single(t().inverse() + const(1)), 0),
+    ]:
+        with pytest.raises(PointNotAdmissible):
+            evaluate_at_point(alpha, {"t": fe(point)})
+    with pytest.raises(ValueError, match="different primes"):
+        branch_diff(value((1, 5)), Branch.of(5, 0), Branch.of(7, 0))
+    gaussian = value((1, (2, 1)), field_mode="Qi")
+    with pytest.raises(ValueError, match="rational values"):
+        branch_diff(gaussian, BRANCHES[0], BRANCHES[1])
 

@@ -11,12 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dilogeq.document import (
-    DocumentError,
-    dump_document,
-    load_document,
-    spec_from_formal_sum,
-)
+from dilogeq.document import DocumentError, dump_document, load_document
 from dilogeq.exprparse import (
     MAX_COEFFICIENT_BITS,
     MAX_DEGREE,
@@ -30,6 +25,8 @@ from dilogeq.exprparse import (
 from dilogeq.formal import FormalSum, check_term, five_term
 from dilogeq.ratfunc import RationalFunction, ZeroDenominator
 from dilogeq.scalars import FieldElement
+
+from helpers import random_formal_sum
 
 XY = ("x", "y")
 
@@ -448,17 +445,6 @@ def test_empty_variables_line_means_constants_only():
     assert len(spec.formal_sum()) == 1
 
 
-def _same_content(a, b):
-    return (
-        a.field_mode == b.field_mode
-        and a.coeff_mode == b.coeff_mode
-        and a.variables == b.variables
-        and a.pairs == b.pairs
-        and [(t.coefficient, t.expression) for t in a.terms]
-        == [(t.coefficient, t.expression) for t in b.terms]
-    )
-
-
 def test_dump_load_round_trip():
     for text in (
         DOC,
@@ -466,28 +452,44 @@ def test_dump_load_round_trip():
         "dilog-identity v1\nfield: Qi\nvariables: z ~ zbar, w\nterm: 1 [z*w]\n",
     ):
         spec = load_document(text)
-        again = load_document(dump_document(spec))
-        assert _same_content(spec, again)
+        again = load_document(dump_document(spec.formal_sum(), spec.pairs))
         assert again.formal_sum() == spec.formal_sum()
+        assert (again.variables, again.pairs) == (spec.variables, spec.pairs)
 
 
-def test_spec_from_formal_sum_round_trip():
+def test_dump_document_round_trip():
     x, y = var("x"), var("y")
     alpha = five_term(x * y, y - rf_const(3))
-    spec = spec_from_formal_sum(alpha)
-    again = load_document(dump_document(spec))
+    again = load_document(dump_document(alpha, ()))
     assert again.formal_sum() == alpha
 
 
-def test_spec_from_formal_sum_gaussian_round_trip():
+def test_dump_document_gaussian_round_trip():
     u = ("z",)
     z = var("z", u)
     i = RationalFunction.const(u, FieldElement.i())
     f = (rf_const(1, u) + rf_const(2, u) * i) * z + i
     alpha = FormalSum.single(f, 2, "Qi", "Z") + FormalSum.single(z + i, -1, "Qi", "Z")
-    again = load_document(dump_document(spec_from_formal_sum(alpha)))
+    again = load_document(dump_document(alpha, ()))
     assert again.formal_sum() == alpha
     assert again.field_mode == "Qi"
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_vars=st.integers(0, 3),
+    field_mode=st.sampled_from(("Q", "Qi")),
+    coeff_mode=st.sampled_from(("Z", "Q")),
+    paired=st.booleans(),
+)
+def test_dump_document_round_trips_random_sums(seed, n_vars, field_mode, coeff_mode, paired):
+    universe = ("z", "w", "x")[:n_vars]
+    pairs = (("z", "w"),) if paired and n_vars >= 2 else ()
+    alpha = random_formal_sum(random.Random(seed), universe, 3, 2, field_mode, coeff_mode)
+    spec = load_document(dump_document(alpha, pairs))
+    assert spec.formal_sum() == alpha
+    assert spec.pairs == pairs
 
 
 # -- one document parses each distinct group once ------------------------------------
