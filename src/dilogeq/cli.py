@@ -509,6 +509,8 @@ def _parse_point(src: str, variables) -> dict[str, Fraction]:
         name = name.strip()
         if not sep or name not in variables:
             raise ValueError(f"bad point coordinate {part!r}")
+        if name in point:
+            raise ValueError(f"the point assigns {name} twice")
         point[name] = Fraction(val.strip())
     return point
 

@@ -139,9 +139,9 @@ def _tokenize(src: str) -> list[_Token]:
         elif ch in " \t\r":
             col += 1
             i += 1
-        elif ch.isdigit():
+        elif ch.isdecimal():  # what int() reads; isdigit() also takes '²'
             j = i
-            while j < n and src[j].isdigit():
+            while j < n and src[j].isdecimal():
                 j += 1
             out.append(_Token("int", src[i:j], line, col))
             col += j - i

@@ -86,6 +86,8 @@ class PadicNumber:
 
     @staticmethod
     def from_rational(q, p: int, prec: int) -> "PadicNumber":
+        if prec < 1:
+            raise ValueError(f"precision must be at least 1, got {prec}")
         q = Fraction(q)
         if q == 0:
             return PadicNumber.zero(p)
@@ -95,10 +97,8 @@ class PadicNumber:
         d, f = strip_power(q.denominator, p, int_quotient)
         v = e - f
         m = _power(p, prec)
-        unit = (n % m) * pow(d, -1, m) % m
-        if unit == 0:
-            return PadicNumber.zero(p, v + prec)
-        return PadicNumber(p, v, unit, prec)
+        # p divides neither n nor d, so the unit is not 0 mod p
+        return PadicNumber(p, v, (n % m) * pow(d, -1, m) % m, prec)
 
     # -- structure ----------------------------------------------------------
 

@@ -11,21 +11,27 @@ leading coefficient is 1; over a field that also fixes the content.  Every
 unit removed during normalization is handed back to the caller so nothing
 is lost.
 
-The gcd is computed by a primitive polynomial-remainder sequence with
-content recursion.  In front of it sits a modular-image test that can only
-certify coprimality (see `_images_coprime`): each polynomial keeps, per
-variable it uses, one univariate image over GF(P) for a fixed prime
-P = 1 (mod 4), with i sent to a square root of -1 and the other variables
-to fixed residues.  Random inputs are almost always coprime, so this test
-answers most calls; `squarefree_parts` uses the same images to certify a
-squarefree input.  Each polynomial's images also name its decisive
-variable, one x_k in which it is primitive (one of its coefficients in x_k
-is a nonzero constant): Gauss's lemma lets the image in x_k alone decide,
-and a linear image is tested by evaluating the other image at its root.
-One pair test (`_images_coprime`) serves every caller.  A pair the images
-cannot certify takes the exact path, so no verdict depends on P or on the
-point.  That path serves one variable too: there every coefficient is a
-constant, and so is the content of each remainder.
+No gcd runs a remainder sequence.  `poly_gcd` tries four things in turn.
+First a modular-image test, which can only certify coprimality (see
+`_images_coprime`): each polynomial keeps, per variable it uses, one
+univariate image over GF(P) for a fixed prime P = 1 (mod 4), with i sent
+to a square root of -1 and the other variables to fixed residues.  Random
+inputs are almost always coprime, so this test answers most calls;
+`squarefree_parts` uses the same images to certify a squarefree input.
+Each polynomial's images also name its decisive variable, one x_k in which
+it is primitive (one of its coefficients in x_k is a nonzero constant):
+Gauss's lemma lets the image in x_k alone decide, and a linear image is
+tested by evaluating the other image at its root.  One pair test
+(`_images_coprime`) serves every caller.  Then the monomial content:
+gcd(p, q) = x^min(lp, lq) * gcd(p / x^lp, q / x^lq), lp and lq the least
+exponents of each variable, since every variable is irreducible and
+divides neither quotient; the common single-variable gcds (x of 3x^2y - xy
+and xy^2 - 3x^2) end there.  Then exact division, since in a pair the
+images leave open one side often divides the other (x - 1 and x^2 - 1).
+What is still open goes to Brown's modular gcd over Z[i] (`modular`,
+loaded on the first such pair), whose candidate is kept only when it
+divides both inputs, so no verdict depends on P, on the primes or on the
+points.
 
 `squarefree_parts` first takes out the monomial content x^low, read from
 the least exponent of each variable: every variable is irreducible and
@@ -37,6 +43,7 @@ from __future__ import annotations
 
 import heapq
 from functools import cache
+from math import lcm
 from typing import Callable
 
 from .scalars import FieldElement, MINUS_ONE, ONE, ZERO
@@ -55,7 +62,9 @@ def _heap_key(exp: Exponents):
 
 
 class MultiPoly:
-    __slots__ = ("universe", "terms", "_lead", "_hash", "_canon", "_sort_key", "_images", "_complex")
+    __slots__ = (
+        "universe", "terms", "_lead", "_hash", "_canon", "_sort_key", "_images", "_complex", "_monic"
+    )
 
     def __init__(self, universe: tuple[str, ...], terms: dict[Exponents, FieldElement]):
         self.universe = tuple(universe)
@@ -67,6 +76,7 @@ class MultiPoly:
         self._sort_key = None
         self._images = None
         self._complex = None
+        self._monic = None
 
     # -- constructors ------------------------------------------------
 
@@ -359,8 +369,11 @@ class MultiPoly:
         lc = self.lead_coeff()
         if lc.is_one():
             return ONE, self
-        inv = lc.inverse()
-        return lc, self.map_coeffs(lambda c: c * inv)
+        if self._monic is None:
+            # kept, so every caller shares one monic object and its hash
+            inv = lc.inverse()
+            self._monic = self.map_coeffs(lambda c: c * inv)
+        return lc, self._monic
 
     def divide_exact(self, divisor: "MultiPoly") -> "MultiPoly | None":
         """Exact quotient, or None when the division does not come out even."""
@@ -477,16 +490,14 @@ class _Images:
     polynomial uses, or None when unusable; `decisive` is the k with a
     usable image for which it is x_k-primitive (`_reduce_mod_p` gives the
     test), the one with the lowest-degree image and the lowest k on a tie,
-    or None; `roots[k]` is the root in GF(P) of each usable image of
-    degree 1.
+    or None.
     """
 
-    __slots__ = ("images", "decisive", "roots")
+    __slots__ = ("images", "decisive")
 
-    def __init__(self, images, decisive=None, roots=None):
+    def __init__(self, images, decisive=None):
         self.images: dict[int, list[int] | None] = images
         self.decisive: int | None = decisive
-        self.roots: dict[int, int] = roots or {}
 
 
 def _reduce_mod_p(p: MultiPoly) -> _Images:
@@ -522,7 +533,6 @@ def _reduce_mod_p(p: MultiPoly) -> _Images:
     totals = [sum(e) for e in terms]
     images: dict[int, list[int] | None] = {}
     decisive = None
-    roots = {}
     for k in used:
         others = [(j, powers[j]) for j in used if j != k]
         img = [0] * (high[k] + 1)
@@ -543,14 +553,12 @@ def _reduce_mod_p(p: MultiPoly) -> _Images:
             alone[j] = j == t and j not in alone
         if any(alone.values()) and (decisive is None or len(img) < len(images[decisive])):
             decisive = k
-        if len(img) == 2:
-            roots[k] = -img[0] * pow(img[1], -1, _P) % _P
-    return _Images(images, decisive, roots)
+    return _Images(images, decisive)
 
 
-def _gf_coprime(a: list[int], b: list[int]) -> bool:
-    """Whether two polynomials over GF(P) with nonzero leading coefficients
-    have a constant gcd (Euclid's algorithm).  Each step scales the
+def gf_gcd(a: list[int], b: list[int], p: int) -> list[int]:
+    """A gcd over GF(p), up to a unit, of two polynomials with nonzero
+    leading coefficients (Euclid's algorithm).  Each step scales the
     dividend by the divisor's leading coefficient, a unit, instead of
     dividing by it: the gcd is the same and no inverse is taken."""
     a, b = list(a), list(b)
@@ -560,33 +568,36 @@ def _gf_coprime(a: list[int], b: list[int]) -> bool:
         while len(a) > db:
             f = a.pop()
             shift = len(a) - db
-            a = [c * lb % _P for c in a]
+            a = [c * lb % p for c in a]
             for j in range(db):
-                a[shift + j] = (a[shift + j] - f * b[j]) % _P
+                a[shift + j] = (a[shift + j] - f * b[j]) % p
             while a and not a[-1]:
                 a.pop()
         a, b = b, a
-    return len(a) == 1
+    return a
 
 
-def _gf_value(a: list[int], r: int) -> int:
-    """a(r) over GF(P), by Horner's rule."""
-    v = 0
-    for c in reversed(a):
-        v = (v * r + c) % _P
-    return v
+def _gf_coprime(a: list[int], b: list[int]) -> bool:
+    """Whether two polynomials over GF(P) with nonzero leading coefficients
+    have a constant gcd."""
+    return len(gf_gcd(a, b, _P)) == 1
 
 
 def _images_coprime_in(ip: _Images, iq: _Images, k: int) -> bool:
     """Whether the usable images in x_k have a constant gcd.  A linear
-    image divides the other exactly when the other vanishes at its root."""
-    r = ip.roots.get(k)
-    if r is not None:
-        return _gf_value(iq.images[k], r) != 0
-    r = iq.roots.get(k)
-    if r is not None:
-        return _gf_value(ip.images[k], r) != 0
-    return _gf_coprime(ip.images[k], iq.images[k])
+    image l0 + l1*x divides the other, b, exactly when b vanishes at its
+    root -l0/l1, that is when l1^deg(b) * b(-l0/l1) = 0: Horner's rule on
+    b homogenized gives that with no inverse."""
+    a, b = ip.images[k], iq.images[k]
+    if len(b) == 2:
+        a, b = b, a
+    if len(a) != 2:
+        return _gf_coprime(a, b)
+    t, v, w = -a[0], 0, 1
+    for c in reversed(b):
+        v = (v * t + c * w) % _P
+        w = w * a[1] % _P
+    return v != 0
 
 
 def _images_coprime(p: MultiPoly, q: MultiPoly) -> bool:
@@ -629,7 +640,7 @@ def _images_coprime(p: MultiPoly, q: MultiPoly) -> bool:
         if k not in ib.images:
             return True
         if ib.images[k] is not None:
-            if k in ia.roots or k in ib.roots:
+            if len(ia.images[k]) == 2 or len(ib.images[k]) == 2:
                 return _images_coprime_in(ip, iq, k)
             if first is None:
                 first = k
@@ -683,51 +694,15 @@ def _exact_quotient(p: MultiPoly, d: MultiPoly) -> MultiPoly:
     return q
 
 
-def _content_pp(p: MultiPoly, var: str) -> tuple[MultiPoly, MultiPoly]:
-    """p = content * pp with content free of `var`, pp primitive in `var`."""
-    coeffs = list(p.coeffs_in(var).values())
-    cont = coeffs[0]
-    for c in coeffs[1:]:
-        if cont.is_constant():
-            break
-        cont = poly_gcd(cont, c)
-    if cont.is_constant():
-        one = MultiPoly.one(p.universe)
-        return one, p
-    _, cont = cont.primitive_monic()
-    return cont, _exact_quotient(p, cont)
-
-
-def _prem(a: MultiPoly, b: MultiPoly, var: str) -> MultiPoly:
-    db = b.degree_in(var)
-    lb = b.lead_coeff_in(var)
-    idx = a.universe.index(var)
-    n = len(a.universe)
-    while not a.is_zero() and a.degree_in(var) >= db:
-        da = a.degree_in(var)
-        la = a.lead_coeff_in(var)
-        shift = tuple((da - db) if i == idx else 0 for i in range(n))
-        a = lb * a - (la * b).mul_term(shift, ONE)
-    return a
-
-
-def _pp_gcd(a: MultiPoly, b: MultiPoly, var: str) -> MultiPoly:
-    """gcd of two polynomials primitive in var, both of positive var-degree."""
-    if _images_coprime(a, b):
-        return MultiPoly.one(a.universe)
-    if a.degree_in(var) < b.degree_in(var):
-        a, b = b, a
-    while not b.is_zero():
-        r = _prem(a, b, var)
-        if not r.is_zero():
-            _, r = _content_pp(r, var)
-            _, r = r.primitive_monic()
-        a, b = b, r
-    if a.degree_in(var) == 0:
-        return MultiPoly.one(a.universe)
-    _, a = _content_pp(a, var)
-    _, a = a.primitive_monic()
-    return a
+def _without_monomial(p: MultiPoly) -> tuple[Exponents, MultiPoly]:
+    """(low, p / x^low), low_v the least exponent of v in any term of p.
+    Shifting every exponent by low keeps the graded-lex leader, so the
+    quotient of a monic p is monic."""
+    low = tuple(map(min, zip(*p.terms)))
+    if not any(low):
+        return low, p
+    shifted = {tuple(a - b for a, b in zip(e, low)): c for e, c in p.terms.items()}
+    return low, MultiPoly(p.universe, shifted)
 
 
 def poly_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
@@ -742,19 +717,32 @@ def poly_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
         return p.primitive_monic()[1]
     if _images_coprime(p, q):
         return MultiPoly.one(p.universe)
-    pv, qv = set(p.vars_used()), set(q.vars_used())
-    var = next(v for v in p.universe if v in pv or v in qv)
-    if var not in pv:
-        cont, _ = _content_pp(q, var)
-        return poly_gcd(p, cont)
-    if var not in qv:
-        cont, _ = _content_pp(p, var)
-        return poly_gcd(cont, q)
-    cp, ap = _content_pp(p, var)
-    cq, aq = _content_pp(q, var)
-    cg = poly_gcd(cp, cq)
-    g = _pp_gcd(ap, aq, var)
-    return (cg * g).primitive_monic()[1]
+    (lp, p1), (lq, q1) = _without_monomial(p), _without_monomial(q)
+    if any(lp) or any(lq):
+        # each variable is irreducible and divides neither quotient
+        low = tuple(map(min, lp, lq))
+        g = poly_gcd(p1, q1)
+        return g.mul_term(low, ONE) if any(low) else g
+    # a pair the images leave open often has one side dividing the other
+    small, large = sorted((p, q), key=MultiPoly.total_degree)
+    if large.divide_exact(small) is not None:
+        return small.primitive_monic()[1]
+    return _modular_gcd(p, q)
+
+
+def _modular_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
+    """gcd of non-constant p and q: the first candidate of
+    `modular.gcd_candidates` that divides both."""
+    from .modular import gcd_candidates  # loaded by the first pair that gets this far
+
+    ints = []
+    for f in (p, q):
+        m = lcm(*(c.d for c in f.terms.values()))  # clears every denominator
+        ints.append({e: (c.a * (m // c.d), c.b * (m // c.d)) for e, c in f.terms.items()})
+    for candidate in gcd_candidates(*ints):
+        g = MultiPoly(p.universe, {e: FieldElement(*c) for e, c in candidate.items()})
+        if g.is_one() or p.divide_exact(g) is not None and q.divide_exact(g) is not None:
+            return g.primitive_monic()[1]
 
 
 def squarefree_parts(p: MultiPoly) -> list[tuple[MultiPoly, int]]:
@@ -769,14 +757,8 @@ def squarefree_parts(p: MultiPoly) -> list[tuple[MultiPoly, int]]:
     _, p = p.primitive_monic()
     if p.is_constant():
         return []
-    low = tuple(map(min, zip(*p.terms)))
+    low, rest = _without_monomial(p)
     if any(low):
-        # shifting every exponent by low keeps the graded-lex leader: the
-        # quotient is monic and has no monomial content
-        rest = MultiPoly(
-            p.universe,
-            {tuple(a - b for a, b in zip(e, low)): c for e, c in p.terms.items()},
-        )
         parts = {k: g for g, k in squarefree_parts(rest)}
         for m in set(low) - {0}:
             mono = tuple(int(k == m) for k in low)

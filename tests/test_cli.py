@@ -1094,6 +1094,11 @@ def test_branch_diff_point_errors(run):
     assert code == 2
     assert "bad point coordinate" in err
 
+    code, out, err = run(
+        ["padic-branch-diff", "DOC:" + FIVE_DOC, "--p", "5", "--point", "x=2,x=3,y=7"]
+    )
+    assert (code, out, err) == (2, "", "error: the point assigns x twice\n")
+
 
 @pytest.mark.parametrize(
     "flag, value, message",

@@ -99,6 +99,13 @@ def test_zero_bookkeeping():
     assert str(PadicNumber.zero(5)) == "0"
 
 
+@pytest.mark.parametrize("q", [Fraction(3, 5), Fraction(0)])
+def test_from_rational_needs_a_precision(q):
+    for prec in (0, -2):
+        with pytest.raises(ValueError, match="precision must be at least 1"):
+            PadicNumber.from_rational(q, 5, prec)
+
+
 def test_cancellation_keeps_a_precision_floor():
     a = pad(Fraction(7, 2), prec=8)
     d = a - a

@@ -130,6 +130,16 @@ def test_syntax_error_positions():
     assert (ei.value.line, ei.value.col) == (1, 5)
 
 
+def test_only_decimal_digits_make_numbers():
+    # '²' is a digit to str.isdigit but not to int(): it is an unexpected
+    # character with its place, while an Arabic-Indic three reads as 3
+    with pytest.raises(ExprSyntaxError) as ei:
+        parse_expression("x^²", XY)
+    assert "unexpected character '²'" in str(ei.value)
+    assert (ei.value.line, ei.value.col) == (1, 3)
+    assert parse_expression("x^\u0663", XY) == var("x") ** 3
+
+
 def test_syntax_error_is_a_syntax_error():
     with pytest.raises(SyntaxError):
         parse_expression("x +", XY)

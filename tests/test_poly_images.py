@@ -64,8 +64,8 @@ def test_gcd_matches_sympy(nvars, gaussian, seed):
 )
 @settings(max_examples=30, deadline=None)
 def test_squarefree_parts_match_sympy(nvars, gaussian, seed, ex, ey):
-    # the exact path's remainder sequence grows fast with the degree in
-    # three variables, so those inputs stay small
+    # sympy's factorization over Q(i) grows slow with the degree in three
+    # variables, so those inputs stay small
     [a] = draw_polys(nvars, gaussian, seed, 1, max_deg=1 if nvars == 3 else 2)
     b, c = draw_polys(nvars, gaussian, seed + 1, 2, max_deg=1)
     # monomial content x^ex * y^ey, or x^ex in one variable
