@@ -351,6 +351,7 @@ def _cmd_specialize(args) -> int:
     kept = tuple(pr for pr in spec.pairs if set(pr) <= set(result.universe))
     doc = dump_document(result, kept)
     report = {
+        "pairs": [list(pr) for pr in kept],
         "result": str(result),
         "variables": list(result.universe),
         "terms": [

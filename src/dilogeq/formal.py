@@ -103,9 +103,6 @@ class FormalSum:
 
     # -- structure ---------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def items(self) -> list[tuple[RationalFunction, Fraction]]:
         return sorted(self.terms.items(), key=lambda t: t[0].sort_key())
 

@@ -278,14 +278,15 @@ def numeric_probe(
         raise ValueError("mod-pi^2/2 probe needs integer coefficients")
     args = [f for f, _ in terms]
 
-    raw_values: list[float] = []
-    mod_values: list[ModPiSqHalf] = []
+    # a real total is a class mod pi^2/2, read as its centered offset from
+    # the first one, so that a flat sum near the wrap does not read as spread
+    base = None
+    readings: list[float] = []
     tries = 0
-    while len(raw_values) + len(mod_values) < samples:
+    while len(readings) < samples:
         if tries >= 400 * samples:
             raise SamplingExhausted(
-                f"found {len(raw_values) + len(mod_values)} admissible points "
-                f"in {tries} draws (need {samples})"
+                f"found {len(readings)} admissible points in {tries} draws (need {samples})"
             )
         tries += 1
         values = _sample_point(alpha.universe, args, rng, domain)
@@ -295,20 +296,17 @@ def numeric_probe(
             total = ModPiSqHalf.of(0.0)
             for (_, a), val in zip(terms, values):
                 total = total + rl_bar(val.real).scale(int(a))
-            mod_values.append(total)
+            if base is None:
+                base = total
+            readings.append((total - base).centered())
         else:
             total = 0.0
             for (_, a), val in zip(terms, values):
                 total += float(a) * bloch_wigner(val)
-            raw_values.append(total)
+            readings.append(total)
 
+    mean = sum(readings) / len(readings)
+    maxdev = max(abs(v - mean) for v in readings)
     if domain == "real":
-        base = mod_values[0]
-        offsets = [(v - base).centered() for v in mod_values]
-        mean_off = sum(offsets) / len(offsets)
-        mean = ModPiSqHalf.of(base.rep + mean_off)
-        maxdev = max(abs(off - mean_off) for off in offsets)
-        return ProbeReport(domain, maxdev, mean.centered(), len(mod_values))
-    mean = sum(raw_values) / len(raw_values)
-    maxdev = max(abs(v - mean) for v in raw_values)
-    return ProbeReport(domain, maxdev, mean, len(raw_values))
+        mean = ModPiSqHalf.of(base.rep + mean).centered()
+    return ProbeReport(domain, maxdev, mean, len(readings))

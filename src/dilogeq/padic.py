@@ -169,20 +169,14 @@ class PadicNumber:
         return self * other.inverse()
 
     def __pow__(self, n: int) -> "PadicNumber":
+        p = self.p
+        if self.unit:
+            return PadicNumber(p, self.val * n, pow(self.unit, n, _power(p, self.prec)), self.prec)
         if n < 0:
-            return self.inverse() ** (-n)
-        if self.unit == 0:
-            if n == 0:
-                return PadicNumber.from_rational(1, self.p, 1)
-            return PadicNumber.zero(self.p, min(self.val * n, EXACT))
-        out = PadicNumber(self.p, 0, 1, self.prec)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+            raise ZeroArgument("inverse of zero (at this precision)")
+        if n == 0:
+            return PadicNumber.from_rational(1, p, 1)
+        return PadicNumber.zero(p, min(self.val * n, EXACT))
 
     def scale_rational(self, q) -> "PadicNumber":
         q = Fraction(q)
@@ -213,42 +207,36 @@ class Branch:
 
     @staticmethod
     def of(p: int, value, prec: int = 32) -> "Branch":
-        if isinstance(value, PadicNumber):
-            return Branch(p, value)
         return Branch(p, PadicNumber.from_rational(value, p, prec))
+
+
+def _series(z: PadicNumber, coefficient, log_power: int) -> PadicNumber:
+    """sum_{k>=1} coefficient(k) z^k to z's absolute precision, for a
+    nonzero z of valuation s >= 1 and v_p(coefficient(k)) >= -m*log2(k),
+    m = log_power.
+
+    Tail bound: v(coefficient(j) z^j) >= j*s - m*log2(j), increasing in j
+    for j > m, so once it clears the target every later term is invisible."""
+    s, m = z.val, log_power
+    target = z.abs_precision()
+    total = PadicNumber.zero(z.p)
+    term = z
+    k = 1
+    while True:
+        total = total + term.scale_rational(coefficient(k))
+        k += 1
+        if k > m and k * s - m * (k.bit_length() - 1) > target + m + 1:
+            return total
+        term = term * z
 
 
 def _log_principal(t: PadicNumber) -> PadicNumber:
     """log(1 + t) for v_p(t) >= 1 (>= 2 when p = 2), by the series."""
-    p = t.p
     if t.unit == 0:
-        return PadicNumber.zero(p, t.val)
-    s = t.val
-    if s < (2 if p == 2 else 1):
-        raise ArithmeticError(f"the log series needs v_p(t) large enough, got {s}")
-    target = t.abs_precision()
-    total = PadicNumber.zero(p)
-    term = t
-    k = 1
-    while True:
-        # term = t^k; contribution = (-1)^{k+1} term / k
-        contrib = term.scale_rational(Fraction((-1) ** (k + 1), k))
-        total = total + contrib
-        k += 1
-        # tail bound: v(t^j/j) >= j*s - log2(j), increasing in j for j >= 2,
-        # so once it clears the target every later term is invisible
-        if k >= 2 and k * s - _ilog(k, 2) > target + 2:
-            break
-        term = term * t
-    return total
-
-
-def _ilog(k: int, p: int) -> int:
-    out = 0
-    while k >= p:
-        k //= p
-        out += 1
-    return out
+        return PadicNumber.zero(t.p, t.val)
+    if t.val < (2 if t.p == 2 else 1):
+        raise ArithmeticError(f"the log series needs v_p(t) large enough, got {t.val}")
+    return _series(t, lambda k: Fraction((-1) ** (k + 1), k), 1)
 
 
 def plog(x: PadicNumber, branch: Branch) -> PadicNumber:
@@ -268,26 +256,13 @@ def plog(x: PadicNumber, branch: Branch) -> PadicNumber:
 
 def li2p(z: PadicNumber) -> PadicNumber:
     """Li_{p,2}(z) = sum z^n / n^2 on the disc v_p(z) >= 1."""
-    p = z.p
     if z.unit == 0:
         if z.val < 1:
             raise OutOfDisc("need v_p(z) >= 1")
-        return PadicNumber.zero(p, min(z.val, EXACT))
+        return PadicNumber.zero(z.p, min(z.val, EXACT))
     if z.val < 1:
         raise OutOfDisc(f"need v_p(z) >= 1, got valuation {z.val}")
-    s = z.val
-    target = z.abs_precision()
-    total = PadicNumber.zero(p)
-    term = z
-    n = 1
-    while True:
-        total = total + term.scale_rational(Fraction(1, n * n))
-        n += 1
-        # v(z^j/j^2) >= j*s - 2*log2(j), increasing for j >= 3
-        if n >= 3 and n * s - 2 * _ilog(n, 2) > target + 3:
-            break
-        term = term * z
-    return total
+    return _series(z, lambda k: Fraction(1, k * k), 2)
 
 
 def dp_disc(z: PadicNumber, branch: Branch) -> PadicNumber:

@@ -592,12 +592,18 @@ def test_specialize_keeps_a_pair_whose_variables_survive(run):
     assert "witness: beta1 pairing (w) ^ (w - 1) = -1" in out
     unpaired = doc.replace("variables: z ~ w", "variables: z, w")
     assert run(["check", "--cc", "-"], stdin=unpaired)[0] == 0
+    code, out, _ = run(["specialize", "DOC:" + PAIRED_DOC, "--step", "x=2", "--json"])
+    assert code == 0
+    assert json.loads(out)["pairs"] == [["z", "w"]]
 
 
 def test_specialize_drops_a_pair_that_loses_a_variable(run):
     code, out, _ = run(["specialize", "DOC:" + PAIRED_DOC, "--step", "z=3"])
     assert code == 0
     assert "variables: x, w\n" in out
+    code, out, _ = run(["specialize", "DOC:" + PAIRED_DOC, "--step", "z=3", "--json"])
+    assert code == 0
+    assert json.loads(out)["pairs"] == []
 
 
 def test_specialize_bad_steps(run):

@@ -453,8 +453,37 @@ def test_probe_unknown_domain():
 def test_probe_exhaustion():
     # |t^2 + 10^4| > 10^3 at every draw (|t| < 6), so no point is admissible
     far = t() ** 2 + RationalFunction.const(T, fe(10**4))
-    with pytest.raises(SamplingExhausted, match=r"^found 0 admissible points in 400 draws"):
+    with pytest.raises(SamplingExhausted) as err:
         numeric_probe(FormalSum.single(far), "complex", samples=1, seed=0)
+    assert str(err.value) == "found 0 admissible points in 400 draws (need 1)"
+    # |t^300| and |1 - t^300| lie in [1e-3, 1e3] only on a thin annulus
+    # about |t| = 1, so seed 3 finds one point in 800 draws
+    with pytest.raises(SamplingExhausted) as err:
+        numeric_probe(FormalSum.single(t() ** 300), "complex", samples=2, seed=3)
+    assert str(err.value) == "found 1 admissible points in 800 draws (need 2)"
+
+
+# repr of (max_deviation, mean_value) at samples=30, seed=4: the probe's
+# float operations run in a fixed order, so any reordering shows here
+PROBE_READINGS = {
+    ("five-term", "complex"): ("4.850431399120818e-16", "-4.095393006201912e-17"),
+    ("five-term", "real"): ("1.0362081563168128e-15", "0.0"),
+    ("five-term", "real-bw"): ("0.0", "0.0"),
+    ("t and t^2", "complex"): ("1.7809803906089086", "-0.27222470100223956"),
+    ("t and t^2", "real"): ("2.1860281095954788", "-2.0521135165076463"),
+    ("t and t^2", "real-bw"): ("0.0", "0.0"),
+}
+
+
+@pytest.mark.parametrize("name, domain", sorted(PROBE_READINGS))
+def test_probe_readings_are_pinned(name, domain):
+    if name == "five-term":
+        alpha = five_term(t("t1", T12), t("t2", T12))
+    else:
+        alpha = FormalSum.single(t()) + FormalSum.single(t() ** 2)
+    rep = numeric_probe(alpha, domain, samples=30, seed=4)
+    assert rep.points_used == 30
+    assert (repr(rep.max_deviation), repr(rep.mean_value)) == PROBE_READINGS[name, domain]
 
 
 def test_probe_margin_skips_constant_arguments():

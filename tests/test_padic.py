@@ -157,6 +157,27 @@ def test_inverse_of_zero_raises():
         PadicNumber.zero(5, 4).inverse()
 
 
+@pytest.mark.parametrize("p", [2, 5])
+def test_power_is_the_repeated_product(p):
+    for q in (Fraction(3), Fraction(-7, 3), Fraction(p * p, 11), Fraction(1, p)):
+        for prec in (1, 6, 32):
+            x = PadicNumber.from_rational(q, p, prec)
+            product = x
+            for n in range(1, 8):
+                assert x**n == product, (q, prec, n)
+                product = product * x
+            for n in range(-3, 0):
+                assert x**n == x.inverse() ** -n, (q, prec, n)
+
+
+def test_powers_of_a_zero():
+    z = PadicNumber.zero(5, 4)
+    with pytest.raises(ZeroArgument, match="inverse of zero"):
+        z**-1
+    assert z**0 == PadicNumber.from_rational(1, 5, 1)
+    assert z**3 == PadicNumber.zero(5, 12)
+
+
 # -- Teichmueller lifts -------------------------------------------------------------
 
 
@@ -263,6 +284,31 @@ def test_li2p_golden_series_p2():
     assert agree_to(got, want, 25)
 
 
+# str() of the series sums at p = 3: a series that stops one term early
+# or late changes the digits or the precision shown
+@pytest.mark.parametrize(
+    "prec, li2p_3, li2p_18_7, plog_7_2, plog_45_4",
+    [
+        (6, "3^1 * 644 + O(3^7)", "3^2 * 413 + O(3^8)",
+         "3^2 * 76 + O(3^6)", "3^0 * 508 + O(3^6)"),
+        (20, "3^1 * 300291053 + O(3^21)", "3^2 * 3142285658 + O(3^22)",
+         "3^2 * 204761515 + O(3^20)", "3^0 * 485973778 + O(3^20)"),
+        (45, "3^1 * 1214378229941687034023 + O(3^46)",
+         "3^2 * 1810131419667243356783 + O(3^47)",
+         "3^2 * 56128571525901666928 + O(3^45)", "3^0 * 1100046096645268 + O(3^32)"),
+    ],
+)
+def test_series_golden_strings_p3(prec, li2p_3, li2p_18_7, plog_7_2, plog_45_4):
+    def at(q):
+        return PadicNumber.from_rational(q, 3, prec)
+
+    assert str(li2p(at(3))) == li2p_3
+    assert str(li2p(at(Fraction(18, 7)))) == li2p_18_7
+    assert str(plog(at(Fraction(7, 2)), Branch.of(3, 0))) == plog_7_2
+    # the branch value is known to O(3^32), which caps the last one
+    assert str(plog(at(Fraction(45, 4)), Branch.of(3, 2))) == plog_45_4
+
+
 def test_li2p_needs_the_disc():
     with pytest.raises(OutOfDisc):
         li2p(pad(3))
@@ -309,7 +355,7 @@ def test_branch_difference_matches_dp_disc_on_sums():
                     break
             z = Fraction(5 * a, b)
             total = total + FormalSum.single(const(z), rnd.choice([-2, -1, 1, 2]))
-        if total.is_zero():
+        if not total.terms:
             continue
         A, B = rnd.sample(BRANCHES, 2)
         direct = PadicNumber.zero(5)

@@ -6,6 +6,7 @@ when this test was written, which pins the text of formal sums, extended
 sums and p-adic numbers that the scripts show, the Bloch-group table
 of the survey over the primes up to 31, and the digests of the coprime
 bases, boundary pairs and factor maps of the benchmark's seed-1 inputs.
+`code_lines.py` is run on a fixture of two modules.
 """
 
 import subprocess
@@ -98,3 +99,43 @@ def test_demo_script_prints_the_recorded_text(script):
     )
     assert done.returncode == 0, done.stderr.decode()
     assert done.stdout.decode() == EXPECTED[script]
+
+
+CODE_LINES_FIXTURE = {
+    # 4: the import, the def and the two lines of the return
+    "a.py": '''"""Module docstring
+over two lines."""
+
+import os  # a comment
+
+# a whole-line comment
+
+
+def f(x):
+    """One-line docstring."""
+    return (x +
+            1)
+''',
+    # 5: a string that opens no body is code, as is each line of a statement
+    "b.py": '''class C:
+    """Class docstring."""
+
+    x = 1
+    "not a docstring"
+    y = """two
+lines"""
+''',
+}
+
+
+def test_code_lines_counts_each_module_and_the_total(tmp_path):
+    for name, text in CODE_LINES_FIXTURE.items():
+        (tmp_path / name).write_text(text)
+    done = subprocess.run(
+        [sys.executable, str(SCRIPTS / "code_lines.py"), str(tmp_path)],
+        capture_output=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr.decode()
+    rows = [line.split() for line in done.stdout.decode().splitlines()]
+    assert rows == [["a.py", "4"], ["b.py", "5"], ["total", "9"]]
