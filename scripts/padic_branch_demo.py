@@ -14,7 +14,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 from dilogeq.formal import FormalSum  # noqa: E402
-from dilogeq.padic import Branch, PadicNumber, branch_diff, dp_disc  # noqa: E402
+from dilogeq.padic import PadicNumber, branch_diff, dp_disc  # noqa: E402
 from dilogeq.ratfunc import RationalFunction  # noqa: E402
 from dilogeq.scalars import fe  # noqa: E402
 
@@ -26,8 +26,8 @@ def main():
     args = ap.parse_args()
     p, prec = args.p, args.prec
 
-    branch_a = Branch.of(p, 0)  # log_p(p) = 0
-    branch_b = Branch.of(p, Fraction(1), prec)
+    branch_a = PadicNumber.from_rational(0, p, prec)  # log_p(p) = 0
+    branch_b = PadicNumber.from_rational(1, p, prec)
     print(f"p = {p}, precision O({p}^{prec}), branches log_p(p) = 0 vs 1")
     print()
 

@@ -38,7 +38,6 @@ _EXPORTS = {
     ),
     "specialize": (
         "PointNotAdmissible",
-        "SpecPlan",
         "SpecStep",
         "default_aux",
         "evaluate_at_point",
@@ -56,7 +55,6 @@ _EXPORTS = {
         "rogers",
     ),
     "padic": (
-        "Branch",
         "PadicNumber",
         "branch_diff",
         "dp_disc",

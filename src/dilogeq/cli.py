@@ -40,7 +40,6 @@ _DOCUMENT_NAMES = {
     "ratfunc": ("INF",),
     "specialize": (
         "PointNotAdmissible",
-        "SpecPlan",
         "SpecStep",
         "default_aux",
         "evaluate_at_point",
@@ -231,7 +230,7 @@ def _cmd_check(args) -> int:
 
     if args.cc:
         # declared pairs are conjugate, every other variable is real
-        cert = check_constant_cc(alpha, spec.var_swap())
+        cert = check_constant_cc(alpha, dict(spec.pairs))
         mode = "cc"
     else:
         # the Rogers and p-adic readings share the complex criterion (see
@@ -338,7 +337,7 @@ def _parse_step(src: str, spec: IdentitySpec) -> SpecStep:
     if marker:
         aux = parse_expression(aux_src.strip(), spec.variables, spec.field_mode)
     else:
-        aux = default_aux(spec.variables, var)
+        aux = default_aux(spec.variables)
     return SpecStep(var, target, aux)
 
 
@@ -346,7 +345,7 @@ def _cmd_specialize(args) -> int:
     spec = _read_document(args.document)
     alpha = spec.formal_sum()
     steps = tuple(_parse_step(s, spec) for s in args.step or [])
-    result = iterate(alpha, SpecPlan(steps))
+    result = iterate(alpha, steps)
     # a pair that lost a variable leaves its survivor an ordinary variable
     kept = tuple(pr for pr in spec.pairs if set(pr) <= set(result.universe))
     doc = dump_document(result, kept)
@@ -521,7 +520,7 @@ MAX_BRANCH_MODULUS_BITS = 4096
 
 
 def _cmd_padic_branch_diff(args) -> int:
-    from .padic import Branch, branch_diff
+    from .padic import PadicNumber, branch_diff
 
     _require_prime("--p", args.p)
     if args.prec < 1:
@@ -534,9 +533,9 @@ def _cmd_padic_branch_diff(args) -> int:
     spec = _read_document(args.document)
     point = _parse_point(args.point, spec.variables)
     value = evaluate_at_point(spec.formal_sum(), {k: fe(v) for k, v in point.items()})
-    branch_a = Branch.of(args.p, Fraction(args.branch_a), args.prec)
-    branch_b = Branch.of(args.p, Fraction(args.branch_b), args.prec)
-    diff = branch_diff(value, branch_a, branch_b, prec=args.prec)
+    log_a = PadicNumber.from_rational(Fraction(args.branch_a), args.p, args.prec)
+    log_b = PadicNumber.from_rational(Fraction(args.branch_b), args.p, args.prec)
+    diff = branch_diff(value, log_a, log_b, prec=args.prec)
     report = {
         "p": args.p,
         "point": {k: _frac_str(v) for k, v in point.items()},
@@ -659,7 +658,7 @@ def main(argv=None) -> int:
         _bind_document_names()
     try:
         return args.func(args)
-    except (ValueError, ArithmeticError, KeyError, SyntaxError, RuntimeError, OSError) as exc:
+    except (ValueError, ArithmeticError, KeyError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -24,25 +24,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exprparse import (
-    CoefficientLimitExceeded,
-    DegreeLimitExceeded,
-    DivisionByZeroConstant,
-    ExprSyntaxError,
-    UnknownVariable,
-    parse_expression,
-)
+from .exprparse import ExpressionError, parse_expression
 from .formal import FormalSum, check_term
 
 
 HEADER = "dilog-identity v1"
-_EXPRESSION_ERRORS = (
-    ExprSyntaxError,
-    UnknownVariable,
-    DivisionByZeroConstant,
-    DegreeLimitExceeded,
-    CoefficientLimitExceeded,
-)
 
 
 class DocumentError(ValueError):
@@ -72,10 +58,6 @@ class IdentitySpec:
     terms: tuple[TermSpec, ...]
     _sum: FormalSum | None = field(default=None, init=False, repr=False, compare=False)
 
-    def var_swap(self) -> dict[str, str]:
-        """One direction of each declared conjugate pair."""
-        return {a: b for a, b in self.pairs}
-
     def formal_sum(self) -> FormalSum:
         """The document's formal sum, parsed on the first call and kept.
 
@@ -91,7 +73,7 @@ class IdentitySpec:
             try:
                 # positional, for wrappers of parse_expression that take *args only
                 f = parse_expression(term.expression, self.variables, self.field_mode, shared)
-            except _EXPRESSION_ERRORS as exc:
+            except ExpressionError as exc:
                 raise DocumentError(exc.reason, term.line, exc.col) from exc
             try:
                 c = check_term(f, term.coefficient, self.variables, self.coeff_mode)
@@ -171,6 +153,7 @@ def load_document(text: str) -> IdentitySpec:
                 variables, pairs = parse_variables(value)
             except ValueError as exc:
                 raise DocumentError(str(exc), lineno) from None
+            variables_line = lineno
         elif key == "term":
             open_at = value.find("[")
             close_at = value.rfind("]")
@@ -195,7 +178,7 @@ def load_document(text: str) -> IdentitySpec:
     if variables is None:
         raise DocumentError("missing variables line", len(lines) or 1)
     if field_mode == "Qi" and "i" in variables:
-        raise DocumentError("variable name 'i' collides with the imaginary unit", 1)
+        raise DocumentError("variable name 'i' collides with the imaginary unit", variables_line)
     if coeff_mode == "Z" and any(t.coefficient.denominator != 1 for t in terms):
         bad = next(t for t in terms if t.coefficient.denominator != 1)
         raise DocumentError(

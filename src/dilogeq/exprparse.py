@@ -49,50 +49,19 @@ MAX_COEFFICIENT_BITS = 1_000_000
 module docstring estimates it from the operands'."""
 
 
-# Each error keeps its message without the position as `reason`, so that a
-# caller holding the expression's place in a larger text can restate it.
+class ExpressionError(ValueError):
+    """An error in an expression at a 1-based line and column.  `reason` is
+    the message without the position, so that a caller holding the
+    expression's place in a larger text can restate it."""
 
-
-class ExprSyntaxError(SyntaxError):
-    def __init__(self, message: str, line: int, col: int):
-        super().__init__(f"{message} (line {line}, column {col})")
-        self.reason = message
+    def __init__(self, reason: str, line: int, col: int):
+        super().__init__(f"{reason} (line {line}, column {col})")
+        self.reason = reason
         self.line = line
         self.col = col
 
 
-class UnknownVariable(ValueError):
-    def __init__(self, name: str, line: int, col: int, hint: str = ""):
-        tail = f"; {hint}" if hint else ""
-        super().__init__(f"unknown variable {name!r} (line {line}, column {col}){tail}")
-        self.reason = f"unknown variable {name!r}{tail}"
-        self.name = name
-        self.line = line
-        self.col = col
-
-
-class DivisionByZeroConstant(ZeroDivisionError):
-    def __init__(self, line: int, col: int):
-        self.reason = "division by an identically zero expression"
-        super().__init__(f"{self.reason} (line {line}, column {col})")
-        self.line = line
-        self.col = col
-
-
-class DegreeLimitExceeded(ValueError):
-    def __init__(self, degree: int, line: int, col: int):
-        self.reason = f"total degree {degree} is above the limit {MAX_DEGREE}"
-        super().__init__(f"{self.reason} (line {line}, column {col})")
-        self.line = line
-        self.col = col
-
-
-class CoefficientLimitExceeded(ValueError):
-    def __init__(self, bits: int, line: int, col: int):
-        self.reason = f"coefficient size {bits} bits is above the limit {MAX_COEFFICIENT_BITS}"
-        super().__init__(f"{self.reason} (line {line}, column {col})")
-        self.line = line
-        self.col = col
+_ZERO_DIVISOR = "division by an identically zero expression"
 
 
 def _degrees(f: RationalFunction) -> tuple[int, int]:
@@ -104,9 +73,11 @@ def _check_size(num_degree: int, den_degree: int, bits: int, op: "_Token"):
     would build are above their limits."""
     degree = max(num_degree, den_degree)
     if degree > MAX_DEGREE:
-        raise DegreeLimitExceeded(degree, op.line, op.col)
+        reason = f"total degree {degree} is above the limit {MAX_DEGREE}"
+        raise ExpressionError(reason, op.line, op.col)
     if bits > MAX_COEFFICIENT_BITS:
-        raise CoefficientLimitExceeded(bits, op.line, op.col)
+        reason = f"coefficient size {bits} bits is above the limit {MAX_COEFFICIENT_BITS}"
+        raise ExpressionError(reason, op.line, op.col)
 
 
 def _coefficient_bits(f: RationalFunction) -> int:
@@ -158,7 +129,7 @@ def _tokenize(src: str) -> list[_Token]:
             col += 1
             i += 1
         else:
-            raise ExprSyntaxError(f"unexpected character {ch!r}", line, col)
+            raise ExpressionError(f"unexpected character {ch!r}", line, col)
     out.append(_Token("end", "", line, col))
     return out
 
@@ -200,14 +171,14 @@ class _Parser:
         tok = self.peek()
         if tok.kind != kind:
             what = "end of input" if tok.kind == "end" else repr(tok.text)
-            raise ExprSyntaxError(f"expected {kind!r}, found {what}", tok.line, tok.col)
+            raise ExpressionError(f"expected {kind!r}, found {what}", tok.line, tok.col)
         return self.take()
 
     def parse(self) -> RationalFunction:
         value = self.sum_expr()
         tok = self.peek()
         if tok.kind != "end":
-            raise ExprSyntaxError(f"unexpected {tok.text!r} after expression", tok.line, tok.col)
+            raise ExpressionError(f"unexpected {tok.text!r} after expression", tok.line, tok.col)
         return value
 
     def sum_expr(self) -> RationalFunction:
@@ -236,7 +207,7 @@ class _Parser:
                 try:
                     value = value / rhs
                 except ZeroDenominator:
-                    raise DivisionByZeroConstant(op.line, op.col) from None
+                    raise ExpressionError(_ZERO_DIVISOR, op.line, op.col) from None
         return value
 
     def unary(self) -> RationalFunction:
@@ -261,7 +232,7 @@ class _Parser:
         try:
             return base ** exp
         except ZeroDenominator:
-            raise DivisionByZeroConstant(op.line, op.col) from None
+            raise ExpressionError(_ZERO_DIVISOR, op.line, op.col) from None
 
     def signed_int(self) -> int:
         tok = self.peek()
@@ -285,8 +256,8 @@ class _Parser:
                 return RationalFunction.const(self.universe, FieldElement.i())
             if tok.text in self.universe:
                 return RationalFunction.var(self.universe, tok.text)
-            hint = "the literal i needs field mode Qi" if tok.text == "i" else ""
-            raise UnknownVariable(tok.text, tok.line, tok.col, hint)
+            hint = "; the literal i needs field mode Qi" if tok.text == "i" else ""
+            raise ExpressionError(f"unknown variable {tok.text!r}{hint}", tok.line, tok.col)
         if tok.kind == "(":
             end = self.close.get(self.pos - 1)
             key = None if end is None else _key(self.toks[self.pos : end])
@@ -300,7 +271,7 @@ class _Parser:
                 self.shared[key] = value
             return value
         what = "end of input" if tok.kind == "end" else repr(tok.text)
-        raise ExprSyntaxError(f"expected a value, found {what}", tok.line, tok.col)
+        raise ExpressionError(f"expected a value, found {what}", tok.line, tok.col)
 
 
 def parse_expression(

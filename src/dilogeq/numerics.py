@@ -176,9 +176,6 @@ class ModPiSqHalf:
     def __sub__(self, other: "ModPiSqHalf") -> "ModPiSqHalf":
         return ModPiSqHalf.of(self.rep - other.rep)
 
-    def __neg__(self) -> "ModPiSqHalf":
-        return ModPiSqHalf.of(-self.rep)
-
     def scale(self, a) -> "ModPiSqHalf":
         # only integer multiples are well-defined on the quotient
         a = Fraction(a)
@@ -239,7 +236,7 @@ def _sample_point(universe: tuple[str, ...], args: list, rng: random.Random,
     for f in args:
         try:
             val = f.eval_numeric(point)
-        except ZeroDivisionError:
+        except (ZeroDivisionError, OverflowError):
             return None
         if not (math.isfinite(val.real) and math.isfinite(val.imag)):
             return None

@@ -159,15 +159,6 @@ class PadicNumber:
         u = (a.unit * b.unit) % m
         return PadicNumber(p, a.val + b.val, u, prec)
 
-    def inverse(self) -> "PadicNumber":
-        if self.unit == 0:
-            raise ZeroArgument("inverse of zero (at this precision)")
-        m = _power(self.p, self.prec)
-        return PadicNumber(self.p, -self.val, pow(self.unit, -1, m), self.prec)
-
-    def __truediv__(self, other: "PadicNumber") -> "PadicNumber":
-        return self * other.inverse()
-
     def __pow__(self, n: int) -> "PadicNumber":
         p = self.p
         if self.unit:
@@ -196,18 +187,6 @@ class PadicNumber:
 
     def __repr__(self):
         return f"PadicNumber({self})"
-
-
-@dataclass(frozen=True)
-class Branch:
-    """A branch of the p-adic logarithm: the chosen value of log_p(p)."""
-
-    p: int
-    log_of_p: PadicNumber
-
-    @staticmethod
-    def of(p: int, value, prec: int = 32) -> "Branch":
-        return Branch(p, PadicNumber.from_rational(value, p, prec))
 
 
 def _series(z: PadicNumber, coefficient, log_power: int) -> PadicNumber:
@@ -239,8 +218,9 @@ def _log_principal(t: PadicNumber) -> PadicNumber:
     return _series(t, lambda k: Fraction((-1) ** (k + 1), k), 1)
 
 
-def plog(x: PadicNumber, branch: Branch) -> PadicNumber:
-    """The branch's logarithm on Q_p*: val*log(p) + log(unit part)."""
+def plog(x: PadicNumber, log_p: PadicNumber) -> PadicNumber:
+    """The logarithm on Q_p* of the branch whose value at p is log_p:
+    val*log_p + log(unit part)."""
     if x.unit == 0:
         raise ZeroArgument("log of zero")
     p = x.p
@@ -251,7 +231,7 @@ def plog(x: PadicNumber, branch: Branch) -> PadicNumber:
     one = PadicNumber.from_rational(1, p, x.prec)
     t = ue - one
     lu = _log_principal(t).scale_rational(Fraction(1, e))
-    return branch.log_of_p.scale_rational(x.val) + lu
+    return log_p.scale_rational(x.val) + lu
 
 
 def li2p(z: PadicNumber) -> PadicNumber:
@@ -265,15 +245,16 @@ def li2p(z: PadicNumber) -> PadicNumber:
     return _series(z, lambda k: Fraction(1, k * k), 2)
 
 
-def dp_disc(z: PadicNumber, branch: Branch) -> PadicNumber:
-    """D_p(z) = Li_{p,2}(z) + (1/2) log(z) log(1-z) on the disc."""
+def dp_disc(z: PadicNumber, log_p: PadicNumber) -> PadicNumber:
+    """D_p(z) = Li_{p,2}(z) + (1/2) log(z) log(1-z) on the disc, with the
+    branch of log whose value at p is log_p."""
     if z.unit == 0:
         return li2p(z)
     if z.val < 1:
         raise OutOfDisc(f"need v_p(z) >= 1, got valuation {z.val}")
     one = PadicNumber.from_rational(1, z.p, z.prec)
-    lz = plog(z, branch)
-    l1z = plog(one - z, branch)
+    lz = plog(z, log_p)
+    l1z = plog(one - z, log_p)
     return li2p(z) + (lz * l1z).scale_rational(Fraction(1, 2))
 
 
@@ -282,19 +263,18 @@ def dp_disc(z: PadicNumber, branch: Branch) -> PadicNumber:
 # ---------------------------------------------------------------------------
 
 
-def branch_diff(value, branch_a: Branch, branch_b: Branch, prec: int = 32) -> PadicNumber:
+def branch_diff(value, log_a: PadicNumber, log_b: PadicNumber, prec: int = 32) -> PadicNumber:
     """How much the p-adic value of a formal sum at a point moves between
-    two branches: over its terms a[z], sum a * Delta/2 * (v(z)log(1-z) -
-    v(1-z)log(z)), with Delta the difference of the chosen log(p) values.
-    The bracket is branch-independent, so it is evaluated with branch_a.
+    the two branches whose values of log_p(p) are log_a and log_b: over its
+    terms a[z], sum a * Delta/2 * (v(z)log(1-z) - v(1-z)log(z)), with
+    Delta = log_a - log_b.  The bracket is branch-independent, so it is
+    evaluated with log_a.
 
     `value` is the sum's exact value at the point, as
     specialize.evaluate_at_point returns it: constant arguments, none of
     them 0 or 1."""
-    p = branch_a.p
-    if branch_b.p != p:
-        raise ValueError("branches use different primes")
-    delta = branch_a.log_of_p - branch_b.log_of_p
+    p = log_a.p
+    delta = log_a - log_b
     total = PadicNumber.zero(p)
     for f, a in value.items():
         z = f.constant_value()
@@ -302,8 +282,6 @@ def branch_diff(value, branch_a: Branch, branch_b: Branch, prec: int = 32) -> Pa
             raise ValueError("p-adic evaluation needs rational values")
         zp = PadicNumber.from_rational(z.re, p, prec)
         wp = PadicNumber.from_rational(1 - z.re, p, prec)  # w = 1 - z
-        bracket = plog(wp, branch_a).scale_rational(zp.val) - plog(zp, branch_a).scale_rational(
-            wp.val
-        )
+        bracket = plog(wp, log_a).scale_rational(zp.val) - plog(zp, log_a).scale_rational(wp.val)
         total = total + (delta * bracket).scale_rational(a * Fraction(1, 2))
     return total

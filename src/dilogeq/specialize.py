@@ -56,17 +56,7 @@ class SpecStep:
             raise ValueError("aux constant must avoid 0 and 1")
 
 
-@dataclass(frozen=True)
-class SpecPlan:
-    steps: tuple[SpecStep, ...]
-
-    def __post_init__(self):
-        names = [s.var for s in self.steps]
-        if len(set(names)) != len(names):
-            raise ValueError("plan eliminates a variable twice")
-
-
-def default_aux(universe, var: str) -> RationalFunction:
+def default_aux(universe) -> RationalFunction:
     """The auxiliary constant used when the caller does not pick one."""
     return RationalFunction.const(universe, fe(2))
 
@@ -104,8 +94,10 @@ def sp(alpha: FormalSum, step: SpecStep) -> FormalSum:
     return result.with_universe(rest)
 
 
-def iterate(alpha: FormalSum, plan: SpecPlan) -> FormalSum:
-    for step in plan.steps:
+def iterate(alpha: FormalSum, steps: tuple[SpecStep, ...]) -> FormalSum:
+    """Apply the steps in order; each must eliminate a variable that is
+    still in the universe."""
+    for step in steps:
         if step.var not in alpha.universe:
             raise ValueError(f"variable {step.var} already eliminated")
         lifted = SpecStep(

@@ -30,10 +30,10 @@ from dilogeq.numerics import (
     rl_bar,
     rogers,
 )
-from dilogeq.padic import Branch, PadicNumber, branch_diff, dp_disc, plog
+from dilogeq.padic import PadicNumber, branch_diff, dp_disc, plog
 from dilogeq.ratfunc import INF, RationalFunction
 from dilogeq.scalars import fe
-from dilogeq.specialize import SpecPlan, SpecStep, iterate, naive_eval, sp
+from dilogeq.specialize import SpecStep, iterate, naive_eval, sp
 from dilogeq.wedge import (
     WedgeElement,
     boundary,
@@ -126,13 +126,11 @@ def test_acceptance_01_golden_specializations(capsys):
         t3 = RationalFunction.var(U, "t3")
         t2 = RationalFunction.var(U, "t2")
         alpha = FormalSum.single(t1 + t2 + t3)
-        plan = SpecPlan(
-            (
-                SpecStep("t2", -t1 - t3, t1 + t3**2),
-                SpecStep("t1", -(t3**2), t3),
-            )
+        steps = (
+            SpecStep("t2", -t1 - t3, t1 + t3**2),
+            SpecStep("t1", -(t3**2), t3),
         )
-        final = iterate(alpha, plan)
+        final = iterate(alpha, steps)
         t3_only = RationalFunction.var(("t3",), "t3")
         assert final == FormalSum(
             ("t3",), {t3_only: Fraction(1), t3_only.one_minus(): Fraction(1)}
@@ -441,7 +439,9 @@ def test_acceptance_08_padic_branches(capsys):
             qb = Fraction(rnd.randint(-9, 9), rnd.choice([1, 2, 3]))
             if qa == qb:
                 continue
-            pairs.append((Branch.of(p, qa, prec), Branch.of(p, qb, prec)))
+            pairs.append(
+                (PadicNumber.from_rational(qa, p, prec), PadicNumber.from_rational(qb, p, prec))
+            )
 
         points = []
         while len(points) < 50:

@@ -343,6 +343,21 @@ def test_check_probe_with_a_large_constant(run):
     assert "over 30 points" in out
 
 
+def test_check_probe_skips_a_draw_that_overflows(run):
+    # x^500 overflows a complex float for |x| above about 4.1; the probe
+    # rejects such a draw, and the exact verdict is printed either way
+    doc = "DOC:dilog-identity v1\nvariables: x\nterm: 1 [x^500]\nterm: 1 [1 - x^500]\n"
+    code, out, err = run(["check", doc, "--probe", "5", "--seed", "2"])
+    assert (code, err) == (0, "")
+    assert out.startswith("verdict: Constant\n")
+    assert re.search(r"^probe\[complex\]: max deviation \S+ over 5 points", out, re.M)
+    # admissible draws lie on a thin annulus about |x| = 1: at seed 0 too
+    # few are found, and check notes it
+    code, out, err = run(["check", doc, "--probe", "5"])
+    assert (code, err) == (0, "")
+    assert "note: no probe: found 4 admissible points in 2000 draws (need 5)\n" in out
+
+
 def test_check_trial_divides_each_constant_once(run, monkeypatch):
     # the prime 999999000001 occurs in three tensor arguments; proving it
     # prime walks about 5 * 10^5 trial divisors, and only once per run
@@ -614,6 +629,9 @@ def test_specialize_bad_steps(run):
     code, _, err = run(["specialize", "DOC:" + SINGLE_DOC, "--step", "t"])
     assert code == 2
     assert "var=target" in err
+
+    code, _, err = run(["specialize", "DOC:" + SINGLE_DOC, "--step", "t=2", "--step", "t=3"])
+    assert (code, err) == (2, "error: variable t already eliminated\n")
 
 
 # -- wedge --------------------------------------------------------------------------

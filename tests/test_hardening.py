@@ -4,6 +4,7 @@ import argparse
 import ast
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -166,6 +167,96 @@ def test_every_package_definition_is_used_outside_the_tests():
             if not found:
                 unused.append(f"{path.name}:{d.lineno} {d.name}")
     assert unused == []
+
+
+# Documents and in-process commands that enter every subcommand and every
+# mode of `check`.  square.txt writes (t + i)^2 out, so the squarefree split
+# takes derivatives (MultiPoly.derivative, FieldElement.scale)
+TRACED_DOCUMENTS = {
+    "five.txt": "variables: x, y\nterm: 1 [x]\nterm: -1 [y]\nterm: 1 [y/x]\n"
+    "term: 1 [(1-x)/(1-y)]\nterm: -1 [(1 - x^-1)/(1 - y^-1)]\n",
+    "inversion.txt": "variables: t\nterm: 1 [t]\nterm: 1 [t^-1]\n",
+    "pair.txt": "field: Qi\nvariables: z ~ w\nterm: 1 [z]\nterm: 1 [w]\n",
+    "square.txt": "field: Qi\nvariables: t\nterm: 1 [t^2 + 2*i*t - 1]\n",
+    "single.txt": "variables: t\nterm: 1 [t]\n",
+}
+TRACED_COMMANDS = (
+    (["check", "five.txt", "--probe", "5"], 0),
+    (["check", "inversion.txt", "--real", "--probe", "5"], 0),
+    (["check", "pair.txt", "--cc"], 0),
+    (["check", "five.txt", "--padic", "5"], 0),
+    (["check", "square.txt", "--json"], 1),
+    (["specialize", "five.txt", "--step", "x=2", "--step", "y=inf,c=3"], 0),
+    (["wedge", "square.txt"], 0),
+    (["relations", "five", "--variables", "x, y", "--x", "x", "--y", "y"], 0),
+    (["relations", "inversion", "--variables", "t", "--x", "t"], 0),
+    (["relations", "c", "--c", "3"], 0),
+    (["probe", "inversion.txt", "--domain", "real", "--samples", "5"], 0),
+    (["probe", "single.txt", "--domain", "real-bw", "--samples", "5"], 0),
+    (["blochfq", "5", "--oracle"], 0),
+    (["padic-branch-diff", "single.txt", "--p", "5", "--point", "t=5"], 0),
+)
+
+# Run in a fresh interpreter, so that no cache an earlier test warmed hides
+# a call: the commands, one relation sum built as the benchmark builds it
+# (scripts/basis_digest.py), and the demo scripts, under a profile hook.
+# Prints the exit codes and each (file, first line) of package code entered
+_TRACE = """
+import contextlib, importlib.util, io, json, runpy, sys
+from pathlib import Path
+from dilogeq.cli import main
+root, commands = Path(sys.argv[1]), json.loads(sys.argv[2])
+spec = importlib.util.spec_from_file_location("digest", root / "scripts" / "basis_digest.py")
+digest = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(digest)
+inputs = digest.load_inputs()
+entered = set()
+def hook(frame, event, arg):
+    if event == "call":
+        entered.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+sys.setprofile(hook)
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    codes = [main(argv) for argv in commands]
+    next(digest.relation_sums(inputs, 1, 1))
+    for script in ("padic_branch_demo.py", "specialization_demo.py"):
+        sys.argv = [script]
+        runpy.run_path(str(root / "scripts" / script), run_name="__main__")
+sys.setprofile(None)
+package = Path(sys.modules["dilogeq"].__file__).resolve().parent
+print(json.dumps([codes, sorted({(Path(f).name, line) for f, line in entered
+                                 if Path(f).resolve().parent == package})]))
+"""
+
+
+def test_every_method_whose_name_another_class_shares_is_entered(tmp_path, monkeypatch):
+    # the gate above counts an attribute read of `scale` as a use of every
+    # method named scale, since the AST does not know the receiver's type;
+    # a run-time trace does.  A method not entered is reached only by tests
+    by_name: dict[str, list[tuple[str, int, str]]] = {}
+    for path in sorted(SRC.glob("*.py")):
+        for cls in ast.parse(path.read_text(), str(path)).body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for m in cls.body:
+                if not isinstance(m, ast.FunctionDef) or m.name.startswith("__") and m.name.endswith("__"):
+                    continue
+                # a code object's first line is that of its first decorator
+                first = min([m.lineno] + [d.lineno for d in m.decorator_list])
+                by_name.setdefault(m.name, []).append((path.name, first, f"{cls.name}.{m.name}"))
+    for name, text in TRACED_DOCUMENTS.items():
+        (tmp_path / name).write_text("dilog-identity v1\n" + text)
+    monkeypatch.chdir(tmp_path)
+    codes, entered = fresh(_TRACE, str(ROOT), json.dumps([argv for argv, _ in TRACED_COMMANDS]))
+    assert codes == [code for _, code in TRACED_COMMANDS]
+    entered = {tuple(e) for e in entered}
+    missing = [
+        f"{file}:{line} {label}"
+        for methods in by_name.values()
+        if len(methods) > 1
+        for file, line, label in methods
+        if (file, line) not in entered
+    ]
+    assert missing == []
 
 
 def _optional_parameters(d: ast.FunctionDef):

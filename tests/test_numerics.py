@@ -312,7 +312,7 @@ def test_mod_class_representative_range(x):
 def test_mod_class_add_sub(x, y):
     a, b = ModPiSqHalf.of(x), ModPiSqHalf.of(y)
     assert ((a + b) - b).distance(a) <= 1e-9
-    assert (a + (-a)).distance_to_zero() <= 1e-9
+    assert (a + ModPiSqHalf.of(-x)).distance_to_zero() <= 1e-9
     assert abs(a.distance(b) - b.distance(a)) <= 1e-9
     assert a.distance_to_zero() <= MOD_HALF_PISQ / 2
 
@@ -321,7 +321,7 @@ def test_mod_class_add_sub(x, y):
 def test_mod_class_integer_scaling(x, n):
     a = ModPiSqHalf.of(x)
     total = ModPiSqHalf.of(0.0)
-    step = a if n >= 0 else -a
+    step = a if n >= 0 else ModPiSqHalf.of(-x)
     for _ in range(abs(n)):
         total = total + step
     assert a.scale(n).distance(total) <= 1e-9
@@ -461,6 +461,14 @@ def test_probe_exhaustion():
     with pytest.raises(SamplingExhausted) as err:
         numeric_probe(FormalSum.single(t() ** 300), "complex", samples=2, seed=3)
     assert str(err.value) == "found 1 admissible points in 800 draws (need 2)"
+
+
+def test_probe_rejects_a_draw_that_overflows():
+    # |t|^500 is above the float range for |t| > 10^(308/500), about 4.1,
+    # which the corners of the sampling square reach: such a draw is
+    # rejected as a pole is
+    rep = numeric_probe(FormalSum.single(t() ** 500), "complex")
+    assert rep.points_used == 100
 
 
 # repr of (max_deviation, mean_value) at samples=30, seed=4: the probe's

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from dilogeq.formal import FormalSum
 from dilogeq.padic import (
-    Branch,
     OutOfDisc,
     PadicNumber,
     ZeroArgument,
@@ -73,8 +72,6 @@ def test_bases_below_two_are_refused(p):
     calls = [
         lambda: PadicNumber.from_rational(Fraction(3), p, 8),
         lambda: PadicNumber.from_rational(Fraction(0), p, 8),
-        lambda: Branch.of(p, Fraction(1)),
-        lambda: branch_diff(value((1, Fraction(5, 3))), Branch(p, pad(1)), Branch(p, pad(1))),
     ]
     for call in calls:
         with pytest.raises(ValueError, match="at least 2"):
@@ -144,7 +141,7 @@ def test_arithmetic_agrees_with_exact_rationals(qa, qb, ka, kb):
     assert agree_to(xa - xb, pad(a - b), 20)
     assert agree_to(xa * xb, pad(a * b), 20)
     if b != 0:
-        assert agree_to(xa / xb, pad(a / b), 20)
+        assert agree_to(xa * xb**-1, pad(a / b), 20)
     if a != 0:
         for n in (-3, -1, 0, 2, 5):
             assert agree_to(xa**n, pad(a**n), 20)
@@ -152,9 +149,9 @@ def test_arithmetic_agrees_with_exact_rationals(qa, qb, ka, kb):
 
 def test_inverse_of_zero_raises():
     with pytest.raises(ZeroArgument):
-        pad(0).inverse()
+        pad(0) ** -1
     with pytest.raises(ZeroArgument):
-        PadicNumber.zero(5, 4).inverse()
+        PadicNumber.zero(5, 4) ** -1
 
 
 @pytest.mark.parametrize("p", [2, 5])
@@ -167,7 +164,7 @@ def test_power_is_the_repeated_product(p):
                 assert x**n == product, (q, prec, n)
                 product = product * x
             for n in range(-3, 0):
-                assert x**n == x.inverse() ** -n, (q, prec, n)
+                assert x**n == PadicNumber.from_rational(q**n, p, prec), (q, prec, n)
 
 
 def test_powers_of_a_zero():
@@ -211,35 +208,35 @@ def _log_series_oracle(t_frac, p, terms, prec):
 
 
 def test_plog_golden_series_p5():
-    got = plog(pad(6), Branch.of(5, 0))
+    got = plog(pad(6), pad(0))
     want = _log_series_oracle(Fraction(5), 5, 40, 32)
     assert agree_to(got, want, 30)
 
 
 def test_plog_golden_series_p2():
-    got = plog(PadicNumber.from_rational(5, 2, 32), Branch.of(2, 0))
+    got = plog(PadicNumber.from_rational(5, 2, 32), pad(0, 2))
     want = _log_series_oracle(Fraction(4), 2, 60, 32)
     assert agree_to(got, want, 28)
 
 
 def test_plog_of_p_is_the_branch_value():
-    std = plog(pad(5), Branch.of(5, 0))
+    std = plog(pad(5), pad(0))
     assert is_zeroish(std) and std.abs_precision() >= 30
-    other = plog(pad(5), Branch.of(5, 10))
+    other = plog(pad(5), pad(10))
     assert agree_to(other, pad(10), 30)
 
 
 def test_plog_kills_torsion():
     # log of a Teichmueller representative is 0
     w = teichmuller(2, 5, 24)
-    lw = plog(w, Branch.of(5, 0))
+    lw = plog(w, pad(0))
     assert is_zeroish(lw) and lw.abs_precision() >= 22
 
 
 def test_plog_is_a_homomorphism():
     rnd = random.Random(19)
     for p in (2, 3, 5, 7):
-        branches = [Branch.of(p, 0), Branch.of(p, 3 * p)]
+        branches = [pad(0, p), pad(3 * p, p)]
         for branch in branches:
             for _ in range(10):
                 a = Fraction(rnd.randint(1, 60), rnd.randint(1, 60))
@@ -254,7 +251,7 @@ def test_plog_is_a_homomorphism():
 
 def test_plog_rejects_zero():
     with pytest.raises(ZeroArgument):
-        plog(pad(0), Branch.of(5, 0))
+        plog(pad(0), pad(0))
 
 
 # -- the dilogarithm on the disc ----------------------------------------------------
@@ -304,9 +301,9 @@ def test_series_golden_strings_p3(prec, li2p_3, li2p_18_7, plog_7_2, plog_45_4):
 
     assert str(li2p(at(3))) == li2p_3
     assert str(li2p(at(Fraction(18, 7)))) == li2p_18_7
-    assert str(plog(at(Fraction(7, 2)), Branch.of(3, 0))) == plog_7_2
+    assert str(plog(at(Fraction(7, 2)), pad(0, 3))) == plog_7_2
     # the branch value is known to O(3^32), which caps the last one
-    assert str(plog(at(Fraction(45, 4)), Branch.of(3, 2))) == plog_45_4
+    assert str(plog(at(Fraction(45, 4)), pad(2, 3))) == plog_45_4
 
 
 def test_li2p_needs_the_disc():
@@ -315,22 +312,22 @@ def test_li2p_needs_the_disc():
     with pytest.raises(OutOfDisc):
         li2p(pad(Fraction(1, 5)))
     with pytest.raises(OutOfDisc):
-        dp_disc(pad(3), Branch.of(5, 0))
+        dp_disc(pad(3), pad(0))
 
 
 def test_dp_disc_zeroish_input():
     assert is_zeroish(li2p(PadicNumber.zero(5, 4)))
-    assert is_zeroish(dp_disc(PadicNumber.zero(5, 4), Branch.of(5, 0)))
+    assert is_zeroish(dp_disc(PadicNumber.zero(5, 4), pad(0)))
 
 
 # -- branch differences --------------------------------------------------------------
 
 
 BRANCHES = [
-    Branch.of(5, 0),
-    Branch.of(5, 10),
-    Branch.of(5, -5),
-    Branch.of(5, 35),
+    pad(0),
+    pad(10),
+    pad(-5),
+    pad(35),
 ]
 
 
@@ -398,8 +395,8 @@ def test_branch_diff_argument_guards():
     ]:
         with pytest.raises(PointNotAdmissible):
             evaluate_at_point(alpha, {"t": fe(point)})
-    with pytest.raises(ValueError, match="different primes"):
-        branch_diff(value((1, 5)), Branch.of(5, 0), Branch.of(7, 0))
+    with pytest.raises(ValueError, match="cannot combine 5-adic and 7-adic"):
+        branch_diff(value((1, 5)), pad(0), pad(0, 7))
     gaussian = value((1, (2, 1)), field_mode="Qi")
     with pytest.raises(ValueError, match="rational values"):
         branch_diff(gaussian, BRANCHES[0], BRANCHES[1])

@@ -15,11 +15,7 @@ from dilogeq.document import DocumentError, dump_document, load_document
 from dilogeq.exprparse import (
     MAX_COEFFICIENT_BITS,
     MAX_DEGREE,
-    CoefficientLimitExceeded,
-    DegreeLimitExceeded,
-    DivisionByZeroConstant,
-    ExprSyntaxError,
-    UnknownVariable,
+    ExpressionError,
     parse_expression,
 )
 from dilogeq.formal import FormalSum, check_term, five_term
@@ -102,30 +98,30 @@ def test_unknown_field_mode():
 
 
 def test_syntax_error_positions():
-    with pytest.raises(ExprSyntaxError) as ei:
+    with pytest.raises(ExpressionError) as ei:
         parse_expression("x +\n* y", XY)
     assert (ei.value.line, ei.value.col) == (2, 1)
 
-    with pytest.raises(ExprSyntaxError) as ei:
+    with pytest.raises(ExpressionError) as ei:
         parse_expression("x $ y", XY)
     assert "unexpected character" in str(ei.value)
     assert (ei.value.line, ei.value.col) == (1, 3)
 
-    with pytest.raises(ExprSyntaxError) as ei:
+    with pytest.raises(ExpressionError) as ei:
         parse_expression("(x", XY)
     assert "end of input" in str(ei.value)
     assert (ei.value.line, ei.value.col) == (1, 3)
 
-    with pytest.raises(ExprSyntaxError) as ei:
+    with pytest.raises(ExpressionError) as ei:
         parse_expression("", XY)
     assert (ei.value.line, ei.value.col) == (1, 1)
 
-    with pytest.raises(ExprSyntaxError) as ei:
+    with pytest.raises(ExpressionError) as ei:
         parse_expression("x y", XY)
     assert "after expression" in str(ei.value)
     assert (ei.value.line, ei.value.col) == (1, 3)
 
-    with pytest.raises(ExprSyntaxError) as ei:
+    with pytest.raises(ExpressionError) as ei:
         parse_expression("2 ^ x", XY)
     assert (ei.value.line, ei.value.col) == (1, 5)
 
@@ -133,45 +129,49 @@ def test_syntax_error_positions():
 def test_only_decimal_digits_make_numbers():
     # '²' is a digit to str.isdigit but not to int(): it is an unexpected
     # character with its place, while an Arabic-Indic three reads as 3
-    with pytest.raises(ExprSyntaxError) as ei:
+    with pytest.raises(ExpressionError) as ei:
         parse_expression("x^²", XY)
     assert "unexpected character '²'" in str(ei.value)
     assert (ei.value.line, ei.value.col) == (1, 3)
     assert parse_expression("x^\u0663", XY) == var("x") ** 3
 
 
-def test_syntax_error_is_a_syntax_error():
-    with pytest.raises(SyntaxError):
-        parse_expression("x +", XY)
-
-
-def test_unknown_variable_details():
-    with pytest.raises(UnknownVariable) as ei:
-        parse_expression("q + x", ("x",))
-    assert ei.value.name == "q"
-    assert (ei.value.line, ei.value.col) == (1, 1)
-
-    # using i without gaussian mode points at the fix
-    with pytest.raises(UnknownVariable) as ei:
-        parse_expression("1 + i", ("x",), "Q")
-    assert "field mode Qi" in str(ei.value)
+def test_each_expression_error_keeps_its_message_and_place():
+    # one class serves a syntax error, an unknown name, a zero divisor and
+    # both size limits; `reason` is the message without the position
+    for src, reason, line, col in [
+        ("x +\n* y", "expected a value, found '*'", 2, 1),
+        ("q + x", "unknown variable 'q'", 1, 1),
+        # using i without gaussian mode points at the fix
+        ("1 + i", "unknown variable 'i'; the literal i needs field mode Qi", 1, 5),
+        ("x/(x - x)", "division by an identically zero expression", 1, 2),
+        (f"x^{MAX_DEGREE + 1}", f"total degree {MAX_DEGREE + 1} is above the limit {MAX_DEGREE}", 1, 2),
+        (
+            f"2^{MAX_COEFFICIENT_BITS // 2 + 1}",
+            f"coefficient size {MAX_COEFFICIENT_BITS + 2} bits is above the limit {MAX_COEFFICIENT_BITS}",
+            1,
+            2,
+        ),
+    ]:
+        with pytest.raises(ExpressionError) as ei:
+            parse_expression(src, XY)
+        assert (ei.value.reason, ei.value.line, ei.value.col) == (reason, line, col)
+        assert str(ei.value) == f"{reason} (line {line}, column {col})"
+        assert isinstance(ei.value, ValueError)
 
 
 def test_division_by_zero_constant():
-    with pytest.raises(DivisionByZeroConstant) as ei:
+    with pytest.raises(ExpressionError) as ei:
         parse_expression("1/0", XY)
     assert (ei.value.line, ei.value.col) == (1, 2)
 
-    with pytest.raises(DivisionByZeroConstant) as ei:
+    with pytest.raises(ExpressionError) as ei:
         parse_expression("x/(x - x)", XY)
     assert (ei.value.line, ei.value.col) == (1, 2)
 
-    with pytest.raises(DivisionByZeroConstant) as ei:
+    with pytest.raises(ExpressionError) as ei:
         parse_expression("(x - x)^(-2)", XY)
     assert (ei.value.line, ei.value.col) == (1, 8)
-
-    with pytest.raises(ZeroDivisionError):
-        parse_expression("1/0", XY)
 
 
 def test_degree_limit():
@@ -189,7 +189,7 @@ def test_degree_limit():
         (f"1/(x^{MAX_DEGREE} + 1) + 1/(x^{MAX_DEGREE} + 2)", 18),
         ("x^99999999999999999999", 2),
     ):
-        with pytest.raises(DegreeLimitExceeded) as ei:
+        with pytest.raises(ExpressionError) as ei:
             parse_expression(src, XY)
         assert (ei.value.line, ei.value.col) == (1, col)
         assert f"above the limit {MAX_DEGREE}" in str(ei.value)
@@ -210,7 +210,7 @@ def test_coefficient_limit():
         (f"(1/3)^-{MAX_COEFFICIENT_BITS // 2 + 1}", MAX_COEFFICIENT_BITS + 2, 6),
         (f"y + (2 + 5*i)^{MAX_COEFFICIENT_BITS // 3 + 1}", MAX_COEFFICIENT_BITS + 2, 14),
     ):
-        with pytest.raises(CoefficientLimitExceeded) as ei:
+        with pytest.raises(ExpressionError) as ei:
             parse_expression(src, XY, "Qi")
         assert (ei.value.line, ei.value.col) == (1, col)
         assert str(ei.value) == (
@@ -234,7 +234,7 @@ def test_coefficient_limit_of_sums_products_and_quotients():
         ("3^300000/5^300000", b3 + b5, 9),
         ("(x + 3^300000)/(y - 5^300000)", b3 + b5, 15),
     ):
-        with pytest.raises(CoefficientLimitExceeded) as ei:
+        with pytest.raises(ExpressionError) as ei:
             parse_expression(src, XY)
         assert (ei.value.line, ei.value.col) == (1, col)
         assert str(ei.value) == (
@@ -375,7 +375,6 @@ def test_conjugate_pair_declarations():
     spec = load_document(text)
     assert spec.variables == ("z", "zbar", "w")
     assert spec.pairs == (("z", "zbar"),)
-    assert spec.var_swap() == {"z": "zbar"}
 
 
 @pytest.mark.parametrize(
@@ -398,7 +397,10 @@ def test_conjugate_pair_declarations():
         ("dilog-identity v1\nvariables: t\nterm: one [t]\n", "bad coefficient", 3),
         ("dilog-identity v1\nfield: Q\n", "missing variables", 2),
         ("dilog-identity v1\nvariables: t\nterm: 1/2 [t]\n", "not an integer", 3),
-        ("dilog-identity v1\nfield: Qi\nvariables: i\nterm: 1 [i]\n", "collides", 1),
+        # the collision is reported at the variables line, wherever the field line is
+        ("dilog-identity v1\nfield: Qi\nvariables: i\nterm: 1 [i]\n", "collides", 3),
+        ("dilog-identity v1\n# the plane\nfield: Qi\nvariables: z, i\n", "collides", 4),
+        ("dilog-identity v1\nvariables: i\nfield: Qi\n", "collides", 2),
         ("dilog-identity v1\nvariables: t\nterm: 1 [1]\n", "admissible", 3),
     ],
 )
@@ -430,20 +432,19 @@ def test_document_terms_merge_into_one_sum():
 
 def test_expression_errors_surface_at_load_time():
     # each names the document line, with the column inside the expression
-    for expression, cause, message in [
-        ("q", UnknownVariable, "unknown variable 'q' (line 3, column 1 of the expression)"),
-        ("t +", ExprSyntaxError, "expected a value, found end of input (line 3, column 4 of the expression)"),
-        ("t/(t - t)", DivisionByZeroConstant, "division by an identically zero expression (line 3, column 2 of the expression)"),
-        ("t^100001", DegreeLimitExceeded, "total degree 100001 is above the limit 100000 (line 3, column 2 of the expression)"),
+    for expression, message in [
+        ("q", "unknown variable 'q' (line 3, column 1 of the expression)"),
+        ("t +", "expected a value, found end of input (line 3, column 4 of the expression)"),
+        ("t/(t - t)", "division by an identically zero expression (line 3, column 2 of the expression)"),
+        ("t^100001", "total degree 100001 is above the limit 100000 (line 3, column 2 of the expression)"),
         (
             "t*3^300000*3^300000*3^300000*3^300000",
-            CoefficientLimitExceeded,
             "coefficient size 1426467 bits is above the limit 1000000 (line 3, column 20 of the expression)",
         ),
     ]:
         with pytest.raises(DocumentError) as ei:
             load_document(f"dilog-identity v1\nvariables: t\nterm: 1 [{expression}]\n")
-        assert isinstance(ei.value.__cause__, cause)
+        assert isinstance(ei.value.__cause__, ExpressionError)
         assert str(ei.value) == message
         assert ei.value.line == 3
 
@@ -563,14 +564,14 @@ def test_shared_factor_maps_match_fresh_parses():
 
 
 def test_limits_are_checked_around_a_shared_group():
-    with pytest.raises(DegreeLimitExceeded) as ei:
+    with pytest.raises(ExpressionError) as ei:
         parse_expression("(t^60000)*(t^60000)", ("t",))
     assert (ei.value.line, ei.value.col) == (1, 10)
 
     text = "dilog-identity v1\nvariables: t\nterm: 1 [(t + 1)]\nterm: 1 [(t + 1)/(t - t)]\n"
     with pytest.raises(DocumentError) as ei:
         load_document(text)
-    assert isinstance(ei.value.__cause__, DivisionByZeroConstant)
+    assert isinstance(ei.value.__cause__, ExpressionError)
     assert str(ei.value) == (
         "division by an identically zero expression (line 4, column 8 of the expression)"
     )
@@ -579,7 +580,7 @@ def test_limits_are_checked_around_a_shared_group():
 def test_a_group_that_raised_raises_again_at_its_own_place():
     shared: dict = {}
     for src, col in (("1 + (x/(y - y))", 7), ("(x/(y - y))", 3), ("x/(y - y)", 2)):
-        with pytest.raises(DivisionByZeroConstant) as ei:
+        with pytest.raises(ExpressionError) as ei:
             parse_expression(src, XY, "Q", shared)
         assert (ei.value.line, ei.value.col) == (1, col)
 
@@ -617,8 +618,8 @@ def test_repeated_subtrees_parse_as_fresh(pool, picks):
     for src in terms:
         try:
             fresh = parse_expression(src, XY)
-        except DivisionByZeroConstant as exc:
-            with pytest.raises(DivisionByZeroConstant) as ei:
+        except ExpressionError as exc:
+            with pytest.raises(ExpressionError) as ei:
                 parse_expression(src, XY, "Q", shared)
             assert (ei.value.line, ei.value.col) == (exc.line, exc.col)
             continue

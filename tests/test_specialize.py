@@ -10,7 +10,6 @@ from dilogeq.ratfunc import INF, RationalFunction
 from dilogeq.scalars import fe
 from dilogeq.specialize import (
     PointNotAdmissible,
-    SpecPlan,
     SpecStep,
     default_aux,
     evaluate_at_point,
@@ -96,13 +95,11 @@ def test_golden_three_variable_plan():
     t2 = RationalFunction.var(U, "t2")
     t3 = RationalFunction.var(U, "t3")
     alpha = FormalSum.single(t1 + t2 + t3)
-    plan = SpecPlan(
-        (
-            SpecStep("t2", -t1 - t3, t1 + t3**2),
-            SpecStep("t1", -(t3**2), t3),
-        )
+    steps = (
+        SpecStep("t2", -t1 - t3, t1 + t3**2),
+        SpecStep("t1", -(t3**2), t3),
     )
-    first = sp(alpha, plan.steps[0])
+    first = sp(alpha, steps[0])
     assert first == FormalSum(
         ("t1", "t3"),
         {
@@ -114,7 +111,7 @@ def test_golden_three_variable_plan():
             ).one_minus(): Fraction(1),
         },
     )
-    final = iterate(alpha, plan)
+    final = iterate(alpha, steps)
     t3_only = RationalFunction.var(("t3",), "t3")
     want = FormalSum(
         ("t3",), {t3_only: Fraction(1), t3_only.one_minus(): Fraction(1)}
@@ -242,12 +239,10 @@ def test_spec_step_validation():
         SpecStep("t", const(0), const(1))  # aux = 1
     with pytest.raises(TypeError):
         SpecStep("t", 0, const(2))  # raw int target
-    with pytest.raises(ValueError):
-        SpecPlan((step_to(0), step_to(1)))  # t eliminated twice
 
 
 def test_default_aux():
-    assert default_aux(T, "t") == const(2)
+    assert default_aux(T) == const(2)
 
 
 def test_sp_without_degeneracies_is_substitution():
@@ -261,14 +256,17 @@ def test_sp_without_degeneracies_is_substitution():
 
 def test_iterate_empty_plan():
     alpha = FormalSum.single(t() + const(3))
-    assert iterate(alpha, SpecPlan(())) == alpha
+    assert iterate(alpha, ()) == alpha
 
 
 def test_iterate_rejects_missing_variable():
     alpha = FormalSum.single(t() + const(3))
-    plan = SpecPlan((SpecStep("s", const(0, ("s",)), const(2, ("s",))),))
-    with pytest.raises(ValueError):
-        iterate(alpha, plan)
+    steps = (SpecStep("s", const(0, ("s",)), const(2, ("s",))),)
+    with pytest.raises(ValueError, match="variable s already eliminated"):
+        iterate(alpha, steps)
+    # a step that repeats a variable finds it eliminated by the one before
+    with pytest.raises(ValueError, match="variable t already eliminated"):
+        iterate(alpha, (step_to(0), step_to(1)))
 
 
 def test_order_dependence_example():
@@ -283,11 +281,11 @@ def test_order_dependence_example():
     aux = RationalFunction.const(U, fe(5))
     first_t1 = iterate(
         alpha,
-        SpecPlan((SpecStep("t1", zero1, aux), SpecStep("t2", zero1, aux))),
+        (SpecStep("t1", zero1, aux), SpecStep("t2", zero1, aux)),
     )
     first_t2 = iterate(
         alpha,
-        SpecPlan((SpecStep("t2", zero1, aux), SpecStep("t1", zero1, aux))),
+        (SpecStep("t2", zero1, aux), SpecStep("t1", zero1, aux)),
     )
     assert first_t1 == FormalSum((), {const(2, ()): Fraction(1)})
     assert not first_t2.terms
@@ -335,17 +333,13 @@ def test_full_plan_matches_point_evaluation():
             continue
         zero_u = RationalFunction.const(U, fe(0))
         aux = RationalFunction.const(U, fe(3))
-        plan_a = SpecPlan(
-            (
-                SpecStep("t1", RationalFunction.const(U, p1), aux),
-                SpecStep("t2", RationalFunction.const(U, p2), aux),
-            )
+        plan_a = (
+            SpecStep("t1", RationalFunction.const(U, p1), aux),
+            SpecStep("t2", RationalFunction.const(U, p2), aux),
         )
-        plan_b = SpecPlan(
-            (
-                SpecStep("t2", RationalFunction.const(U, p2), aux),
-                SpecStep("t1", RationalFunction.const(U, p1), aux),
-            )
+        plan_b = (
+            SpecStep("t2", RationalFunction.const(U, p2), aux),
+            SpecStep("t1", RationalFunction.const(U, p1), aux),
         )
         assert iterate(alpha, plan_a) == direct
         assert iterate(alpha, plan_b) == direct
