@@ -136,6 +136,25 @@ def test_only_decimal_digits_make_numbers():
     assert parse_expression("x^\u0663", XY) == var("x") ** 3
 
 
+def test_syntax_error_is_a_syntax_error():
+    with pytest.raises(ExpressionError) as ei:
+        parse_expression("x +", XY)
+    assert ei.value.reason == "expected a value, found end of input"
+    assert (ei.value.line, ei.value.col) == (1, 4)
+
+
+def test_unknown_variable_details():
+    with pytest.raises(ExpressionError) as ei:
+        parse_expression("q + x", ("x",))
+    assert ei.value.reason == "unknown variable 'q'"
+    assert (ei.value.line, ei.value.col) == (1, 1)
+
+    # using i without gaussian mode points at the fix
+    with pytest.raises(ExpressionError) as ei:
+        parse_expression("1 + i", ("x",), "Q")
+    assert "field mode Qi" in str(ei.value)
+
+
 def test_each_expression_error_keeps_its_message_and_place():
     # one class serves a syntax error, an unknown name, a zero divisor and
     # both size limits; `reason` is the message without the position
