@@ -2,7 +2,10 @@
 
 Usage: python3 scripts/report_diff.py OLD NEW [--seeds 1-2]
 
-OLD and NEW are checkout directories.  The documents come from this
+OLD and NEW are checkout directories.  OLD may also be a git revision of
+this checkout, such as HEAD: its `src/` is exported with `git archive`
+into a temporary directory, so a change is compared with its parent in
+one command (`report_diff.py HEAD .`).  The documents come from this
 checkout's `bench/inputs.py` (read, not changed; it imports nothing from
 the package, so a seed gives the same documents at every commit), with the
 flags the benchmark's `docs-check` workload passes.  Each checkout runs
@@ -19,10 +22,12 @@ within the tolerance, and each difference; exits 1 on any difference.
 
 import argparse
 import importlib.util
+import io
 import json
 import math
 import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
@@ -66,6 +71,18 @@ def load_inputs():
 def seed_range(text: str) -> list[int]:
     lo, _, hi = text.partition("-")
     return list(range(int(lo), int(hi or lo) + 1))
+
+
+def export_revision(revision: str, target: Path) -> Path:
+    """Write the `src/` of a git revision of this checkout under target."""
+    archive = subprocess.run(
+        ["git", "-C", str(ROOT), "archive", "--format=tar", revision, "src"],
+        check=True,
+        stdout=subprocess.PIPE,
+    ).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(target)
+    return target
 
 
 def run_checkout(checkout: Path, argvs: list[list[str]], workdir: Path) -> list:
@@ -141,16 +158,11 @@ class Diff:
         self.compare(old_report, new_report, (), real, where)
 
 
-def main():
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("old", type=Path, help="checkout directory of the old code")
-    ap.add_argument("new", type=Path, help="checkout directory of the new code")
-    ap.add_argument("--seeds", default="1-2", help="inclusive range, e.g. 1-2")
-    args = ap.parse_args()
-
+def compare_checkouts(old_checkout: Path, new_checkout: Path, seeds: list[int]) -> bool:
+    """Print what each seed's reports show; True when any of them differ."""
     inputs = load_inputs()
     failed = False
-    for seed in seed_range(args.seeds):
+    for seed in seeds:
         cases = inputs.docs_cases(seed, DOCS)
         with tempfile.TemporaryDirectory() as tmp:
             workdir = Path(tmp)
@@ -159,8 +171,8 @@ def main():
                 path = workdir / case.name
                 path.write_text(case.text)
                 argvs.append(["check", str(path), "--json", *case.flags])
-            old = run_checkout(args.old.resolve(), argvs, workdir)
-            new = run_checkout(args.new.resolve(), argvs, workdir)
+            old = run_checkout(old_checkout, argvs, workdir)
+            new = run_checkout(new_checkout, argvs, workdir)
         diff = Diff()
         for case, a, b in zip(cases, old, new):
             diff.compare_run(a, b, f"seed {seed} {case.name}")
@@ -174,6 +186,24 @@ def main():
         for line in diff.problems:
             print("  " + line)
         failed |= bool(diff.problems)
+    return failed
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("old", help="checkout directory or git revision of the old code")
+    ap.add_argument("new", type=Path, help="checkout directory of the new code")
+    ap.add_argument("--seeds", default="1-2", help="inclusive range, e.g. 1-2")
+    args = ap.parse_args()
+
+    with tempfile.TemporaryDirectory() as exported:
+        old = Path(args.old)
+        if not old.is_dir():
+            try:
+                old = export_revision(args.old, Path(exported))
+            except subprocess.CalledProcessError:
+                ap.error(f"{args.old} is neither a directory nor a git revision")
+        failed = compare_checkouts(old.resolve(), args.new.resolve(), seed_range(args.seeds))
     sys.exit(1 if failed else 0)
 
 

@@ -34,8 +34,6 @@ operations around a shared group still check their limits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .ratfunc import RationalFunction, ZeroDenominator
 from .scalars import FieldElement
 
@@ -89,12 +87,14 @@ def _coefficient_bits(f: RationalFunction) -> int:
     )
 
 
-@dataclass(frozen=True)
 class _Token:
-    kind: str  # "int" | "name" | one of "+-*/^()" | "end"
-    text: str
-    line: int
-    col: int
+    __slots__ = ("kind", "text", "line", "col")
+
+    def __init__(self, kind: str, text: str, line: int, col: int):
+        self.kind = kind  # "int" | "name" | one of "+-*/^()" | "end"
+        self.text = text
+        self.line = line
+        self.col = col
 
 
 def _tokenize(src: str) -> list[_Token]:

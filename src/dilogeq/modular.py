@@ -167,7 +167,7 @@ def _gf_gcd_many(a: dict, b: dict, p: int) -> dict:
 def _modulus(k: int) -> tuple[int, int]:
     """The k-th prime p = 1 (mod 4) with a square root of -1 mod p: the
     images' prime P, then the primes below FACTOR_BOUND^2 = 10^12 in
-    descending order, which `is_prime` proves by trial division; cached,
+    descending order, which `is_prime` proves by Miller-Rabin; cached,
     so a process searches for each once."""
     if not k:
         return _P, _I_IMAGE

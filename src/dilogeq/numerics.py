@@ -222,10 +222,11 @@ def _admissible_value(v: complex) -> bool:
     return 1e-3 <= abs(v) <= 1e3 and 1e-3 <= abs(1 - v) <= 1e3
 
 
-def _sample_point(universe: tuple[str, ...], args: list, rng: random.Random,
-                  domain: str) -> list[complex] | None:
+def _sample_point(universe: tuple[str, ...], args: list, constant: list[bool],
+                  rng: random.Random, domain: str) -> list[complex] | None:
     """The value of each of `args` at one random point, or None when the
-    point is not admissible."""
+    point is not admissible; `constant` tells which of `args` are
+    constant."""
     point: dict[str, complex] = {}
     for v in universe:
         if domain == "complex":
@@ -233,7 +234,7 @@ def _sample_point(universe: tuple[str, ...], args: list, rng: random.Random,
         else:
             point[v] = complex(rng.uniform(-4, 4), 0.0)
     values = []
-    for f in args:
+    for f, fixed in zip(args, constant):
         try:
             val = f.eval_numeric(point)
         except (ZeroDivisionError, OverflowError):
@@ -241,7 +242,7 @@ def _sample_point(universe: tuple[str, ...], args: list, rng: random.Random,
         if not (math.isfinite(val.real) and math.isfinite(val.imag)):
             return None
         # a constant argument takes the same value at every draw
-        if not f.is_constant() and not _admissible_value(val):
+        if not fixed and not _admissible_value(val):
             return None
         if domain == "real" and abs(val.imag) > 1e-12:
             return None
@@ -274,6 +275,7 @@ def numeric_probe(
     if domain == "real" and any(a.denominator != 1 for _, a in terms):
         raise ValueError("mod-pi^2/2 probe needs integer coefficients")
     args = [f for f, _ in terms]
+    constant = [f.is_constant() for f in args]
 
     # a real total is a class mod pi^2/2, read as its centered offset from
     # the first one, so that a flat sum near the wrap does not read as spread
@@ -286,7 +288,7 @@ def numeric_probe(
                 f"found {len(readings)} admissible points in {tries} draws (need {samples})"
             )
         tries += 1
-        values = _sample_point(alpha.universe, args, rng, domain)
+        values = _sample_point(alpha.universe, args, constant, rng, domain)
         if values is None:
             continue
         if domain == "real":

@@ -93,7 +93,9 @@ class MultiPoly:
 
     @staticmethod
     def one(universe) -> "MultiPoly":
-        return MultiPoly.const(universe, ONE)
+        """The polynomial 1, one shared object per universe, so that its
+        hash, canonical form and images are computed once."""
+        return _one(tuple(universe))
 
     @staticmethod
     def var(universe, name: str) -> "MultiPoly":
@@ -209,6 +211,8 @@ class MultiPoly:
     def __pow__(self, n: int) -> "MultiPoly":
         if n < 0:
             raise ValueError("negative power of a polynomial")
+        if n == 1:
+            return self
         out = MultiPoly.one(self.universe)
         base = self
         while True:
@@ -452,6 +456,11 @@ def _format_term(c: FieldElement, mono: str) -> str:
     if c == MINUS_ONE:
         return "-" + mono
     return _coeff_str(c) + "*" + mono
+
+
+@cache
+def _one(universe: tuple[str, ...]) -> MultiPoly:
+    return MultiPoly.const(universe, ONE)
 
 
 # ---------------------------------------------------------------------------

@@ -127,7 +127,8 @@ class RationalFunction:
         return self.num.is_constant() and self.den.is_constant()
 
     def constant_value(self) -> FieldElement:
-        return self.num.constant_value() / self.den.constant_value()
+        value = self.num.constant_value()
+        return value if self.den.is_one() else value / self.den.constant_value()
 
     def vars_used(self) -> tuple[str, ...]:
         used = set(self.num.vars_used()) | set(self.den.vars_used())
@@ -202,6 +203,8 @@ class RationalFunction:
             return self.inverse() ** (-n)
         if n == 0:
             return RationalFunction.const(self.universe, ONE)
+        if n == 1:
+            return self
         factors = tuple(
             {p: k * n for p, k in fac.items()} for fac in (self.num_factors, self.den_factors)
         )

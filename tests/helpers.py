@@ -7,6 +7,7 @@ the seed alone.
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import os
 import random
@@ -27,6 +28,16 @@ from dilogeq.wedge import BASIS, WedgeElement
 
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def bench_inputs():
+    """bench/inputs.py, read without changing it; it imports nothing from
+    the package, so a seed gives the same documents at every commit."""
+    spec = importlib.util.spec_from_file_location("bench_inputs", ROOT / "bench" / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = inputs
+    spec.loader.exec_module(inputs)
+    return inputs
 
 
 def fresh(code: str, *args: str):

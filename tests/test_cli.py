@@ -5,7 +5,9 @@ import inspect
 import io
 import json
 import math
+import os
 import re
+import subprocess
 import sys
 
 import pytest
@@ -16,6 +18,8 @@ from dilogeq.document import load_document
 from dilogeq.exprparse import parse_expression
 from dilogeq.formal import five_term
 from dilogeq.numerics import ModPiSqHalf
+
+from helpers import ROOT, bench_inputs
 
 FIVE_DOC = """\
 dilog-identity v1
@@ -1302,3 +1306,39 @@ def test_reports_are_byte_deterministic(run):
         _, first, _ = run(list(argv))
         _, second, _ = run(list(argv))
         assert first == second
+
+
+# sha256 of [exit code, stdout, stderr] of `check DOC --json FLAGS` on each
+# of the first 60 benchmark documents at seed 1: a change that only makes
+# `check` faster leaves every report byte, and so this digest, as it is
+BENCH_REPORTS_SHA256 = "ded4e09cf3e544c93ffd5fadf05dd591b106c981a015d83d7e268618cedce333"
+
+# runs in a child process with PYTHONHASHSEED fixed, as the benchmark runs
+# the package; argv[1] is a JSON list of argument lists
+REPORTS_CHILD = """
+import contextlib, hashlib, io, json, sys
+from dilogeq.cli import main
+digest = hashlib.sha256()
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    digest.update(json.dumps([code, out.getvalue(), err.getvalue()]).encode())
+print(digest.hexdigest())
+"""
+
+
+def test_check_reports_of_the_benchmark_documents_are_pinned(tmp_path):
+    argvs = []
+    for case in bench_inputs().docs_cases(1, 60):
+        (tmp_path / case.name).write_text(case.text)
+        argvs.append(["check", case.name, "--json", *case.flags])
+    done = subprocess.run(
+        [sys.executable, "-c", REPORTS_CHILD, json.dumps(argvs)],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONHASHSEED": "0", "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr.decode()
+    assert done.stdout.decode().strip() == BENCH_REPORTS_SHA256

@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -101,6 +102,24 @@ def test_large_coefficients_take_several_primes(monkeypatch):
     assert primes[0] == (poly._P, poly._I_IMAGE)
     assert all(p % 4 == 1 and s * s % p == p - 1 for p, s in primes)
     assert [p for p, _ in primes] == sorted({p for p, _ in primes}, reverse=True)
+
+
+# the primes below 10^12 that `_modulus(1)` to `_modulus(10)` return
+MODULI = [
+    999999999989, 999999999961, 999999999937, 999999999877, 999999999857,
+    999999999697, 999999999673, 999999999617, 999999999589, 999999999577,
+]
+
+
+def test_moduli_are_found_quickly():
+    # is_prime proves them by Miller-Rabin; trial division to 10^6 took
+    # over a second for these ten
+    modular._modulus.cache_clear()
+    start = time.perf_counter()
+    found = [modular._modulus(k) for k in range(1, 11)]
+    assert time.perf_counter() - start < 0.5
+    assert [p for p, _ in found] == MODULI
+    assert all(s * s % p == p - 1 for p, s in found)
 
 
 def test_rational_reconstruction():

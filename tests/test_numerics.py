@@ -408,12 +408,18 @@ def test_probe_evaluates_each_argument_once_per_draw(monkeypatch, alpha, domain)
     draws = []  # per draw: the arguments evaluated, and whether it was kept
     current = None
     stray = []
+    checked = []  # the arguments asked is_constant, over the whole probe
     eval_numeric = RationalFunction.eval_numeric
+    is_constant = RationalFunction.is_constant
     sample_point = numerics._sample_point
 
     def counted_eval(self, point):
         (stray if current is None else current).append(self)
         return eval_numeric(self, point)
+
+    def counted_is_constant(self):
+        checked.append(self)
+        return is_constant(self)
 
     def counted_sample(*args, **kwargs):
         nonlocal current
@@ -424,10 +430,13 @@ def test_probe_evaluates_each_argument_once_per_draw(monkeypatch, alpha, domain)
         return values
 
     monkeypatch.setattr(RationalFunction, "eval_numeric", counted_eval)
+    monkeypatch.setattr(RationalFunction, "is_constant", counted_is_constant)
     monkeypatch.setattr(numerics, "_sample_point", counted_sample)
     rep = numeric_probe(alpha, domain, samples=40, seed=3)
     args = [f for f, _ in alpha.items()]
     assert stray == []
+    # constancy is read once per argument per probe, not at every draw
+    assert checked == args
     assert sum(kept for _, kept in draws) == rep.points_used == 40
     # the last argument, a 7th power, leaves the margin [1e-3, 1e3] for
     # |t| > 2.7, so some draws are rejected part-way

@@ -1,11 +1,8 @@
 """Expression grammar and identity-document parsing."""
 
-import importlib.util
 import random
-import sys
 import time
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +19,7 @@ from dilogeq.formal import FormalSum, check_term, five_term
 from dilogeq.ratfunc import RationalFunction, ZeroDenominator
 from dilogeq.scalars import FieldElement
 
-from helpers import random_formal_sum
+from helpers import bench_inputs, random_formal_sum
 
 XY = ("x", "y")
 
@@ -652,17 +649,6 @@ def test_repeated_subtrees_parse_as_fresh(pool, picks):
     _assert_document_as_fresh(load_document(doc))
 
 
-def _bench_inputs():
-    """bench/inputs.py, read without changing it; it imports nothing from
-    the package, so a seed gives the same documents at every commit."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
-    spec = importlib.util.spec_from_file_location("bench_inputs", path)
-    inputs = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = inputs
-    spec.loader.exec_module(inputs)
-    return inputs
-
-
 def test_benchmark_documents_parse_as_fresh():
-    for case in _bench_inputs().docs_cases(1, 60):
+    for case in bench_inputs().docs_cases(1, 60):
         _assert_document_as_fresh(load_document(case.text))

@@ -70,6 +70,14 @@ def test_pow_is_repeated_multiplication(gaussian):
         for n in range(21):
             assert p**n == expected, (str(p), n)
             expected = expected * p
+        assert p**1 is p
+
+
+def test_one_is_one_shared_object_per_universe():
+    one = MultiPoly.one(T12)
+    assert MultiPoly.one(T12) is one and MultiPoly.one(list(T12)) is one
+    assert one == MultiPoly.const(T12, ONE) and hash(one) == hash(MultiPoly.const(T12, ONE))
+    assert one.is_one() and MultiPoly.one(T) == c(1) and MultiPoly.one(T) is not one
 
 
 def test_zero_degree_convention():

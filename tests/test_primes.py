@@ -1,6 +1,7 @@
 """Factoring exact constants over Q and Q(i)."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -74,6 +75,22 @@ def test_is_prime():
     # trial division to the default bound proves primes below its square
     with pytest.raises(OversizedConstant):
         is_prime(UNPROVEN)
+
+
+def test_is_prime_agrees_with_trial_division_below_the_bound_squared():
+    # is_prime runs Miller-Rabin there; among the inputs are the strong
+    # pseudoprimes to the bases 2, 3, 5 and to 2, 3, 5, 7, a Carmichael
+    # number and a semiprime of two primes beside the trial bound
+    rnd = random.Random(12)
+    special = [561, 25326001, 3215031751, 999_983 * 1_000_003, 999_999_000_001]
+    ns = [
+        *range(2, 20),
+        *special,
+        *(rnd.randrange(2, 10**6) for _ in range(200)),
+        *(rnd.randrange(2, 10**12) for _ in range(60)),
+    ]
+    assert [is_prime(n) for n in ns] == [factor_rational(n)[1] == {n: 1} for n in ns]
+    assert [is_prime(n) for n in special] == [False, False, False, False, True]
 
 
 def test_gaussian_oversized_names_the_rational_residual():

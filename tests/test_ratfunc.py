@@ -122,6 +122,31 @@ def test_factor_maps_of_worked_examples():
     assert (one / (x * (x + one)) + x).den_factors == {px: 1, p1: 1}
 
 
+def test_first_powers_keep_the_operand_and_its_factor_maps():
+    x = RationalFunction.var(XY, "x")
+    one = RationalFunction.const(XY, ONE)
+    f = (x + one) ** 3 * x / ((x - one) * RationalFunction.const(XY, fe(2)))
+    assert f**1 is f
+    inverse = f.inverse()
+    assert f**-1 == inverse
+    assert (f**-1).num_factors == inverse.num_factors == f.den_factors
+    assert (f**-1).den_factors == inverse.den_factors == f.num_factors
+
+
+def test_constant_value():
+    assert RationalFunction.const(XY, fe("-3/7", 2)).constant_value() == fe("-3/7", 2)
+    assert RationalFunction.const(XY, fe(0)).constant_value() == fe(0)
+    # a normalized constant has the denominator 1; a pair built as
+    # normalized may hold another constant, which is divided out
+    three, two_plus_i = MultiPoly.const(XY, fe(3)), MultiPoly.const(XY, fe(2, 1))
+    held = RationalFunction(three, two_plus_i, _normalized=True)
+    assert held.constant_value() == fe(3) / fe(2, 1)
+    assert RationalFunction(three, two_plus_i).constant_value() == fe(3) / fe(2, 1)
+    for f in (RationalFunction.var(XY, "x"), RationalFunction.var(XY, "x").inverse()):
+        with pytest.raises(ValueError):
+            f.constant_value()
+
+
 def test_infinity_singleton():
     assert Infinity() is INF
     assert str(INF) == "inf"

@@ -6,16 +6,19 @@ when this test was written, which pins the text of formal sums, extended
 sums and p-adic numbers that the scripts show, the Bloch-group table
 of the survey over the primes up to 31, and the digests of the coprime
 bases, boundary pairs and factor maps of the benchmark's seed-1 inputs.
-`code_lines.py` is run on a fixture of two modules.
+`code_lines.py` is run on a fixture of two modules, and `report_diff.py`
+compares the reports of HEAD with those of the working tree.
 """
 
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPTS = ROOT / "scripts"
 
 SPECIALIZATION_DEMO = """\
 duplication combination: -2*[-t] - 2*[t] + [t^2]
@@ -139,3 +142,21 @@ def test_code_lines_counts_each_module_and_the_total(tmp_path):
     assert done.returncode == 0, done.stderr.decode()
     rows = [line.split() for line in done.stdout.decode().splitlines()]
     assert rows == [["a.py", "4"], ["b.py", "5"], ["total", "9"]]
+
+
+@pytest.mark.skipif(
+    not (ROOT / ".git").exists() or shutil.which("git") is None,
+    reason="needs a git checkout",
+)
+def test_report_diff_takes_a_git_revision():
+    # HEAD is exported with git archive; the working tree of a committed
+    # change gives the same report bytes
+    done = subprocess.run(
+        [sys.executable, str(SCRIPTS / "report_diff.py"), "HEAD", str(ROOT), "--seeds", "1"],
+        capture_output=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stdout.decode() + done.stderr.decode()
+    summary = done.stdout.decode().splitlines()[0]
+    assert summary.startswith("seed 1: 240 documents, ")
+    assert summary.endswith(" 0 moved, largest change 0, 0 differences")
