@@ -3,9 +3,9 @@
 Usage: python3 scripts/report_diff.py OLD NEW [--seeds 1-2]
 
 OLD and NEW are checkout directories.  OLD may also be a git revision of
-this checkout, such as HEAD: its `src/` is exported with `git archive`
-into a temporary directory, so a change is compared with its parent in
-one command (`report_diff.py HEAD .`).  The documents come from this
+this checkout, such as HEAD: it is exported with `git archive` into a
+temporary directory, so a change is compared with its parent in one
+command (`report_diff.py HEAD .`).  The documents come from this
 checkout's `bench/inputs.py` (read, not changed; it imports nothing from
 the package, so a seed gives the same documents at every commit), with the
 flags the benchmark's `docs-check` workload passes.  Each checkout runs
@@ -74,9 +74,9 @@ def seed_range(text: str) -> list[int]:
 
 
 def export_revision(revision: str, target: Path) -> Path:
-    """Write the `src/` of a git revision of this checkout under target."""
+    """Write the tree of a git revision of this checkout under target."""
     archive = subprocess.run(
-        ["git", "-C", str(ROOT), "archive", "--format=tar", revision, "src"],
+        ["git", "-C", str(ROOT), "archive", "--format=tar", revision],
         check=True,
         stdout=subprocess.PIPE,
     ).stdout

@@ -94,18 +94,18 @@ def relations_matrix(p: int) -> AbelianGroupPresentation:
 
     five = []
     for x in gens:
+        ix, jx = inv[x], 1 - inv[x]
         for y in gens:
             if x == y:
                 continue
+            # the arguments x, y, y/x, (1-x)/(1-y), (1-1/x)/(1-1/y) with
+            # signs + - + + -; where two coincide their entries add
             row = [0] * n
-            for val, coef in (
-                (x, 1),
-                (y, -1),
-                (y * inv[x] % p, 1),
-                ((1 - x) * inv[1 - y] % p, 1),
-                ((1 - inv[x]) * inv[1 - inv[y]] % p, -1),
-            ):
-                row[val - 2] += coef
+            row[x - 2] += 1
+            row[y - 2] -= 1
+            row[y * ix % p - 2] += 1
+            row[(1 - x) * inv[1 - y] % p - 2] += 1
+            row[jx * inv[1 - inv[y]] % p - 2] -= 1
             five.append(tuple(row))
 
     inversion = []

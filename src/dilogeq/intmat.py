@@ -16,12 +16,14 @@ The relation lattices met here are nearly the identity: most pivots are
 1.  So the form keeps one invariant, that no stored row has a nonzero in
 another row's unit-pivot column, and clears an incoming row at every
 unit pivot in one sparse pass before the dense column loop runs on what
-is left.  The Smith form reads each unit pivot of the reduced Hermite
-form as an invariant factor 1, which is exact because that pivot's
-column is zero outside its own row, so column operations clear the row
-without touching any other.  It alternates Hermite forms of the block of
-non-unit pivot rows, on the columns that are not unit pivots, and of its
-transpose.
+is left; `basis()` reduces above the non-unit pivots only.  Solutions
+are as sparse, so `solve_integer` checks each one over the basis rows
+its nonzero entries select.  The Smith form reads each unit pivot of the
+reduced Hermite form as an invariant factor 1, which is exact because
+that pivot's column is zero outside its own row, so column operations
+clear the row without touching any other.  It alternates Hermite forms
+of the block of non-unit pivot rows, on the columns that are not unit
+pivots, and of its transpose.
 
 The minor-gcd Smith form (gcd of all k x k minors gives the determinant
 divisor chain d_k, and d_k / d_{k-1} the invariant factors) is exponential
@@ -74,10 +76,11 @@ class HermiteForm:
     there.  So the unit-pivot rows that a vector touches are subtracted
     in one pass whose order does not matter, each from a cached list of
     that row's off-pivot nonzeros (dropped whenever the row changes), and
-    the column loop runs only on what is left.  In `basis()` a unit
-    pivot's column is then zero outside its own row, so column operations
-    clear that row alone, and `smith_invariant_factors` reads each unit
-    pivot as an invariant factor 1 and works on the rest."""
+    the column loop runs only on what is left.  A unit pivot's column is
+    zero outside its own row, so `basis()` has nothing to reduce above it
+    and passes over it, column operations clear that row alone, and
+    `smith_invariant_factors` reads each unit pivot as an invariant factor
+    1 and works on the rest."""
 
     def __init__(self, width: int):
         self.width = width
@@ -174,9 +177,12 @@ class HermiteForm:
         return v
 
     def basis(self) -> Matrix:
-        # left to right, so a later step never disturbs a reduced column
+        # left to right, so a later step never disturbs a reduced column;
+        # by the invariant a unit pivot's column is already zero in every
+        # other row, so only the non-unit pivots need the pass
         for c in sorted(self.rows):
-            self._normalize_above(c)
+            if self.rows[c][c] != 1:
+                self._normalize_above(c)
         return [list(self.rows[c]) for c in sorted(self.rows)]
 
     def contains(self, v) -> bool:
@@ -226,14 +232,18 @@ def solve_integer(basis: Matrix, targets: Matrix) -> list[list[int] | None]:
         return [None if any(v) else [] for v in targets]
     n = len(basis[0])
     form = _with_transform(basis)
-    cols = list(zip(*basis))
     out = []
     for v in targets:
         rest = form._reduce(list(v) + [0] * m, n)
         x = None if rest is None else [-t for t in rest[n:]]
-        # verify the transform bookkeeping
-        if x is not None and any(sum(map(mul, x, col)) != vj for col, vj in zip(cols, v)):
-            x = None
+        if x is not None:
+            # verify the transform bookkeeping: v - x @ basis, summed over
+            # the rows with a nonzero x_i only, must vanish
+            for xi, row in zip(x, basis):
+                if xi:
+                    v = [a - xi * b for a, b in zip(v, row)]
+            if any(v):
+                x = None
         out.append(x)
     return out
 

@@ -1,6 +1,7 @@
 """Command line interface, run in-process through main(argv)."""
 
 import argparse
+import hashlib
 import inspect
 import io
 import json
@@ -1051,6 +1052,26 @@ def test_blochfq_golden(run, p, flags, text, report):
     code, out, err = run(["blochfq", str(p), "--json", *flags])
     assert (code, err) == (0, "")
     assert out == json.dumps(report, sort_keys=True, indent=2) + "\n"
+
+
+# sha256 of [exit code, stdout, stderr] of `blochfq P` and `blochfq P --json`
+# for every prime 5 <= P <= 97, the cap, then of both with --oracle at 5 and 7:
+# a change that only makes `blochfq` faster leaves this digest as it is
+BLOCHFQ_REPORTS_SHA256 = "0d7dc5ba2def6d4ac50a0b2864f6c345cf15d9c122a43a36dfcea2b221ce6fe7"
+
+
+def test_blochfq_reports_up_to_the_cap_are_pinned(run):
+    argvs = [
+        ["blochfq", str(p), *flags]
+        for p in range(5, 98)
+        if primes.is_prime(p)
+        for flags in ([], ["--json"])
+    ]
+    argvs += [["blochfq", str(p), *flags, "--oracle"] for p in (5, 7) for flags in ([], ["--json"])]
+    digest = hashlib.sha256()
+    for argv in argvs:
+        digest.update(json.dumps(run(argv)).encode())
+    assert digest.hexdigest() == BLOCHFQ_REPORTS_SHA256
 
 
 def test_blochfq_builds_the_presentation_once(run, monkeypatch):

@@ -7,6 +7,7 @@ from math import gcd, prod
 
 import pytest
 
+from dilogeq import intmat
 from dilogeq.blochfq import relations_matrix
 from dilogeq.intmat import (
     HermiteForm,
@@ -144,6 +145,18 @@ def test_hermite_form_matches_the_dense_elimination():
         assert smith_invariant_factors(a, n) == dense_smith(a, n), a
     # both kinds of pivot in one form, often enough to test the block
     assert mixed > 200, mixed
+    # the shape `bloch_groups` inserts: the distinct five-term rows, of full
+    # rank, with a unit at every pivot but two or three
+    for p in (7, 13, 17):
+        a = list(dict.fromkeys(relations_matrix(p).five_rows))
+        n = p - 2
+        h = HermiteForm(n)
+        for r in a:
+            h.insert(r)
+        basis = h.basis()
+        assert _unit_pivot_columns_are_clear(h), p
+        assert basis == dense_hnf(a, n), p
+        assert len(basis) == n and 2 <= sum(r[c] != 1 for c, r in h.rows.items()) <= 3, p
 
 
 def test_in_row_span_basic():
@@ -413,6 +426,23 @@ def test_solve_integer_roundtrip():
         x = [rnd.randint(-4, 4) for _ in range(m)]
         v = _mat_vec(basis, x)
         assert solve_integer(basis, [v]) == [x]
+
+
+def test_solve_integer_rejects_a_wrong_transform(monkeypatch):
+    # the Hermite form of [basis | I] with one transform entry off by one:
+    # the check x @ basis == v rejects every target that uses that row
+    basis = [[2, 1, 0], [0, 3, 0], [0, 0, 5]]
+    build = intmat._with_transform
+
+    def corrupted(rows):
+        # the row at pivot 2 claims to be 2 * basis[2] in its transform part
+        form = build(rows)
+        form.rows[2][3 + 2] += 1
+        return form
+
+    monkeypatch.setattr(intmat, "_with_transform", corrupted)
+    targets = [[2, 1, 0], [0, 0, 5], [4, 5, 0], [2, 4, 10], [0, -3, 0]]
+    assert solve_integer(basis, targets) == [[1, 0, 0], None, [2, 1, 0], None, [0, -1, 0]]
 
 
 def test_solve_integer_rejects_non_integral():

@@ -6,8 +6,9 @@ when this test was written, which pins the text of formal sums, extended
 sums and p-adic numbers that the scripts show, the Bloch-group table
 of the survey over the primes up to 31, and the digests of the coprime
 bases, boundary pairs and factor maps of the benchmark's seed-1 inputs.
-`code_lines.py` is run on a fixture of two modules, and `report_diff.py`
-compares the reports of HEAD with those of the working tree.
+`code_lines.py` is run on a fixture of two modules, `report_diff.py`
+compares the reports of HEAD with those of the working tree, and
+`bench_pairs.py` benchmarks HEAD against the working tree.
 """
 
 import shutil
@@ -160,3 +161,27 @@ def test_report_diff_takes_a_git_revision():
     summary = done.stdout.decode().splitlines()[0]
     assert summary.startswith("seed 1: 240 documents, ")
     assert summary.endswith(" 0 moved, largest change 0, 0 differences")
+
+
+@pytest.mark.skipif(
+    not (ROOT / ".git").exists() or shutil.which("git") is None,
+    reason="needs a git checkout",
+)
+def test_bench_pairs_compares_a_git_revision_with_a_directory():
+    done = subprocess.run(
+        [
+            sys.executable, str(SCRIPTS / "bench_pairs.py"), "HEAD", str(ROOT),
+            "--workload", "bloch-fq", "--pairs", "1", "--seconds", "1",
+        ],
+        capture_output=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stdout.decode() + done.stderr.decode()
+    lines = done.stdout.decode().splitlines()
+    assert lines[0].startswith("bloch-fq, seed 1, 1 s runs, 1 pairs; ")
+    assert lines[1].split()[0] == "metric"
+    rows = [line.split() for line in lines[2:]]
+    assert [row[0] for row in rows] == [
+        "ops_per_s", "op_p50_ms", "op_p90_ms", "setup_s", "peak_rss_mb",
+    ]
+    assert all(len(row) == 9 and row[-1] in ("0/1", "1/1") for row in rows)
