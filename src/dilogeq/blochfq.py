@@ -23,18 +23,11 @@ from .intmat import (
     smith_invariant_factors,
     solve_integer,
 )
-from .primes import factor_rational, is_prime
+from .primes import factor_rational, require_prime
 
 
 class PrimeTooSmall(ValueError):
     """The construction needs at least four field elements, so p >= 5."""
-
-
-def _require_prime(p: int):
-    if not is_prime(p):
-        raise ValueError(f"{p!r} is not a prime")
-    if p < 5:
-        raise PrimeTooSmall(f"need p >= 5, got {p}")
 
 
 @dataclass(frozen=True)
@@ -84,7 +77,9 @@ def relations_matrix(p: int) -> AbelianGroupPresentation:
     admissible: each of the five arguments stays outside {0, 1} exactly
     because x, y are outside {0, 1} and distinct.
     """
-    _require_prime(p)
+    require_prime(p, "p")
+    if p < 5:
+        raise PrimeTooSmall(f"need p >= 5, got {p}")
     gens = tuple(range(2, p))
     n = len(gens)
 
@@ -119,13 +114,14 @@ def relations_matrix(p: int) -> AbelianGroupPresentation:
 
 
 def wedge_square_order(p: int) -> tuple[int, int]:
-    """(m, d) with F_p* of order m and the wedge square presented as Z/d.
+    """(m, d) with F_p* of order m and the wedge square presented as Z/d,
+    for any prime p.
 
     The tensor square of a cyclic group of order m is Z/m via
     g^a (x) g^b -> a*b; killing (-x) (x) x kills a*(a + m/2) for every a,
     since -1 = g^(m/2).
     """
-    _require_prime(p)
+    require_prime(p, "p")
     m = p - 1
     h = m // 2
     d = m

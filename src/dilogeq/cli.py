@@ -24,7 +24,7 @@ import math
 import sys
 from fractions import Fraction
 
-from .primes import OversizedConstant, is_prime
+from .primes import require_prime
 from .scalars import fe
 
 # The names the document commands use (every subcommand but `blochfq`), by
@@ -199,30 +199,28 @@ def _numeric_of_value(value: FormalSum, mode: str) -> float | ModPiSqHalf:
 # ---------------------------------------------------------------------------
 
 
-def _require_prime(flag: str, n: int):
-    """Refuse an option value that trial division cannot prove prime."""
-    try:
-        prime = is_prime(n)
-    except OversizedConstant:
-        raise ValueError(f"{flag} {n} is too large to prove prime by trial division") from None
-    if not prime:
-        raise ValueError(f"{flag} {n} is not a prime")
-
-
 # a constant p-adic dilogarithm for one branch of log_p is constant for all
 PADIC_NOTE = (
     "p-adic reading: a Constant verdict holds for every branch of log_p; "
     "only the value of the constant depends on the branch"
 )
 
+# the Rogers reading is a class mod pi^2/2, which only integer coefficients
+# act on
+NON_INTEGER_NOTE = "no constant mod pi^2/2: the sum has non-integer coefficients"
+
 
 def _cmd_check(args) -> int:
     if args.padic is not None:
-        _require_prime("--padic", args.padic)
+        require_prime(args.padic, "--padic")
     # a nan tolerance would silence the deviation note, a negative one flag
     # every exact Constant
     if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
         raise ValueError(f"--tolerance must be finite and at least 0, got {args.tolerance!r}")
+    # --probe 0 asks for no probe; numeric_probe's own check would come
+    # only after the exact check
+    if args.probe < 0:
+        raise ValueError(f"the probe needs at least one sample, got {args.probe}")
     if args.cc and args.probe:
         raise ValueError("--probe is not available in cc mode")
     spec = _read_document(args.document)
@@ -250,6 +248,14 @@ def _cmd_check(args) -> int:
         lines.append(f"witness: {_witness_text(cert.witness)}")
     lines.append(f"residual beta3: {_beta3_text(cert.residual_beta3)}")
 
+    def note(text: str) -> None:
+        report["notes"].append(text)
+        lines.append(f"note: {text}")
+
+    # without integer coefficients the Rogers reading has neither a
+    # constant nor a probe, and NON_INTEGER_NOTE says so once
+    no_rogers = mode == "real" and any(a.denominator != 1 for _, a in alpha.items())
+
     if cert.is_constant() and mode in ("complex", "real"):
         points = _find_points(alpha, real=(mode == "real"))
         if points:
@@ -260,10 +266,8 @@ def _cmd_check(args) -> int:
                 "point: " + ", ".join(f"{k} = {v}" for k, v in sorted(pt_render.items()))
             )
             lines.append(f"value at point: {report['value_at_point']}")
-            if mode == "real" and any(a.denominator != 1 for _, a in alpha.items()):
-                note = "no constant mod pi^2/2: the sum has non-integer coefficients"
-                report["notes"].append(note)
-                lines.append(f"note: {note}")
+            if no_rogers:
+                note(NON_INTEGER_NOTE)
             else:
                 values = [_numeric_of_value(v, mode) for _, v in points]
                 if mode == "real":
@@ -281,30 +285,28 @@ def _cmd_check(args) -> int:
                 lines.append(f"constant: {constant!r} +/- {bound!r}{unit}")
         else:
             report["point"] = None
-            note = "no admissible rational point found on the search grid"
-            report["notes"].append(note)
-            lines.append(f"note: {note}")
+            note("no admissible rational point found on the search grid")
 
-    if args.probe:
+    if args.probe and no_rogers:
+        report["probe"] = None
+        if NON_INTEGER_NOTE not in report["notes"]:
+            note(NON_INTEGER_NOTE)
+    elif args.probe:
         domain = "real" if mode == "real" else "complex"
-        note = None
         try:
             pr = numeric_probe(alpha, domain=domain, samples=args.probe, seed=args.seed)
         except SamplingExhausted as exc:
             # the exact verdict stands without its numeric cross-check
             report["probe"] = None
-            note = f"no probe: {exc}"
+            note(f"no probe: {exc}")
         else:
             report["probe"], line = _probe_report(pr)
             lines.append(line)
             if cert.is_constant() and pr.max_deviation > args.tolerance:
-                note = (
+                note(
                     f"probe deviation {pr.max_deviation!r} exceeds tolerance "
                     f"{args.tolerance!r} despite a Constant verdict"
                 )
-        if note:
-            report["notes"].append(note)
-            lines.append(f"note: {note}")
 
     if mode == "padic":
         lines.append(f"note: {PADIC_NOTE}")
@@ -522,7 +524,7 @@ MAX_BRANCH_MODULUS_BITS = 4096
 def _cmd_padic_branch_diff(args) -> int:
     from .padic import PadicNumber, branch_diff
 
-    _require_prime("--p", args.p)
+    require_prime(args.p, "--p")
     if args.prec < 1:
         raise ValueError(f"--prec must be at least 1, got {args.prec}")
     # p >= 2, so a prec past the bit bound needs no power to refuse
@@ -611,6 +613,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rel = sub.add_parser("relations", help="emit relation documents")
     p_rel.add_argument("kind", choices=("five", "inversion", "c"))
     p_rel.add_argument("--variables", default="", help="comma-separated names")
+    # formal.FIELD_MODES and COEFF_MODES, kept here as PROBE_DOMAINS is
     p_rel.add_argument("--field", choices=("Q", "Qi"), default="Q")
     p_rel.add_argument("--coefficients", choices=("Z", "Q"), default="Z")
     p_rel.add_argument("--x")

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exprparse import ExpressionError, parse_expression
-from .formal import FormalSum, check_term
+from .formal import COEFF_MODES, FIELD_MODES, FormalSum, check_term
 
 
 HEADER = "dilog-identity v1"
@@ -117,8 +117,9 @@ def parse_variables(value: str) -> tuple[tuple[str, ...], tuple[tuple[str, str],
 
 def load_document(text: str) -> IdentitySpec:
     lines = text.splitlines()
-    field_mode = "Q"
-    coeff_mode = "Z"
+    # the first of each key's choices is its default
+    modes = {"field": FIELD_MODES, "coefficients": COEFF_MODES}
+    chosen = {key: choices[0] for key, choices in modes.items()}
     variables: tuple[str, ...] | None = None
     pairs: tuple[tuple[str, str], ...] = ()
     terms: list[TermSpec] = []
@@ -138,14 +139,11 @@ def load_document(text: str) -> IdentitySpec:
             raise DocumentError("expected 'key: value'", lineno)
         key = key.strip()
         value = value.strip()
-        if key == "field":
-            if value not in ("Q", "Qi"):
-                raise DocumentError(f"field must be Q or Qi, got {value!r}", lineno)
-            field_mode = value
-        elif key == "coefficients":
-            if value not in ("Z", "Q"):
-                raise DocumentError(f"coefficients must be Z or Q, got {value!r}", lineno)
-            coeff_mode = value
+        if key in modes:
+            if value not in modes[key]:
+                choices = " or ".join(modes[key])
+                raise DocumentError(f"{key} must be {choices}, got {value!r}", lineno)
+            chosen[key] = value
         elif key == "variables":
             if variables is not None:
                 raise DocumentError("duplicate variables line", lineno)
@@ -177,14 +175,9 @@ def load_document(text: str) -> IdentitySpec:
         raise DocumentError("empty document", 1)
     if variables is None:
         raise DocumentError("missing variables line", len(lines) or 1)
-    if field_mode == "Qi" and "i" in variables:
+    if chosen["field"] == "Qi" and "i" in variables:
         raise DocumentError("variable name 'i' collides with the imaginary unit", variables_line)
-    if coeff_mode == "Z" and any(t.coefficient.denominator != 1 for t in terms):
-        bad = next(t for t in terms if t.coefficient.denominator != 1)
-        raise DocumentError(
-            f"coefficient {bad.coefficient} is not an integer (coefficients: Z)", bad.line
-        )
-    spec = IdentitySpec(field_mode, coeff_mode, variables, pairs, tuple(terms))
+    spec = IdentitySpec(chosen["field"], chosen["coefficients"], variables, pairs, tuple(terms))
     # parse eagerly so loading a document validates it; the sum is kept
     spec.formal_sum()
     return spec

@@ -34,6 +34,7 @@ operations around a shared group still check their limits.
 
 from __future__ import annotations
 
+from .formal import FIELD_MODES
 from .ratfunc import RationalFunction, ZeroDenominator
 from .scalars import FieldElement
 
@@ -285,7 +286,7 @@ def parse_expression(
     `shared`, when given, holds the values of expressions and groups parsed
     before with the same variables and field mode; this parse reads it and
     adds to it (see the module docstring)."""
-    if field_mode not in ("Q", "Qi"):
+    if field_mode not in FIELD_MODES:
         raise ValueError(f"unknown field mode {field_mode!r}")
     gaussian = field_mode == "Qi"
     if gaussian and "i" in variables:

@@ -35,7 +35,7 @@ class DegenerateArguments(ValueError):
 def _check_coeff(c: Fraction, coeff_mode: str) -> Fraction:
     c = Fraction(c)
     if coeff_mode == "Z" and c.denominator != 1:
-        raise ValueError(f"Z-mode coefficient must be an integer, got {c}")
+        raise ValueError(f"coefficient {c} is not an integer (coefficients: Z)")
     return c
 
 

@@ -24,7 +24,7 @@ from itertools import count
 from math import gcd, isqrt
 
 from .poly import _I_IMAGE, _P, gf_gcd
-from .primes import FACTOR_BOUND, _sqrt_minus_one, is_prime
+from .primes import _sqrt_minus_one, is_prime
 
 # the evaluation points of GF(p) are k * _STEP mod p, k = 1, 2, ...: distinct,
 # since this prime is above every modulus, and different at every prime
@@ -166,12 +166,11 @@ def _gf_gcd_many(a: dict, b: dict, p: int) -> dict:
 @cache
 def _modulus(k: int) -> tuple[int, int]:
     """The k-th prime p = 1 (mod 4) with a square root of -1 mod p: the
-    images' prime P, then the primes below FACTOR_BOUND^2 = 10^12 in
-    descending order, which `is_prime` proves by Miller-Rabin; cached,
-    so a process searches for each once."""
+    images' prime P, then the primes below 10^12 in descending order;
+    cached, so a process searches for each once."""
     if not k:
         return _P, _I_IMAGE
-    n = min(_modulus(k - 1)[0], FACTOR_BOUND**2 + 1) - 4  # 10^12 + 1 = 1 (mod 4)
+    n = min(_modulus(k - 1)[0], 10**12 + 1) - 4  # 10^12 + 1 = 1 (mod 4)
     while not is_prime(n):
         n -= 4
     return n, _sqrt_minus_one(n)

@@ -286,14 +286,8 @@ class MultiPoly:
         return {k: MultiPoly(self.universe, d) for k, d in out.items()}
 
     def lead_coeff_in(self, var: str) -> "MultiPoly":
-        idx = self.universe.index(var)
-        d = self.degree_in(var)
-        out = {
-            tuple(0 if i == idx else x for i, x in enumerate(e)): c
-            for e, c in self.terms.items()
-            if e[idx] == d
-        }
-        return MultiPoly(self.universe, out)
+        coeffs = self.coeffs_in(var)
+        return coeffs[max(coeffs)] if coeffs else self
 
     # -- evaluation / substitution ---------------------------------------
 
@@ -348,17 +342,10 @@ class MultiPoly:
         """Permute variables within the same universe: each name v becomes
         mapping.get(v, v).  Raises ValueError unless that is a permutation
         of the universe, so no two variables are merged."""
-        pos = {v: i for i, v in enumerate(self.universe)}
-        perm = [pos.get(mapping.get(v, v)) for v in self.universe]
-        if not mapping.keys() <= pos.keys() or set(perm) != set(pos.values()):
+        renamed = tuple(mapping.get(v, v) for v in self.universe)
+        if not mapping.keys() <= set(self.universe) or set(renamed) != set(self.universe):
             raise ValueError(f"renaming {mapping} is not a permutation of {self.universe}")
-        out: dict[Exponents, FieldElement] = {}
-        for e, c in self.terms.items():
-            ne = [0] * len(e)
-            for i, k in enumerate(e):
-                ne[perm[i]] = k
-            out[tuple(ne)] = c
-        return MultiPoly(self.universe, out)
+        return MultiPoly(renamed, self.terms).with_universe(self.universe)
 
     # -- normal forms -----------------------------------------------------
 

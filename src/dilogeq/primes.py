@@ -6,9 +6,13 @@ first quadrant (re > 0, im >= 0), the unique such associate.  Factoring is
 by trial division over Z up to FACTOR_BOUND = 10**6.  A residual is prime
 once no divisor up to its square root is left, which certifies primes up
 to the bound squared; a residual that the bound leaves unproven raises
-OversizedConstant instead of guessing.  Below the bound squared,
-`is_prime` gives the answer of trial division by a deterministic
-Miller-Rabin test instead.
+OversizedConstant instead of guessing.
+
+`is_prime`, which proves the primes given as options (`check --padic P`,
+`padic-branch-diff --p P`, `blochfq P`) through `require_prime`, needs no
+factoring: one Miller-Rabin test to the 13 prime bases 2..41 decides every
+n below psi_13 = 3317044064679887385961981, and a probable prime at or
+above it is refused rather than guessed.
 
 Gaussian integers are `FieldElement`s with d == 1; their arithmetic is that
 of z * conj(pi).  Every prime power, over Z and over Z[i] alike (and in
@@ -151,20 +155,19 @@ def factor_rational(q: Fraction | int):
     return sign, {p: e for p, e in out.items() if e}
 
 
-_MR_BASES = (2, 3, 5, 7, 11, 13)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# psi_13, the least composite that passes Miller-Rabin to all of _MR_BASES
+# (Sorenson and Webster, Math. Comp. 86, 2017)
+_MR_PROVEN = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Whether n is a prime integer.  Below FACTOR_BOUND^2 = 10^12 by the
-    Miller-Rabin test to the bases 2, 3, 5, 7, 11 and 13, which no
-    composite below 3.47 * 10^12 passes (Jaeschke, Math. Comp. 61, 1993);
-    above, by the trial division above, which raises OversizedConstant
-    when n has no divisor up to FACTOR_BOUND and is too large for that
-    bound to prove it prime."""
+    """Whether n is a prime integer, by the Miller-Rabin test to the bases
+    _MR_BASES, which no composite below _MR_PROVEN passes.  Raises
+    ValueError for an n at or above that bound that passes the test, as a
+    probable prime the test cannot prove."""
     if not isinstance(n, int) or n < 2:
         return False
-    if n >= FACTOR_BOUND**2:
-        return factor_rational(n)[1] == {n: 1}
     if n in _MR_BASES:
         return True
     if any(not n % b for b in _MR_BASES):
@@ -182,7 +185,20 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
+    if n >= _MR_PROVEN:
+        raise ValueError(f"{n} is too large to prove prime")
     return True
+
+
+def require_prime(n: int, name: str) -> None:
+    """Refuse the value n of the option or parameter `name` unless
+    `is_prime` proves it prime; raises ValueError."""
+    try:
+        prime = is_prime(n)
+    except ValueError:
+        raise ValueError(f"{name} {n} is too large to prove prime") from None
+    if not prime:
+        raise ValueError(f"{name} {n} is not a prime")
 
 
 # -- Gaussian integers --------------------------------------------------------

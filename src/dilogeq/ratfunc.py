@@ -223,13 +223,15 @@ class RationalFunction:
     def conjugate(self, var_swap: dict[str, str] | None = None) -> "RationalFunction":
         """Conjugate coefficients, then rename variables by `var_swap`, a
         permutation of the universe given in full (both directions of each
-        pair); names it leaves out stay."""
+        pair); names it leaves out stay.  Both are ring automorphisms, so
+        numerator and denominator stay coprime and, as in with_universe,
+        only the denominator is made monic again."""
         num = self.num.conjugate_coeffs()
         den = self.den.conjugate_coeffs()
         if var_swap:
             num = num.rename_vars(var_swap)
             den = den.rename_vars(var_swap)
-        return RationalFunction(num, den)
+        return RationalFunction(*_monic_den(num, den), _normalized=True)
 
     # -- substitution --------------------------------------------------------
 

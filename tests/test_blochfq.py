@@ -155,10 +155,12 @@ def test_small_primes_rejected():
         relations_matrix(3)
     with pytest.raises(PrimeTooSmall):
         bloch_groups(2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^p 9 is not a prime$"):
         relations_matrix(9)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^p 1 is not a prime$"):
         relations_matrix(1)
+    with pytest.raises(ValueError, match="^p 15 is not a prime$"):
+        wedge_square_order(15)
 
 
 def test_five_term_rows_for_p5():
@@ -178,6 +180,11 @@ def test_wedge_square_order_small_cases():
     # p=7: m=6, h=3; a(a+3) mod 6 takes values {0, 4}, so d = gcd(6,4) = 2
     assert wedge_square_order(7) == (6, 2)
     assert wedge_square_order(13) == (12, 1)
+    # the wedge square needs no presentation, so p = 2 and 3 have one:
+    # trivial, and Z/2, as (-x) (x) x has a factor 1 for both x in F_3*
+    # and kills nothing
+    assert wedge_square_order(2) == (1, 1)
+    assert wedge_square_order(3) == (2, 2)
 
 
 def test_boundary_vector_parity_p7():

@@ -238,6 +238,25 @@ def test_check_real_mode_omits_the_constant_of_rational_coefficients(run):
     assert "constant:" not in out
 
 
+@pytest.mark.parametrize(
+    "terms, verdict",
+    [("term: 1/2 [t]\nterm: 1/2 [1/t]\n", "Constant"), ("term: 1/2 [t]\n", "NotConstant")],
+    ids=["constant", "not-constant"],
+)
+def test_check_real_probe_of_rational_coefficients_shares_the_note(run, terms, verdict):
+    # the real probe reads a class mod pi^2/2 too, so it is skipped under
+    # the one note instead of ending the run after the exact verdict
+    doc = "DOC:dilog-identity v1\ncoefficients: Q\nvariables: t\n" + terms
+    note = "no constant mod pi^2/2: the sum has non-integer coefficients"
+    code, out, err = run(["check", doc, "--real", "--probe", "5"])
+    assert (code, err) == (0 if verdict == "Constant" else 1, "")
+    assert out.startswith(f"verdict: {verdict}\n")
+    assert out.count(note) == 1 and "probe[" not in out
+    code, out, _ = run(["check", doc, "--real", "--probe", "5", "--json"])
+    report = json.loads(out)
+    assert report["probe"] is None and report["notes"] == [note]
+
+
 def test_check_real_mode_uses_the_rogers_criterion(run):
     # [t] + [1/t] is constant mod pi^2/2 on the real line, [t + 1] is not
     doc = "DOC:dilog-identity v1\nvariables: t\nterm: 1 [t]\nterm: 1 [1/t]\nterm: 1 [t + 1]\n"
@@ -497,15 +516,24 @@ def test_check_padic_golden(run, doc, flags, code, text, report):
     assert out == json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
+def test_check_padic_takes_a_prime_that_miller_rabin_proves(run):
+    # 2^61 - 1 has no divisor up to 10^6 and is far below psi_13
+    text = f"verdict: Constant\nresidual beta3: none\nnote: {BRANCH_NOTE}\n"
+    assert run(["check", "DOC:" + FIVE_DOC, "--padic", "2305843009213693951"]) == (0, text, "")
+
+
 @pytest.mark.parametrize(
     "value, message",
     [
         ("4", "--padic 4 is not a prime"),
         ("1", "--padic 1 is not a prime"),
         ("-3", "--padic -3 is not a prime"),
+        # 1000003 * 1000033, which base 2 shows composite
+        ("1000036000099", "--padic 1000036000099 is not a prime"),
+        # 2^89 - 1 is prime, but at or above psi_13 Miller-Rabin cannot prove it
         (
-            "2305843009213693951",
-            "--padic 2305843009213693951 is too large to prove prime by trial division",
+            "618970019642690137449562111",
+            "--padic 618970019642690137449562111 is too large to prove prime",
         ),
     ],
 )
@@ -867,6 +895,13 @@ def test_probe_rejects_fewer_than_one_sample(run, argv):
     assert err == f"error: the probe needs at least one sample, got {count}\n"
 
 
+def test_check_rejects_a_negative_probe_before_reading_the_document(run, tmp_path):
+    missing = str(tmp_path / "missing.txt")
+    message = "error: the probe needs at least one sample, got -1\n"
+    assert run(["check", missing, "--probe", "-1"]) == (2, "", message)
+    assert run(["check", missing, "--real", "--probe", "-1"]) == (2, "", message)
+
+
 # -- blochfq ------------------------------------------------------------------------
 
 
@@ -1155,11 +1190,12 @@ def test_branch_diff_point_errors(run):
         ("--p", "4", "--p 4 is not a prime"),
         ("--p", "1", "--p 1 is not a prime"),
         ("--p", "-5", "--p -5 is not a prime"),
-        # 2^61 - 1 is prime, but past what trial division to 10^6 proves
+        ("--p", "1000036000099", "--p 1000036000099 is not a prime"),
+        # 2^89 - 1 is prime, but at or above psi_13 Miller-Rabin cannot prove it
         (
             "--p",
-            "2305843009213693951",
-            "--p 2305843009213693951 is too large to prove prime by trial division",
+            "618970019642690137449562111",
+            "--p 618970019642690137449562111 is too large to prove prime",
         ),
         ("--prec", "0", "--prec must be at least 1, got 0"),
         ("--prec", "-2", "--prec must be at least 1, got -2"),
@@ -1177,6 +1213,13 @@ def test_branch_diff_rejects_bad_prime_and_precision(run, tmp_path, flag, value,
     # the check comes before the document is read
     argv[1] = str(tmp_path / "missing.txt")
     assert run(argv)[2] == f"error: {message}\n"
+
+
+def test_branch_diff_takes_a_prime_that_miller_rabin_proves(run):
+    argv = ["padic-branch-diff", "DOC:" + SINGLE_DOC, "--p", "2305843009213693951", "--point", "t=5"]
+    code, out, err = run(argv)
+    assert (code, err) == (0, "")
+    assert out.startswith("p: 2305843009213693951\n")
 
 
 def test_branch_diff_accepts_the_default_precision_at_the_largest_provable_prime(run):

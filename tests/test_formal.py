@@ -98,7 +98,8 @@ def test_admissibility_enforced():
 
 
 def test_coeff_mode_z_rejects_fractions():
-    with pytest.raises(ValueError):
+    # the one wording of the check, which a document error reports too
+    with pytest.raises(ValueError, match=r"^coefficient 1/2 is not an integer \(coefficients: Z\)$"):
         FormalSum.single(t(), Fraction(1, 2), coeff_mode="Z")
     # fine in Q mode
     s = FormalSum.single(t(), Fraction(1, 2), coeff_mode="Q")

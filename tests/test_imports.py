@@ -11,7 +11,7 @@ import importlib
 import pytest
 
 import dilogeq
-from dilogeq import cli, numerics
+from dilogeq import cli, formal, numerics
 from helpers import ROOT, fresh
 
 FIVE_DOC = """\
@@ -175,7 +175,7 @@ def test_unknown_name_raises_attribute_error():
     assert not hasattr(dilogeq, "no_such_name")
 
 
-# -- probe --domain ------------------------------------------------------------------------
+# -- choices that cli keeps, so that building the parser loads no module -----------------
 
 
 def test_probe_domain_choices_match_numerics():
@@ -183,3 +183,10 @@ def test_probe_domain_choices_match_numerics():
     sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
     domain = next(a for a in sub.choices["probe"]._actions if a.dest == "domain")
     assert tuple(domain.choices) == numerics.PROBE_DOMAINS
+
+
+def test_relations_field_and_coefficient_choices_match_formal():
+    sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    actions = {a.dest: a for a in sub.choices["relations"]._actions}
+    assert tuple(actions["field"].choices) == formal.FIELD_MODES
+    assert tuple(actions["coefficients"].choices) == formal.COEFF_MODES

@@ -427,6 +427,13 @@ def test_document_errors(text, fragment, line):
     assert ei.value.line == line
 
 
+def test_a_non_integer_coefficient_names_its_line():
+    text = "dilog-identity v1\nvariables: t\nterm: 1 [t]\nterm: -3/4 [1 - t]\n"
+    with pytest.raises(DocumentError) as ei:
+        load_document(text)
+    assert str(ei.value) == "coefficient -3/4 is not an integer (coefficients: Z) (line 4)"
+
+
 def test_a_bad_term_among_many_names_its_own_line():
     text = "dilog-identity v1\nvariables: t\nterm: 1 [t]\nterm: 2 [1 - t]\nterm: -1 [t/t]\nterm: 1 [t^2]\n"
     with pytest.raises(DocumentError) as ei:

@@ -18,6 +18,7 @@ from dilogeq.primes import (
     int_quotient,
     is_prime,
     prime_key,
+    require_prime,
     strip_power,
 )
 from dilogeq.poly import MultiPoly
@@ -72,9 +73,65 @@ def test_is_prime():
     assert [n for n in range(-5, 30) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert is_prime(999_999_000_001) and not is_prime(1_000_003 * 1000)
     assert not is_prime(5.0)
-    # trial division to the default bound proves primes below its square
-    with pytest.raises(OversizedConstant):
-        is_prime(UNPROVEN)
+    # too large for trial division to the factoring bound, but base 2
+    # shows it composite
+    assert not is_prime(UNPROVEN)
+
+
+# psi_13 and psi_12: the least strong pseudoprimes to the first 13 and 12
+# prime bases (Sorenson and Webster, Math. Comp. 86, 2017)
+PSI_13 = 3317044064679887385961981
+PSI_12 = 318665857834031151167461
+
+
+def test_is_prime_matches_sympy_below_psi_13():
+    sympy = pytest.importorskip("sympy")
+    rnd = random.Random(13)
+    special = [
+        UNPROVEN,
+        PSI_12,
+        # psi_9 = psi_11, the least strong pseudoprime to the bases 2..23
+        3825123056546413051,
+        # Carmichael numbers
+        561, 1105, 1729, 2465, 41041, 825265, 321197185, 5394826801, 232250619601,
+        2**61 - 1,
+        2**31 - 1,
+    ]
+    ns = [
+        *special,
+        *(rnd.randrange(2, 10**6) for _ in range(200)),
+        *(rnd.randrange(10**12, 2**64) for _ in range(200)),
+        *(rnd.randrange(2**64, PSI_13) for _ in range(200)),
+        # products of two primes near the square root, which trial
+        # division to 10^6 cannot settle
+        *(sympy.nextprime(rnd.randrange(10**11)) ** 2 for _ in range(10)),
+        *(sympy.nextprime(rnd.randrange(10**11)) * sympy.nextprime(10**11) for _ in range(10)),
+        *(sympy.nextprime(rnd.randrange(10**20, 10**24)) for _ in range(20)),
+    ]
+    assert all(n < PSI_13 for n in ns)
+    assert [is_prime(n) for n in ns] == [bool(sympy.isprime(n)) for n in ns]
+    assert [is_prime(n) for n in special] == [False] * 12 + [True, True]
+
+
+@pytest.mark.parametrize("n", [PSI_13, 2**89 - 1, 2**127 - 1])
+def test_is_prime_refuses_a_probable_prime_at_or_above_psi_13(n):
+    # psi_13 is composite and 2^89 - 1 and 2^127 - 1 are prime; the test to
+    # bases 2..41 tells neither apart
+    with pytest.raises(ValueError, match=f"^{n} is too large to prove prime$"):
+        is_prime(n)
+    with pytest.raises(ValueError, match=f"^--p {n} is too large to prove prime$"):
+        require_prime(n, "--p")
+
+
+def test_is_prime_decides_composites_above_psi_13():
+    assert not is_prime(PSI_13 + 1) and not is_prime((2**89 - 1) * (2**61 - 1))
+
+
+def test_require_prime():
+    assert require_prime(2**61 - 1, "--padic") is None
+    for n in (4, 1, -3, UNPROVEN):
+        with pytest.raises(ValueError, match=f"^p {n} is not a prime$"):
+            require_prime(n, "p")
 
 
 def test_is_prime_agrees_with_trial_division_below_the_bound_squared():

@@ -233,6 +233,29 @@ def test_conjugate_with_var_swap():
     assert g.conjugate(var_swap={"t1": "t2", "t2": "t1"}) == f
 
 
+@pytest.mark.parametrize(
+    "universe, swap",
+    [
+        (("x", "y"), {"x": "y", "y": "x"}),
+        (("x", "y", "z"), {"x": "z", "z": "x"}),
+        (("x", "y", "z"), {"x": "y", "y": "z", "z": "x"}),
+        (("x", "y", "z"), {"x": "z", "z": "y", "y": "x"}),
+    ],
+)
+def test_conjugate_keeps_lowest_terms_without_a_gcd(universe, swap):
+    # conjugate only makes the denominator monic again; the full
+    # normalization of the conjugated and renamed pair is the reference
+    rnd = random.Random(f"conjugate:{len(universe)}:{sorted(swap.items())}")
+    for _ in range(40):
+        f = random_ratfunc(rnd, universe, max_deg=2, gaussian=True)
+        num = f.num.conjugate_coeffs().rename_vars(swap)
+        den = f.den.conjugate_coeffs().rename_vars(swap)
+        expected = RationalFunction(num, den)
+        got = f.conjugate(swap)
+        assert (got.num.terms, got.den.terms) == (expected.num.terms, expected.den.terms)
+        assert got.den.lead_coeff().is_one()
+
+
 def test_rename_that_merges_variables_is_refused():
     xyz = ("x", "y", "z")
     x, y, z = (MultiPoly.var(xyz, v) for v in xyz)

@@ -149,6 +149,34 @@ def test_code_lines_counts_each_module_and_the_total(tmp_path):
     not (ROOT / ".git").exists() or shutil.which("git") is None,
     reason="needs a git checkout",
 )
+def test_code_lines_compares_a_git_revision_with_this_checkout():
+    def rows(*flags):
+        done = subprocess.run(
+            [sys.executable, str(SCRIPTS / "code_lines.py"), *flags],
+            capture_output=True,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr.decode()
+        return [line.split() for line in done.stdout.decode().splitlines()]
+
+    here = rows()
+    both = rows("--against", "HEAD")
+    assert both[-1][0] == "change" and both[-2][0] == "total"
+    modules = both[:-2]
+    # this checkout's column is the plain count; a module missing on one
+    # side reads "-" there
+    assert [(r[0], r[2]) for r in modules if r[2] != "-"] + [("total", both[-2][2])] == [
+        tuple(r) for r in here
+    ]
+    old, new = (sum(int(r[i]) for r in modules if r[i] != "-") for i in (1, 2))
+    assert both[-2][1:] == [str(old), str(new)]
+    assert both[-1][1] == f"{new - old:+d}"
+
+
+@pytest.mark.skipif(
+    not (ROOT / ".git").exists() or shutil.which("git") is None,
+    reason="needs a git checkout",
+)
 def test_report_diff_takes_a_git_revision():
     # HEAD is exported with git archive; the working tree of a committed
     # change gives the same report bytes
