@@ -20,11 +20,10 @@ package is imported from this checkout's `src/`.
 
 import argparse
 import hashlib
-import importlib.util
 import sys
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
+from report_diff import ROOT, load_inputs, seed_range
+
 sys.path.insert(0, str(ROOT / "src"))
 
 import dilogeq  # noqa: E402
@@ -33,14 +32,6 @@ import dilogeq  # noqa: E402
 # benchmark pass, the latter four blocks of the docs-check mix
 COUNT = 30
 DOCS = 240
-
-
-def load_inputs():
-    spec = importlib.util.spec_from_file_location("bench_inputs", ROOT / "bench" / "inputs.py")
-    inputs = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = inputs
-    spec.loader.exec_module(inputs)
-    return inputs
 
 
 def relation_sums(inputs, seed: int, count: int):
@@ -85,11 +76,6 @@ def factor_digest(sums) -> str:
             ]
             out.update(repr((str(f), maps)).encode())
     return out.hexdigest()
-
-
-def seed_range(text: str) -> list[int]:
-    lo, _, hi = text.partition("-")
-    return list(range(int(lo), int(hi or lo) + 1))
 
 
 def main():

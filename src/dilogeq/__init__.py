@@ -20,7 +20,6 @@ _EXPORTS = {
     "ratfunc": ("INF", "Infinity", "RationalFunction", "ZeroDenominator"),
     "coprime": ("CoprimeBasis",),
     "formal": (
-        "DegenerateArguments",
         "ExtendedFormalSum",
         "FormalSum",
         "c_element",
@@ -64,7 +63,6 @@ _EXPORTS = {
     "blochfq": (
         "BlochGroups",
         "InvariantFactors",
-        "PrimeTooSmall",
         "bloch_groups",
         "relations_matrix",
     ),

@@ -26,10 +26,6 @@ from .intmat import (
 from .primes import factor_rational, require_prime
 
 
-class PrimeTooSmall(ValueError):
-    """The construction needs at least four field elements, so p >= 5."""
-
-
 @dataclass(frozen=True)
 class AbelianGroupPresentation:
     """Generators F_p minus {0, 1} and integer relation rows over them."""
@@ -79,7 +75,7 @@ def relations_matrix(p: int) -> AbelianGroupPresentation:
     """
     require_prime(p, "p")
     if p < 5:
-        raise PrimeTooSmall(f"need p >= 5, got {p}")
+        raise ValueError(f"need p >= 5, got {p}")
     gens = tuple(range(2, p))
     n = len(gens)
 

@@ -145,7 +145,7 @@ def _read_document(path: str) -> IdentitySpec:
 _POINT_CANDIDATES = (2, 3, 5, 7, -2, 11, -3, 13, -5, 17, 4, 19, -7, 23, 9, 29)
 
 
-def _find_points(alpha: FormalSum, real: bool = False):
+def _find_points(alpha: FormalSum, real: bool):
     """Up to four admissible points, with the exact values of the formal
     sum there.  Deterministic search over a fixed candidate grid: Gaussian
     rationals first over Q(i), rationals only for the real reading, which
@@ -434,6 +434,9 @@ def _cmd_relations(args) -> int:
 
 
 def _cmd_probe(args) -> int:
+    # numeric_probe's own check would come only after the document is read
+    if args.samples < 1:
+        raise ValueError(f"the probe needs at least one sample, got {args.samples}")
     spec = _read_document(args.document)
     alpha = spec.formal_sum()
     pr = numeric_probe(alpha, domain=args.domain, samples=args.samples, seed=args.seed)

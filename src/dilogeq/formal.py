@@ -28,10 +28,6 @@ FIELD_MODES = ("Q", "Qi")
 COEFF_MODES = ("Z", "Q")
 
 
-class DegenerateArguments(ValueError):
-    """A generator argument is undefined or lands in {0, 1}."""
-
-
 def _check_coeff(c: Fraction, coeff_mode: str) -> Fraction:
     c = Fraction(c)
     if coeff_mode == "Z" and c.denominator != 1:
@@ -45,7 +41,7 @@ def check_term(f: RationalFunction, c, universe, coeff_mode: str) -> Fraction:
     c = _check_coeff(c, coeff_mode)
     if c:
         if f.is_zero() or f.is_one():
-            raise DegenerateArguments(f"argument {f} outside the admissible set")
+            raise ValueError(f"argument {f} outside the admissible set")
         if f.universe != universe:
             raise ValueError("term universe mismatch")
     return c
@@ -61,7 +57,7 @@ def _term_text(c: Fraction, symbol: str) -> str:
 
 
 class FormalSum:
-    __slots__ = ("universe", "field_mode", "coeff_mode", "terms", "_hash")
+    __slots__ = ("universe", "field_mode", "coeff_mode", "terms")
 
     def __init__(
         self,
@@ -89,7 +85,6 @@ class FormalSum:
             c = check_term(f, c, self.universe, coeff_mode)
             if c:
                 self.terms[f] = c
-        self._hash = None
 
     # -- constructors ---------------------------------------------------
 
@@ -118,14 +113,6 @@ class FormalSum:
             and self.coeff_mode == other.coeff_mode
             and self.terms == other.terms
         )
-
-    def __hash__(self):
-        if self._hash is None:
-            canon = tuple((f, c) for f, c in self.items())
-            self._hash = hash(
-                (self.universe, self.field_mode, self.coeff_mode, canon)
-            )
-        return self._hash
 
     def _check_compatible(self, other: "FormalSum"):
         if (
@@ -222,7 +209,7 @@ class ExtendedFormalSum:
 
 def _admissible(f: RationalFunction, label: str) -> RationalFunction:
     if f.is_zero() or f.is_one():
-        raise DegenerateArguments(f"{label} = {f} lies in {{0, 1}}")
+        raise ValueError(f"{label} = {f} lies in {{0, 1}}")
     return f
 
 
@@ -231,7 +218,7 @@ def five_term(
 ) -> FormalSum:
     """[x] - [y] + [y/x] + [(1-x)/(1-y)] - [(1-1/x)/(1-1/y)], merged."""
     if x == y:
-        raise DegenerateArguments("x = y degenerates the relation")
+        raise ValueError("x = y degenerates the relation")
     _admissible(x, "x")
     _admissible(y, "y")
     # with x and y admissible no divisor vanishes: each does only at x = 0 or y = 1

@@ -190,11 +190,7 @@ class HermiteForm:
         return rest is not None and not any(rest)
 
 
-def hnf(rows: Matrix, width: int | None = None) -> Matrix:
-    if width is None:
-        if not rows:
-            raise ValueError("need explicit width for an empty matrix")
-        width = len(rows[0])
+def hnf(rows: Matrix, width: int) -> Matrix:
     h = HermiteForm(width)
     for r in rows:
         h.insert(r)
@@ -248,7 +244,7 @@ def solve_integer(basis: Matrix, targets: Matrix) -> list[list[int] | None]:
     return out
 
 
-def smith_invariant_factors(rows: Matrix, width: int | None = None) -> list[int]:
+def smith_invariant_factors(rows: Matrix, width: int) -> list[int]:
     """The nonzero invariant factors d_1 | d_2 | ... of the row matrix.
 
     Each unit pivot of the reduced Hermite form is an invariant factor 1:
@@ -261,10 +257,6 @@ def smith_invariant_factors(rows: Matrix, width: int | None = None) -> list[int]
     the matrix, so no step changes the invariant factors; gcd/lcm
     exchanges then sort the diagonal into a divisibility chain.
     """
-    if width is None:
-        if not rows:
-            return []
-        width = len(rows[0])
     a = hnf(rows, width)
     pivots = [next(j for j, x in enumerate(r) if x) for r in a]
     units = {c for r, c in zip(a, pivots) if r[c] == 1}
@@ -284,7 +276,7 @@ def smith_invariant_factors(rows: Matrix, width: int | None = None) -> list[int]
     return [1] * len(units) + d
 
 
-def minor_gcd_invariant_factors(rows: Matrix, width: int | None = None) -> list[int]:
+def minor_gcd_invariant_factors(rows: Matrix, width: int) -> list[int]:
     """Invariant factors via determinant divisors: d_k = gcd of all k x k
     minors, f_k = d_k / d_{k-1}.  Exponential; cross-check use only.
 
@@ -292,10 +284,6 @@ def minor_gcd_invariant_factors(rows: Matrix, width: int | None = None) -> list[
     changes: a minor with a zero row, or with two equal rows, is 0, and
     negating a row negates every minor that contains it.
     """
-    if width is None:
-        if not rows:
-            return []
-        width = len(rows[0])
     distinct = {}
     for r in rows:
         lead = next((x for x in r if x), 0)

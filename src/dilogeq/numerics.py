@@ -39,15 +39,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .formal import FormalSum
-from .ratfunc import INF
 
 PI = math.pi
 LI2_ONE = PI * PI / 6.0
 MOD_HALF_PISQ = PI * PI / 2.0
-
-
-class NonFinite(ValueError):
-    pass
 
 
 class SamplingExhausted(RuntimeError):
@@ -105,7 +100,7 @@ def li2(z: complex) -> complex:
     """The dilogarithm, principal branch, ~1e-13 accuracy or better."""
     z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise NonFinite(f"li2 argument must be finite, got {z}")
+        raise ValueError(f"li2 argument must be finite, got {z}")
     if z == 0:
         return 0j
     if z == 1:
@@ -125,7 +120,7 @@ def bloch_wigner(z: complex) -> float:
     included, where D extends continuously with value 0."""
     z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise NonFinite(f"D argument must be finite, got {z}")
+        raise ValueError(f"D argument must be finite, got {z}")
     if z.imag == 0:
         return 0.0
     sign = 1.0
@@ -144,7 +139,7 @@ def rogers(x: float) -> float:
     """Rogers dilogarithm on the reals, continuously extended to 0 and 1."""
     x = float(x)
     if not math.isfinite(x):
-        raise NonFinite(f"rogers argument must be finite, got {x}")
+        raise ValueError(f"rogers argument must be finite, got {x}")
     if x == 0:
         return 0.0
     if x == 1:
@@ -196,9 +191,7 @@ class ModPiSqHalf:
 
 
 def rl_bar(x) -> ModPiSqHalf:
-    """L(x) - pi^2/6 reduced mod pi^2/2; defined for all reals and infinity."""
-    if x is INF or (isinstance(x, float) and math.isinf(x)):
-        return ModPiSqHalf.of(-2 * LI2_ONE)
+    """L(x) - pi^2/6 reduced mod pi^2/2, for finite real x."""
     return ModPiSqHalf.of(rogers(float(x)) - LI2_ONE)
 
 

@@ -36,14 +36,6 @@ from .primes import int_quotient, strip_power
 EXACT = 10**9  # valuation sentinel for an exact zero
 
 
-class ZeroArgument(ZeroDivisionError):
-    pass
-
-
-class OutOfDisc(ValueError):
-    pass
-
-
 def _require_base(p: int):
     if p < 2:
         raise ValueError(f"a p-adic base must be at least 2, got {p}")
@@ -164,7 +156,7 @@ class PadicNumber:
         if self.unit:
             return PadicNumber(p, self.val * n, pow(self.unit, n, _power(p, self.prec)), self.prec)
         if n < 0:
-            raise ZeroArgument("inverse of zero (at this precision)")
+            raise ZeroDivisionError("inverse of zero (at this precision)")
         if n == 0:
             return PadicNumber.from_rational(1, p, 1)
         return PadicNumber.zero(p, min(self.val * n, EXACT))
@@ -222,7 +214,7 @@ def plog(x: PadicNumber, log_p: PadicNumber) -> PadicNumber:
     """The logarithm on Q_p* of the branch whose value at p is log_p:
     val*log_p + log(unit part)."""
     if x.unit == 0:
-        raise ZeroArgument("log of zero")
+        raise ZeroDivisionError("log of zero")
     p = x.p
     e = 2 if p == 2 else p - 1
     # u^e is a principal unit; log(u) = log(u^e)/e kills the torsion part
@@ -238,10 +230,10 @@ def li2p(z: PadicNumber) -> PadicNumber:
     """Li_{p,2}(z) = sum z^n / n^2 on the disc v_p(z) >= 1."""
     if z.unit == 0:
         if z.val < 1:
-            raise OutOfDisc("need v_p(z) >= 1")
+            raise ValueError("need v_p(z) >= 1")
         return PadicNumber.zero(z.p, min(z.val, EXACT))
     if z.val < 1:
-        raise OutOfDisc(f"need v_p(z) >= 1, got valuation {z.val}")
+        raise ValueError(f"need v_p(z) >= 1, got valuation {z.val}")
     return _series(z, lambda k: Fraction(1, k * k), 2)
 
 
@@ -251,7 +243,7 @@ def dp_disc(z: PadicNumber, log_p: PadicNumber) -> PadicNumber:
     if z.unit == 0:
         return li2p(z)
     if z.val < 1:
-        raise OutOfDisc(f"need v_p(z) >= 1, got valuation {z.val}")
+        raise ValueError(f"need v_p(z) >= 1, got valuation {z.val}")
     one = PadicNumber.from_rational(1, z.p, z.prec)
     lz = plog(z, log_p)
     l1z = plog(one - z, log_p)

@@ -6,7 +6,7 @@ first quadrant (re > 0, im >= 0), the unique such associate.  Factoring is
 by trial division over Z up to FACTOR_BOUND = 10**6.  A residual is prime
 once no divisor up to its square root is left, which certifies primes up
 to the bound squared; a residual that the bound leaves unproven raises
-OversizedConstant instead of guessing.
+ValueError instead of guessing.
 
 `is_prime`, which proves the primes given as options (`check --padic P`,
 `padic-branch-diff --p P`, `blochfq P`) through `require_prime`, needs no
@@ -37,17 +37,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, log10
+from math import gcd
 
-from .scalars import I, FieldElement, fe
+from .scalars import I, FieldElement, _decimal, fe
 
 
 FACTOR_BOUND = 10**6
 _SHOWN_DIGITS = 60
-
-
-class OversizedConstant(ValueError):
-    """A constant's factorization needs a prime above the trial bound."""
 
 
 @dataclass(frozen=True)
@@ -78,7 +74,7 @@ def _factor_int(n: int) -> tuple[tuple[int, int], ...]:
         if p * p > n:
             break
         if p > FACTOR_BOUND:
-            raise OversizedConstant(
+            raise ValueError(
                 f"constant has a prime factor above the bound {FACTOR_BOUND}: "
                 f"residual {_residual_text(n)}"
             )
@@ -122,18 +118,10 @@ def int_quotient(x: int, q: int) -> int | None:
 
 
 def _residual_text(n: int) -> str:
-    """n in decimal, or its digit count when n has more than
-    _SHOWN_DIGITS digits (Python refuses to format an int of more than
-    4300 digits by default)."""
-    if n < 10**_SHOWN_DIGITS:
-        return str(n)
-    digits = int(log10(n)) + 1
-    # log10 is a float: correct the count by exact comparisons
-    while 10 ** (digits - 1) > n:
-        digits -= 1
-    while 10**digits <= n:
-        digits += 1
-    return f"of {digits} digits"
+    """n in decimal, or its digit count when n has more than _SHOWN_DIGITS
+    digits."""
+    text = _decimal(n)
+    return text if len(text) <= _SHOWN_DIGITS else f"of {len(text)} digits"
 
 
 def _trial_sequence():

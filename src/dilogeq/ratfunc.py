@@ -251,8 +251,6 @@ class RationalFunction:
             return RationalFunction(
                 self.num.lead_coeff_in(var), self.den.lead_coeff_in(var)
             )
-        if isinstance(value, FieldElement):
-            value = RationalFunction.const(self.universe, value)
         if var in value.vars_used():
             raise ValueError(f"substitution value must not involve {var}")
         ns = _poly_substitute(self.num, var, value)

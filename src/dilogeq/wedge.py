@@ -37,10 +37,6 @@ from .primes import factor_constant, prime_key
 from .ratfunc import RationalFunction
 
 
-class UnpairedVariables(ValueError):
-    pass
-
-
 # Atoms are (BASIS, basis index), (PRIME, prime) and the one torsion UNIT.
 BASIS, PRIME = 0, 1
 UNIT = (2, 0)
@@ -256,7 +252,7 @@ def check_constant_cc(
     boundary of alpha - alpha^sigma vanishes (beta1 and beta2), that sum has
     constant D on the whole complexification, so alpha has constant D on
     the locus.  A pairing that gives a variable two partners or names a
-    variable outside the universe raises UnpairedVariables.
+    variable outside the universe raises ValueError.
     """
     full = dict(var_swap or {})
     for a, b in list(full.items()):
@@ -264,7 +260,7 @@ def check_constant_cc(
     if not set(full) | set(full.values()) <= set(alpha.universe) or any(
         full[full[v]] != v for v in full
     ):
-        raise UnpairedVariables(
+        raise ValueError(
             f"variable pairing {var_swap} is not an involution of {alpha.universe}"
         )
     return _certificate(boundary(alpha - conj_sum(alpha, full)))

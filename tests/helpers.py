@@ -439,16 +439,15 @@ def random_formal_sum(
 
 
 def random_five_term(rnd: random.Random, universe, max_deg: int = 2, field_mode="Q"):
-    """A five-term generator with admissible random arguments."""
-    from dilogeq.formal import DegenerateArguments
-
+    """A five-term generator with admissible random arguments: a draw where
+    five_term's arguments degenerate is drawn again."""
     gaussian = field_mode == "Qi"
     while True:
         x = random_admissible(rnd, universe, max_deg, gaussian)
         y = random_admissible(rnd, universe, max_deg, gaussian)
         try:
             return five_term(x, y, field_mode)
-        except DegenerateArguments:
+        except ValueError:
             continue
 
 

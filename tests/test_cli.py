@@ -900,6 +900,9 @@ def test_check_rejects_a_negative_probe_before_reading_the_document(run, tmp_pat
     message = "error: the probe needs at least one sample, got -1\n"
     assert run(["check", missing, "--probe", "-1"]) == (2, "", message)
     assert run(["check", missing, "--real", "--probe", "-1"]) == (2, "", message)
+    # probe refuses a count below one before it reads the document too
+    refused = "error: the probe needs at least one sample, got 0\n"
+    assert run(["probe", missing, "--samples", "0"]) == (2, "", refused)
 
 
 # -- blochfq ------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import argparse
 import ast
+import builtins
 import importlib
 import importlib.util
 import json
@@ -206,6 +207,7 @@ import contextlib, importlib.util, io, json, runpy, sys
 from pathlib import Path
 from dilogeq.cli import main
 root, commands = Path(sys.argv[1]), json.loads(sys.argv[2])
+sys.path.insert(0, str(root / "scripts"))  # as for a script run from there
 spec = importlib.util.spec_from_file_location("digest", root / "scripts" / "basis_digest.py")
 digest = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(digest)
@@ -300,6 +302,50 @@ def test_every_optional_parameter_is_set_by_a_package_caller():
                 if not any(_sets(c, position, name) for c in outside):
                     unset.append(f"{path.name}:{d.lineno} {d.name}({name})")
     assert unset == []
+
+
+def _caught_names(tree):
+    """The name of each class an except clause of the module names."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            for t in node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]:
+                yield t.attr if isinstance(t, ast.Attribute) else getattr(t, "id", None)
+
+
+def _adds_nothing(cls: ast.ClassDef) -> bool:
+    """Is the class body only a docstring, `...` or `pass`?"""
+    return all(
+        isinstance(s, ast.Pass) or (isinstance(s, ast.Expr) and isinstance(s.value, ast.Constant))
+        for s in cls.body
+    )
+
+
+def test_every_exception_class_is_caught_or_adds_something():
+    # an exception class that adds nothing to its base and that no caller
+    # catches by name tells no caller anything its base does not: raise the
+    # base.  Tests tell the two apart by the message
+    trees = _package_trees()
+    caught = {name for tree in trees.values() for name in _caught_names(tree)}
+    classes = {
+        node.name: (path, node)
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(trees[path])
+        if isinstance(node, ast.ClassDef)
+    }
+
+    def is_exception(name) -> bool:
+        builtin = getattr(builtins, name, None)
+        if isinstance(builtin, type):
+            return issubclass(builtin, BaseException)
+        bases = classes[name][1].bases if name in classes else []
+        return any(is_exception(getattr(b, "id", "")) for b in bases)
+
+    idle = [
+        f"{path.name}:{node.lineno} {name}"
+        for name, (path, node) in classes.items()
+        if is_exception(name) and name not in caught and _adds_nothing(node)
+    ]
+    assert idle == []
 
 
 def test_padic_rejects_bad_input():

@@ -41,13 +41,13 @@ def _mat_vec(rows, v):
 
 
 def test_hnf_simple():
-    h = hnf([[2, 4], [6, 8]])
+    h = hnf([[2, 4], [6, 8]], 2)
     # span of rows; pivots positive, entries above pivots reduced
     assert h == [[2, 0], [0, 4]]
 
 
 def test_hnf_rank_deficient():
-    h = hnf([[1, 2, 3], [2, 4, 6], [3, 6, 9]])
+    h = hnf([[1, 2, 3], [2, 4, 6], [3, 6, 9]], 3)
     assert h == [[1, 2, 3]]
 
 
@@ -285,10 +285,10 @@ def _reference_invariant_factors(rows, n):
 def test_minor_gcd_oracle_examples():
     # on a square matrix the factors multiply to |det|, and a singular one
     # has fewer factors than rows
-    assert minor_gcd_invariant_factors([[2]]) == [2]
-    assert minor_gcd_invariant_factors([[1, 2], [3, 4]]) == [1, 2]
-    assert minor_gcd_invariant_factors([[0, 1], [1, 0]]) == [1, 1]
-    assert minor_gcd_invariant_factors([[1, 2], [2, 4]]) == [1]
+    assert minor_gcd_invariant_factors([[2]], 1) == [2]
+    assert minor_gcd_invariant_factors([[1, 2], [3, 4]], 2) == [1, 2]
+    assert minor_gcd_invariant_factors([[0, 1], [1, 0]], 2) == [1, 1]
+    assert minor_gcd_invariant_factors([[1, 2], [2, 4]], 2) == [1]
 
 
 def test_minor_gcd_oracle_matches_fraction_determinant():
@@ -297,7 +297,7 @@ def test_minor_gcd_oracle_matches_fraction_determinant():
         n = rnd.randint(1, 5)
         a = _rand_matrix(rnd, n, n)
         det = _fraction_det(a)
-        factors = minor_gcd_invariant_factors(a)
+        factors = minor_gcd_invariant_factors(a, n)
         if det:
             assert len(factors) == n and prod(factors) == abs(det), a
         else:
@@ -331,12 +331,12 @@ def test_minor_gcd_oracle_matches_brute_force_minors():
 
 def test_smith_examples():
     # determinant divisors: d1 = gcd of entries = 2, d2 = |det| = 8
-    assert smith_invariant_factors([[2, 4], [6, 8]]) == [2, 4]
-    assert smith_invariant_factors([[1, 0], [0, 1]]) == [1, 1]
+    assert smith_invariant_factors([[2, 4], [6, 8]], 2) == [2, 4]
+    assert smith_invariant_factors([[1, 0], [0, 1]], 2) == [1, 1]
     assert smith_invariant_factors([[0, 0]], 2) == []
-    assert smith_invariant_factors([[6]]) == [6]
+    assert smith_invariant_factors([[6]], 1) == [6]
     # divisibility chain holds
-    assert smith_invariant_factors([[2, 0], [0, 3]]) == [1, 6]
+    assert smith_invariant_factors([[2, 0], [0, 3]], 2) == [1, 6]
 
 
 def test_smith_matches_minor_gcd_oracle():
@@ -390,10 +390,10 @@ def test_minor_gcd_oracle_ignores_repeated_sign_and_zero_rows():
         for b in (a + [[2 * x for x in r]], [[2 * x for x in r]] + a):
             assert minor_gcd_invariant_factors(b, n) == smith_invariant_factors(b, n), b
     # only +-1 multiples are dropped: the double keeps its own factor
-    assert minor_gcd_invariant_factors([[2, 4, 0], [1, 2, 0]]) == [1]
-    assert minor_gcd_invariant_factors([[1, 2, 0], [2, 4, 0]]) == [1]
-    assert minor_gcd_invariant_factors([[2, 4, 0], [4, 8, 0]]) == [2]
-    assert minor_gcd_invariant_factors([[0, 0, 0], [0, 0, 0]]) == []
+    assert minor_gcd_invariant_factors([[2, 4, 0], [1, 2, 0]], 3) == [1]
+    assert minor_gcd_invariant_factors([[1, 2, 0], [2, 4, 0]], 3) == [1]
+    assert minor_gcd_invariant_factors([[2, 4, 0], [4, 8, 0]], 3) == [2]
+    assert minor_gcd_invariant_factors([[0, 0, 0], [0, 0, 0]], 3) == []
 
 
 @pytest.mark.parametrize("p, factors", [(5, [1, 1, 3]), (7, [1, 1, 1, 1, 4])])
@@ -407,7 +407,7 @@ def test_smith_divisibility_chain():
     rnd = random.Random(11)
     for _ in range(40):
         a = _rand_matrix(rnd, 4, 4, -9, 9)
-        f = smith_invariant_factors(a)
+        f = smith_invariant_factors(a, 4)
         for u, v in zip(f, f[1:]):
             assert v % u == 0
 

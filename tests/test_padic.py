@@ -9,9 +9,7 @@ from hypothesis import strategies as st
 
 from dilogeq.formal import FormalSum
 from dilogeq.padic import (
-    OutOfDisc,
     PadicNumber,
-    ZeroArgument,
     branch_diff,
     dp_disc,
     li2p,
@@ -148,9 +146,9 @@ def test_arithmetic_agrees_with_exact_rationals(qa, qb, ka, kb):
 
 
 def test_inverse_of_zero_raises():
-    with pytest.raises(ZeroArgument):
+    with pytest.raises(ZeroDivisionError, match=r"^inverse of zero \(at this precision\)$"):
         pad(0) ** -1
-    with pytest.raises(ZeroArgument):
+    with pytest.raises(ZeroDivisionError, match=r"^inverse of zero \(at this precision\)$"):
         PadicNumber.zero(5, 4) ** -1
 
 
@@ -169,7 +167,7 @@ def test_power_is_the_repeated_product(p):
 
 def test_powers_of_a_zero():
     z = PadicNumber.zero(5, 4)
-    with pytest.raises(ZeroArgument, match="inverse of zero"):
+    with pytest.raises(ZeroDivisionError, match=r"^inverse of zero \(at this precision\)$"):
         z**-1
     assert z**0 == PadicNumber.from_rational(1, 5, 1)
     assert z**3 == PadicNumber.zero(5, 12)
@@ -250,7 +248,7 @@ def test_plog_is_a_homomorphism():
 
 
 def test_plog_rejects_zero():
-    with pytest.raises(ZeroArgument):
+    with pytest.raises(ZeroDivisionError, match="^log of zero$"):
         plog(pad(0), pad(0))
 
 
@@ -307,11 +305,11 @@ def test_series_golden_strings_p3(prec, li2p_3, li2p_18_7, plog_7_2, plog_45_4):
 
 
 def test_li2p_needs_the_disc():
-    with pytest.raises(OutOfDisc):
+    with pytest.raises(ValueError, match=r"^need v_p\(z\) >= 1, got valuation 0$"):
         li2p(pad(3))
-    with pytest.raises(OutOfDisc):
+    with pytest.raises(ValueError, match=r"^need v_p\(z\) >= 1, got valuation -1$"):
         li2p(pad(Fraction(1, 5)))
-    with pytest.raises(OutOfDisc):
+    with pytest.raises(ValueError, match=r"^need v_p\(z\) >= 1, got valuation 0$"):
         dp_disc(pad(3), pad(0))
 
 

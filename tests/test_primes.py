@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dilogeq.primes import (
-    OversizedConstant,
     UnitPrimeFactorization,
     _factor_int,
+    _residual_text,
     factor_constant,
     factor_rational,
     gaussian_quotient,
@@ -43,11 +43,19 @@ def test_factor_rational_examples():
 # 1000003 * 1000033: no divisor up to the default bound 10^6, and too large
 # for trial division up to that bound to prove it prime
 UNPROVEN = 1_000_003 * 1_000_033
+OVERSIZED = "constant has a prime factor above the bound 1000000: residual "
 
 
 def test_factor_rational_oversized():
-    with pytest.raises(OversizedConstant):
+    with pytest.raises(ValueError, match=f"^{OVERSIZED}{UNPROVEN}$"):
         factor_rational(Fraction(UNPROVEN))
+
+
+def test_residual_text_prints_up_to_sixty_digits():
+    # a longer residual is named by its digit count
+    assert _residual_text(10**60 - 1) == "9" * 60
+    assert _residual_text(10**60) == "of 61 digits"
+    assert _residual_text(2**100000 - 1) == "of 30103 digits"
 
 
 def test_factor_rational_certifies_primes_above_the_bound():
@@ -152,7 +160,7 @@ def test_is_prime_agrees_with_trial_division_below_the_bound_squared():
 
 def test_gaussian_oversized_names_the_rational_residual():
     # gcd(re, im) is factored over Z, not the norm 9 * UNPROVEN^2
-    with pytest.raises(OversizedConstant, match=f"residual {UNPROVEN}$"):
+    with pytest.raises(ValueError, match=f"^{OVERSIZED}{UNPROVEN}$"):
         factor_constant(fe(3 * UNPROVEN), gaussian=True)
 
 
