@@ -11,15 +11,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 from dilogeq.blochfq import bloch_groups  # noqa: E402
-
-
-def primes_up_to(bound: int) -> list[int]:
-    sieve = bytearray([1]) * (bound + 1)
-    sieve[:2] = b"\x00\x00"
-    for n in range(2, int(bound**0.5) + 1):
-        if sieve[n]:
-            sieve[n * n :: n] = bytearray(len(sieve[n * n :: n]))
-    return [n for n in range(bound + 1) if sieve[n]]
+from dilogeq.primes import is_prime  # noqa: E402
 
 
 def main():
@@ -30,9 +22,7 @@ def main():
     header = f"{'p':>4} {'gens':>5} {'wedge^2':>8} {'pre(five)':>10} {'pre':>8} {'modified':>9}  c-facts"
     print(header)
     print("-" * len(header))
-    for p in primes_up_to(args.max_p):
-        if p < 5:
-            continue
+    for p in filter(is_prime, range(5, args.max_p + 1)):
         g = bloch_groups(p)
         wedge = f"Z/{g.wedge_square}" if g.wedge_square > 1 else "0"
         ok = "yes" if g.c_class_independent and g.three_c_in_span else "NO"

@@ -30,7 +30,6 @@ from .primes import factor_rational, require_prime
 class AbelianGroupPresentation:
     """Generators F_p minus {0, 1} and integer relation rows over them."""
 
-    p: int
     generators: tuple[int, ...]
     five_rows: tuple[tuple[int, ...], ...]
     inversion_rows: tuple[tuple[int, ...], ...]
@@ -106,7 +105,7 @@ def relations_matrix(p: int) -> AbelianGroupPresentation:
         row[inv[x] - 2] += 1
         inversion.append(tuple(row))
 
-    return AbelianGroupPresentation(p, gens, tuple(five), tuple(inversion))
+    return AbelianGroupPresentation(gens, tuple(five), tuple(inversion))
 
 
 def wedge_square_order(p: int) -> tuple[int, int]:

@@ -33,9 +33,9 @@ from .scalars import fe
 # never replaces a name already set: a wrapper or stub set at
 # `dilogeq.cli.NAME` beforehand (bench/tracer.py, tests) is the one called.
 _DOCUMENT_NAMES = {
-    "document": ("IdentitySpec", "dump_document", "load_document", "parse_variables"),
+    "document": ("dump_document", "load_document", "parse_variables"),
     "exprparse": ("parse_expression",),
-    "formal": ("FormalSum", "c_element", "five_term", "inversion"),
+    "formal": ("c_element", "five_term", "inversion"),
     "numerics": ("ModPiSqHalf", "SamplingExhausted", "bloch_wigner", "numeric_probe", "rl_bar"),
     "ratfunc": ("INF",),
     "specialize": (

@@ -52,8 +52,7 @@ from .scalars import FieldElement
 class CoprimeBasis:
     """A pairwise-coprime set of monic squarefree non-constant polynomials."""
 
-    def __init__(self, universe: tuple[str, ...]):
-        self.universe = tuple(universe)
+    def __init__(self):
         self.elements: list[MultiPoly] = []
         # records of the inputs and of their factors, kept up to date by
         # every split; `_inputs` orders the inputs' keys for the merge

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from .formal import FIELD_MODES
 from .ratfunc import RationalFunction, ZeroDenominator
-from .scalars import FieldElement
+from .scalars import I, FieldElement
 
 
 MAX_DEGREE = 100_000
@@ -254,7 +254,7 @@ class _Parser:
             return RationalFunction.const(self.universe, FieldElement(int(tok.text)))
         if tok.kind == "name":
             if self.gaussian and tok.text == "i":
-                return RationalFunction.const(self.universe, FieldElement.i())
+                return RationalFunction.const(self.universe, I)
             if tok.text in self.universe:
                 return RationalFunction.var(self.universe, tok.text)
             hint = "; the literal i needs field mode Qi" if tok.text == "i" else ""

@@ -34,7 +34,6 @@ tests check every factorization with `reconstruct` in tests/helpers.py).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -44,19 +43,6 @@ from .scalars import I, FieldElement, _decimal, fe
 
 FACTOR_BOUND = 10**6
 _SHOWN_DIGITS = 60
-
-
-@dataclass(frozen=True)
-class UnitPrimeFactorization:
-    """c = unit_generator^unit_exponent * prod prime^exponent, exactly.
-
-    The unit generator is -1 (rational mode, exponent mod 2) or i (Gaussian
-    mode, exponent mod 4).  Factors are in `prime_key` order.
-    """
-
-    gaussian: bool
-    unit_exponent: int
-    factors: tuple[tuple[FieldElement, int], ...]
 
 
 @lru_cache(maxsize=1024)
@@ -268,8 +254,10 @@ def _factor_gaussian(c: FieldElement) -> tuple[int, list[tuple[FieldElement, int
     return (k_num - k_den) % 4, factors
 
 
-def factor_constant(c: FieldElement, gaussian: bool) -> UnitPrimeFactorization:
-    """Factor a nonzero exact constant per the mode's unit convention."""
+def factor_constant(c: FieldElement, gaussian: bool) -> tuple[int, tuple]:
+    """c != 0 -> (k, ((prime, exponent), ...)) with c = u^k * prod
+    prime^exponent exactly, for the mode's unit u: -1 (rational mode, k mod
+    2) or i (Gaussian mode, k mod 4).  Factors are in `prime_key` order."""
     if c.is_zero():
         raise ValueError("cannot factor zero")
     if gaussian:
@@ -280,4 +268,4 @@ def factor_constant(c: FieldElement, gaussian: bool) -> UnitPrimeFactorization:
         unit, fac = factor_rational(c.re)
         factors = [(fe(p), e) for p, e in fac.items()]
     factors.sort(key=lambda t: prime_key(t[0]))
-    return UnitPrimeFactorization(gaussian, unit, tuple(factors))
+    return unit, tuple(factors)

@@ -60,12 +60,6 @@ class FieldElement:
         ia, id_ = _parts(im)
         return _make(ra * id_, ia * rd, rd * id_)
 
-    # -- constructors ------------------------------------------------
-
-    @staticmethod
-    def i() -> "FieldElement":
-        return I
-
     # -- parts ---------------------------------------------------------
 
     @property
@@ -211,11 +205,4 @@ ONE = _make(1, 0, 1)
 MINUS_ONE = _make(-1, 0, 1)
 I = _make(0, 1, 1)
 
-
-def fe(re, im=0) -> FieldElement:
-    """Shorthand constructor accepting ints, Fractions, or strings."""
-    if isinstance(re, str):
-        re = Fraction(re)
-    if isinstance(im, str):
-        im = Fraction(im)
-    return FieldElement(re, im)
+fe = FieldElement  # the short name callers build constants with

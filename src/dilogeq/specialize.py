@@ -29,8 +29,6 @@ from .scalars import FieldElement, fe
 
 class PointNotAdmissible(ValueError):
     def __init__(self, key, reason):
-        self.key = key
-        self.reason = reason
         super().__init__(f"argument [{key}] is not admissible at the point: {reason}")
 
 
@@ -38,7 +36,8 @@ class PointNotAdmissible(ValueError):
 class SpecStep:
     """Eliminate `var` by sending it to `target` (a rational function of the
     remaining variables, or INF), with auxiliary constant `aux` (not 0 or 1).
-    Both are expressed over the full universe with `var` unused."""
+    Neither may involve `var`; `sp` re-expresses both over the universe of
+    the sum it specializes."""
 
     var: str
     target: object  # RationalFunction | INF
@@ -81,9 +80,11 @@ def naive_eval(alpha: FormalSum, var: str, target) -> ExtendedFormalSum:
 
 
 def sp(alpha: FormalSum, step: SpecStep) -> FormalSum:
-    """Specialize one variable away; the result lives over the remaining
-    universe and contains no degenerate symbols."""
-    ext = naive_eval(alpha, step.var, step.target)
+    """Specialize one variable away; the step's target and aux are read over
+    alpha's universe, and the result lives over the remaining universe and
+    contains no degenerate symbols."""
+    target = step.target if step.target is INF else step.target.with_universe(alpha.universe)
+    ext = naive_eval(alpha, step.var, target)
     result = ext.ordinary
     swing = ext.c0 - ext.cinf
     if swing:
@@ -100,13 +101,7 @@ def iterate(alpha: FormalSum, steps: tuple[SpecStep, ...]) -> FormalSum:
     for step in steps:
         if step.var not in alpha.universe:
             raise ValueError(f"variable {step.var} already eliminated")
-        lifted = SpecStep(
-            step.var,
-            step.target if step.target is INF
-            else step.target.with_universe(alpha.universe),
-            step.aux.with_universe(alpha.universe),
-        )
-        alpha = sp(alpha, lifted)
+        alpha = sp(alpha, step)
     return alpha
 
 

@@ -58,10 +58,9 @@ class WedgeElement:
     y; pairs ending in UNIT are torsion, reduced mod 2 or mod 4 in Z-mode.
     """
 
-    __slots__ = ("universe", "field_mode", "coeff_mode", "tensors", "basis", "pairs")
+    __slots__ = ("field_mode", "coeff_mode", "tensors", "basis", "pairs")
 
-    def __init__(self, universe, tensors, field_mode="Q", coeff_mode="Z"):
-        self.universe = tuple(universe)
+    def __init__(self, tensors, field_mode="Q", coeff_mode="Z"):
         self.field_mode = field_mode
         self.coeff_mode = coeff_mode
         self.tensors = tuple(
@@ -76,15 +75,15 @@ class WedgeElement:
 
     def _normalize(self):
         gaussian = self.field_mode == "Qi"
-        basis = self.basis = _joint_basis(self.universe, self.tensors)
+        basis = self.basis = _joint_basis(self.tensors)
 
         def atoms(f: RationalFunction) -> list:
             unit, exps = basis.factor_rf(f)
-            fac = factor_constant(unit, gaussian)
+            unit_exponent, factors = factor_constant(unit, gaussian)
             return (
                 [((BASIS, i), e) for i, e in exps.items()]
-                + [((PRIME, p), e) for p, e in fac.factors]
-                + [(UNIT, fac.unit_exponent)]
+                + [((PRIME, p), e) for p, e in factors]
+                + [(UNIT, unit_exponent)]
             )
 
         # sums stay on ints while the coefficients are integral; each
@@ -176,10 +175,10 @@ class WedgeElement:
     __repr__ = __str__
 
 
-def _joint_basis(universe, tensors) -> CoprimeBasis:
+def _joint_basis(tensors) -> CoprimeBasis:
     """The frozen coprime basis refining every numerator and denominator of
     the tensors, each with the factors it was built from."""
-    basis = CoprimeBasis(universe)
+    basis = CoprimeBasis()
     for _, f, g in tensors:
         for h in (f, g):
             basis.add(h.num, h.num_factors)
@@ -204,7 +203,7 @@ def _reduce_one(v: int | Fraction, coeff_mode: str, modulus: int) -> int:
 def boundary(alpha: FormalSum) -> WedgeElement:
     r"""d[f] = f /\ (1 - f), extended A-linearly."""
     tensors = [(a, f, f.one_minus()) for f, a in alpha.items()]
-    return WedgeElement(alpha.universe, tensors, alpha.field_mode, alpha.coeff_mode)
+    return WedgeElement(tensors, alpha.field_mode, alpha.coeff_mode)
 
 
 @dataclass(frozen=True)

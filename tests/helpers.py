@@ -21,9 +21,8 @@ from dilogeq.formal import FormalSum, five_term, inversion
 from dilogeq.intmat import HermiteForm
 from dilogeq.padic import EXACT, PadicNumber
 from dilogeq.poly import MultiPoly, poly_gcd
-from dilogeq.primes import UnitPrimeFactorization
 from dilogeq.ratfunc import RationalFunction, ZeroDenominator
-from dilogeq.scalars import FieldElement, fe
+from dilogeq.scalars import I, FieldElement, fe
 from dilogeq.wedge import BASIS, WedgeElement
 
 
@@ -60,11 +59,11 @@ def fresh(code: str, *args: str):
 
 
 def rf(universe, num, den=None) -> RationalFunction:
-    """Rational function from ints, Fractions, strings, scalars or polys."""
+    """Rational function from ints, Fractions, scalars or polys."""
     def to_poly(x):
         if isinstance(x, MultiPoly):
             return x
-        if isinstance(x, (int, Fraction, str)):
+        if isinstance(x, (int, Fraction)):
             return MultiPoly.const(universe, fe(x))
         if isinstance(x, FieldElement):
             return MultiPoly.const(universe, x)
@@ -115,13 +114,15 @@ def to_sympy(p: MultiPoly):
 
 
 def wedge_difference(lhs: WedgeElement, rhs: WedgeElement) -> WedgeElement:
-    """lhs - rhs: one element built from lhs's tensors and rhs's negated."""
-    if (lhs.universe, lhs.field_mode, lhs.coeff_mode) != (
-        rhs.universe, rhs.field_mode, rhs.coeff_mode
-    ):
-        raise ValueError("wedge elements live over different settings")
+    """lhs - rhs: one element built from lhs's tensors and rhs's negated.
+    The arguments of both must share one universe, and the two elements
+    their modes."""
     negated = tuple((-a, f, g) for a, f, g in rhs.tensors)
-    return WedgeElement(lhs.universe, lhs.tensors + negated, lhs.field_mode, lhs.coeff_mode)
+    tensors = lhs.tensors + negated
+    universes = {h.num.universe for _, f, g in tensors for h in (f, g)}
+    if len(universes) > 1 or (lhs.field_mode, lhs.coeff_mode) != (rhs.field_mode, rhs.coeff_mode):
+        raise ValueError("wedge elements live over different settings")
+    return WedgeElement(tensors, lhs.field_mode, lhs.coeff_mode)
 
 
 def beta1_by_index(w: WedgeElement) -> dict[tuple[int, int], Fraction]:
@@ -134,11 +135,11 @@ def beta3_is_zero(w: WedgeElement) -> bool:
     return not any(w.decompose()[2].values())
 
 
-def reconstruct(f: UnitPrimeFactorization) -> FieldElement:
-    """The constant a factorization stands for: the unit power times the
-    prime powers, multiplied back."""
-    out = (FieldElement.i() if f.gaussian else fe(-1)) ** f.unit_exponent
-    for p, e in f.factors:
+def reconstruct(unit_exponent: int, factors, gaussian: bool) -> FieldElement:
+    """The constant a factorization (`factor_constant`'s pair) stands for:
+    the power of the mode's unit times the prime powers, multiplied back."""
+    out = (I if gaussian else fe(-1)) ** unit_exponent
+    for p, e in factors:
         out = out * p**e
     return out
 
@@ -516,7 +517,7 @@ def expand_beta1_to_planted(w, planted: list[MultiPoly]) -> dict:
     """
     from dilogeq.coprime import CoprimeBasis
 
-    fine = CoprimeBasis(w.universe)
+    fine = CoprimeBasis()
     for b in planted:
         fine.add(b)
     fine.freeze()

@@ -93,7 +93,7 @@ def t_v(w: WedgeElement, b: MultiPoly) -> MultiPoly:
     var = next(iter(used))
     if b.is_constant():
         raise ValueError("the place must be a non-constant polynomial")
-    basis = CoprimeBasis(w.universe)
+    basis = CoprimeBasis()
     basis.add(b)
     for _, f, g in w.tensors:
         for h in (f, g):
@@ -125,7 +125,7 @@ def t_v(w: WedgeElement, b: MultiPoly) -> MultiPoly:
         for k, n in exps.items()
         if n
     ]
-    out = MultiPoly.one(w.universe)
+    out = MultiPoly.one(b.universe)
     for bit in reversed(range(max((n.bit_length() for _, n in powers), default=0))):
         out = univar_rem(out * out, b, var)
         for base, n in powers:
@@ -145,13 +145,13 @@ def wedge_specialize(w: WedgeElement, var: str, target) -> WedgeElement:
     pi^{-ord(f)} f at the target, which is a well-defined nonzero function
     of the remaining variables.
     """
-    new_universe = tuple(v for v in w.universe if v != var)
     tensors = []
     for a, f, g in w.tensors:
+        new_universe = tuple(v for v in f.num.universe if v != var)
         sf = _sp_generator(f, var, target)
         sg = _sp_generator(g, var, target)
         tensors.append((a, sf.with_universe(new_universe), sg.with_universe(new_universe)))
-    return WedgeElement(new_universe, tensors, w.field_mode, w.coeff_mode)
+    return WedgeElement(tensors, w.field_mode, w.coeff_mode)
 
 
 def _sp_generator(f: RationalFunction, var: str, target) -> RationalFunction:

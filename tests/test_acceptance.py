@@ -348,7 +348,7 @@ def test_acceptance_06_gcd_free_basis_soundness(capsys):
                 a = rnd.choice([-2, -1, 1, 2])
                 tensors.append((a, f, g))
                 records.append((a, ef, eg))
-            w = WedgeElement(T, tensors)
+            w = WedgeElement(tensors)
             assert expand_beta1_to_planted(w, planted) == beta1_from_exponents(records)
 
 

@@ -176,9 +176,9 @@ def test_conj_sum_involution(a):
 
 
 def test_conj_sum_gaussian():
-    from dilogeq.scalars import FieldElement
+    from dilogeq.scalars import I
 
-    i_const = RationalFunction.const(T, FieldElement.i())
+    i_const = RationalFunction.const(T, I)
     a = FormalSum.single(t() + i_const, 1, field_mode="Qi")
     b = conj_sum(a)
     assert b.terms.get(t() - i_const, 0) == 1

@@ -100,6 +100,25 @@ def _package_trees():
     }
 
 
+def _src_classes(trees):
+    """name -> (path, node) for every class of the package."""
+    return {
+        node.name: (path, node)
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(trees[path])
+        if isinstance(node, ast.ClassDef)
+    }
+
+
+def _is_exception(name: str, classes) -> bool:
+    """Is the builtin or package class of this name an exception?"""
+    builtin = getattr(builtins, name, None)
+    if isinstance(builtin, type):
+        return issubclass(builtin, BaseException)
+    bases = classes[name][1].bases if name in classes else []
+    return any(_is_exception(getattr(b, "id", ""), classes) for b in bases)
+
+
 def _uses(tree):
     """(name, node, bare) for every name loaded or imported (bare) and every
     attribute read."""
@@ -180,12 +199,14 @@ TRACED_DOCUMENTS = {
     "pair.txt": "field: Qi\nvariables: z ~ w\nterm: 1 [z]\nterm: 1 [w]\n",
     "square.txt": "field: Qi\nvariables: t\nterm: 1 [t^2 + 2*i*t - 1]\n",
     "single.txt": "variables: t\nterm: 1 [t]\n",
+    "bad_term.txt": "variables: t\nterm: 1 [t +]\n",
 }
 TRACED_COMMANDS = (
     (["check", "five.txt", "--probe", "5"], 0),
     (["check", "inversion.txt", "--real", "--probe", "5"], 0),
     (["check", "pair.txt", "--cc"], 0),
     (["check", "five.txt", "--padic", "5"], 0),
+    (["check", "bad_term.txt"], 2),
     (["check", "square.txt", "--json"], 1),
     (["specialize", "five.txt", "--step", "x=2", "--step", "y=inf,c=3"], 0),
     (["wedge", "square.txt"], 0),
@@ -200,18 +221,35 @@ TRACED_COMMANDS = (
 
 # Run in a fresh interpreter, so that no cache an earlier test warmed hides
 # a call: the commands, one relation sum built as the benchmark builds it
-# (scripts/basis_digest.py), and the demo scripts, under a profile hook.
-# Prints the exit codes and each (file, first line) of package code entered
+# (scripts/basis_digest.py), and the demo scripts, under a profile hook and
+# with each watched class's attribute reads recorded.  A class reads
+# through the default lookup again once every name it stores has been read.
+# Prints the exit codes, each (file, first line) of package code entered
+# and each stored "module.Class.name" never read
 _TRACE = """
-import contextlib, importlib.util, io, json, runpy, sys
+import contextlib, importlib, importlib.util, io, json, runpy, sys
 from pathlib import Path
 from dilogeq.cli import main
-root, commands = Path(sys.argv[1]), json.loads(sys.argv[2])
+root, commands, stored = Path(sys.argv[1]), json.loads(sys.argv[2]), json.loads(sys.argv[3])
 sys.path.insert(0, str(root / "scripts"))  # as for a script run from there
 spec = importlib.util.spec_from_file_location("digest", root / "scripts" / "basis_digest.py")
 digest = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(digest)
 inputs = digest.load_inputs()
+unread = {}
+def watch(cls, left):
+    get = cls.__getattribute__
+    def read(self, name):
+        if name in left:
+            left.discard(name)
+            if not left:
+                del cls.__getattribute__
+        return get(self, name)
+    cls.__getattribute__ = read
+for label, names in stored.items():
+    module, name = label.split(".")
+    unread[label] = set(names)
+    watch(getattr(importlib.import_module("dilogeq." + module), name), unread[label])
 entered = set()
 def hook(frame, event, arg):
     if event == "call":
@@ -226,14 +264,63 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
 sys.setprofile(None)
 package = Path(sys.modules["dilogeq"].__file__).resolve().parent
 print(json.dumps([codes, sorted({(Path(f).name, line) for f, line in entered
-                                 if Path(f).resolve().parent == package})]))
+                                 if Path(f).resolve().parent == package}),
+                  sorted(f"{label}.{name}" for label, names in unread.items() for name in names)]))
 """
 
 
-def test_every_method_whose_name_another_class_shares_is_entered(tmp_path, monkeypatch):
-    # the gate above counts an attribute read of `scale` as a use of every
-    # method named scale, since the AST does not know the receiver's type;
-    # a run-time trace does.  A method not entered is reached only by tests
+def _stored_names(cls: ast.ClassDef) -> set[str]:
+    """The names a class stores: its dataclass fields, and each self.NAME
+    its methods assign, directly or through object.__setattr__."""
+    names = set()
+    if any(ast.unparse(d).startswith("dataclass") for d in cls.decorator_list):
+        names |= {s.target.id for s in cls.body if isinstance(s, ast.AnnAssign)}
+    for m in cls.body:
+        for node in ast.walk(m) if isinstance(m, ast.FunctionDef) else ():
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                if getattr(node.value, "id", None) == "self":
+                    names.add(node.attr)
+            elif isinstance(node, ast.Call) and ast.unparse(node.func) == "object.__setattr__":
+                if getattr(node.args[0], "id", None) == "self":
+                    names.add(node.args[1].value)
+    return names
+
+
+@pytest.fixture(scope="module")
+def traced_run(tmp_path_factory):
+    """(package code entered, stored names never read) of one fresh run of
+    _TRACE, which watches the names each module-level class of the package
+    other than an exception stores; every command must end in its code."""
+    trees = _package_trees()
+    classes = _src_classes(trees)
+    stored = {}
+    for name, (path, node) in classes.items():
+        names = _stored_names(node)
+        if names and node in trees[path].body and not _is_exception(name, classes):
+            stored[f"{path.stem}.{name}"] = sorted(names)
+    folder = tmp_path_factory.mktemp("traced")
+    for name, text in TRACED_DOCUMENTS.items():
+        (folder / name).write_text("dilog-identity v1\n" + text)
+    commands = json.dumps([argv for argv, _ in TRACED_COMMANDS])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(folder)
+        codes, entered, unread = fresh(_TRACE, str(ROOT), commands, json.dumps(stored))
+    assert codes == [code for _, code in TRACED_COMMANDS]
+    return {tuple(e) for e in entered}, unread
+
+
+def test_every_field_a_class_stores_is_read(traced_run):
+    # the AST gates cannot tell which class a read of `.universe` belongs
+    # to; the run can.  A field the traced run never reads is kept only
+    # for tests.  Exceptions are left out: their fields are for except clauses
+    assert traced_run[1] == []
+
+
+def test_every_method_whose_name_another_class_shares_is_entered(traced_run):
+    # the definition gate counts an attribute read of `scale` as a use of
+    # every method named scale, since the AST does not know the receiver's
+    # type; a run-time trace does.  A method not entered is reached only by
+    # tests
     by_name: dict[str, list[tuple[str, int, str]]] = {}
     for path in sorted(SRC.glob("*.py")):
         for cls in ast.parse(path.read_text(), str(path)).body:
@@ -245,12 +332,7 @@ def test_every_method_whose_name_another_class_shares_is_entered(tmp_path, monke
                 # a code object's first line is that of its first decorator
                 first = min([m.lineno] + [d.lineno for d in m.decorator_list])
                 by_name.setdefault(m.name, []).append((path.name, first, f"{cls.name}.{m.name}"))
-    for name, text in TRACED_DOCUMENTS.items():
-        (tmp_path / name).write_text("dilog-identity v1\n" + text)
-    monkeypatch.chdir(tmp_path)
-    codes, entered = fresh(_TRACE, str(ROOT), json.dumps([argv for argv, _ in TRACED_COMMANDS]))
-    assert codes == [code for _, code in TRACED_COMMANDS]
-    entered = {tuple(e) for e in entered}
+    entered = traced_run[0]
     missing = [
         f"{file}:{line} {label}"
         for methods in by_name.values()
@@ -326,24 +408,11 @@ def test_every_exception_class_is_caught_or_adds_something():
     # base.  Tests tell the two apart by the message
     trees = _package_trees()
     caught = {name for tree in trees.values() for name in _caught_names(tree)}
-    classes = {
-        node.name: (path, node)
-        for path in sorted(SRC.glob("*.py"))
-        for node in ast.walk(trees[path])
-        if isinstance(node, ast.ClassDef)
-    }
-
-    def is_exception(name) -> bool:
-        builtin = getattr(builtins, name, None)
-        if isinstance(builtin, type):
-            return issubclass(builtin, BaseException)
-        bases = classes[name][1].bases if name in classes else []
-        return any(is_exception(getattr(b, "id", "")) for b in bases)
-
+    classes = _src_classes(trees)
     idle = [
         f"{path.name}:{node.lineno} {name}"
         for name, (path, node) in classes.items()
-        if is_exception(name) and name not in caught and _adds_nothing(node)
+        if _is_exception(name, classes) and name not in caught and _adds_nothing(node)
     ]
     assert idle == []
 
@@ -367,12 +436,52 @@ def test_dump_rejects_undeclared_pair():
         dump_document(FormalSum.zero(("z", "x", "w"), "Qi"), (("z", "w"),))
 
 
-def test_traced_names_resolve():
-    # the benchmark's tracer wraps functions at these import sites; a name
-    # that moves would break only traced runs, so check them all here
+def _tracer():
+    """bench/tracer.py, loaded as a module."""
     spec = importlib.util.spec_from_file_location("bench_tracer", ROOT / "bench" / "tracer.py")
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def _annotations(tree) -> set[int]:
+    """The ids of the nodes inside the module's annotations."""
+    notes = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef):
+            a = node.args
+            params = a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]
+            notes += [p.annotation for p in params if p is not None] + [node.returns]
+        elif isinstance(node, ast.AnnAssign):
+            notes.append(node.annotation)
+    return {id(n) for note in notes if note is not None for n in ast.walk(note)}
+
+
+def test_every_document_name_cli_binds_is_read():
+    # under `from __future__ import annotations` cli never evaluates an
+    # annotation, so a name it reads only there needs no binding; a name
+    # the tracer wraps at dilogeq.cli does, since the wrapper is called there
+    path = SRC / "cli.py"
+    tree = ast.parse(path.read_text(), str(path))
+    assert any(
+        isinstance(n, ast.ImportFrom) and n.module == "__future__" and n.names[0].name == "annotations"
+        for n in tree.body
+    )
+    notes = _annotations(tree)
+    loaded = {
+        n.id for n in ast.walk(tree)
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load) and id(n) not in notes
+    }
+    tracer = _tracer()
+    wrapped = {attr for module, attr, _ in tracer.SPANS + tracer.COUNTERS if module == "dilogeq.cli"}
+    unread = [name for name, _ in _table_names(path, tree) if name not in loaded | wrapped]
+    assert unread == []
+
+
+def test_traced_names_resolve():
+    # the benchmark's tracer wraps functions at these import sites; a name
+    # that moves would break only traced runs, so check them all here
+    tracer = _tracer()
     missing = []
     for module, attr, _ in tracer.SPANS + tracer.COUNTERS:
         owner = importlib.import_module(module)

@@ -17,7 +17,7 @@ from dilogeq.exprparse import (
 )
 from dilogeq.formal import FormalSum, check_term, five_term
 from dilogeq.ratfunc import RationalFunction, ZeroDenominator
-from dilogeq.scalars import FieldElement
+from dilogeq.scalars import I, FieldElement
 
 from helpers import bench_inputs, random_formal_sum
 
@@ -70,7 +70,7 @@ def test_whitespace_and_newlines():
 
 def test_imaginary_unit_in_gaussian_mode():
     z = ("z",)
-    i = RationalFunction.const(z, FieldElement.i())
+    i = RationalFunction.const(z, I)
     assert parse_expression("i^2", z, "Qi") == rf_const(-1, z)
     assert parse_expression("(1 + i)*(1 - i)", z, "Qi") == rf_const(2, z)
     assert parse_expression("i*z", z, "Qi") == i * var("z", z)
@@ -291,7 +291,7 @@ def _random_expr(rnd, universe, gaussian, depth):
         if kind == "var":
             name = rnd.choice(universe)
             return name, var(name, universe)
-        return "i", RationalFunction.const(universe, FieldElement.i())
+        return "i", RationalFunction.const(universe, I)
     op = rnd.choice("+-*/^")
     ls, lv = _random_expr(rnd, universe, gaussian, depth - 1)
     if op == "^":
@@ -501,7 +501,7 @@ def test_dump_document_round_trip():
 def test_dump_document_gaussian_round_trip():
     u = ("z",)
     z = var("z", u)
-    i = RationalFunction.const(u, FieldElement.i())
+    i = RationalFunction.const(u, I)
     f = (rf_const(1, u) + rf_const(2, u) * i) * z + i
     alpha = FormalSum.single(f, 2, "Qi", "Z") + FormalSum.single(z + i, -1, "Qi", "Z")
     again = load_document(dump_document(alpha, ()))

@@ -242,7 +242,7 @@ def test_a_linear_image_on_either_side_spares_euclid(monkeypatch):
     # both images are linear, so one root test settles the pair
     g = x * x + x * y + one
     b = y + x * x + one.scale(fe(3))
-    basis = coprime.CoprimeBasis(u)
+    basis = coprime.CoprimeBasis()
     basis.add(b)
     euclid, calls = poly._gf_coprime, []
 

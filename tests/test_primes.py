@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dilogeq.primes import (
-    UnitPrimeFactorization,
     _factor_int,
     _residual_text,
     factor_constant,
@@ -165,53 +164,49 @@ def test_gaussian_oversized_names_the_rational_residual():
 
 
 def test_factor_constant_rational_mode():
-    f = factor_constant(fe(Fraction(-20, 9)), gaussian=False)
-    assert f.unit_exponent == 1
-    assert f.factors == ((fe(2), 2), (fe(3), -2), (fe(5), 1))
-    assert reconstruct(f) == fe(Fraction(-20, 9))
+    k, factors = factor_constant(fe(Fraction(-20, 9)), gaussian=False)
+    assert k == 1
+    assert factors == ((fe(2), 2), (fe(3), -2), (fe(5), 1))
+    assert reconstruct(k, factors, False) == fe(Fraction(-20, 9))
     with pytest.raises(ValueError):
         factor_constant(fe(1, 1), gaussian=False)
 
 
 def test_gaussian_two_ramifies():
     # 2 = -i * (1+i)^2
-    f = factor_constant(fe(2), gaussian=True)
-    assert f.factors == ((fe(1, 1), 2),)
-    assert f.unit_exponent == 3  # i^3 = -i
-    assert reconstruct(f) == fe(2)
+    k, factors = factor_constant(fe(2), gaussian=True)
+    assert factors == ((fe(1, 1), 2),)
+    assert k == 3  # i^3 = -i
+    assert reconstruct(k, factors, True) == fe(2)
 
 
 def test_gaussian_five_splits():
     # 5 = (2+i)(2-i); 2-i is replaced by its first-quadrant associate
     # 1+2i = i*(2-i), so the unit becomes i^3
-    f = factor_constant(fe(5), gaussian=True)
-    assert f.unit_exponent == 3
-    assert set(f.factors) == {(fe(2, 1), 1), (fe(1, 2), 1)}
-    for pi, _ in f.factors:
+    k, factors = factor_constant(fe(5), gaussian=True)
+    assert k == 3
+    assert set(factors) == {(fe(2, 1), 1), (fe(1, 2), 1)}
+    for pi, _ in factors:
         assert pi.re > 0 and imag(pi) >= 0
-    assert reconstruct(f) == fe(5)
+    assert reconstruct(k, factors, True) == fe(5)
 
 
 def test_gaussian_three_inert():
-    f = factor_constant(fe(3), gaussian=True)
-    assert f.factors == ((fe(3), 1),)
-    assert f.unit_exponent == 0
+    assert factor_constant(fe(3), gaussian=True) == (0, ((fe(3), 1),))
 
 
 def test_gaussian_units():
     for k, u in enumerate([fe(1), fe(0, 1), fe(-1), fe(0, -1)]):
-        f = factor_constant(u, gaussian=True)
-        assert f.factors == ()
-        assert f.unit_exponent == k
-        assert reconstruct(f) == u
+        assert factor_constant(u, gaussian=True) == (k, ())
+        assert reconstruct(k, (), True) == u
 
 
 def test_gaussian_fraction():
     # (1+i)/2 = i^k * (1+i)^(-1) since (1+i)/2 = 1/(1-i) = (1+i)/((1+i)(1-i))
     c = fe(Fraction(1, 2), Fraction(1, 2))
-    f = factor_constant(c, gaussian=True)
-    assert reconstruct(f) == c
-    assert f.factors == ((fe(1, 1), -1),)
+    k, factors = factor_constant(c, gaussian=True)
+    assert reconstruct(k, factors, True) == c
+    assert factors == ((fe(1, 1), -1),)
 
 
 def test_gaussian_mode_required_for_imaginary():
@@ -227,10 +222,10 @@ small_nonzero_fracs = st.fractions(
 @given(small_nonzero_fracs)
 @settings(max_examples=80)
 def test_rational_reconstruct(q):
-    f = factor_constant(fe(q), gaussian=False)
-    assert reconstruct(f) == fe(q)
-    assert f.unit_exponent in (0, 1)
-    for p, e in f.factors:
+    k, factors = factor_constant(fe(q), gaussian=False)
+    assert reconstruct(k, factors, False) == fe(q)
+    assert k in (0, 1)
+    for p, e in factors:
         assert is_integer(p) and p.re >= 2 and e != 0
 
 
@@ -242,10 +237,10 @@ gaussian_fracs = st.fractions(min_value=-10, max_value=10, max_denominator=8)
 @settings(max_examples=80)
 def test_gaussian_reconstruct(re, im):
     c = fe(re, im)
-    f = factor_constant(c, gaussian=True)
-    assert reconstruct(f) == c
-    assert f.unit_exponent in (0, 1, 2, 3)
-    for pi, e in f.factors:
+    k, factors = factor_constant(c, gaussian=True)
+    assert reconstruct(k, factors, True) == c
+    assert k in (0, 1, 2, 3)
+    for pi, e in factors:
         # first-quadrant normalization
         assert pi.re > 0 and imag(pi) >= 0 and e != 0
 
@@ -253,15 +248,15 @@ def test_gaussian_reconstruct(re, im):
 @given(small_nonzero_fracs, small_nonzero_fracs)
 @settings(max_examples=40)
 def test_rational_factorization_is_multiplicative(a, b):
-    fa = factor_constant(fe(a), gaussian=False)
-    fb = factor_constant(fe(b), gaussian=False)
-    fab = factor_constant(fe(a * b), gaussian=False)
+    ka, fa = factor_constant(fe(a), gaussian=False)
+    kb, fb = factor_constant(fe(b), gaussian=False)
+    kab, fab = factor_constant(fe(a * b), gaussian=False)
     merged: dict[FieldElement, int] = {}
-    for p, e in fa.factors + fb.factors:
+    for p, e in fa + fb:
         merged[p] = merged.get(p, 0) + e
     merged = {p: e for p, e in merged.items() if e}
-    assert dict(fab.factors) == merged
-    assert fab.unit_exponent == (fa.unit_exponent + fb.unit_exponent) % 2
+    assert dict(fab) == merged
+    assert kab == (ka + kb) % 2
 
 
 I = fe(0, 1)
@@ -284,10 +279,10 @@ GAUSSIAN_TABLE = [
 
 @pytest.mark.parametrize("c, unit, factors", GAUSSIAN_TABLE, ids=lambda v: str(v))
 def test_gaussian_factorizations_of_recorded_constants(c, unit, factors):
-    f = factor_constant(c, gaussian=True)
-    assert f.unit_exponent == unit
-    assert f.factors == tuple((fe(re, im), e) for (re, im), e in factors)
-    assert reconstruct(f) == c
+    k, got = factor_constant(c, gaussian=True)
+    assert k == unit
+    assert got == tuple((fe(re, im), e) for (re, im), e in factors)
+    assert reconstruct(k, got, True) == c
 
 
 def _is_gaussian_prime(pi: FieldElement) -> bool:
@@ -308,10 +303,10 @@ def test_gaussian_factors_are_distinct_first_quadrant_primes_in_key_order(a, b, 
     if a == b == 0:
         return
     c = fe(Fraction(a, d), Fraction(b, d))
-    f = factor_constant(c, gaussian=True)
-    assert reconstruct(f) == c
-    primes = [pi for pi, _ in f.factors]
-    for pi, e in f.factors:
+    k, factors = factor_constant(c, gaussian=True)
+    assert reconstruct(k, factors, True) == c
+    primes = [pi for pi, _ in factors]
+    for pi, e in factors:
         assert e != 0 and pi.d == 1 and pi.a > 0 and pi.b >= 0
         assert _is_gaussian_prime(pi)
     units = {fe(1), I, fe(-1), -I}
@@ -398,6 +393,6 @@ def test_strip_power_refuses_units():
 
 
 def test_large_gaussian_power_factors_at_once():
-    f = factor_constant(fe(1, 1) ** 200_000 * fe(2, 1) ** 50_000, True)
-    assert f.unit_exponent == 0
-    assert f.factors == ((fe(1, 1), 200_000), (fe(2, 1), 50_000))
+    assert factor_constant(fe(1, 1) ** 200_000 * fe(2, 1) ** 50_000, True) == (
+        0, ((fe(1, 1), 200_000), (fe(2, 1), 50_000))
+    )

@@ -10,7 +10,7 @@ from dilogeq.exprparse import parse_expression
 from dilogeq.formal import FormalSum, c_element, five_term, inversion
 from dilogeq.poly import MultiPoly
 from dilogeq.ratfunc import INF, RationalFunction
-from dilogeq.scalars import FieldElement, fe
+from dilogeq.scalars import I, FieldElement, fe
 from dilogeq.wedge import (
     WedgeElement,
     boundary,
@@ -83,14 +83,14 @@ def test_constant_sum_lands_in_beta3():
 
 def test_defining_relation_minus_x_wedge_x():
     for f in (t(), t() + const(2), (t() - const(3)) / (t() + const(1))):
-        w = WedgeElement(T, [(1, -f, f)])
+        w = WedgeElement([(1, -f, f)])
         assert not w.pairs, str(w)
 
 
 def test_antisymmetry():
     f = t() + const(1)
     g = t() - const(2)
-    w = WedgeElement(T, [(1, f, g), (1, g, f)])
+    w = WedgeElement([(1, f, g), (1, g, f)])
     assert not w.pairs
 
 
@@ -100,26 +100,26 @@ def test_bilinearity_across_bases():
     f = t()
     g = t() + const(1)
     h = t() - const(3)
-    lhs = WedgeElement(T, [(1, f * g, h)])
-    rhs = WedgeElement(T, [(1, f, h), (1, g, h)])
+    lhs = WedgeElement([(1, f * g, h)])
+    rhs = WedgeElement([(1, f, h), (1, g, h)])
     assert not wedge_difference(lhs, rhs).pairs
 
 
 def test_diagonal_law_rational():
     # x /\ x = x /\ (-1)
     f = t() + const(2)
-    lhs = WedgeElement(T, [(1, f, f)])
-    rhs = WedgeElement(T, [(1, f, const(-1))])
+    lhs = WedgeElement([(1, f, f)])
+    rhs = WedgeElement([(1, f, const(-1))])
     assert not wedge_difference(lhs, rhs).pairs
     assert lhs.pairs
 
 
 def test_diagonal_law_gaussian():
     # over Q(i): x /\ x = 2 (x /\ i)
-    i_const = RationalFunction.const(T, FieldElement.i())
+    i_const = RationalFunction.const(T, I)
     f = t() + const(3)
-    lhs = WedgeElement(T, [(1, f, f)], field_mode="Qi")
-    rhs = WedgeElement(T, [(2, f, i_const)], field_mode="Qi")
+    lhs = WedgeElement([(1, f, f)], field_mode="Qi")
+    rhs = WedgeElement([(2, f, i_const)], field_mode="Qi")
     assert not wedge_difference(lhs, rhs).pairs
 
 
@@ -127,46 +127,46 @@ def test_diagonal_law_gaussian():
 
 
 def test_unit_torsion_mod_2_rational():
-    w1 = WedgeElement(T, [(1, t(), const(-1))])
+    w1 = WedgeElement([(1, t(), const(-1))])
     assert w1.pairs
-    w2 = WedgeElement(T, [(2, t(), const(-1))])
+    w2 = WedgeElement([(2, t(), const(-1))])
     assert not w2.pairs
 
 
 def test_unit_torsion_mod_4_gaussian():
-    i_const = RationalFunction.const(T, FieldElement.i())
+    i_const = RationalFunction.const(T, I)
     for k in range(1, 4):
-        wk = WedgeElement(T, [(k, t(), i_const)], field_mode="Qi")
+        wk = WedgeElement([(k, t(), i_const)], field_mode="Qi")
         assert wk.pairs, k
-    w4 = WedgeElement(T, [(4, t(), i_const)], field_mode="Qi")
+    w4 = WedgeElement([(4, t(), i_const)], field_mode="Qi")
     assert not w4.pairs
     # -1 = i^2: x /\ (-1) = 2 (x /\ i), killed by coefficient 2
-    w_half = WedgeElement(T, [(2, t(), const(-1))], field_mode="Qi")
+    w_half = WedgeElement([(2, t(), const(-1))], field_mode="Qi")
     assert not w_half.pairs
 
 
 def test_q_coefficients_kill_unit_torsion():
-    w = WedgeElement(T, [(1, t(), const(-1))], coeff_mode="Q")
+    w = WedgeElement([(1, t(), const(-1))], coeff_mode="Q")
     assert not w.pairs
     # but honest prime content survives
-    w2 = WedgeElement(T, [(Fraction(1, 2), t(), const(2))], coeff_mode="Q")
+    w2 = WedgeElement([(Fraction(1, 2), t(), const(2))], coeff_mode="Q")
     assert w2.pairs
 
 
 def test_unit_with_itself():
     # (-1) /\ (-1) is kept over Q, mod 2; i /\ i = 0 over Q(i)
-    minus = WedgeElement(T, [(1, const(-1), const(-1))])
+    minus = WedgeElement([(1, const(-1), const(-1))])
     assert minus.decompose()[2]["unit_unit"] == 1
     assert minus.first_obstruction() is None and not beta3_is_zero(minus)
-    assert not WedgeElement(T, [(2, const(-1), const(-1))]).pairs
-    i_const = RationalFunction.const(T, FieldElement.i())
-    assert not WedgeElement(T, [(1, i_const, i_const)], field_mode="Qi").pairs
+    assert not WedgeElement([(2, const(-1), const(-1))]).pairs
+    i_const = RationalFunction.const(T, I)
+    assert not WedgeElement([(1, i_const, i_const)], field_mode="Qi").pairs
 
 
 def test_z_mode_torsion_must_be_integral():
     with pytest.raises(ValueError):
-        WedgeElement(T, [(Fraction(1, 2), t(), const(-1))])
-    assert not WedgeElement(T, [(Fraction(1, 2), t(), const(-1))], coeff_mode="Q").pairs
+        WedgeElement([(Fraction(1, 2), t(), const(-1))])
+    assert not WedgeElement([(Fraction(1, 2), t(), const(-1))], coeff_mode="Q").pairs
 
 
 # -- relation generators die under the boundary ------------------------------
@@ -223,10 +223,10 @@ def test_check_constant_with_a_coefficient_beyond_the_int_to_str_limit():
 
 def test_column_obstruction_direct():
     # beta1 = 0 with a surviving beta2 column, reported as the witness
-    w = WedgeElement(T, [(1, t(), const(2))])
+    w = WedgeElement([(1, t(), const(2))])
     obs = w.first_obstruction()
     assert obs == ("column", MultiPoly.var(T, "t"), "2", 1)
-    w2 = WedgeElement(T, [(1, t(), const(-1))])
+    w2 = WedgeElement([(1, t(), const(-1))])
     obs2 = w2.first_obstruction()
     assert obs2 == ("column", MultiPoly.var(T, "t"), "-1", 1)
     assert boundary(five_term(const(2), const(3))).first_obstruction() is None
@@ -237,7 +237,7 @@ def test_pair_witness_before_an_earlier_column():
     # every beta1 entry still comes before every beta2 entry.  No boundary has
     # this shape (its tame symbol at t would be the constant 2), so the
     # element is built directly.
-    w = WedgeElement(T, [(1, t(), const(2)), (1, t() - const(1), t() - const(2))])
+    w = WedgeElement([(1, t(), const(2)), (1, t() - const(1), t() - const(2))])
     assert [str(b) for b in w.basis.elements] == ["t", "t - 2", "t - 1"]
     kind, b, bprime, val = w.first_obstruction()
     assert (kind, str(b), str(bprime), val) == ("pair", "t - 2", "t - 1", -1)
@@ -262,7 +262,7 @@ def test_check_constant_real():
     cert = check_constant_real(FormalSum.single(t()))
     assert cert.is_constant()
     # a Gaussian sum that is not conjugation-symmetric fails
-    i_const = RationalFunction.const(T, FieldElement.i())
+    i_const = RationalFunction.const(T, I)
     alpha = FormalSum.single(t() + i_const, 1, field_mode="Qi")
     cert2 = check_constant_real(alpha)
     assert cert2.verdict == "NotConstant"
@@ -395,7 +395,7 @@ def test_t_v_examples():
     res = t_v(w, tp("t") - MultiPoly.one(T))
     assert res == MultiPoly.one(T)
     # t /\ t at the place t: sign (-1)^{1*1} times t^1 t^{-1} = -1
-    w2 = WedgeElement(T, [(1, t(), t())])
+    w2 = WedgeElement([(1, t(), t())])
     res2 = t_v(w2, tp("t"))
     assert res2 == MultiPoly.one(T).scale(fe(-1))
 
@@ -414,7 +414,7 @@ def test_t_v_trivial_on_boundaries_of_relations():
 def test_t_v_requires_univariate():
     T2 = ("t1", "t2")
     f = RationalFunction.var(T2, "t1") + RationalFunction.var(T2, "t2")
-    w = WedgeElement(T2, [(1, f, RationalFunction.var(T2, "t1"))])
+    w = WedgeElement([(1, f, RationalFunction.var(T2, "t1"))])
     with pytest.raises(NotUnivariate):
         t_v(w, MultiPoly.var(T2, "t1"))
 
@@ -432,7 +432,7 @@ def _seeded_wedges(mode: str, seed: int, count: int = 4):
             )
             for _ in range(rnd.randint(1, 3))
         ]
-        yield WedgeElement(T, tensors, mode)
+        yield WedgeElement(tensors, mode)
 
 
 # The tame symbol of each seeded element at every element of its basis, as
@@ -511,8 +511,8 @@ def test_t_v_is_multiplicative_and_antisymmetric(mode):
     one = MultiPoly.one(T)
     wedges = list(_seeded_wedges(mode, 31, count=6))
     for w1, w2 in zip(wedges[::2], wedges[1::2]):
-        both = WedgeElement(T, w1.tensors + w2.tensors, mode)
-        swapped = WedgeElement(T, [(a, g, f) for a, f, g in both.tensors], mode)
+        both = WedgeElement(w1.tensors + w2.tensors, mode)
+        swapped = WedgeElement([(a, g, f) for a, f, g in both.tensors], mode)
         for b in both.basis.elements:
             whole = t_v(both, b)
             assert whole == univar_rem(t_v(w1, b) * t_v(w2, b), b, "t"), str(b)
@@ -570,7 +570,7 @@ def test_beta1_matches_planted_level():
             a = rnd.choice([-2, -1, 1, 2])
             tensors.append((a, f, g))
             records.append((a, ef, eg))
-        w = WedgeElement(T, tensors)
+        w = WedgeElement(tensors)
         got = expand_beta1_to_planted(w, planted)
         want = beta1_from_exponents(records)
         assert got == want
