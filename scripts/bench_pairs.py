@@ -16,7 +16,11 @@ For each end-to-end metric of this checkout's BENCHMARK.json the table
 gives each side's median and quartiles (statistics.quantiles, n=4) over
 the pairs, and NEW's wins out of the pairs: a pair is a win when NEW reads
 better than OLD in that metric's direction, and a tie counts for neither
-side.  Exits 1 when a run fails or reports incorrect output.
+side.  Two verdicts follow: `gain` is yes when NEW wins at least 9 in 10
+of the pairs and its median is better than OLD's by more than OLD's
+interquartile range; `bound` is over when NEW's median is worse than
+OLD's by more than the metric's bound, a share of OLD's median.  Exits 1
+when a run fails or reports incorrect output.
 """
 
 import argparse
@@ -57,6 +61,17 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, statistics.median(values), q3
 
 
+def verdicts(metric: dict, old: list[float], new: list[float]) -> tuple[int, str, str]:
+    """(NEW's wins, gain, bound) for one metric's values over the pairs."""
+    sign = 1 if metric["better"] == "higher" else -1
+    wins = sum(sign * (b - a) > 0 for a, b in zip(old, new))
+    q1, old_median, q3 = quartiles(old)
+    change = sign * (statistics.median(new) - old_median)  # > 0: NEW better
+    gain = 10 * wins >= 9 * len(old) and change > q3 - q1
+    over = -change > metric["bound"] * abs(old_median)
+    return wins, "yes" if gain else "no", "over" if over else "ok"
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("old", help="checkout directory or git revision of the old code")
@@ -94,15 +109,15 @@ def main():
         f"old {args.old}, new {args.new}"
     )
     print(f"{'metric':<12} {'unit':<4} {'old q1':>10} {'median':>10} {'q3':>10}"
-          f" {'new q1':>10} {'median':>10} {'q3':>10} {'wins':>6}")
+          f" {'new q1':>10} {'median':>10} {'q3':>10} {'wins':>6} {'gain':>5} {'bound':>5}")
     for metric in metrics:
         name = metric["name"]
         old = [r[name]["value"] for r in runs["old"]]
         new = [r[name]["value"] for r in runs["new"]]
-        sign = 1 if metric["better"] == "higher" else -1
-        wins = sum(sign * (b - a) > 0 for a, b in zip(old, new))
+        wins, gain, bound = verdicts(metric, old, new)
         cells = [f"{x:10.4g}" for x in (*quartiles(old), *quartiles(new))]
-        print(f"{name:<12} {metric['unit']:<4} {' '.join(cells)} {f'{wins}/{args.pairs}':>6}")
+        print(f"{name:<12} {metric['unit']:<4} {' '.join(cells)} {f'{wins}/{args.pairs}':>6}"
+              f" {gain:>5} {bound:>5}")
 
 
 if __name__ == "__main__":

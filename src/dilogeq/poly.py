@@ -33,6 +33,15 @@ loaded on the first such pair), whose candidate is kept only when it
 divides both inputs, so no verdict depends on P, on the primes or on the
 points.
 
+Images are reduced once per value.  They are a function of a polynomial's
+terms and universe, the two things equality compares, so equal polynomials
+share one `_Images` record: `_modular_images` looks an equal live
+polynomial up in a weak table before it reduces.  The table holds no
+polynomial alive, and the images only ever certify, so sharing them moves
+no verdict.  Terms reuse a few factors many times, and a basis element, a
+quotient or a squarefree part is often equal to a polynomial whose images
+are already known.
+
 `squarefree_parts` first takes out the monomial content x^low, read from
 the least exponent of each variable: every variable is irreducible and
 coprime to the quotient, so a repeated variable (t^10000, or the y^2 in
@@ -42,6 +51,7 @@ coprime to the quotient, so a repeated variable (t^10000, or the y^2 in
 from __future__ import annotations
 
 import heapq
+import weakref
 from functools import cache
 from math import lcm
 from typing import Callable
@@ -63,7 +73,8 @@ def _heap_key(exp: Exponents):
 
 class MultiPoly:
     __slots__ = (
-        "universe", "terms", "_lead", "_hash", "_canon", "_sort_key", "_images", "_complex", "_monic"
+        "universe", "terms", "_lead", "_hash", "_canon", "_sort_key", "_images", "_complex", "_monic",
+        "__weakref__",
     )
 
     def __init__(self, universe: tuple[str, ...], terms: dict[Exponents, FieldElement]):
@@ -249,8 +260,14 @@ class MultiPoly:
         return self._canon
 
     def _modular_images(self) -> "_Images":
+        """The images, shared by every equal live polynomial: they are a
+        function of the terms and the universe, which equality compares, so
+        one reduction serves every copy of a value."""
         if self._images is None:
-            self._images = _reduce_mod_p(self)
+            images = _SHARED_IMAGES.get(self)
+            if images is None:
+                images = _SHARED_IMAGES[self] = _reduce_mod_p(self)
+            self._images = images
         return self._images
 
     def __eq__(self, other) -> bool:
@@ -477,6 +494,11 @@ def _coeff_mod_p(c: FieldElement) -> int | None:
     if d % _P == 0:
         return None
     return out * pow(d, -1, _P) % _P
+
+
+# p -> p's images, for every live polynomial whose images were reduced; the
+# weak keys keep no polynomial alive
+_SHARED_IMAGES: weakref.WeakKeyDictionary[MultiPoly, "_Images"] = weakref.WeakKeyDictionary()
 
 
 class _Images:
@@ -748,7 +770,9 @@ def squarefree_parts(p: MultiPoly) -> list[tuple[MultiPoly, int]]:
     multiplicity k.  The monomial content x^low (low_v the least exponent
     of v in any term) comes out first: each variable is irreducible and
     coprime to p / x^low, so x_v joins that quotient's part of multiplicity
-    low_v, and a power of a variable needs no gcd at all.
+    low_v, and a power of a variable needs no gcd at all.  When no
+    variable is repeated in x^low and the quotient is squarefree, p itself
+    is the one part, so its images and hash are not built again.
     """
     _, p = p.primitive_monic()
     if p.is_constant():
@@ -756,6 +780,8 @@ def squarefree_parts(p: MultiPoly) -> list[tuple[MultiPoly, int]]:
     low, rest = _without_monomial(p)
     if any(low):
         parts = {k: g for g, k in squarefree_parts(rest)}
+        if max(low) == 1 and parts.keys() <= {1}:
+            return [(p, 1)]  # p = x^low * rest is squarefree already
         for m in set(low) - {0}:
             mono = tuple(int(k == m) for k in low)
             parts[m] = parts.get(m, MultiPoly.one(p.universe)).mul_term(mono, ONE)

@@ -76,10 +76,13 @@ class WedgeElement:
     def _normalize(self):
         gaussian = self.field_mode == "Qi"
         basis = self.basis = _joint_basis(self.tensors)
+        constants = {}  # unit -> factor_constant(unit, gaussian), once per unit
 
         def atoms(f: RationalFunction) -> list:
             unit, exps = basis.factor_rf(f)
-            unit_exponent, factors = factor_constant(unit, gaussian)
+            if unit not in constants:
+                constants[unit] = factor_constant(unit, gaussian)
+            unit_exponent, factors = constants[unit]
             return (
                 [((BASIS, i), e) for i, e in exps.items()]
                 + [((PRIME, p), e) for p, e in factors]

@@ -18,7 +18,7 @@ from dilogeq.formal import (
 from dilogeq.ratfunc import RationalFunction
 from dilogeq.scalars import fe
 
-from helpers import random_formal_sum, rf, to_mode
+from helpers import random_formal_sum, to_mode
 
 
 T = ("t",)

@@ -270,11 +270,16 @@ print(json.dumps([codes, sorted({(Path(f).name, line) for f, line in entered
 
 
 def _stored_names(cls: ast.ClassDef) -> set[str]:
-    """The names a class stores: its dataclass fields, and each self.NAME
-    its methods assign, directly or through object.__setattr__."""
+    """The names a class stores: its dataclass fields, each name of its
+    __slots__ but the dunders (a constructor may fill them on a fresh
+    object, as scalars._make does), and each self.NAME its methods assign,
+    directly or through object.__setattr__."""
     names = set()
     if any(ast.unparse(d).startswith("dataclass") for d in cls.decorator_list):
         names |= {s.target.id for s in cls.body if isinstance(s, ast.AnnAssign)}
+    for s in cls.body:
+        if isinstance(s, ast.Assign) and any(getattr(t, "id", None) == "__slots__" for t in s.targets):
+            names |= {n for n in ast.literal_eval(s.value) if not n.startswith("__")}
     for m in cls.body:
         for node in ast.walk(m) if isinstance(m, ast.FunctionDef) else ():
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):

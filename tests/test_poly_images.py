@@ -1,9 +1,11 @@
 """The modular-image test in front of the exact gcd: sympy as an oracle,
 pinned cases where the images must not decide, and the exact path alone."""
 
+import gc
 import importlib.util
 import random
 import sys
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -176,6 +178,67 @@ def test_square_seen_only_in_its_own_variable():
     assert poly._images_squarefree(q)
     assert not poly._images_squarefree(d * d * q)
     assert {k: g for g, k in squarefree_parts(d * d * q)} == {1: q, 2: d}
+
+
+def test_a_squarefree_input_is_returned_as_it_is():
+    u = ("x", "y")
+    x, y = MultiPoly.var(u, "x"), MultiPoly.var(u, "y")
+    one = MultiPoly.one(u)
+    for p in (x * y * (x + y + one), x * y):
+        parts = squarefree_parts(p)
+        assert len(parts) == 1 and parts[0][0] is p and parts[0][1] == 1
+    assert squarefree_parts(x * x * (y + one)) == [(y + one, 1), (x, 2)]
+
+
+# -- shared and carried images -------------------------------------------------------
+
+
+def _same_images(a: poly._Images, b: poly._Images) -> bool:
+    return a.images == b.images and a.decisive == b.decisive
+
+
+def test_equal_polynomials_built_apart_share_their_images():
+    u = ("x", "y")
+    x, y = MultiPoly.var(u, "x"), MultiPoly.var(u, "y")
+    one = MultiPoly.one(u)
+    p, q = x * y + x * x + one.scale(fe(11)), (x + y) * x + one.scale(fe(11))
+    assert p == q and p is not q
+    assert p._modular_images() is q._modular_images()
+
+
+def test_a_polynomial_equal_to_a_collected_one_reduces_afresh():
+    p = X**7 + cx(fe(Fraction(123457, 3)))
+    p._modular_images()
+    ref = weakref.ref(p)
+    del p
+    gc.collect()
+    assert ref() is None
+    q = X**7 + cx(fe(Fraction(123457, 3)))
+    assert q not in poly._SHARED_IMAGES
+    assert _same_images(q._modular_images(), poly._reduce_mod_p(q))
+
+
+@given(
+    st.integers(1, 3),
+    st.booleans(),
+    st.integers(0, 10**6),
+    st.sampled_from([fe(3), fe(Fraction(-2, 7)), I, fe(P), fe(Fraction(1, P)), fe(P + 1)]),
+    st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_shared_images_are_the_reduced_ones(nvars, gaussian, seed, unit, denominator_p):
+    # each derived polynomial takes the images of an equal live one, or
+    # reduces afresh; the units include residues 0 (P) and none (1/P), and a
+    # coefficient with denominator P makes every image unusable
+    [p] = draw_polys(nvars, gaussian, seed, 1)
+    if p.is_constant():
+        return
+    if denominator_p:
+        p = p + MultiPoly.const(p.universe, fe(Fraction(1, P)))
+    p._modular_images()
+    copy = MultiPoly(p.universe, dict(p.terms))
+    for q in (copy, p.scale(unit), -p, p.primitive_monic()[1], copy.scale(unit).primitive_monic()[1]):
+        assert _same_images(q._modular_images(), poly._reduce_mod_p(q))
 
 
 # -- soundness of the image certificates ---------------------------------------------

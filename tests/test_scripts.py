@@ -212,4 +212,28 @@ def test_bench_pairs_compares_a_git_revision_with_a_directory():
     assert [row[0] for row in rows] == [
         "ops_per_s", "op_p50_ms", "op_p90_ms", "setup_s", "peak_rss_mb",
     ]
-    assert all(len(row) == 9 and row[-1] in ("0/1", "1/1") for row in rows)
+    assert lines[1].split()[-3:] == ["wins", "gain", "bound"]
+    for *_, wins, gain, bound in rows:
+        assert wins in ("0/1", "1/1") and bound in ("ok", "over")
+        # one pair has no spread, so a won pair is a gain
+        assert gain == ("yes" if wins == "1/1" else "no")
+    assert all(len(row) == 11 for row in rows)
+
+
+def test_bench_pairs_verdicts(monkeypatch):
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+    from bench_pairs import verdicts
+
+    higher = {"better": "higher", "bound": 0.25}
+    lower = {"better": "lower", "bound": 0.25}
+    old = [100.0, 101, 102, 103, 104, 105, 106, 107, 108, 109]  # quartiles 101.75, 107.25
+    # 9 of 10 wins and a median 6 above OLD's 104.5: a gain
+    assert verdicts(higher, old, [x + 7 for x in old[:9]] + [0]) == (9, "yes", "ok")
+    # the same wins, but a median 4 above, inside OLD's interquartile range 5.5
+    assert verdicts(higher, old, [x + 5 for x in old[:9]] + [0]) == (9, "no", "ok")
+    # 8 of 10 wins are not enough
+    assert verdicts(higher, old, [x + 9 for x in old[:8]] + [0, 0]) == (8, "no", "ok")
+    # a median more than a quarter worse breaks the bound, either way round
+    assert verdicts(higher, old, [x * 0.7 for x in old]) == (0, "no", "over")
+    assert verdicts(lower, old, [x * 1.3 for x in old]) == (0, "no", "over")
+    assert verdicts(lower, old, [x * 1.2 for x in old]) == (0, "no", "ok")

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from dilogeq import wedge
 from dilogeq.exprparse import parse_expression
 from dilogeq.formal import FormalSum, c_element, five_term, inversion
 from dilogeq.poly import MultiPoly
@@ -366,6 +367,23 @@ def test_conjugation_certificates_recorded(case):
     assert b3["unit_unit"] == 0
     if swap is None:
         assert check_constant_cc(alpha) == cert
+
+
+def test_a_boundary_factors_each_distinct_unit_once(monkeypatch):
+    calls, factor = [], wedge.factor_constant
+
+    def counted(unit, gaussian):
+        calls.append(unit)
+        return factor(unit, gaussian)
+
+    monkeypatch.setattr(wedge, "factor_constant", counted)
+    x, y = RationalFunction.var(ZW, "z"), RationalFunction.var(ZW, "w")
+    six = RationalFunction.const(ZW, fe(6))
+    alpha = five_term(x, y) + c_element(six) + FormalSum.single(x / six)
+    w = boundary(alpha)
+    units = {w.basis.factor_rf(h)[0] for _, f, g in w.tensors for h in (f, g)}
+    assert len(calls) == len(set(calls)) == len(units) < 2 * len(w.tensors)
+    assert set(calls) == units
 
 
 def test_oversized_constant_refused():
