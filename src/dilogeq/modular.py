@@ -166,11 +166,11 @@ def _gf_gcd_many(a: dict, b: dict, p: int) -> dict:
 @cache
 def _modulus(k: int) -> tuple[int, int]:
     """The k-th prime p = 1 (mod 4) with a square root of -1 mod p: the
-    images' prime P, then the primes below 10^12 in descending order;
-    cached, so a process searches for each once."""
+    images' prime P, then the primes below 10^12 in descending order,
+    whatever the size of P; cached, so a process searches for each once."""
     if not k:
         return _P, _I_IMAGE
-    n = min(_modulus(k - 1)[0], 10**12 + 1) - 4  # 10^12 + 1 = 1 (mod 4)
+    n = (10**12 + 1 if k == 1 else _modulus(k - 1)[0]) - 4  # 10^12 + 1 = 1 (mod 4)
     while not is_prime(n):
         n -= 4
     return n, _sqrt_minus_one(n)

@@ -181,24 +181,47 @@ class PadicNumber:
         return f"PadicNumber({self})"
 
 
-def _series(z: PadicNumber, coefficient, log_power: int) -> PadicNumber:
-    """sum_{k>=1} coefficient(k) z^k to z's absolute precision, for a
-    nonzero z of valuation s >= 1 and v_p(coefficient(k)) >= -m*log2(k),
-    m = log_power.
+def _series(z: PadicNumber, power: int, alternating: bool) -> PadicNumber:
+    """sum_{k>=1} c_k z^k / k^m to z's absolute precision, m = power and
+    c_k = (-1)^(k+1) when alternating, else 1, for a nonzero z of valuation
+    s >= 1.
 
-    Tail bound: v(coefficient(j) z^j) >= j*s - m*log2(j), increasing in j
-    for j > m, so once it clears the target every later term is invisible."""
-    s, m = z.val, log_power
+    Tail bound: v(z^j / j^m) >= j*s - m*log2(j), increasing in j for
+    j > m, so once it clears the target every later term is invisible.
+
+    The terms k < n are summed as PadicNumbers of z's precision would sum
+    them: with k = p^e_k * r_k, p not dividing r_k, term k is known modulo
+    p^(v_k + prec), v_k = k*s - m*e_k, and the sum modulo p^cap, cap the
+    least of those.  Horner's rule gives it, b_k = a_k + z*b_(k+1) with
+    a_k = c_k p^(f - m*e_k) / r_k^m and f = m * max e_k, so that every a_k
+    is integral and the sum is z*b_1 / p^f.  b_k matters only modulo
+    p^(cap + f - k*s), so each step works to the digits it needs, and a_k
+    takes one inverse of the small r_k^m."""
+    p, s, m = z.p, z.val, power
     target = z.abs_precision()
-    total = PadicNumber.zero(z.p)
-    term = z
-    k = 1
-    while True:
-        total = total + term.scale_rational(coefficient(k))
-        k += 1
-        if k > m and k * s - m * (k.bit_length() - 1) > target + m + 1:
-            return total
-        term = term * z
+    n = m + 1  # the terms k < n are the visible ones
+    while n * s - m * (n.bit_length() - 1) <= target + m + 1:
+        n += 1
+    stripped = [strip_power(k, p, int_quotient) for k in range(1, n)]
+    cap = min(k * s - m * e for k, (_, e) in enumerate(stripped, 1)) + z.prec
+    f = m * max(e for _, e in stripped)
+    # b_k vanishes modulo p^(cap + f - k*s) for k above top
+    top = min(n - 1, (cap + f - 1) // s)
+    step = _power(p, s)
+    z_int = step * z.unit  # z as an integer
+    mod, b = p ** (cap + f - top * s), 0
+    for k in range(top, 0, -1):
+        r, e = stripped[k - 1]
+        a = pow(r**m, -1, mod) * _power(p, f - m * e)
+        if alternating and not k % 2:
+            a = -a
+        b = (a + z_int * b) % mod
+        mod *= step
+    value = z_int * b % mod  # p^f times the sum, modulo p^(cap + f)
+    if not value:
+        return PadicNumber.zero(p, cap)
+    unit, j = strip_power(value, p, int_quotient)
+    return PadicNumber(p, j - f, unit, cap + f - j)
 
 
 def _log_principal(t: PadicNumber) -> PadicNumber:
@@ -207,7 +230,7 @@ def _log_principal(t: PadicNumber) -> PadicNumber:
         return PadicNumber.zero(t.p, t.val)
     if t.val < (2 if t.p == 2 else 1):
         raise ArithmeticError(f"the log series needs v_p(t) large enough, got {t.val}")
-    return _series(t, lambda k: Fraction((-1) ** (k + 1), k), 1)
+    return _series(t, 1, True)
 
 
 def plog(x: PadicNumber, log_p: PadicNumber) -> PadicNumber:
@@ -234,7 +257,7 @@ def li2p(z: PadicNumber) -> PadicNumber:
         return PadicNumber.zero(z.p, min(z.val, EXACT))
     if z.val < 1:
         raise ValueError(f"need v_p(z) >= 1, got valuation {z.val}")
-    return _series(z, lambda k: Fraction(1, k * k), 2)
+    return _series(z, 2, False)
 
 
 def dp_disc(z: PadicNumber, log_p: PadicNumber) -> PadicNumber:

@@ -14,14 +14,17 @@ is lost.
 No gcd runs a remainder sequence.  `poly_gcd` tries four things in turn.
 First a modular-image test, which can only certify coprimality (see
 `_images_coprime`): each polynomial keeps, per variable it uses, one
-univariate image over GF(P) for a fixed prime P = 1 (mod 4), with i sent
-to a square root of -1 and the other variables to fixed residues.  Random
-inputs are almost always coprime, so this test answers most calls;
-`squarefree_parts` uses the same images to certify a squarefree input.
-Each polynomial's images also name its decisive variable, one x_k in which
-it is primitive (one of its coefficients in x_k is a nonzero constant):
-Gauss's lemma lets the image in x_k alone decide, and a linear image is
-tested by evaluating the other image at its root.  One pair test
+univariate image over GF(P) for a fixed prime P = 1 (mod 4) below 2^30,
+so that each residue is one CPython digit, with i sent to a square
+root of -1 and the other variables to fixed residues.  Random inputs are
+almost always coprime, so this test answers most calls; `squarefree_parts`
+uses the same images to certify a squarefree input.  Each polynomial's
+images also name its decisive variable, one x_k in which it is primitive
+(one of its coefficients in x_k is a nonzero constant): Gauss's lemma lets
+the image in x_k alone decide.  A pair of images of degree at most 2, or a
+quadratic image's squarefree test, is one closed-form resultant; a linear
+image against a longer one is tested by evaluating the other at its root,
+and only the rest run Euclid over GF(P).  One pair test
 (`_images_coprime`) serves every caller.  Then the monomial content:
 gcd(p, q) = x^min(lp, lq) * gcd(p / x^lp, q / x^lq), lp and lq the least
 exponents of each variable, since every variable is irreducible and
@@ -471,7 +474,9 @@ def _one(universe: tuple[str, ...]) -> MultiPoly:
 # modular images
 # ---------------------------------------------------------------------------
 
-_P = 2**61 - 31  # prime, = 1 (mod 4)
+# a prime = 1 (mod 12) below 2^30: a residue is one CPython digit and a
+# product of two is two, so every `%` divides by a single digit
+_P = 2**30 - 135
 _I_IMAGE = pow(7, (_P - 1) // 4, _P)  # 7 is a non-residue mod P: this squares to -1
 
 
@@ -597,24 +602,39 @@ def gf_gcd(a: list[int], b: list[int], p: int) -> list[int]:
 
 def _gf_coprime(a: list[int], b: list[int]) -> bool:
     """Whether two polynomials over GF(P) with nonzero leading coefficients
-    have a constant gcd."""
+    have a constant gcd.  With those leaders the gcd is constant exactly
+    when the resultant is nonzero; two quadratics take their resultant,
+    (a2*b0 - a0*b2)^2 - (a2*b1 - a1*b2)*(a1*b0 - a0*b1), and any other
+    pair takes Euclid."""
+    if len(a) == len(b) == 3:
+        a0, a1, a2 = a
+        b0, b1, b2 = b
+        return ((a2 * b0 - a0 * b2) ** 2 - (a2 * b1 - a1 * b2) * (a1 * b0 - a0 * b1)) % _P != 0
     return len(gf_gcd(a, b, _P)) == 1
 
 
 def _images_coprime_in(ip: _Images, iq: _Images, k: int) -> bool:
     """Whether the usable images in x_k have a constant gcd.  A linear
-    image l0 + l1*x divides the other, b, exactly when b vanishes at its
-    root -l0/l1, that is when l1^deg(b) * b(-l0/l1) = 0: Horner's rule on
-    b homogenized gives that with no inverse."""
+    image a0 + a1*x divides the other, b, exactly when b vanishes at its
+    root -a0/a1, that is when a1^deg(b) * b(-a0/a1) = 0: Horner's rule on
+    b homogenized gives that with no inverse.  Unrolled, that is
+    a0*b1 - a1*b0 for a linear b and b2*a0^2 - b1*a0*a1 + b0*a1^2 for a
+    quadratic one."""
     a, b = ip.images[k], iq.images[k]
-    if len(b) == 2:
+    if len(b) < len(a):
         a, b = b, a
     if len(a) != 2:
         return _gf_coprime(a, b)
-    t, v, w = -a[0], 0, 1
+    a0, a1 = a
+    if len(b) == 2:
+        return (a0 * b[1] - a1 * b[0]) % _P != 0
+    if len(b) == 3:
+        b0, b1, b2 = b
+        return (b2 * a0 * a0 - b1 * a0 * a1 + b0 * a1 * a1) % _P != 0
+    t, v, w = -a0, 0, 1
     for c in reversed(b):
         v = (v * t + c * w) % _P
-        w = w * a[1] % _P
+        w = w * a1 % _P
     return v != 0
 
 
@@ -626,8 +646,8 @@ def _images_coprime(p: MultiPoly, q: MultiPoly) -> bool:
     once when the other side is free of x_k.  When the other side's image
     in x_k is usable, that one variable decides: the images certify the
     pair when they are coprime over GF(P).  A candidate with a linear
-    image, whose root test is one Horner pass, is tested at once; otherwise
-    the first candidate goes to Euclid.  With no candidate the images
+    image, whose root test is one expression, is tested at once; otherwise
+    the first candidate goes to `_gf_coprime`.  With no candidate the images
     certify the pair when, for every shared variable, both are usable and
     coprime; inputs with no common variable pass with no work.
 
@@ -648,6 +668,11 @@ def _images_coprime(p: MultiPoly, q: MultiPoly) -> bool:
     to the exact gcd; the verdict never depends on them.  Every pair that
     the test of all shared variables certifies, the one-variable test
     certifies too.
+
+    Nothing above uses the size of P.  Coprime p and q whose images still
+    share a root need P to divide a fixed nonzero resultant, about
+    deg*deg/P ~ 10^-8 of pairs at P below 2^30, and that costs time only.
+    P is chosen that small so that every residue is one CPython digit.
     """
     ip, iq = p._modular_images(), q._modular_images()
     first = None
@@ -673,10 +698,15 @@ def _images_coprime(p: MultiPoly, q: MultiPoly) -> bool:
 
 
 def _gf_squarefree(img: list[int]) -> bool:
-    """Whether a polynomial over GF(P) is coprime to its derivative; a
-    linear one always is."""
+    """Whether a polynomial over GF(P) is coprime to its derivative.  A
+    linear one always is; a quadratic c0 + c1*x + c2*x^2 is when its
+    discriminant c1^2 - 4*c0*c2 is nonzero, since its resultant with the
+    derivative is -c2 times that and c2 is nonzero."""
     if len(img) == 2:
         return True
+    if len(img) == 3:
+        c0, c1, c2 = img
+        return (c1 * c1 - 4 * c0 * c2) % _P != 0
     return _gf_coprime(img, [k * c % _P for k, c in enumerate(img)][1:])
 
 

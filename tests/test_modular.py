@@ -101,7 +101,9 @@ def test_large_coefficients_take_several_primes(monkeypatch):
     primes = [modulus(k) for k in range(max(used) + 1)]
     assert primes[0] == (poly._P, poly._I_IMAGE)
     assert all(p % 4 == 1 and s * s % p == p - 1 for p, s in primes)
-    assert [p for p, _ in primes] == sorted({p for p, _ in primes}, reverse=True)
+    # P comes first, then the primes below 10^12 in descending order
+    rest = [p for p, _ in primes[1:]]
+    assert rest == sorted(set(rest), reverse=True) and rest[0] < 10**12
 
 
 # the primes below 10^12 that `_modulus(1)` to `_modulus(10)` return
@@ -123,7 +125,8 @@ def test_moduli_are_found_quickly():
 
 
 def test_rational_reconstruction():
-    m = poly._P * modular._modulus(1)[0]
+    # room for 10^14 / 3^29 needs m > 2 * (10^14)^2: three primes below 10^12
+    m = modular._modulus(1)[0] * modular._modulus(2)[0] * modular._modulus(3)[0]
     for q in (Fraction(0), Fraction(1), Fraction(-3, 7), Fraction(10**14, 3**29)):
         u = q.numerator * pow(q.denominator, -1, m) % m
         assert modular._rational(u, m) == q

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from dilogeq import padic
 from dilogeq.formal import FormalSum
 from dilogeq.padic import (
     PadicNumber,
@@ -302,6 +303,38 @@ def test_series_golden_strings_p3(prec, li2p_3, li2p_18_7, plog_7_2, plog_45_4):
     assert str(plog(at(Fraction(7, 2)), pad(0, 3))) == plog_7_2
     # the branch value is known to O(3^32), which caps the last one
     assert str(plog(at(Fraction(45, 4)), pad(2, 3))) == plog_45_4
+
+
+def _termwise_series(z, power, alternating):
+    """The series of `_series` as a sum of PadicNumbers, each term z^k
+    scaled by its rational coefficient, up to the same last term."""
+    s, m, target = z.val, power, z.abs_precision()
+    total, term, k = PadicNumber.zero(z.p), z, 1
+    while True:
+        sign = -1 if alternating and not k % 2 else 1
+        total = total + term.scale_rational(Fraction(sign, k**m))
+        k += 1
+        if k > m and k * s - m * (k.bit_length() - 1) > target + m + 1:
+            return total
+        term = term * z
+
+
+@given(
+    st.sampled_from([2, 3, 5, 7, 101]),
+    st.integers(1, 60),
+    st.sampled_from([1, 2, 3, 7, 40]),
+    st.integers(1, 10**30),
+)
+def test_each_series_is_its_terms_summed_digit_for_digit(p, prec, s, seed):
+    # every term's digits and the precision each term carries, including
+    # the coefficients with p in the denominator and terms beyond the cap
+    unit = seed % p**prec
+    if unit % p == 0:
+        unit += 1
+    z = PadicNumber(p, s, unit, prec)
+    for power, alternating, series in ((2, False, li2p), (1, True, padic._log_principal)):
+        if series is li2p or s >= (2 if p == 2 else 1):
+            assert series(z) == _termwise_series(z, power, alternating)
 
 
 def test_li2p_needs_the_disc():

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dilogeq
-from dilogeq import coprime, poly
+from dilogeq import coprime, poly, primes
 from dilogeq.poly import MultiPoly, poly_gcd, squarefree_parts
 from dilogeq.scalars import I, fe
 
@@ -315,9 +315,8 @@ def test_a_linear_image_on_either_side_spares_euclid(monkeypatch):
 
     monkeypatch.setattr(poly, "_gf_coprime", counted)
     basis.add(g)
-    image = poly._reduce_mod_p(g).images[0]
-    # the one Euclid run is the squarefree test of g's image in x
-    assert calls == [(image, [k * c % P for k, c in enumerate(image)][1:])]
+    # the squarefree test of g's quadratic image in x is its discriminant
+    assert calls == []
     assert basis.elements == [b, g]
     # y + 2 is free of x, but the product is not x-primitive: its terms x
     # and 2 each share their degree in x with another term
@@ -376,6 +375,116 @@ def test_gf_coprime_matches_sympy(seed):
         gcd = sp.gcd(sp.Poly(a[::-1], x, modulus=P), sp.Poly(b[::-1], x, modulus=P))
         assert gcd.degree() >= dc
         assert poly._gf_coprime(a, b) == poly._gf_coprime(b, a) == (gcd.degree() == 0)
+
+
+# -- the one-digit prime and the closed forms -----------------------------------------
+
+
+def test_the_prime_is_one_digit_with_a_cube_root_of_one_and_a_square_root_of_minus_one():
+    assert primes.is_prime(P) and P % 12 == 1 and P < 2**30
+    assert poly._I_IMAGE**2 % P == P - 1
+
+
+def _gf_coefficient(rnd):
+    """A residue that is often 0, 1 or -1, so that sparse images come up."""
+    return rnd.choice([0, 1, P - 1, rnd.randrange(P), rnd.randrange(P)])
+
+
+def _gf_draw(rnd, degree):
+    """Coefficients over GF(P) from degree 0 up, with a nonzero leader."""
+    return [_gf_coefficient(rnd) for _ in range(degree)] + [rnd.randrange(1, P)]
+
+
+def _euclid_coprime(a, b):
+    return len(poly.gf_gcd(a, b, P)) == 1
+
+
+@given(st.integers(0, 10**9), st.sampled_from([(1, 1), (1, 2), (2, 2)]), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_each_closed_form_agrees_with_euclid(seed, shape, planted):
+    # a planted common linear factor makes each form vanish
+    rnd = random.Random(seed)
+    da, db = shape
+    if planted:
+        root = _gf_draw(rnd, 1)
+        a, b = (_gf_mul(root, _gf_draw(rnd, d - 1)) if d > 1 else root for d in (da, db))
+        if da == db == 1:
+            b = _gf_mul(root, [rnd.randrange(1, P)])
+    else:
+        a, b = _gf_draw(rnd, da), _gf_draw(rnd, db)
+    expected = _euclid_coprime(a, b)
+    assert not (planted and expected)
+    ia, ib = poly._Images({0: a}), poly._Images({0: b})
+    assert poly._images_coprime_in(ia, ib, 0) == poly._images_coprime_in(ib, ia, 0) == expected
+    if shape == (2, 2):
+        assert poly._gf_coprime(a, b) == poly._gf_coprime(b, a) == expected
+
+
+@given(st.integers(0, 10**9), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_the_discriminant_agrees_with_euclid(seed, double_root):
+    rnd = random.Random(seed)
+    if double_root:
+        root = _gf_draw(rnd, 1)
+        c = _gf_mul(_gf_mul(root, root), [rnd.randrange(1, P)])
+    else:
+        c = _gf_draw(rnd, 2)
+    derivative = [k * x % P for k, x in enumerate(c)][1:]
+    expected = _euclid_coprime(c, derivative)
+    assert not (double_root and expected)
+    assert poly._gf_squarefree(c) == expected
+
+
+def test_images_of_degree_at_most_two_never_run_euclid(monkeypatch):
+    euclid, calls = poly.gf_gcd, []
+
+    def counted(a, b, p):
+        calls.append((a, b))
+        return euclid(a, b, p)
+
+    monkeypatch.setattr(poly, "gf_gcd", counted)
+    # every exponent is at most 2, so every image has degree at most 2
+    tested = 0
+    for seed in range(60):
+        nvars, gaussian = seed % 3 + 1, seed % 2 == 0
+        d, a, b = draw_polys(nvars, gaussian, seed, 3)
+        for p in (a, b, d):
+            if not p.is_constant():
+                poly._images_squarefree(p)
+        for p, q in ((a, b), (d, a), (d, b)):
+            if not (p.is_constant() or q.is_constant()):
+                poly._images_coprime(p, q)
+                poly._images_coprime(q, p)
+                tested += 1
+    assert tested > 100 and calls == []
+    # a cubic image does reach Euclid
+    cubic = X**3 + X + cx(1)
+    assert poly._images_squarefree(cubic)
+    assert calls
+
+
+def test_inputs_that_agree_modulo_the_prime_stay_apart():
+    # x + 1 and x + 1 + P share their image, which cannot certify them
+    a, b = X + cx(1), X + cx(1 + P)
+    assert poly._reduce_mod_p(a).images == poly._reduce_mod_p(b).images
+    assert not poly._images_coprime(a, b)
+    assert sp.gcd(to_sympy(a), to_sympy(b)).is_ground
+    assert poly_gcd(a, b).is_one()
+    basis = coprime.CoprimeBasis()
+    basis.add(a)
+    basis.add(b)
+    assert basis.elements == [a, b]
+
+
+def test_a_five_term_relation_at_t_over_the_prime_stays_constant():
+    # the arguments' factors t, t - P and t + P share one image, and 1/P
+    # has no residue at all
+    t = dilogeq.RationalFunction.var(("t",), "t")
+    over_p = dilogeq.RationalFunction.const(("t",), fe(Fraction(1, P)))
+    shifted = t + dilogeq.RationalFunction.const(("t",), fe(P))
+    relation = dilogeq.five_term(t * over_p, shifted)
+    assert dilogeq.check_constant(relation).is_constant()
+    assert not dilogeq.check_constant(relation + dilogeq.FormalSum.single(shifted)).is_constant()
 
 
 # -- the exact path alone ----------------------------------------------------------
