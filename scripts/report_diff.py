@@ -1,23 +1,26 @@
-"""Compare the `check --json` reports of two checkouts on the benchmark's documents.
+"""Compare the reports of two checkouts on the benchmark's documents.
 
 Usage: python3 scripts/report_diff.py OLD NEW [--seeds 1-2]
 
-OLD and NEW are checkout directories.  OLD may also be a git revision of
-this checkout, such as HEAD: it is exported with `git archive` into a
+OLD and NEW are each a checkout directory or a git revision of this
+checkout, such as HEAD: a revision is exported with `git archive` into a
 temporary directory, so a change is compared with its parent in one
 command (`report_diff.py HEAD .`).  The documents come from this
 checkout's `bench/inputs.py` (read, not changed; it imports nothing from
 the package, so a seed gives the same documents at every commit), with the
 flags the benchmark's `docs-check` workload passes.  Each checkout runs
-`dilogeq check DOC --json FLAGS` on every document in one child process
-that imports the package from that checkout's `src/`.
+four commands on every document, `dilogeq check DOC FLAGS` with and
+without `--json` and `dilogeq wedge DOC` with and without `--json`, all in
+one child process that imports the package from that checkout's `src/`.
 
 Exit codes and error messages must be equal, and every report field other
-than a float byte-identical.  Floats must agree within 1e-12 * max(1,
-|old|, |new|).  In real mode the constant and the probe's mean value are
-classes mod pi^2/2, so they are compared by their distance in
-R/(pi^2/2)Z.  Prints one summary line per seed, each float that moved
-within the tolerance, and each difference; exits 1 on any difference.
+than a float byte-identical; a text report is read line by line, each
+line split into its floats and the text between them.  Floats must agree
+within 1e-12 * max(1, |old|, |new|).  In real mode the constant and the
+probe's mean value are classes mod pi^2/2, so they are compared by their
+distance in R/(pi^2/2)Z.  Prints one summary line per seed, each float
+that moved within the tolerance, and each difference; exits 1 on any
+difference.
 """
 
 import argparse
@@ -25,6 +28,7 @@ import importlib.util
 import io
 import json
 import math
+import re
 import subprocess
 import sys
 import tarfile
@@ -39,6 +43,11 @@ DOCS = 240
 
 # the report fields that hold a class mod pi^2/2 in real mode
 REAL_CLASSES = {("constant",), ("probe", "mean_value")}
+# the text that precedes each of them on its line of a text report
+TEXT_CLASSES = ("constant: ", ", mean ")
+# a float's repr in a text report: digits with a point or an exponent,
+# which no other number of a report has
+FLOAT = re.compile(r"(?<![\w.])(-?\d+(?:\.\d+(?:e[-+]?\d+)?|e[-+]?\d+))(?![\w.])")
 
 # Runs in the child: argv[1] is the checkout's src/, argv[2] a JSON list of
 # argument lists, argv[3] the file the [exit code, stdout, stderr] of each
@@ -106,13 +115,15 @@ class Diff:
         self.shifts: list[str] = []
         self.problems: list[str] = []
 
-    def compare(self, old, new, path: tuple, real: bool, where: str) -> None:
+    def compare(self, old, new, path: tuple, classes: set, where: str) -> None:
+        """Record how `new` differs from `old`; the floats at the paths in
+        `classes` are classes mod pi^2/2."""
         name = where + ("." + ".".join(map(str, path)) if path else "")
         if type(old) is not type(new):
             self.problems.append(f"{name}: {old!r} became {new!r}")
         elif isinstance(old, float):
             self.floats += 1
-            if real and path in REAL_CLASSES:
+            if path in classes:
                 gap = abs(new - old) % MOD_HALF_PISQ
                 gap = min(gap, MOD_HALF_PISQ - gap)
             else:
@@ -130,17 +141,17 @@ class Diff:
                 self.problems.append(f"{name}: keys {sorted(old)} became {sorted(new)}")
                 return
             for key in old:
-                self.compare(old[key], new[key], path + (key,), real, where)
+                self.compare(old[key], new[key], path + (key,), classes, where)
         elif isinstance(old, list):
             if len(old) != len(new):
                 self.problems.append(f"{name}: {old!r} became {new!r}")
                 return
             for k, (a, b) in enumerate(zip(old, new)):
-                self.compare(a, b, path + (k,), real, where)
+                self.compare(a, b, path + (k,), classes, where)
         elif old != new:
             self.problems.append(f"{name}: {old!r} became {new!r}")
 
-    def compare_run(self, old: list, new: list, where: str) -> None:
+    def compare_run(self, old: list, new: list, where: str, real: bool) -> None:
         (old_code, old_out, old_err), (new_code, new_out, new_err) = old, new
         if old_code != new_code:
             self.problems.append(f"{where}: exit {old_code} became {new_code}")
@@ -150,12 +161,43 @@ class Diff:
             return
         try:
             old_report, new_report = json.loads(old_out), json.loads(new_out)
+            classes = REAL_CLASSES
         except json.JSONDecodeError:
-            if old_out != new_out:
-                self.problems.append(f"{where}: stdout {old_out!r} became {new_out!r}")
-            return
-        real = isinstance(old_report, dict) and old_report.get("mode") == "real"
-        self.compare(old_report, new_report, (), real, where)
+            old_report, new_report = text_report(old_out), text_report(new_out)
+            classes = text_classes(old_report)
+        self.compare(old_report, new_report, (), classes if real else set(), where)
+
+
+def text_report(out: str) -> list[list]:
+    """Each line of a text report as its pieces: the text between floats at
+    even positions, the floats at odd ones."""
+    lines = []
+    for line in out.splitlines():
+        pieces = FLOAT.split(line)
+        pieces[1::2] = map(float, pieces[1::2])
+        lines.append(pieces)
+    return lines
+
+
+def text_classes(lines: list[list]) -> set:
+    """The paths of the floats of a real-mode text report that are classes
+    mod pi^2/2: the constant and the probe's mean."""
+    return {
+        (k, j)
+        for k, pieces in enumerate(lines)
+        for j in range(1, len(pieces), 2)
+        if pieces[j - 1].endswith(TEXT_CLASSES)
+    }
+
+
+def commands(path: Path, flags: list[str]) -> list[list[str]]:
+    """The commands run on one document."""
+    return [
+        ["check", str(path), "--json", *flags],
+        ["check", str(path), *flags],
+        ["wedge", str(path)],
+        ["wedge", str(path), "--json"],
+    ]
 
 
 def compare_checkouts(old_checkout: Path, new_checkout: Path, seeds: list[int]) -> bool:
@@ -166,18 +208,21 @@ def compare_checkouts(old_checkout: Path, new_checkout: Path, seeds: list[int]) 
         cases = inputs.docs_cases(seed, DOCS)
         with tempfile.TemporaryDirectory() as tmp:
             workdir = Path(tmp)
-            argvs = []
+            runs = []
             for case in cases:
                 path = workdir / case.name
                 path.write_text(case.text)
-                argvs.append(["check", str(path), "--json", *case.flags])
+                runs += [(case, argv) for argv in commands(path, case.flags)]
+            argvs = [argv for _, argv in runs]
             old = run_checkout(old_checkout, argvs, workdir)
             new = run_checkout(new_checkout, argvs, workdir)
         diff = Diff()
-        for case, a, b in zip(cases, old, new):
-            diff.compare_run(a, b, f"seed {seed} {case.name}")
+        for (case, argv), a, b in zip(runs, old, new):
+            # the command and its flags, without the temporary path
+            where = f"seed {seed} {case.name}: {' '.join(argv[:1] + argv[2:])}"
+            diff.compare_run(a, b, where, "--real" in case.flags)
         print(
-            f"seed {seed}: {len(cases)} documents, {diff.floats} floats, "
+            f"seed {seed}: {len(cases)} documents, {len(runs)} runs, {diff.floats} floats, "
             f"{diff.moved} moved, largest change {diff.largest:.3g}, "
             f"{len(diff.problems)} differences"
         )
@@ -192,18 +237,22 @@ def compare_checkouts(old_checkout: Path, new_checkout: Path, seeds: list[int]) 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("old", help="checkout directory or git revision of the old code")
-    ap.add_argument("new", type=Path, help="checkout directory of the new code")
+    ap.add_argument("new", help="checkout directory or git revision of the new code")
     ap.add_argument("--seeds", default="1-2", help="inclusive range, e.g. 1-2")
     args = ap.parse_args()
 
     with tempfile.TemporaryDirectory() as exported:
-        old = Path(args.old)
-        if not old.is_dir():
-            try:
-                old = export_revision(args.old, Path(exported))
-            except subprocess.CalledProcessError:
-                ap.error(f"{args.old} is neither a directory nor a git revision")
-        failed = compare_checkouts(old.resolve(), args.new.resolve(), seed_range(args.seeds))
+        checkouts = []
+        for side in ("old", "new"):
+            source = getattr(args, side)
+            checkout = Path(source)
+            if not checkout.is_dir():
+                try:
+                    checkout = export_revision(source, Path(exported) / side)
+                except subprocess.CalledProcessError:
+                    ap.error(f"{source} is neither a directory nor a git revision")
+            checkouts.append(checkout.resolve())
+        failed = compare_checkouts(*checkouts, seed_range(args.seeds))
     sys.exit(1 if failed else 0)
 
 

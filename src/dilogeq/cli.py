@@ -36,7 +36,9 @@ _DOCUMENT_NAMES = {
     "document": ("dump_document", "load_document", "parse_variables"),
     "exprparse": ("parse_expression",),
     "formal": ("c_element", "five_term", "inversion"),
-    "numerics": ("ModPiSqHalf", "SamplingExhausted", "bloch_wigner", "numeric_probe", "rl_bar"),
+    # bloch_wigner is read by no command (dilog_value calls it in numerics);
+    # it is bound here because bench/tracer.py counts calls at this name
+    "numerics": ("SamplingExhausted", "bloch_wigner", "dilog_value", "numeric_probe"),
     "ratfunc": ("INF",),
     "specialize": (
         "PointNotAdmissible",
@@ -105,9 +107,10 @@ def _beta3_json(b3: dict) -> dict:
 
 
 def _beta3_text(b3: dict) -> str:
-    parts = [f"{p} ^ {q}: {v}" for (p, q), v in b3["pairs"].items()]
+    """The text of `_beta3_json`'s record `b3`."""
+    parts = [f"{pq}: {v}" for pq, v in b3["pairs"].items()]
     parts += [f"{p} ^ unit: {v}" for p, v in b3["units"].items()]
-    if b3["unit_unit"]:
+    if b3["unit_unit"] != "0":
         parts.append(f"unit ^ unit: {b3['unit_unit']}")
     return "; ".join(parts) if parts else "none"
 
@@ -156,11 +159,7 @@ def _find_points(alpha: FormalSum, real: bool):
     else:
         cands = [fe(c) for c in _POINT_CANDIDATES]
     found = []
-    tries = 0
-    for combo in itertools.product(cands, repeat=len(universe)):
-        tries += 1
-        if tries > 20000:
-            break
+    for combo in itertools.islice(itertools.product(cands, repeat=len(universe)), 20000):
         point = dict(zip(universe, combo))
         try:
             value = evaluate_at_point(alpha, point)
@@ -182,16 +181,13 @@ def _numeric_of_value(value: FormalSum, mode: str) -> float | ModPiSqHalf:
     D(z) = -D(1/z) and rl_bar(x) = -rl_bar(1/x) mod pi^2/2, so no float
     conversion overflows; one that underflows to 0 reads as D(0) = 0 and
     rl_bar(0), the continuous extensions."""
-    total = ModPiSqHalf.of(0.0) if mode == "real" else 0.0
+    terms = []
     for f, a in value.items():
         z = f.constant_value()
         if z.a * z.a + z.b * z.b > z.d * z.d:  # |z| > 1, for z = (a + b*i) / d
             z, a = z.inverse(), -a
-        if mode == "real":
-            total = total + rl_bar(float(z.re)).scale(a)
-        else:
-            total += float(a) * bloch_wigner(z.to_complex())
-    return total
+        terms.append((a, z.to_complex()))
+    return dilog_value(terms, real=mode == "real")
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +242,7 @@ def _cmd_check(args) -> int:
     lines = [f"verdict: {cert.verdict}"]
     if cert.witness is not None:
         lines.append(f"witness: {_witness_text(cert.witness)}")
-    lines.append(f"residual beta3: {_beta3_text(cert.residual_beta3)}")
+    lines.append(f"residual beta3: {_beta3_text(report['beta3'])}")
 
     def note(text: str) -> None:
         report["notes"].append(text)
@@ -385,18 +381,12 @@ def _cmd_wedge(args) -> int:
         "beta2_zero": not b2,
     }
     lines = ["basis: " + (", ".join(report["basis"]) if report["basis"] else "(empty)")]
-    if b1:
-        for (l, r), v in b1.items():
-            lines.append(f"beta1 ({l}) ^ ({r}): {v}")
-    else:
-        lines.append("beta1: 0")
-    if b2:
-        for el, col in b2.items():
-            cols = ", ".join(f"{p}: {v}" for p, v in col.items())
-            lines.append(f"beta2 ({el}): {cols}")
-    else:
-        lines.append("beta2: 0")
-    lines.append(f"beta3: {_beta3_text(b3)}")
+    lines += [f"beta1 {pair}: {v}" for pair, v in report["beta1"].items()] or ["beta1: 0"]
+    lines += [
+        f"beta2 ({el}): " + ", ".join(f"{p}: {v}" for p, v in col.items())
+        for el, col in report["beta2"].items()
+    ] or ["beta2: 0"]
+    lines.append(f"beta3: {_beta3_text(report['beta3'])}")
     _emit(args, report, lines)
     return 0
 
@@ -507,16 +497,25 @@ def _cmd_blochfq(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _rational(src: str, error: str) -> Fraction:
+    """The rational number `src`; ValueError(error) when it is none."""
+    try:
+        return Fraction(src)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(error) from None
+
+
 def _parse_point(src: str, variables) -> dict[str, Fraction]:
     point = {}
     for part in src.split(","):
         name, sep, val = part.partition("=")
         name = name.strip()
+        bad = f"bad point coordinate {part!r}"
         if not sep or name not in variables:
-            raise ValueError(f"bad point coordinate {part!r}")
+            raise ValueError(bad)
         if name in point:
             raise ValueError(f"the point assigns {name} twice")
-        point[name] = Fraction(val.strip())
+        point[name] = _rational(val.strip(), bad)
     return point
 
 
@@ -535,17 +534,19 @@ def _cmd_padic_branch_diff(args) -> int:
         raise ValueError(
             f"modulus {args.p}^{args.prec} is above the bound 2^{MAX_BRANCH_MODULUS_BITS}"
         )
+    branch_a = _rational(args.branch_a, f"--branch-a {args.branch_a!r} is not a rational number")
+    branch_b = _rational(args.branch_b, f"--branch-b {args.branch_b!r} is not a rational number")
     spec = _read_document(args.document)
     point = _parse_point(args.point, spec.variables)
     value = evaluate_at_point(spec.formal_sum(), {k: fe(v) for k, v in point.items()})
-    log_a = PadicNumber.from_rational(Fraction(args.branch_a), args.p, args.prec)
-    log_b = PadicNumber.from_rational(Fraction(args.branch_b), args.p, args.prec)
+    log_a = PadicNumber.from_rational(branch_a, args.p, args.prec)
+    log_b = PadicNumber.from_rational(branch_b, args.p, args.prec)
     diff = branch_diff(value, log_a, log_b, prec=args.prec)
     report = {
         "p": args.p,
         "point": {k: _frac_str(v) for k, v in point.items()},
-        "branch_a_log_p": _frac_str(args.branch_a),
-        "branch_b_log_p": _frac_str(args.branch_b),
+        "branch_a_log_p": str(branch_a),
+        "branch_b_log_p": str(branch_b),
         "precision": args.prec,
         "difference": str(diff),
     }

@@ -94,7 +94,7 @@ class FormalSum:
 
     @staticmethod
     def single(f: RationalFunction, coeff=1, field_mode="Q", coeff_mode="Z") -> "FormalSum":
-        return FormalSum(f.universe, {f: Fraction(coeff)}, field_mode, coeff_mode)
+        return FormalSum(f.universe, {f: coeff}, field_mode, coeff_mode)
 
     # -- structure ---------------------------------------------------------
 
@@ -141,17 +141,13 @@ class FormalSum:
         )
 
     def scale(self, c) -> "FormalSum":
-        c = _check_coeff(Fraction(c), self.coeff_mode)
+        c = _check_coeff(c, self.coeff_mode)
         return FormalSum(
             self.universe,
             {f: c * a for f, a in self.terms.items()},
             self.field_mode,
             self.coeff_mode,
         )
-
-    def map_keys(self, fn) -> "FormalSum":
-        pairs = [(fn(f), c) for f, c in self.terms.items()]
-        return FormalSum(self.universe, pairs, self.field_mode, self.coeff_mode)
 
     def with_universe(self, new_universe) -> "FormalSum":
         return FormalSum(
@@ -177,9 +173,9 @@ class ExtendedFormalSum:
 
     def __init__(self, ordinary: FormalSum, c0=0, c1=0, cinf=0):
         self.ordinary = ordinary
-        self.c0 = _check_coeff(Fraction(c0), ordinary.coeff_mode)
-        self.c1 = _check_coeff(Fraction(c1), ordinary.coeff_mode)
-        self.cinf = _check_coeff(Fraction(cinf), ordinary.coeff_mode)
+        self.c0 = _check_coeff(c0, ordinary.coeff_mode)
+        self.c1 = _check_coeff(c1, ordinary.coeff_mode)
+        self.cinf = _check_coeff(cinf, ordinary.coeff_mode)
 
     def __eq__(self, other):
         if not isinstance(other, ExtendedFormalSum):
@@ -243,4 +239,5 @@ def c_element(c: RationalFunction, field_mode="Q", coeff_mode="Z") -> FormalSum:
 
 def conj_sum(alpha: FormalSum, var_swap: dict[str, str] | None = None) -> FormalSum:
     """Conjugate every argument; coefficients are left untouched."""
-    return alpha.map_keys(lambda f: f.conjugate(var_swap))
+    pairs = [(f.conjugate(var_swap), c) for f, c in alpha.terms.items()]
+    return FormalSum(alpha.universe, pairs, alpha.field_mode, alpha.coeff_mode)

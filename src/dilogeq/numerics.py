@@ -24,10 +24,11 @@ L(x) = -L(1 - 1/(1-x)) for x < 0; rl_bar reduces L - pi^2/6 into
 R/(pi^2/2)Z, where the inversion and five-term identities hold with no
 case distinctions.
 
-The numeric probe samples admissible points (all arguments and their
-one-minus kept away from 0, 1, infinity by a margin) and reports how far
-the sampled values spread; it is a smoke test for the symbolic verdicts,
-not a proof.
+dilog_value reads a sum at one point, as D or as rl_bar: the numeric
+probe reads its random points with it, and `check` its exact ones.  The
+probe samples admissible points (all arguments and their one-minus kept
+away from 0, 1, infinity by a margin) and reports how far the sampled
+values spread; it is a smoke test for the symbolic verdicts, not a proof.
 """
 
 from __future__ import annotations
@@ -195,6 +196,21 @@ def rl_bar(x) -> ModPiSqHalf:
     return ModPiSqHalf.of(rogers(float(x)) - LI2_ONE)
 
 
+def dilog_value(terms, real: bool = False) -> float | ModPiSqHalf:
+    """The sum of a * D(z) over the (a, z) pairs `terms`, z complex; with
+    `real`, the sum of a * rl_bar(Re z), a class mod pi^2/2 that only
+    integer coefficients a act on."""
+    if real:
+        total = ModPiSqHalf.of(0.0)
+        for a, z in terms:
+            total = total + rl_bar(z.real).scale(a)
+        return total
+    total = 0.0
+    for a, z in terms:
+        total += float(a) * bloch_wigner(z)
+    return total
+
+
 # ---------------------------------------------------------------------------
 # sampling probes
 # ---------------------------------------------------------------------------
@@ -284,18 +300,12 @@ def numeric_probe(
         values = _sample_point(alpha.universe, args, constant, rng, domain)
         if values is None:
             continue
+        total = dilog_value(((a, z) for (_, a), z in zip(terms, values)), real=domain == "real")
         if domain == "real":
-            total = ModPiSqHalf.of(0.0)
-            for (_, a), val in zip(terms, values):
-                total = total + rl_bar(val.real).scale(int(a))
             if base is None:
                 base = total
-            readings.append((total - base).centered())
-        else:
-            total = 0.0
-            for (_, a), val in zip(terms, values):
-                total += float(a) * bloch_wigner(val)
-            readings.append(total)
+            total = (total - base).centered()
+        readings.append(total)
 
     mean = sum(readings) / len(readings)
     maxdev = max(abs(v - mean) for v in readings)

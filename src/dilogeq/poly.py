@@ -76,7 +76,7 @@ def _heap_key(exp: Exponents):
 
 class MultiPoly:
     __slots__ = (
-        "universe", "terms", "_lead", "_hash", "_canon", "_sort_key", "_images", "_complex", "_monic",
+        "universe", "terms", "_lead", "_hash", "_sort_key", "_images", "_complex", "_monic",
         "__weakref__",
     )
 
@@ -86,7 +86,6 @@ class MultiPoly:
         self.terms = {e: c for e, c in terms.items() if not c.is_zero()}
         self._lead = None
         self._hash = None
-        self._canon = None
         self._sort_key = None
         self._images = None
         self._complex = None
@@ -100,15 +99,12 @@ class MultiPoly:
 
     @staticmethod
     def const(universe, c: FieldElement) -> "MultiPoly":
-        n = len(universe)
-        if c.is_zero():
-            return MultiPoly(universe, {})
-        return MultiPoly(universe, {(0,) * n: c})
+        return MultiPoly(universe, {(0,) * len(universe): c})
 
     @staticmethod
     def one(universe) -> "MultiPoly":
         """The polynomial 1, one shared object per universe, so that its
-        hash, canonical form and images are computed once."""
+        hash, sort key and images are computed once."""
         return _one(tuple(universe))
 
     @staticmethod
@@ -130,7 +126,8 @@ class MultiPoly:
         return not terms or (len(terms) == 1 and not any(next(iter(terms))))
 
     def is_one(self) -> bool:
-        return self.is_constant() and self.constant_value().is_one()
+        # one term, the coefficient 1 at the zero exponent
+        return len(self.terms) == 1 and self.terms.get((0,) * len(self.universe), ZERO).is_one()
 
     def constant_value(self) -> FieldElement:
         if not self.terms:
@@ -208,8 +205,6 @@ class MultiPoly:
         return MultiPoly(self.universe, out)
 
     def mul_term(self, exp: Exponents, coeff: FieldElement) -> "MultiPoly":
-        if coeff.is_zero():
-            return MultiPoly.zero(self.universe)
         return MultiPoly(
             self.universe,
             {
@@ -257,11 +252,6 @@ class MultiPoly:
 
     # -- equality / hashing / ordering ---------------------------------
 
-    def _canonical(self):
-        if self._canon is None:
-            self._canon = tuple(sorted(self.terms.items(), key=lambda t: _grlex(t[0])))
-        return self._canon
-
     def _modular_images(self) -> "_Images":
         """The images, shared by every equal live polynomial: they are a
         function of the terms and the universe, which equality compares, so
@@ -280,16 +270,20 @@ class MultiPoly:
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.universe, self._canonical()))
+            # the two things __eq__ compares, the terms as an unordered set
+            self._hash = hash((self.universe, frozenset(self.terms.items())))
         return self._hash
 
+    def _descending(self) -> list[Exponents]:
+        """The exponents in descending graded-lex order, the order of
+        `sort_key` and `__str__`."""
+        return sorted(self.terms, key=_grlex, reverse=True)
+
     def sort_key(self):
-        # graded-lex keys are distinct, so reversing the ascending canonical
-        # order gives the descending one
         if self._sort_key is None:
             self._sort_key = (
                 self.total_degree(),
-                tuple((e, c.sort_key()) for e, c in reversed(self._canonical())),
+                tuple((e, self.terms[e].sort_key()) for e in self._descending()),
             )
         return self._sort_key
 
@@ -430,13 +424,13 @@ class MultiPoly:
 
     def __str__(self) -> str:
         pieces = []
-        for e, c in sorted(self.terms.items(), key=lambda t: _grlex(t[0]), reverse=True):
+        for e in self._descending():
             mono = "*".join(
                 (v if k == 1 else f"{v}^{k}")
                 for v, k in zip(self.universe, e)
                 if k
             )
-            pieces.append(_format_term(c, mono))
+            pieces.append(_format_term(self.terms[e], mono))
         return join_signed(pieces)
 
     def __repr__(self) -> str:

@@ -55,7 +55,8 @@ class WedgeElement:
     r"""a1 (f1 /\ g1) + ... in normal form over a joint coprime basis.
 
     `pairs[(x, y)]` is the nonzero coefficient of x /\ y for atoms x before
-    y; pairs ending in UNIT are torsion, reduced mod 2 or mod 4 in Z-mode.
+    y, in canonical atom order; pairs ending in UNIT are torsion, reduced
+    mod 2 or mod 4 in Z-mode.
     """
 
     __slots__ = ("field_mode", "coeff_mode", "tensors", "basis", "pairs")
@@ -112,22 +113,22 @@ class WedgeElement:
                     pairs[key] = pairs.get(key, 0) + v
 
         modulus = 4 if gaussian else 2
-        self.pairs = {}
+        survivors = []
         for (x, y), v in pairs.items():
             if y == UNIT:
                 v = _reduce_one(v, self.coeff_mode, modulus)
             if v:
-                self.pairs[x, y] = Fraction(v)
+                survivors.append((x, y, v))
+        # stored in canonical atom order, which every view below reads
+        survivors.sort(key=lambda e: (_atom_key(e[0]), _atom_key(e[1])))
+        self.pairs = {(x, y): Fraction(v) for x, y, v in survivors}
 
     # -- views -----------------------------------------------------------------
 
     def _entries(self, layer: int | None = None) -> list[tuple]:
         """(x, y, value) for every pair, or for those of one beta layer, in
         canonical atom order."""
-        return sorted(
-            ((x, y, v) for (x, y), v in self.pairs.items() if layer in (None, _layer(x, y))),
-            key=lambda e: (_atom_key(e[0]), _atom_key(e[1])),
-        )
+        return [(x, y, v) for (x, y), v in self.pairs.items() if layer in (None, _layer(x, y))]
 
     def _label(self, x) -> str:
         if x == UNIT:
@@ -162,14 +163,14 @@ class WedgeElement:
     def first_obstruction(self):
         """The first nonzero beta1 entry, else the first nonzero beta2 entry,
         in canonical order; None when both layers vanish."""
+        entries = self._entries(1) or self._entries(2)
+        if not entries:
+            return None
+        x, y, v = entries[0]
         els = self.basis.elements
-        for x, y, v in sorted(self._entries(), key=lambda e: _layer(*e[:2])):
-            if y[0] == BASIS:
-                return ("pair", els[x[1]], els[y[1]], v)
-            if x[0] == BASIS:
-                return ("column", els[x[1]], self._label(y), v)
-            break
-        return None
+        if y[0] == BASIS:
+            return ("pair", els[x[1]], els[y[1]], v)
+        return ("column", els[x[1]], self._label(y), v)
 
     def __str__(self):
         b1, b2, b3 = self.decompose()

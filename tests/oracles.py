@@ -7,16 +7,23 @@ Neither decides a verdict: the tame symbol kills f /\ (1 - f) (the Steinberg
 relation; Milnor, Invent. Math. 9, 1970), so it is 1 on every boundary up
 to sign, and pushing a boundary along t -> b agrees with the boundary of the
 specialized sum, which is what the tests show.
+
+The orders the package keeps rather than sorts on each read: a
+polynomial's terms in descending graded-lex order, and a wedge element's
+views (its decomposition, beta3 and first obstruction) read by sorting its
+pairs into atom order.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 from dilogeq.coprime import CoprimeBasis
 from dilogeq.poly import MultiPoly
 from dilogeq.primes import strip_power
 from dilogeq.ratfunc import INF, RationalFunction
 from dilogeq.scalars import ONE, FieldElement
-from dilogeq.wedge import WedgeElement
+from dilogeq.wedge import BASIS, UNIT, WedgeElement, _atom_key, _layer
 
 
 class NotUnivariate(ValueError):
@@ -176,3 +183,56 @@ def _sp_generator(f: RationalFunction, var: str, target) -> RationalFunction:
         db = RationalFunction.from_poly(target.den)
         value = value * db**ord_f
     return value
+
+
+# ---------------------------------------------------------------------------
+# orders by sorting
+# ---------------------------------------------------------------------------
+
+
+def descending_terms(p: MultiPoly) -> list[tuple[tuple[int, ...], FieldElement]]:
+    """p's (exponent, coefficient) terms sorted into descending graded-lex
+    order: total degree first, then the exponent tuple."""
+    return sorted(p.terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True)
+
+
+def sorted_entries(w: WedgeElement) -> list[tuple]:
+    """(x, y, value) for every pair of w, sorted into canonical atom order."""
+    return sorted(
+        ((x, y, v) for (x, y), v in w.pairs.items()),
+        key=lambda e: (_atom_key(e[0]), _atom_key(e[1])),
+    )
+
+
+def decompose_by_sorting(w: WedgeElement):
+    """(beta1, beta2, beta3) of w as `WedgeElement.decompose` gives them,
+    each layer filled in the order of `sorted_entries`."""
+    beta1, beta2 = {}, {}
+    beta3 = {"pairs": {}, "units": {}, "unit_unit": Fraction(0)}
+    for x, y, v in sorted_entries(w):
+        lx, ly = w._label(x), w._label(y)
+        layer = _layer(x, y)
+        if layer == 1:
+            beta1[lx, ly] = v
+        elif layer == 2:
+            beta2.setdefault(lx, {})[ly] = v
+        elif y != UNIT:
+            beta3["pairs"][lx, ly] = v
+        elif x != UNIT:
+            beta3["units"][lx] = v
+        else:
+            beta3["unit_unit"] = v
+    return beta1, beta2, beta3
+
+
+def first_obstruction_by_sorting(w: WedgeElement):
+    """The first entry of a stable sort by beta layer of `sorted_entries`:
+    a beta1 pair, else a beta2 column, else None."""
+    els = w.basis.elements
+    for x, y, v in sorted(sorted_entries(w), key=lambda e: _layer(e[0], e[1])):
+        if y[0] == BASIS:
+            return ("pair", els[x[1]], els[y[1]], v)
+        if x[0] == BASIS:
+            return ("column", els[x[1]], w._label(y), v)
+        break
+    return None

@@ -10,15 +10,20 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dilogeq import blochfq, coprime, poly, primes
 from dilogeq.cli import build_parser, main
 from dilogeq.document import load_document
 from dilogeq.exprparse import parse_expression
-from dilogeq.formal import five_term
-from dilogeq.numerics import ModPiSqHalf
+from dilogeq.formal import FormalSum, five_term
+from dilogeq.numerics import ModPiSqHalf, bloch_wigner, rl_bar
+from dilogeq.ratfunc import RationalFunction
+from dilogeq.scalars import fe
 
 from helpers import ROOT, bench_inputs
 
@@ -70,6 +75,43 @@ def test_check_inversion_pair_beyond_float_range(run, mode):
     assert (code, err) == (0, "")
     assert out.startswith("verdict: Constant\n")
     assert re.search(r"^constant: -?0\.0 \+/- 0\.0( \(mod pi\^2/2\))?$", out, re.M)
+
+
+@pytest.mark.parametrize("mode", ["complex", "real"])
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(-(10**6), 10**6),
+            st.integers(-(10**6), 10**6),
+            st.integers(1, 1000),
+            st.sampled_from([-3, -2, -1, 1, 2]),
+        ),
+        max_size=4,
+    )
+)
+@settings(max_examples=60)
+def test_a_value_at_a_point_reads_as_its_direct_sum(mode, terms):
+    # each argument has |z| > 1 and is read through 1/z with the opposite
+    # sign, which moves the reading by rounding only, wherever z is a float
+    import dilogeq.cli as cli
+
+    cli._bind_document_names()
+    pairs = []
+    for a, b, d, k in terms:
+        z = fe(Fraction(a, d), Fraction(b, d) if mode == "complex" else 0)
+        if z.a * z.a + z.b * z.b > z.d * z.d:
+            pairs.append((RationalFunction.const(("t",), z), k))
+    value = FormalSum(("t",), pairs, "Qi")
+    reading = cli._numeric_of_value(value, mode)
+    zs = [(k, f.constant_value()) for f, k in value.items()]
+    if mode == "complex":
+        direct = sum(float(k) * bloch_wigner(z.to_complex()) for k, z in zs)
+        assert math.isclose(reading, direct, rel_tol=0, abs_tol=1e-12)
+    else:
+        direct = ModPiSqHalf.of(0.0)
+        for k, z in zs:
+            direct = direct + rl_bar(z.re).scale(k)
+        assert reading.distance(direct) <= 1e-12
 
 
 @pytest.mark.parametrize(
@@ -1216,6 +1258,25 @@ def test_branch_diff_rejects_bad_prime_and_precision(run, tmp_path, flag, value,
     # the check comes before the document is read
     argv[1] = str(tmp_path / "missing.txt")
     assert run(argv)[2] == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("coordinate", ["t=1/0", "t=abc", "t="])
+def test_branch_diff_names_a_coordinate_that_is_not_rational(run, coordinate):
+    argv = ["padic-branch-diff", "DOC:" + SINGLE_DOC, "--p", "5", "--point", coordinate]
+    code, out, err = run(argv)
+    assert (code, out, err) == (2, "", f"error: bad point coordinate {coordinate!r}\n")
+
+
+@pytest.mark.parametrize(
+    "flag, value", [("--branch-a", "1/0"), ("--branch-b", "xyz"), ("--branch-a", "")]
+)
+def test_branch_diff_names_a_branch_that_is_not_rational(run, tmp_path, flag, value):
+    message = f"error: {flag} {value!r} is not a rational number\n"
+    argv = ["padic-branch-diff", "DOC:" + SINGLE_DOC, "--p", "5", "--point", "t=5", flag, value]
+    assert run(argv) == (2, "", message)
+    # the branch is refused before the document is read
+    argv[1] = str(tmp_path / "missing.txt")
+    assert run(argv) == (2, "", message)
 
 
 def test_branch_diff_takes_a_prime_that_miller_rabin_proves(run):

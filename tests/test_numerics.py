@@ -20,6 +20,7 @@ from dilogeq.numerics import (
     ModPiSqHalf,
     SamplingExhausted,
     bloch_wigner,
+    dilog_value,
     li2,
     numeric_probe,
     rl_bar,
@@ -445,6 +446,31 @@ def test_probe_evaluates_each_argument_once_per_draw(monkeypatch, alpha, domain)
             assert evaluated == args
         else:
             assert evaluated == args[: len(evaluated)]
+
+
+@pytest.mark.parametrize("domain", numerics.PROBE_DOMAINS)
+def test_a_probe_reading_is_dilog_value_at_the_draw(monkeypatch, domain):
+    # one sample: the mean is the reading itself, and a real reading is read
+    # as its centered representative
+    three = RationalFunction.const(T, fe(3))
+    alpha = FormalSum.single(t()) - FormalSum.single(t() ** 2, 2) + FormalSum.single(t() + three)
+    coeffs = [a for _, a in alpha.items()]
+    draws = []
+    sample_point = numerics._sample_point
+
+    def recorded(*args, **kwargs):
+        values = sample_point(*args, **kwargs)
+        if values is not None:
+            draws.append(values)
+        return values
+
+    monkeypatch.setattr(numerics, "_sample_point", recorded)
+    for seed in range(8):
+        rep = numeric_probe(alpha, domain, samples=1, seed=seed)
+        value = dilog_value(zip(coeffs, draws[-1]), real=domain == "real")
+        assert rep.mean_value == (value.centered() if domain == "real" else value)
+        assert rep.max_deviation == 0.0
+    assert len(draws) == 8
 
 
 def test_probe_real_bw_lies_on_vanishing_locus():

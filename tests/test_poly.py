@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from dilogeq.poly import (
     MultiPoly,
+    _format_term,
     join_signed,
     poly_gcd,
     squarefree_parts,
@@ -16,7 +17,7 @@ from dilogeq.ratfunc import RationalFunction
 from dilogeq.scalars import ONE, ZERO, fe
 
 from helpers import gcd_many, random_point, random_poly, shift_var
-from oracles import univar_inverse_mod, univar_rem
+from oracles import descending_terms, univar_inverse_mod, univar_rem
 
 
 T = ("t",)
@@ -78,6 +79,31 @@ def test_one_is_one_shared_object_per_universe():
     assert MultiPoly.one(T12) is one and MultiPoly.one(list(T12)) is one
     assert one == MultiPoly.const(T12, ONE) and hash(one) == hash(MultiPoly.const(T12, ONE))
     assert one.is_one() and MultiPoly.one(T) == c(1) and MultiPoly.one(T) is not one
+
+
+@given(st.integers(0, 10_000), st.randoms(use_true_random=False), st.booleans())
+@settings(max_examples=80)
+def test_a_polynomial_is_its_universe_and_its_term_set(seed, shuffler, gaussian):
+    rnd = random.Random(seed)
+    p = random_poly(rnd, T12, max_deg=3, max_terms=6, gaussian=gaussian)
+    q = random_poly(rnd, T12, max_deg=2, max_terms=3, gaussian=gaussian)
+    items = list(p.terms.items())
+    shuffler.shuffle(items)
+    # the same terms in another insertion order, and the same value by arithmetic
+    for same in (MultiPoly(T12, dict(items)), (p * q).divide_exact(q)):
+        assert same == p and hash(same) == hash(p)
+    # the same terms over a reordered universe are another polynomial
+    assert MultiPoly(T12[::-1], p.terms) != p
+    # str and sort_key list the terms in descending graded-lex order
+    reference = descending_terms(p)
+    shuffled = MultiPoly(T12, dict(items))
+    keys = tuple((e, c.sort_key()) for e, c in reference)
+    assert shuffled.sort_key() == (p.total_degree(), keys)
+    texts = []
+    for e, c in reference:
+        mono = "*".join(v if k == 1 else f"{v}^{k}" for v, k in zip(T12, e) if k)
+        texts.append(_format_term(c, mono))
+    assert str(shuffled) == str(p) == join_signed(texts)
 
 
 def test_zero_degree_convention():

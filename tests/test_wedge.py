@@ -28,12 +28,21 @@ from helpers import (
     planted_basis,
     product_of_planted,
     random_admissible,
+    random_coeff,
     random_five_term,
     random_formal_sum,
     random_inversion,
     wedge_difference,
 )
-from oracles import NotUnivariate, t_v, univar_rem, wedge_specialize
+from oracles import (
+    NotUnivariate,
+    decompose_by_sorting,
+    first_obstruction_by_sorting,
+    sorted_entries,
+    t_v,
+    univar_rem,
+    wedge_specialize,
+)
 
 
 T = ("t",)
@@ -242,6 +251,57 @@ def test_pair_witness_before_an_earlier_column():
     assert [str(b) for b in w.basis.elements] == ["t", "t - 2", "t - 1"]
     kind, b, bprime, val = w.first_obstruction()
     assert (kind, str(b), str(bprime), val) == ("pair", "t - 2", "t - 1", -1)
+
+
+def _ordered(value):
+    """value with each dict read as the list of its items, so that == also
+    compares the order the views fill them in."""
+    if isinstance(value, dict):
+        return [(k, _ordered(v)) for k, v in value.items()]
+    if isinstance(value, tuple):
+        return tuple(_ordered(v) for v in value)
+    return value
+
+
+def _views_read_the_references(w: WedgeElement) -> str:
+    """Check w's views against the references that sort its pairs; return
+    the kind of its first obstruction, "none" for a nonzero beta3 alone."""
+    assert list(w.pairs) == [(x, y) for x, y, _ in sorted_entries(w)]
+    reference = decompose_by_sorting(w)
+    assert _ordered(w.decompose()) == _ordered(reference)
+    assert _ordered(w.beta3()) == _ordered(reference[2])
+    obs = w.first_obstruction()
+    assert obs == first_obstruction_by_sorting(w)
+    if obs is not None:
+        return obs[0]
+    return "zero" if beta3_is_zero(w) else "none"
+
+
+@pytest.mark.parametrize("field_mode", ["Q", "Qi"])
+def test_views_read_the_pairs_in_atom_order(field_mode):
+    rnd = random.Random(40)
+    gaussian = field_mode == "Qi"
+    kinds = set()
+    for _ in range(25):
+        alpha = random_formal_sum(rnd, ZW, n_terms=3, field_mode=field_mode)
+        kinds.add(_views_read_the_references(boundary(alpha)))
+    # sums of constants leave beta3 alone
+    for _ in range(10):
+        terms = []
+        for _ in range(2):
+            f = RationalFunction.const(ZW, random_coeff(rnd, gaussian, zero_ok=False))
+            if not f.is_one():
+                terms.append((f, rnd.choice([-2, -1, 1, 3])))
+        kinds.add(_views_read_the_references(boundary(FormalSum(ZW, terms, field_mode))))
+    # no boundary has a beta2 column as its first obstruction (its tame
+    # symbol at the element would be a constant other than a unit), so the
+    # elements with one are built from tensors with a constant side
+    for _ in range(25):
+        f, g = (random_admissible(rnd, ZW, gaussian=gaussian) for _ in "fg")
+        c = RationalFunction.const(ZW, random_coeff(rnd, gaussian, zero_ok=False))
+        tensors = [(rnd.choice([-2, -1, 1, 3]), f, c), (rnd.choice([0, 1]), f, g)]
+        kinds.add(_views_read_the_references(WedgeElement(tensors, field_mode)))
+    assert {"pair", "column", "none"} <= kinds
 
 
 def test_duplication_combo_is_constant():
