@@ -19,8 +19,11 @@ better than OLD in that metric's direction, and a tie counts for neither
 side.  Two verdicts follow: `gain` is yes when NEW wins at least 9 in 10
 of the pairs and its median is better than OLD's by more than OLD's
 interquartile range; `bound` is over when NEW's median is worse than
-OLD's by more than the metric's bound, a share of OLD's median.  Exits 1
-when a run fails or reports incorrect output.
+OLD's by more than the metric's bound, a share of OLD's median.  A last
+line gives each side's `all_reports_sha256`, read from the runs' detail
+lines, whether it agrees across that side's pairs, and whether the two
+sides agree, so a change that moves report bytes shows in the same output.
+Exits 1 when a run fails or reports incorrect output.
 """
 
 import argparse
@@ -34,8 +37,9 @@ from pathlib import Path
 from report_diff import ROOT, export_revision
 
 
-def run_bench(checkout: Path, args) -> dict:
-    """The last JSON line of one untraced run of checkout's own benchmark."""
+def run_bench(checkout: Path, args) -> tuple[dict, str]:
+    """(metrics, all_reports_sha256) of one untraced run of checkout's own
+    benchmark, read from its detail line and its last line."""
     done = subprocess.run(
         [
             sys.executable, "bench/run.py", "--workload", args.workload,
@@ -48,10 +52,10 @@ def run_bench(checkout: Path, args) -> dict:
     if done.returncode != 0:
         sys.stderr.write(done.stderr)
         raise SystemExit(f"error: bench/run.py in {checkout} exited with code {done.returncode}")
-    result = json.loads(done.stdout.strip().splitlines()[-1])
+    detail, result = map(json.loads, done.stdout.strip().splitlines()[-2:])
     if not result["correct"]:
         raise SystemExit(f"error: bench/run.py in {checkout} reported incorrect output")
-    return result["metrics"]
+    return result["metrics"], detail["detail"]["all_reports_sha256"]
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -70,6 +74,18 @@ def verdicts(metric: dict, old: list[float], new: list[float]) -> tuple[int, str
     gain = 10 * wins >= 9 * len(old) and change > q3 - q1
     over = -change > metric["bound"] * abs(old_median)
     return wins, "yes" if gain else "no", "over" if over else "ok"
+
+
+def digest_line(old: list[str], new: list[str]) -> str:
+    """Each side's distinct report digests, whether they agree across its
+    pairs, and whether the sides agree."""
+    def side(name: str, digests: list[str]) -> str:
+        distinct = sorted(set(digests))
+        agree = "agree" if len(distinct) == 1 else "differ"
+        return f"{name} {','.join(distinct)} ({agree} over {len(digests)} pairs)"
+
+    sides = "agree" if len(set(old)) == 1 and set(old) == set(new) else "differ"
+    return f"all_reports_sha256: {side('old', old)}; {side('new', new)}; sides {sides}"
 
 
 def main():
@@ -98,10 +114,13 @@ def main():
                     ap.error(f"{spec} is neither a directory nor a git revision")
             roots[side] = path.resolve()
         runs = {"old": [], "new": []}
+        digests = {"old": [], "new": []}
         for k in range(args.pairs):
             order = ("old", "new") if k % 2 == 0 else ("new", "old")
             for side in order:
-                runs[side].append(run_bench(roots[side], args))
+                measured, digest = run_bench(roots[side], args)
+                runs[side].append(measured)
+                digests[side].append(digest)
             print(f"pair {k + 1}: {order[0]} ran first", file=sys.stderr, flush=True)
 
     print(
@@ -118,6 +137,7 @@ def main():
         cells = [f"{x:10.4g}" for x in (*quartiles(old), *quartiles(new))]
         print(f"{name:<12} {metric['unit']:<4} {' '.join(cells)} {f'{wins}/{args.pairs}':>6}"
               f" {gain:>5} {bound:>5}")
+    print(digest_line(digests["old"], digests["new"]))
 
 
 if __name__ == "__main__":

@@ -36,14 +36,14 @@ loaded on the first such pair), whose candidate is kept only when it
 divides both inputs, so no verdict depends on P, on the primes or on the
 points.
 
-Images are reduced once per value.  They are a function of a polynomial's
-terms and universe, the two things equality compares, so equal polynomials
-share one `_Images` record: `_modular_images` looks an equal live
-polynomial up in a weak table before it reduces.  The table holds no
-polynomial alive, and the images only ever certify, so sharing them moves
-no verdict.  Terms reuse a few factors many times, and a basis element, a
-quotient or a squarefree part is often equal to a polynomial whose images
-are already known.
+Equal polynomials are one object (hash-consing: Goto 1974; Filliatre and
+Conchon 2006).  The constructor returns the live polynomial of the same
+universe and terms when there is one, so equality is identity, a dict or
+set lookup is the interpreter's identity test, and every per-value cache
+(images, monic part, sort key, leader, floats) is worked out once per
+value.  Terms reuse a few factors many times, and a basis element, a
+quotient or a squarefree part is often equal to a polynomial already
+built.  The intern table holds no polynomial alive (see `MultiPoly.__new__`).
 
 `squarefree_parts` first takes out the monomial content x^low, read from
 the least exponent of each variable: every variable is irreducible and
@@ -55,7 +55,7 @@ from __future__ import annotations
 
 import heapq
 import weakref
-from functools import cache
+from functools import cache, partial
 from math import lcm
 from typing import Callable
 
@@ -76,20 +76,55 @@ def _heap_key(exp: Exponents):
 
 class MultiPoly:
     __slots__ = (
-        "universe", "terms", "_lead", "_hash", "_sort_key", "_images", "_complex", "_monic",
+        "universe", "terms", "_lead", "_sort_key", "_images", "_complex", "_monic",
         "__weakref__",
     )
 
-    def __init__(self, universe: tuple[str, ...], terms: dict[Exponents, FieldElement]):
-        self.universe = tuple(universe)
-        # `terms` is assigned here only, so every cache below stays exact
-        self.terms = {e: c for e, c in terms.items() if not c.is_zero()}
-        self._lead = None
-        self._hash = None
-        self._sort_key = None
-        self._images = None
-        self._complex = None
-        self._monic = None
+    def __new__(cls, universe: tuple[str, ...], terms: dict[Exponents, FieldElement]):
+        """The one live polynomial with this universe and these terms, zero
+        coefficients dropped: an existing one when it is alive, else a new
+        one, registered.
+
+        `_INTERNED` maps the hash of (universe, term set) to a weak
+        reference; a value whose slot holds another live value goes to the
+        `_OVERFLOW` table, keyed by (universe, term set) itself.  A lookup
+        tries the slot, then the overflow, and only then builds, placing
+        the new value in the slot when it is free and in the overflow
+        otherwise.  So each live value sits in exactly one of the two
+        places, and no value is ever built twice while one copy lives.
+        A slot is freed when its value dies (`_drop`), and an overflow entry
+        leaves with its value.  All of this rests on one rule: `terms` is
+        assigned here only, so a polynomial's value, and every cache kept
+        on it, never changes.
+        """
+        universe = tuple(universe)
+        terms = {e: c for e, c in terms.items() if not c.is_zero()}
+        key = (universe, frozenset(terms.items()))
+        h = hash(key)
+        ref = _INTERNED.get(h)
+        held = None if ref is None else ref()
+        if held is not None and held.universe == universe and held.terms == terms:
+            return held
+        if _OVERFLOW:
+            p = _OVERFLOW.get(key)
+            if p is not None:
+                return p
+        p = object.__new__(cls)
+        p.universe = universe
+        p.terms = terms
+        p._lead = None
+        p._sort_key = None
+        p._images = None
+        p._complex = None
+        p._monic = None
+        if held is None:
+            _INTERNED[h] = weakref.ref(p, partial(_drop, h))
+        else:
+            _OVERFLOW[key] = p
+        return p
+
+    def __reduce__(self):
+        return (MultiPoly, (self.universe, self.terms))
 
     # -- constructors ------------------------------------------------
 
@@ -103,8 +138,8 @@ class MultiPoly:
 
     @staticmethod
     def one(universe) -> "MultiPoly":
-        """The polynomial 1, one shared object per universe, so that its
-        hash, sort key and images are computed once."""
+        """The polynomial 1, kept alive once per universe, so that its sort
+        key and images are computed once."""
         return _one(tuple(universe))
 
     @staticmethod
@@ -250,33 +285,16 @@ class MultiPoly:
                 out[ne] = nc if s is None else s + nc
         return MultiPoly(self.universe, out)
 
-    # -- equality / hashing / ordering ---------------------------------
+    # -- images and ordering ---------------------------------------------
 
     def _modular_images(self) -> "_Images":
-        """The images, shared by every equal live polynomial: they are a
-        function of the terms and the universe, which equality compares, so
-        one reduction serves every copy of a value."""
         if self._images is None:
-            images = _SHARED_IMAGES.get(self)
-            if images is None:
-                images = _SHARED_IMAGES[self] = _reduce_mod_p(self)
-            self._images = images
+            self._images = _reduce_mod_p(self)
         return self._images
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
-        return self.universe == other.universe and self.terms == other.terms
-
-    def __hash__(self):
-        if self._hash is None:
-            # the two things __eq__ compares, the terms as an unordered set
-            self._hash = hash((self.universe, frozenset(self.terms.items())))
-        return self._hash
 
     def _descending(self) -> list[Exponents]:
         """The exponents in descending graded-lex order, the order of
-        `sort_key` and `__str__`."""
+        `sort_key`, `__str__` and `eval_numeric`."""
         return sorted(self.terms, key=_grlex, reverse=True)
 
     def sort_key(self):
@@ -321,11 +339,13 @@ class MultiPoly:
 
     def eval_numeric(self, point: dict[str, complex]) -> complex:
         # the coefficients as complex numbers, each with the (variable,
-        # exponent) pairs of its monomial, converted once per polynomial
+        # exponent) pairs of its monomial, converted once per polynomial and
+        # summed in descending order, whichever insertion order built it
         if self._complex is None:
+            terms = self.terms
             self._complex = tuple(
-                (c.to_complex(), tuple((name, k) for name, k in zip(self.universe, e) if k))
-                for e, c in self.terms.items()
+                (terms[e].to_complex(), tuple((name, k) for name, k in zip(self.universe, e) if k))
+                for e in self._descending()
             )
         total = 0j
         for v, monomial in self._complex:
@@ -375,7 +395,7 @@ class MultiPoly:
         if lc.is_one():
             return ONE, self
         if self._monic is None:
-            # kept, so every caller shares one monic object and its hash
+            # kept, so the monic part is worked out once per value
             inv = lc.inverse()
             self._monic = self.map_coeffs(lambda c: c * inv)
         return lc, self._monic
@@ -464,6 +484,20 @@ def _one(universe: tuple[str, ...]) -> MultiPoly:
     return MultiPoly.const(universe, ONE)
 
 
+# hash of (universe, term set) -> weak reference to the live polynomial of
+# that value, and (universe, term set) -> polynomial for a value whose hash
+# slot holds another live value (`MultiPoly.__new__`)
+_INTERNED: dict[int, weakref.ref] = {}
+_OVERFLOW: weakref.WeakValueDictionary[tuple, MultiPoly] = weakref.WeakValueDictionary()
+
+
+def _drop(h: int, ref: weakref.ref) -> None:
+    """Frees the hash slot h when its value dies, unless the slot already
+    holds a newer value's reference."""
+    if _INTERNED.get(h) is ref:
+        del _INTERNED[h]
+
+
 # ---------------------------------------------------------------------------
 # modular images
 # ---------------------------------------------------------------------------
@@ -493,11 +527,6 @@ def _coeff_mod_p(c: FieldElement) -> int | None:
     if d % _P == 0:
         return None
     return out * pow(d, -1, _P) % _P
-
-
-# p -> p's images, for every live polynomial whose images were reduced; the
-# weak keys keep no polynomial alive
-_SHARED_IMAGES: weakref.WeakKeyDictionary[MultiPoly, "_Images"] = weakref.WeakKeyDictionary()
 
 
 class _Images:
@@ -796,7 +825,7 @@ def squarefree_parts(p: MultiPoly) -> list[tuple[MultiPoly, int]]:
     coprime to p / x^low, so x_v joins that quotient's part of multiplicity
     low_v, and a power of a variable needs no gcd at all.  When no
     variable is repeated in x^low and the quotient is squarefree, p itself
-    is the one part, so its images and hash are not built again.
+    is the one part, so nothing is built again.
     """
     _, p = p.primitive_monic()
     if p.is_constant():

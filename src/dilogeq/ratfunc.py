@@ -70,7 +70,7 @@ INF = Infinity()
 
 
 class RationalFunction:
-    __slots__ = ("num", "den", "_hash", "_num_factors", "_den_factors")
+    __slots__ = ("num", "den", "_num_factors", "_den_factors")
 
     def __init__(self, num: MultiPoly, den: MultiPoly, _normalized=False, _factors=(None, None)):
         """`_factors` holds the numerator and denominator factor maps of an
@@ -80,7 +80,6 @@ class RationalFunction:
             _factors = (None, None)
         self.num = num
         self.den = den
-        self._hash = None
         self._num_factors, self._den_factors = _factors
 
     # -- constructors --------------------------------------------------
@@ -140,9 +139,7 @@ class RationalFunction:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.num, self.den))
-        return self._hash
+        return hash((self.num, self.den))
 
     def sort_key(self):
         return (self.num.sort_key(), self.den.sort_key())

@@ -38,12 +38,10 @@ from .ratfunc import RationalFunction
 
 
 # Atoms are (BASIS, basis index), (PRIME, prime) and the one torsion UNIT.
+# Their sort keys are the atoms themselves, but (PRIME, prime_key(prime))
+# for a prime.
 BASIS, PRIME = 0, 1
 UNIT = (2, 0)
-
-
-def _atom_key(x):
-    return (PRIME, prime_key(x[1])) if x[0] == PRIME else x
 
 
 def _layer(x, y) -> int:
@@ -77,21 +75,26 @@ class WedgeElement:
     def _normalize(self):
         gaussian = self.field_mode == "Qi"
         basis = self.basis = _joint_basis(self.tensors)
-        constants = {}  # unit -> factor_constant(unit, gaussian), once per unit
+        constants = {}  # unit -> its keyed constant atoms, once per unit
+        prime_atoms = {}  # a prime's sort key -> its atom
 
         def atoms(f: RationalFunction) -> list:
+            """(sort key, exponent) for each atom of f with a nonzero exponent."""
             unit, exps = basis.factor_rf(f)
-            if unit not in constants:
-                constants[unit] = factor_constant(unit, gaussian)
-            unit_exponent, factors = constants[unit]
-            return (
-                [((BASIS, i), e) for i, e in exps.items()]
-                + [((PRIME, p), e) for p, e in factors]
-                + [(UNIT, unit_exponent)]
-            )
+            keyed = constants.get(unit)
+            if keyed is None:
+                unit_exponent, factors = factor_constant(unit, gaussian)
+                keyed = constants[unit] = []
+                for p, e in factors:
+                    key = (PRIME, prime_key(p))
+                    prime_atoms[key] = (PRIME, p)
+                    keyed.append((key, e))
+                if unit_exponent:
+                    keyed.append((UNIT, unit_exponent))
+            return [((BASIS, i), e) for i, e in exps.items() if e] + keyed
 
-        # sums stay on ints while the coefficients are integral; each
-        # surviving pair becomes a Fraction once, below
+        # pairs of sort keys; sums stay on ints while the coefficients are
+        # integral, and each surviving pair becomes a Fraction once, below
         pairs: dict[tuple, int | Fraction] = {}
         for a, f, g in self.tensors:
             if a.denominator == 1:
@@ -100,15 +103,13 @@ class WedgeElement:
             for x, m in atoms_f:
                 for y, n in atoms_g:
                     key, v = (x, y), a * m * n
-                    if not v:
-                        continue
                     if x == y:
                         if x == UNIT and gaussian:
                             continue  # i /\ i = 0
                         if x != UNIT:
                             # x /\ x = x /\ (-1) = 2 (x /\ i)
                             key, v = (x, UNIT), 2 * v if gaussian else v
-                    elif _atom_key(y) < _atom_key(x):
+                    elif y < x:
                         key, v = (y, x), -v
                     pairs[key] = pairs.get(key, 0) + v
 
@@ -119,9 +120,11 @@ class WedgeElement:
                 v = _reduce_one(v, self.coeff_mode, modulus)
             if v:
                 survivors.append((x, y, v))
-        # stored in canonical atom order, which every view below reads
-        survivors.sort(key=lambda e: (_atom_key(e[0]), _atom_key(e[1])))
-        self.pairs = {(x, y): Fraction(v) for x, y, v in survivors}
+        # stored in canonical atom order, which every view below reads; the
+        # keys of a pair are unique, so no value is compared
+        survivors.sort()
+        atom = prime_atoms.get
+        self.pairs = {(atom(x, x), atom(y, y)): Fraction(v) for x, y, v in survivors}
 
     # -- views -----------------------------------------------------------------
 

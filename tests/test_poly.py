@@ -1,5 +1,7 @@
 """Multivariate polynomials: arithmetic, gcd, squarefree decomposition."""
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -104,6 +106,37 @@ def test_a_polynomial_is_its_universe_and_its_term_set(seed, shuffler, gaussian)
         mono = "*".join(v if k == 1 else f"{v}^{k}" for v, k in zip(T12, e) if k)
         texts.append(_format_term(c, mono))
     assert str(shuffled) == str(p) == join_signed(texts)
+
+
+@given(st.integers(0, 10_000), st.randoms(use_true_random=False), st.booleans())
+@settings(max_examples=80)
+def test_equal_values_are_one_object(seed, shuffler, gaussian):
+    rnd = random.Random(seed)
+    p = random_poly(rnd, T12, max_deg=3, max_terms=6, gaussian=gaussian)
+    q = random_poly(rnd, T12, max_deg=2, max_terms=3, gaussian=gaussian)
+    items = list(p.terms.items())
+    shuffler.shuffle(items)
+    swap = {"t1": "t2", "t2": "t1"}
+    unit = fe(rnd.choice([2, -3, 7])) * (fe(0, 1) if gaussian else ONE)
+    routes = (
+        MultiPoly(T12, dict(items)),
+        (p * q).divide_exact(q),
+        p.with_universe(("s", *T12)).with_universe(T12),
+        p.rename_vars(swap).rename_vars(swap),
+        p.primitive_monic()[1].scale(p.lead_coeff()),
+    )
+    for same in routes:
+        assert same is p
+    assert p.scale(unit).primitive_monic()[1] is p.primitive_monic()[1]
+    # the same terms over a reordered universe are another object
+    other = MultiPoly(T12[::-1], p.terms)
+    assert other is not p and other != p and other is MultiPoly(T12[::-1], dict(items))
+
+
+def test_copies_and_pickles_are_the_polynomial_itself():
+    p = MultiPoly(T12, {(2, 1): fe(3, -1), (0, 0): fe(5) / fe(7)})
+    for same in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+        assert same is p
 
 
 def test_zero_degree_convention():
@@ -296,9 +329,10 @@ def test_evaluate_is_substitution(seed, gaussian, nvars):
 
 
 def _eval_numeric_loop(p: MultiPoly, point) -> complex:
-    # the float operations of the evaluation, in their order, with no cache
+    # the float operations of the evaluation, in their order (descending
+    # graded-lex), with no cache
     total = 0j
-    for e, c in p.terms.items():
+    for e, c in descending_terms(p):
         v = c.to_complex()
         for name, k in zip(p.universe, e):
             if k:
@@ -317,6 +351,24 @@ def test_eval_numeric_is_bit_identical_to_the_loop():
             got = p.eval_numeric(point)
             want = _eval_numeric_loop(p, point)
             assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+
+
+def test_eval_numeric_does_not_depend_on_insertion_order():
+    # each value is built twice, its terms inserted in opposite orders; the
+    # first copy dies (no cycle holds it) before the second is built
+    rnd = random.Random(5)
+    universe = ("t1", "t2", "t3")
+    for _ in range(300):
+        terms = dict(random_poly(rnd, universe, max_deg=4, max_terms=6, gaussian=rnd.random() < 0.5).terms)
+        point = {v: complex(rnd.uniform(-4, 4), rnd.uniform(-4, 4)) for v in universe}
+        values = []
+        for order in (list(terms), list(terms)[::-1]):
+            p = MultiPoly(universe, {e: terms[e] for e in order})
+            assert list(p.terms) == order
+            got = p.eval_numeric(point)
+            values.append((got.real.hex(), got.imag.hex()))
+            del p
+        assert values[0] == values[1]
 
 
 def test_shift_and_rename():

@@ -197,25 +197,60 @@ def _same_images(a: poly._Images, b: poly._Images) -> bool:
     return a.images == b.images and a.decisive == b.decisive
 
 
-def test_equal_polynomials_built_apart_share_their_images():
+_REDUCE = poly._reduce_mod_p
+
+
+def _slot(p: MultiPoly) -> int:
+    """The hash slot of p's value in the intern table."""
+    return hash((p.universe, frozenset(p.terms.items())))
+
+
+def test_equal_polynomials_built_apart_are_one_object_with_one_reduction(monkeypatch):
     u = ("x", "y")
     x, y = MultiPoly.var(u, "x"), MultiPoly.var(u, "y")
     one = MultiPoly.one(u)
     p, q = x * y + x * x + one.scale(fe(11)), (x + y) * x + one.scale(fe(11))
-    assert p == q and p is not q
-    assert p._modular_images() is q._modular_images()
+    assert p is q
+    fresh = p._images is None
+    reduced = []
+    monkeypatch.setattr(poly, "_reduce_mod_p", lambda f: reduced.append(f) or _REDUCE(f))
+    p._modular_images()
+    q._modular_images()
+    assert len(reduced) == fresh
 
 
-def test_a_polynomial_equal_to_a_collected_one_reduces_afresh():
+def test_a_value_nothing_holds_leaves_the_table_and_reduces_afresh(monkeypatch):
     p = X**7 + cx(fe(Fraction(123457, 3)))
     p._modular_images()
-    ref = weakref.ref(p)
+    ref, h = weakref.ref(p), _slot(p)
+    assert poly._INTERNED[h]() is p
     del p
     gc.collect()
-    assert ref() is None
+    assert ref() is None and h not in poly._INTERNED
+    reduced = []
+    monkeypatch.setattr(poly, "_reduce_mod_p", lambda f: reduced.append(f) or _REDUCE(f))
     q = X**7 + cx(fe(Fraction(123457, 3)))
-    assert q not in poly._SHARED_IMAGES
-    assert _same_images(q._modular_images(), poly._reduce_mod_p(q))
+    assert q._images is None and poly._INTERNED[h]() is q
+    assert _same_images(q._modular_images(), _REDUCE(q)) and reduced == [q]
+
+
+def test_a_hash_collision_goes_to_the_overflow(monkeypatch):
+    u = ("x", "y")
+    terms = {(3, 1): fe(5), (1, 0): fe(Fraction(-2, 9)), (0, 0): fe(1, 13)}
+    key = (u, frozenset(terms.items()))
+    seeded = MultiPoly(u, {(1, 4): fe(17), (0, 2): fe(3)})
+    before = (seeded.universe, dict(seeded.terms))
+    # the slot of v's hash holds another live polynomial
+    monkeypatch.setitem(poly._INTERNED, hash(key), weakref.ref(seeded))
+    monkeypatch.setattr(poly, "_OVERFLOW", weakref.WeakValueDictionary())
+    v = MultiPoly(u, terms)
+    assert MultiPoly(u, dict(reversed(terms.items()))) is v and v is not seeded
+    assert dict(poly._OVERFLOW) == {key: v}
+    assert poly._INTERNED[hash(key)]() is seeded
+    assert (seeded.universe, seeded.terms) == before
+    # with the slot free, the lookup still finds v in the overflow
+    monkeypatch.delitem(poly._INTERNED, hash(key))
+    assert MultiPoly(u, terms) is v and hash(key) not in poly._INTERNED
 
 
 @given(

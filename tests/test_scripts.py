@@ -11,6 +11,7 @@ compares the reports of HEAD with those of the working tree, and
 `bench_pairs.py` benchmarks HEAD against the working tree.
 """
 
+import re
 import shutil
 import subprocess
 import sys
@@ -208,16 +209,36 @@ def test_bench_pairs_compares_a_git_revision_with_a_directory():
     lines = done.stdout.decode().splitlines()
     assert lines[0].startswith("bloch-fq, seed 1, 1 s runs, 1 pairs; ")
     assert lines[1].split()[0] == "metric"
-    rows = [line.split() for line in lines[2:]]
+    rows = [line.split() for line in lines[2:-1]]
     assert [row[0] for row in rows] == [
         "ops_per_s", "op_p50_ms", "op_p90_ms", "setup_s", "peak_rss_mb",
     ]
+    # the last line gives each side's report digest; one pair agrees with itself
+    assert re.fullmatch(
+        r"all_reports_sha256: old [0-9a-f]{64} \(agree over 1 pairs\); "
+        r"new [0-9a-f]{64} \(agree over 1 pairs\); sides (agree|differ)",
+        lines[-1],
+    ), lines[-1]
     assert lines[1].split()[-3:] == ["wins", "gain", "bound"]
     for *_, wins, gain, bound in rows:
         assert wins in ("0/1", "1/1") and bound in ("ok", "over")
         # one pair has no spread, so a won pair is a gain
         assert gain == ("yes" if wins == "1/1" else "no")
     assert all(len(row) == 11 for row in rows)
+
+
+def test_bench_pairs_digest_line(monkeypatch):
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+    from bench_pairs import digest_line
+
+    a, b = "a" * 64, "b" * 64
+    assert digest_line([a, a], [a, a]) == (
+        f"all_reports_sha256: old {a} (agree over 2 pairs); new {a} (agree over 2 pairs); sides agree"
+    )
+    assert digest_line([a, a], [b, b]).endswith(f"new {b} (agree over 2 pairs); sides differ")
+    assert digest_line([b, a], [a, b]) == (
+        f"all_reports_sha256: old {a},{b} (differ over 2 pairs); new {a},{b} (differ over 2 pairs); sides differ"
+    )
 
 
 def test_bench_pairs_verdicts(monkeypatch):
