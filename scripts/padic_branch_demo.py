@@ -13,9 +13,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from dilogeq.formal import FormalSum  # noqa: E402
 from dilogeq.padic import PadicNumber, branch_diff, dp_disc  # noqa: E402
-from dilogeq.ratfunc import RationalFunction  # noqa: E402
 from dilogeq.scalars import fe  # noqa: E402
 
 
@@ -34,7 +32,7 @@ def main():
     for zq in (Fraction(p), Fraction(2 * p), Fraction(p * p, 3), Fraction(3 * p, 7)):
         zp = PadicNumber.from_rational(zq, p, prec)
         direct = dp_disc(zp, branch_a) - dp_disc(zp, branch_b)
-        value = FormalSum.single(RationalFunction.const((), fe(zq)))
+        value = [(fe(zq), Fraction(1))]  # the value 1*[z] at a point
         formula = branch_diff(value, branch_a, branch_b, prec=prec)
         gap = direct - formula
         print(f"z = {zq}")

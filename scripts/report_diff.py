@@ -9,9 +9,11 @@ command (`report_diff.py HEAD .`).  The documents come from this
 checkout's `bench/inputs.py` (read, not changed; it imports nothing from
 the package, so a seed gives the same documents at every commit), with the
 flags the benchmark's `docs-check` workload passes.  Each checkout runs
-four commands on every document, `dilogeq check DOC FLAGS` with and
-without `--json` and `dilogeq wedge DOC` with and without `--json`, all in
-one child process that imports the package from that checkout's `src/`.
+six commands on every document, each with and without `--json`:
+`dilogeq check DOC FLAGS`, `dilogeq wedge DOC` and `dilogeq
+padic-branch-diff DOC --p 5` at t = 5, or at x = 5, y = 3 on a document in
+x and y.  All run in one child process that imports the package from that
+checkout's `src/`.
 
 Exit codes and error messages must be equal, and every report field other
 than a float byte-identical; a text report is read line by line, each
@@ -40,6 +42,8 @@ MOD_HALF_PISQ = math.pi * math.pi / 2
 TOL = 1e-12
 # documents compared per seed: four blocks of the docs-check mix
 DOCS = 240
+# the padic-branch-diff point, one coordinate per variable in order
+BRANCH_POINT = (5, 3)
 
 # the report fields that hold a class mod pi^2/2 in real mode
 REAL_CLASSES = {("constant",), ("probe", "mean_value")}
@@ -190,13 +194,17 @@ def text_classes(lines: list[list]) -> set:
     }
 
 
-def commands(path: Path, flags: list[str]) -> list[list[str]]:
-    """The commands run on one document."""
+def commands(path: Path, case) -> list[list[str]]:
+    """The commands run on the document `case`, written at `path`."""
+    point = ",".join(f"{v}={q}" for v, q in zip(case.variables, BRANCH_POINT))
+    branch = ["padic-branch-diff", str(path), "--p", "5", "--point", point]
     return [
-        ["check", str(path), "--json", *flags],
-        ["check", str(path), *flags],
+        ["check", str(path), "--json", *case.flags],
+        ["check", str(path), *case.flags],
         ["wedge", str(path)],
         ["wedge", str(path), "--json"],
+        branch,
+        [*branch, "--json"],
     ]
 
 
@@ -212,7 +220,7 @@ def compare_checkouts(old_checkout: Path, new_checkout: Path, seeds: list[int]) 
             for case in cases:
                 path = workdir / case.name
                 path.write_text(case.text)
-                runs += [(case, argv) for argv in commands(path, case.flags)]
+                runs += [(case, argv) for argv in commands(path, case)]
             argvs = [argv for _, argv in runs]
             old = run_checkout(old_checkout, argvs, workdir)
             new = run_checkout(new_checkout, argvs, workdir)

@@ -35,7 +35,7 @@ from .scalars import fe
 _DOCUMENT_NAMES = {
     "document": ("dump_document", "load_document", "parse_variables"),
     "exprparse": ("parse_expression",),
-    "formal": ("c_element", "five_term", "inversion"),
+    "formal": ("c_element", "five_term", "inversion", "value_text"),
     # bloch_wigner is read by no command (dilog_value calls it in numerics);
     # it is bound here because bench/tracer.py counts calls at this name
     "numerics": ("SamplingExhausted", "bloch_wigner", "dilog_value", "numeric_probe"),
@@ -165,7 +165,7 @@ def _find_points(alpha: FormalSum, real: bool):
             value = evaluate_at_point(alpha, point)
         except PointNotAdmissible:
             continue
-        if real and not all(f.constant_value().is_rational() for f, _ in value.items()):
+        if real and not all(z.is_rational() for z, _ in value):
             continue
         found.append((point, value))
         if len(found) >= 4:
@@ -173,17 +173,17 @@ def _find_points(alpha: FormalSum, real: bool):
     return found
 
 
-def _numeric_of_value(value: FormalSum, mode: str) -> float | ModPiSqHalf:
-    """Numeric reading of an exact point value (a sum over constants); in
-    real mode a class mod pi^2/2, which only integer coefficients act on.
+def _numeric_of_value(value: list, mode: str) -> float | ModPiSqHalf:
+    """Numeric reading of an exact point value (the (z, a) pairs that
+    evaluate_at_point returns); in real mode a class mod pi^2/2, which only
+    integer coefficients act on.
 
     Each argument z with |z| > 1 is read as 1/z with the opposite sign, by
     D(z) = -D(1/z) and rl_bar(x) = -rl_bar(1/x) mod pi^2/2, so no float
     conversion overflows; one that underflows to 0 reads as D(0) = 0 and
     rl_bar(0), the continuous extensions."""
     terms = []
-    for f, a in value.items():
-        z = f.constant_value()
+    for z, a in value:
         if z.a * z.a + z.b * z.b > z.d * z.d:  # |z| > 1, for z = (a + b*i) / d
             z, a = z.inverse(), -a
         terms.append((a, z.to_complex()))
@@ -257,7 +257,7 @@ def _cmd_check(args) -> int:
         if points:
             pt_render = {k: str(v) for k, v in points[0][0].items()}
             report["point"] = pt_render
-            report["value_at_point"] = str(points[0][1])
+            report["value_at_point"] = value_text(points[0][1])
             lines.append(
                 "point: " + ", ".join(f"{k} = {v}" for k, v in sorted(pt_render.items()))
             )
@@ -506,7 +506,11 @@ def _rational(src: str, error: str) -> Fraction:
 
 
 def _parse_point(src: str, variables) -> dict[str, Fraction]:
+    """The coordinates of `VAR=Q,...`; a blank value is the empty point, as
+    a blank `variables:` line declares no variables.  Raises ValueError."""
     point = {}
+    if not src.strip():
+        return point
     for part in src.split(","):
         name, sep, val = part.partition("=")
         name = name.strip()

@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
 
-from .poly import join_signed
+from .poly import _coeff_str, join_signed
 from .ratfunc import RationalFunction
 
 
@@ -54,6 +54,13 @@ def _term_text(c: Fraction, symbol: str) -> str:
     if c == -1:
         return "-" + symbol
     return f"{c}*{symbol}"
+
+
+def value_text(pairs) -> str:
+    """The text of a sum's value at a point, given as the (z, a) pairs that
+    specialize.evaluate_at_point returns: the text of the FormalSum of the
+    constants z, so a mixed Gaussian value is parenthesized, [(2 + i)]."""
+    return join_signed(_term_text(a, f"[{_coeff_str(z)}]") for z, a in pairs)
 
 
 class FormalSum:

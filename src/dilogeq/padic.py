@@ -286,13 +286,12 @@ def branch_diff(value, log_a: PadicNumber, log_b: PadicNumber, prec: int = 32) -
     evaluated with log_a.
 
     `value` is the sum's exact value at the point, as
-    specialize.evaluate_at_point returns it: constant arguments, none of
-    them 0 or 1."""
+    specialize.evaluate_at_point returns it: the (z, a) pairs of field
+    elements z, none of them 0 or 1, with their coefficients a."""
     p = log_a.p
     delta = log_a - log_b
     total = PadicNumber.zero(p)
-    for f, a in value.items():
-        z = f.constant_value()
+    for z, a in value:
         if not z.is_rational():
             raise ValueError("p-adic evaluation needs rational values")
         zp = PadicNumber.from_rational(z.re, p, prec)

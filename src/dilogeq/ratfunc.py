@@ -125,10 +125,6 @@ class RationalFunction:
     def is_constant(self) -> bool:
         return self.num.is_constant() and self.den.is_constant()
 
-    def constant_value(self) -> FieldElement:
-        value = self.num.constant_value()
-        return value if self.den.is_one() else value / self.den.constant_value()
-
     def vars_used(self) -> tuple[str, ...]:
         used = set(self.num.vars_used()) | set(self.den.vars_used())
         return tuple(v for v in self.universe if v in used)

@@ -105,15 +105,22 @@ def iterate(alpha: FormalSum, steps: tuple[SpecStep, ...]) -> FormalSum:
     return alpha
 
 
-def evaluate_at_point(alpha: FormalSum, point: dict[str, FieldElement]) -> FormalSum:
-    """Substitute every coordinate at once; each argument must stay in the
-    admissible set (not 0, 1, a pole, or 0/0), else PointNotAdmissible
-    names the offender.  Order-independent by construction."""
+def evaluate_at_point(alpha: FormalSum, point: dict) -> list[tuple[FieldElement, Fraction]]:
+    """The sum's exact value at a point, the combination sum a [z] of field
+    elements, as its (z, a) pairs: terms with equal values are merged, a
+    value whose total is 0 drops out, and the pairs are sorted by
+    z.sort_key().  That is what the FormalSum of the constants z would
+    hold, in the order its items() gives.
+
+    Every argument must stay in the admissible set (not 0, 1, a pole, or
+    0/0), else PointNotAdmissible names the first offender in the sum's own
+    order (document order for a document).  Every coordinate is substituted
+    at once, so no order of the variables enters."""
     missing = [v for v in alpha.universe if v not in point]
     if missing:
         raise ValueError(f"point does not assign {missing}")
-    out = []
-    for f, a in alpha.items():
+    totals: dict[FieldElement, Fraction] = {}
+    for f, a in alpha.terms.items():
         try:
             v = f.evaluate(point)
         except Indeterminate:
@@ -124,5 +131,5 @@ def evaluate_at_point(alpha: FormalSum, point: dict[str, FieldElement]) -> Forma
             raise PointNotAdmissible(f, "the value is 0")
         if v.is_one():
             raise PointNotAdmissible(f, "the value is 1")
-        out.append((RationalFunction.const((), v), a))
-    return FormalSum((), out, alpha.field_mode, alpha.coeff_mode)
+        totals[v] = totals[v] + a if v in totals else a
+    return sorted(((z, a) for z, a in totals.items() if a), key=lambda t: t[0].sort_key())

@@ -8,6 +8,10 @@ relation; Milnor, Invent. Math. 9, 1970), so it is 1 on every boundary up
 to sign, and pushing a boundary along t -> b agrees with the boundary of the
 specialized sum, which is what the tests show.
 
+A sum's value at a point read through formal sums: the constant arguments
+collected into a FormalSum over no variables, as the package built it
+before the value became plain (value, coefficient) pairs.
+
 The orders the package keeps rather than sorts on each read: a
 polynomial's terms in descending graded-lex order, and a wedge element's
 views (its decomposition, beta3 and first obstruction) read by sorting its
@@ -19,10 +23,12 @@ from __future__ import annotations
 from fractions import Fraction
 
 from dilogeq.coprime import CoprimeBasis
+from dilogeq.formal import FormalSum
 from dilogeq.poly import MultiPoly
 from dilogeq.primes import prime_key, strip_power
-from dilogeq.ratfunc import INF, RationalFunction
+from dilogeq.ratfunc import INF, Indeterminate, RationalFunction
 from dilogeq.scalars import ONE, FieldElement
+from dilogeq.specialize import PointNotAdmissible
 from dilogeq.wedge import BASIS, PRIME, UNIT, WedgeElement, _layer
 
 
@@ -183,6 +189,32 @@ def _sp_generator(f: RationalFunction, var: str, target) -> RationalFunction:
         db = RationalFunction.from_poly(target.den)
         value = value * db**ord_f
     return value
+
+
+# ---------------------------------------------------------------------------
+# the value at a point as a formal sum of constants
+# ---------------------------------------------------------------------------
+
+
+def constant_pairs(total: FormalSum) -> list[tuple[FieldElement, Fraction]]:
+    """(constant value, coefficient) for each of a constant sum's items()."""
+    return [(f.num.constant_value() / f.den.constant_value(), c) for f, c in total.items()]
+
+
+def value_at_point_as_sum(alpha: FormalSum, point: dict) -> list[tuple[FieldElement, Fraction]]:
+    """alpha's value at `point`, read as `constant_pairs` of the FormalSum of
+    the constant arguments: PointNotAdmissible when an argument is 0, 1, a
+    pole or 0/0 there."""
+    pairs = []
+    for f, a in alpha.items():
+        try:
+            v = f.evaluate(point)
+        except Indeterminate:
+            v = INF
+        if v is INF or v.is_zero() or v.is_one():
+            raise PointNotAdmissible(f, "outside the admissible set")
+        pairs.append((RationalFunction.const((), v), a))
+    return constant_pairs(FormalSum((), pairs, alpha.field_mode, alpha.coeff_mode))
 
 
 # ---------------------------------------------------------------------------

@@ -453,7 +453,7 @@ def test_acceptance_08_padic_branches(capsys):
 
         for zq in points:
             zp = PadicNumber.from_rational(zq, p, prec)
-            value = FormalSum.single(const(zq, ()))
+            value = [(fe(zq), Fraction(1))]
             for A, B in pairs:
                 direct = dp_disc(zp, A) - dp_disc(zp, B)
                 formula = branch_diff(value, A, B, prec=prec)

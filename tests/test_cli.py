@@ -20,9 +20,8 @@ from dilogeq import blochfq, coprime, poly, primes
 from dilogeq.cli import build_parser, main
 from dilogeq.document import load_document
 from dilogeq.exprparse import parse_expression
-from dilogeq.formal import FormalSum, five_term
+from dilogeq.formal import five_term
 from dilogeq.numerics import ModPiSqHalf, bloch_wigner, rl_bar
-from dilogeq.ratfunc import RationalFunction
 from dilogeq.scalars import fe
 
 from helpers import ROOT, bench_inputs
@@ -96,20 +95,18 @@ def test_a_value_at_a_point_reads_as_its_direct_sum(mode, terms):
     import dilogeq.cli as cli
 
     cli._bind_document_names()
-    pairs = []
+    value = []
     for a, b, d, k in terms:
         z = fe(Fraction(a, d), Fraction(b, d) if mode == "complex" else 0)
         if z.a * z.a + z.b * z.b > z.d * z.d:
-            pairs.append((RationalFunction.const(("t",), z), k))
-    value = FormalSum(("t",), pairs, "Qi")
+            value.append((z, Fraction(k)))
     reading = cli._numeric_of_value(value, mode)
-    zs = [(k, f.constant_value()) for f, k in value.items()]
     if mode == "complex":
-        direct = sum(float(k) * bloch_wigner(z.to_complex()) for k, z in zs)
+        direct = sum(float(k) * bloch_wigner(z.to_complex()) for z, k in value)
         assert math.isclose(reading, direct, rel_tol=0, abs_tol=1e-12)
     else:
         direct = ModPiSqHalf.of(0.0)
-        for k, z in zs:
+        for z, k in value:
             direct = direct + rl_bar(z.re).scale(k)
         assert reading.distance(direct) <= 1e-12
 
@@ -1378,6 +1375,51 @@ def test_branch_diff_builds_no_boundary(run, monkeypatch):
 def test_branch_diff_refuses_a_point_outside_the_admissible_set(run, point, message):
     code, out, err = run(["padic-branch-diff", "DOC:" + SINGLE_DOC, "--p", "5", "--point", point])
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+# a constant document: [2] + [-1] + 2[1/2] is a c-element plus an inversion
+CONSTANT_DOC = "dilog-identity v1\nvariables:\nterm: 1 [2]\nterm: 1 [1 - 2]\nterm: 2 [1/2]\n"
+
+
+@pytest.mark.parametrize(
+    "doc, p, value",
+    [
+        (CONSTANT_DOC, 5, [(fe(-1), 1), (fe(Fraction(1, 2)), 2), (fe(2), 1)]),
+        (CONSTANT_DOC, 2, [(fe(-1), 1), (fe(Fraction(1, 2)), 2), (fe(2), 1)]),
+        (
+            "dilog-identity v1\nvariables:\nterm: 1 [5]\nterm: -2 [1/25]\n",
+            5,
+            [(fe(Fraction(1, 25)), -2), (fe(5), 1)],
+        ),
+    ],
+    ids=["constant-p5", "constant-p2", "disc-p5"],
+)
+def test_branch_diff_reads_a_blank_point_as_the_empty_point(run, doc, p, value):
+    from dilogeq.padic import PadicNumber, branch_diff
+
+    argv = ["padic-branch-diff", "DOC:" + doc, "--p", str(p), "--point", "", "--json"]
+    code, out, err = run(argv)
+    assert (code, err) == (0, "")
+    log_a, log_b = (PadicNumber.from_rational(q, p, 32) for q in (0, 1))
+    want = branch_diff(value, log_a, log_b, prec=32)
+    assert json.loads(out) == _branch_report("0", "1", str(want), p, {}, 32)
+
+
+def test_branch_diff_refuses_a_blank_point_on_a_document_with_variables(run):
+    code, out, err = run(["padic-branch-diff", "DOC:" + SINGLE_DOC, "--p", "5", "--point", " "])
+    assert (code, out, err) == (2, "", "error: point does not assign ['t']\n")
+
+
+def test_branch_diff_names_the_first_offending_term_line(run):
+    # at x = 1, y = 0 every term is inadmissible; [1/x] comes first in
+    # graded-lex order, [x] on the first term line
+    doc = (
+        "dilog-identity v1\nvariables: x, y\n"
+        "term: 1 [x]\nterm: 1 [1/x]\nterm: 1 [y/(x-2)]\nterm: 1 [(x-2)/y]\n"
+    )
+    code, out, err = run(["padic-branch-diff", "DOC:" + doc, "--p", "5", "--point", "x=1,y=0"])
+    assert (code, out) == (2, "")
+    assert err == "error: argument [x] is not admissible at the point: the value is 1\n"
 
 
 # -- top level ----------------------------------------------------------------------

@@ -37,14 +37,12 @@ def pad(q, p=5, prec=32):
     return PadicNumber.from_rational(q, p, prec)
 
 
-def value(*terms, field_mode="Q"):
-    """The constant formal sum of the (coefficient, rational or Gaussian
-    value) terms: a sum's value at a point, as evaluate_at_point gives it."""
-    pairs = [
-        (RationalFunction.const((), fe(*z) if isinstance(z, tuple) else fe(z)), a)
-        for a, z in terms
-    ]
-    return FormalSum((), pairs, field_mode, "Z")
+def value(*terms):
+    """The (value, coefficient) pairs of the (coefficient, rational or
+    Gaussian value) terms, distinct values sorted by their keys: a sum's
+    value at a point, as evaluate_at_point gives it."""
+    pairs = [(fe(*z) if isinstance(z, tuple) else fe(z), Fraction(a)) for a, z in terms]
+    return sorted(pairs, key=lambda t: t[0].sort_key())
 
 
 # -- valuations and representation ------------------------------------------------
@@ -428,7 +426,7 @@ def test_branch_diff_argument_guards():
             evaluate_at_point(alpha, {"t": fe(point)})
     with pytest.raises(ValueError, match="cannot combine 5-adic and 7-adic"):
         branch_diff(value((1, 5)), pad(0), pad(0, 7))
-    gaussian = value((1, (2, 1)), field_mode="Qi")
+    gaussian = value((1, (2, 1)))
     with pytest.raises(ValueError, match="rational values"):
         branch_diff(gaussian, BRANCHES[0], BRANCHES[1])
 

@@ -135,18 +135,20 @@ def test_first_powers_keep_the_operand_and_its_factor_maps():
 
 
 def test_constant_value():
+    # a constant's value is its evaluation at the point that assigns nothing
     c = fe(Fraction(-3, 7), 2)
-    assert RationalFunction.const(XY, c).constant_value() == c
-    assert RationalFunction.const(XY, fe(0)).constant_value() == fe(0)
+    assert RationalFunction.const(XY, c).evaluate({}) == c
+    assert RationalFunction.const(XY, fe(0)).evaluate({}) == fe(0)
     # a normalized constant has the denominator 1; a pair built as
     # normalized may hold another constant, which is divided out
     three, two_plus_i = MultiPoly.const(XY, fe(3)), MultiPoly.const(XY, fe(2, 1))
     held = RationalFunction(three, two_plus_i, _normalized=True)
-    assert held.constant_value() == fe(3) / fe(2, 1)
-    assert RationalFunction(three, two_plus_i).constant_value() == fe(3) / fe(2, 1)
+    assert held.evaluate({}) == fe(3) / fe(2, 1)
+    built = RationalFunction(three, two_plus_i)
+    assert built.den.is_one() and built.evaluate({}) == fe(3) / fe(2, 1)
     for f in (RationalFunction.var(XY, "x"), RationalFunction.var(XY, "x").inverse()):
         with pytest.raises(ValueError):
-            f.constant_value()
+            f.evaluate({})
 
 
 def test_infinity_singleton():
@@ -210,7 +212,7 @@ def test_evaluate_matches_substitute():
         if v is INF:
             assert s is INF
         else:
-            assert s.is_constant() and s.constant_value() == v
+            assert s == RationalFunction.const(T, v)
 
 
 def test_conjugate_involution():
@@ -292,7 +294,7 @@ def test_eval_numeric_consistent(f):
 
 def test_rf_helper():
     f = rf(T, 1, 2)
-    assert f.is_constant() and f.constant_value() == fe(1) / fe(2)
+    assert f == RationalFunction.const(T, fe(1) / fe(2))
     g = rf(T, MultiPoly.var(T, "t"))
     assert g == RationalFunction.var(T, "t")
 

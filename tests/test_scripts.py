@@ -188,7 +188,8 @@ def test_report_diff_takes_a_git_revision():
     )
     assert done.returncode == 0, done.stdout.decode() + done.stderr.decode()
     summary = done.stdout.decode().splitlines()[0]
-    assert summary.startswith("seed 1: 240 documents, ")
+    # check, wedge and padic-branch-diff, each with and without --json
+    assert summary.startswith("seed 1: 240 documents, 1440 runs, ")
     assert summary.endswith(" 0 moved, largest change 0, 0 differences")
 
 

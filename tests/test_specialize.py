@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dilogeq.formal import ExtendedFormalSum, FormalSum, five_term, inversion
 from dilogeq.ratfunc import INF, RationalFunction
@@ -19,6 +21,7 @@ from dilogeq.specialize import (
 )
 
 from helpers import random_formal_sum, wedge_difference
+from oracles import constant_pairs, value_at_point_as_sum
 
 
 T = ("t",)
@@ -295,11 +298,7 @@ def test_order_dependence_example():
 def test_evaluate_at_point():
     alpha = FormalSum.single(t()) + FormalSum.single(t().one_minus())
     got = evaluate_at_point(alpha, {"t": fe(Fraction(1, 3))})
-    want = FormalSum(
-        (),
-        {const(Fraction(1, 3), ()): Fraction(1), const(Fraction(2, 3), ()): Fraction(1)},
-    )
-    assert got == want
+    assert got == [(fe(Fraction(1, 3)), Fraction(1)), (fe(Fraction(2, 3)), Fraction(1))]
     with pytest.raises(PointNotAdmissible):
         evaluate_at_point(FormalSum.single(t()), {"t": fe(1)})
     with pytest.raises(PointNotAdmissible):
@@ -341,8 +340,54 @@ def test_full_plan_matches_point_evaluation():
             SpecStep("t2", RationalFunction.const(U, p2), aux),
             SpecStep("t1", RationalFunction.const(U, p1), aux),
         )
-        assert iterate(alpha, plan_a) == direct
-        assert iterate(alpha, plan_b) == direct
+        assert constant_pairs(iterate(alpha, plan_a)) == direct
+        assert constant_pairs(iterate(alpha, plan_b)) == direct
+
+
+def test_evaluate_at_point_merges_equal_values_and_drops_zero_totals():
+    inv = FormalSum.single(t()) + FormalSum.single(t().inverse())
+    assert evaluate_at_point(inv, {"t": fe(-1)}) == [(fe(-1), Fraction(2))]
+    four_over_t = const(4, T) / t()
+    cancel = FormalSum.single(t()) - FormalSum.single(four_over_t)
+    assert evaluate_at_point(cancel, {"t": fe(2)}) == []
+
+
+def test_evaluate_at_point_names_the_first_offender_in_the_sums_own_order():
+    xy = ("x", "y")
+    x = RationalFunction.var(xy, "x")
+    y = RationalFunction.var(xy, "y")
+    x2 = x - const(2, xy)
+    alpha = FormalSum(xy, [(x, 1), (x.inverse(), 1), (y / x2, 1), (x2 / y, 1)])
+    with pytest.raises(PointNotAdmissible, match=r"^argument \[x\] .*: the value is 1$"):
+        evaluate_at_point(alpha, {"x": fe(1), "y": fe(0)})
+
+
+# point coordinates where distinct arguments often share a value
+GRID = [fe(q) for q in (-1, 2, Fraction(1, 2), -2, 3, Fraction(1, 3))]
+GAUSSIAN_GRID = GRID + [fe(0, 1), fe(1, 1), fe(1, -1), fe(2, 1)]
+
+
+@given(
+    st.integers(0, 10_000),
+    st.sampled_from(["Q", "Qi"]),
+    st.sampled_from(["Z", "Q"]),
+    st.integers(1, 2),
+)
+@settings(max_examples=120, deadline=None)
+def test_evaluate_at_point_matches_the_formal_sum_of_constants(seed, field_mode, coeff_mode, k):
+    rnd = random.Random(seed)
+    universe = ("t1", "t2")[:k]
+    alpha = random_formal_sum(rnd, universe, rnd.randint(1, 4), 2, field_mode, coeff_mode)
+    grid = GAUSSIAN_GRID if field_mode == "Qi" else GRID
+    for _ in range(6):
+        point = {v: rnd.choice(grid) for v in universe}
+        try:
+            want = value_at_point_as_sum(alpha, point)
+        except PointNotAdmissible:
+            with pytest.raises(PointNotAdmissible):
+                evaluate_at_point(alpha, point)
+            continue
+        assert evaluate_at_point(alpha, point) == want
 
 
 def test_sp_preserves_relation_kernel():
