@@ -9,11 +9,12 @@ command (`report_diff.py HEAD .`).  The documents come from this
 checkout's `bench/inputs.py` (read, not changed; it imports nothing from
 the package, so a seed gives the same documents at every commit), with the
 flags the benchmark's `docs-check` workload passes.  Each checkout runs
-six commands on every document, each with and without `--json`:
-`dilogeq check DOC FLAGS`, `dilogeq wedge DOC` and `dilogeq
-padic-branch-diff DOC --p 5` at t = 5, or at x = 5, y = 3 on a document in
-x and y.  All run in one child process that imports the package from that
-checkout's `src/`.
+eight commands on every document, each with and without `--json`:
+`dilogeq check DOC FLAGS`, `dilogeq wedge DOC`, `dilogeq padic-branch-diff
+DOC --p 5` at t = 5, or at x = 5, y = 3 on a document in x and y, and
+`dilogeq padic-branch-diff DOC --p 2` at t = 3, or at x = 3, y = 5, where
+the log squares the unit and the bracket's 1/2 is not a unit.  All run in
+one child process that imports the package from that checkout's `src/`.
 
 Exit codes and error messages must be equal, and every report field other
 than a float byte-identical; a text report is read line by line, each
@@ -42,8 +43,9 @@ MOD_HALF_PISQ = math.pi * math.pi / 2
 TOL = 1e-12
 # documents compared per seed: four blocks of the docs-check mix
 DOCS = 240
-# the padic-branch-diff point, one coordinate per variable in order
-BRANCH_POINT = (5, 3)
+# the padic-branch-diff primes and their points, one coordinate per
+# variable in order
+BRANCH_POINTS = {5: (5, 3), 2: (3, 5)}
 
 # the report fields that hold a class mod pi^2/2 in real mode
 REAL_CLASSES = {("constant",), ("probe", "mean_value")}
@@ -196,16 +198,17 @@ def text_classes(lines: list[list]) -> set:
 
 def commands(path: Path, case) -> list[list[str]]:
     """The commands run on the document `case`, written at `path`."""
-    point = ",".join(f"{v}={q}" for v, q in zip(case.variables, BRANCH_POINT))
-    branch = ["padic-branch-diff", str(path), "--p", "5", "--point", point]
-    return [
+    argvs = [
         ["check", str(path), "--json", *case.flags],
         ["check", str(path), *case.flags],
         ["wedge", str(path)],
         ["wedge", str(path), "--json"],
-        branch,
-        [*branch, "--json"],
     ]
+    for p, values in BRANCH_POINTS.items():
+        point = ",".join(f"{v}={q}" for v, q in zip(case.variables, values))
+        branch = ["padic-branch-diff", str(path), "--p", str(p), "--point", point]
+        argvs += [branch, [*branch, "--json"]]
+    return argvs
 
 
 def compare_checkouts(old_checkout: Path, new_checkout: Path, seeds: list[int]) -> bool:

@@ -258,9 +258,7 @@ def _cmd_check(args) -> int:
             pt_render = {k: str(v) for k, v in points[0][0].items()}
             report["point"] = pt_render
             report["value_at_point"] = value_text(points[0][1])
-            lines.append(
-                "point: " + ", ".join(f"{k} = {v}" for k, v in sorted(pt_render.items()))
-            )
+            lines.append(f"point: {_point_text(pt_render)}")
             lines.append(f"value at point: {report['value_at_point']}")
             if no_rogers:
                 note(NON_INTEGER_NOTE)
@@ -505,6 +503,12 @@ def _rational(src: str, error: str) -> Fraction:
         raise ValueError(error) from None
 
 
+def _point_text(point: dict) -> str:
+    """`VAR = Q, ...` in name order; `(empty)` for the empty point, as
+    `wedge` prints an empty basis."""
+    return ", ".join(f"{k} = {v}" for k, v in sorted(point.items())) or "(empty)"
+
+
 def _parse_point(src: str, variables) -> dict[str, Fraction]:
     """The coordinates of `VAR=Q,...`; a blank value is the empty point, as
     a blank `variables:` line declares no variables.  Raises ValueError."""
@@ -556,7 +560,7 @@ def _cmd_padic_branch_diff(args) -> int:
     }
     lines = [
         f"p: {args.p}",
-        "point: " + ", ".join(f"{k} = {v}" for k, v in sorted(point.items())),
+        f"point: {_point_text(point)}",
         f"log_p(p) values: {args.branch_a} vs {args.branch_b}",
         f"value difference (branch a minus branch b): {diff}",
     ]

@@ -4,9 +4,11 @@ of a formal sum's value at a rational point.
 
 A PadicNumber is p^val * unit with the unit kept modulo p^prec, so the
 value is known modulo p^(val+prec); a number whose digits have all
-cancelled is kept as an explicit O(p^val) with unit 0.  Every operation
-propagates a precision lower bound; nothing ever claims digits it does not
-have.
+cancelled is kept as an explicit O(p^val) with unit 0 and prec 0, and
+every formula reads it as that number: a sum, product or power needs no
+case of its own for it.  The exact zero is O(p^EXACT), and an exact zero
+times anything stays exact.  Every operation propagates a precision lower
+bound; nothing ever claims digits it does not have.
 
 The logarithm on Q_p* splits as log(p^v u) = v*log(p) + log(u), where
 log(p) is exactly the free choice of branch, the Teichmueller part of u is
@@ -95,9 +97,7 @@ class PadicNumber:
     # -- structure ----------------------------------------------------------
 
     def abs_precision(self) -> int:
-        """The value is known modulo p to this power."""
-        if self.unit == 0:
-            return self.val
+        """The value is known modulo p to this power (an O(p^val) has prec 0)."""
         return self.val + self.prec
 
     # -- arithmetic ------------------------------------------------------------
@@ -106,35 +106,21 @@ class PadicNumber:
         a, b = self, other
         _same_prime(a, b)
         p = a.p
-        if a.unit == 0 and b.unit == 0:
-            return PadicNumber.zero(p, min(a.val, b.val))
-        if a.unit == 0:
-            a, b = b, a
-        if b.unit == 0:
-            # a + O(p^{b.val})
-            cap = min(a.abs_precision(), b.val)
-            if cap <= a.val:
-                return PadicNumber.zero(p, cap)
-            return PadicNumber(p, a.val, a.unit % _power(p, cap - a.val), cap - a.val)
+        # an O(p^w) is a number whose unit is 0: its absolute precision w
+        # caps the sum, and it adds nothing below the cap
         cap = min(a.abs_precision(), b.abs_precision())
-        v = min(a.val, b.val)
-        digits = cap - v
-        if digits <= 0:
-            return PadicNumber.zero(p, cap)
-        m = _power(p, digits)
-        s = (a.unit * _power(p, a.val - v) + b.unit * _power(p, b.val - v)) % m
+        v = min(a.val, b.val, cap)
+        s = sum(x.unit * _power(p, x.val - v) for x in (a, b) if x.unit) % _power(p, cap - v)
         if s == 0:
             return PadicNumber.zero(p, cap)
+        # s < p^(cap - v), so k < cap - v and a digit is left
         s, k = strip_power(s, p, int_quotient)
-        if digits - k <= 0:
-            return PadicNumber.zero(p, cap)
-        return PadicNumber(p, v + k, s % _power(p, digits - k), digits - k)
+        return PadicNumber(p, v + k, s, cap - v - k)
 
     def __neg__(self) -> "PadicNumber":
         if self.unit == 0:
             return self
-        m = _power(self.p, self.prec)
-        return PadicNumber(self.p, self.val, (m - self.unit) % m, self.prec)
+        return PadicNumber(self.p, self.val, _power(self.p, self.prec) - self.unit, self.prec)
 
     def __sub__(self, other: "PadicNumber") -> "PadicNumber":
         return self + (-other)
@@ -144,11 +130,11 @@ class PadicNumber:
         _same_prime(a, b)
         p = a.p
         if a.unit == 0 or b.unit == 0:
-            # O(p^x) times p^y-unit (or O(p^y)) is O(p^{x+y})
-            return PadicNumber.zero(p, min(a.val + b.val, EXACT))
+            # O(p^x) times p^y * unit, or times O(p^y), is O(p^(x+y)); the
+            # exact zero's val is no valuation to add, so it stays exact
+            return PadicNumber.zero(p, EXACT if EXACT in (a.val, b.val) else a.val + b.val)
         prec = min(a.prec, b.prec)
-        m = _power(p, prec)
-        u = (a.unit * b.unit) % m
+        u = (a.unit * b.unit) % _power(p, prec)
         return PadicNumber(p, a.val + b.val, u, prec)
 
     def __pow__(self, n: int) -> "PadicNumber":
@@ -159,14 +145,10 @@ class PadicNumber:
             raise ZeroDivisionError("inverse of zero (at this precision)")
         if n == 0:
             return PadicNumber.from_rational(1, p, 1)
-        return PadicNumber.zero(p, min(self.val * n, EXACT))
+        return PadicNumber.zero(p, self.val * n)
 
     def scale_rational(self, q) -> "PadicNumber":
-        q = Fraction(q)
-        if q == 0:
-            return PadicNumber.zero(self.p)
-        prec = self.prec if self.unit else 8
-        return self * PadicNumber.from_rational(q, self.p, max(prec, 1))
+        return self * PadicNumber.from_rational(q, self.p, max(self.prec, 1))
 
     # -- display -------------------------------------------------------------
 
@@ -251,26 +233,21 @@ def plog(x: PadicNumber, log_p: PadicNumber) -> PadicNumber:
 
 def li2p(z: PadicNumber) -> PadicNumber:
     """Li_{p,2}(z) = sum z^n / n^2 on the disc v_p(z) >= 1."""
-    if z.unit == 0:
-        if z.val < 1:
-            raise ValueError("need v_p(z) >= 1")
-        return PadicNumber.zero(z.p, min(z.val, EXACT))
     if z.val < 1:
         raise ValueError(f"need v_p(z) >= 1, got valuation {z.val}")
-    return _series(z, 2, False)
+    return _series(z, 2, False) if z.unit else PadicNumber.zero(z.p, z.val)
 
 
 def dp_disc(z: PadicNumber, log_p: PadicNumber) -> PadicNumber:
     """D_p(z) = Li_{p,2}(z) + (1/2) log(z) log(1-z) on the disc, with the
     branch of log whose value at p is log_p."""
+    li = li2p(z)
     if z.unit == 0:
-        return li2p(z)
-    if z.val < 1:
-        raise ValueError(f"need v_p(z) >= 1, got valuation {z.val}")
+        return li
     one = PadicNumber.from_rational(1, z.p, z.prec)
     lz = plog(z, log_p)
     l1z = plog(one - z, log_p)
-    return li2p(z) + (lz * l1z).scale_rational(Fraction(1, 2))
+    return li + (lz * l1z).scale_rational(Fraction(1, 2))
 
 
 # ---------------------------------------------------------------------------

@@ -21,10 +21,11 @@ almost always coprime, so this test answers most calls; `squarefree_parts`
 uses the same images to certify a squarefree input.  Each polynomial's
 images also name its decisive variable, one x_k in which it is primitive
 (one of its coefficients in x_k is a nonzero constant): Gauss's lemma lets
-the image in x_k alone decide.  A pair of images of degree at most 2, or a
-quadratic image's squarefree test, is one closed-form resultant; a linear
-image against a longer one is tested by evaluating the other at its root,
-and only the rest run Euclid over GF(P).  One pair test
+the image in x_k alone decide.  One function (`_gf_coprime`) decides every
+pair of images: a pair of degree at most 2 is one closed-form resultant, a
+linear image against a longer one is tested by evaluating the other at its
+root, and only the rest run Euclid over GF(P); a squarefree test is the
+pair of an image and its derivative.  One pair test of polynomials
 (`_images_coprime`) serves every caller.  Then the monomial content:
 gcd(p, q) = x^min(lp, lq) * gcd(p / x^lp, q / x^lq), lp and lq the least
 exponents of each variable, since every variable is irreducible and
@@ -625,40 +626,33 @@ def gf_gcd(a: list[int], b: list[int], p: int) -> list[int]:
 
 def _gf_coprime(a: list[int], b: list[int]) -> bool:
     """Whether two polynomials over GF(P) with nonzero leading coefficients
-    have a constant gcd.  With those leaders the gcd is constant exactly
-    when the resultant is nonzero; two quadratics take their resultant,
+    have a constant gcd, that is a nonzero resultant.  A linear image
+    a0 + a1*x divides the other, b, exactly when b vanishes at its root
+    -a0/a1, that is when a1^deg(b) * b(-a0/a1) = 0: Horner's rule on b
+    homogenized gives that with no inverse.  Unrolled, that is
+    a0*b1 - a1*b0 for a linear b and b2*a0^2 - b1*a0*a1 + b0*a1^2 for a
+    quadratic one.  Two quadratics take their resultant,
     (a2*b0 - a0*b2)^2 - (a2*b1 - a1*b2)*(a1*b0 - a0*b1), and any other
     pair takes Euclid."""
+    if len(b) < len(a):
+        a, b = b, a
+    if len(a) == 2:
+        a0, a1 = a
+        if len(b) == 2:
+            return (a0 * b[1] - a1 * b[0]) % _P != 0
+        if len(b) == 3:
+            b0, b1, b2 = b
+            return (b2 * a0 * a0 - b1 * a0 * a1 + b0 * a1 * a1) % _P != 0
+        t, v, w = -a0, 0, 1
+        for c in reversed(b):
+            v = (v * t + c * w) % _P
+            w = w * a1 % _P
+        return v != 0
     if len(a) == len(b) == 3:
         a0, a1, a2 = a
         b0, b1, b2 = b
         return ((a2 * b0 - a0 * b2) ** 2 - (a2 * b1 - a1 * b2) * (a1 * b0 - a0 * b1)) % _P != 0
     return len(gf_gcd(a, b, _P)) == 1
-
-
-def _images_coprime_in(ip: _Images, iq: _Images, k: int) -> bool:
-    """Whether the usable images in x_k have a constant gcd.  A linear
-    image a0 + a1*x divides the other, b, exactly when b vanishes at its
-    root -a0/a1, that is when a1^deg(b) * b(-a0/a1) = 0: Horner's rule on
-    b homogenized gives that with no inverse.  Unrolled, that is
-    a0*b1 - a1*b0 for a linear b and b2*a0^2 - b1*a0*a1 + b0*a1^2 for a
-    quadratic one."""
-    a, b = ip.images[k], iq.images[k]
-    if len(b) < len(a):
-        a, b = b, a
-    if len(a) != 2:
-        return _gf_coprime(a, b)
-    a0, a1 = a
-    if len(b) == 2:
-        return (a0 * b[1] - a1 * b[0]) % _P != 0
-    if len(b) == 3:
-        b0, b1, b2 = b
-        return (b2 * a0 * a0 - b1 * a0 * a1 + b0 * a1 * a1) % _P != 0
-    t, v, w = -a0, 0, 1
-    for c in reversed(b):
-        v = (v * t + c * w) % _P
-        w = w * a1 % _P
-    return v != 0
 
 
 def _images_coprime(p: MultiPoly, q: MultiPoly) -> bool:
@@ -668,9 +662,9 @@ def _images_coprime(p: MultiPoly, q: MultiPoly) -> bool:
     divisor of an x_k-primitive polynomial uses x_k, so the pair passes at
     once when the other side is free of x_k.  When the other side's image
     in x_k is usable, that one variable decides: the images certify the
-    pair when they are coprime over GF(P).  A candidate with a linear
-    image, whose root test is one expression, is tested at once; otherwise
-    the first candidate goes to `_gf_coprime`.  With no candidate the images
+    pair when `_gf_coprime` finds them coprime over GF(P).  A candidate
+    with a linear image, whose root test is one expression, is tested at
+    once; otherwise the first candidate is.  With no candidate the images
     certify the pair when, for every shared variable, both are usable and
     coprime; inputs with no common variable pass with no work.
 
@@ -705,32 +699,27 @@ def _images_coprime(p: MultiPoly, q: MultiPoly) -> bool:
             continue
         if k not in ib.images:
             return True
-        if ib.images[k] is not None:
-            if len(ia.images[k]) == 2 or len(ib.images[k]) == 2:
-                return _images_coprime_in(ip, iq, k)
+        a, b = ia.images[k], ib.images[k]
+        if b is not None:
+            if len(a) == 2 or len(b) == 2:
+                return _gf_coprime(a, b)
             if first is None:
                 first = k
     if first is not None:
         return _gf_coprime(ip.images[first], iq.images[first])
     for k in ip.images.keys() & iq.images.keys():
-        if ip.images[k] is None or iq.images[k] is None:
-            return False
-        if not _images_coprime_in(ip, iq, k):
+        a, b = ip.images[k], iq.images[k]
+        if a is None or b is None or not _gf_coprime(a, b):
             return False
     return True
 
 
 def _gf_squarefree(img: list[int]) -> bool:
-    """Whether a polynomial over GF(P) is coprime to its derivative.  A
-    linear one always is; a quadratic c0 + c1*x + c2*x^2 is when its
-    discriminant c1^2 - 4*c0*c2 is nonzero, since its resultant with the
-    derivative is -c2 times that and c2 is nonzero."""
-    if len(img) == 2:
-        return True
-    if len(img) == 3:
-        c0, c1, c2 = img
-        return (c1 * c1 - 4 * c0 * c2) % _P != 0
-    return _gf_coprime(img, [k * c % _P for k, c in enumerate(img)][1:])
+    """Whether a polynomial over GF(P) is coprime to its derivative, as a
+    linear one always is.  For a quadratic c0 + c1*x + c2*x^2 the root test
+    at the derivative's root is -c2 * (c1^2 - 4*c0*c2), the discriminant
+    times a unit."""
+    return len(img) == 2 or _gf_coprime(img, [k * c % _P for k, c in enumerate(img)][1:])
 
 
 def _images_squarefree(p: MultiPoly) -> bool:

@@ -12,6 +12,9 @@ A sum's value at a point read through formal sums: the constant arguments
 collected into a FormalSum over no variables, as the package built it
 before the value became plain (value, coefficient) pairs.
 
+The p-adic sum as a split over its operands' cases: both O(p^v), one of
+them, or two nonzero numbers, each with its own early returns.
+
 The orders the package keeps rather than sorts on each read: a
 polynomial's terms in descending graded-lex order, and a wedge element's
 views (its decomposition, beta3 and first obstruction) read by sorting its
@@ -24,8 +27,9 @@ from fractions import Fraction
 
 from dilogeq.coprime import CoprimeBasis
 from dilogeq.formal import FormalSum
+from dilogeq.padic import PadicNumber
 from dilogeq.poly import MultiPoly
-from dilogeq.primes import prime_key, strip_power
+from dilogeq.primes import int_quotient, prime_key, strip_power
 from dilogeq.ratfunc import INF, Indeterminate, RationalFunction
 from dilogeq.scalars import ONE, FieldElement
 from dilogeq.specialize import PointNotAdmissible
@@ -215,6 +219,40 @@ def value_at_point_as_sum(alpha: FormalSum, point: dict) -> list[tuple[FieldElem
             raise PointNotAdmissible(f, "outside the admissible set")
         pairs.append((RationalFunction.const((), v), a))
     return constant_pairs(FormalSum((), pairs, alpha.field_mode, alpha.coeff_mode))
+
+
+# ---------------------------------------------------------------------------
+# the p-adic sum by cases
+# ---------------------------------------------------------------------------
+
+
+def padic_add(a: PadicNumber, b: PadicNumber) -> PadicNumber:
+    """a + b with a case for each kind of operand: two O(p^v), an O(p^v)
+    and a nonzero number, and two nonzero numbers."""
+    p = a.p
+    if a.unit == 0 and b.unit == 0:
+        return PadicNumber.zero(p, min(a.val, b.val))
+    if a.unit == 0:
+        a, b = b, a
+    if b.unit == 0:
+        # a + O(p^b.val)
+        cap = min(a.abs_precision(), b.val)
+        if cap <= a.val:
+            return PadicNumber.zero(p, cap)
+        return PadicNumber(p, a.val, a.unit % p ** (cap - a.val), cap - a.val)
+    cap = min(a.abs_precision(), b.abs_precision())
+    v = min(a.val, b.val)
+    digits = cap - v
+    if digits <= 0:
+        return PadicNumber.zero(p, cap)
+    m = p**digits
+    s = (a.unit * p ** (a.val - v) + b.unit * p ** (b.val - v)) % m
+    if s == 0:
+        return PadicNumber.zero(p, cap)
+    s, k = strip_power(s, p, int_quotient)
+    if digits - k <= 0:
+        return PadicNumber.zero(p, cap)
+    return PadicNumber(p, v + k, s % p ** (digits - k), digits - k)
 
 
 # ---------------------------------------------------------------------------

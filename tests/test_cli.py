@@ -1405,6 +1405,27 @@ def test_branch_diff_reads_a_blank_point_as_the_empty_point(run, doc, p, value):
     assert json.loads(out) == _branch_report("0", "1", str(want), p, {}, 32)
 
 
+def test_the_empty_point_prints_as_empty(run):
+    code, out, err = run(["check", "DOC:" + CONSTANT_DOC])
+    assert (code, err) == (0, "")
+    assert "\npoint: (empty)\n" in out
+    code, out, err = run(["check", "DOC:" + CONSTANT_DOC, "--json"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["point"] == {}
+    code, out, err = run(["padic-branch-diff", "DOC:" + CONSTANT_DOC, "--p", "5", "--point", ""])
+    assert (code, err) == (0, "")
+    assert out.splitlines()[:2] == ["p: 5", "point: (empty)"]
+
+
+def test_equal_branches_differ_by_the_exact_zero(run):
+    # t = 3 has valuation 0 at 2 and 1 - t = -2 valuation 1, so the
+    # bracket is nonzero; the two branches' difference is the exact zero
+    argv = ["padic-branch-diff", "DOC:" + SINGLE_DOC, "--p", "2", "--point", "t=3"]
+    code, out, err = run([*argv, "--branch-a", "0", "--branch-b", "0"])
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "value difference (branch a minus branch b): 0"
+
+
 def test_branch_diff_refuses_a_blank_point_on_a_document_with_variables(run):
     code, out, err = run(["padic-branch-diff", "DOC:" + SINGLE_DOC, "--p", "5", "--point", " "])
     assert (code, out, err) == (2, "", "error: point does not assign ['t']\n")

@@ -21,6 +21,7 @@ from dilogeq.scalars import fe
 from dilogeq.specialize import PointNotAdmissible, evaluate_at_point
 
 from helpers import agree_to, is_exact_zero, is_zeroish, teichmuller
+from oracles import padic_add
 
 T = ("t",)
 
@@ -142,6 +143,34 @@ def test_arithmetic_agrees_with_exact_rationals(qa, qb, ka, kb):
     if a != 0:
         for n in (-3, -1, 0, 2, 5):
             assert agree_to(xa**n, pad(a**n), 20)
+
+
+@st.composite
+def padic_operands(draw, p):
+    """A nonzero number, an O(p^v) or the exact zero."""
+    kind = draw(st.sampled_from(["nonzero", "big-oh", "exact zero"]))
+    if kind == "exact zero":
+        return PadicNumber.zero(p)
+    if kind == "big-oh":
+        return PadicNumber.zero(p, draw(st.integers(-3, 15)))
+    prec = draw(st.integers(1, 12))
+    unit = draw(st.integers(0, p ** (prec - 1) - 1)) * p + draw(st.integers(1, p - 1))
+    return PadicNumber(p, draw(st.integers(-3, 3)), unit, prec)
+
+
+@given(st.sampled_from([2, 3, 5]).flatmap(lambda p: st.tuples(padic_operands(p), padic_operands(p))))
+def test_the_one_sum_formula_agrees_with_the_sum_by_cases(operands):
+    a, b = operands
+    assert a + b == padic_add(a, b)
+    assert b + a == padic_add(b, a)
+
+
+def test_an_exact_zero_stays_exact():
+    x = pad(Fraction(3, 25))
+    assert x.val == -2
+    zero = PadicNumber.zero(5)
+    for product in (zero * x, x * zero, zero.scale_rational(Fraction(1, 5)), x.scale_rational(0)):
+        assert str(product) == "0"
 
 
 def test_inverse_of_zero_raises():
@@ -342,6 +371,11 @@ def test_li2p_needs_the_disc():
         li2p(pad(Fraction(1, 5)))
     with pytest.raises(ValueError, match=r"^need v_p\(z\) >= 1, got valuation 0$"):
         dp_disc(pad(3), pad(0))
+
+
+def test_li2p_of_an_o_term_off_the_disc_names_its_valuation():
+    with pytest.raises(ValueError, match=r"^need v_p\(z\) >= 1, got valuation 0$"):
+        li2p(PadicNumber.zero(5, 0))
 
 
 def test_dp_disc_zeroish_input():

@@ -342,15 +342,15 @@ def test_a_linear_image_on_either_side_spares_euclid(monkeypatch):
     b = y + x * x + one.scale(fe(3))
     basis = coprime.CoprimeBasis()
     basis.add(b)
-    euclid, calls = poly._gf_coprime, []
+    euclid, calls = poly.gf_gcd, []
 
-    def counted(p, q):
+    def counted(p, q, prime):
         calls.append((p, q))
-        return euclid(p, q)
+        return euclid(p, q, prime)
 
-    monkeypatch.setattr(poly, "_gf_coprime", counted)
+    monkeypatch.setattr(poly, "gf_gcd", counted)
     basis.add(g)
-    # the squarefree test of g's quadratic image in x is its discriminant
+    # the squarefree test of g's quadratic image in x is one root test
     assert calls == []
     assert basis.elements == [b, g]
     # y + 2 is free of x, but the product is not x-primitive: its terms x
@@ -434,7 +434,10 @@ def _euclid_coprime(a, b):
     return len(poly.gf_gcd(a, b, P)) == 1
 
 
-@given(st.integers(0, 10**9), st.sampled_from([(1, 1), (1, 2), (2, 2)]), st.booleans())
+SHAPES = [(1, 1), (1, 2), (1, 3), (1, 5), (2, 2), (2, 3), (3, 3)]
+
+
+@given(st.integers(0, 10**9), st.sampled_from(SHAPES), st.booleans())
 @settings(max_examples=300, deadline=None)
 def test_each_closed_form_agrees_with_euclid(seed, shape, planted):
     # a planted common linear factor makes each form vanish
@@ -449,10 +452,7 @@ def test_each_closed_form_agrees_with_euclid(seed, shape, planted):
         a, b = _gf_draw(rnd, da), _gf_draw(rnd, db)
     expected = _euclid_coprime(a, b)
     assert not (planted and expected)
-    ia, ib = poly._Images({0: a}), poly._Images({0: b})
-    assert poly._images_coprime_in(ia, ib, 0) == poly._images_coprime_in(ib, ia, 0) == expected
-    if shape == (2, 2):
-        assert poly._gf_coprime(a, b) == poly._gf_coprime(b, a) == expected
+    assert poly._gf_coprime(a, b) == poly._gf_coprime(b, a) == expected
 
 
 @given(st.integers(0, 10**9), st.booleans())

@@ -188,8 +188,9 @@ def test_report_diff_takes_a_git_revision():
     )
     assert done.returncode == 0, done.stdout.decode() + done.stderr.decode()
     summary = done.stdout.decode().splitlines()[0]
-    # check, wedge and padic-branch-diff, each with and without --json
-    assert summary.startswith("seed 1: 240 documents, 1440 runs, ")
+    # check, wedge and padic-branch-diff at p = 5 and p = 2, each with and
+    # without --json
+    assert summary.startswith("seed 1: 240 documents, 1920 runs, ")
     assert summary.endswith(" 0 moved, largest change 0, 0 differences")
 
 
