@@ -6,7 +6,8 @@ Rebuilds the benchmark's `relation-sum` sums and `docs-check` documents
 from `bench/inputs.py` (read, not changed; it imports nothing from the
 package, so a seed gives the same inputs at every commit) and prints, per
 seed and workload, one sha256 over each input's frozen basis, as the `str`
-of every element in order, and its sorted boundary pairs.  A document's
+of every element in order, and its boundary pairs, each as the labels
+of its two atoms and the `str` of its value, sorted.  A document's
 sum comes from its text through the parser, as `check` builds it; one whose
 boundary raises (a constant above the factoring bound) contributes its
 error instead.  The benchmark's report digest of `relation-sum` sees only
@@ -62,7 +63,9 @@ def digest(sums) -> str:
             out.update(f"{type(exc).__name__}: {exc}".encode())
             continue
         out.update(repr([str(b) for b in w.basis.elements]).encode())
-        out.update(repr(sorted(map(repr, w.pairs.items()))).encode())
+        # labels and the printed value: an int and an equal Fraction agree
+        pairs = [(w._label(x), w._label(y), str(v)) for (x, y), v in w.pairs.items()]
+        out.update(repr(sorted(pairs)).encode())
     return out.hexdigest()
 
 

@@ -75,18 +75,14 @@ def __getattr__(name):
 # ---------------------------------------------------------------------------
 
 
-def _frac_str(q) -> str:
-    return str(Fraction(q))
-
-
 def _witness_json(witness) -> dict | None:
     if witness is None:
         return None
     if witness[0] == "pair":
         _, left, right, value = witness
-        return {"kind": "pair", "left": str(left), "right": str(right), "value": _frac_str(value)}
+        return {"kind": "pair", "left": str(left), "right": str(right), "value": str(value)}
     _, element, prime, value = witness
-    return {"kind": "column", "element": str(element), "prime": str(prime), "value": _frac_str(value)}
+    return {"kind": "column", "element": str(element), "prime": str(prime), "value": str(value)}
 
 
 def _witness_text(witness) -> str:
@@ -100,9 +96,9 @@ def _witness_text(witness) -> str:
 
 def _beta3_json(b3: dict) -> dict:
     return {
-        "pairs": {f"{p} ^ {q}": _frac_str(v) for (p, q), v in b3["pairs"].items()},
-        "units": {str(p): _frac_str(v) for p, v in b3["units"].items()},
-        "unit_unit": _frac_str(b3["unit_unit"]),
+        "pairs": {f"{p} ^ {q}": str(v) for (p, q), v in b3["pairs"].items()},
+        "units": {str(p): str(v) for p, v in b3["units"].items()},
+        "unit_unit": str(b3["unit_unit"]),
     }
 
 
@@ -350,7 +346,7 @@ def _cmd_specialize(args) -> int:
         "result": str(result),
         "variables": list(result.universe),
         "terms": [
-            {"coefficient": _frac_str(a), "expression": str(f)} for f, a in result.items()
+            {"coefficient": str(a), "expression": str(f)} for f, a in result.items()
         ],
     }
     lines = [f"result: {result}", "", doc.rstrip("\n")]
@@ -370,9 +366,9 @@ def _cmd_wedge(args) -> int:
     b1, b2, b3 = w.decompose()
     report = {
         "basis": [str(b) for b in w.basis.elements],
-        "beta1": {f"({l}) ^ ({r})": _frac_str(v) for (l, r), v in b1.items()},
+        "beta1": {f"({l}) ^ ({r})": str(v) for (l, r), v in b1.items()},
         "beta2": {
-            el: {p: _frac_str(v) for p, v in col.items()} for el, col in b2.items()
+            el: {p: str(v) for p, v in col.items()} for el, col in b2.items()
         },
         "beta3": _beta3_json(b3),
         "beta1_zero": not b1,
@@ -552,7 +548,7 @@ def _cmd_padic_branch_diff(args) -> int:
     diff = branch_diff(value, log_a, log_b, prec=args.prec)
     report = {
         "p": args.p,
-        "point": {k: _frac_str(v) for k, v in point.items()},
+        "point": {k: str(v) for k, v in point.items()},
         "branch_a_log_p": str(branch_a),
         "branch_b_log_p": str(branch_b),
         "precision": args.prec,

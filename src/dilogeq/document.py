@@ -199,7 +199,7 @@ def dump_document(alpha: FormalSum, pairs) -> str:
         HEADER,
         f"field: {alpha.field_mode}",
         f"coefficients: {alpha.coeff_mode}",
-        "variables: " + line,
+        f"variables: {line}".rstrip(),
     ]
     for f, a in alpha.items():
         out.append(f"term: {a} [{f}]")

@@ -4,8 +4,11 @@ A FormalSum is a finite map from rational functions f (with f != 0, 1 --
 the admissible arguments) to nonzero exact coefficients.  Coefficients live
 in Z or Q per the sum's coeff_mode: Z-mode keeps denominators out (and
 downstream lets mod-2 sign torsion survive), Q-mode is the torsion-free
-quotient.  The field_mode records whether keys may carry Gaussian rational
-coefficients ("Qi") or must stay over Q ("Q").
+quotient.  A coefficient has one form, fixed by _check_coeff for every
+constructor: an int when it is integral, else a Fraction with denominator
+above 1, so readers downstream take it as it comes.  The field_mode records
+whether keys may carry Gaussian rational coefficients ("Qi") or must stay
+over Q ("Q").
 
 Relation generators:
   five_term(x, y)  = [x] - [y] + [y/x] + [(1-x)/(1-y)] - [(1-x^-1)/(1-y^-1)]
@@ -28,14 +31,18 @@ FIELD_MODES = ("Q", "Qi")
 COEFF_MODES = ("Z", "Q")
 
 
-def _check_coeff(c: Fraction, coeff_mode: str) -> Fraction:
+def _check_coeff(c, coeff_mode: str) -> int | Fraction:
+    """The exact rational c in its one form: an int when it is integral,
+    else a Fraction, which Z-mode refuses."""
+    if type(c) is int:
+        return c
     c = Fraction(c)
     if coeff_mode == "Z" and c.denominator != 1:
         raise ValueError(f"coefficient {c} is not an integer (coefficients: Z)")
-    return c
+    return c.numerator if c.denominator == 1 else c
 
 
-def check_term(f: RationalFunction, c, universe, coeff_mode: str) -> Fraction:
+def check_term(f: RationalFunction, c, universe, coeff_mode: str) -> int | Fraction:
     """The coefficient of the term c [f], checked as FormalSum checks it;
     raises ValueError.  A zero coefficient leaves f unchecked."""
     c = _check_coeff(c, coeff_mode)
@@ -47,7 +54,7 @@ def check_term(f: RationalFunction, c, universe, coeff_mode: str) -> Fraction:
     return c
 
 
-def _term_text(c: Fraction, symbol: str) -> str:
+def _term_text(c: int | Fraction, symbol: str) -> str:
     """The text of the term c symbol: symbol, -symbol or c*symbol."""
     if c == 1:
         return symbol
@@ -69,7 +76,8 @@ class FormalSum:
     def __init__(
         self,
         universe,
-        terms: Mapping[RationalFunction, Fraction] | Iterable[tuple[RationalFunction, Fraction]],
+        terms: Mapping[RationalFunction, int | Fraction]
+        | Iterable[tuple[RationalFunction, int | Fraction]],
         field_mode: str = "Q",
         coeff_mode: str = "Z",
     ):
@@ -87,7 +95,7 @@ class FormalSum:
         totals = {}
         for f, c in terms.items() if isinstance(terms, Mapping) else terms:
             totals[f] = totals[f] + c if f in totals else c
-        self.terms: dict[RationalFunction, Fraction] = {}
+        self.terms: dict[RationalFunction, int | Fraction] = {}
         for f, c in totals.items():
             c = check_term(f, c, self.universe, coeff_mode)
             if c:
@@ -105,7 +113,7 @@ class FormalSum:
 
     # -- structure ---------------------------------------------------------
 
-    def items(self) -> list[tuple[RationalFunction, Fraction]]:
+    def items(self) -> list[tuple[RationalFunction, int | Fraction]]:
         return sorted(self.terms.items(), key=lambda t: t[0].sort_key())
 
     def __len__(self):

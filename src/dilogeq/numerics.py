@@ -37,7 +37,6 @@ import cmath
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .formal import FormalSum
 
@@ -174,10 +173,9 @@ class ModPiSqHalf:
 
     def scale(self, a) -> "ModPiSqHalf":
         # only integer multiples are well-defined on the quotient
-        a = Fraction(a)
         if a.denominator != 1:
             raise ValueError("only integer multiples act on the quotient")
-        return ModPiSqHalf.of(self.rep * int(a))
+        return ModPiSqHalf.of(self.rep * a)
 
     def centered(self) -> float:
         """The representative in (-pi^2/4, pi^2/4], the one printed: a class

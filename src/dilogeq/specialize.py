@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .formal import ExtendedFormalSum, FormalSum, c_element
+from .formal import ExtendedFormalSum, FormalSum, _check_coeff, c_element
 from .ratfunc import INF, Indeterminate, RationalFunction
 from .scalars import FieldElement, fe
 
@@ -64,7 +64,7 @@ def naive_eval(alpha: FormalSum, var: str, target) -> ExtendedFormalSum:
     """Substitute var -> target in every argument, collecting the symbols
     [0], [1], [inf] into explicit coefficients instead of failing."""
     ordinary = []
-    c0 = c1 = cinf = Fraction(0)
+    c0 = c1 = cinf = 0
     for f, a in alpha.items():
         v = f.substitute(var, target)
         if v is INF:
@@ -105,7 +105,7 @@ def iterate(alpha: FormalSum, steps: tuple[SpecStep, ...]) -> FormalSum:
     return alpha
 
 
-def evaluate_at_point(alpha: FormalSum, point: dict) -> list[tuple[FieldElement, Fraction]]:
+def evaluate_at_point(alpha: FormalSum, point: dict) -> list[tuple[FieldElement, int | Fraction]]:
     """The sum's exact value at a point, the combination sum a [z] of field
     elements, as its (z, a) pairs: terms with equal values are merged, a
     value whose total is 0 drops out, and the pairs are sorted by
@@ -119,7 +119,7 @@ def evaluate_at_point(alpha: FormalSum, point: dict) -> list[tuple[FieldElement,
     missing = [v for v in alpha.universe if v not in point]
     if missing:
         raise ValueError(f"point does not assign {missing}")
-    totals: dict[FieldElement, Fraction] = {}
+    totals: dict[FieldElement, int | Fraction] = {}
     for f, a in alpha.terms.items():
         try:
             v = f.evaluate(point)
@@ -131,5 +131,6 @@ def evaluate_at_point(alpha: FormalSum, point: dict) -> list[tuple[FieldElement,
             raise PointNotAdmissible(f, "the value is 0")
         if v.is_one():
             raise PointNotAdmissible(f, "the value is 1")
-        totals[v] = totals[v] + a if v in totals else a
+        # a merged total is put back in the one coefficient form
+        totals[v] = _check_coeff(totals[v] + a, alpha.coeff_mode) if v in totals else a
     return sorted(((z, a) for z, a in totals.items() if a), key=lambda t: t[0].sort_key())

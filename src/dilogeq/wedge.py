@@ -19,6 +19,8 @@ Identities used (all derived from the defining relation (-x) (x) x = 0):
   torsion       b /\ (-1) has order 2, b /\ i has order 4, i /\ i = 0
 so pairs ending in the unit are stored mod 2 (rational) or mod 4 (Gaussian)
 when coefficients are in Z, and vanish identically when coefficients are in Q.
+Coefficients, of the tensors and of the pairs, take formal's one form: an
+int when integral, else a Fraction, so in Z-mode every pair holds an int.
 
 The constancy criterion: a formal sum has constant dilogarithm (in the
 Bloch-Wigner, Rogers, or p-adic sense, under the matching admissibility of
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .coprime import CoprimeBasis
-from .formal import FormalSum, conj_sum
+from .formal import FormalSum, _check_coeff, conj_sum
 from .primes import factor_constant, prime_key
 from .ratfunc import RationalFunction
 
@@ -62,9 +64,10 @@ class WedgeElement:
     def __init__(self, tensors, field_mode="Q", coeff_mode="Z"):
         self.field_mode = field_mode
         self.coeff_mode = coeff_mode
-        self.tensors = tuple(
-            (Fraction(a), f, g) for a, f, g in tensors if Fraction(a)
-        )
+        # each coefficient in the one form formal gives it; Z-mode is
+        # enforced on the torsion pairs only, by _reduce_one
+        tensors = ((_check_coeff(a, "Q"), f, g) for a, f, g in tensors)
+        self.tensors = tuple(t for t in tensors if t[0])
         for _, f, g in self.tensors:
             if f.is_zero() or g.is_zero():
                 raise ValueError("wedge arguments must be nonzero")
@@ -94,11 +97,9 @@ class WedgeElement:
             return [((BASIS, i), e) for i, e in exps.items() if e] + keyed
 
         # pairs of sort keys; sums stay on ints while the coefficients are
-        # integral, and each surviving pair becomes a Fraction once, below
+        # integral, and each surviving pair is put in the one form below
         pairs: dict[tuple, int | Fraction] = {}
         for a, f, g in self.tensors:
-            if a.denominator == 1:
-                a = a.numerator
             atoms_f, atoms_g = atoms(f), atoms(g)
             for x, m in atoms_f:
                 for y, n in atoms_g:
@@ -119,12 +120,12 @@ class WedgeElement:
             if y == UNIT:
                 v = _reduce_one(v, self.coeff_mode, modulus)
             if v:
-                survivors.append((x, y, v))
+                survivors.append((x, y, _check_coeff(v, "Q")))
         # stored in canonical atom order, which every view below reads; the
         # keys of a pair are unique, so no value is compared
         survivors.sort()
         atom = prime_atoms.get
-        self.pairs = {(atom(x, x), atom(y, y)): Fraction(v) for x, y, v in survivors}
+        self.pairs = {(atom(x, x), atom(y, y)): v for x, y, v in survivors}
 
     # -- views -----------------------------------------------------------------
 
@@ -152,7 +153,7 @@ class WedgeElement:
     def beta3(self) -> dict:
         """The beta3 layer as a printable dictionary; it labels constants
         only, so no basis polynomial is formatted."""
-        beta3 = {"pairs": {}, "units": {}, "unit_unit": Fraction(0)}
+        beta3 = {"pairs": {}, "units": {}, "unit_unit": 0}
         for x, y, v in self._entries(3):
             lx, ly = self._label(x), self._label(y)
             if y != UNIT:
@@ -199,7 +200,7 @@ def _reduce_one(v: int | Fraction, coeff_mode: str, modulus: int) -> int:
         return 0
     if v.denominator != 1:
         raise ValueError(f"torsion component {v} is not an integer in Z-mode")
-    return v.numerator % modulus
+    return v % modulus
 
 
 # ---------------------------------------------------------------------------

@@ -113,6 +113,25 @@ def to_sympy(p: MultiPoly):
     return sp.Poly.from_dict(rep, sp.symbols(p.universe), domain=sp.QQ_I)
 
 
+def coefficients(coeff_mode: str):
+    """A hypothesis strategy drawing a coefficient of that mode in each of
+    its forms: an int, an integral Fraction and, in Q-mode, a Fraction
+    with denominator 2 to 4 (integral when it cancels)."""
+    from hypothesis import strategies as st
+
+    whole = st.integers(-4, 4)
+    forms = [whole, whole.map(Fraction)]
+    if coeff_mode == "Q":
+        forms.append(st.builds(Fraction, st.integers(-8, 8), st.integers(2, 4)))
+    return st.one_of(forms)
+
+
+def in_one_form(c) -> bool:
+    """c is an int, or a Fraction that is not integral: the one form a
+    coefficient of the package takes."""
+    return type(c) is int or (type(c) is Fraction and c.denominator > 1)
+
+
 def wedge_difference(lhs: WedgeElement, rhs: WedgeElement) -> WedgeElement:
     """lhs - rhs: one element built from lhs's tensors and rhs's negated.
     The arguments of both must share one universe, and the two elements

@@ -20,7 +20,7 @@ from dilogeq import blochfq, coprime, poly, primes
 from dilogeq.cli import build_parser, main
 from dilogeq.document import load_document
 from dilogeq.exprparse import parse_expression
-from dilogeq.formal import five_term
+from dilogeq.formal import c_element, five_term, inversion
 from dilogeq.numerics import ModPiSqHalf, bloch_wigner, rl_bar
 from dilogeq.scalars import fe
 
@@ -863,6 +863,21 @@ def test_relations_inversion_and_c(run):
     spec = load_document(out)
     assert spec.variables == ()
     assert {t.expression for t in spec.terms} == {"2", "-1"}
+
+
+def test_a_document_without_variables_ends_no_line_in_whitespace(run):
+    none = ()
+    code, out, _ = run(["relations", "c", "--c", "3"])
+    assert code == 0
+    assert [line for line in out.splitlines() if line != line.rstrip()] == []
+    assert load_document(out).formal_sum() == c_element(parse_expression("3", none))
+
+    code, out, _ = run(["specialize", "DOC:" + INVERSION_DOC, "--step", "t=2"])
+    assert code == 0
+    assert [line for line in out.splitlines() if line != line.rstrip()] == []
+    _, _, doc = out.partition("\n\n")
+    want = inversion(parse_expression("2", none))
+    assert load_document(doc).formal_sum() == want
 
 
 @pytest.mark.parametrize(

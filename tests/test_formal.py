@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dilogeq.document import load_document
+from dilogeq.exprparse import parse_expression
 from dilogeq.formal import (
     ExtendedFormalSum,
     FormalSum,
@@ -18,7 +20,7 @@ from dilogeq.formal import (
 from dilogeq.ratfunc import RationalFunction
 from dilogeq.scalars import fe
 
-from helpers import random_formal_sum, to_mode
+from helpers import coefficients, in_one_form, random_formal_sum, to_mode
 
 
 T = ("t",)
@@ -150,6 +152,49 @@ def test_z_mode_checks_the_summed_coefficient():
         FormalSum(T, [(t(), half), (const(3), half)], coeff_mode="Z")
     q = FormalSum(T, [(t(), half), (t(), 1)], coeff_mode="Q")
     assert q.terms.get(t(), 0) == Fraction(3, 2)
+
+
+# arguments over T: repeats merge, and t against 1/t makes a sum of halves
+ARGUMENTS = ("t", "1/t", "t + 2", "3")
+
+
+@given(st.data(), st.sampled_from(["Z", "Q"]))
+@settings(max_examples=60, deadline=None)
+def test_every_coefficient_is_an_int_exactly_when_integral(data, mode):
+    coeff = coefficients(mode)
+    scale = data.draw(coeff)
+    drawn = data.draw(st.lists(st.tuples(st.sampled_from(ARGUMENTS), coeff), max_size=5))
+    args = {src: parse_expression(src, T, "Q") for src in ARGUMENTS}
+    pairs = [(args[src], c) for src, c in drawn]
+    alpha = FormalSum(T, pairs, coeff_mode=mode)
+    by_map = FormalSum(T, dict(pairs), coeff_mode=mode)
+    # the same sum built from each coefficient's canonical value
+    plain = [(f, c.numerator if c.denominator == 1 else c) for f, c in pairs]
+    assert FormalSum(T, plain, coeff_mode=mode) == alpha
+    doc = "dilog-identity v1\ncoefficients: {}\nvariables: t\n{}".format(
+        mode,
+        "".join(f"term: {2 * c.numerator}/{2 * c.denominator} [{src}]\n" for src, c in drawn),
+    )
+    rel = {"field_mode": "Q", "coeff_mode": mode}
+    sums = [
+        alpha,
+        by_map,
+        alpha + by_map,
+        alpha - by_map,
+        -alpha,
+        alpha.scale(scale),
+        alpha.with_universe(("t", "s")),
+        conj_sum(alpha),
+        five_term(t(), const(3), **rel).scale(scale),
+        inversion(const(-1), **rel).scale(scale),
+        c_element(const(Fraction(1, 2)), **rel).scale(scale),
+        load_document(doc).formal_sum(),
+    ]
+    for s in sums:
+        assert all(in_one_form(c) for c in s.terms.values()), s.terms
+        assert all(in_one_form(c) for _, c in s.items())
+    ext = ExtendedFormalSum(alpha, scale, Fraction(scale), -scale)
+    assert all(in_one_form(c) for c in (ext.c0, ext.c1, ext.cinf))
 
 
 formal_sums = st.builds(

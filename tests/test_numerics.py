@@ -347,6 +347,14 @@ def test_mod_class_rejects_fractional_scaling():
         ModPiSqHalf.of(1.0).scale(Fraction(1, 2))
 
 
+def test_mod_class_scales_by_an_int_and_an_integral_fraction_alike():
+    a = ModPiSqHalf.of(1.25)
+    assert a.scale(3).rep == a.scale(Fraction(3)).rep == ModPiSqHalf.of(3.75).rep
+    assert type(a.scale(Fraction(3)).rep) is float
+    with pytest.raises(ValueError, match="^only integer multiples act on the quotient$"):
+        a.scale(Fraction(1, 2))
+
+
 def test_mod_class_periodicity():
     assert ModPiSqHalf.of(0.25 + 3 * MOD_HALF_PISQ).distance(
         ModPiSqHalf.of(0.25)

@@ -81,7 +81,7 @@ BLOCHFQ_SURVEY = """\
 # document report shows a basis only in a witness; these see every basis
 BASIS_DIGEST = """\
 seed 1: 30 sums, sha256 3d5a81b1ac7a60b70a87096581729abd47720861c4df3b7b28f8d77745701b20
-seed 1: 240 documents, sha256 d23081cb969773c4c69d01cb1ffee93a31c178870bd9176b3d38df0f48db7071
+seed 1: 240 documents, sha256 792d8661266293ceb4c778a9297fed3b2fcae7f33b0515379179fc8ec7f5cbb4
 seed 1: 240 documents, factor maps sha256 110e6b35d0e71822db7dc82bbecc79400daebefa44582c72cbbbdf3c35b458c0
 """
 
@@ -188,9 +188,9 @@ def test_report_diff_takes_a_git_revision():
     )
     assert done.returncode == 0, done.stdout.decode() + done.stderr.decode()
     summary = done.stdout.decode().splitlines()[0]
-    # check, wedge and padic-branch-diff at p = 5 and p = 2, each with and
-    # without --json
-    assert summary.startswith("seed 1: 240 documents, 1920 runs, ")
+    # check, wedge, padic-branch-diff at p = 5 and p = 2, and specialize at
+    # V = 2 and V = inf, each with and without --json
+    assert summary.startswith("seed 1: 240 documents, 2880 runs, ")
     assert summary.endswith(" 0 moved, largest change 0, 0 differences")
 
 

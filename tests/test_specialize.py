@@ -20,7 +20,7 @@ from dilogeq.specialize import (
     sp,
 )
 
-from helpers import random_formal_sum, wedge_difference
+from helpers import coefficients, in_one_form, random_formal_sum, wedge_difference
 from oracles import constant_pairs, value_at_point_as_sum
 
 
@@ -388,6 +388,33 @@ def test_evaluate_at_point_matches_the_formal_sum_of_constants(seed, field_mode,
                 evaluate_at_point(alpha, point)
             continue
         assert evaluate_at_point(alpha, point) == want
+
+
+# at t = 2 the first two share the value 2; t -> 0 sends them to [0] and
+# [inf], t + 1 to [1]; t -> inf sends three of them to [inf]
+SYMBOL_ARGUMENTS = (t(), const(4) / t(), t() + const(1), const(3) * t())
+
+
+@given(st.data(), st.sampled_from(["Z", "Q"]))
+@settings(max_examples=60, deadline=None)
+def test_specialization_keeps_the_one_coefficient_form(data, mode):
+    drawn = data.draw(
+        st.lists(st.tuples(st.sampled_from(SYMBOL_ARGUMENTS), coefficients(mode)), max_size=5)
+    )
+    alpha = FormalSum(T, drawn, coeff_mode=mode)
+    for q in (0, 1, 2, INF):
+        e = naive_eval(alpha, "t", step_to(q).target)
+        values = [e.c0, e.c1, e.cinf, *e.ordinary.terms.values()]
+        assert all(in_one_form(c) for c in values), values
+        assert all(in_one_form(c) for c in sp(alpha, step_to(q)).terms.values())
+    pairs = evaluate_at_point(alpha, {"t": fe(2)})
+    assert all(in_one_form(a) for _, a in pairs), pairs
+
+
+def test_a_sum_of_halves_at_a_point_is_an_int():
+    half = Fraction(1, 2)
+    alpha = FormalSum(T, [(t(), half), (const(4) / t(), half)], coeff_mode="Q")
+    assert [(z, type(a)) for z, a in evaluate_at_point(alpha, {"t": fe(2)})] == [(fe(2), int)]
 
 
 def test_sp_preserves_relation_kernel():

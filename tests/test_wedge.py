@@ -5,6 +5,8 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dilogeq import wedge
 from dilogeq.exprparse import parse_expression
@@ -22,6 +24,8 @@ from dilogeq.wedge import (
 
 from helpers import (
     beta1_by_index,
+    coefficients,
+    in_one_form,
     beta1_from_exponents,
     beta3_is_zero,
     expand_beta1_to_planted,
@@ -177,6 +181,40 @@ def test_z_mode_torsion_must_be_integral():
     with pytest.raises(ValueError):
         WedgeElement([(Fraction(1, 2), t(), const(-1))])
     assert not WedgeElement([(Fraction(1, 2), t(), const(-1))], coeff_mode="Q").pairs
+
+
+# arguments with prime and unit content, so all three layers show up
+FORM_ARGUMENTS = ("t", "t + 1", "-t", "2*t", "2", "-2", "3", "1/2", "-1")
+
+
+@given(st.data(), st.sampled_from(["Z", "Q"]))
+@settings(max_examples=60, deadline=None)
+def test_boundary_values_keep_the_one_coefficient_form(data, mode):
+    drawn = data.draw(
+        st.lists(st.tuples(st.sampled_from(FORM_ARGUMENTS), coefficients(mode)), max_size=5)
+    )
+    pairs = [(parse_expression(src, T, "Q"), c) for src, c in drawn]
+    alpha = FormalSum(T, pairs, coeff_mode=mode)
+    w = boundary(alpha)
+    b3 = check_constant(alpha).residual_beta3
+    values = [*w.pairs.values(), *b3["pairs"].values(), *b3["units"].values(), b3["unit_unit"]]
+    if mode == "Z":
+        assert all(type(v) is int for v in values), values
+    assert all(in_one_form(v) for v in values), values
+    # raw tensors read as a sum's coefficients: 3 and Fraction(3) alike
+    raw = WedgeElement([(Fraction(c), f, f.one_minus()) for f, c in alpha.items()], "Q", mode)
+    assert raw.pairs == w.pairs
+    assert [type(v) for v in raw.pairs.values()] == [type(v) for v in w.pairs.values()]
+
+
+def test_halves_meeting_on_a_pair_sum_to_an_int():
+    half = Fraction(1, 2)
+    w = WedgeElement([(half, t(), const(2)), (half, t(), const(2))], coeff_mode="Q")
+    assert [type(v) for v in w.pairs.values()] == [int]
+    # two halves on a torsion pair make an int; one half is refused
+    assert WedgeElement([(half, t(), const(-1)), (half, t(), const(-1))]).pairs
+    with pytest.raises(ValueError, match=r"^torsion component 1/2 is not an integer in Z-mode$"):
+        WedgeElement([(half, t(), const(-1))])
 
 
 # -- relation generators die under the boundary ------------------------------
