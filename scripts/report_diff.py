@@ -9,14 +9,17 @@ command (`report_diff.py HEAD .`).  The documents come from this
 checkout's `bench/inputs.py` (read, not changed; it imports nothing from
 the package, so a seed gives the same documents at every commit), with the
 flags the benchmark's `docs-check` workload passes.  Each checkout runs
-twelve commands on every document, each with and without `--json`:
+six commands on every document and a seventh on a document in x and y,
+each with and without `--json`:
 `dilogeq check DOC FLAGS`, `dilogeq wedge DOC`, `dilogeq padic-branch-diff
 DOC --p 5` at t = 5, or at x = 5, y = 3 on a document in x and y,
 `dilogeq padic-branch-diff DOC --p 2` at t = 3, or at x = 3, y = 5, where
 the log squares the unit and the bracket's 1/2 is not a unit, and
 `dilogeq specialize DOC --step V=2` and `--step V=inf,c=3`, with V the
-document's first variable (t, or x).  All run in one child process that
-imports the package from that checkout's `src/`.
+document's first variable (t, or x), and on a document in x and y
+`dilogeq specialize DOC --step x=(y+1)/(y-1)`, at a target that is a
+rational function.  All run in one child process that imports the package
+from that checkout's `src/`.
 
 Exit codes and error messages must be equal, and every report field other
 than a float byte-identical; a text report is read line by line, each
@@ -50,6 +53,8 @@ DOCS = 240
 BRANCH_POINTS = {5: (5, 3), 2: (3, 5)}
 # the specialize steps, each sending the first variable V to a target
 SPEC_STEPS = ("{}=2", "{}=inf,c=3")
+# the specialize step of a document in x and y, at a rational function
+XY_STEP = "x=(y+1)/(y-1)"
 
 # the report fields that hold a class mod pi^2/2 in real mode
 REAL_CLASSES = {("constant",), ("probe", "mean_value")}
@@ -212,8 +217,11 @@ def commands(path: Path, case) -> list[list[str]]:
         point = ",".join(f"{v}={q}" for v, q in zip(case.variables, values))
         branch = ["padic-branch-diff", str(path), "--p", str(p), "--point", point]
         argvs += [branch, [*branch, "--json"]]
-    for step in SPEC_STEPS:
-        spec = ["specialize", str(path), "--step", step.format(case.variables[0])]
+    steps = [step.format(case.variables[0]) for step in SPEC_STEPS]
+    if case.variables == ("x", "y"):
+        steps.append(XY_STEP)
+    for step in steps:
+        spec = ["specialize", str(path), "--step", step]
         argvs += [spec, [*spec, "--json"]]
     return argvs
 

@@ -23,7 +23,7 @@ from .intmat import (
     smith_invariant_factors,
     solve_integer,
 )
-from .primes import factor_rational, require_prime
+from .primes import _factor_int, require_prime
 
 
 @dataclass(frozen=True)
@@ -127,9 +127,9 @@ def wedge_square_order(p: int) -> tuple[int, int]:
 
 def _primitive_root(p: int) -> int:
     m = p - 1
-    prime_parts = factor_rational(m)[1]
+    primes = [q for q, _ in _factor_int(m)]
     for g in range(2, p):
-        if all(pow(g, m // q, p) != 1 for q in prime_parts):
+        if all(pow(g, m // q, p) != 1 for q in primes):
             return g
     raise ValueError(f"no primitive root mod {p}; {p} is not an odd prime")
 

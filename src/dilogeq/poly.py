@@ -177,12 +177,6 @@ class MultiPoly:
             return -1
         return sum(self.lead_term()[0])
 
-    def degree_in(self, var: str) -> int:
-        if not self.terms:
-            return -1
-        idx = self.universe.index(var)
-        return max(e[idx] for e in self.terms)
-
     def vars_used(self) -> tuple[str, ...]:
         used = [False] * len(self.universe)
         for e in self.terms:
@@ -317,10 +311,6 @@ class MultiPoly:
             ne = tuple(0 if i == idx else x for i, x in enumerate(e))
             out.setdefault(k, {})[ne] = c
         return {k: MultiPoly(self.universe, d) for k, d in out.items()}
-
-    def lead_coeff_in(self, var: str) -> "MultiPoly":
-        coeffs = self.coeffs_in(var)
-        return coeffs[max(coeffs)] if coeffs else self
 
     # -- evaluation / substitution ---------------------------------------
 

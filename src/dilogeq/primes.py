@@ -14,31 +14,33 @@ factoring: one Miller-Rabin test to the 13 prime bases 2..41 decides every
 n below psi_13 = 3317044064679887385961981, and a probable prime at or
 above it is refused rather than guessed.
 
-Gaussian integers are `FieldElement`s with d == 1; their arithmetic is that
-of z * conj(pi).  Every prime power, over Z and over Z[i] alike (and in
-the valuations of `padic`), comes out by one `strip_power`, in O(log e)
-exact quotients for an exponent e.
+Gaussian integers, the rational ones among them, are `FieldElement`s with
+d == 1; their division is that of z * conj(pi).  Every prime power, over
+Z and over Z[i] alike (and in the valuations of `padic`), comes out by one
+`strip_power`, in O(log e) exact quotients for an exponent e.
 
-For c = (a + bi) / d, write a + bi = g * w with g = gcd(a, b): the
-rational primes under c are those of g, of the norm of w and of d, all far
-smaller than the norm g^2 * N(w).  Over each such p lie the first-quadrant
-Gaussian primes: 1 + i for p = 2 (ramified), p itself for p = 3 mod 4
-(inert), and for p = 1 mod 4 the gcd pi of p and x + i in Z[i], where
-x^2 = -1 mod p, with the associate of its conjugate (split).  Each is
-stripped from the numerator a + bi and from d; what is left of each is a
-unit, whose power of i gives k.  `prime_key` is the one order of prime
-factors in both modes.  Every factorization is exactly invertible:
-multiplying the unit and the prime powers back reproduces the input (the
-tests check every factorization with `reconstruct` in tests/helpers.py).
+Both modes factor c = (a + bi) / d by one loop.  Write a + bi = g * w
+with g = gcd(a, b): the rational primes under c are those of g, of the
+norm of w and of d, all far smaller than the norm g^2 * N(w).  Over each
+such p lie the mode's primes: p itself in rational mode, and in Gaussian
+mode the first-quadrant Gaussian primes: 1 + i for p = 2 (ramified), p
+itself for p = 3 mod 4 (inert), and for p = 1 mod 4 the gcd pi of p and
+x + i in Z[i], where x^2 = -1 mod p, with the associate of its conjugate
+(split).  Each is stripped from the numerator a + bi and from d; what is
+left of each is a unit i^k, so k is the Gaussian unit exponent and k // 2
+the exponent of -1 = i^2.  A new field brings only its primes over p and
+its unit group.  `prime_key` is the one order of prime factors in both
+modes.  Every factorization is exactly invertible: multiplying the unit
+and the prime powers back reproduces the input (the tests check every
+factorization with `reconstruct` in tests/helpers.py).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .scalars import I, FieldElement, _decimal, fe
+from .scalars import I, FieldElement, _decimal, _make
 
 
 FACTOR_BOUND = 10**6
@@ -116,17 +118,6 @@ def _trial_sequence():
     while True:
         yield p
         p += 2
-
-
-def factor_rational(q: Fraction | int):
-    """q != 0 -> (sign_exponent in {0,1}, {prime: exponent})."""
-    if q == 0:
-        raise ValueError("cannot factor zero")
-    sign = 1 if q < 0 else 0
-    out = dict(_factor_int(abs(q.numerator)))
-    for p, e in _factor_int(q.denominator):
-        out[p] = out.get(p, 0) - e
-    return sign, {p: e for p, e in out.items() if e}
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -232,18 +223,28 @@ def gaussian_quotient(z: FieldElement, w: FieldElement) -> FieldElement | None:
     if r:
         return None
     im, r = divmod(z.b * w.a - z.a * w.b, n)
-    return None if r else FieldElement(re, im)
+    return None if r else _make(re, im, 1)
 
 
-def _factor_gaussian(c: FieldElement) -> tuple[int, list[tuple[FieldElement, int]]]:
-    """(unit exponent mod 4, [(prime, exponent)]) of c = (a + bi) / d."""
-    g = gcd(c.a, c.b)
-    norm = (c.a // g) ** 2 + (c.b // g) ** 2
-    rational = {p for n in (g, norm, c.d) for p, _ in _factor_int(n)}
-    num, den = FieldElement(c.a, c.b), FieldElement(c.d)
+def factor_constant(c: FieldElement, gaussian: bool) -> tuple[int, tuple]:
+    """c != 0 -> (k, ((prime, exponent), ...)) with c = u^k * prod
+    prime^exponent exactly, for the mode's unit u: -1 (rational mode, k mod
+    2) or i (Gaussian mode, k mod 4).  Factors are in `prime_key` order.
+
+    One loop for both modes: over a rational prime p lies p itself in
+    rational mode and the Gaussian primes over p in Gaussian mode; what is
+    left is i^k, and -1 = i^2 gives the rational exponent k // 2."""
+    if c.is_zero():
+        raise ValueError("cannot factor zero")
+    if not (gaussian or c.is_rational()):
+        raise ValueError("rational mode cannot factor a Gaussian constant")
+    a, b, d = c.a, c.b, c.d
+    g = gcd(a, b)
+    rational = {p for n in (g, (a // g) ** 2 + (b // g) ** 2, d) for p, _ in _factor_int(n)}
+    num, den = _make(a, b, 1), _make(d, 0, 1)
     factors = []
     for p in rational:
-        for pi in _gaussian_primes_over(p):
+        for pi in _gaussian_primes_over(p) if gaussian else (_make(p, 0, 1),):
             num, e = strip_power(num, pi, gaussian_quotient)
             den, f = strip_power(den, pi, gaussian_quotient)
             if e != f:
@@ -251,21 +252,6 @@ def _factor_gaussian(c: FieldElement) -> tuple[int, list[tuple[FieldElement, int
     (k_num, one_num), (k_den, one_den) = _first_quadrant(num), _first_quadrant(den)
     if not (one_num.is_one() and one_den.is_one()):
         raise ArithmeticError(f"{c} leaves the non-units {num} and {den}")
-    return (k_num - k_den) % 4, factors
-
-
-def factor_constant(c: FieldElement, gaussian: bool) -> tuple[int, tuple]:
-    """c != 0 -> (k, ((prime, exponent), ...)) with c = u^k * prod
-    prime^exponent exactly, for the mode's unit u: -1 (rational mode, k mod
-    2) or i (Gaussian mode, k mod 4).  Factors are in `prime_key` order."""
-    if c.is_zero():
-        raise ValueError("cannot factor zero")
-    if gaussian:
-        unit, factors = _factor_gaussian(c)
-    elif not c.is_rational():
-        raise ValueError("rational mode cannot factor a Gaussian constant")
-    else:
-        unit, fac = factor_rational(c.re)
-        factors = [(fe(p), e) for p, e in fac.items()]
     factors.sort(key=lambda t: prime_key(t[0]))
-    return unit, tuple(factors)
+    k = (k_num - k_den) % 4
+    return (k if gaussian else k // 2), tuple(factors)

@@ -6,12 +6,16 @@ both halves canonical, structural equality decides equality of rational
 functions, which is what formal sums key on.
 
 Substitution of a value for one variable returns either a RationalFunction
-or the in-band INF sentinel; 0/0 cannot happen because a common root of
-numerator and denominator in the eliminated variable would contradict
-lowest terms (Gauss: coprime over the polynomial ring stays coprime over
-the rational-function coefficient field).  Substituting the symbol INF is
-resolved by degree comparison in the eliminated variable, with the equal-
-degree case given by the ratio of the leading coefficients.
+or the in-band INF sentinel.  The value is a point [a : b] of P^1: num :
+den for a rational function, [1 : 0] for INF.  A polynomial p of degree n
+in the variable goes to its homogenization sum_k p_k a^k b^(n-k), and the
+numerator's and the denominator's are brought to one degree by a power of
+b; at INF this is the comparison of degrees, with the equal-degree case
+the ratio of the leading coefficients.  0/0 cannot happen because a
+common root of numerator and denominator in the eliminated variable would
+contradict lowest terms (Gauss: coprime over the polynomial ring stays
+coprime over the rational-function coefficient field), and [1 : 0] makes
+both leading coefficients nonzero.
 
 Full evaluation at a point is different: coprime polynomials in two or more
 variables can vanish together, as (y - 3)/(x - 2) does at (2, 3), and
@@ -232,27 +236,25 @@ class RationalFunction:
         """Substitute var -> value (RationalFunction or INF).
 
         Returns a RationalFunction over the same universe (with var unused)
-        or INF when the denominator vanishes identically / degrees force it.
+        or INF when the denominator vanishes at the point [a : b].
         """
         if value is INF:
-            dn = self.num.degree_in(var)
-            dd = self.den.degree_in(var)
-            if dn > dd:
-                return INF
-            if dn < dd:
-                return RationalFunction.from_poly(MultiPoly.zero(self.universe))
-            return RationalFunction(
-                self.num.lead_coeff_in(var), self.den.lead_coeff_in(var)
-            )
-        if var in value.vars_used():
+            a, b = MultiPoly.one(self.universe), MultiPoly.zero(self.universe)
+        elif var in value.vars_used():
             raise ValueError(f"substitution value must not involve {var}")
-        ns = _poly_substitute(self.num, var, value)
-        ds = _poly_substitute(self.den, var, value)
-        if ds.is_zero():
-            if ns.is_zero():
+        else:
+            a, b = value.num, value.den
+        n, num = _homogenized(self.num, var, a, b)
+        m, den = _homogenized(self.den, var, a, b)
+        if n > m:
+            den = den * b ** (n - m)
+        else:
+            num = num * b ** (m - n)
+        if den.is_zero():
+            if num.is_zero():
                 raise ArithmeticError("0/0 impossible for lowest-terms input")
             return INF
-        return ns / ds
+        return RationalFunction(num, den)
 
     def evaluate(self, assignment: dict[str, FieldElement]):
         """Full evaluation at a point; returns FieldElement or INF, and
@@ -322,15 +324,15 @@ def _monic_den(num: MultiPoly, den: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
     return num, den
 
 
-def _poly_substitute(p: MultiPoly, var: str, value: RationalFunction) -> RationalFunction:
-    """Evaluate a polynomial at var = value by Horner over the var-degrees."""
+def _homogenized(p: MultiPoly, var: str, a: MultiPoly, b: MultiPoly) -> tuple[int, MultiPoly]:
+    """(n, sum_k p_k a^k b^(n-k)) for p = sum_k p_k var^k of degree n in var
+    (0 for the zero polynomial), by Horner's rule with a running power of b."""
     coeffs = p.coeffs_in(var)
-    if not coeffs:
-        return RationalFunction.from_poly(p)
-    top = max(coeffs)
-    acc = RationalFunction.from_poly(MultiPoly.zero(p.universe))
-    for k in range(top, -1, -1):
-        acc = acc * value
+    n = max(coeffs, default=0)
+    acc, power = MultiPoly.zero(p.universe), MultiPoly.one(p.universe)
+    for k in range(n, -1, -1):
+        acc = acc * a
         if k in coeffs:
-            acc = acc + RationalFunction.from_poly(coeffs[k])
-    return acc
+            acc = acc + coeffs[k] * power
+        power = power * b
+    return n, acc

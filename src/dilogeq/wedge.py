@@ -64,9 +64,10 @@ class WedgeElement:
     def __init__(self, tensors, field_mode="Q", coeff_mode="Z"):
         self.field_mode = field_mode
         self.coeff_mode = coeff_mode
-        # each coefficient in the one form formal gives it; Z-mode is
-        # enforced on the torsion pairs only, by _reduce_one
-        tensors = ((_check_coeff(a, "Q"), f, g) for a, f, g in tensors)
+        # each coefficient in the one form formal gives it, checked against
+        # the coefficient mode as a FormalSum checks its own, so every
+        # Z-mode pair below holds an int
+        tensors = ((_check_coeff(a, coeff_mode), f, g) for a, f, g in tensors)
         self.tensors = tuple(t for t in tensors if t[0])
         for _, f, g in self.tensors:
             if f.is_zero() or g.is_zero():
@@ -118,7 +119,7 @@ class WedgeElement:
         survivors = []
         for (x, y), v in pairs.items():
             if y == UNIT:
-                v = _reduce_one(v, self.coeff_mode, modulus)
+                v = 0 if self.coeff_mode == "Q" else v % modulus
             if v:
                 survivors.append((x, y, _check_coeff(v, "Q")))
         # stored in canonical atom order, which every view below reads; the
@@ -193,14 +194,6 @@ def _joint_basis(tensors) -> CoprimeBasis:
             basis.add(h.den, h.den_factors)
     basis.freeze()
     return basis
-
-
-def _reduce_one(v: int | Fraction, coeff_mode: str, modulus: int) -> int:
-    if coeff_mode == "Q":
-        return 0
-    if v.denominator != 1:
-        raise ValueError(f"torsion component {v} is not an integer in Z-mode")
-    return v % modulus
 
 
 # ---------------------------------------------------------------------------

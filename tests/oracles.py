@@ -174,7 +174,8 @@ def wedge_specialize(w: WedgeElement, var: str, target) -> WedgeElement:
 def _sp_generator(f: RationalFunction, var: str, target) -> RationalFunction:
     if target is INF:
         # pi = 1/t strips the pole order, leaving the top-coefficient ratio
-        return RationalFunction(f.num.lead_coeff_in(var), f.den.lead_coeff_in(var))
+        num, den = f.num.coeffs_in(var), f.den.coeffs_in(var)
+        return RationalFunction(num[max(num)], den[max(den)])
     if isinstance(target, FieldElement):
         target = RationalFunction.const(f.universe, target)
     if var in target.vars_used():

@@ -48,11 +48,11 @@ def test_construction_and_str():
     p = t() ** 2 - c(1)
     assert str(p) == "t^2 - 1"
     assert p.total_degree() == 2
-    assert p.degree_in("t") == 2
+    assert max(p.coeffs_in("t"), default=-1) == 2
     assert p.vars_used() == ("t",)
     q = MultiPoly.var(T12, "t1") * MultiPoly.var(T12, "t2")
     assert str(q) == "t1*t2"
-    assert q.degree_in("t1") == 1
+    assert max(q.coeffs_in("t1"), default=-1) == 1
 
 
 def test_join_signed():
@@ -410,7 +410,7 @@ def test_univar_rem_is_remainder(p, q):
     if q.is_zero() or q.is_constant():
         return
     r = univar_rem(p, q, "t")
-    assert r.degree_in("t") < q.degree_in("t")
+    assert max(r.coeffs_in("t"), default=-1) < max(q.coeffs_in("t"), default=-1)
     # p - r divisible by q
     diff = p - r
     if not diff.is_zero():
@@ -426,6 +426,6 @@ def test_with_universe():
     p = t() ** 2
     q = p.with_universe(("s", "t"))
     assert q.universe == ("s", "t")
-    assert q.degree_in("t") == 2
+    assert max(q.coeffs_in("t"), default=-1) == 2
     with pytest.raises(ValueError):
         q.with_universe(("s",))

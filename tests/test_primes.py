@@ -12,7 +12,6 @@ from dilogeq.primes import (
     _factor_int,
     _residual_text,
     factor_constant,
-    factor_rational,
     gaussian_quotient,
     int_quotient,
     is_prime,
@@ -26,17 +25,17 @@ from dilogeq.scalars import I, FieldElement, fe
 from helpers import imag, is_integer, random_poly, reconstruct
 
 
-def test_factor_rational_examples():
-    sign, fac = factor_rational(Fraction(12))
-    assert sign == 0 and fac == {2: 2, 3: 1}
-    sign, fac = factor_rational(Fraction(-3, 4))
-    assert sign == 1 and fac == {2: -2, 3: 1}
-    sign, fac = factor_rational(Fraction(1))
-    assert sign == 0 and fac == {}
-    sign, fac = factor_rational(Fraction(-1))
-    assert sign == 1 and fac == {}
+def test_factor_constant_rational_examples():
+    sign, fac = factor_constant(fe(12), gaussian=False)
+    assert sign == 0 and fac == ((fe(2), 2), (fe(3), 1))
+    sign, fac = factor_constant(fe(Fraction(-3, 4)), gaussian=False)
+    assert sign == 1 and fac == ((fe(2), -2), (fe(3), 1))
+    sign, fac = factor_constant(fe(1), gaussian=False)
+    assert sign == 0 and fac == ()
+    sign, fac = factor_constant(fe(-1), gaussian=False)
+    assert sign == 1 and fac == ()
     with pytest.raises(ValueError):
-        factor_rational(Fraction(0))
+        factor_constant(fe(0), gaussian=False)
 
 
 # 1000003 * 1000033: no divisor up to the default bound 10^6, and too large
@@ -45,9 +44,9 @@ UNPROVEN = 1_000_003 * 1_000_033
 OVERSIZED = "constant has a prime factor above the bound 1000000: residual "
 
 
-def test_factor_rational_oversized():
+def test_factor_constant_rational_oversized():
     with pytest.raises(ValueError, match=f"^{OVERSIZED}{UNPROVEN}$"):
-        factor_rational(Fraction(UNPROVEN))
+        factor_constant(fe(UNPROVEN), gaussian=False)
 
 
 def test_residual_text_prints_up_to_sixty_digits():
@@ -57,23 +56,18 @@ def test_residual_text_prints_up_to_sixty_digits():
     assert _residual_text(2**100000 - 1) == "of 30103 digits"
 
 
-def test_factor_rational_certifies_primes_above_the_bound():
+def test_factor_constant_certifies_primes_above_the_bound():
     # trial division stops at 1001 > sqrt(1000003), which proves it prime
-    assert factor_rational(1_000_003) == (0, {1_000_003: 1})
-    assert factor_rational(Fraction(-2, 1_000_003)) == (1, {2: 1, 1_000_003: -1})
+    assert factor_constant(fe(1_000_003), gaussian=False) == (0, ((fe(1_000_003), 1),))
+    assert factor_constant(fe(Fraction(-2, 1_000_003)), gaussian=False) == (
+        1, ((fe(2), 1), (fe(1_000_003), -1))
+    )
 
 
 def test_factor_int_strips_high_prime_powers():
     # a 317,000-bit power of 3: removing it one division at a time would be
     # quadratic in its size
     assert _factor_int(3**200000 * 5**3 * 7) == ((3, 200000), (5, 3), (7, 1))
-
-
-def test_cached_factorizations_are_not_shared():
-    # trial division is cached per integer; callers get their own dicts
-    factor_rational(Fraction(12))[1][2] = 99
-    assert factor_rational(Fraction(12)) == (0, {2: 2, 3: 1})
-    assert factor_rational(Fraction(1, 12)) == (0, {2: -2, 3: -1})
 
 
 def test_is_prime():
@@ -153,7 +147,7 @@ def test_is_prime_agrees_with_trial_division_below_the_bound_squared():
         *(rnd.randrange(2, 10**6) for _ in range(200)),
         *(rnd.randrange(2, 10**12) for _ in range(60)),
     ]
-    assert [is_prime(n) for n in ns] == [factor_rational(n)[1] == {n: 1} for n in ns]
+    assert [is_prime(n) for n in ns] == [_factor_int(n) == ((n, 1),) for n in ns]
     assert [is_prime(n) for n in special] == [False, False, False, False, True]
 
 
@@ -257,6 +251,31 @@ def test_rational_factorization_is_multiplicative(a, b):
     merged = {p: e for p, e in merged.items() if e}
     assert dict(fab) == merged
     assert kab == (ka + kb) % 2
+
+
+@given(st.integers(-10**5, 10**5).filter(bool), st.integers(1, 10**4))
+@settings(max_examples=150)
+def test_the_two_modes_agree_on_a_rational_constant(n, d):
+    c = fe(Fraction(n, d))
+    _, rational = factor_constant(c, gaussian=False)
+    _, gaussian = factor_constant(c, gaussian=True)
+    # each Gaussian prime under its rational prime: its norm, or the square
+    # root of its norm
+    over: dict[int, list] = {}
+    for pi, e in gaussian:
+        norm = pi.a * pi.a + pi.b * pi.b
+        over.setdefault(norm if is_prime(norm) else math.isqrt(norm), []).append((pi, e))
+    assert sorted(over) == [p.a for p, _ in rational]
+    for p, e in rational:
+        if p.a == 2:
+            # ramified: 2 = -i (1 + i)^2
+            assert over[2] == [(fe(1, 1), 2 * e)]
+        elif p.a % 4 == 3:
+            # inert: the Gaussian prime p
+            assert over[p.a] == [(p, e)]
+        else:
+            # split: p = pi * conj(pi), each to the exponent of p
+            assert [f for _, f in over[p.a]] == [e, e]
 
 
 I = fe(0, 1)

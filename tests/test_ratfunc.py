@@ -202,6 +202,22 @@ def test_substitution_is_homomorphism(f, g, a):
         assert s2 == fs + gs
 
 
+XYU = ("x", "y", "u")
+
+
+@given(st.integers(0, 10_000), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_the_two_points_of_p1_agree(seed, gaussian):
+    # INF is [1 : 0], and so is 1/u at u = 0: both give INF, or the same
+    # rational function
+    f = random_ratfunc(random.Random(seed), XY, max_deg=3, gaussian=gaussian).with_universe(XYU)
+    u = RationalFunction.var(XYU, "u")
+    zero = RationalFunction.from_poly(MultiPoly.zero(XYU))
+    at_inf = f.substitute("x", INF)
+    through_u = f.substitute("x", u.inverse()).substitute("u", zero)
+    assert at_inf is through_u if at_inf is INF else at_inf == through_u
+
+
 def test_evaluate_matches_substitute():
     t = RationalFunction.var(T, "t")
     one = RationalFunction.const(T, fe(1))

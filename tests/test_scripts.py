@@ -189,8 +189,9 @@ def test_report_diff_takes_a_git_revision():
     assert done.returncode == 0, done.stdout.decode() + done.stderr.decode()
     summary = done.stdout.decode().splitlines()[0]
     # check, wedge, padic-branch-diff at p = 5 and p = 2, and specialize at
-    # V = 2 and V = inf, each with and without --json
-    assert summary.startswith("seed 1: 240 documents, 2880 runs, ")
+    # V = 2 and V = inf, each with and without --json, and on the 120
+    # documents in x and y specialize at x = (y+1)/(y-1)
+    assert summary.startswith("seed 1: 240 documents, 3120 runs, ")
     assert summary.endswith(" 0 moved, largest change 0, 0 differences")
 
 

@@ -211,10 +211,16 @@ def test_halves_meeting_on_a_pair_sum_to_an_int():
     half = Fraction(1, 2)
     w = WedgeElement([(half, t(), const(2)), (half, t(), const(2))], coeff_mode="Q")
     assert [type(v) for v in w.pairs.values()] == [int]
-    # two halves on a torsion pair make an int; one half is refused
-    assert WedgeElement([(half, t(), const(-1)), (half, t(), const(-1))]).pairs
-    with pytest.raises(ValueError, match=r"^torsion component 1/2 is not an integer in Z-mode$"):
-        WedgeElement([(half, t(), const(-1))])
+    # Z-mode reads each raw coefficient as a Z-mode sum does: a half is
+    # refused on a torsion pair, two of them alike, and on any other pair
+    refused = r"^coefficient 1/2 is not an integer \(coefficients: Z\)$"
+    for tensors in (
+        [(half, t(), const(-1)), (half, t(), const(-1))],
+        [(half, t(), const(-1))],
+        [(half, t(), const(2))],
+    ):
+        with pytest.raises(ValueError, match=refused):
+            WedgeElement(tensors)
 
 
 # -- relation generators die under the boundary ------------------------------
