@@ -226,29 +226,38 @@ def commands(path: Path, case) -> list[list[str]]:
     return argvs
 
 
+def label(argv: list[str]) -> str:
+    """A command and its flags, without the document's path."""
+    return " ".join(argv[:1] + argv[2:])
+
+
+def document_runs(inputs, seed: int, workdir: Path) -> list[tuple]:
+    """Write the seed's documents under `workdir`; each (document, argv) of
+    the commands run on them, in document order."""
+    runs = []
+    for case in inputs.docs_cases(seed, DOCS):
+        path = workdir / case.name
+        path.write_text(case.text)
+        runs += [(case, argv) for argv in commands(path, case)]
+    return runs
+
+
 def compare_checkouts(old_checkout: Path, new_checkout: Path, seeds: list[int]) -> bool:
     """Print what each seed's reports show; True when any of them differ."""
     inputs = load_inputs()
     failed = False
     for seed in seeds:
-        cases = inputs.docs_cases(seed, DOCS)
         with tempfile.TemporaryDirectory() as tmp:
-            workdir = Path(tmp)
-            runs = []
-            for case in cases:
-                path = workdir / case.name
-                path.write_text(case.text)
-                runs += [(case, argv) for argv in commands(path, case)]
+            runs = document_runs(inputs, seed, Path(tmp))
             argvs = [argv for _, argv in runs]
-            old = run_checkout(old_checkout, argvs, workdir)
-            new = run_checkout(new_checkout, argvs, workdir)
+            old = run_checkout(old_checkout, argvs, Path(tmp))
+            new = run_checkout(new_checkout, argvs, Path(tmp))
         diff = Diff()
         for (case, argv), a, b in zip(runs, old, new):
-            # the command and its flags, without the temporary path
-            where = f"seed {seed} {case.name}: {' '.join(argv[:1] + argv[2:])}"
-            diff.compare_run(a, b, where, "--real" in case.flags)
+            diff.compare_run(a, b, f"seed {seed} {case.name}: {label(argv)}", "--real" in case.flags)
+        documents = len({case.name for case, _ in runs})
         print(
-            f"seed {seed}: {len(cases)} documents, {len(runs)} runs, {diff.floats} floats, "
+            f"seed {seed}: {documents} documents, {len(runs)} runs, {diff.floats} floats, "
             f"{diff.moved} moved, largest change {diff.largest:.3g}, "
             f"{len(diff.problems)} differences"
         )

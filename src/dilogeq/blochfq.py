@@ -110,7 +110,7 @@ def relations_matrix(p: int) -> AbelianGroupPresentation:
 
 def wedge_square_order(p: int) -> tuple[int, int]:
     """(m, d) with F_p* of order m and the wedge square presented as Z/d,
-    for any prime p.
+    for any prime p; d >= 1, since the gcd starts at d = m >= 1.
 
     The tensor square of a cyclic group of order m is Z/m via
     g^a (x) g^b -> a*b; killing (-x) (x) x kills a*(a + m/2) for every a,
@@ -136,27 +136,26 @@ def _primitive_root(p: int) -> int:
 
 def boundary_vector(p: int) -> tuple[int, list[int]]:
     """(d, w) with w[i] the image of generator x_i under [x] -> x /\\ (1-x),
-    as an element of the wedge square Z/d."""
+    as an element of the wedge square Z/d, d >= 1."""
     m, d = wedge_square_order(p)
     g = _primitive_root(p)
     dlog = {pow(g, k, p): k for k in range(m)}
     w = []
     for x in range(2, p):
         # 1-x mod p stays outside {0, 1} for x outside {0, 1}
-        w.append(dlog[x] * dlog[(1 - x) % p] % d if d else dlog[x] * dlog[(1 - x) % p])
+        w.append(dlog[x] * dlog[(1 - x) % p] % d)
     return d, w
 
 
 def kernel_lattice(p: int) -> list[list[int]]:
     """HNF basis of ker(boundary) inside Z^(p-2).
 
-    The kernel is {v : sum v_i w_i = 0 mod d}, a full-rank sublattice; it
-    is the projection of the integer kernel of the column (w_1..w_n, d).
+    The kernel is {v : sum v_i w_i = 0 mod d}, d >= 1, a full-rank
+    sublattice; it is the projection of the integer kernel of the column
+    (w_1..w_n, d).
     """
     d, w = boundary_vector(p)
     n = len(w)
-    if d == 0:
-        raise ArithmeticError("wedge square of a finite field is finite")
     rows = [[wi] for wi in w] + [[d]]
     proj = [b[:n] for b in left_kernel(rows)]
     basis = hnf(proj, n)

@@ -237,9 +237,9 @@ class _Parser:
 
     def signed_int(self) -> int:
         tok = self.peek()
-        if tok.kind == "-":
+        if tok.kind in ("-", "+"):
             self.take()
-            return -self.signed_int()
+            return -self.signed_int() if tok.kind == "-" else self.signed_int()
         if tok.kind == "(":
             self.take()
             value = self.signed_int()

@@ -7,7 +7,7 @@ the seed alone.
 
 from __future__ import annotations
 
-import importlib.util
+import functools
 import json
 import os
 import random
@@ -29,14 +29,25 @@ from dilogeq.wedge import BASIS, WedgeElement
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def bench_inputs():
-    """bench/inputs.py, read without changing it; it imports nothing from
-    the package, so a seed gives the same documents at every commit."""
-    spec = importlib.util.spec_from_file_location("bench_inputs", ROOT / "bench" / "inputs.py")
-    inputs = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = inputs
-    spec.loader.exec_module(inputs)
-    return inputs
+@functools.cache
+def moved_report_digests() -> tuple:
+    """(part, name) of each seed-1 digest of `tests/report_record.json` that
+    `scripts/record_reports.py` records differently on this checkout, a
+    missing or new entry included.  The record is made once a session and
+    read by each test that checks a part of it."""
+    scripts = str(ROOT / "scripts")
+    sys.path.insert(0, scripts)
+    try:
+        from record_reports import RECORD, record
+    finally:
+        sys.path.remove(scripts)
+    old, new = json.loads(RECORD.read_text())["1"], record(1)
+    return tuple(
+        (part, name)
+        for part in new
+        for name in sorted(old[part].keys() | new[part].keys())
+        if old[part].get(name) != new[part].get(name)
+    )
 
 
 def fresh(code: str, *args: str):

@@ -1,14 +1,11 @@
 """Command line interface, run in-process through main(argv)."""
 
 import argparse
-import hashlib
 import inspect
 import io
 import json
 import math
-import os
 import re
-import subprocess
 import sys
 from fractions import Fraction
 
@@ -24,7 +21,7 @@ from dilogeq.formal import c_element, five_term, inversion
 from dilogeq.numerics import ModPiSqHalf, bloch_wigner, rl_bar
 from dilogeq.scalars import fe
 
-from helpers import ROOT, bench_inputs
+from helpers import moved_report_digests
 
 FIVE_DOC = """\
 dilog-identity v1
@@ -1146,24 +1143,12 @@ def test_blochfq_golden(run, p, flags, text, report):
     assert out == json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
-# sha256 of [exit code, stdout, stderr] of `blochfq P` and `blochfq P --json`
-# for every prime 5 <= P <= 97, the cap, then of both with --oracle at 5 and 7:
-# a change that only makes `blochfq` faster leaves this digest as it is
-BLOCHFQ_REPORTS_SHA256 = "0d7dc5ba2def6d4ac50a0b2864f6c345cf15d9c122a43a36dfcea2b221ce6fe7"
-
-
-def test_blochfq_reports_up_to_the_cap_are_pinned(run):
-    argvs = [
-        ["blochfq", str(p), *flags]
-        for p in range(5, 98)
-        if primes.is_prime(p)
-        for flags in ([], ["--json"])
-    ]
-    argvs += [["blochfq", str(p), *flags, "--oracle"] for p in (5, 7) for flags in ([], ["--json"])]
-    digest = hashlib.sha256()
-    for argv in argvs:
-        digest.update(json.dumps(run(argv)).encode())
-    assert digest.hexdigest() == BLOCHFQ_REPORTS_SHA256
+# `blochfq P` and `blochfq P --json` for every prime 5 <= P <= 97, the cap,
+# then both with --oracle at 5 and 7: the `blochfq` family of
+# tests/report_record.json, so a change that only makes `blochfq` faster
+# leaves it as it is
+def test_blochfq_reports_up_to_the_cap_are_pinned():
+    assert ("families", "blochfq") not in moved_report_digests()
 
 
 def test_blochfq_builds_the_presentation_once(run, monkeypatch):
@@ -1514,37 +1499,9 @@ def test_reports_are_byte_deterministic(run):
         assert first == second
 
 
-# sha256 of [exit code, stdout, stderr] of `check DOC --json FLAGS` on each
-# of the first 60 benchmark documents at seed 1: a change that only makes
-# `check` faster leaves every report byte, and so this digest, as it is
-BENCH_REPORTS_SHA256 = "a3e53e3247cd2007cbc3a870c861d927fa231e7b27dde6c88fa6e128c1dfe1a6"
-
-# runs in a child process with PYTHONHASHSEED fixed, as the benchmark runs
-# the package; argv[1] is a JSON list of argument lists
-REPORTS_CHILD = """
-import contextlib, hashlib, io, json, sys
-from dilogeq.cli import main
-digest = hashlib.sha256()
-for argv in json.loads(sys.argv[1]):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    digest.update(json.dumps([code, out.getvalue(), err.getvalue()]).encode())
-print(digest.hexdigest())
-"""
-
-
-def test_check_reports_of_the_benchmark_documents_are_pinned(tmp_path):
-    argvs = []
-    for case in bench_inputs().docs_cases(1, 60):
-        (tmp_path / case.name).write_text(case.text)
-        argvs.append(["check", case.name, "--json", *case.flags])
-    done = subprocess.run(
-        [sys.executable, "-c", REPORTS_CHILD, json.dumps(argvs)],
-        cwd=tmp_path,
-        env={**os.environ, "PYTHONHASHSEED": "0", "PYTHONPATH": str(ROOT / "src")},
-        capture_output=True,
-        timeout=120,
-    )
-    assert done.returncode == 0, done.stderr.decode()
-    assert done.stdout.decode().strip() == BENCH_REPORTS_SHA256
+# `check DOC --json FLAGS` and `check DOC FLAGS` on each seed-1 benchmark
+# document: the `check*` families of tests/report_record.json, so a change
+# that only makes `check` faster leaves every report byte as it is
+def test_check_reports_of_the_benchmark_documents_are_pinned():
+    moved = [name for part, name in moved_report_digests() if part == "families" and name.split()[0] == "check"]
+    assert not moved, "check reports moved: " + ", ".join(moved)

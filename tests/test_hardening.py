@@ -221,7 +221,7 @@ TRACED_COMMANDS = (
 
 # Run in a fresh interpreter, so that no cache an earlier test warmed hides
 # a call: the commands, one relation sum built as the benchmark builds it
-# (scripts/basis_digest.py), and the demo scripts, under a profile hook and
+# (scripts/record_reports.py), and the demo scripts, under a profile hook and
 # with each watched class's attribute reads recorded.  A class reads
 # through the default lookup again once every name it stores has been read.
 # Prints the exit codes, each (file, first line) of package code entered
@@ -232,10 +232,10 @@ from pathlib import Path
 from dilogeq.cli import main
 root, commands, stored = Path(sys.argv[1]), json.loads(sys.argv[2]), json.loads(sys.argv[3])
 sys.path.insert(0, str(root / "scripts"))  # as for a script run from there
-spec = importlib.util.spec_from_file_location("digest", root / "scripts" / "basis_digest.py")
-digest = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(digest)
-inputs = digest.load_inputs()
+spec = importlib.util.spec_from_file_location("record", root / "scripts" / "record_reports.py")
+record = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(record)
+inputs = record.load_inputs()
 unread = {}
 def watch(cls, left):
     get = cls.__getattribute__
@@ -257,7 +257,7 @@ def hook(frame, event, arg):
 sys.setprofile(hook)
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     codes = [main(argv) for argv in commands]
-    next(digest.relation_sums(inputs, 1, 1))
+    next(record.relation_sums(inputs, 1, 1))
     for script in ("padic_branch_demo.py", "specialization_demo.py"):
         sys.argv = [script]
         runpy.run_path(str(root / "scripts" / script), run_name="__main__")

@@ -19,7 +19,7 @@ from dilogeq.formal import FormalSum, check_term, five_term
 from dilogeq.ratfunc import RationalFunction, ZeroDenominator
 from dilogeq.scalars import I, FieldElement
 
-from helpers import bench_inputs, random_formal_sum
+from helpers import ROOT, random_formal_sum
 
 XY = ("x", "y")
 
@@ -53,6 +53,11 @@ def test_negative_and_parenthesized_exponents():
     assert parse_expression("x^(-2)", XY) == rf_const(1) / (x * x)
     assert parse_expression("x^0", XY) == rf_const(1)
     assert parse_expression("2^-3", XY) == rf_const(Fraction(1, 8))
+    # a leading plus is read as a leading minus is
+    assert parse_expression("x^+2", XY) == parse_expression("x^(+2)", XY) == x * x
+    with pytest.raises(ExpressionError) as ei:
+        parse_expression("x^+", XY)
+    assert (ei.value.reason, ei.value.col) == ("expected 'int', found end of input", 4)
 
 
 def test_normalization_happens_at_parse_time():
@@ -656,6 +661,9 @@ def test_repeated_subtrees_parse_as_fresh(pool, picks):
     _assert_document_as_fresh(load_document(doc))
 
 
-def test_benchmark_documents_parse_as_fresh():
-    for case in bench_inputs().docs_cases(1, 60):
+def test_benchmark_documents_parse_as_fresh(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    from report_diff import load_inputs
+
+    for case in load_inputs().docs_cases(1, 60):
         _assert_document_as_fresh(load_document(case.text))

@@ -2,12 +2,9 @@
 pinned cases where the images must not decide, and the exact path alone."""
 
 import gc
-import importlib.util
 import random
-import sys
 import weakref
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 import sympy as sp
@@ -19,7 +16,7 @@ from dilogeq import coprime, poly, primes
 from dilogeq.poly import MultiPoly, poly_gcd, squarefree_parts
 from dilogeq.scalars import I, fe
 
-from helpers import random_poly, to_sympy
+from helpers import ROOT, random_poly, to_sympy
 
 P = poly._P
 UNIVERSES = {1: ("x",), 2: ("x", "y"), 3: ("x", "y", "z")}
@@ -525,36 +522,18 @@ def test_a_five_term_relation_at_t_over_the_prime_stays_constant():
 # -- the exact path alone ----------------------------------------------------------
 
 
-def _relation_sums(seed, count):
-    """The relation-sum benchmark's inputs (bench/inputs.py imports nothing
-    from the package, so a seed gives the same sums at every commit)."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
-    spec = importlib.util.spec_from_file_location("bench_inputs", path)
-    inputs = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = inputs
-    spec.loader.exec_module(inputs)
-    universe = inputs.RELATION_VARS
-
-    def ratfunc(f):
-        num, den = (MultiPoly(universe, {e: fe(c) for e, c in p}) for p in f)
-        return dilogeq.RationalFunction(num, den)
-
-    sums = []
-    for gens in inputs.relation_sum_specs(seed, count):
-        total = dilogeq.FormalSum.zero(universe)
-        for coeff, x, y in gens:
-            total = total + dilogeq.five_term(ratfunc(x), ratfunc(y)).scale(coeff)
-        sums.append(total)
-    return sums
-
-
 def _bases_and_pairs(sums):
     # a Constant certificate carries no basis, so compare the boundaries
     return [(w.basis.elements, w.pairs) for w in map(dilogeq.boundary, sums)]
 
 
 def test_relation_sums_without_images(monkeypatch):
-    with_images = _bases_and_pairs(_relation_sums(1, 10))
+    # the relation-sum benchmark's inputs, built as the record of report bytes builds them
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    from record_reports import load_inputs, relation_sums
+
+    inputs = load_inputs()
+    with_images = _bases_and_pairs(relation_sums(inputs, 1, 10))
     scanned = []
 
     def unknown(p, q):
@@ -566,5 +545,5 @@ def test_relation_sums_without_images(monkeypatch):
     monkeypatch.setattr(poly, "_images_coprime", lambda p, q: False)
     monkeypatch.setattr(coprime, "_images_coprime", unknown)
     monkeypatch.setattr(poly, "_images_squarefree", lambda p: False)
-    assert _bases_and_pairs(_relation_sums(1, 10)) == with_images
+    assert _bases_and_pairs(relation_sums(inputs, 1, 10)) == with_images
     assert scanned

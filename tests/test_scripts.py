@@ -3,14 +3,16 @@
 Each runs in a subprocess, as a user runs it, so a script that an API
 change breaks fails here; its stdout is compared with the bytes it printed
 when this test was written, which pins the text of formal sums, extended
-sums and p-adic numbers that the scripts show, the Bloch-group table
-of the survey over the primes up to 31, and the digests of the coprime
-bases, boundary pairs and factor maps of the benchmark's seed-1 inputs.
-`code_lines.py` is run on a fixture of two modules, `report_diff.py`
-compares the reports of HEAD with those of the working tree, and
-`bench_pairs.py` benchmarks HEAD against the working tree.
+sums and p-adic numbers that the scripts show and the Bloch-group table
+of the survey over the primes up to 31.  The seed-1 part of
+`tests/report_record.json` is recorded again on the working tree and
+compared with the file.  `code_lines.py` is run on a fixture of two
+modules, `report_diff.py` compares the reports of HEAD with those of the
+working tree on a few documents, and `bench_pairs.py` benchmarks HEAD
+against the working tree.
 """
 
+import json
 import re
 import shutil
 import subprocess
@@ -18,6 +20,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from helpers import moved_report_digests
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = ROOT / "scripts"
@@ -77,28 +81,18 @@ BLOCHFQ_SURVEY = """\
   31    29      Z/2       Z/32     Z/16       Z/8  yes
 """
 
-# the relation-sum report digest holds only Constant verdicts, and a
-# document report shows a basis only in a witness; these see every basis
-BASIS_DIGEST = """\
-seed 1: 30 sums, sha256 3d5a81b1ac7a60b70a87096581729abd47720861c4df3b7b28f8d77745701b20
-seed 1: 240 documents, sha256 792d8661266293ceb4c778a9297fed3b2fcae7f33b0515379179fc8ec7f5cbb4
-seed 1: 240 documents, factor maps sha256 110e6b35d0e71822db7dc82bbecc79400daebefa44582c72cbbbdf3c35b458c0
-"""
-
 
 EXPECTED = {
     "specialization_demo.py": SPECIALIZATION_DEMO,
     "padic_branch_demo.py": PADIC_BRANCH_DEMO,
     "blochfq_survey.py": BLOCHFQ_SURVEY,
-    "basis_digest.py": BASIS_DIGEST,
 }
-ARGS = {"basis_digest.py": ["--seeds", "1"]}
 
 
 @pytest.mark.parametrize("script", sorted(EXPECTED))
 def test_demo_script_prints_the_recorded_text(script):
     done = subprocess.run(
-        [sys.executable, str(SCRIPTS / script), *ARGS.get(script, [])],
+        [sys.executable, str(SCRIPTS / script)],
         capture_output=True,
         timeout=60,
     )
@@ -174,25 +168,65 @@ def test_code_lines_compares_a_git_revision_with_this_checkout():
     assert both[-1][1] == f"{new - old:+d}"
 
 
+def test_the_report_record_matches_this_checkout():
+    moved = moved_report_digests()
+    assert not moved, "seed-1 digests moved (rerun python3 scripts/record_reports.py): " + ", ".join(
+        f"{part} {name!r}" for part, name in moved
+    )
+
+
 @pytest.mark.skipif(
     not (ROOT / ".git").exists() or shutil.which("git") is None,
     reason="needs a git checkout",
 )
-def test_report_diff_takes_a_git_revision():
+def test_report_diff_takes_a_git_revision(monkeypatch, capsys):
     # HEAD is exported with git archive; the working tree of a committed
     # change gives the same report bytes
-    done = subprocess.run(
-        [sys.executable, str(SCRIPTS / "report_diff.py"), "HEAD", str(ROOT), "--seeds", "1"],
-        capture_output=True,
-        timeout=120,
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+    import report_diff
+
+    # the first six seed-1 documents hold one in x and y and one under --real
+    monkeypatch.setattr(report_diff, "DOCS", 6)
+    cases = report_diff.load_inputs().docs_cases(1, 6)
+    assert ("x", "y") in {case.variables for case in cases}
+    assert any("--real" in case.flags for case in cases)
+    monkeypatch.setattr(sys, "argv", ["report_diff.py", "HEAD", str(ROOT), "--seeds", "1"])
+    with pytest.raises(SystemExit) as done:
+        report_diff.main()
+    out = capsys.readouterr().out
+    assert done.value.code == 0, out
+    runs = sum(len(report_diff.commands(Path(case.name), case)) for case in cases)
+    assert out.splitlines()[0].startswith(f"seed 1: 6 documents, {runs} runs, ")
+    assert out.splitlines()[0].endswith(" 0 moved, largest change 0, 0 differences")
+
+
+def test_report_diff_names_each_difference(monkeypatch):
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+    from report_diff import MOD_HALF_PISQ, Diff
+
+    def compare(old, new, real=False):
+        diff = Diff()
+        diff.compare_run(old, new, "doc", real)
+        return diff.problems, diff.shifts
+
+    assert compare([0, "verdict: Constant\n", ""], [0, "verdict: NotConstant\n", ""]) == (
+        ["doc.0.0: 'verdict: Constant' became 'verdict: NotConstant'"], [],
     )
-    assert done.returncode == 0, done.stdout.decode() + done.stderr.decode()
-    summary = done.stdout.decode().splitlines()[0]
-    # check, wedge, padic-branch-diff at p = 5 and p = 2, and specialize at
-    # V = 2 and V = inf, each with and without --json, and on the 120
-    # documents in x and y specialize at x = (y+1)/(y-1)
-    assert summary.startswith("seed 1: 240 documents, 3120 runs, ")
-    assert summary.endswith(" 0 moved, largest change 0, 0 differences")
+    assert compare([0, "", ""], [2, "", "error: bad\n"]) == (
+        ["doc: exit 0 became 2", "doc: stderr '' became 'error: bad\\n'"], [],
+    )
+    # a float may move by 1e-12 relative, and is listed; beyond, it differs
+    assert compare([0, "value: 1.25\n", ""], [0, "value: 1.2500001\n", ""]) == (
+        ["doc.0.1: 1.25 became 1.2500001 (by 1e-07)"], [],
+    )
+    assert compare([0, "value: 1.25\n", ""], [0, "value: 1.2500000000000002\n", ""]) == (
+        [], ["doc.0.1: 1.25 became 1.2500000000000002 (by 2.22e-16)"],
+    )
+    # in real mode a constant is a class mod pi^2/2
+    old, new = ([0, json.dumps({"constant": c}), ""] for c in (1e-14, MOD_HALF_PISQ - 1e-14))
+    problems, shifts = compare(old, new, real=True)
+    assert problems == [] and shifts[0].startswith("doc.constant: 1e-14 became 4.934")
+    assert compare(old, new)[0][0].startswith("doc.constant: 1e-14 became 4.934")
 
 
 @pytest.mark.skipif(
