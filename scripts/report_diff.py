@@ -105,7 +105,7 @@ def export_revision(revision: str, target: Path) -> Path:
         stdout=subprocess.PIPE,
     ).stdout
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-        tar.extractall(target)
+        tar.extractall(target, filter="data")
     return target
 
 

@@ -246,7 +246,7 @@ def _cmd_check(args) -> int:
 
     # without integer coefficients the Rogers reading has neither a
     # constant nor a probe, and NON_INTEGER_NOTE says so once
-    no_rogers = mode == "real" and any(a.denominator != 1 for _, a in alpha.items())
+    no_rogers = mode == "real" and any(a.denominator != 1 for a in alpha.terms.values())
 
     if cert.is_constant() and mode in ("complex", "real"):
         points = _find_points(alpha, real=(mode == "real"))

@@ -195,6 +195,10 @@ def _first_quadrant(z: FieldElement) -> tuple[int, FieldElement]:
     raise ValueError("zero has no quadrant normal form")
 
 
+# k for each unit i^k of Z[i], by its (real, imaginary) parts
+_UNIT_POWERS = {(1, 0): 0, (0, 1): 1, (-1, 0): 2, (0, -1): 3}
+
+
 def _sqrt_minus_one(p: int) -> int:
     for r in range(2, p):
         if pow(r, (p - 1) // 2, p) == p - 1:
@@ -203,9 +207,12 @@ def _sqrt_minus_one(p: int) -> int:
 
 
 @lru_cache(maxsize=1024)
-def _gaussian_primes_over(p: int) -> tuple[FieldElement, ...]:
-    """The first-quadrant Gaussian primes that divide the rational prime p;
-    cached, as `_factor_int` is."""
+def _primes_over(p: int, gaussian: bool) -> tuple[FieldElement, ...]:
+    """The mode's primes over the rational prime p: p itself in rational
+    mode, the first-quadrant Gaussian primes that divide p in Gaussian
+    mode; cached, as `_factor_int` is."""
+    if not gaussian:
+        return (_make(p, 0, 1),)
     if p == 2:
         return (FieldElement(1, 1),)
     if p % 4 == 3:
@@ -217,12 +224,17 @@ def _gaussian_primes_over(p: int) -> tuple[FieldElement, ...]:
 def gaussian_quotient(z: FieldElement, w: FieldElement) -> FieldElement | None:
     """z / w for Gaussian integers z and w, or None when w does not divide z
     in Z[i]: z * conj(w) / N(w), one integer divmod per part, so no
-    field division and no gcd."""
-    n = w.a * w.a + w.b * w.b
-    re, r = divmod(z.a * w.a + z.b * w.b, n)
+    field division and no gcd.  A rational w divides each part by itself,
+    which needs no norm."""
+    if w.b:
+        n = w.a * w.a + w.b * w.b
+        re, im = z.a * w.a + z.b * w.b, z.b * w.a - z.a * w.b
+    else:
+        n, re, im = w.a, z.a, z.b
+    re, r = divmod(re, n)
     if r:
         return None
-    im, r = divmod(z.b * w.a - z.a * w.b, n)
+    im, r = divmod(im, n)
     return None if r else _make(re, im, 1)
 
 
@@ -243,15 +255,22 @@ def factor_constant(c: FieldElement, gaussian: bool) -> tuple[int, tuple]:
     rational = {p for n in (g, (a // g) ** 2 + (b // g) ** 2, d) for p, _ in _factor_int(n)}
     num, den = _make(a, b, 1), _make(d, 0, 1)
     factors = []
+    norm = a * a + b * b
     for p in rational:
-        for pi in _gaussian_primes_over(p) if gaussian else (_make(p, 0, 1),):
-            num, e = strip_power(num, pi, gaussian_quotient)
-            den, f = strip_power(den, pi, gaussian_quotient)
+        for pi in _primes_over(p, gaussian):
+            # a prime over p divides a + bi only if p divides its norm, and
+            # d only if p does
+            e = f = 0
+            if not norm % p:
+                num, e = strip_power(num, pi, gaussian_quotient)
+            if not d % p:
+                den, f = strip_power(den, pi, gaussian_quotient)
             if e != f:
                 factors.append((pi, e - f))
-    (k_num, one_num), (k_den, one_den) = _first_quadrant(num), _first_quadrant(den)
-    if not (one_num.is_one() and one_den.is_one()):
+    k_num, k_den = _UNIT_POWERS.get((num.a, num.b)), _UNIT_POWERS.get((den.a, den.b))
+    if k_num is None or k_den is None:
         raise ArithmeticError(f"{c} leaves the non-units {num} and {den}")
-    factors.sort(key=lambda t: prime_key(t[0]))
+    if len(factors) > 1:
+        factors.sort(key=lambda t: prime_key(t[0]))
     k = (k_num - k_den) % 4
     return (k if gaussian else k // 2), tuple(factors)

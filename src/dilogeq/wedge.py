@@ -7,7 +7,11 @@ basis.  Every f splits into atoms: non-constant basis elements, prime
 constants, and the torsion unit (-1 in rational mode, i in Gaussian mode).
 The normal form is one antisymmetric pairing on atoms, stored as
 coefficients on pairs x /\ y with x before y in the atom order
-basis < prime < unit.  Its three layers are the usual beta decomposition:
+basis < prime < unit.  Basis elements are ordered as the basis found
+them, which any fixed total order does as well for the sums; the
+canonical order sorts the basis, so it is built only for a read that
+shows an order over basis elements (see `WedgeElement.pairs`).  Its three
+layers are the usual beta decomposition:
 
   beta1: pairs of two basis elements;
   beta2: a basis element against a prime or the unit;
@@ -52,14 +56,11 @@ def _layer(x, y) -> int:
 
 
 class WedgeElement:
-    r"""a1 (f1 /\ g1) + ... in normal form over a joint coprime basis.
+    r"""a1 (f1 /\ g1) + ... in normal form over a joint coprime basis."""
 
-    `pairs[(x, y)]` is the nonzero coefficient of x /\ y for atoms x before
-    y, in canonical atom order; pairs ending in UNIT are torsion, reduced
-    mod 2 or mod 4 in Z-mode.
-    """
-
-    __slots__ = ("field_mode", "coeff_mode", "tensors", "basis", "pairs")
+    __slots__ = (
+        "field_mode", "coeff_mode", "tensors", "basis", "_open", "_beta3", "_primes", "_sorted"
+    )
 
     def __init__(self, tensors, field_mode="Q", coeff_mode="Z"):
         self.field_mode = field_mode
@@ -80,10 +81,11 @@ class WedgeElement:
         gaussian = self.field_mode == "Qi"
         basis = self.basis = _joint_basis(self.tensors)
         constants = {}  # unit -> its keyed constant atoms, once per unit
-        prime_atoms = {}  # a prime's sort key -> its atom
+        prime_atoms = self._primes = {}  # a prime's sort key -> its atom
 
         def atoms(f: RationalFunction) -> list:
-            """(sort key, exponent) for each atom of f with a nonzero exponent."""
+            """(sort key, exponent) for each atom of f with a nonzero exponent;
+            a basis element's key is the index the basis found it at."""
             unit, exps = basis.factor_rf(f)
             keyed = constants.get(unit)
             if keyed is None:
@@ -116,24 +118,62 @@ class WedgeElement:
                     pairs[key] = pairs.get(key, 0) + v
 
         modulus = 4 if gaussian else 2
-        survivors = []
+        self._open, beta3 = [], []
         for (x, y), v in pairs.items():
             if y == UNIT:
                 v = 0 if self.coeff_mode == "Q" else v % modulus
             if v:
-                survivors.append((x, y, _check_coeff(v, "Q")))
-        # stored in canonical atom order, which every view below reads; the
-        # keys of a pair are unique, so no value is compared
-        survivors.sort()
+                (self._open if x[0] == BASIS else beta3).append((x, y, _check_coeff(v, "Q")))
+        # beta3 keys name constants only, so their order is canonical at
+        # once; the keys of a pair are unique, so no value is compared
+        beta3.sort()
         atom = prime_atoms.get
-        self.pairs = {(atom(x, x), atom(y, y)): v for x, y, v in survivors}
+        self._beta3 = [(atom(x, x), atom(y, y), v) for x, y, v in beta3]
+        self._sorted = None
+
+    def _canonical_open(self) -> list[tuple]:
+        r"""The beta1 and beta2 entries (x, y, value) in canonical atom
+        order, re-keyed from the found order: a beta1 pair the canonical
+        order reverses changes sign, a beta2 pair keeps its basis atom
+        first.  Sorts the basis, unless there is no such entry."""
+        if not self._open:
+            return []
+        rank = self.basis.canonical_ranks()
+        entries = []
+        for (_, i), y, v in self._open:
+            x = (BASIS, rank[i])
+            if y[0] == BASIS:
+                y = (BASIS, rank[y[1]])
+                if y < x:
+                    x, y, v = y, x, -v
+            entries.append((x, y, v))
+        entries.sort()
+        atom = self._primes.get
+        return [(x, atom(y, y), v) for x, y, v in entries]
 
     # -- views -----------------------------------------------------------------
+
+    @property
+    def pairs(self) -> dict:
+        r"""{(x, y): coefficient} for each nonzero x /\ y, x before y, in
+        canonical atom order; pairs ending in UNIT are torsion, reduced
+        mod 2 or mod 4 in Z-mode.  The element is built with its basis
+        elements in the order found; the first read of beta1 or beta2 (this
+        view, `decompose`, `first_obstruction`) sorts the basis once and
+        re-keys them.  beta3 names no basis element, so it is in canonical
+        order from the start."""
+        return {(x, y): v for x, y, v in self._entries()}
 
     def _entries(self, layer: int | None = None) -> list[tuple]:
         """(x, y, value) for every pair, or for those of one beta layer, in
         canonical atom order."""
-        return [(x, y, v) for (x, y), v in self.pairs.items() if layer in (None, _layer(x, y))]
+        if layer == 3:
+            return self._beta3
+        if self._sorted is None:
+            self._sorted = self._canonical_open()
+        if layer is None:
+            return self._sorted + self._beta3
+        return [e for e in self._sorted if _layer(e[0], e[1]) == layer]
 
     def _label(self, x) -> str:
         if x == UNIT:
@@ -167,11 +207,11 @@ class WedgeElement:
 
     def first_obstruction(self):
         """The first nonzero beta1 entry, else the first nonzero beta2 entry,
-        in canonical order; None when both layers vanish."""
-        entries = self._entries(1) or self._entries(2)
-        if not entries:
+        in canonical order; None when both layers vanish, which sorts
+        nothing."""
+        if not self._open:
             return None
-        x, y, v = entries[0]
+        x, y, v = (self._entries(1) or self._entries(2))[0]
         els = self.basis.elements
         if y[0] == BASIS:
             return ("pair", els[x[1]], els[y[1]], v)
@@ -202,8 +242,9 @@ def _joint_basis(tensors) -> CoprimeBasis:
 
 
 def boundary(alpha: FormalSum) -> WedgeElement:
-    r"""d[f] = f /\ (1 - f), extended A-linearly."""
-    tensors = [(a, f, f.one_minus()) for f, a in alpha.items()]
+    r"""d[f] = f /\ (1 - f), extended A-linearly over the terms as stored,
+    since no order of them changes the sum."""
+    tensors = [(a, f, f.one_minus()) for f, a in alpha.terms.items()]
     return WedgeElement(tensors, alpha.field_mode, alpha.coeff_mode)
 
 

@@ -8,6 +8,7 @@ the seed alone.
 from __future__ import annotations
 
 import functools
+import importlib
 import json
 import os
 import random
@@ -29,25 +30,43 @@ from dilogeq.wedge import BASIS, WedgeElement
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def script_module(name: str):
+    """The module `scripts/NAME.py`, imported as a script run from there
+    imports it."""
+    scripts = str(ROOT / "scripts")
+    sys.path.insert(0, scripts)
+    try:
+        return importlib.import_module(name)
+    finally:
+        sys.path.remove(scripts)
+
+
 @functools.cache
 def moved_report_digests() -> tuple:
     """(part, name) of each seed-1 digest of `tests/report_record.json` that
     `scripts/record_reports.py` records differently on this checkout, a
     missing or new entry included.  The record is made once a session and
     read by each test that checks a part of it."""
-    scripts = str(ROOT / "scripts")
-    sys.path.insert(0, scripts)
-    try:
-        from record_reports import RECORD, record
-    finally:
-        sys.path.remove(scripts)
-    old, new = json.loads(RECORD.read_text())["1"], record(1)
+    record_reports = script_module("record_reports")
+    old = json.loads(record_reports.RECORD.read_text())["1"]
+    new = record_reports.record(1)
     return tuple(
         (part, name)
         for part in new
         for name in sorted(old[part].keys() | new[part].keys())
         if old[part].get(name) != new[part].get(name)
     )
+
+
+def benchmark_inputs():
+    """The benchmark's `bench/inputs.py`, loaded as the scripts load it."""
+    return script_module("report_diff").load_inputs()
+
+
+def benchmark_relation_sums(seed: int, count: int) -> list[FormalSum]:
+    """The first `count` relation sums of the benchmark at `seed`, built
+    afresh as `scripts/record_reports.py` builds them."""
+    return list(script_module("record_reports").relation_sums(benchmark_inputs(), seed, count))
 
 
 def fresh(code: str, *args: str):

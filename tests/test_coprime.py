@@ -54,6 +54,26 @@ def test_basis_example():
     assert exps2 == {"t": 1, "t + 1": 1}
 
 
+def test_a_frozen_basis_is_sorted_once_on_demand():
+    # freeze() keeps the order found, t^2 + t split from t^3 - t before
+    # t - 1; the first read of the elements sorts them, and factor's found
+    # indices move to the canonical positions canonical_ranks gives them
+    basis = CoprimeBasis()
+    for p in (t() ** 3 - t(), t() ** 2 + t()):
+        basis.add(p)
+    with pytest.raises(RuntimeError):
+        basis.canonical_ranks()
+    basis.freeze()
+    found = list(basis._elements)
+    assert [str(b) for b in found] == ["t^2 + t", "t - 1"]
+    _, by_found = basis.factor(t() ** 3 - t())
+    ranks = basis.canonical_ranks()
+    assert basis.elements == sorted(found, key=MultiPoly.sort_key)
+    assert [basis.elements[r] for r in ranks] == found
+    assert basis.factor(t() ** 3 - t())[1] == {ranks[i]: e for i, e in by_found.items()}
+    assert basis.canonical_ranks() is ranks
+
+
 def test_factor_with_unit():
     basis = coprime_basis([t() ** 2 - c(1)])
     u, e = basis.factor((t() ** 2 - c(1)).scale(fe(-6)))
@@ -63,9 +83,11 @@ def test_factor_with_unit():
 def test_factor_rf():
     basis = coprime_basis([t() ** 3 - t(), t() ** 2 + t()])
     f = RationalFunction(t() ** 3 - t(), t() ** 2 + t())
+    # read first, so factor_rf returns positions in the canonical order
+    elements = basis.elements
     u, e = basis.factor_rf(f)
     assert u == ONE
-    named = {str(basis.elements[i]): k for i, k in e.items()}
+    named = {str(elements[i]): k for i, k in e.items()}
     # (t^3-t)/(t^2+t) = t - 1 after cancellation
     assert named == {"t - 1": 1}
 
@@ -208,10 +230,11 @@ planted_lists = st.lists(
 
 
 def _assert_multiplies_back(basis, p):
+    elements = basis.elements  # sorted before factor returns its positions
     u, e = basis.factor(p)
     prod = MultiPoly.one(p.universe).scale(u)
     for i, k in e.items():
-        prod = prod * basis.elements[i] ** k
+        prod = prod * elements[i] ** k
     assert prod == p
 
 

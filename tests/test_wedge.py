@@ -1,5 +1,6 @@
 """The reduced wedge square, the boundary map, and the constancy criterion."""
 
+import functools
 import random
 import re
 from fractions import Fraction
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dilogeq import wedge
+from dilogeq.document import load_document
 from dilogeq.exprparse import parse_expression
 from dilogeq.formal import FormalSum, c_element, five_term, inversion
 from dilogeq.poly import MultiPoly
@@ -23,6 +25,8 @@ from dilogeq.wedge import (
 )
 
 from helpers import (
+    benchmark_inputs,
+    benchmark_relation_sums,
     beta1_by_index,
     coefficients,
     in_one_form,
@@ -803,3 +807,96 @@ def test_relation_sum_basis_and_pairs_pinned(mode):
     assert [str(e) for e in w.basis.elements] == basis[:at] + stray_basis + basis[at:]
     got = sorted((_atom_label(x), _atom_label(y), str(v)) for (x, y), v in w.pairs.items())
     assert got == pairs
+
+
+# -- the order of terms, and the canonical order built on demand ---------------
+
+
+def _with_stray_term(alpha: FormalSum) -> FormalSum:
+    """alpha with its first argument's coefficient raised by one."""
+    first = next(iter(alpha.terms))
+    return alpha + FormalSum.single(first, 1, alpha.field_mode, alpha.coeff_mode)
+
+
+@functools.cache
+def _order_cases() -> tuple:
+    """Seeded relation sums, each also with a stray term, and the sums of
+    the benchmark's documents that load."""
+    sums = benchmark_relation_sums(1, 6)
+    cases = [*sums, *map(_with_stray_term, sums)]
+    for case in benchmark_inputs().docs_cases(1, 60):
+        try:
+            cases.append(load_document(case.text).formal_sum())
+        except ValueError:
+            continue
+    return tuple(cases)
+
+
+def _read_everything(w: WedgeElement, basis_first: bool):
+    """Every view of w, the printed basis read first or last, as lists so
+    that == also compares the order the views fill their entries in."""
+    basis = [str(b) for b in w.basis.elements] if basis_first else None
+    views = (list(w.pairs.items()), _ordered(w.decompose()), w.first_obstruction())
+    if not basis_first:
+        basis = [str(b) for b in w.basis.elements]
+    return (*views, basis)
+
+
+@given(st.integers(0, 10_000), st.randoms(use_true_random=False))
+@settings(max_examples=40, deadline=None)
+def test_the_order_of_terms_does_not_matter(index, rnd):
+    cases = _order_cases()
+    alpha = cases[index % len(cases)]
+    items = list(alpha.terms.items())
+    rnd.shuffle(items)
+    shuffled = FormalSum(alpha.universe, dict(items), alpha.field_mode, alpha.coeff_mode)
+    assert list(shuffled.terms.items()) == items
+    assert check_constant(shuffled) == check_constant(alpha)
+    w = boundary(alpha)
+    basis_first = rnd.random() < 0.5
+    expected = _read_everything(w, basis_first)
+    assert _read_everything(boundary(shuffled), not basis_first) == expected
+    tensors = list(w.tensors)
+    rnd.shuffle(tensors)
+    again = WedgeElement(tensors, w.field_mode, w.coeff_mode)
+    assert _read_everything(again, basis_first) == expected
+
+
+def _count_sort_keys(monkeypatch) -> dict:
+    """Counts of `MultiPoly.sort_key` calls and of the keys they fill."""
+    counts = {"calls": 0, "filled": 0}
+    sort_key = MultiPoly.sort_key
+
+    def counted(p):
+        counts["calls"] += 1
+        counts["filled"] += p._sort_key is None
+        return sort_key(p)
+
+    monkeypatch.setattr(MultiPoly, "sort_key", counted)
+    return counts
+
+
+def test_a_constant_boundary_builds_no_sort_key(monkeypatch):
+    sums = benchmark_relation_sums(1, 10)
+    counts = _count_sort_keys(monkeypatch)
+    certificates = [check_constant(alpha) for alpha in sums]
+    assert all(c.is_constant() for c in certificates)
+    assert counts == {"calls": 0, "filled": 0}
+    # printing the basis is what sorts it
+    assert [str(b) for b in boundary(sums[0]).basis.elements]
+    assert counts["calls"] > 0
+
+
+def test_a_witness_is_read_in_the_canonical_order(monkeypatch):
+    counts = _count_sort_keys(monkeypatch)
+    kinds = set()
+    for alpha in map(_with_stray_term, benchmark_relation_sums(1, 10)):
+        w = boundary(alpha)
+        calls = counts["calls"]
+        # the lazy views first, then the references that sort the pairs
+        obs, decomposed = w.first_obstruction(), w.decompose()
+        assert obs is not None and counts["calls"] > calls
+        kinds.add(obs[0])
+        assert obs == first_obstruction_by_sorting(w)
+        assert _ordered(decomposed) == _ordered(decompose_by_sorting(w))
+    assert kinds == {"pair"}
