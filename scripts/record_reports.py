@@ -67,7 +67,7 @@ def basis_digest(sums) -> str:
     out = hashlib.sha256()
     for alpha in sums:
         w = dilogeq.boundary(alpha)
-        out.update(repr([str(b) for b in w.basis.elements]).encode())
+        out.update(repr([str(b) for b in w.sorted_basis()]).encode())
         # labels and the printed value: an int and an equal Fraction agree
         pairs = [(w._label(x), w._label(y), str(v)) for (x, y), v in w.pairs.items()]
         out.update(repr(sorted(pairs)).encode())

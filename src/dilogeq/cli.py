@@ -365,7 +365,7 @@ def _cmd_wedge(args) -> int:
     w = boundary(alpha)
     b1, b2, b3 = w.decompose()
     report = {
-        "basis": [str(b) for b in w.basis.elements],
+        "basis": [str(b) for b in w.sorted_basis()],
         "beta1": {f"({l}) ^ ({r})": str(v) for (l, r), v in b1.items()},
         "beta2": {
             el: {p: str(v) for p, v in col.items()} for el, col in b2.items()

@@ -41,14 +41,11 @@ products of the irreducibles grouped by signature.  When every input is
 registered whole no two elements share a signature and the merge changes
 nothing.
 
-`freeze()` indexes the elements in the order they were found, which
-depends on the order of the inputs, and sorts nothing: deciding whether a
-boundary vanishes needs no order.  The canonical order, by
-`MultiPoly.sort_key`, is built on demand and at most once: the first read
-of `elements` on a frozen basis, or the first `canonical_ranks()`, sorts
-the elements and re-indexes them.  `factor` returns found indices before
-that and canonical positions after, so a caller that needs canonical
-positions reads `elements` before it factors.
+The elements are kept in the order they were found, which depends on the
+order of the inputs, and the basis has no other order: deciding whether a
+boundary vanishes needs none.  `factor` names each element by itself, so
+its result means the same whatever order a reader puts the elements in;
+elements are interned polynomials, so the lookups are identity tests.
 """
 
 from __future__ import annotations
@@ -62,23 +59,13 @@ class CoprimeBasis:
     """A pairwise-coprime set of monic squarefree non-constant polynomials."""
 
     def __init__(self):
-        # in the order found until the basis is sorted
-        self._elements: list[MultiPoly] = []
+        # in the order found
+        self.elements: list[MultiPoly] = []
         # records of the inputs and of their factors, kept up to date by
         # every split; `_inputs` orders the inputs' keys for the merge
         self._records: dict[MultiPoly, dict[MultiPoly, int]] = {}
         self._inputs: dict[MultiPoly, None] = {}
-        self._index: dict[MultiPoly, int] | None = None
-        self._ranks: list[int] | None = None
-
-    @property
-    def elements(self) -> list[MultiPoly]:
-        """The elements: in the order found while the basis grows, and in
-        canonical `sort_key` order once it is frozen, which the first such
-        read sorts it into."""
-        if self._index is not None:
-            self.canonical_ranks()
-        return self._elements
+        self._frozen = False
 
     # -- construction -----------------------------------------------------
 
@@ -91,8 +78,8 @@ class CoprimeBasis:
         record: dict[MultiPoly, int] = {}
         for g, k in squarefree_parts(monic):
             i = 0
-            while not g.is_constant() and i < len(self._elements):
-                b = self._elements[i]
+            while not g.is_constant() and i < len(self.elements):
+                b = self.elements[i]
                 i += 1
                 if _images_coprime(b, g):
                     continue
@@ -106,7 +93,7 @@ class CoprimeBasis:
                     continue
                 self._refuse_once_frozen(monic)
                 rest = _exact_quotient(b, d)
-                self._elements[i - 1 : i] = [d, rest]
+                self.elements[i - 1 : i] = [d, rest]
                 for r in self._records.values():
                     if b in r:
                         r[d] = r[rest] = r.pop(b)
@@ -115,13 +102,13 @@ class CoprimeBasis:
                 g = _exact_quotient(g, d)
             if not g.is_constant():
                 self._refuse_once_frozen(monic)
-                self._elements.append(g)
+                self.elements.append(g)
                 record[g] = k
         self._records[monic] = record
         return record
 
     def _refuse_once_frozen(self, p: MultiPoly):
-        if self._index is not None:
+        if self._frozen:
             raise ValueError(f"{p} does not factor over the basis")
 
     def add(self, p: MultiPoly, factors: dict[MultiPoly, int] | None = None):
@@ -130,14 +117,16 @@ class CoprimeBasis:
         `factors` maps monic non-constant polynomials to multiplicities
         whose product is p up to a unit; the basis refines them instead of
         p, and records p as the sum of their records."""
-        if self._index is not None:
+        if self._frozen:
             raise RuntimeError("basis is frozen")
         if p.is_zero():
             raise ValueError("cannot register zero")
-        if factors is not None and p.total_degree() != sum(
-            k * f.total_degree() for f, k in factors.items()
-        ):
-            raise ValueError(f"the factors given do not multiply to {p}")
+        if factors is not None:
+            for f, k in factors.items():
+                if k < 1:
+                    raise ValueError(f"the factor {f} has multiplicity {k}, not a positive one")
+            if p.total_degree() != sum(k * f.total_degree() for f, k in factors.items()):
+                raise ValueError(f"the factors given do not multiply to {p}")
         if factors and len(factors) == 1 and 1 in factors.values():
             monic = next(iter(factors))  # a one-factor map holds p's monic part
         else:
@@ -158,63 +147,46 @@ class CoprimeBasis:
             self._records[monic] = record
 
     def freeze(self):
-        """Merge the elements of equal signature over the inputs, index them
-        in the order they were found, and keep only the inputs' records; no
-        further refinement.  Nothing is sorted: see `canonical_ranks`."""
+        """Merge the elements of equal signature over the inputs and keep
+        only the inputs' records; no further refinement.  The elements stay
+        in the order they were found."""
         records = [self._records[p] for p in self._inputs]
-        signatures: dict[MultiPoly, list] = {b: [] for b in self._elements}
+        signatures: dict[MultiPoly, list] = {b: [] for b in self.elements}
         for j, record in enumerate(records):
             for b, e in record.items():
                 signatures[b].append((j, e))
         groups: dict[tuple, MultiPoly] = {}
-        for b in self._elements:
+        for b in self.elements:
             key = tuple(signatures[b])
             groups[key] = groups[key] * b if key in groups else b
-        if len(groups) < len(self._elements):
-            merged = {b: groups[tuple(signatures[b])] for b in self._elements}
+        if len(groups) < len(self.elements):
+            merged = {b: groups[tuple(signatures[b])] for b in self.elements}
             records = [{merged[b]: e for b, e in r.items()} for r in records]
-            self._elements = list(groups.values())
+            self.elements = list(groups.values())
         self._records = dict(zip(self._inputs, records))
-        self._index = {b: i for i, b in enumerate(self._elements)}
-
-    def canonical_ranks(self) -> list[int]:
-        """The canonical position of each element of the frozen basis, listed
-        by the index it was found at.  The first call sorts the elements by
-        `MultiPoly.sort_key` and re-indexes them, once."""
-        if self._index is None:
-            raise RuntimeError("freeze the basis before sorting it")
-        if self._ranks is None:
-            found = self._elements
-            order = sorted(range(len(found)), key=lambda i: found[i].sort_key())
-            self._ranks = [0] * len(order)
-            for r, i in enumerate(order):
-                self._ranks[i] = r
-            self._elements = [found[i] for i in order]
-            self._index = {b: r for r, b in enumerate(self._elements)}
-        return self._ranks
+        self._frozen = True
 
     # -- queries ---------------------------------------------------------------
 
-    def factor(self, p: MultiPoly) -> tuple[FieldElement, dict[int, int]]:
-        """p = unit * prod elements[i]^{e[i]}, exactly, on a frozen basis;
-        p must be a product of basis elements (true for anything add()ed
-        before freeze()), else ValueError.  Each i is the index the element
-        was found at until the basis is sorted, its canonical position
-        after (see the module docstring)."""
-        if self._index is None:
+    def factor(self, p: MultiPoly) -> tuple[FieldElement, dict[MultiPoly, int]]:
+        """p = unit * prod b^{e[b]} over basis elements b, exactly, on a
+        frozen basis; p must be a product of basis elements (true for
+        anything add()ed before freeze()), else ValueError.  The map is
+        keyed by the elements themselves, so no order of the basis enters."""
+        if not self._frozen:
             raise RuntimeError("freeze the basis before factoring")
         if p.is_zero():
             raise ValueError("cannot factor zero")
         unit, monic = p.primitive_monic()
-        return unit, {self._index[b]: e for b, e in self._record(monic).items()}
+        return unit, dict(self._record(monic))
 
-    def factor_rf(self, f: RationalFunction) -> tuple[FieldElement, dict[int, int]]:
+    def factor_rf(self, f: RationalFunction) -> tuple[FieldElement, dict[MultiPoly, int]]:
         """Factor a nonzero rational function: numerator minus denominator."""
         un, en = self.factor(f.num)
         ud, ed = self.factor(f.den)
-        for i, e in ed.items():
-            en[i] = en.get(i, 0) - e
-        return un / ud, {i: e for i, e in en.items() if e}
+        for b, e in ed.items():
+            en[b] = en.get(b, 0) - e
+        return un / ud, {b: e for b, e in en.items() if e}
 
     def __len__(self):
-        return len(self._elements)
+        return len(self.elements)

@@ -7,11 +7,11 @@ basis.  Every f splits into atoms: non-constant basis elements, prime
 constants, and the torsion unit (-1 in rational mode, i in Gaussian mode).
 The normal form is one antisymmetric pairing on atoms, stored as
 coefficients on pairs x /\ y with x before y in the atom order
-basis < prime < unit.  Basis elements are ordered as the basis found
-them, which any fixed total order does as well for the sums; the
-canonical order sorts the basis, so it is built only for a read that
-shows an order over basis elements (see `WedgeElement.pairs`).  Its three
-layers are the usual beta decomposition:
+basis < prime < unit.  Basis elements are paired in the order the basis
+found them, which any fixed total order does as well for the sums; the
+canonical order sorts the basis by `MultiPoly.sort_key`, so it is built
+only for a read that shows an order over basis elements (see
+`WedgeElement.pairs`).  Its three layers are the usual beta decomposition:
 
   beta1: pairs of two basis elements;
   beta2: a basis element against a prime or the unit;
@@ -39,13 +39,15 @@ from fractions import Fraction
 
 from .coprime import CoprimeBasis
 from .formal import FormalSum, _check_coeff, conj_sum
+from .poly import MultiPoly
 from .primes import factor_constant, prime_key
 from .ratfunc import RationalFunction
 
 
-# Atoms are (BASIS, basis index), (PRIME, prime) and the one torsion UNIT.
-# Their sort keys are the atoms themselves, but (PRIME, prime_key(prime))
-# for a prime.
+# Atoms are (BASIS, basis element), (PRIME, prime) and the one torsion UNIT.
+# While the normal form is built their sort keys are the atoms themselves,
+# but (BASIS, the index the basis found the element at) for a basis element
+# and (PRIME, prime_key(prime)) for a prime.
 BASIS, PRIME = 0, 1
 UNIT = (2, 0)
 
@@ -80,12 +82,12 @@ class WedgeElement:
     def _normalize(self):
         gaussian = self.field_mode == "Qi"
         basis = self.basis = _joint_basis(self.tensors)
+        found = {b: (BASIS, i) for i, b in enumerate(basis.elements)}
         constants = {}  # unit -> its keyed constant atoms, once per unit
         prime_atoms = self._primes = {}  # a prime's sort key -> its atom
 
         def atoms(f: RationalFunction) -> list:
-            """(sort key, exponent) for each atom of f with a nonzero exponent;
-            a basis element's key is the index the basis found it at."""
+            """(sort key, exponent) for each atom of f with a nonzero exponent."""
             unit, exps = basis.factor_rf(f)
             keyed = constants.get(unit)
             if keyed is None:
@@ -97,7 +99,7 @@ class WedgeElement:
                     keyed.append((key, e))
                 if unit_exponent:
                     keyed.append((UNIT, unit_exponent))
-            return [((BASIS, i), e) for i, e in exps.items() if e] + keyed
+            return [(found[b], e) for b, e in exps.items()] + keyed
 
         # pairs of sort keys; sums stay on ints while the coefficients are
         # integral, and each surviving pair is put in the one form below
@@ -138,30 +140,37 @@ class WedgeElement:
         first.  Sorts the basis, unless there is no such entry."""
         if not self._open:
             return []
-        rank = self.basis.canonical_ranks()
+        found = self.basis.elements
+        rank = {b: (BASIS, r) for r, b in enumerate(self.sorted_basis())}
         entries = []
         for (_, i), y, v in self._open:
-            x = (BASIS, rank[i])
+            x = rank[found[i]]
             if y[0] == BASIS:
-                y = (BASIS, rank[y[1]])
+                y = rank[found[y[1]]]
                 if y < x:
                     x, y, v = y, x, -v
             entries.append((x, y, v))
         entries.sort()
-        atom = self._primes.get
-        return [(x, atom(y, y), v) for x, y, v in entries]
+        atom = {key: (BASIS, b) for b, key in rank.items()} | self._primes
+        return [(atom[x], atom.get(y, y), v) for x, y, v in entries]
 
     # -- views -----------------------------------------------------------------
+
+    def sorted_basis(self) -> list:
+        """The basis elements in canonical `MultiPoly.sort_key` order, the
+        order of every printed basis and of the beta1 and beta2 entries;
+        sorted on each call, and read by no Constant verdict."""
+        return sorted(self.basis.elements, key=MultiPoly.sort_key)
 
     @property
     def pairs(self) -> dict:
         r"""{(x, y): coefficient} for each nonzero x /\ y, x before y, in
-        canonical atom order; pairs ending in UNIT are torsion, reduced
-        mod 2 or mod 4 in Z-mode.  The element is built with its basis
-        elements in the order found; the first read of beta1 or beta2 (this
-        view, `decompose`, `first_obstruction`) sorts the basis once and
-        re-keys them.  beta3 names no basis element, so it is in canonical
-        order from the start."""
+        canonical atom order; a basis atom is (BASIS, element), and pairs
+        ending in UNIT are torsion, reduced mod 2 or mod 4 in Z-mode.  The
+        element is built with its basis elements in the order found; the
+        first read of beta1 or beta2 (this view, `decompose`,
+        `first_obstruction`) sorts the basis and re-keys them, once.  beta3
+        names no basis element, so it is in canonical order from the start."""
         return {(x, y): v for x, y, v in self._entries()}
 
     def _entries(self, layer: int | None = None) -> list[tuple]:
@@ -178,7 +187,7 @@ class WedgeElement:
     def _label(self, x) -> str:
         if x == UNIT:
             return "i" if self.field_mode == "Qi" else "-1"
-        return str(x[1]) if x[0] == PRIME else str(self.basis.elements[x[1]])
+        return str(x[1])
 
     def decompose(self):
         """(beta1, beta2, beta3) as plain printable dictionaries."""
@@ -212,10 +221,9 @@ class WedgeElement:
         if not self._open:
             return None
         x, y, v = (self._entries(1) or self._entries(2))[0]
-        els = self.basis.elements
         if y[0] == BASIS:
-            return ("pair", els[x[1]], els[y[1]], v)
-        return ("column", els[x[1]], self._label(y), v)
+            return ("pair", x[1], y[1], v)
+        return ("column", x[1], self._label(y), v)
 
     def __str__(self):
         b1, b2, b3 = self.decompose()

@@ -174,8 +174,8 @@ def wedge_difference(lhs: WedgeElement, rhs: WedgeElement) -> WedgeElement:
     return WedgeElement(tensors, lhs.field_mode, lhs.coeff_mode)
 
 
-def beta1_by_index(w: WedgeElement) -> dict[tuple[int, int], Fraction]:
-    """The beta1 layer of w keyed by basis indices i < j."""
+def beta1_by_element(w: WedgeElement) -> dict[tuple[MultiPoly, MultiPoly], Fraction]:
+    """The beta1 layer of w keyed by its pairs of basis elements."""
     return {(x[1], y[1]): v for (x, y), v in w.pairs.items() if x[0] == y[0] == BASIS}
 
 
@@ -571,20 +571,19 @@ def expand_beta1_to_planted(w, planted: list[MultiPoly]) -> dict:
         fine.add(b)
     fine.freeze()
     # the planted polys are pairwise coprime and squarefree, so the fine
-    # basis is exactly the planted set (sorted); map indices back
-    pos = {i: fine.elements.index(b.primitive_monic()[1]) for i, b in enumerate(planted)}
-    back = {i: k for k, i in pos.items()}
+    # basis is exactly the planted set, up to units
+    planted_index = {b.primitive_monic()[1]: i for i, b in enumerate(planted)}
     out: dict[tuple[int, int], Fraction] = {}
-    for (i, j), a in beta1_by_index(w).items():
-        _, ei = fine.factor(w.basis.elements[i])
-        _, ej = fine.factor(w.basis.elements[j])
+    for (bi, bj), a in beta1_by_element(w).items():
+        _, ei = fine.factor(bi)
+        _, ej = fine.factor(bj)
         for ki, mi in ei.items():
             for kj, nj in ej.items():
                 if ki == kj:
                     continue
                 # order pairs by planted index so signs line up with the
                 # direct planted-level computation
-                key, val = ((back[ki], back[kj]), a * mi * nj)
+                key, val = ((planted_index[ki], planted_index[kj]), a * mi * nj)
                 if key[0] > key[1]:
                     key, val = (key[1], key[0]), -val
                 out[key] = out.get(key, Fraction(0)) + val

@@ -120,7 +120,6 @@ def t_v(w: WedgeElement, b: MultiPoly) -> MultiPoly:
     place = b.primitive_monic()[1]
     if place not in basis.elements:
         raise ValueError(f"{b} splits further over the joint basis; valuation is ambiguous")
-    ib = basis.elements.index(place)
 
     sign, unit, exps = 0, ONE, {}
     for a, f, g in w.tensors:
@@ -129,7 +128,7 @@ def t_v(w: WedgeElement, b: MultiPoly) -> MultiPoly:
         a = a.numerator
         uf, ef = basis.factor_rf(f)
         ug, eg = basis.factor_rf(g)
-        vf, vg = ef.get(ib, 0), eg.get(ib, 0)
+        vf, vg = ef.get(place, 0), eg.get(place, 0)
         sign += a * vf * vg
         unit = unit * uf ** (a * vg) / ug ** (a * vf)
         for k, e in ef.items():
@@ -138,7 +137,7 @@ def t_v(w: WedgeElement, b: MultiPoly) -> MultiPoly:
             exps[k] = exps.get(k, 0) - a * vf * e
 
     powers = [
-        (univar_inverse_mod(basis.elements[k], b, var) if n < 0 else basis.elements[k], abs(n))
+        (univar_inverse_mod(k, b, var) if n < 0 else k, abs(n))
         for k, n in exps.items()
         if n
     ]
@@ -268,8 +267,10 @@ def descending_terms(p: MultiPoly) -> list[tuple[tuple[int, ...], FieldElement]]
 
 
 def _atom_key(x):
-    """The canonical order of wedge atoms: basis elements by index, then
-    primes by `prime_key`, then the unit."""
+    """The canonical order of wedge atoms: basis elements by
+    `MultiPoly.sort_key`, then primes by `prime_key`, then the unit."""
+    if x[0] == BASIS:
+        return (BASIS, x[1].sort_key())
     return (PRIME, prime_key(x[1])) if x[0] == PRIME else x
 
 
@@ -305,11 +306,10 @@ def decompose_by_sorting(w: WedgeElement):
 def first_obstruction_by_sorting(w: WedgeElement):
     """The first entry of a stable sort by beta layer of `sorted_entries`:
     a beta1 pair, else a beta2 column, else None."""
-    els = w.basis.elements
     for x, y, v in sorted(sorted_entries(w), key=lambda e: _layer(e[0], e[1])):
         if y[0] == BASIS:
-            return ("pair", els[x[1]], els[y[1]], v)
+            return ("pair", x[1], y[1], v)
         if x[0] == BASIS:
-            return ("column", els[x[1]], w._label(y), v)
+            return ("column", x[1], w._label(y), v)
         break
     return None

@@ -1,18 +1,19 @@
 """GCD-free basis refinement and factoring over it."""
 
+import json
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dilogeq import coprime
+from dilogeq import cli, coprime
 from dilogeq.coprime import CoprimeBasis
 from dilogeq.formal import FormalSum, five_term
 from dilogeq.poly import MultiPoly, poly_gcd
 from dilogeq.ratfunc import RationalFunction
 from dilogeq.scalars import I, ONE, fe
-from dilogeq.wedge import boundary
+from dilogeq.wedge import WedgeElement, boundary
 
 from helpers import random_expression, random_poly, to_sympy
 
@@ -44,34 +45,71 @@ def test_basis_example():
     assert {str(b) for b in basis.elements} == {"t - 1", "t^2 + t"}
     u, e = basis.factor(t() ** 3 - t())
     assert u == ONE
-    exps = {str(basis.elements[i]): k for i, k in e.items()}
+    exps = {str(b): k for b, k in e.items()}
     assert exps == {"t - 1": 1, "t^2 + t": 1}
     # adding t as an input forces the full split
     fine = coprime_basis([t() ** 3 - t(), t() ** 2 + t(), t()])
     assert {str(b) for b in fine.elements} == {"t", "t - 1", "t + 1"}
     u2, e2 = fine.factor(t() ** 2 + t())
-    exps2 = {str(fine.elements[i]): k for i, k in e2.items()}
+    exps2 = {str(b): k for b, k in e2.items()}
     assert exps2 == {"t": 1, "t + 1": 1}
 
 
-def test_a_frozen_basis_is_sorted_once_on_demand():
-    # freeze() keeps the order found, t^2 + t split from t^3 - t before
-    # t - 1; the first read of the elements sorts them, and factor's found
-    # indices move to the canonical positions canonical_ranks gives them
+def _multiplied_back(unit, exps, universe) -> MultiPoly:
+    out = MultiPoly.one(universe).scale(unit)
+    for b, k in exps.items():
+        out = out * b**k
+    return out
+
+
+def test_factor_means_the_same_whatever_was_read_before(monkeypatch, tmp_path, capsys):
+    # the basis of (t^3 - t, t^2 + t) is found as t^2 + t, t - 1, which is
+    # not the sort_key order; factoring before any read that shows an
+    # order, after every such read, and after reading the elements gives
+    # one result, keyed by the elements themselves
+    f, g = (RationalFunction.from_poly(q) for q in (t() ** 3 - t(), t() ** 2 + t()))
+    w = WedgeElement([(1, f, g)])
+    basis = w.basis
+    found = list(basis.elements)
+    assert [str(b) for b in found] == ["t^2 + t", "t - 1"]
+    p = (t() ** 2 + t()) ** 2 * (t() - c(1))
+    results = [basis.factor(p)]
+    assert w.pairs and w.decompose()[0]
+    assert [str(b) for b in w.sorted_basis()] == ["t - 1", "t^2 + t"]
+    # cli wedge of a document whose boundary is w
+    monkeypatch.setattr(cli, "boundary", lambda alpha: w)
+    doc = tmp_path / "doc.txt"
+    doc.write_text("dilog-identity v1\nvariables: t\nterm: 1 [t]\n")
+    assert cli.main(["wedge", str(doc), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["basis"] == ["t - 1", "t^2 + t"]
+    results.append(basis.factor(p))
+    assert basis.elements == found
+    results.append(basis.factor(p))
+    assert results == [(ONE, {t() ** 2 + t(): 2, t() - c(1): 1})] * 3
+    for unit, exps in results:
+        assert _multiplied_back(unit, exps, T) == p
+
+
+def test_freeze_keeps_the_order_found():
     basis = CoprimeBasis()
     for p in (t() ** 3 - t(), t() ** 2 + t()):
         basis.add(p)
-    with pytest.raises(RuntimeError):
-        basis.canonical_ranks()
+    found = list(basis.elements)
     basis.freeze()
-    found = list(basis._elements)
-    assert [str(b) for b in found] == ["t^2 + t", "t - 1"]
-    _, by_found = basis.factor(t() ** 3 - t())
-    ranks = basis.canonical_ranks()
-    assert basis.elements == sorted(found, key=MultiPoly.sort_key)
-    assert [basis.elements[r] for r in ranks] == found
-    assert basis.factor(t() ** 3 - t())[1] == {ranks[i]: e for i, e in by_found.items()}
-    assert basis.canonical_ranks() is ranks
+    assert basis.elements == found == [t() ** 2 + t(), t() - c(1)]
+
+
+@pytest.mark.parametrize("multiplicity", [0, -1])
+def test_a_factor_map_needs_positive_multiplicities(multiplicity):
+    # both maps pass the degree check: {t: 1, t - 1: 0} and {t: 2, t - 1: -1}
+    basis = CoprimeBasis()
+    factors = {t(): 1 - multiplicity, t() - c(1): multiplicity}
+    with pytest.raises(ValueError, match=r"the factor t - 1 has multiplicity"):
+        basis.add(t(), factors)
+    assert basis.elements == [] and basis._records == {} and basis._inputs == {}
+    basis.add(t(), {t(): 1})
+    basis.freeze()
+    assert basis.elements == [t()]
 
 
 def test_factor_with_unit():
@@ -83,11 +121,9 @@ def test_factor_with_unit():
 def test_factor_rf():
     basis = coprime_basis([t() ** 3 - t(), t() ** 2 + t()])
     f = RationalFunction(t() ** 3 - t(), t() ** 2 + t())
-    # read first, so factor_rf returns positions in the canonical order
-    elements = basis.elements
     u, e = basis.factor_rf(f)
     assert u == ONE
-    named = {str(elements[i]): k for i, k in e.items()}
+    named = {str(b): k for b, k in e.items()}
     # (t^3-t)/(t^2+t) = t - 1 after cancellation
     assert named == {"t - 1": 1}
 
@@ -178,7 +214,7 @@ def test_squarefree_split():
     basis = coprime_basis([(t() - c(1)) ** 2 * t()])
     assert {str(b) for b in basis.elements} == {"t", "t - 1"}
     _, e = basis.factor((t() - c(1)) ** 2 * t())
-    exps = {str(basis.elements[i]): k for i, k in e.items()}
+    exps = {str(b): k for b, k in e.items()}
     assert exps == {"t - 1": 2, "t": 1}
 
 
@@ -230,12 +266,9 @@ planted_lists = st.lists(
 
 
 def _assert_multiplies_back(basis, p):
-    elements = basis.elements  # sorted before factor returns its positions
     u, e = basis.factor(p)
-    prod = MultiPoly.one(p.universe).scale(u)
-    for i, k in e.items():
-        prod = prod * elements[i] ** k
-    assert prod == p
+    assert set(e) <= set(basis.elements)
+    assert _multiplied_back(u, e, p.universe) == p
 
 
 @given(poly_lists, planted_lists)
@@ -293,7 +326,7 @@ def assert_matches_sympy(inputs, gaussian):
     assert sorted(map(str, elements)) == sorted(str(g) for g in groups.values())
     for j, p in enumerate(inputs):
         _, record = basis.factor(p)
-        assert {elements[i]: k for i, k in record.items()} == {
+        assert {to_sympy(b): k for b, k in record.items()} == {
             g: sig[j] for sig, g in groups.items() if sig[j]
         }
 
@@ -367,9 +400,11 @@ def test_factors_are_merged_back_by_signature():
     basis.add((x1 * x2).scale(fe(3)), {x1: 1, x2: 1})
     basis.add((x1 * x2) ** 2 * Y, {x1: 2, x2: 2, Y: 1})
     basis.freeze()
-    assert basis.elements == coprime_basis([x1 * x2, (x1 * x2) ** 2 * Y]).elements
-    assert basis.elements == sorted([x1 * x2, Y], key=MultiPoly.sort_key)
-    assert basis.factor(x1 * x2) == (ONE, {basis.elements.index(x1 * x2): 1})
+    whole = coprime_basis([x1 * x2, (x1 * x2) ** 2 * Y])
+    assert sorted(basis.elements, key=MultiPoly.sort_key) == sorted(
+        whole.elements, key=MultiPoly.sort_key
+    ) == sorted([x1 * x2, Y], key=MultiPoly.sort_key)
+    assert basis.factor(x1 * x2) == (ONE, {x1 * x2: 1})
 
 
 def test_a_power_is_refined_as_its_base(monkeypatch):
@@ -398,7 +433,7 @@ def _rebuilt(alpha: FormalSum) -> FormalSum:
 
 def _assert_basis_ignores_factors(alpha: FormalSum):
     built, whole = boundary(alpha), boundary(_rebuilt(alpha))
-    assert built.basis.elements == whole.basis.elements
+    assert built.sorted_basis() == whole.sorted_basis()
     assert built.pairs == whole.pairs
 
 

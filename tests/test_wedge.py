@@ -4,6 +4,7 @@ import functools
 import random
 import re
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -27,7 +28,7 @@ from dilogeq.wedge import (
 from helpers import (
     benchmark_inputs,
     benchmark_relation_sums,
-    beta1_by_index,
+    beta1_by_element,
     coefficients,
     in_one_form,
     beta1_from_exponents,
@@ -296,7 +297,7 @@ def test_pair_witness_before_an_earlier_column():
     # this shape (its tame symbol at t would be the constant 2), so the
     # element is built directly.
     w = WedgeElement([(1, t(), const(2)), (1, t() - const(1), t() - const(2))])
-    assert [str(b) for b in w.basis.elements] == ["t", "t - 2", "t - 1"]
+    assert [str(b) for b in w.sorted_basis()] == ["t", "t - 2", "t - 1"]
     kind, b, bprime, val = w.first_obstruction()
     assert (kind, str(b), str(bprime), val) == ("pair", "t - 2", "t - 1", -1)
 
@@ -507,11 +508,11 @@ def test_oversized_constant_refused():
 
 
 def test_beta1_pair_examples():
-    # d[t] = t /\ (1 - t) pairs t with t - 1 by 1, so t - 1 with t by -1
+    # d[t] = t /\ (1 - t) pairs t with t - 1 by 1, and t sorts first
     w = boundary(FormalSum.single(t()))
-    i = w.basis.elements.index(tp("t"))
-    j = w.basis.elements.index(tp("t") - MultiPoly.one(T))
-    assert beta1_by_index(w) == ({(i, j): 1} if i < j else {(j, i): -1})
+    b, b1 = tp("t"), tp("t") - MultiPoly.one(T)
+    assert w.sorted_basis() == [b, b1]
+    assert beta1_by_element(w) == {(b, b1): 1}
     assert tp("t") + MultiPoly.one(T) not in w.basis.elements
 
 
@@ -778,12 +779,13 @@ PINNED = {
 }
 
 
-def _atom_label(x) -> str:
+def _atom_label(x, basis: list) -> str:
+    """x's label in a pin: b<k> for the k-th element of the sorted basis."""
     from dilogeq.wedge import BASIS, UNIT
 
     if x == UNIT:
         return "unit"
-    return f"b{x[1]}" if x[0] == BASIS else str(x[1])
+    return f"b{basis.index(x[1])}" if x[0] == BASIS else str(x[1])
 
 
 @pytest.mark.parametrize("mode", sorted(PINNED))
@@ -800,12 +802,15 @@ def test_relation_sum_basis_and_pairs_pinned(mode):
     for c, x, y in gens:
         total = total + five_term(rf(x), rf(y), field_mode=mode).scale(c)
     w = boundary(total)
-    assert [str(e) for e in w.basis.elements] == basis
+    assert [str(e) for e in w.sorted_basis()] == basis
     assert w.pairs == {}
 
     w = boundary(total + FormalSum.single(rf(stray), 1, field_mode=mode))
-    assert [str(e) for e in w.basis.elements] == basis[:at] + stray_basis + basis[at:]
-    got = sorted((_atom_label(x), _atom_label(y), str(v)) for (x, y), v in w.pairs.items())
+    ordered = w.sorted_basis()
+    assert [str(e) for e in ordered] == basis[:at] + stray_basis + basis[at:]
+    got = sorted(
+        (_atom_label(x, ordered), _atom_label(y, ordered), str(v)) for (x, y), v in w.pairs.items()
+    )
     assert got == pairs
 
 
@@ -819,12 +824,12 @@ def _with_stray_term(alpha: FormalSum) -> FormalSum:
 
 
 @functools.cache
-def _order_cases() -> tuple:
-    """Seeded relation sums, each also with a stray term, and the sums of
-    the benchmark's documents that load."""
-    sums = benchmark_relation_sums(1, 6)
+def _seeded_cases(relations: int, documents: int) -> tuple:
+    """The first seed-1 relation sums of the benchmark, each also with a
+    stray term, and the sums of its first seed-1 documents that load."""
+    sums = benchmark_relation_sums(1, relations)
     cases = [*sums, *map(_with_stray_term, sums)]
-    for case in benchmark_inputs().docs_cases(1, 60):
+    for case in benchmark_inputs().docs_cases(1, documents):
         try:
             cases.append(load_document(case.text).formal_sum())
         except ValueError:
@@ -835,17 +840,17 @@ def _order_cases() -> tuple:
 def _read_everything(w: WedgeElement, basis_first: bool):
     """Every view of w, the printed basis read first or last, as lists so
     that == also compares the order the views fill their entries in."""
-    basis = [str(b) for b in w.basis.elements] if basis_first else None
+    basis = [str(b) for b in w.sorted_basis()] if basis_first else None
     views = (list(w.pairs.items()), _ordered(w.decompose()), w.first_obstruction())
     if not basis_first:
-        basis = [str(b) for b in w.basis.elements]
+        basis = [str(b) for b in w.sorted_basis()]
     return (*views, basis)
 
 
 @given(st.integers(0, 10_000), st.randoms(use_true_random=False))
 @settings(max_examples=40, deadline=None)
 def test_the_order_of_terms_does_not_matter(index, rnd):
-    cases = _order_cases()
+    cases = _seeded_cases(6, 60)
     alpha = cases[index % len(cases)]
     items = list(alpha.terms.items())
     rnd.shuffle(items)
@@ -883,7 +888,7 @@ def test_a_constant_boundary_builds_no_sort_key(monkeypatch):
     assert all(c.is_constant() for c in certificates)
     assert counts == {"calls": 0, "filled": 0}
     # printing the basis is what sorts it
-    assert [str(b) for b in boundary(sums[0]).basis.elements]
+    assert [str(b) for b in boundary(sums[0]).sorted_basis()]
     assert counts["calls"] > 0
 
 
@@ -900,3 +905,42 @@ def test_a_witness_is_read_in_the_canonical_order(monkeypatch):
         assert obs == first_obstruction_by_sorting(w)
         assert _ordered(decomposed) == _ordered(decompose_by_sorting(w))
     assert kinds == {"pair"}
+
+
+# -- invariances of the verdict ---------------------------------------------------
+
+
+def _verdict(alpha: FormalSum) -> bool:
+    return check_constant(alpha).is_constant()
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=300, deadline=None)
+def test_z_and_q_coefficients_give_one_verdict(index):
+    # D(n alpha) = n D(alpha), so the torsion columns Z-mode keeps cannot
+    # decide constancy alone: alpha over Q and n alpha over Z, n clearing
+    # every denominator, are constant together
+    cases = _seeded_cases(30, 240)
+    alpha = cases[index % len(cases)]
+    terms = alpha.terms
+    n = lcm(*(Fraction(c).denominator for c in terms.values()))
+    over_z = FormalSum(alpha.universe, {f: n * c for f, c in terms.items()}, alpha.field_mode, "Z")
+    over_q = FormalSum(alpha.universe, terms, alpha.field_mode, "Q")
+    assert _verdict(over_z) == _verdict(over_q), str(alpha)
+
+
+@given(st.integers(0, 10_000), st.randoms(use_true_random=False))
+@settings(max_examples=300, deadline=None)
+def test_a_two_term_relation_keeps_the_verdict(index, rnd):
+    # [f] + [1/f] and [f] + [1 - f] are constant, so a[f] may be replaced
+    # by -a[1/f] or by -a[1 - f]
+    cases = _seeded_cases(30, 240)
+    alpha = cases[index % len(cases)]
+    pairs = []
+    for f, a in alpha.terms.items():
+        if rnd.random() < 0.5:
+            pairs.append((f, a))
+        else:
+            pairs.append((rnd.choice((f.inverse, f.one_minus))(), -a))
+    variant = FormalSum(alpha.universe, pairs, alpha.field_mode, alpha.coeff_mode)
+    assert _verdict(variant) == _verdict(alpha), (str(alpha), str(variant))
